@@ -227,10 +227,13 @@ def cmd_fixed_point(args) -> int:
             "probes": [cert.probes_ok, cert.probes_checked],
             "universal": [cert.utm_agree, cert.utm_runs],
             "patches": [cert.patches_ok, cert.patches_checked],
+            "inconclusive": cert.inconclusive,
             "notes": cert.notes,
         }
         if not cert.ok:
-            status = FAIL
+            # budget hits alone leave the audit undecided, not refuted
+            budget_only = cert.resident_checked and cert.failures == cert.inconclusive
+            status = INCONCLUSIVE if budget_only else FAIL
     if args.mutations:
         trials = mutation_trials(fp, count=args.mutations, seed=args.seed)
         body["mutations"] = {"tried": trials.tried, "caught": trials.caught,

@@ -658,7 +658,12 @@ def decode_self_patch(fp: FixedPointSet, patch: PatchGrid) -> tuple:
 
 @dataclass
 class SelfCertificate:
-    """What was checked and how it came out; ok means every part passed."""
+    """What was checked and how it came out; ok means every part passed.
+
+    A run that hits its step budget decides nothing: it counts in
+    ``inconclusive`` instead of its part's ok count, so ok is false but no
+    refutation is claimed.
+    """
 
     resident_checked: int = 0
     resident_ok: int = 0
@@ -670,18 +675,27 @@ class SelfCertificate:
     utm_agree: int = 0
     patches_checked: int = 0
     patches_ok: int = 0
+    inconclusive: int = 0
     notes: list = field(default_factory=list)
 
     @property
-    def ok(self) -> bool:
+    def failures(self) -> int:
+        """Checks that did not pass, budget hits included."""
         return (
-            self.resident_checked == self.resident_ok
-            and self.walk_checked == self.walk_ok
-            and self.probes_checked == self.probes_ok
-            and self.utm_runs == self.utm_agree
-            and self.patches_checked == self.patches_ok
-            and self.resident_checked > 0
+            self.resident_checked - self.resident_ok
+            + self.walk_checked - self.walk_ok
+            + self.probes_checked - self.probes_ok
+            + self.utm_runs - self.utm_agree
+            + self.patches_checked - self.patches_ok
         )
+
+    @property
+    def ok(self) -> bool:
+        return self.failures == 0 and self.resident_checked > 0
+
+    def note(self, text: str) -> None:
+        if len(self.notes) < 10:
+            self.notes.append(text)
 
 
 def _tile_variants(fp: FixedPointSet):
@@ -738,7 +752,8 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     against set membership; (b) the checker is re-run under the
     universal machine on its own encoding and the verdicts compared;
     (c) sample tiles are assembled into macro-tiles, patch-verified,
-    and decoded back.
+    and decoded back.  A run that hits its step budget, directly or under
+    the universal machine, counts as inconclusive, not as a refutation.
     """
     rng = random.Random(seed)
     cert = SelfCertificate()
@@ -750,18 +765,30 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
         (walkers if walks(fp, x, y) else residents).append(quad)
     if resident_samples is not None:
         residents = rng.sample(residents, min(resident_samples, len(residents)))
+
+    def verdict(quad) -> str | None:
+        """The checker's status, or None (counted inconclusive) on a budget hit."""
+        status = run_checker(fp, quad, track=track).status
+        if status != "timeout":
+            return status
+        cert.inconclusive += 1
+        cert.note(f"checker budget hit at {quad}: inconclusive")
+        return None
+
     for quad in residents:
         cert.resident_checked += 1
-        if run_checker(fp, quad, track=track).status == "accepted":
+        status = verdict(quad)
+        if status == "accepted":
             cert.resident_ok += 1
-        elif len(cert.notes) < 10:
-            cert.notes.append(f"resident reject at {quad}")
+        elif status:
+            cert.note(f"resident reject at {quad}")
     for quad in rng.sample(walkers, min(walk_samples, len(walkers))):
         cert.walk_checked += 1
-        if run_checker(fp, quad, track=track).status == "accepted":
+        status = verdict(quad)
+        if status == "accepted":
             cert.walk_ok += 1
-        elif len(cert.notes) < 10:
-            cert.notes.append(f"walk reject at {quad}")
+        elif status:
+            cert.note(f"walk reject at {quad}")
 
     probes = _reject_probes(fp, rng, reject_samples)
     block_rows = list(fp.band)
@@ -773,12 +800,12 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
         probes.append(tuple(quad))
     for quad in probes:
         want = quad in fp.accepted
-        got = run_checker(fp, quad, track=track).status == "accepted"
+        status = verdict(quad)
         cert.probes_checked += 1
-        if want == got:
+        if status and want == (status == "accepted"):
             cert.probes_ok += 1
-        elif len(cert.notes) < 10:
-            cert.notes.append(f"probe mismatch at {quad}: member={want}")
+        elif status:
+            cert.note(f"probe mismatch at {quad}: member={want}")
 
     utm = universal_machine(fp.state_bits)
     nonwalk = [q for x, y, q in _tile_variants(fp) if not walks(fp, x, y)]
@@ -786,15 +813,19 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     picks += [q for q in _reject_probes(fp, rng, utm_rejects * 3)
               if q not in fp.accepted][:utm_rejects]
     for quad in picks:
-        direct = run_checker(fp, quad, track=track).status
+        cert.utm_runs += 1
+        direct = verdict(quad)
+        if direct is None:
+            continue
         sim = run_encoded(utm, list(fp.program), checker_tape(fp.n, *quad),
                           max_steps=200_000_000, state_bits=fp.state_bits)
-        cert.utm_runs += 1
-        if direct == sim.status and (direct == "accepted") == (quad in fp.accepted):
+        if sim.status == "timeout":
+            cert.inconclusive += 1
+            cert.note(f"universal budget hit at {quad}: inconclusive")
+        elif direct == sim.status and (direct == "accepted") == (quad in fp.accepted):
             cert.utm_agree += 1
-        elif len(cert.notes) < 10:
-            cert.notes.append(f"universal run disagrees at {quad}: "
-                              f"{direct} vs {sim.status}")
+        else:
+            cert.note(f"universal run disagrees at {quad}: {direct} vs {sim.status}")
 
     corners = [(0, 0), (fp.size - 1, fp.size - 1), (0, fp.size - 32)]
     inner = [(77, 30), (fp.size // 2, fp.size // 2), (5, 0)]
@@ -805,8 +836,8 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
         cert.patches_checked += 1
         if not verify_patch(fp.tile_set, patch) and decode_self_patch(fp, patch) == quad:
             cert.patches_ok += 1
-        elif len(cert.notes) < 10:
-            cert.notes.append(f"macro-tile round trip failed at {(x, y)}")
+        else:
+            cert.note(f"macro-tile round trip failed at {(x, y)}")
     return cert
 
 
@@ -824,7 +855,9 @@ class MutationTrials:
 def mutation_trials(fp: FixedPointSet, count: int = 50,
                     seed: int = 20260816) -> MutationTrials:
     """Flip single program bits on the track and confirm the checker now
-    rejects the tile that carries the original bit at that block offset."""
+    rejects the tile that carries the original bit at that block offset.
+
+    Only a stuck run is a rejection: a budget hit or a wall is not caught."""
     rng = random.Random(seed)
     bits = rng.sample(range(len(fp.program)), count)
     caught = 0
@@ -840,7 +873,7 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
             fp.padded[fp.fold(x, y + 1)] if y + 1 in fp.band else 0,
             fp.padded[mbit],
         )
-        if run_checker(fp, quad, track=mutated).status != "accepted":
+        if run_checker(fp, quad, track=mutated).status == "stuck":
             caught += 1
         if k < 3 and not checker_accepts(fp, control, track=mutated):
             controls_ok = False

@@ -61,18 +61,25 @@ class Machine:
             if t.track not in (None, 0, 1):
                 raise ValueError("track condition must be None, 0 or 1")
 
-    def resolver(self) -> dict[tuple[int, int, int], tuple[int, int, str]]:
-        """(state, symbol, track bit) -> (new state, write, move), first match wins."""
-        cached = self.__dict__.get("_resolver")
-        if cached is None:
-            cached = {}
-            for t in self.transitions:
-                for b in (0, 1):
-                    key = (t.state, t.read, b)
-                    if key not in cached and (t.track is None or t.track == b):
-                        cached[key] = (t.new_state, t.write, t.move)
-            object.__setattr__(self, "_resolver", cached)
-        return cached
+    def dispatch(self) -> list:
+        """The compiled dispatch table, built once and cached on the instance.
+
+        Entry ``(state*symbols + symbol)*tracks + bit`` (``tracks`` is 2 for
+        program-track machines, else 1 and the bit is 0) holds the first
+        matching transition as ``(new state, write, move delta, sweep)``, or
+        None when nothing fires; the accept state's rows are all None.
+        ``sweep`` is set on self-loops that rewrite nothing and move the same
+        way whatever the track bit: a 0/1 mask over the symbols on which that
+        state loops so, in that direction (one bytearray shared by those
+        entries, never changed after the build; a byte mask rather than a set
+        keeps the entries out of the cyclic garbage collector).  Otherwise it
+        is None.
+        """
+        table = self.__dict__.get("_dispatch")
+        if table is None:
+            table = _compile(self)
+            object.__setattr__(self, "_dispatch", table)
+        return table
 
     def to_json(self) -> dict:
         return {
@@ -108,6 +115,50 @@ class Machine:
         return cls.from_json(json.loads(s))
 
 
+#: Head movement per move letter.
+DELTAS = {"L": -1, "R": 1, "S": 0}
+
+
+def _compile(m: Machine) -> list:
+    """Build ``Machine.dispatch``'s table: one pass over the rules per bit."""
+    syms, tracks = m.symbols, 2 if m.program_track else 1
+    table: list = [None] * (m.states * syms * tracks)
+    loops: dict[tuple[int, int], bytearray] = {}
+    for b in range(tracks):
+        for t in m.transitions:
+            if t.track is not None and t.track != b:
+                continue
+            q, s = t.state, t.read
+            i = (q * syms + s) * tracks + b
+            if table[i] is not None or q == m.accept:
+                continue  # an earlier rule matches first, or accepted
+            d = DELTAS[t.move]
+            e = (t.new_state, t.write, d, None)
+            # the last bit's pass marks the loops that match on every bit
+            if (t.new_state == q and t.write == s and b == tracks - 1
+                    and (b == 0 or table[i - 1] == e)):
+                sweep = loops.get((q, d))
+                if sweep is None:
+                    sweep = loops[q, d] = bytearray(syms)
+                sweep[s] = 1
+                e = table[i - b] = (q, s, d, sweep)
+            table[i] = e
+    return table
+
+
+#: Cells a sweep crosses one by one before the rest of it is scanned in C.
+LONG_RUN = 64
+
+
+def _scan(cells: list, j: int, end: int, sweep: bytearray) -> int:
+    """The first cell from j towards end (exclusive) that is not a loop
+    symbol of sweep, or end if there is none; the cells are scanned as bytes."""
+    loop = bytes(s for s, on in enumerate(sweep) if on)
+    if end > j:
+        return end - len(bytes(cells[j:end]).lstrip(loop))
+    return end + len(bytes(cells[end + 1 : j + 1]).rstrip(loop))
+
+
 @dataclass
 class RunResult:
     status: str  # "accepted" | "stuck" | "timeout" | "hit_wall"
@@ -132,14 +183,28 @@ def run_machine(
 
     The tape is a bounded segment unless grow=True, which appends blanks on
     the right on demand (moving left of cell 0 is always a wall).  The
-    optional track is pinned to tape positions and read-only; cells past its
-    end read as 0.
+    optional 0/1 track is pinned to tape positions and read-only; cells past
+    its end read as 0.
+
+    Steps go through the machine's compiled dispatch table.  A state that
+    sweeps over its own loop symbols (see ``Machine.dispatch``) crosses the
+    whole run of them in one jump (a long run is scanned in C), but every
+    cell crossed still counts one step, so step counts, budgets and end
+    configurations are exactly those of stepping one cell at a time.
+    record=True (history of every step) steps one cell at a time.
     """
-    cells = list(tape)
-    if not cells:
-        cells = [machine.blank]
-    trk = list(track) if track is not None else []
-    res = machine.resolver()
+    table = machine.dispatch()
+    syms, tracks = machine.symbols, 2 if machine.program_track else 1
+    blank = machine.blank
+    cells = list(tape) or [blank]
+    if min(cells) < 0 or max(cells) >= syms:
+        raise ValueError("tape symbol outside the machine's alphabet")
+    width = len(cells)
+    # sweeps longer than this finish in _scan (0: never; bytes() cannot
+    # hold symbols past 255)
+    long_run = LONG_RUN if syms <= 256 else 0
+    trk = track if track is not None and tracks > 1 else ()
+    ntrk = len(trk)
     state = machine.start
     steps = 0
     hist: list[tuple[int, int, tuple[int, ...]]] = []
@@ -147,34 +212,64 @@ def run_machine(
         hist.append((state, head, tuple(cells)))
     status = "timeout"
     while steps < max_steps:
-        if state == machine.accept:
-            status = "accepted"
+        i = (state * syms + cells[head]) * tracks
+        if head < ntrk:
+            i += trk[head]
+        try:
+            state, write, delta, sweep = table[i]
+        except TypeError:  # no rule fires (the accept state has none)
+            status = "accepted" if state == machine.accept else "stuck"
             break
-        bit = trk[head] if head < len(trk) else 0
-        move = res.get((state, cells[head], bit))
-        if move is None:
-            status = "stuck"
-            break
-        state, write, direction = move
+        if sweep is not None and not record:
+            # cross the run of loop cells: j is where the sweep stops
+            if delta > 0:
+                stop = head + max_steps - steps
+                j = head + 1
+                end = stop if stop < width else width
+                while j < end and sweep[cells[j]]:
+                    j += 1
+                    if j - head == long_run:
+                        j = _scan(cells, j, end, sweep)
+                        break
+                if j == width:  # off the right end
+                    if grow and sweep[blank]:
+                        cells.extend([blank] * (stop + 1 - width))
+                        width = stop + 1
+                        j = stop
+                    else:
+                        j = width - 1
+            elif delta < 0:
+                stop = head - max_steps + steps
+                j = head - 1
+                end = stop if stop > -1 else -1
+                while j > end and sweep[cells[j]]:
+                    j -= 1
+                    if head - j == long_run:
+                        j = _scan(cells, j, end, sweep)
+                        break
+                if j < 0:  # the last step, off cell 0, hits the wall
+                    j = 0
+            else:  # spins in place until the budget runs out
+                steps = max_steps
+                break
+            if j != head:
+                steps += (j - head) * delta
+                head = j
+                continue
         cells[head] = write
-        if direction == "L":
-            head -= 1
-        elif direction == "R":
-            head += 1
+        head += delta
         if head < 0:
             status = "hit_wall"
             break
-        if head >= len(cells):
-            if grow:
-                cells.append(machine.blank)
-            else:
+        if head >= width:
+            if not grow:
                 status = "hit_wall"
                 break
+            cells.append(blank)
+            width += 1
         steps += 1
         if record:
             hist.append((state, head, tuple(cells)))
-    else:
-        status = "timeout"
     if state == machine.accept and status == "timeout":
         status = "accepted"
     return RunResult(status, steps, state, head, tuple(cells), tuple(hist))
@@ -206,7 +301,7 @@ def diagram_local_rules(machine: Machine) -> list[ZoneCellRule]:
     applicable transition produce no rule at all - a diagram simply cannot
     continue through them.
     """
-    res = machine.resolver()
+    table = machine.dispatch()
     tracks = (0, 1) if machine.program_track else (0,)
     rules: list[ZoneCellRule] = []
     for s in range(machine.symbols):
@@ -219,13 +314,13 @@ def diagram_local_rules(machine: Machine) -> list[ZoneCellRule]:
                 if q == machine.accept:
                     rules.append(ZoneCellRule((s, q, b), (s, q, b), None, None))
                     continue
-                move = res.get((q, s, b))
-                if move is None:
+                entry = table[(q * machine.symbols + s) * len(tracks) + b]
+                if entry is None:
                     continue
-                q2, w, d = move
-                if d == "S":
+                q2, w, d, _ = entry
+                if d == 0:
                     rules.append(ZoneCellRule((s, q, b), (w, q2, b), None, None))
-                elif d == "R":
+                elif d > 0:
                     rules.append(ZoneCellRule((s, q, b), (w, None, b), None, ("R", q2)))
                 else:
                     rules.append(ZoneCellRule((s, q, b), (w, None, b), ("L", q2), None))
@@ -351,11 +446,6 @@ U_SYMBOLS = U_WORK_BASE + 16
 
 def work_cell(symbol: int, head: int, track: int) -> int:
     return U_WORK_BASE + symbol + 4 * head + 8 * track
-
-
-def parse_work_cell(value: int) -> tuple[int, int, int]:
-    v = value - U_WORK_BASE
-    return v & 3, (v >> 2) & 1, (v >> 3) & 1
 
 
 def utm_tape(

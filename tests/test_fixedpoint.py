@@ -1,5 +1,12 @@
+import contextlib
+import functools
+import io
+import json
+
 import pytest
 
+from tilebench import cli
+from tilebench.compiler import fixedpoint
 from tilebench.compiler import (
     CompileError,
     assemble_macro_tile,
@@ -22,7 +29,7 @@ from tilebench.compiler.fixedpoint import (
     walks,
 )
 from tilebench.core import verify_patch
-from tilebench.machine import encode_program
+from tilebench.machine import RunResult, encode_program
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +181,63 @@ class TestCertificate:
         assert cert.probes_checked == 26
         assert cert.utm_runs == 2
         assert cert.patches_checked == 6
+
+
+def _budget_hit(*args, **kwargs):
+    return RunResult("timeout", 0, 0, 0, ())
+
+
+class TestBudgetHits:
+    """A run that hits its step budget decides nothing either way."""
+
+    def test_mutation_timeout_is_not_caught(self, fp, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "run_checker", _budget_hit)
+        trials = mutation_trials(fp, count=5)
+        assert trials.caught == 0
+        assert not trials.all_caught
+
+    def test_universal_budget_hit_is_inconclusive(self, fp, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "run_encoded", _budget_hit)
+        cert = certificate(fp, walk_samples=0, reject_samples=0, block_probes=0,
+                           utm_accepts=1, utm_rejects=1, resident_samples=3, seed=5)
+        assert (cert.utm_runs, cert.utm_agree, cert.inconclusive) == (2, 0, 2)
+        assert cert.resident_ok == cert.resident_checked == 3
+        assert cert.failures == cert.inconclusive and not cert.ok
+        assert not any("disagrees" in n for n in cert.notes)
+        assert sum("inconclusive" in n for n in cert.notes) == 2
+
+    def test_direct_budget_hit_is_inconclusive(self, fp, monkeypatch):
+        def never_called(*args, **kwargs):
+            raise AssertionError("universal run after a direct budget hit")
+
+        monkeypatch.setattr(fixedpoint, "run_checker", _budget_hit)
+        monkeypatch.setattr(fixedpoint, "run_encoded", never_called)
+        cert = certificate(fp, walk_samples=1, reject_samples=2, block_probes=0,
+                           utm_accepts=1, utm_rejects=0, resident_samples=2, seed=5)
+        assert cert.inconclusive == 2 + 1 + 2 + 1
+        assert (cert.resident_ok, cert.walk_ok, cert.probes_ok, cert.utm_agree) == (0, 0, 0, 0)
+        assert cert.failures == cert.inconclusive and not cert.ok
+
+    def _cli(self, fp, monkeypatch, sim_status):
+        monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
+        monkeypatch.setattr(cli, "certificate", functools.partial(
+            certificate, reject_samples=0, block_probes=0, utm_accepts=1, utm_rejects=1))
+        monkeypatch.setattr(fixedpoint, "run_encoded",
+                            lambda *a, **k: RunResult(sim_status, 0, 0, 0, ()))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["fixed-point", "--certificate", "--seed", "7",
+                             "--walk-samples", "0", "--resident-samples", "2"])
+        return code, json.loads(buf.getvalue())["certificate"]
+
+    def test_cli_exits_3_on_budget_hits_only(self, fp, monkeypatch):
+        code, body = self._cli(fp, monkeypatch, "timeout")
+        assert code == 3
+        assert body["inconclusive"] == 2 and body["universal"] == [0, 2]
+        assert not body["ok"]
+
+    def test_cli_exits_1_on_a_refutation(self, fp, monkeypatch):
+        # a stuck universal run refutes the accepted pick, agrees on the reject
+        code, body = self._cli(fp, monkeypatch, "stuck")
+        assert code == 1
+        assert body["inconclusive"] == 0 and body["universal"] == [1, 2]
