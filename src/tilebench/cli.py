@@ -237,9 +237,12 @@ def cmd_fixed_point(args) -> int:
     if args.mutations:
         trials = mutation_trials(fp, count=args.mutations, seed=args.seed)
         body["mutations"] = {"tried": trials.tried, "caught": trials.caught,
+                             "inconclusive": trials.inconclusive,
                              "controls_ok": trials.controls_ok}
-        if not trials.all_caught:
-            status = FAIL
+        if not trials.all_caught and status != FAIL:
+            budget_only = (trials.controls_ok
+                           and trials.caught + trials.inconclusive == trials.tried)
+            status = INCONCLUSIVE if budget_only else FAIL
     _emit(body, args.out)
     return status
 
@@ -343,6 +346,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_mc_clean(args) -> int:
+    if args.trials < 1 or args.size < 1:
+        raise UsageError("--trials and --size must be at least 1")
     schedule = _schedule_from(args)
     trials = []
     successes = 0

@@ -846,6 +846,7 @@ class MutationTrials:
     tried: int
     caught: int
     controls_ok: bool
+    inconclusive: int  # budget hits: neither caught nor missed
 
     @property
     def all_caught(self) -> bool:
@@ -857,10 +858,11 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
     """Flip single program bits on the track and confirm the checker now
     rejects the tile that carries the original bit at that block offset.
 
-    Only a stuck run is a rejection: a budget hit or a wall is not caught."""
+    Only a stuck run is a rejection: a wall is a miss, and a budget hit
+    (``timeout``) is inconclusive, counted apart from both."""
     rng = random.Random(seed)
     bits = rng.sample(range(len(fp.program)), count)
-    caught = 0
+    caught = inconclusive = 0
     controls_ok = True
     control = fp.edge_records(3, 7, 0, 0, 0, 0)
     for k, mbit in enumerate(bits):
@@ -873,8 +875,10 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
             fp.padded[fp.fold(x, y + 1)] if y + 1 in fp.band else 0,
             fp.padded[mbit],
         )
-        if run_checker(fp, quad, track=mutated).status == "stuck":
-            caught += 1
+        status = run_checker(fp, quad, track=mutated).status
+        caught += status == "stuck"
+        inconclusive += status == "timeout"
         if k < 3 and not checker_accepts(fp, control, track=mutated):
             controls_ok = False
-    return MutationTrials(tried=count, caught=caught, controls_ok=controls_ok)
+    return MutationTrials(tried=count, caught=caught, controls_ok=controls_ok,
+                          inconclusive=inconclusive)

@@ -9,6 +9,8 @@ surely while touching only a small fraction of the plane.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -30,16 +32,61 @@ def chebyshev(p: Point, q: Point, torus: tuple[int, int] | None = None) -> int:
     return max(dx, dy)
 
 
-def diameter(points: Iterable[Point], torus: tuple[int, int] | None = None) -> int:
-    """Largest pairwise distance; 0 for singletons and the empty set."""
-    pts = list(points)
+def _axis_diameter(values: Iterable[int], side: int | None) -> int:
+    """Largest pairwise distance among coordinates on a line or a cycle of ``side``."""
+    vals = sorted(set(values))
+    if side is None or len(vals) < 2:
+        return vals[-1] - vals[0]
+    # Each pair lies at most side//2 apart going forward from one of its
+    # two ends, and within that half-turn the cyclic distance only grows; so
+    # the last value at or before v + side//2 (cyclically) is, over all v,
+    # enough to find the diameter.
+    half = side // 2
     best = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = chebyshev(pts[i], pts[j], torus)
-            if d > best:
-                best = d
+    for v in vals:
+        u = vals[bisect.bisect_right(vals, (v + half) % side) - 1]
+        best = max(best, (u - v) % side)
     return best
+
+
+def _check_torus(points: Sequence[Point], torus: tuple[int, int]) -> None:
+    w, h = torus
+    if w < 1 or h < 1:
+        raise ValueError(f"torus sides must be positive, got {torus}")
+    for x, y in points:
+        if not (0 <= x < w and 0 <= y < h):
+            raise ValueError(f"point {(x, y)} lies outside the torus {torus}")
+
+
+def _near(c: int, count: int | None) -> Iterable[int]:
+    """Bucket index c and its neighbours on one axis, wrapped modulo count
+    (None on the plane); with one or two buckets the wrapped ones coincide."""
+    if count is None:
+        return (c - 1, c, c + 1)
+    return {(c - 1) % count, c, (c + 1) % count}
+
+
+def _diameter(pts: Sequence[Point], torus: tuple[int, int] | None) -> int:
+    if len(pts) < 2:
+        return 0
+    w, h = (None, None) if torus is None else torus
+    return max(_axis_diameter((p[0] for p in pts), w),
+               _axis_diameter((p[1] for p in pts), h))
+
+
+def diameter(points: Iterable[Point], torus: tuple[int, int] | None = None) -> int:
+    """Largest pairwise distance; 0 for singletons and the empty set.
+
+    The Chebyshev distance is the larger of the two axis distances, so the
+    diameter is exactly max(x-diameter, y-diameter), each taken on its own
+    axis: the span on the plane; on the torus, the largest forward distance
+    from a value to the last value at or before it + side // 2, found by
+    bisection (O(n log n) per axis).  Points must lie inside the torus.
+    """
+    pts = list(points)
+    if torus is not None:
+        _check_torus(pts, torus)
+    return _diameter(pts, torus)
 
 
 def find_islands(
@@ -56,12 +103,29 @@ def find_islands(
     diameter above beta >= alpha.  Components are therefore islands exactly
     when their diameter is at most alpha; wider ones are returned in the
     second list, untouched.
+
+    Components are found over a grid of buckets at least beta wide on each
+    axis: (x // beta, y // beta) on the plane, max(1, side // beta) equal
+    buckets per side on the torus.  Two points in buckets that are not
+    neighbours (cyclically on the torus) are then more than beta apart, so
+    only pairs within a bucket or across neighbouring buckets are compared.
+    On a torus every point must lie in [0, w) x [0, h).
     """
     if not (0 < alpha <= beta):
         raise ValueError("need 0 < alpha <= beta")
     pts = sorted(set(points))
-    n = len(pts)
-    parent = list(range(n))
+    if torus is None:
+        nx = ny = None
+        keys = [(x // beta, y // beta) for x, y in pts]
+    else:
+        _check_torus(pts, torus)
+        w, h = torus
+        nx, ny = max(1, w // beta), max(1, h // beta)
+        keys = [(x * nx // w, y * ny // h) for x, y in pts]
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    parent = list(range(len(pts)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -69,19 +133,25 @@ def find_islands(
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if chebyshev(pts[i], pts[j], torus) <= beta:
-                ri, rj = find(i), find(j)
-                if ri != rj:
+    for (bx, by), members in buckets.items():
+        # each unordered pair of neighbouring buckets is visited once, from the smaller
+        rows = _near(by, ny)
+        across = [j for u in _near(bx, nx) for v in rows if (u, v) > (bx, by)
+                  for j in buckets.get((u, v), ())]
+        for k, i in enumerate(members):
+            ri = find(i)
+            for j in itertools.chain(members[k + 1:], across):
+                rj = find(j)
+                if ri != rj and chebyshev(pts[i], pts[j], torus) <= beta:
                     parent[ri] = rj
+                    ri = rj
     groups: dict[int, list[Point]] = {}
     for i, p in enumerate(pts):
         groups.setdefault(find(i), []).append(p)
     islands: list[frozenset[Point]] = []
     oversize: list[frozenset[Point]] = []
     for g in groups.values():
-        (islands if diameter(g, torus) <= alpha else oversize).append(frozenset(g))
+        (islands if _diameter(g, torus) <= alpha else oversize).append(frozenset(g))
     islands.sort(key=min)
     oversize.sort(key=min)
     return islands, oversize

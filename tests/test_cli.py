@@ -159,6 +159,16 @@ class TestIslandCommands:
         assert body["islands"] == [[[0, 0], [1, 0]], [[9, 9]]]
         assert body["oversize"] == []
 
+    def test_islands_rejects_points_outside_the_torus(self, files):
+        # (9, 9) lies outside an 8 x 8 torus
+        code, out = run("islands", "--points", files["points"],
+                        "--alpha", "2", "--beta", "4", "--torus", "8", "8")
+        assert code == 2 and out == ""
+        code, body = run_json("islands", "--points", files["points"],
+                              "--alpha", "2", "--beta", "4", "--torus", "10", "10")
+        assert code == 0
+        assert body["islands"] == [[[0, 0], [1, 0], [9, 9]]]
+
     def test_clean_sparse_points(self, files):
         code, body = run_json("clean", "--points", files["points"],
                               "--c", "2", "--alpha1", "1", "--ranks", "3")
@@ -184,6 +194,13 @@ class TestIslandCommands:
         body = json.loads(out_a)
         assert body["success_fraction"] == 1.0
         assert len(body["runs"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--trials", "--size"])
+    def test_mc_clean_rejects_empty_experiments(self, flag):
+        argv = {"--epsilon": "0.001", "--size": "8", "--trials": "1", "--seed": "7",
+                "--c": "2", "--alpha1": "1", "--ranks": "2", flag: "0"}
+        code, out = run("mc-clean", *(a for kv in argv.items() for a in kv))
+        assert code == 2 and out == ""
 
     def test_mc_clean_demands_a_seed(self):
         with pytest.raises(SystemExit) as err:

@@ -191,10 +191,24 @@ class TestBudgetHits:
     """A run that hits its step budget decides nothing either way."""
 
     def test_mutation_timeout_is_not_caught(self, fp, monkeypatch):
-        monkeypatch.setattr(fixedpoint, "run_checker", _budget_hit)
+        control = fp.edge_records(3, 7, 0, 0, 0, 0)
+
+        def mutants_hit_budget(fp_, quad, track=None):
+            if quad == control:
+                return RunResult("accepted", 0, 0, 0, ())
+            return _budget_hit()
+
+        monkeypatch.setattr(fixedpoint, "run_checker", mutants_hit_budget)
         trials = mutation_trials(fp, count=5)
-        assert trials.caught == 0
-        assert not trials.all_caught
+        assert trials.caught == 0 and trials.inconclusive == 5
+        assert trials.controls_ok and not trials.all_caught
+        monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["fixed-point", "--mutations", "5", "--seed", "7"])
+        assert code == 3
+        body = json.loads(buf.getvalue())["mutations"]
+        assert (body["tried"], body["caught"], body["inconclusive"]) == (5, 0, 5)
 
     def test_universal_budget_hit_is_inconclusive(self, fp, monkeypatch):
         monkeypatch.setattr(fixedpoint, "run_encoded", _budget_hit)

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tilebench.islands import (
     Schedule,
@@ -59,6 +60,100 @@ def test_find_islands_rejects_bad_scales():
         find_islands(set(), 3, 2)
 
 
+@pytest.mark.parametrize("points, torus", [
+    ({(0, 0), (20, 0)}, (8, 8)),
+    ({(0, 0), (-1, 3)}, (8, 8)),
+    ({(0, 0), (3, 8)}, (8, 8)),
+    (set(), (0, 8)),
+    (set(), (8, -1)),
+])
+def test_find_islands_rejects_points_outside_the_torus(points, torus):
+    with pytest.raises(ValueError):
+        find_islands(points, 1, 2, torus=torus)
+    with pytest.raises(ValueError):
+        clean(points, make_schedule(2, 1, 2), torus=torus)
+
+
+def reference_islands(points, alpha, beta, torus=None):
+    """The all-pairs union-find that the bucketed search replaced."""
+    pts = sorted(set(points))
+    parent = list(range(len(pts)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        if chebyshev(pts[i], pts[j], torus) <= beta:
+            parent[find(i)] = find(j)
+    groups = {}
+    for i, p in enumerate(pts):
+        groups.setdefault(find(i), []).append(p)
+    comps = [frozenset(g) for g in groups.values()]
+    islands = sorted((g for g in comps if reference_diameter(g, torus) <= alpha), key=min)
+    oversize = sorted((g for g in comps if reference_diameter(g, torus) > alpha), key=min)
+    return islands, oversize
+
+
+def reference_diameter(points, torus=None):
+    pts = list(points)
+    return max((chebyshev(p, q, torus) for p, q in itertools.combinations(pts, 2)), default=0)
+
+
+@st.composite
+def island_cases(draw):
+    """Point sets, scales and (often awkward) tori for the differential tests."""
+    beta = draw(st.integers(1, 40))
+    alpha = draw(st.integers(1, beta))
+    if draw(st.booleans()):
+        # sides below beta, near beta/2 and up to a few betas, mostly not
+        # multiples of beta (a narrow last bucket would break across the wrap)
+        w, h = (draw(st.one_of(st.integers(1, 4 * beta + 3), st.integers(1, 90)))
+                for _ in range(2))
+        torus = (w, h)
+        point = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    else:
+        torus = None
+        point = st.tuples(st.integers(-60, 60), st.integers(-60, 60))
+    points = draw(st.sets(point, max_size=40))
+    return points, alpha, beta, torus
+
+
+@settings(max_examples=400, deadline=None)
+@given(island_cases())
+@example((set(), 1, 1, None))
+@example((set(), 2, 3, (2, 5)))
+@example(({(-7, -3)}, 1, 1, None))
+@example(({(4, 6)}, 2, 9, (5, 7)))
+def test_find_islands_matches_all_pairs_reference(case):
+    points, alpha, beta, torus = case
+    assert find_islands(points, alpha, beta, torus) == reference_islands(
+        points, alpha, beta, torus)
+    assert diameter(points, torus) == reference_diameter(points, torus)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 511), st.integers(0, 511)), max_size=60),
+       st.sampled_from([(1, 2), (17, 68), (561, 3366)]))
+def test_find_islands_matches_reference_on_the_benchmark_torus(points, scale):
+    # 512 is not a multiple of 68: the buckets must stay at least beta wide
+    alpha, beta = scale
+    assert find_islands(points, alpha, beta, (512, 512)) == reference_islands(
+        points, alpha, beta, (512, 512))
+    assert diameter(points, (512, 512)) == reference_diameter(points, (512, 512))
+
+
+def test_find_islands_across_the_wrap_of_an_uneven_torus():
+    # 512 // 68 = 7 buckets of 73 or 74 cells; 511 and 67 are 68 apart across the wrap
+    torus = (512, 512)
+    for pts in ({(511, 0), (67, 0)}, {(0, 511), (0, 67)}, {(0, 0), (444, 444)}):
+        assert find_islands(pts, 68, 68, torus) == ([frozenset(pts)], [])
+    apart = {(511, 0), (68, 0)}
+    assert find_islands(apart, 68, 68, torus) == (
+        sorted(map(frozenset, ([p] for p in apart)), key=min), [])
+
+
 def brute_force_islands(points, alpha, beta, torus=None):
     """Independent oracle: test every subset against the island definition."""
     pts = sorted(points)
@@ -76,11 +171,13 @@ def brute_force_islands(points, alpha, beta, torus=None):
 
 def test_islands_match_brute_force_small():
     grid = [(x, y) for x in range(4) for y in range(4)]
-    for r in range(3):
+    cases = itertools.product([None, (4, 4), (5, 4), (4, 7)], range(4),
+                              [(1, 1), (1, 2), (2, 3)])
+    for torus, r, (alpha, beta) in cases:
         for sub in itertools.combinations(grid, r):
-            for alpha, beta in [(1, 1), (1, 2), (2, 3)]:
-                fast, _ = find_islands(sub, alpha, beta)
-                assert fast == brute_force_islands(sub, alpha, beta), (sub, alpha, beta)
+            fast, _ = find_islands(sub, alpha, beta, torus)
+            expected = brute_force_islands(sub, alpha, beta, torus)
+            assert fast == expected, (sub, alpha, beta, torus)
 
 
 def test_make_schedule_frozen_values():
