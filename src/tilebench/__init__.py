@@ -11,7 +11,6 @@ from .core import (
     DegenerateZoomError,
     MalformedPatchError,
     PatchGrid,
-    PeriodVector,
     Tile,
     TileSet,
     Violation,
@@ -27,7 +26,6 @@ __all__ = [
     "DegenerateZoomError",
     "MalformedPatchError",
     "PatchGrid",
-    "PeriodVector",
     "Tile",
     "TileSet",
     "Violation",

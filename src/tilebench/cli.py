@@ -157,8 +157,7 @@ def cmd_simulate_check(args) -> int:
             "tilings_seen": r.tilings_seen}
     if r.offset is not None:
         body["offset"] = list(r.offset)
-    if r.counterexample_offsets is not None:
-        body["counterexample_offsets"] = sorted(map(list, r.counterexample_offsets))
+    body["counterexample_offsets"] = sorted(map(list, r.counterexample_offsets))
     _emit(body, args.out)
     return {"verified": OK, "refuted": FAIL}.get(r.status, INCONCLUSIVE)
 

@@ -133,45 +133,6 @@ def project(rob: Robustification, patch: PatchGrid) -> PatchGrid:
     return PatchGrid(patch.width, patch.height, cells)
 
 
-def _region_tilings(
-    tile_set: TileSet,
-    region: list[Point],
-    max_solutions: int,
-    max_nodes: int,
-):
-    """All tilings of an arbitrary cell subset (row-major fill, free borders)."""
-    tiles = tile_set.tiles
-    cells = {p: HOLE for p in region}
-    order = sorted(region, key=lambda p: (p[1], p[0]))
-    out: list[dict[Point, int]] = []
-    nodes = 0
-
-    def place(i: int):
-        nonlocal nodes
-        if i == len(order):
-            out.append(dict(cells))
-            if len(out) > max_solutions:
-                raise InconclusiveError("too many boundary tilings to enumerate")
-            return
-        x, y = order[i]
-        want_left = cells.get((x - 1, y), HOLE)
-        want_bottom = cells.get((x, y - 1), HOLE)
-        for tid, t in enumerate(tiles):
-            if want_left != HOLE and tiles[want_left].right != t.left:
-                continue
-            if want_bottom != HOLE and tiles[want_bottom].top != t.bottom:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise InconclusiveError("region enumeration hit its node budget")
-            cells[(x, y)] = tid
-            place(i + 1)
-            cells[(x, y)] = HOLE
-
-    place(0)
-    return out
-
-
 def check_window_robust(
     tile_set,
     outer: int,
@@ -184,26 +145,39 @@ def check_window_robust(
 
     Accepts a TileSet or a Robustification.  Enumerates all tilings of the
     outer x outer window minus the centered inner x inner hole and tries to
-    fill each hole; one unfillable annulus makes the verdict "not_robust".
+    fill each hole: to tile the inner x inner window with the colors of the
+    ring around it as its boundary.  One unfillable annulus makes the
+    verdict "not_robust".  More than ``max_solutions`` annulus tilings, or a
+    search that hits ``max_nodes``, leaves the verdict "inconclusive" unless
+    some annulus is already known to be unfillable.
     """
     ts = getattr(tile_set, "tile_set", tile_set)
     if inner < 1 or outer < inner + 2:
         raise ValueError("the window must strictly contain the hole")
-    hx0 = (outer - inner) // 2
-    hy0 = (outer - inner) // 2
-    hole = {
-        (x, y) for x in range(hx0, hx0 + inner) for y in range(hy0, hy0 + inner)
-    }
-    region = [
-        (x, y) for y in range(outer) for x in range(outer) if (x, y) not in hole
-    ]
-    for ann in _region_tilings(ts, region, max_solutions, max_nodes):
-        rows = [
-            [ann.get((x, y), HOLE) for x in range(outer)] for y in range(outer)
-        ]
-        if fill_template(ts, PatchGrid(outer, outer, rows), max_nodes=max_nodes) is None:
+    h0 = (outer - inner) // 2
+    side = range(h0, h0 + inner)
+    hole = [(x, y) for y in side for x in side]
+    annuli = solve(ts, outer, outer, mask=hole, mode="enumerate",
+                   max_solutions=max_solutions + 1, max_nodes=max_nodes)
+    if annuli.status == "inconclusive":
+        return "inconclusive"
+    tiles = ts.tiles
+    lo, hi = h0 - 1, h0 + inner  # the ring around the hole
+    verdict = "robust"
+    for ann in annuli.solutions:
+        a = ann.cells
+        ring = {
+            "left": [tiles[a[y][lo]].right for y in side],
+            "right": [tiles[a[y][hi]].left for y in side],
+            "bottom": [tiles[a[lo][x]].top for x in side],
+            "top": [tiles[a[hi][x]].bottom for x in side],
+        }
+        fill = solve(ts, inner, inner, boundary=ring, max_nodes=max_nodes)
+        if fill.status == "unsatisfiable":
             return "not_robust"
-    return "robust"
+        if fill.status == "inconclusive":
+            verdict = "inconclusive"
+    return verdict
 
 
 @dataclass

@@ -44,18 +44,6 @@ class Tile:
         return (self.left, self.right, self.top, self.bottom)
 
 
-@dataclass(frozen=True)
-class PeriodVector:
-    """A candidate translation period (dx, dy), not both zero."""
-
-    dx: int
-    dy: int
-
-    def __post_init__(self) -> None:
-        if self.dx == 0 and self.dy == 0:
-            raise ValueError("period vector must be nonzero")
-
-
 class TileSet:
     """An immutable finite set of Wang tiles over one color universe.
 
@@ -64,7 +52,7 @@ class TileSet:
     its quadruple, so a duplicate could never be distinguished.
     """
 
-    __slots__ = ("color_count", "tiles", "names", "_by_sides")
+    __slots__ = ("color_count", "tiles", "names", "_by_sides", "_candidates")
 
     def __init__(
         self,
@@ -93,6 +81,7 @@ class TileSet:
         object.__setattr__(self, "tiles", tl)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_by_sides", seen)
+        object.__setattr__(self, "_candidates", None)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("TileSet is immutable")
@@ -116,6 +105,26 @@ class TileSet:
     def tile_id(self, quad: tuple[int, int, int, int]) -> int | None:
         """Id of the tile with these (left, right, top, bottom) colors, if any."""
         return self._by_sides.get(quad)
+
+    def candidate_index(self) -> dict[int, tuple[int, ...]]:
+        """Tile ids by (left, bottom) colors, built once and cached on the set.
+
+        The key of the pair (l, b) is ``l * K + b`` with ``K = color_count + 1``;
+        ``color_count`` stands for a free side, which any color matches.  Ids
+        are ascending, and pairs no tile has are absent.
+        """
+        index = self._candidates
+        if index is None:
+            free = self.color_count
+            K = free + 1
+            lists: dict[int, list[int]] = {}
+            for i, t in enumerate(self.tiles):
+                for l in (t.left, free):
+                    for b in (t.bottom, free):
+                        lists.setdefault(l * K + b, []).append(i)
+            index = {key: tuple(ids) for key, ids in lists.items()}
+            object.__setattr__(self, "_candidates", index)
+        return index
 
     def to_json(self) -> dict:
         out: dict = {

@@ -109,7 +109,9 @@ def find_islands(
     buckets per side on the torus.  Two points in buckets that are not
     neighbours (cyclically on the torus) are then more than beta apart, so
     only pairs within a bucket or across neighbouring buckets are compared.
-    On a torus every point must lie in [0, w) x [0, h).
+    A torus with one bucket per axis is less than 2 beta wide both ways, so
+    no two points are more than beta apart: they form one component, found
+    without a comparison.  On a torus every point must lie in [0, w) x [0, h).
     """
     if not (0 < alpha <= beta):
         raise ValueError("need 0 < alpha <= beta")
@@ -123,9 +125,14 @@ def find_islands(
         nx, ny = max(1, w // beta), max(1, h // beta)
         keys = [(x * nx // w, y * ny // h) for x, y in pts]
     buckets: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(keys):
-        buckets.setdefault(key, []).append(i)
-    parent = list(range(len(pts)))
+    if nx == ny == 1:
+        # side < 2 beta on both axes, so every torus distance is at most
+        # side // 2 < beta: all points form one component
+        parent = [0] * len(pts)
+    else:
+        for i, key in enumerate(keys):
+            buckets.setdefault(key, []).append(i)
+        parent = list(range(len(pts)))
 
     def find(i: int) -> int:
         while parent[i] != i:

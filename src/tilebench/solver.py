@@ -1,19 +1,30 @@
 """Finite-window solving for Wang tile sets.
 
-Deterministic backtracking over cells in row-major order (bottom row first,
-x inner), trying tile ids in ascending order, so results are reproducible.
-Searches carry an explicit node budget; exceeding it yields the status
-``"inconclusive"`` rather than a wrong verdict.
+One engine, ``solve``, does every search: deterministic backtracking over
+cells in row-major order (bottom row first, x inner), trying tile ids in
+ascending order among those whose left and bottom sides match the placed
+neighbours, so results are reproducible.  A node is one candidate tried at
+a cell; it is counted before the right-side and top-side wrap or boundary
+check.  Searches carry an explicit node budget; exceeding it yields the
+status ``"inconclusive"`` (with ``nodes == max_nodes + 1``) rather than a
+wrong verdict.
+
+The search tree is exactly that of trying one candidate per step: the
+engine only does less work per node (a cached candidate index, flat
+per-cell arrays, no step into a cell left without candidates, nodes
+counted in bulk per visit), so node counts, solution order and the point
+where a budget runs out are the same.  Nothing is pruned or reordered.
 
 Bounded mode leaves window borders free unless explicit boundary colors are
-given; toroidal mode wraps both axes instead.
+given; toroidal mode wraps both axes instead.  A mask removes cells from
+the window; sides facing a removed cell are free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import HOLE, MalformedPatchError, PatchGrid, TileSet
 
@@ -53,6 +64,7 @@ def solve(
     template: PatchGrid | None = None,
     boundary: Mapping | None = None,
     toroidal: bool = False,
+    mask: Iterable[tuple[int, int]] | None = None,
     mode: str = "first",
     max_nodes: int = 2_000_000,
     max_solutions: int | None = None,
@@ -67,12 +79,14 @@ def solve(
             sequence (bottom-to-top for the vertical sides, left-to-right
             for the horizontal ones).  Only allowed in bounded mode.
         toroidal: wrap both axes (periodic tiling of the w x h torus).
+        mask: optional cells (x, y) that do not exist: the search skips them,
+            a side facing one is free, and they are HOLE in every patch.
         mode: "first" stops at one tiling, "count" counts all, "enumerate"
             counts and also returns them.
-        max_nodes: candidate-placement budget; exceeding it gives status
-            "inconclusive".
-        max_solutions: optional cap for count/enumerate; hitting it also
-            gives "inconclusive" (the count is then a lower bound).
+        max_nodes: candidate-placement budget (>= 0); exceeding it gives
+            status "inconclusive" with nodes == max_nodes + 1.
+        max_solutions: optional cap (>= 1) for count/enumerate; hitting it
+            also gives "inconclusive" (the count is then a lower bound).
     """
     if mode not in ("first", "count", "enumerate"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -80,119 +94,220 @@ def solve(
         raise ValueError("boundary colors make no sense on a torus")
     if width < 1 or height < 1:
         raise ValueError("window dimensions must be positive")
+    if max_nodes < 0:
+        raise ValueError("max_nodes must be non-negative")
+    if max_solutions is not None and max_solutions < 1:
+        raise ValueError("max_solutions must be at least 1")
 
     tiles = tile_set.tiles
     n_tiles = len(tiles)
-    left_of = [t.left for t in tiles]
-    right_of = [t.right for t in tiles]
-    top_of = [t.top for t in tiles]
-    bottom_of = [t.bottom for t in tiles]
-
+    W = width
+    pins: dict[int, int] = {}  # tile id pinned at cell y * W + x
     if template is not None:
         if template.width != width or template.height != height:
             raise ValueError("template dimensions must match the window")
-        for (x, y) in ((x, y) for y in range(height) for x in range(width)):
-            v = template.cells[y][x]
-            if v != HOLE and not (0 <= v < n_tiles):
-                raise MalformedPatchError(f"template cell ({x}, {y}) holds unknown tile id {v}")
+        for y, row in enumerate(template.cells):
+            for x, v in enumerate(row):
+                if v != HOLE:
+                    if not (0 <= v < n_tiles):
+                        raise MalformedPatchError(
+                            f"template cell ({x}, {y}) holds unknown tile id {v}")
+                    pins[y * W + x] = v
+    absent = set() if mask is None else {(int(x), int(y)) for x, y in mask}
+    for x, y in absent:
+        if not (0 <= x < width and 0 <= y < height):
+            raise ValueError(f"masked cell {(x, y)} lies outside the window")
+        if y * W + x in pins:
+            raise ValueError(f"template pins the masked cell {(x, y)}")
 
     b_left = _boundary_side(boundary, "left", height)
     b_right = _boundary_side(boundary, "right", height)
     b_top = _boundary_side(boundary, "top", width)
     b_bottom = _boundary_side(boundary, "bottom", width)
 
-    cand_cache: dict[tuple[int | None, int | None], tuple[int, ...]] = {}
+    free = tile_set.color_count
+    K = free + 1
+    index = tile_set.candidate_index()
+    left_of = [t.left for t in tiles]
+    right_of = [t.right for t in tiles]
+    bottom_of = [t.bottom for t in tiles]
+    # Key parts of the sides a later cell reads (right sides times K).  Id
+    # n_tiles is a blank stand-in whose parts are 0: a side with no placed
+    # neighbour reads it through the last slot of the placement list.
+    top_of = [t.top for t in tiles] + [0]
+    right_k = [c * K for c in right_of] + [0]
+    zero = [0] * n_tiles
 
-    def candidates(l: int | None, b: int | None) -> tuple[int, ...]:
-        got = cand_cache.get((l, b))
-        if got is None:
-            got = tuple(
-                i
-                for i in range(n_tiles)
-                if (l is None or left_of[i] == l) and (b is None or bottom_of[i] == b)
-            )
-            cand_cache[(l, b)] = got
-        return got
+    def known(color: int) -> int:
+        """A boundary color as a key part; a color outside the set's colors
+        gives a part so negative that the key matches no tile."""
+        return color if 0 <= color < free else -K * K
 
-    order = [(x, y) for y in range(height) for x in range(width)]
-    ncells = width * height
-    grid = [[-2] * width for _ in range(height)]
-    iters: list[list | None] = [None] * ncells
-    nodes = 0
+    # Positions are the existing cells in search order; pos maps the cell
+    # y * W + x to its position, or -1 when it is masked.
+    cells = [(x, y) for y in range(height) for x in range(width) if (x, y) not in absent]
+    pos = [-1] * (W * height)
+    for q, (x, y) in enumerate(cells):
+        pos[y * W + x] = q
+    n = len(cells)
+
+    # How each position finds its candidates: a lookup of the key
+    # l * K + b in the shared index, or in a pinned tile's own keys, where
+    # l is the right side of the tile at position ls (the stand-in when
+    # ls == -1) times K, b the top side of the tile at bs, and c adds the
+    # boundary color or ``free`` for a side with no placed neighbour.
+    looks = []
+    parts = []
+    for q, (x, y) in enumerate(cells):
+        k = y * W + x
+        pin = pins.get(k)
+        if pin is None:
+            looks.append(index.get)
+        else:
+            looks.append({l * K + b: (pin,) for l in (left_of[pin], free)
+                          for b in (bottom_of[pin], free)}.get)
+        ls = pos[k - 1] if x > 0 else -1
+        bs = pos[k - W] if y > 0 else -1
+        c = 0
+        if ls < 0:
+            c += K * (known(b_left[y]) if x == 0 and b_left is not None else free)
+        if bs < 0:
+            c += known(b_bottom[x]) if y == 0 and b_bottom is not None else free
+        parts.append((ls, bs, c))
+
+    # spec[p] tells a visit at position p how to find the candidates of
+    # p + 1 for its own candidate t: look up A[t] + base, where A brings in
+    # the side of t that p + 1 faces and base the sides placed before.  The
+    # last position looks up a constant key that always "has candidates":
+    # every t there that passes its checks completes a tiling.
+    SELF = object()
+    spec = []
+    for p, (x, y) in enumerate(cells):
+        if p + 1 < n:
+            ls, bs, c = parts[p + 1]
+            if ls == p:
+                A, ls = right_k, -1
+            elif bs == p:
+                A, bs = top_of, -1
+            else:
+                A = zero
+            look_next = looks[p + 1]
+        else:
+            A, ls, bs, c, look_next = zero, -1, -1, 0, {0: ()}.get
+        # Wrap and boundary checks on t's right and top sides: None, SELF
+        # (t's own opposite side, on a torus of width or height 1), a color,
+        # or the color of the placed tile at a source position (rsrc, tsrc).
+        rsrc = tsrc = -1
+        rc = tc = None
+        if x == width - 1:
+            if toroidal:
+                if width == 1:
+                    rc = SELF
+                else:
+                    rsrc = pos[y * W]
+            elif b_right is not None:
+                rc = b_right[y]
+        if y == height - 1:
+            if toroidal:
+                if height == 1:
+                    tc = SELF
+                else:
+                    tsrc = pos[x]
+            elif b_top is not None:
+                tc = b_top[x]
+        checks = None
+        if rsrc >= 0 or tsrc >= 0 or rc is not None or tc is not None:
+            checks = (rsrc, rc, tsrc, tc)
+        spec.append((A, ls, bs, c, look_next, checks))
+
+    g = [0] * n + [n_tiles]  # tile placed at each position, then the stand-in
+    cl: list[tuple[int, ...]] = [()] * n  # candidates of each position on the path
+    ix = [0] * n  # next one to try there, -1 when none is left
+
+    def snapshot() -> PatchGrid:
+        rows = [[HOLE] * width for _ in range(height)]
+        for (x, y), t in zip(cells, g):
+            rows[y][x] = t
+        return PatchGrid(width, height, rows)
+
+    room = max_nodes  # nodes left in the budget
     count = 0
     first: PatchGrid | None = None
     sols: list[PatchGrid] = []
     budget_hit = False
     cap_hit = False
 
-    pos = 0
-    while pos >= 0:
-        if pos == ncells:
+    cands = looks[0](parts[0][2]) if n else ()
+    p = 0 if cands is not None else -1
+    i = 0
+    while p >= 0:
+        if p < n:
+            A, ls, bs, c, look_next, checks = spec[p]
+            end = len(cands)
+            # every candidate tried is a node, so the budget ends the visit
+            # after `room` of them, just before the one that exceeds it
+            stop = end if end - i <= room else i + room
+            base = right_k[g[ls]] + top_of[g[bs]] + c
+            start = i
+            nxt = None
+            if checks is None:
+                while i < stop:
+                    t = cands[i]
+                    i += 1
+                    # a candidate that leaves its successor no candidates
+                    # is a node too, but the search need not step there
+                    nxt = look_next(A[t] + base)
+                    if nxt is not None:
+                        break
+            else:
+                rsrc, rc, tsrc, tc = checks
+                if rsrc >= 0:
+                    rc = left_of[g[rsrc]]
+                if tsrc >= 0:
+                    tc = bottom_of[g[tsrc]]
+                while i < stop:
+                    t = cands[i]
+                    i += 1
+                    if rc is not None and right_of[t] != (left_of[t] if rc is SELF else rc):
+                        continue
+                    if tc is not None and top_of[t] != (bottom_of[t] if tc is SELF else tc):
+                        continue
+                    nxt = look_next(A[t] + base)
+                    if nxt is not None:
+                        break
+            room -= i - start
+            if nxt is not None:
+                g[p] = t
+                cl[p] = cands
+                ix[p] = i if i < end else -1
+                p += 1
+                cands = nxt
+                i = 0
+                continue
+            if stop < end:
+                budget_hit = True
+                break
+        else:
             count += 1
-            snap = PatchGrid(width, height, [row[:] for row in grid])
-            if first is None:
-                first = snap
-            if mode == "enumerate":
-                sols.append(snap)
+            if first is None or mode == "enumerate":
+                snap = snapshot()
+                if first is None:
+                    first = snap
+                if mode == "enumerate":
+                    sols.append(snap)
             if mode == "first":
                 break
             if max_solutions is not None and count >= max_solutions:
                 cap_hit = True
                 break
-            pos -= 1
-            continue
-        x, y = order[pos]
-        state = iters[pos]
-        if state is None:
-            if x > 0:
-                need_l: int | None = right_of[grid[y][x - 1]]
-            elif not toroidal and b_left is not None:
-                need_l = b_left[y]
-            else:
-                need_l = None
-            if y > 0:
-                need_b: int | None = top_of[grid[y - 1][x]]
-            elif not toroidal and b_bottom is not None:
-                need_b = b_bottom[x]
-            else:
-                need_b = None
-            cands = candidates(need_l, need_b)
-            if template is not None:
-                pin = template.cells[y][x]
-                if pin != HOLE:
-                    cands = (pin,) if pin in cands else ()
-            state = [cands, 0]
-            iters[pos] = state
-        cands, i = state
-        placed = False
-        while i < len(cands):
-            t = cands[i]
-            i += 1
-            nodes += 1
-            if nodes > max_nodes:
-                budget_hit = True
-                break
-            if toroidal:
-                if x == width - 1 and right_of[t] != left_of[t if width == 1 else grid[y][0]]:
-                    continue
-                if y == height - 1 and top_of[t] != bottom_of[t if height == 1 else grid[0][x]]:
-                    continue
-            else:
-                if x == width - 1 and b_right is not None and right_of[t] != b_right[y]:
-                    continue
-                if y == height - 1 and b_top is not None and top_of[t] != b_top[x]:
-                    continue
-            grid[y][x] = t
-            state[1] = i
-            pos += 1
-            placed = True
-            break
-        if budget_hit:
-            break
-        if not placed:
-            iters[pos] = None
-            grid[y][x] = -2
-            pos -= 1
+        # back to the deepest position with candidates left
+        p -= 1
+        while p >= 0 and ix[p] < 0:
+            p -= 1
+        if p >= 0:
+            cands = cl[p]
+            i = ix[p]
+    nodes = max_nodes - room + budget_hit
 
     if budget_hit or cap_hit:
         status = "inconclusive"

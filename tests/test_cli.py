@@ -7,7 +7,7 @@ import pytest
 from tilebench.cli import main
 from tilebench.core import HOLE, PatchGrid, Tile, TileSet, chessboard_tileset, coordinate_tileset
 from tilebench.solver import solve
-from tilebench.substitution import thue_morse_rule
+from tilebench.substitution import enforce_substitution, thue_morse_rule
 
 
 def run(*argv):
@@ -37,6 +37,7 @@ def files(tmp_path_factory):
         "coord": wf("coord.json", coordinate_tileset(2).to_json()),
         "white": wf("white.json", TileSet(1, [Tile(0, 0, 0, 0)]).to_json()),
         "tm": wf("tm.json", thue_morse_rule().to_json()),
+        "tm-enforced": wf("tm-enforced.json", enforce_substitution(thue_morse_rule()).to_json()),
         "patch": wf("patch.json", solve(chessboard_tileset(), 4, 4).patch.to_json()),
         "patch8": wf("patch8.json", solve(chessboard_tileset(), 8, 8).patch.to_json()),
         "points": wf("points.json", [[0, 0], [1, 0], [9, 9]]),
@@ -65,6 +66,15 @@ class TestSolverCommands:
         code, _ = run("count", "--stock", "chessboard", "--w", "6", "--h", "6",
                       "--max-nodes", "3")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--stock", "chessboard", "--w", "3", "--h", "3", "--max-nodes", "-1"),
+        ("count", "--stock", "chessboard", "--w", "3", "--h", "3", "--max-nodes", "-7"),
+    ])
+    def test_negative_budget_is_a_usage_error(self, argv):
+        code, out = run(*argv)
+        assert code == 2
+        assert out == ""
 
     def test_periods_lists_the_even_lattice(self, files):
         code, body = run_json("periods", "--tiles", files["chess"], "--max", "4")
@@ -126,6 +136,12 @@ class TestCompilerCommands:
                               "--outer", "5", "--inner", "3")
         assert code == 0
         assert body["status"] == "robust"
+
+    def test_robust_check_past_the_annulus_cap_is_inconclusive(self, files):
+        code, body = run_json("robust-check", "--tiles", files["tm-enforced"],
+                              "--outer", "6", "--inner", "2")
+        assert code == 3
+        assert body == {"outer": 6, "inner": 2, "status": "inconclusive"}
 
 
 class TestSubstitutionCommands:

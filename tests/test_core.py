@@ -7,7 +7,6 @@ from tilebench.core import (
     DegenerateZoomError,
     MalformedPatchError,
     PatchGrid,
-    PeriodVector,
     Tile,
     TileSet,
     Violation,
@@ -123,12 +122,6 @@ def test_coordinate_tileset_tiles_the_plane():
 def test_coordinate_tileset_rejects_degenerate():
     with pytest.raises(DegenerateZoomError):
         coordinate_tileset(1)
-
-
-def test_period_vector_nonzero():
-    with pytest.raises(ValueError):
-        PeriodVector(0, 0)
-    assert PeriodVector(1, 0).dx == 1
 
 
 def test_besicovitch_opposite_phases():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -142,6 +143,23 @@ def test_find_islands_matches_reference_on_the_benchmark_torus(points, scale):
     assert find_islands(points, alpha, beta, (512, 512)) == reference_islands(
         points, alpha, beta, (512, 512))
     assert diameter(points, (512, 512)) == reference_diameter(points, (512, 512))
+
+
+def test_find_islands_joins_everything_when_beta_spans_the_torus(monkeypatch):
+    # 512 < 2 * 3366 on both axes: every torus distance is at most 256 < beta,
+    # so the last stock rank is one component, found without a pair check
+    rng = random.Random(3366)
+    pts = {(rng.randrange(512), rng.randrange(512)) for _ in range(200)}
+    want = reference_islands(pts, 561, 3366, (512, 512))
+    assert want == ([frozenset(pts)], [])
+
+    def no_pair_checks(*args):
+        raise AssertionError("compared a pair")
+
+    monkeypatch.setattr("tilebench.islands.chebyshev", no_pair_checks)
+    assert find_islands(pts, 561, 3366, (512, 512)) == want
+    assert find_islands(pts, 200, 3366, (512, 512)) == ([], [frozenset(pts)])
+    assert find_islands(set(), 561, 3366, (512, 512)) == ([], [])
 
 
 def test_find_islands_across_the_wrap_of_an_uneven_torus():

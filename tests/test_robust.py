@@ -10,6 +10,7 @@ from tilebench.compiler import (
 from tilebench.core import HOLE, PatchGrid, Tile, TileSet, chessboard_tileset, verify_patch
 from tilebench.islands import changed_fraction_bound, make_schedule
 from tilebench.solver import solve
+from tilebench.substitution import enforce_substitution, thue_morse_rule
 
 
 def striped_tileset():
@@ -86,6 +87,33 @@ class TestWindowRobust:
     def test_window_must_contain_hole(self):
         with pytest.raises(ValueError):
             check_window_robust(chessboard_tileset(), 3, 3)
+
+    def test_budget_hits_are_inconclusive(self):
+        # the Thue-Morse-enforced annulus at 6/2 has more than 4,096 tilings
+        tm = enforce_substitution(thue_morse_rule())
+        assert check_window_robust(tm, 6, 2) == "inconclusive"
+        assert check_window_robust(tm, 5, 3, max_nodes=50) == "inconclusive"
+        # the chessboard annulus has two tilings (its two phases)
+        assert check_window_robust(chessboard_tileset(), 5, 3, max_solutions=1) == "inconclusive"
+        assert check_window_robust(chessboard_tileset(), 5, 3, max_solutions=2) == "robust"
+
+    def test_fill_budget_hit_is_inconclusive(self, monkeypatch):
+        fills = []
+
+        def first_fill_starved(*args, **kw):
+            if kw.get("boundary") is not None:
+                fills.append(1)
+                if len(fills) == 1:
+                    kw["max_nodes"] = 0
+            return solve(*args, **kw)
+
+        monkeypatch.setattr("tilebench.compiler.robust.solve", first_fill_starved)
+        assert check_window_robust(chessboard_tileset(), 5, 3) == "inconclusive"
+        # the striped set's first annulus fills, its second does not: that
+        # counterexample still decides once the first fill runs out
+        fills.clear()
+        assert check_window_robust(striped_tileset(), 5, 3) == "not_robust"
+        assert len(fills) == 2
 
 
 class TestCorrectErrors:

@@ -108,6 +108,14 @@ def test_budget_raises_inconclusive():
     assert r.status == "inconclusive"
 
 
+@pytest.mark.parametrize("kw", [dict(max_nodes=-1), dict(max_nodes=-7, mode="count"),
+                                dict(max_solutions=0, mode="count"),
+                                dict(max_solutions=-2, mode="enumerate")])
+def test_bad_budgets_are_rejected(kw):
+    with pytest.raises(ValueError):
+        solve(chessboard_tileset(), 3, 3, **kw)
+
+
 def test_solution_cap_is_inconclusive():
     r = solve(coordinate_tileset(2), 4, 4, mode="count", max_solutions=2)
     assert r.status == "inconclusive"
