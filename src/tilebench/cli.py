@@ -64,24 +64,33 @@ class UsageError(Exception):
     pass
 
 
-def _read_json(path: str) -> dict:
+def _load(path: str, decode):
+    """Read a JSON file and decode it; content of the wrong shape is a
+    usage error, so the same exceptions raised anywhere else stay bugs."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    try:
+        return decode(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"cannot decode {path}: {exc!r}") from exc
 
 
 def _tiles(path: str) -> TileSet:
-    return TileSet.from_json(_read_json(path))
+    return _load(path, TileSet.from_json)
 
 
-def _patch(path: str) -> PatchGrid:
-    obj = _read_json(path)
+def _patch_json(obj) -> PatchGrid:
     if "patch" in obj and "width" not in obj:
         obj = obj["patch"]  # accept solve/fill-hole/correct reports as-is
     return PatchGrid.from_json(obj)
 
 
+def _patch(path: str) -> PatchGrid:
+    return _load(path, _patch_json)
+
+
 def _points(path: str) -> set[tuple[int, int]]:
-    return {(int(x), int(y)) for x, y in _read_json(path)}
+    return _load(path, lambda obj: {(int(x), int(y)) for x, y in obj})
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -95,7 +104,7 @@ def _emit(obj: dict, out: str | None) -> None:
 
 def _schedule_from(args) -> Schedule:
     if args.schedule:
-        return Schedule.from_json(_read_json(args.schedule))
+        return _load(args.schedule, Schedule.from_json)
     if args.c is None or args.alpha1 is None or args.ranks is None:
         raise UsageError("need --schedule or all of --c/--alpha1/--ranks")
     return make_schedule(args.c, args.alpha1, args.ranks)
@@ -176,7 +185,7 @@ def cmd_fill_hole(args) -> int:
 
 def _machine_arg(args) -> Machine:
     if args.machine_file:
-        return Machine.from_json(_read_json(args.machine_file))
+        return _load(args.machine_file, Machine.from_json)
     corpus = machine_corpus()
     corpus["chessboard"] = chessboard_predicate_machine()
     if args.machine not in corpus:
@@ -252,7 +261,7 @@ def _rule_arg(args) -> SubstitutionRule:
     if args.rule == "thue-morse":
         from .substitution import thue_morse_rule
         return thue_morse_rule()
-    return SubstitutionRule.from_json(_read_json(args.rule))
+    return _load(args.rule, SubstitutionRule.from_json)
 
 
 def cmd_substitute(args) -> int:
@@ -378,9 +387,21 @@ def _default_color(tid: int) -> tuple[int, int, int]:
 
 
 def _palette(args, ids: set[int]):
+    """Tile id -> glyph (ascii) or RGB triple (ppm), checked on load."""
     if not args.palette:
         return None
-    table = {int(k): v for k, v in _read_json(args.palette).items()}
+
+    def entry(v):
+        if args.format == "ascii":
+            if not str(v):
+                raise ValueError("empty glyph")
+            return str(v)[0]
+        rgb = tuple(int(c) for c in v)
+        if len(rgb) != 3 or not all(0 <= c < 256 for c in rgb):
+            raise ValueError(f"{v!r} is not an RGB triple")
+        return rgb
+
+    table = _load(args.palette, lambda obj: {int(k): entry(v) for k, v in dict(obj).items()})
     missing = sorted(i for i in ids if i != HOLE and i not in table)
     if missing:
         raise UsageError(f"palette misses tile ids {missing}")
@@ -400,7 +421,7 @@ def cmd_render(args) -> int:
                 if tid == HOLE:
                     row += HOLE_GLYPH
                 elif table is not None:
-                    row += str(table[tid])[0]
+                    row += table[tid]
                 else:
                     row += GLYPHS[tid % len(GLYPHS)]
             lines.append(row)
@@ -421,7 +442,7 @@ def cmd_render(args) -> int:
             if tid == HOLE:
                 color = HOLE_COLOR
             elif table is not None:
-                color = tuple(int(c) for c in table[tid])
+                color = table[tid]
             else:
                 color = _default_color(tid)
             rowbytes += bytes(color) * b
@@ -612,7 +633,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -17,6 +17,9 @@ patch form the payload; a 32-bit slice of each border (the top rows for
 vertical seams, the right columns for horizontal ones) carries the edge
 record of the tile the patch stands for, so macro-edges and tile edges
 match one against one and ``assemble_macro_tile`` / decode round-trips.
+One generator enumerates the tiles from the val discipline; assembly
+works out each cell's vals and looks its tile up by the edge records it
+encodes.
 
 Everything here is desk-checkable: R has a few hundred states, its
 encoding fits the block with room to spare, and the certificate below
@@ -27,6 +30,7 @@ that single-bit corruptions of the program are caught.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -432,9 +436,28 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
 
 # --- the tile set -----------------------------------------------------------
 
+def _band(size: int) -> range:
+    """Rows whose vertical edges carry pinned program bits."""
+    return range(size // 4, size - 32)
+
+
+def _records(n: int, size: int, x: int, y: int, vl: int, vr: int, vt: int,
+             vb: int) -> tuple[int, int, int, int]:
+    """The (left, right, top, bottom) edge records of the cell (x, y)."""
+    return (
+        pack_record(n, x, y, vl),
+        pack_record(n, (x + 1) % size, y, vr),
+        pack_record(n, x, (y + 1) % size, vt),
+        pack_record(n, x, y, vb),
+    )
+
+
 @dataclass(frozen=True)
 class FixedPointSet:
-    """A self-describing tile set plus everything needed to audit it."""
+    """A self-describing tile set plus everything needed to audit it.
+
+    ``accepted`` maps the edge records of every tile to its tile id.
+    """
 
     n: int
     size: int
@@ -445,13 +468,12 @@ class FixedPointSet:
     program: tuple[int, ...]
     padded: tuple[int, ...]
     capacity: int
-    accepted: frozenset
-    colors: dict = field(hash=False)
+    accepted: dict = field(hash=False)
     color_records: tuple = field(hash=False)
 
     @property
     def band(self) -> range:
-        return range(self.size // 4, self.size - 32)
+        return _band(self.size)
 
     @property
     def track_offset(self) -> int:
@@ -465,17 +487,7 @@ class FixedPointSet:
 
     def edge_records(self, x: int, y: int, vl: int, vr: int, vt: int,
                      vb: int) -> tuple[int, int, int, int]:
-        nn, size = self.n, self.size
-        return (
-            pack_record(nn, x, y, vl),
-            pack_record(nn, (x + 1) % size, y, vr),
-            pack_record(nn, x, (y + 1) % size, vt),
-            pack_record(nn, x, y, vb),
-        )
-
-    def tile_quad(self, tile_id: int) -> tuple[int, int, int, int]:
-        t = self.tile_set.tiles[tile_id]
-        return tuple(self.color_records[c][1] for c in t.sides())
+        return _records(self.n, self.size, x, y, vl, vr, vt, vb)
 
     def assemble_macro(self, left, right, top, bottom) -> PatchGrid:
         return assemble_self_patch(
@@ -488,8 +500,12 @@ class FixedPointSet:
 
 
 def _val_choices(size: int, padded, x: int, y: int) -> tuple:
-    """(left, right, top, bottom) val alternatives for the cell (x, y)."""
-    band = range(size // 4, size - 32)
+    """(left, right, top, bottom) val alternatives for the cell (x, y).
+
+    The one statement of the val discipline: a pair (0, 1) is a free val,
+    a single value a pinned one.
+    """
+    band = _band(size)
 
     def vert(row: int) -> tuple:
         if row == 0:
@@ -504,6 +520,14 @@ def _val_choices(size: int, padded, x: int, y: int) -> tuple:
         vert((y + 1) % size),
         vert(y),
     )
+
+
+def _tile_records(n: int, size: int, padded):
+    """Every tile as (x, y, edge records), in tile id order."""
+    for y in range(size):
+        for x in range(size):
+            for vals in itertools.product(*_val_choices(size, padded, x, y)):
+                yield x, y, _records(n, size, x, y, *vals)
 
 
 def build_fixed_point(size: int = 256) -> FixedPointSet:
@@ -526,46 +550,29 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
         )
     padded = tuple(program) + (0,) * (capacity - len(program))
 
-    colors: dict = {}
-    color_records: list = []
+    colors: dict = {}  # (axis, record) -> color id, in id order
 
     def cid(axis: int, rec: int) -> int:
-        key = (axis, rec)
-        if key not in colors:
-            colors[key] = len(color_records)
-            color_records.append(key)
-        return colors[key]
+        return colors.setdefault((axis, rec), len(colors))
 
     tiles: list[Tile] = []
-    accepted = set()
-    for y in range(size):
-        for x in range(size):
-            ls, rs, ts, bs = _val_choices(size, padded, x, y)
-            for vl in ls:
-                for vr in rs:
-                    for vt in ts:
-                        for vb in bs:
-                            recl = pack_record(n, x, y, vl)
-                            recr = pack_record(n, (x + 1) % size, y, vr)
-                            rect = pack_record(n, x, (y + 1) % size, vt)
-                            recb = pack_record(n, x, y, vb)
-                            accepted.add((recl, recr, rect, recb))
-                            tiles.append(Tile(cid(0, recl), cid(0, recr),
-                                              cid(1, rect), cid(1, recb)))
+    accepted: dict = {}
+    for _, _, (recl, recr, rect, recb) in _tile_records(n, size, padded):
+        accepted[recl, recr, rect, recb] = len(tiles)
+        tiles.append(Tile(cid(0, recl), cid(0, recr), cid(1, rect), cid(1, recb)))
     assert len(tiles) == (size + 2) ** 2, "free border bits miscounted"
     return FixedPointSet(
         n=n,
         size=size,
-        tile_set=TileSet(len(color_records), tiles),
+        tile_set=TileSet(len(colors), tiles),
         machine=machine,
         state_names=names,
         state_bits=state_bits,
         program=tuple(program),
         padded=padded,
         capacity=capacity,
-        accepted=frozenset(accepted),
-        colors=colors,
-        color_records=tuple(color_records),
+        accepted=accepted,
+        color_records=tuple(colors),
     )
 
 
@@ -594,41 +601,23 @@ def walks(fp: FixedPointSet, x: int, y: int) -> bool:
 def assemble_self_patch(fp: FixedPointSet, quad) -> PatchGrid:
     """The canonical size x size patch representing the tile with these
     edge records: border slices carry the records, everything else is
-    pinned (block bits from the program, other vals zero)."""
-    n, size = fp.n, fp.size
-    if quad not in fp.accepted:
+    pinned (block bits from the program, other vals zero).
+
+    Each cell takes its pinned vals from ``_val_choices`` and its free ones
+    from the border slice (0 off the slice); the tile is looked up by the
+    records it encodes."""
+    n, size, padded, accepted = fp.n, fp.size, fp.padded, fp.accepted
+    if quad not in accepted:
         raise ValueError("edge records do not belong to the tile set")
-    wl, wr, wt, wb = (window_bits(n, r) for r in quad)
     lo = size - RECORD_BITS
-
-    def val(side: int, x: int, y: int) -> int:
-        # side 0: left/right seam column bits; side 1: bottom/top seam rows.
-        if side == 0:
-            if x == 0:
-                return wl[y - lo] if y >= lo else 0
-            return 0
-        if y == 0:
-            return wb[x - lo] if x >= lo else 0
-        if y in fp.band:
-            return fp.padded[fp.fold(x, y)]
-        return 0
-
+    wl, wr, wt, wb = ((0,) * lo + window_bits(n, r) for r in quad)
     grid = []
     for y in range(size):
         row = []
         for x in range(size):
-            vl = val(0, x, y)
-            vr = (wr[y - lo] if y >= lo else 0) if x == size - 1 else val(0, x + 1, y)
-            vb = val(1, x, y)
-            vt = (wt[x - lo] if x >= lo else 0) if y == size - 1 else val(1, x, y + 1)
-            tid = fp.tile_set.tile_id((
-                fp.colors[(0, pack_record(n, x, y, vl))],
-                fp.colors[(0, pack_record(n, (x + 1) % size, y, vr))],
-                fp.colors[(1, pack_record(n, x, (y + 1) % size, vt))],
-                fp.colors[(1, pack_record(n, x, y, vb))],
-            ))
-            assert tid is not None
-            row.append(tid)
+            vals = [ch[0] if len(ch) == 1 else bit for ch, bit in
+                    zip(_val_choices(size, padded, x, y), (wl[y], wr[y], wt[x], wb[x]))]
+            row.append(accepted[_records(n, size, x, y, *vals)])
         grid.append(row)
     return PatchGrid(size, size, grid)
 
@@ -698,17 +687,6 @@ class SelfCertificate:
             self.notes.append(text)
 
 
-def _tile_variants(fp: FixedPointSet):
-    for y in range(fp.size):
-        for x in range(fp.size):
-            ls, rs, ts, bs = _val_choices(fp.size, fp.padded, x, y)
-            for vl in ls:
-                for vr in rs:
-                    for vt in ts:
-                        for vb in bs:
-                            yield x, y, fp.edge_records(x, y, vl, vr, vt, vb)
-
-
 def _reject_probes(fp: FixedPointSet, rng: random.Random, count: int):
     """Corrupted record quads with their membership verdicts."""
     n, size = fp.n, fp.size
@@ -760,11 +738,12 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     track = fp.track()
 
     walkers = []
-    residents = []
-    for x, y, quad in _tile_variants(fp):
-        (walkers if walks(fp, x, y) else residents).append(quad)
+    nonwalk = []
+    for x, y, quad in _tile_records(fp.n, fp.size, fp.padded):
+        (walkers if walks(fp, x, y) else nonwalk).append(quad)
+    residents = nonwalk
     if resident_samples is not None:
-        residents = rng.sample(residents, min(resident_samples, len(residents)))
+        residents = rng.sample(nonwalk, min(resident_samples, len(nonwalk)))
 
     def verdict(quad) -> str | None:
         """The checker's status, or None (counted inconclusive) on a budget hit."""
@@ -795,8 +774,8 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     for _ in range(block_probes):  # pinned block bit flipped: walk then stick
         x, y = rng.randrange(fp.size), rng.choice(block_rows)
         quad = list(fp.edge_records(x, y, 0, 0, 0, 0))
-        i, j, v = unpack_record(fp.n, quad[3])
-        quad[3] = pack_record(fp.n, i, j, 1 - fp.padded[fp.fold(x, y)])
+        (pinned,) = _val_choices(fp.size, fp.padded, x, y)[3]
+        quad[3] = pack_record(fp.n, x, y, 1 - pinned)
         probes.append(tuple(quad))
     for quad in probes:
         want = quad in fp.accepted
@@ -808,7 +787,6 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
             cert.note(f"probe mismatch at {quad}: member={want}")
 
     utm = universal_machine(fp.state_bits)
-    nonwalk = [q for x, y, q in _tile_variants(fp) if not walks(fp, x, y)]
     picks = rng.sample(nonwalk, utm_accepts)
     picks += [q for q in _reject_probes(fp, rng, utm_rejects * 3)
               if q not in fp.accepted][:utm_rejects]
@@ -871,10 +849,7 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
         mutated[pos] = 1 - mutated[pos]
         x, y = mbit % fp.size, fp.size // 4 + mbit // fp.size
         quad = fp.edge_records(
-            x, y, 0, 0,
-            fp.padded[fp.fold(x, y + 1)] if y + 1 in fp.band else 0,
-            fp.padded[mbit],
-        )
+            x, y, *(ch[0] for ch in _val_choices(fp.size, fp.padded, x, y)))
         status = run_checker(fp, quad, track=mutated).status
         caught += status == "stuck"
         inconclusive += status == "timeout"

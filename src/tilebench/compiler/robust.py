@@ -54,7 +54,8 @@ def robustify(
     A pattern is admitted when it occurs as the center of a legal
     (w+2) x (w+2) window, so every admitted pattern survives being
     surrounded - which is exactly what hole repair reads off the annulus
-    around a damaged spot.
+    around a damaged spot.  More than ``max_solutions`` windows, or a
+    search that hits ``max_nodes``, raises InconclusiveError.
     """
     if w < 2:
         raise ValueError("patterns need w >= 2 to overlap")
@@ -64,7 +65,7 @@ def robustify(
         w + 2,
         mode="enumerate",
         max_nodes=max_nodes,
-        max_solutions=max_solutions,
+        max_solutions=max_solutions + 1,
     )
     if r.status == "inconclusive":
         raise InconclusiveError(

@@ -11,6 +11,11 @@ bits that ferry them to the computation zone, and the zone's space-time
 diagram, which the machine's determinism pins down once the inputs are
 fixed.  The zone's top edge only exists in an accepting diagram, so a
 rejected payload combination simply cannot be tiled over.
+
+``_cell_tiles`` is the one statement of which tiles a cell has; the
+compiler records each tile's id under the choice it encodes, and
+``assemble_macro_tile`` works out each cell's choice from the payload and
+looks the tile up.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from ..core import PatchGrid, Tile, TileSet
 from ..machine import (
     SYM_ZERO,
     Machine,
+    ZoneCellRule,
     diagram_local_rules,
     encode_program,
     run_machine,
@@ -117,7 +123,7 @@ class CompiledTileSet:
     track: tuple[int, ...]
     colors: tuple[tuple, ...]
     meta: dict
-    coder: _ColorCoder = field(repr=False)
+    tile_of: dict[tuple, int] = field(repr=False)
 
 
 def _probe_capacity(
@@ -144,6 +150,83 @@ def _probe_capacity(
     if not accepted:
         raise CompileError("checker accepts no payload; the tile set would be empty")
     return frozenset(accepted), t_max, w_need
+
+
+def _wire_incidence(lay: SimulationLayout) -> dict[tuple[int, int], list]:
+    """The (wire id, sides) pairs crossing each cell, in sorted wire order."""
+    runs = lay.wire_runs()
+    inc: dict[tuple[int, int], list] = {}
+    for wid in sorted(runs):
+        for cell, sides in runs[wid]:
+            inc.setdefault(cell, []).append((wid, sides))
+    return inc
+
+
+def _cell_tiles(coder: _ColorCoder, machine: Machine, rules, inc, i: int, j: int):
+    """Every tile of cell (i, j) as (choice, (left, right, top, bottom), name).
+
+    The choice is what the tile encodes beyond its position: the input bit
+    (None on padding) on the zone's input row, ``(rule, transit bit)`` in
+    the rest of the zone, and the tuple of wire bits, in ``inc`` order,
+    outside it.  Colors are interned in yield order, which fixes the color
+    ids.
+    """
+    lay = coder.lay
+    k, trk = lay.k, coder.trk
+    if lay.in_zone(i, j):
+        c, t = i - lay.sx0, j - lay.zy0
+        transit = i in lay.vwin_cols
+        if t == 0:
+            left = coder.h(i, j, sig=None)
+            right = coder.h(i + 1, j, sig=None)
+            if c < 4 * k:
+                for b in (0, 1):
+                    cfg0 = (SYM_ZERO + b, machine.start if c == 0 else None, trk[c])
+                    if transit:
+                        top = coder.v(i, j + 1, cfg=cfg0, bit=b)
+                        bottom = coder.v(i, j)
+                    else:
+                        top = coder.v(i, j + 1, cfg=cfg0)
+                        bottom = coder.v(i, j, bit=b)
+                    yield b, (left, right, top, bottom), f"{i},{j} in{c}={b}"
+            else:
+                cfg0 = (machine.blank, None, trk[c])
+                top = coder.v(i, j + 1, cfg=cfg0)
+                yield None, (left, right, top, coder.v(i, j)), f"{i},{j} pad"
+            return
+        ceiling = t == lay.zone_h - 1
+        for ridx, rule in enumerate(rules):
+            if rule.below[2] != trk[c] or rule.above[2] != trk[c]:
+                continue
+            if c == 0 and rule.left is not None:
+                continue
+            if c == lay.zone_w - 1 and rule.right is not None:
+                continue
+            if ceiling and rule.above[1] not in (None, machine.accept):
+                continue
+            left = coder.h(i, j, sig=rule.left)
+            right = coder.h(i + 1, j, sig=rule.right)
+            for tb in (0, 1) if transit else (None,):
+                bottom = coder.v(i, j, cfg=rule.below, bit=tb)
+                if ceiling:
+                    top = coder.v(i, j + 1, bit=tb)
+                else:
+                    top = coder.v(i, j + 1, cfg=rule.above, bit=tb)
+                suffix = "" if tb is None else f" t={tb}"
+                yield (rule, tb), (left, right, top, bottom), f"{i},{j} z{ridx}{suffix}"
+        return
+    entries = inc.get((i, j), ())
+    for bits in itertools.product((0, 1), repeat=len(entries)):
+        side_bit: dict[str, int] = {}
+        for (wid, sides), b in zip(entries, bits):
+            for side in sides:
+                side_bit[side] = b
+        left = coder.h(i, j, bit=side_bit.get("left"))
+        right = coder.h(i + 1, j, bit=side_bit.get("right"))
+        top = coder.v(i, j + 1, bit=side_bit.get("top"))
+        bottom = coder.v(i, j, bit=side_bit.get("bottom"))
+        tag = " ".join(f"{wid[0]}{wid[1]}={b}" for (wid, _), b in zip(entries, bits))
+        yield bits, (left, right, top, bottom), f"{i},{j}" + (f" {tag}" if tag else "")
 
 
 def compile_simulation(
@@ -175,89 +258,18 @@ def compile_simulation(
     rules = list(dict.fromkeys(diagram_local_rules(machine)))
 
     coder = _ColorCoder(lay, trk)
+    inc = _wire_incidence(lay)
     tiles: list[Tile] = []
     names: list[str] = []
-
-    def emit(left: int, right: int, top: int, bottom: int, name: str) -> None:
-        tiles.append(Tile(left, right, top, bottom))
-        names.append(name)
-
-    runs = lay.wire_runs()
-    inc: dict[tuple[int, int], list] = {}
-    for wid in sorted(runs):
-        for cell, sides in runs[wid]:
-            inc.setdefault(cell, []).append((wid, sides))
-
-    n, sx0, zy0 = lay.n, lay.sx0, lay.zy0
-    vwin = frozenset(lay.vwin_cols)
-    for j in range(n):
-        for i in range(n):
-            if lay.in_zone(i, j):
-                c, t = i - sx0, j - zy0
-                transit = i in vwin
-                if t == 0:
-                    left = coder.h(i, j, sig=None)
-                    right = coder.h(i + 1, j, sig=None)
-                    if c < 4 * k:
-                        for b in (0, 1):
-                            cfg0 = (SYM_ZERO + b, machine.start if c == 0 else None, trk[c])
-                            if transit:
-                                top = coder.v(i, j + 1, cfg=cfg0, bit=b)
-                                bottom = coder.v(i, j)
-                            else:
-                                top = coder.v(i, j + 1, cfg=cfg0)
-                                bottom = coder.v(i, j, bit=b)
-                            emit(left, right, top, bottom, f"{i},{j} in{c}={b}")
-                    else:
-                        cfg0 = (machine.blank, None, trk[c])
-                        emit(
-                            left,
-                            right,
-                            coder.v(i, j + 1, cfg=cfg0),
-                            coder.v(i, j),
-                            f"{i},{j} pad",
-                        )
-                    continue
-                ceiling = t == lay.zone_h - 1
-                for ridx, rule in enumerate(rules):
-                    if rule.below[2] != trk[c] or rule.above[2] != trk[c]:
-                        continue
-                    if c == 0 and rule.left is not None:
-                        continue
-                    if c == zone_w - 1 and rule.right is not None:
-                        continue
-                    if ceiling and rule.above[1] not in (None, machine.accept):
-                        continue
-                    left = coder.h(i, j, sig=rule.left)
-                    right = coder.h(i + 1, j, sig=rule.right)
-                    for tb in (0, 1) if transit else (None,):
-                        bottom = coder.v(i, j, cfg=rule.below, bit=tb)
-                        if ceiling:
-                            top = coder.v(i, j + 1, bit=tb)
-                        else:
-                            top = coder.v(i, j + 1, cfg=rule.above, bit=tb)
-                        suffix = "" if tb is None else f" t={tb}"
-                        emit(left, right, top, bottom, f"{i},{j} z{ridx}{suffix}")
-                continue
-            entries = inc.get((i, j), ())
-            for bits in itertools.product((0, 1), repeat=len(entries)):
-                side_bit: dict[str, int] = {}
-                for (wid, sides), b in zip(entries, bits):
-                    for side in sides:
-                        side_bit[side] = b
-                left = coder.h(i, j, bit=side_bit.get("left"))
-                right = coder.h(i + 1, j, bit=side_bit.get("right"))
-                top = coder.v(i, j + 1, bit=side_bit.get("top"))
-                bottom = coder.v(i, j, bit=side_bit.get("bottom"))
-                tag = " ".join(
-                    f"{wid[0]}{wid[1]}={b}" for (wid, _), b in zip(entries, bits)
-                )
-                emit(left, right, top, bottom, f"{i},{j}" + (f" {tag}" if tag else ""))
+    tile_of: dict[tuple, int] = {}
+    for j in range(lay.n):
+        for i in range(lay.n):
+            for choice, quad, name in _cell_tiles(coder, machine, rules, inc, i, j):
+                tile_of[i, j, choice] = len(tiles)
+                tiles.append(Tile(*quad))
+                names.append(name)
 
     tile_set = TileSet(len(coder.table), tiles, names)
-    colors = [()] * len(coder.table)
-    for tup, idx in coder.table.items():
-        colors[idx] = tup
     try:
         program_bits = len(encode_program(machine))
     except ValueError:
@@ -278,7 +290,7 @@ def compile_simulation(
         "program_bits": program_bits,
     }
     return CompiledTileSet(
-        tile_set, lay, machine, accepted, t_max, trk, tuple(colors), meta, coder
+        tile_set, lay, machine, accepted, t_max, trk, tuple(coder.table), meta, tile_of
     )
 
 
@@ -345,58 +357,25 @@ def assemble_macro_tile(
             raise ValueError("each side needs exactly k payload bits")
     bits = (*left, *right, *top, *bottom)
     cfgs, sigs = _zone_run(compiled, bits)
-    coder, ts = compiled.coder, compiled.tile_set
     wire_bit = {("L", r): left[r] for r in range(k)}
     wire_bit |= {("R", r): right[r] for r in range(k)}
     wire_bit |= {("T", r): top[r] for r in range(k)}
     wire_bit |= {("B", r): bottom[r] for r in range(k)}
-    inc: dict[tuple[int, int], list] = {}
-    for wid, path in compiled.layout.wire_runs().items():
-        for cell, sides in path:
-            inc.setdefault(cell, []).append((wid, sides))
-    vwin = frozenset(lay.vwin_cols)
+    inc = _wire_incidence(lay)
     grid = [[0] * n for _ in range(n)]
     for j in range(n):
         for i in range(n):
             if lay.in_zone(i, j):
                 c, t = i - sx0, j - zy0
-                tb = top[i - sx0 - 2 * k] if i in vwin else None
                 if t == 0:
-                    lc = coder.h(i, j, sig=None)
-                    rc = coder.h(i + 1, j, sig=None)
-                    if c < 4 * k:
-                        b = bits[c]
-                        cfg0 = (SYM_ZERO + b, compiled.machine.start if c == 0 else None, compiled.track[c])
-                        if i in vwin:
-                            quad = (lc, rc, coder.v(i, j + 1, cfg=cfg0, bit=b), coder.v(i, j))
-                        else:
-                            quad = (lc, rc, coder.v(i, j + 1, cfg=cfg0), coder.v(i, j, bit=b))
-                    else:
-                        cfg0 = (compiled.machine.blank, None, compiled.track[c])
-                        quad = (lc, rc, coder.v(i, j + 1, cfg=cfg0), coder.v(i, j))
+                    choice = bits[c] if c < 4 * k else None
                 else:
-                    below, above = cfgs[t - 1][c], cfgs[t][c]
-                    sl, sr = sigs[t].get(c), sigs[t].get(c + 1)
-                    lc = coder.h(i, j, sig=sl)
-                    rc = coder.h(i + 1, j, sig=sr)
-                    bottom_c = coder.v(i, j, cfg=below, bit=tb)
-                    if t == lay.zone_h - 1:
-                        top_c = coder.v(i, j + 1, bit=tb)
-                    else:
-                        top_c = coder.v(i, j + 1, cfg=above, bit=tb)
-                    quad = (lc, rc, top_c, bottom_c)
+                    rule = ZoneCellRule(cfgs[t - 1][c], cfgs[t][c],
+                                        sigs[t].get(c), sigs[t].get(c + 1))
+                    choice = (rule, top[c - 2 * k] if i in lay.vwin_cols else None)
             else:
-                side_bit: dict[str, int] = {}
-                for wid, sides in inc.get((i, j), ()):
-                    for side in sides:
-                        side_bit[side] = wire_bit[wid]
-                quad = (
-                    coder.h(i, j, bit=side_bit.get("left")),
-                    coder.h(i + 1, j, bit=side_bit.get("right")),
-                    coder.v(i, j + 1, bit=side_bit.get("top")),
-                    coder.v(i, j, bit=side_bit.get("bottom")),
-                )
-            tid = ts.tile_id(quad)
+                choice = tuple(wire_bit[wid] for wid, _ in inc.get((i, j), ()))
+            tid = compiled.tile_of.get((i, j, choice))
             if tid is None:
                 raise AssertionError(f"no tile matches cell {(i, j)}")
             grid[j][i] = tid

@@ -480,12 +480,14 @@ def check_simulation_window(
     candidate macro-tile family from the first tiling at each cut offset,
     and accepts when some candidate (a) cuts *every* tiling at exactly one
     offset and (b) embeds into rho as macro-tiles under injective per-axis
-    color maps.  Bounded windows are evidence, not proof; enumeration caps
-    surface as "inconclusive" rather than a verdict.
+    color maps.  Bounded windows are evidence, not proof; more than
+    ``max_solutions`` tilings, or a search that hits ``max_nodes``, surface
+    as "inconclusive" rather than a verdict.
     """
     if window < 2 * n - 1:
         raise ValueError("window must be at least 2n-1 so every offset has a complete block")
-    r = solve(tau, window, window, mode="enumerate", max_solutions=max_solutions, max_nodes=max_nodes)
+    r = solve(tau, window, window, mode="enumerate", max_solutions=max_solutions + 1,
+              max_nodes=max_nodes)
     if r.status == "inconclusive":
         return SimulationCheck(
             "inconclusive",

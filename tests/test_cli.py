@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tilebench import cli
 from tilebench.cli import main
 from tilebench.core import HOLE, PatchGrid, Tile, TileSet, chessboard_tileset, coordinate_tileset
 from tilebench.solver import solve
@@ -310,6 +311,45 @@ class TestErrorPaths:
     def test_missing_file_is_a_usage_error(self):
         code, _ = run("periods", "--tiles", "/nonexistent.json", "--max", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv,content", [
+        (("solve", "--w", "2", "--h", "2", "--tiles"),
+         {"color_count": 2, "tiles": [[0, 1, 0]]}),  # a 3-color tile
+        (("solve", "--w", "2", "--h", "2", "--tiles"), {"tiles": []}),
+        (("cut", "--n", "2", "--patch"), [[0, 1]]),
+        (("islands", "--alpha", "1", "--beta", "2", "--points"), [[1, 2, 3]]),
+        (("clean", "--points"), [[1, 2], [3]]),
+        (("compile", "--k", "1", "--machine-file"), {"states": 2}),
+        (("substitute", "--rule"), {"alphabet": "ab"}),
+        (("clean", "--points", "@points", "--schedule"), {"c": 2}),
+        (("render", "--patch", "@patch", "--palette"), [1, 2]),
+        (("render", "--patch", "@patch", "--palette"), {"0": "", "1": "x"}),
+        (("render", "--format", "ppm", "--patch", "@patch", "--palette"),
+         {"0": [1, 2], "1": [1, 2, 3]}),
+        (("render", "--format", "ppm", "--patch", "@patch", "--palette"),
+         {"0": 5, "1": [1, 2, 3]}),
+    ], ids=["three-color-tile", "tiles-without-colors", "patch-as-list", "point-triple",
+            "point-single", "machine-without-rules", "rule-without-m",
+            "schedule-without-pairs", "palette-as-list", "empty-glyph", "rgb-pair",
+            "rgb-scalar"])
+    def test_malformed_file_is_a_usage_error(self, files, tmp_path, argv, content,
+                                             capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        pts = tmp_path / "pts.json"
+        pts.write_text("[[1, 1]]")
+        good = {"@points": str(pts), "@patch": files["patch"]}
+        code, out = run(*[good.get(a, a) for a in argv], str(path))
+        assert code == 2 and out == ""
+        assert "cannot decode" in capsys.readouterr().err
+
+    def test_a_library_key_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "cmd_count", broken)
+        with pytest.raises(KeyError):
+            run("count", "--stock", "chessboard", "--w", "2", "--h", "2")
 
     def test_correct_clean_patch_is_a_noop(self, files):
         code, body = run_json("correct", "--stock", "chessboard",

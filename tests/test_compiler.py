@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tilebench.compiler import (
@@ -11,7 +13,7 @@ from tilebench.compiler import (
     plan_layout,
 )
 from tilebench.core import verify_patch
-from tilebench.machine import SYM_ONE, SYM_ZERO, Machine, Transition, run_machine
+from tilebench.machine import SYM_ONE, SYM_ZERO, Machine, Transition, machine_corpus, run_machine
 from tilebench.solver import find_cut_offsets, solve
 
 
@@ -175,3 +177,48 @@ class TestCompileErrors:
     def test_track_needs_track_machine(self):
         with pytest.raises(CompileError, match="track"):
             compile_simulation(chessboard_predicate_machine(), 1, track=[0, 1])
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Full sha256 of tile_set.dumps() and of the concatenated dumps of the
+# patches of every accepted payload (sorted), frozen from the enumerator
+# that re-derived each cell's colors at assembly time.
+CORPUS = [
+    ("chessboard", 1,
+     "e09c06eb80b26607647cf86908a0498cac83d6b78438ee5fb702a6507524d7c4",
+     "86a215768c451f36a6009572e8912367b6cecb539cfecf9e284f22d4ecfd3b08"),
+    ("parity", 1,
+     "60b75693d048f63b468504694ddccd4040c29b99847b6ff621b987daec1a5e1c",
+     "3c8992af8112b6056a4e76fa785706c1fa7c2eafbd87b1301abd49e4843994e4"),
+    ("parity", 2,
+     "34fc7b3a5b193a820374671f5d00175751094f353503d416c3ddc3212457c5e9",
+     "c0402130a08be467f52a2b5d7310d1056c5c54ddbbc6f4ff3b92a8a6b4319aee"),
+    ("always", 1,
+     "5c3968f6d6400afabde1aac5a4d99ef885c27dcec935d749b481f4c308b55d43",
+     "3da7cc11ee371d5f7c441b32bf50a1b0f8e81cb2e9082c668e4777b89aa2d7ac"),
+    # the first corpus machine whose head moves left: left-moving signals
+    ("palindrome", 1,
+     "4159085bc4b81da98f2810404b7c6756ff8040eadceef9e8ae45cf98debf2646",
+     "1ed907664b1c67aacfb17f693bf9bef17598f35a0732f43b26e94f37edfde247"),
+]
+
+
+@pytest.mark.parametrize("name,k,tiles_sha,patches_sha", CORPUS,
+                         ids=[f"{name}-k{k}" for name, k, _, _ in CORPUS])
+def test_compiled_corpus_is_frozen(name, k, tiles_sha, patches_sha):
+    corpus = machine_corpus()
+    corpus["chessboard"] = chessboard_predicate_machine()
+    c = compile_simulation(corpus[name], k)
+    dumps = []
+    for bits in sorted(c.accepted):
+        sides = [bits[s * k:(s + 1) * k] for s in range(4)]
+        patch = assemble_macro_tile(c, *sides)
+        assert verify_patch(c.tile_set, patch) == []
+        assert macro_payloads(c, patch, 0, 0) == dict(zip(("left", "right", "top", "bottom"),
+                                                          sides))
+        dumps.append(patch.dumps())
+    assert _sha(c.tile_set.dumps()) == tiles_sha
+    assert _sha("".join(dumps)) == patches_sha

@@ -255,3 +255,105 @@ class TestBudgetHits:
         code, body = self._cli(fp, monkeypatch, "stuck")
         assert code == 1
         assert body["inconclusive"] == 0 and body["universal"] == [1, 2]
+
+
+# --- references: the enumeration and assembly before they shared one rule ---
+
+def reference_val_choices(size, padded, x, y):
+    band = range(size // 4, size - 32)
+
+    def vert(row):
+        if row == 0:
+            return (0, 1)
+        if row in band:
+            return (padded[x + size * (row - size // 4)],)
+        return (0,)
+
+    return ((0, 1) if x == 0 else (0,), (0, 1) if x == size - 1 else (0,),
+            vert((y + 1) % size), vert(y))
+
+
+def reference_build(fp):
+    """Tiles, color records, record quads and the color map, 4-deep loop."""
+    n, size = fp.n, fp.size
+    colors, color_records, tiles, quads = {}, [], [], []
+
+    def cid(axis, rec):
+        if (axis, rec) not in colors:
+            colors[axis, rec] = len(color_records)
+            color_records.append((axis, rec))
+        return colors[axis, rec]
+
+    for y in range(size):
+        for x in range(size):
+            ls, rs, ts, bs = reference_val_choices(size, fp.padded, x, y)
+            for vl in ls:
+                for vr in rs:
+                    for vt in ts:
+                        for vb in bs:
+                            recl = pack_record(n, x, y, vl)
+                            recr = pack_record(n, (x + 1) % size, y, vr)
+                            rect = pack_record(n, x, (y + 1) % size, vt)
+                            recb = pack_record(n, x, y, vb)
+                            quads.append((recl, recr, rect, recb))
+                            tiles.append((cid(0, recl), cid(0, recr),
+                                          cid(1, rect), cid(1, recb)))
+    return tiles, color_records, quads, colors
+
+
+def reference_assemble(fp, colors, quad):
+    """Per-cell val rules re-derived at assembly time, tiles found by color."""
+    n, size = fp.n, fp.size
+    wl, wr, wt, wb = (window_bits(n, r) for r in quad)
+    lo = size - 32
+
+    def val(side, x, y):
+        if side == 0:
+            if x == 0:
+                return wl[y - lo] if y >= lo else 0
+            return 0
+        if y == 0:
+            return wb[x - lo] if x >= lo else 0
+        if y in fp.band:
+            return fp.padded[fp.fold(x, y)]
+        return 0
+
+    grid = []
+    for y in range(size):
+        row = []
+        for x in range(size):
+            vl = val(0, x, y)
+            vr = (wr[y - lo] if y >= lo else 0) if x == size - 1 else val(0, x + 1, y)
+            vb = val(1, x, y)
+            vt = (wt[x - lo] if x >= lo else 0) if y == size - 1 else val(1, x, y + 1)
+            row.append(fp.tile_set.tile_id((
+                colors[0, pack_record(n, x, y, vl)],
+                colors[0, pack_record(n, (x + 1) % size, y, vr)],
+                colors[1, pack_record(n, x, (y + 1) % size, vt)],
+                colors[1, pack_record(n, x, y, vb)],
+            )))
+        grid.append(row)
+    return grid
+
+
+@pytest.fixture(scope="module")
+def reference(fp):
+    return reference_build(fp)
+
+
+class TestAgainstReference:
+    def test_enumeration_matches(self, fp, reference):
+        tiles, color_records, quads, _ = reference
+        assert [t.sides() for t in fp.tile_set.tiles] == tiles
+        assert list(fp.color_records) == color_records
+        assert list(fp.accepted) == quads
+        assert list(fp.accepted.values()) == list(range(len(quads)))
+
+    @pytest.mark.parametrize("x,y", [(0, 0), (255, 255), (0, 224), (77, 30),
+                                     (128, 128), (5, 0), (128, 100)])
+    def test_patch_matches(self, fp, reference, x, y):
+        # the last val choice on each side: free vals set to 1
+        choices = reference_val_choices(fp.size, fp.padded, x, y)
+        quad = fp.edge_records(x, y, *(ch[-1] for ch in choices))
+        patch = assemble_self_patch(fp, quad)
+        assert [list(row) for row in patch.cells] == reference_assemble(fp, reference[3], quad)

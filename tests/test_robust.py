@@ -9,7 +9,7 @@ from tilebench.compiler import (
 )
 from tilebench.core import HOLE, PatchGrid, Tile, TileSet, chessboard_tileset, verify_patch
 from tilebench.islands import changed_fraction_bound, make_schedule
-from tilebench.solver import solve
+from tilebench.solver import InconclusiveError, solve
 from tilebench.substitution import enforce_substitution, thue_morse_rule
 
 
@@ -96,6 +96,12 @@ class TestWindowRobust:
         # the chessboard annulus has two tilings (its two phases)
         assert check_window_robust(chessboard_tileset(), 5, 3, max_solutions=1) == "inconclusive"
         assert check_window_robust(chessboard_tileset(), 5, 3, max_solutions=2) == "robust"
+
+    def test_pattern_census_cap_means_more_than(self):
+        # the chessboard has exactly two 5x5 windows (its two phases)
+        assert len(robustify(chessboard_tileset(), 3, max_solutions=2).patterns) == 2
+        with pytest.raises(InconclusiveError):
+            robustify(chessboard_tileset(), 3, max_solutions=1)
 
     def test_fill_budget_hit_is_inconclusive(self, monkeypatch):
         fills = []

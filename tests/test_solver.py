@@ -187,3 +187,15 @@ def test_simulation_inconclusive_on_cap():
         coordinate_tileset(2), white_tileset(), 2, 6, max_solutions=2
     )
     assert chk.status == "inconclusive"
+
+
+def test_simulation_cap_means_more_than():
+    # the 6x6 window has exactly four tilings: a cap of four is not hit
+    chk = check_simulation_window(
+        coordinate_tileset(2), white_tileset(), 2, 6, max_solutions=4
+    )
+    assert chk.status == "verified" and chk.tilings_seen == 4
+    chk = check_simulation_window(
+        coordinate_tileset(2), white_tileset(), 2, 6, max_solutions=3
+    )
+    assert chk.status == "inconclusive"
