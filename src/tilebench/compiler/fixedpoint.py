@@ -16,7 +16,8 @@ Macro-tiles are N x N patches of these tiles.  The border val bits of a
 patch form the payload; a 32-bit slice of each border (the top rows for
 vertical seams, the right columns for horizontal ones) carries the edge
 record of the tile the patch stands for, so macro-edges and tile edges
-match one against one and ``assemble_macro_tile`` / decode round-trips.
+match one against one and ``assemble_self_patch`` / ``decode_self_patch``
+round-trip.
 One generator enumerates the tiles from the val discipline; assembly
 works out each cell's vals and looks its tile up by the edge records it
 encodes.
@@ -488,15 +489,6 @@ class FixedPointSet:
     def edge_records(self, x: int, y: int, vl: int, vr: int, vt: int,
                      vb: int) -> tuple[int, int, int, int]:
         return _records(self.n, self.size, x, y, vl, vr, vt, vb)
-
-    def assemble_macro(self, left, right, top, bottom) -> PatchGrid:
-        return assemble_self_patch(
-            self,
-            (record_from_window(self.n, tuple(left)),
-             record_from_window(self.n, tuple(right)),
-             record_from_window(self.n, tuple(top)),
-             record_from_window(self.n, tuple(bottom))),
-        )
 
 
 def _val_choices(size: int, padded, x: int, y: int) -> tuple:

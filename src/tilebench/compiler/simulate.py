@@ -347,9 +347,6 @@ def assemble_macro_tile(
     bottom: Sequence[int],
 ) -> PatchGrid:
     """The unique macro-tile content for an accepted payload quadruple."""
-    hook = getattr(compiled, "assemble_macro", None)
-    if hook is not None:  # self-describing sets carry their own assembler
-        return hook(left, right, top, bottom)
     lay = compiled.layout
     k, n, sx0, zy0 = lay.k, lay.n, lay.sx0, lay.zy0
     for side in (left, right, top, bottom):

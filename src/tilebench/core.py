@@ -14,14 +14,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 #: Cell value standing for "no tile here"; a hole never violates a constraint.
 HOLE = -1
 
 #: Pure function (x, y) -> tile id (or any small int label) describing an
 #: infinite configuration.  Callers must guarantee repeatability: the same
-#: (x, y) always yields the same value.
+#: (x, y) always yields the same value.  Oracles must also be hashable,
+#: because the window sampler caches its samples keyed by the oracle.
 ConfigurationOracle = Callable[[int, int], int]
 
 
@@ -309,6 +314,42 @@ class BesicovitchReport:
     label: str = "finite-window evidence"
 
 
+@lru_cache(maxsize=8)
+def _square(oracle: Callable[[int, int], int], cx: int, cy: int, r: int) -> np.ndarray:
+    """The oracle's values on the (2r+1)² square centred on (cx, cy); row = y."""
+    return np.array(
+        [[oracle(x, y) for x in range(cx - r, cx + r + 1)] for y in range(cy - r, cy + r + 1)],
+        dtype=np.int64,
+    )
+
+
+def _mismatch_fractions(a: ConfigurationOracle, b: ConfigurationOracle, radii: Sequence[int],
+                        shift=(0, 0), hole=None, center=(0, 0)) -> list[float]:
+    """Per radius, the fraction of unmasked p in the centred window with a(p) != b(p + shift).
+
+    Each oracle is sampled once, on the largest window padded by the shift
+    rounded up to a multiple of 4, so a sweep of small shifts reuses one
+    cached sample.  A window whose every point is masked reads 0.0.
+    """
+    dx, dy = shift
+    cx, cy = center
+    pad = -(-max(abs(dx), abs(dy)) // 4) * 4
+    big = max(radii) + pad
+    grid_a, grid_b = _square(a, cx, cy, big), _square(b, cx, cy, big)
+    if hole is None:
+        kept = np.ones(grid_a.shape, dtype=bool)
+    else:  # truthiness, so a hole oracle may return bools or 0/1 ints
+        kept = ~_square(hole, cx, cy, big).astype(bool)
+    out = []
+    for r in radii:
+        lo, hi = big - r, big + r + 1
+        diff = grid_a[lo:hi, lo:hi] != grid_b[lo + dy : hi + dy, lo + dx : hi + dx]
+        window = kept[lo:hi, lo:hi]
+        num, den = int((diff & window).sum()), int(window.sum())
+        out.append(num / den if den else 0.0)
+    return out
+
+
 def besicovitch_distance(
     a: ConfigurationOracle,
     b: ConfigurationOracle,
@@ -331,23 +372,6 @@ def besicovitch_distance(
     """
     if not radii or any(r < 1 for r in radii):
         raise ValueError("radii must be positive")
-    cx, cy = center
-    fractions: list[float] = []
-    for r in radii:
-        num = 0
-        den = 0
-        for y in range(cy - r, cy + r + 1):
-            for x in range(cx - r, cx + r + 1):
-                if hole is not None and hole(x, y):
-                    continue
-                den += 1
-                if a(x, y) != b(x, y):
-                    num += 1
-        fractions.append(num / den if den else 0.0)
-    tail = []
-    running = 0.0
-    for f in reversed(fractions):
-        running = max(running, f)
-        tail.append(running)
-    tail.reverse()
+    fractions = _mismatch_fractions(a, b, radii, hole=hole, center=center)
+    tail = list(accumulate(reversed(fractions), max))[::-1]
     return BesicovitchReport(tuple(radii), tuple(fractions), tuple(tail))

@@ -19,13 +19,12 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 MOVES = ("L", "R", "S")
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     state: int
     read: int
     track: int | None

@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
-from .core import PatchGrid, Tile, TileSet
+from .core import PatchGrid, Tile, TileSet, _mismatch_fractions
 
 Rows = tuple[tuple[str, ...], ...]
 
@@ -122,15 +119,6 @@ def chessboard_oracle(x: int, y: int) -> int:
     return (x + y) & 1
 
 
-@lru_cache(maxsize=8)
-def _sampled_square(oracle, radius: int, pad: int):
-    lo, hi = -radius - pad, radius + pad
-    return np.array(
-        [[oracle(x, y) for x in range(lo, hi + 1)] for y in range(lo, hi + 1)],
-        dtype=np.int64,
-    )
-
-
 def aperiodicity_fraction(
     oracle: Callable[[int, int], int], shift: tuple[int, int], radius: int
 ) -> float:
@@ -138,19 +126,14 @@ def aperiodicity_fraction(
 
     Computed on the centered (2*radius+1)^2 window.  Values bounded away
     from 0 for every nonzero shift witness that no translate comes close to
-    the configuration anywhere.
+    the configuration anywhere.  Shifts whose largest component rounds up
+    to the same multiple of 4 share one cached sample of the window.
     """
-    dx, dy = shift
-    if dx == 0 and dy == 0:
+    if not any(shift):
         raise ValueError("shift must be nonzero")
-    # one sampling pass covers every shift with the same padding, so shift
-    # sweeps (many small translates, one big window) stay cheap
-    pad = -(-max(abs(dx), abs(dy)) // 4) * 4
-    grid = _sampled_square(oracle, radius, pad)
-    side = 2 * radius + 1
-    base = grid[pad : pad + side, pad : pad + side]
-    moved = grid[pad + dy : pad + dy + side, pad + dx : pad + dx + side]
-    return float(np.mean(base != moved))
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    return _mismatch_fractions(oracle, oracle, [radius], shift=shift)[0]
 
 
 def enforce_substitution(rule: SubstitutionRule) -> TileSet:

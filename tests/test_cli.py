@@ -167,6 +167,13 @@ class TestSubstitutionCommands:
                               "--dx", "1", "--dy", "1", "--radius", "8")
         assert body["fraction"] == 0.0
 
+    @pytest.mark.parametrize("radius", ["-1", "-5"])
+    def test_aperiodicity_negative_radius_is_a_usage_error(self, radius):
+        code, out = run("aperiodicity", "--oracle", "thue-morse",
+                        "--dx", "1", "--dy", "0", "--radius", radius)
+        assert code == 2
+        assert out == ""
+
 
 class TestIslandCommands:
     def test_islands_split(self, files):

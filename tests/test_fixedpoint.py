@@ -9,7 +9,6 @@ from tilebench import cli
 from tilebench.compiler import fixedpoint
 from tilebench.compiler import (
     CompileError,
-    assemble_macro_tile,
     assemble_self_patch,
     build_fixed_point,
     certificate,
@@ -161,7 +160,7 @@ class TestMacroTiles:
     def test_dispatch_through_compiler_entry(self, fp):
         quad = fp.edge_records(0, 0, 1, 0, 0, 1)
         sides = [window_bits(fp.n, r) for r in quad]
-        patch = assemble_macro_tile(fp, *sides)
+        patch = assemble_self_patch(fp, tuple(record_from_window(fp.n, s) for s in sides))
         assert decode_self_patch(fp, patch) == quad
 
     def test_rejects_foreign_records(self, fp):

@@ -83,6 +83,15 @@ def test_aperiodicity_chessboard():
         aperiodicity_fraction(chessboard_oracle, (0, 0), 16)
 
 
+def test_aperiodicity_rejects_a_negative_radius():
+    for radius in (-1, -5):
+        with pytest.raises(ValueError):
+            aperiodicity_fraction(thue_morse_oracle, (1, 0), radius)
+    # radius 0 is the one-point window
+    assert aperiodicity_fraction(chessboard_oracle, (1, 0), 0) == 1.0
+    assert aperiodicity_fraction(chessboard_oracle, (1, 1), 0) == 0.0
+
+
 def test_enforce_substitution_counts():
     ts = enforce_substitution(thue_morse_rule())
     assert len(ts) == 8  # |alphabet| * m^2
