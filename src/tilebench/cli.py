@@ -94,7 +94,10 @@ def _points(path: str) -> set[tuple[int, int]]:
 
 
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -425,12 +428,7 @@ def cmd_render(args) -> int:
                 else:
                     row += GLYPHS[tid % len(GLYPHS)]
             lines.append(row)
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
         return OK
     b = args.block
     w, h = patch.width * b, patch.height * b
@@ -478,13 +476,10 @@ def cmd_distance(args) -> int:
 
 # --- wiring -------------------------------------------------------------------
 
-def _tiles_flags(p, stock_ok: bool = True) -> None:
-    if stock_ok:
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--tiles", help="tile set JSON file")
-        g.add_argument("--stock", help="built-in set: chessboard or coordinate:N")
-    else:
-        p.add_argument("--tiles", required=True, help="tile set JSON file")
+def _tiles_flags(p) -> None:
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--tiles", help="tile set JSON file")
+    g.add_argument("--stock", help="built-in set: chessboard or coordinate:N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -630,10 +625,7 @@ def main(argv=None) -> int:
     except (CompileError, LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
 

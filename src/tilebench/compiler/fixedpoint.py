@@ -464,7 +464,6 @@ class FixedPointSet:
     size: int
     tile_set: TileSet
     machine: Machine
-    state_names: tuple[str, ...]
     state_bits: int
     program: tuple[int, ...]
     padded: tuple[int, ...]
@@ -532,7 +531,7 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
     n = (size - 1).bit_length()
     if size < 128 or (1 << n) != size:
         raise CompileError("grid side must be a power of two, at least 128")
-    machine, names = build_checker(n)
+    machine, _ = build_checker(n)
     state_bits = 8 if machine.states <= 256 else 9
     program = encode_program(machine, state_bits=state_bits)
     capacity = size * (3 * size // 4 - 32)
@@ -558,7 +557,6 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
         size=size,
         tile_set=TileSet(len(colors), tiles),
         machine=machine,
-        state_names=names,
         state_bits=state_bits,
         program=tuple(program),
         padded=padded,

@@ -76,12 +76,6 @@ class SimulationLayout:
         """Columns whose top/bottom border edges carry payload bits."""
         return range(self.sx0 + 2 * self.k, self.sx0 + 3 * self.k)
 
-    def strip_col(self, idx: int) -> int:
-        """Column of zone input cell ``idx`` in [0, 4k)."""
-        if not 0 <= idx < 4 * self.k:
-            raise IndexError(idx)
-        return self.sx0 + idx
-
     def in_zone(self, i: int, j: int) -> bool:
         return (
             self.sx0 <= i < self.sx0 + self.zone_w
@@ -162,13 +156,12 @@ class SimulationLayout:
                             )
 
 
+#: Largest zoom ``plan_layout`` tries before giving up.
+MAX_ZOOM = 1 << 20
+
+
 def plan_layout(
-    k: int,
-    zone_w: int,
-    zone_h: int,
-    *,
-    zoom: int | None = None,
-    max_zoom: int = 1 << 20,
+    k: int, zone_w: int, zone_h: int, *, zoom: int | None = None
 ) -> SimulationLayout:
     """Smallest power-of-two zoom hosting the zone, or validate a given one.
 
@@ -181,7 +174,7 @@ def plan_layout(
         zoom = 2
         while zoom < need:
             zoom *= 2
-            if zoom > max_zoom:
-                raise LayoutError(f"no feasible zoom up to {max_zoom}")
+            if zoom > MAX_ZOOM:
+                raise LayoutError(f"no feasible zoom up to {MAX_ZOOM}")
     sx0 = (zoom - zone_w) // 2
     return SimulationLayout(zoom, k, zone_w, zone_h, sx0)

@@ -30,7 +30,6 @@ from ..machine import (
     Machine,
     ZoneCellRule,
     diagram_local_rules,
-    encode_program,
     run_machine,
 )
 from .layout import SimulationLayout, plan_layout
@@ -122,7 +121,6 @@ class CompiledTileSet:
     steps_needed: int
     track: tuple[int, ...]
     colors: tuple[tuple, ...]
-    meta: dict
     tile_of: dict[tuple, int] = field(repr=False)
 
 
@@ -270,27 +268,8 @@ def compile_simulation(
                 names.append(name)
 
     tile_set = TileSet(len(coder.table), tiles, names)
-    try:
-        program_bits = len(encode_program(machine))
-    except ValueError:
-        program_bits = None
-    meta = {
-        "layout_version": 1,
-        "zoom": lay.n,
-        "payload_bits": k,
-        "zone": [lay.zone_w, lay.zone_h],
-        "zone_origin": [lay.sx0, lay.zy0],
-        "h_window_rows": list(lay.hwin_rows),
-        "v_window_cols": list(lay.vwin_cols),
-        "input_cols": [lay.strip_col(idx) for idx in range(4 * k)],
-        "steps_needed": t_max,
-        "accepted_payloads": len(accepted),
-        "tile_count": len(tiles),
-        "color_count": len(coder.table),
-        "program_bits": program_bits,
-    }
     return CompiledTileSet(
-        tile_set, lay, machine, accepted, t_max, trk, tuple(coder.table), meta, tile_of
+        tile_set, lay, machine, accepted, t_max, trk, tuple(coder.table), tile_of
     )
 
 
@@ -305,23 +284,24 @@ def payload_accepted(
 
 
 def _zone_run(compiled: CompiledTileSet, bits: tuple[int, ...]):
-    """Configs and head signals of the accepting diagram, frozen to zone height."""
-    lay, machine = compiled.layout, compiled.machine
+    """Configs and head signals of the accepting diagram, frozen to zone height.
+
+    Row t is the configuration after t steps: row 0 is the input, a run
+    with budget t ends on row t (budget stops are exact), and every row
+    from the accepting step on repeats the accepted configuration.
+    """
+    lay, machine, trk = compiled.layout, compiled.machine, compiled.track
     tape = [SYM_ZERO + b for b in bits] + [machine.blank] * (lay.zone_w - 4 * lay.k)
-    res = run_machine(
-        compiled.machine,
-        tape,
-        track=compiled.track,
-        max_steps=lay.zone_h,
-        record=True,
-    )
+    res = run_machine(machine, tape, track=trk, max_steps=lay.zone_h)
     if res.status != "accepted" or res.steps > lay.zone_h - 1:
         raise ValueError(f"payload {bits} is rejected by the checker")
-    hist = res.history
-    rows = [hist[t] if t < len(hist) else hist[-1] for t in range(lay.zone_h)]
+    rows = [(machine.start, 0, tuple(tape))]
+    for t in range(1, lay.zone_h):
+        r = run_machine(machine, tape, track=trk, max_steps=t) if t < res.steps else res
+        rows.append((r.state, r.head, r.tape))
     cfgs = [
         tuple(
-            (tape_t[c], state if head == c else None, compiled.track[c])
+            (tape_t[c], state if head == c else None, trk[c])
             for c in range(lay.zone_w)
         )
         for (state, head, tape_t) in rows

@@ -177,6 +177,8 @@ class PatchGrid:
         return hash(self.cells)
 
     def get(self, x: int, y: int) -> int:
+        if x < 0 or y < 0:  # a negative index would wrap to the far edge
+            raise IndexError(f"cell {(x, y)} lies outside the patch")
         return self.cells[y][x]
 
     def holes(self) -> list[tuple[int, int]]:

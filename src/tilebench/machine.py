@@ -165,7 +165,6 @@ class RunResult:
     state: int
     head: int
     tape: tuple[int, ...]
-    history: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
 
 
 def run_machine(
@@ -176,7 +175,6 @@ def run_machine(
     track: Sequence[int] | None = None,
     max_steps: int = 1_000_000,
     grow: bool = False,
-    record: bool = False,
 ) -> RunResult:
     """Run until acceptance, a missing transition, a wall, or the budget.
 
@@ -190,7 +188,6 @@ def run_machine(
     whole run of them in one jump (a long run is scanned in C), but every
     cell crossed still counts one step, so step counts, budgets and end
     configurations are exactly those of stepping one cell at a time.
-    record=True (history of every step) steps one cell at a time.
     """
     table = machine.dispatch()
     syms, tracks = machine.symbols, 2 if machine.program_track else 1
@@ -206,9 +203,6 @@ def run_machine(
     ntrk = len(trk)
     state = machine.start
     steps = 0
-    hist: list[tuple[int, int, tuple[int, ...]]] = []
-    if record:
-        hist.append((state, head, tuple(cells)))
     status = "timeout"
     while steps < max_steps:
         i = (state * syms + cells[head]) * tracks
@@ -219,7 +213,7 @@ def run_machine(
         except TypeError:  # no rule fires (the accept state has none)
             status = "accepted" if state == machine.accept else "stuck"
             break
-        if sweep is not None and not record:
+        if sweep is not None:
             # cross the run of loop cells: j is where the sweep stops
             if delta > 0:
                 stop = head + max_steps - steps
@@ -267,11 +261,9 @@ def run_machine(
             cells.append(blank)
             width += 1
         steps += 1
-        if record:
-            hist.append((state, head, tuple(cells)))
     if state == machine.accept and status == "timeout":
         status = "accepted"
-    return RunResult(status, steps, state, head, tuple(cells), tuple(hist))
+    return RunResult(status, steps, state, head, tuple(cells))
 
 
 # --- space-time diagram local rules -------------------------------------

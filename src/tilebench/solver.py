@@ -504,7 +504,7 @@ def check_simulation_window(
         family = _blocks_at(tilings[0], n, *off0)
         unique = True
         for u in tilings:
-            valid = tuple(off for off in offsets if _blocks_at(u, n, *off) <= family)
+            valid = tuple(find_cut_offsets(u, n, family))
             if len(valid) != 1:
                 unique = False
                 if first_bad is None:

@@ -87,12 +87,13 @@ class TestChessboardPredicate:
             assert (res.status == "accepted") == want, bits
 
     def test_compiled_shape(self, chess):
-        assert chess.meta["zoom"] == 8
-        assert chess.meta["zone"] == [4, 5]
-        assert chess.meta["zone_origin"] == [2, 2]
-        assert chess.meta["steps_needed"] == 4
-        assert chess.meta["tile_count"] == 1161
-        assert chess.meta["color_count"] == 908
+        lay = chess.layout
+        assert lay.n == 8
+        assert (lay.zone_w, lay.zone_h) == (4, 5)
+        assert (lay.sx0, lay.zy0) == (2, 2)
+        assert chess.steps_needed == 4
+        assert len(chess.tile_set.tiles) == 1161
+        assert chess.tile_set.color_count == 908
         assert chess.accepted == {(0, 1, 1, 0), (1, 0, 0, 1)}
 
     def test_assemble_accepted_payloads(self, chess):
@@ -140,10 +141,11 @@ class TestChessboardPredicate:
 class TestTwoBitPayloads:
     def test_compile_and_assemble(self):
         c = compile_simulation(first_bit_zero_machine(), 2)
-        assert c.meta["zoom"] == 8
-        assert c.meta["zone"] == [8, 2]
-        assert c.meta["zone_origin"] == [0, 4]
-        assert c.meta["tile_count"] == 265
+        lay = c.layout
+        assert lay.n == 8
+        assert (lay.zone_w, lay.zone_h) == (8, 2)
+        assert (lay.sx0, lay.zy0) == (0, 4)
+        assert len(c.tile_set.tiles) == 265
         assert len(c.accepted) == 128
         assert all(bits[0] == 0 for bits in c.accepted)
         patch = assemble_macro_tile(c, (0, 1), (1, 0), (0, 0), (1, 1))

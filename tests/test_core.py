@@ -73,6 +73,13 @@ def test_patch_row_zero_is_bottom():
     assert obj["cells"][0] == [0, 1]
 
 
+@pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_patch_get_outside_raises(x, y):
+    p = PatchGrid(3, 3, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    with pytest.raises(IndexError):
+        p.get(x, y)
+
+
 def test_verify_patch_clean_chessboard():
     ts = chessboard_tileset()
     assert verify_patch(ts, chessboard_patch(4, 4)) == []

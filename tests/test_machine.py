@@ -61,14 +61,6 @@ def test_run_statuses():
     assert run_machine(lefty, [0, 0], max_steps=50).status == "hit_wall"
 
 
-def test_run_history():
-    m = parity_machine()
-    r = run_machine(m, [2, 2, 0], record=True)
-    assert len(r.history) == r.steps + 1
-    assert r.history[0] == (0, 0, (2, 2, 0))
-    assert r.history[-1][0] == m.accept
-
-
 def test_track_conditions():
     m = Machine(
         2,
@@ -162,7 +154,7 @@ def test_universal_track_conditions():
 
 
 def signals_from_history(hist, t):
-    """Infer the head-crossing signals of diagram row t from a recorded run."""
+    """Infer the head-crossing signals of diagram row t from a run's history."""
     (q1, h1, _), (q2, h2, _) = hist[t], hist[t + 1]
     sig = {}
     if h2 == h1 + 1:
@@ -173,12 +165,16 @@ def signals_from_history(hist, t):
 
 
 def check_history_against_rules(machine, tape):
-    r = run_machine(machine, tape, record=True)
+    r = run_machine(machine, tape)
     assert r.status == "accepted"
     rules = set()
     for z in diagram_local_rules(machine):
         rules.add((z.below, z.above, z.left, z.right))
-    hist = list(r.history)
+    # the configuration after t steps is the end of a run with budget t
+    hist = [(machine.start, 0, tuple(tape))]
+    for t in range(1, r.steps + 1):
+        rt = run_machine(machine, tape, max_steps=t)
+        hist.append((rt.state, rt.head, rt.tape))
     hist.append(hist[-1])  # one frozen row past acceptance
     width = len(tape)
     for t in range(len(hist) - 1):

@@ -3,8 +3,8 @@ plain dict-per-step reference stepper.
 
 The reference resolves every step through a (state, symbol, track bit)
 dict, first listed rule winning, and moves one cell at a time; the engine
-must agree with it on status, steps, state, head and tape (and history when
-recording), including runs that end in the middle of a compressed sweep.
+must agree with it on status, steps, state, head and tape, including runs
+that end in the middle of a compressed sweep.
 """
 
 import itertools
@@ -33,7 +33,7 @@ from tilebench.machine import (
 
 
 def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000,
-                  grow=False, record=False):
+                  grow=False):
     """One dict lookup per step, one cell per step: the engine's oracle."""
     rules = {}
     for t in machine.transitions:
@@ -44,7 +44,6 @@ def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000,
     cells = list(tape) or [machine.blank]
     trk = list(track) if track is not None else []
     state, steps, status = machine.start, 0, "timeout"
-    hist = [(state, head, tuple(cells))] if record else []
     while steps < max_steps:
         if state == machine.accept:
             status = "accepted"
@@ -65,15 +64,13 @@ def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000,
                 break
             cells.append(machine.blank)
         steps += 1
-        if record:
-            hist.append((state, head, tuple(cells)))
     if state == machine.accept and status == "timeout":
         status = "accepted"
-    return status, steps, state, head, tuple(cells), tuple(hist)
+    return status, steps, state, head, tuple(cells)
 
 
 def outcome(res):
-    return res.status, res.steps, res.state, res.head, res.tape, res.history
+    return res.status, res.steps, res.state, res.head, res.tape
 
 
 def assert_agrees(machine, tape, **kw):
@@ -92,7 +89,6 @@ def test_corpus_every_short_input(name):
         for x in itertools.product((SYM_ZERO, SYM_ONE), repeat=n):
             for grow in (False, True):
                 assert_agrees(m, list(x) + [0] * 2, grow=grow, max_steps=10_000)
-            assert_agrees(m, list(x) + [0] * 2, record=True)
 
 
 # --- the edge cases a sweep has to get right -----------------------------------
@@ -229,7 +225,6 @@ def machines_and_runs(draw):
 def test_random_machines_agree(case):
     m, tape, kw = case
     assert_agrees(m, tape, **kw)
-    assert_agrees(m, tape, record=True, **kw)
 
 
 # --- the fixed-point checker and the universal machine -------------------------
