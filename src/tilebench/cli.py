@@ -131,14 +131,11 @@ def _tiles_arg(args) -> TileSet:
 def cmd_solve(args) -> int:
     r = solve(_tiles_arg(args), args.w, args.h, toroidal=args.toroidal,
               max_nodes=args.max_nodes)
-    if r.status == "inconclusive":
-        _emit({"status": r.status, "nodes": r.nodes}, args.out)
-        return INCONCLUSIVE
     body = {"status": r.status, "nodes": r.nodes}
     if r.patch is not None:
         body["patch"] = r.patch.to_json()
     _emit(body, args.out)
-    return OK if r.status == "solved" else FAIL
+    return {"solved": OK, "inconclusive": INCONCLUSIVE}.get(r.status, FAIL)
 
 
 def cmd_count(args) -> int:
@@ -431,6 +428,8 @@ def cmd_render(args) -> int:
         _write("\n".join(lines) + "\n", args.out)
         return OK
     b = args.block
+    if b < 1:
+        raise UsageError("--block must be at least 1")
     w, h = patch.width * b, patch.height * b
     payload = bytearray()
     for y in reversed(range(patch.height)):

@@ -577,10 +577,6 @@ def run_checker(fp: FixedPointSet, quad, *, track=None,
                        max_steps=max_steps, grow=True)
 
 
-def checker_accepts(fp: FixedPointSet, quad, *, track=None) -> bool:
-    return run_checker(fp, quad, track=track).status == "accepted"
-
-
 def walks(fp: FixedPointSet, x: int, y: int) -> bool:
     """Whether the checker run for the cell (x, y) drags out to the track."""
     return y in fp.band or (y + 1) % fp.size in fp.band
@@ -826,8 +822,11 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
     """Flip single program bits on the track and confirm the checker now
     rejects the tile that carries the original bit at that block offset.
 
-    Only a stuck run is a rejection: a wall is a miss, and a budget hit
-    (``timeout``) is inconclusive, counted apart from both."""
+    The first three trials also run a control tile under the mutated
+    track, which the checker must still accept.  Only a stuck run is a
+    rejection: a wall is a miss, and a budget hit (``timeout``) on the
+    mutant, or on the control of a caught mutant, makes the trial
+    inconclusive, counted apart from both."""
     rng = random.Random(seed)
     bits = rng.sample(range(len(fp.program)), count)
     caught = inconclusive = 0
@@ -841,9 +840,12 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
         quad = fp.edge_records(
             x, y, *(ch[0] for ch in _val_choices(fp.size, fp.padded, x, y)))
         status = run_checker(fp, quad, track=mutated).status
+        if k < 3:
+            check = run_checker(fp, control, track=mutated).status
+            controls_ok &= check in ("accepted", "timeout")
+            if check == "timeout" and status == "stuck":
+                status = "timeout"  # a catch its control cannot vouch for
         caught += status == "stuck"
         inconclusive += status == "timeout"
-        if k < 3 and not checker_accepts(fp, control, track=mutated):
-            controls_ok = False
     return MutationTrials(tried=count, caught=caught, controls_ok=controls_ok,
                           inconclusive=inconclusive)

@@ -5,17 +5,20 @@ and accepts or gets stuck; the output is a tile set whose tilings are
 exactly the grids of N x N macro-tiles whose border payload bits satisfy R
 on every macro-tile, read in input order [left, right, top, bottom].
 
-Every edge color carries its position mod N, so the macro-tile cut is
-unique; the free content is the payload bits on macro borders, the wire
-bits that ferry them to the computation zone, and the zone's space-time
-diagram, which the machine's determinism pins down once the inputs are
-fixed.  The zone's top edge only exists in an accepting diagram, so a
-rejected payload combination simply cannot be tiled over.
+Every edge color is keyed ``(axis, i, j, content)``: its position mod N,
+so the macro-tile cut is unique, plus what it carries.  The free content
+is the payload bits on macro borders, the wire bits that ferry them to
+the computation zone, and the zone's space-time diagram (head signals
+between zone columns, ``(configuration, transit bit)`` pairs between zone
+rows), which the machine's determinism pins down once the inputs are
+fixed; every other edge carries None.  The zone's top edge only exists in
+an accepting diagram, so a rejected payload combination simply cannot be
+tiled over.
 
-``_cell_tiles`` is the one statement of which tiles a cell has; the
-compiler records each tile's id under the choice it encodes, and
-``assemble_macro_tile`` works out each cell's choice from the payload and
-looks the tile up.
+``SimulationLayout`` and ``_cell_tiles`` are the one statement of the
+floor plan and of which tiles a cell has; the compiler records each
+tile's id under the choice it encodes, and ``assemble_macro_tile`` works
+out each cell's choice from the payload and looks the tile up.
 """
 
 from __future__ import annotations
@@ -34,80 +37,9 @@ from ..machine import (
 )
 from .layout import SimulationLayout, plan_layout
 
-_NO_SIG = object()
-
 
 class CompileError(ValueError):
     """The machine cannot be compiled at the requested geometry."""
-
-
-class _ColorCoder:
-    """Position-aware edge colors, interned to dense ints.
-
-    The kind of an edge is a function of its position alone (payload window,
-    wire segment, zone floor/interior/ceiling, plain); callers only supply
-    the dynamic content: a carried bit, a zone configuration, a head signal.
-    """
-
-    def __init__(self, lay: SimulationLayout, trk: tuple[int, ...]):
-        self.lay = lay
-        self.trk = trk
-        self.table: dict[tuple, int] = {}
-        self._hwin = frozenset(lay.hwin_rows)
-        self._vwin = frozenset(lay.vwin_cols)
-
-    def _cid(self, t: tuple) -> int:
-        v = self.table.get(t)
-        if v is None:
-            v = self.table[t] = len(self.table)
-        return v
-
-    def h(self, i: int, j: int, bit: int | None = None, sig=_NO_SIG) -> int:
-        lay = self.lay
-        i %= lay.n
-        if i == 0:
-            if j in self._hwin:
-                assert bit is not None
-                return self._cid(("H", 0, j, "pay", bit))
-            return self._cid(("H", 0, j, "plain"))
-        if (
-            lay.sx0 + 1 <= i <= lay.sx0 + lay.zone_w - 1
-            and lay.zy0 <= j < lay.zy0 + lay.zone_h
-        ):
-            assert sig is not _NO_SIG
-            return self._cid(("H", i, j, "sig", sig))
-        if bit is not None:
-            return self._cid(("H", i, j, "wire", bit))
-        return self._cid(("H", i, j, "plain"))
-
-    def v(self, i: int, j: int, bit: int | None = None, cfg=None) -> int:
-        lay = self.lay
-        j %= lay.n
-        if j == 0:
-            if i in self._vwin:
-                assert bit is not None
-                return self._cid(("V", i, 0, "pay", bit))
-            return self._cid(("V", i, 0, "plain"))
-        if lay.sx0 <= i < lay.sx0 + lay.zone_w and lay.zy0 <= j <= lay.zy0 + lay.zone_h:
-            c = i - lay.sx0
-            if j == lay.zy0:
-                if c < 2 * lay.k or 3 * lay.k <= c < 4 * lay.k:
-                    assert bit is not None
-                    return self._cid(("V", i, j, "deliver", bit))
-                return self._cid(("V", i, j, "floor"))
-            if j == lay.zy0 + lay.zone_h:
-                if i in self._vwin:
-                    assert bit is not None
-                    return self._cid(("V", i, j, "close", bit))
-                return self._cid(("V", i, j, "close"))
-            assert cfg is not None
-            if i in self._vwin:
-                assert bit is not None
-                return self._cid(("V", i, j, "cfg", cfg, bit))
-            return self._cid(("V", i, j, "cfg", cfg))
-        if bit is not None:
-            return self._cid(("V", i, j, "wire", bit))
-        return self._cid(("V", i, j, "plain"))
 
 
 @dataclass
@@ -160,37 +92,34 @@ def _wire_incidence(lay: SimulationLayout) -> dict[tuple[int, int], list]:
     return inc
 
 
-def _cell_tiles(coder: _ColorCoder, machine: Machine, rules, inc, i: int, j: int):
+def _cell_tiles(color, lay: SimulationLayout, trk, machine: Machine, rules, inc,
+                i: int, j: int):
     """Every tile of cell (i, j) as (choice, (left, right, top, bottom), name).
 
     The choice is what the tile encodes beyond its position: the input bit
     (None on padding) on the zone's input row, ``(rule, transit bit)`` in
     the rest of the zone, and the tuple of wire bits, in ``inc`` order,
-    outside it.  Colors are interned in yield order, which fixes the color
-    ids.
+    outside it.  ``color(axis, i, j, content)`` interns an edge; the
+    content is the edge's carried bit, head signal or ``(configuration,
+    transit bit)``, else None.  Colors are interned in call order, which
+    fixes the color ids.
     """
-    lay = coder.lay
-    k, trk = lay.k, coder.trk
+    k = lay.k
     if lay.in_zone(i, j):
         c, t = i - lay.sx0, j - lay.zy0
         transit = i in lay.vwin_cols
         if t == 0:
-            left = coder.h(i, j, sig=None)
-            right = coder.h(i + 1, j, sig=None)
+            left = color("H", i, j)
+            right = color("H", i + 1, j)
             if c < 4 * k:
                 for b in (0, 1):
                     cfg0 = (SYM_ZERO + b, machine.start if c == 0 else None, trk[c])
-                    if transit:
-                        top = coder.v(i, j + 1, cfg=cfg0, bit=b)
-                        bottom = coder.v(i, j)
-                    else:
-                        top = coder.v(i, j + 1, cfg=cfg0)
-                        bottom = coder.v(i, j, bit=b)
+                    top = color("V", i, j + 1, (cfg0, b if transit else None))
+                    bottom = color("V", i, j, None if transit else b)
                     yield b, (left, right, top, bottom), f"{i},{j} in{c}={b}"
             else:
-                cfg0 = (machine.blank, None, trk[c])
-                top = coder.v(i, j + 1, cfg=cfg0)
-                yield None, (left, right, top, coder.v(i, j)), f"{i},{j} pad"
+                top = color("V", i, j + 1, ((machine.blank, None, trk[c]), None))
+                yield None, (left, right, top, color("V", i, j)), f"{i},{j} pad"
             return
         ceiling = t == lay.zone_h - 1
         for ridx, rule in enumerate(rules):
@@ -202,14 +131,11 @@ def _cell_tiles(coder: _ColorCoder, machine: Machine, rules, inc, i: int, j: int
                 continue
             if ceiling and rule.above[1] not in (None, machine.accept):
                 continue
-            left = coder.h(i, j, sig=rule.left)
-            right = coder.h(i + 1, j, sig=rule.right)
+            left = color("H", i, j, rule.left)
+            right = color("H", i + 1, j, rule.right)
             for tb in (0, 1) if transit else (None,):
-                bottom = coder.v(i, j, cfg=rule.below, bit=tb)
-                if ceiling:
-                    top = coder.v(i, j + 1, bit=tb)
-                else:
-                    top = coder.v(i, j + 1, cfg=rule.above, bit=tb)
+                bottom = color("V", i, j, (rule.below, tb))
+                top = color("V", i, j + 1, tb if ceiling else (rule.above, tb))
                 suffix = "" if tb is None else f" t={tb}"
                 yield (rule, tb), (left, right, top, bottom), f"{i},{j} z{ridx}{suffix}"
         return
@@ -219,10 +145,10 @@ def _cell_tiles(coder: _ColorCoder, machine: Machine, rules, inc, i: int, j: int
         for (wid, sides), b in zip(entries, bits):
             for side in sides:
                 side_bit[side] = b
-        left = coder.h(i, j, bit=side_bit.get("left"))
-        right = coder.h(i + 1, j, bit=side_bit.get("right"))
-        top = coder.v(i, j + 1, bit=side_bit.get("top"))
-        bottom = coder.v(i, j, bit=side_bit.get("bottom"))
+        left = color("H", i, j, side_bit.get("left"))
+        right = color("H", i + 1, j, side_bit.get("right"))
+        top = color("V", i, j + 1, side_bit.get("top"))
+        bottom = color("V", i, j, side_bit.get("bottom"))
         tag = " ".join(f"{wid[0]}{wid[1]}={b}" for (wid, _), b in zip(entries, bits))
         yield bits, (left, right, top, bottom), f"{i},{j}" + (f" {tag}" if tag else "")
 
@@ -255,22 +181,25 @@ def compile_simulation(
     )
     rules = list(dict.fromkeys(diagram_local_rules(machine)))
 
-    coder = _ColorCoder(lay, trk)
+    n = lay.n
+    colors: dict[tuple, int] = {}
+
+    def color(axis: str, i: int, j: int, content=None) -> int:
+        return colors.setdefault((axis, i % n, j % n, content), len(colors))
+
     inc = _wire_incidence(lay)
     tiles: list[Tile] = []
     names: list[str] = []
     tile_of: dict[tuple, int] = {}
-    for j in range(lay.n):
-        for i in range(lay.n):
-            for choice, quad, name in _cell_tiles(coder, machine, rules, inc, i, j):
+    for j in range(n):
+        for i in range(n):
+            for choice, quad, name in _cell_tiles(color, lay, trk, machine, rules, inc, i, j):
                 tile_of[i, j, choice] = len(tiles)
                 tiles.append(Tile(*quad))
                 names.append(name)
 
-    tile_set = TileSet(len(coder.table), tiles, names)
-    return CompiledTileSet(
-        tile_set, lay, machine, accepted, t_max, trk, tuple(coder.table), tile_of
-    )
+    tile_set = TileSet(len(colors), tiles, names)
+    return CompiledTileSet(tile_set, lay, machine, accepted, t_max, trk, tuple(colors), tile_of)
 
 
 def payload_accepted(
@@ -368,26 +297,28 @@ def macro_payloads(
     if not (0 <= ox <= patch.width - n and 0 <= oy <= patch.height - n):
         raise ValueError("block sticks out of the patch")
 
-    def pay_bit(color: int) -> int:
-        tup = compiled.colors[color]
-        if tup[3] != "pay":
-            raise ValueError(f"edge color {tup} is not a payload color")
-        return tup[4]
+    def pay_bit(color: int, edge: tuple) -> int:
+        key = compiled.colors[color]
+        if key[:3] != edge:
+            raise ValueError(f"edge color {key} is not the payload edge {edge}")
+        return key[3]
 
     return {
         "left": tuple(
-            pay_bit(ts.tiles[patch.get(ox, oy + row)].left) for row in lay.hwin_rows
+            pay_bit(ts.tiles[patch.get(ox, oy + row)].left, ("H", 0, row))
+            for row in lay.hwin_rows
         ),
         "right": tuple(
-            pay_bit(ts.tiles[patch.get(ox + n - 1, oy + row)].right)
+            pay_bit(ts.tiles[patch.get(ox + n - 1, oy + row)].right, ("H", 0, row))
             for row in lay.hwin_rows
         ),
         "top": tuple(
-            pay_bit(ts.tiles[patch.get(ox + col, oy + n - 1)].top)
+            pay_bit(ts.tiles[patch.get(ox + col, oy + n - 1)].top, ("V", col, 0))
             for col in lay.vwin_cols
         ),
         "bottom": tuple(
-            pay_bit(ts.tiles[patch.get(ox + col, oy)].bottom) for col in lay.vwin_cols
+            pay_bit(ts.tiles[patch.get(ox + col, oy)].bottom, ("V", col, 0))
+            for col in lay.vwin_cols
         ),
     }
 

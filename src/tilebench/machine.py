@@ -196,6 +196,8 @@ def run_machine(
     if min(cells) < 0 or max(cells) >= syms:
         raise ValueError("tape symbol outside the machine's alphabet")
     width = len(cells)
+    if not 0 <= head < width:
+        raise ValueError(f"head {head} outside the tape's {width} cells")
     # sweeps longer than this finish in _scan (0: never; bytes() cannot
     # hold symbols past 255)
     long_run = LONG_RUN if syms <= 256 else 0

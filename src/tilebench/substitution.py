@@ -86,6 +86,8 @@ def iterate_substitution(rule: SubstitutionRule, seed: str, k: int) -> list[list
     """k applications starting from a single letter; an m^k square grid."""
     if seed not in rule.alphabet:
         raise ValueError(f"seed {seed!r} not in alphabet")
+    if k < 0:
+        raise ValueError(f"cannot apply a substitution {k} times")
     rows: list[list[str]] = [[seed]]
     for _ in range(k):
         rows = substitute_rows(rule, rows)

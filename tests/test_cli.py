@@ -63,6 +63,12 @@ class TestSolverCommands:
         assert code == 0
         assert body["count"] == 2
 
+    def test_solve_budget_is_inconclusive(self):
+        code, out = run("solve", "--stock", "chessboard", "--w", "4", "--h", "4",
+                        "--max-nodes", "3")
+        assert code == 3
+        assert out == '{\n  "nodes": 4,\n  "status": "inconclusive"\n}\n'
+
     def test_count_budget_is_inconclusive(self):
         code, _ = run("count", "--stock", "chessboard", "--w", "6", "--h", "6",
                       "--max-nodes", "3")
@@ -152,6 +158,12 @@ class TestSubstitutionCommands:
         assert code == 0
         assert body["rows"] == [["0", "1", "1", "0"], ["1", "0", "0", "1"],
                                 ["1", "0", "0", "1"], ["0", "1", "1", "0"]]
+
+    def test_iterate_negative_k_is_a_usage_error(self, files):
+        code, out = run("subst-iterate", "--rule", files["tm"],
+                        "--seed-letter", "0", "--k", "-2")
+        assert code == 2
+        assert out == ""
 
     def test_enforced_rule_emits_a_tile_set(self):
         code, body = run_json("substitute", "--rule", "thue-morse")
@@ -266,6 +278,14 @@ class TestRenderCommands:
         assert code == 0
         assert blob.startswith(b"P6\n6 6\n255\n")
         assert len(blob) == len(b"P6\n6 6\n255\n") + 3 * 36
+
+    @pytest.mark.parametrize("block", ["0", "-1"])
+    def test_ppm_block_below_one_is_a_usage_error(self, small_patch, tmp_path, block):
+        out = tmp_path / "img.ppm"
+        code, _ = run("render", "--patch", small_patch, "--format", "ppm",
+                      "--block", block, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
 
     def test_palette_gap_is_a_usage_error(self, small_patch, tmp_path):
         pal = tmp_path / "gap.json"

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import pytest
@@ -12,7 +13,7 @@ from tilebench.compiler import (
     payload_accepted,
     plan_layout,
 )
-from tilebench.core import verify_patch
+from tilebench.core import PatchGrid, verify_patch
 from tilebench.machine import SYM_ONE, SYM_ZERO, Machine, Transition, machine_corpus, run_machine
 from tilebench.solver import find_cut_offsets, solve
 
@@ -20,6 +21,16 @@ from tilebench.solver import find_cut_offsets, solve
 def first_bit_zero_machine():
     # k=2 exercise: accepts iff input cell 0 reads a 0 bit
     return Machine(2, 4, 0, 1, 0, False, (Transition(0, SYM_ZERO, None, 1, SYM_ZERO, "S"),))
+
+
+def track_machine():
+    # program-track exercise: sweeps right, sticks on a 0 bit over a track 1
+    # and accepts on the blank past the input
+    return Machine(2, 4, 0, 1, 0, True, (
+        Transition(0, SYM_ZERO, 0, 0, SYM_ZERO, "R"),
+        Transition(0, SYM_ONE, None, 0, SYM_ONE, "R"),
+        Transition(0, 0, None, 1, 0, "S"),
+    ))
 
 
 class TestLayout:
@@ -137,6 +148,16 @@ class TestChessboardPredicate:
         with pytest.raises(ValueError):
             macro_payloads(chess, patch, 1, 0)
 
+    def test_macro_payloads_off_the_cut_raises(self, chess):
+        a = assemble_macro_tile(chess, (0,), (1,), (1,), (0,))
+        b = assemble_macro_tile(chess, (1,), (0,), (0,), (1,))
+        pair = PatchGrid(16, 8, [ra + rb for ra, rb in zip(a.cells, b.cells)])
+        assert verify_patch(chess.tile_set, pair) == []
+        assert macro_payloads(chess, pair, 8, 0)["left"] == (1,)
+        for ox in (1, 4, 7):
+            with pytest.raises(ValueError, match="payload edge"):
+                macro_payloads(chess, pair, ox, 0)
+
 
 class TestTwoBitPayloads:
     def test_compile_and_assemble(self):
@@ -208,12 +229,38 @@ CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("name,k,tiles_sha,patches_sha", CORPUS,
-                         ids=[f"{name}-k{k}" for name, k, _, _ in CORPUS])
-def test_compiled_corpus_is_frozen(name, k, tiles_sha, patches_sha):
+# Layouts no corpus machine reaches, frozen from the coder that tagged each
+# edge color with its kind: a zone at sx0 = 0 (its right edge wraps onto
+# column 0), a program-track machine compiled with a track, an explicit zoom.
+LAYOUTS = [
+    ("first-bit-zero-k2", first_bit_zero_machine, 2, {},
+     "2fd8f267070c2d3382402d3ef527c58c92134e19ca4e3b227b8b930055ced70d",
+     "36ac60cb7b66675d1bf6d4f5cdebe55b82821040da6ce9130f11c201933fb7cb"),
+    ("track-k1", track_machine, 1, {"track": (0, 1, 0, 1)},
+     "526cbcd3e9366dcd9cf423d9d43859f89a45aa27ee9806d609d3fa0ff6937d31",
+     "563683144529279d8e8c98e0d92983b6ddef50b05b280a635c32e500a0d35b85"),
+    ("chessboard-zoom16", chessboard_predicate_machine, 1, {"zoom": 16},
+     "622260cf93d8a63aaa173a2764e3479e65b30bd0673cf79a4e34dbc55e22ed5d",
+     "2ca04b8f3e57a0f010767dc55530485af48016df255dd336277c1173d9f8da77"),
+]
+
+
+def _corpus_machine(name):
     corpus = machine_corpus()
     corpus["chessboard"] = chessboard_predicate_machine()
-    c = compile_simulation(corpus[name], k)
+    return corpus[name]
+
+
+CASES = [
+    pytest.param(functools.partial(_corpus_machine, name), k, {}, tiles_sha, patches_sha,
+                 id=f"{name}-k{k}")
+    for name, k, tiles_sha, patches_sha in CORPUS
+] + [pytest.param(*case[1:], id=case[0]) for case in LAYOUTS]
+
+
+@pytest.mark.parametrize("machine,k,options,tiles_sha,patches_sha", CASES)
+def test_compiled_corpus_is_frozen(machine, k, options, tiles_sha, patches_sha):
+    c = compile_simulation(machine(), k, **options)
     dumps = []
     for bits in sorted(c.accepted):
         sides = [bits[s * k:(s + 1) * k] for s in range(4)]

@@ -209,6 +209,28 @@ class TestBudgetHits:
         body = json.loads(buf.getvalue())["mutations"]
         assert (body["tried"], body["caught"], body["inconclusive"]) == (5, 0, 5)
 
+    @pytest.mark.parametrize("control_status,code,body", [
+        # the three controlled catches are left undecided, not refuted
+        ("timeout", 3, {"tried": 5, "caught": 2, "inconclusive": 3, "controls_ok": True}),
+        ("stuck", 1, {"tried": 5, "caught": 5, "inconclusive": 0, "controls_ok": False}),
+    ])
+    def test_control_budget_hit_is_inconclusive(self, fp, monkeypatch, control_status,
+                                                code, body):
+        control = fp.edge_records(3, 7, 0, 0, 0, 0)
+
+        def control_stub(fp_, quad, track=None):
+            if quad == control:
+                return RunResult(control_status, 0, 0, 0, ())
+            return run_checker(fp_, quad, track=track)
+
+        monkeypatch.setattr(fixedpoint, "run_checker", control_stub)
+        monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            got = cli.main(["fixed-point", "--mutations", "5", "--seed", "7"])
+        assert got == code
+        assert json.loads(buf.getvalue())["mutations"] == body
+
     def test_universal_budget_hit_is_inconclusive(self, fp, monkeypatch):
         monkeypatch.setattr(fixedpoint, "run_encoded", _budget_hit)
         cert = certificate(fp, walk_samples=0, reject_samples=0, block_probes=0,

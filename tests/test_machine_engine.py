@@ -187,6 +187,14 @@ def test_tape_outside_alphabet_is_rejected():
         run_machine(RUNNER, [0, 4])
 
 
+@pytest.mark.parametrize("head", [-3, -1, 4, 9])
+def test_head_outside_the_tape_is_rejected(head):
+    # a negative head would read wrapped cells, one past the end an IndexError
+    m = Machine(2, 4, 0, 1, 0, True, (Transition(0, 0, None, 0, 0, "L"),))
+    with pytest.raises(ValueError, match="head"):
+        run_machine(m, [0] * 4, head=head, track=[1, 0, 1, 0])
+
+
 # --- random machines -----------------------------------------------------------
 
 

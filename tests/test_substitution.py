@@ -45,6 +45,12 @@ def test_thue_morse_second_iterate():
     ]
 
 
+def test_iterate_rejects_a_negative_k():
+    assert iterate_substitution(thue_morse_rule(), "1", 0) == [["1"]]
+    with pytest.raises(ValueError):
+        iterate_substitution(thue_morse_rule(), "0", -1)
+
+
 def test_iterates_match_oracle():
     g = iterate_substitution(thue_morse_rule(), "0", 4)
     assert all(
