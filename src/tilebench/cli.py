@@ -220,39 +220,24 @@ def cmd_fixed_point(args) -> int:
         "capacity": fp.capacity,
         "state_count": fp.machine.states,
     }
-    status = OK
-    if args.certificate or args.mutations:
-        if args.seed is None:
-            raise UsageError("--seed is required with --certificate/--mutations")
+    if (args.certificate or args.mutations) and args.seed is None:
+        raise UsageError("--seed is required with --certificate/--mutations")
+    verdicts = set()
     if args.certificate:
         cert = certificate(fp, seed=args.seed,
                            walk_samples=args.walk_samples,
                            resident_samples=args.resident_samples)
-        body["certificate"] = {
-            "ok": cert.ok,
-            "resident": [cert.resident_ok, cert.resident_checked],
-            "walks": [cert.walk_ok, cert.walk_checked],
-            "probes": [cert.probes_ok, cert.probes_checked],
-            "universal": [cert.utm_agree, cert.utm_runs],
-            "patches": [cert.patches_ok, cert.patches_checked],
-            "inconclusive": cert.inconclusive,
-            "notes": cert.notes,
-        }
-        if not cert.ok:
-            # budget hits alone leave the audit undecided, not refuted
-            budget_only = cert.resident_checked and cert.failures == cert.inconclusive
-            status = INCONCLUSIVE if budget_only else FAIL
+        body["certificate"] = {"ok": cert.ok, **cert.parts,
+                               "inconclusive": cert.inconclusive, "notes": cert.notes}
+        verdicts.add(cert.verdict)
     if args.mutations:
         trials = mutation_trials(fp, count=args.mutations, seed=args.seed)
         body["mutations"] = {"tried": trials.tried, "caught": trials.caught,
                              "inconclusive": trials.inconclusive,
                              "controls_ok": trials.controls_ok}
-        if not trials.all_caught and status != FAIL:
-            budget_only = (trials.controls_ok
-                           and trials.caught + trials.inconclusive == trials.tried)
-            status = INCONCLUSIVE if budget_only else FAIL
+        verdicts.add(trials.verdict)
     _emit(body, args.out)
-    return status
+    return FAIL if "refuted" in verdicts else INCONCLUSIVE if "inconclusive" in verdicts else OK
 
 
 # --- substitution commands ---------------------------------------------------

@@ -26,7 +26,9 @@ Everything here is desk-checkable: R has a few hundred states, its
 encoding fits the block with room to spare, and the certificate below
 runs R over the whole non-block tile population plus samples of the
 walking runs, cross-checks R against the universal machine, and verifies
-that single-bit corruptions of the program are caught.
+that single-bit corruptions of the program are caught.  Both audits judge
+every run by ``_check`` and report a ``_verdict``: ok, inconclusive (every
+failure a budget hit) or refuted.
 """
 
 from __future__ import annotations
@@ -568,13 +570,16 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
 
 # --- running the checker ----------------------------------------------------
 
-def run_checker(fp: FixedPointSet, quad, *, track=None,
-                max_steps: int = 4_000_000) -> RunResult:
+CHECKER_STEPS = 4_000_000  # budget of every direct checker run
+UNIVERSAL_STEPS = 200_000_000  # budget of one checker run under the universal machine
+
+
+def run_checker(fp: FixedPointSet, quad, *, track=None) -> RunResult:
     """One checker run over the encoded quad (records, not color ids)."""
     tape = checker_tape(fp.n, *quad)
     return run_machine(fp.machine, tape,
                        track=fp.track() if track is None else track,
-                       max_steps=max_steps, grow=True)
+                       max_steps=CHECKER_STEPS, grow=True)
 
 
 def walks(fp: FixedPointSet, x: int, y: int) -> bool:
@@ -631,53 +636,61 @@ def decode_self_patch(fp: FixedPointSet, patch: PatchGrid) -> tuple:
 
 # --- the certificate --------------------------------------------------------
 
+PARTS = ("resident", "walks", "probes", "universal", "patches")
+
+
+def _check(status: str, want: bool) -> bool | None:
+    """Whether a run gave the wanted answer: ``accepted`` accepts and ``stuck``
+    rejects (see build_checker), a budget hit (``timeout``) is None, any
+    other end (a wall) fails."""
+    if status == "timeout":
+        return None
+    return status == ("accepted" if want else "stuck")
+
+
+def _verdict(failures: int, budget_hits: int) -> str:
+    """No failed check is "ok"; failures that are all budget hits leave the
+    audit "inconclusive"; anything else is "refuted"."""
+    if not failures:
+        return "ok"
+    return "inconclusive" if failures == budget_hits else "refuted"
+
+
 @dataclass
 class SelfCertificate:
-    """What was checked and how it came out; ok means every part passed.
-
-    A run that hits its step budget decides nothing: it counts in
-    ``inconclusive`` instead of its part's ok count, so ok is false but no
-    refutation is claimed.
+    """What was checked and how it came out: ``parts`` maps each part of the
+    audit to [passed, checked], and a check that failed on a budget hit also
+    counts in ``inconclusive``.
     """
 
-    resident_checked: int = 0
-    resident_ok: int = 0
-    walk_checked: int = 0
-    walk_ok: int = 0
-    probes_checked: int = 0
-    probes_ok: int = 0
-    utm_runs: int = 0
-    utm_agree: int = 0
-    patches_checked: int = 0
-    patches_ok: int = 0
+    parts: dict = field(default_factory=lambda: {part: [0, 0] for part in PARTS})
     inconclusive: int = 0
     notes: list = field(default_factory=list)
 
     @property
-    def failures(self) -> int:
-        """Checks that did not pass, budget hits included."""
-        return (
-            self.resident_checked - self.resident_ok
-            + self.walk_checked - self.walk_ok
-            + self.probes_checked - self.probes_ok
-            + self.utm_runs - self.utm_agree
-            + self.patches_checked - self.patches_ok
-        )
+    def verdict(self) -> str:
+        return _verdict(sum(c - p for p, c in self.parts.values()), self.inconclusive)
 
     @property
     def ok(self) -> bool:
-        return self.failures == 0 and self.resident_checked > 0
+        return self.verdict == "ok"
+
+    def count(self, part: str, passed: bool | None) -> None:
+        """Tally one check of ``part``, judged as ``_check`` judges a run."""
+        tally = self.parts[part]
+        tally[0] += bool(passed)
+        tally[1] += 1
+        self.inconclusive += passed is None
 
     def note(self, text: str) -> None:
         if len(self.notes) < 10:
             self.notes.append(text)
 
 
-def _reject_probes(fp: FixedPointSet, rng: random.Random, count: int):
-    """Corrupted record quads with their membership verdicts."""
+def _reject_probes(fp: FixedPointSet, rng: random.Random):
+    """Corrupted record quads, drawn one at a time for as long as asked."""
     n, size = fp.n, fp.size
-    out = []
-    while len(out) < count:
+    while True:
         x, y = rng.randrange(size), rng.randrange(size)
         ls, rs, ts, bs = _val_choices(size, fp.padded, x, y)
         quad = list(fp.edge_records(x, y, ls[0], rs[0], ts[-1], bs[-1]))
@@ -699,8 +712,7 @@ def _reject_probes(fp: FixedPointSet, rng: random.Random, count: int):
             side, ch = rng.choice([(0, ls), (1, rs), (2, ts), (3, bs)])
             i, j, v = unpack_record(n, quad[side])
             quad[side] = pack_record(n, i, j, 1 - v if len(ch) == 2 else v)
-        out.append(tuple(quad))
-    return out
+        yield tuple(quad)
 
 
 def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
@@ -713,83 +725,54 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     (a) every non-walking tile is run through the checker (or a sample
     of resident_samples of them), walking tiles are sampled (their runs
     drag the counter across the track), and corrupted quads are checked
-    against set membership; (b) the checker is re-run under the
-    universal machine on its own encoding and the verdicts compared;
-    (c) sample tiles are assembled into macro-tiles, patch-verified,
-    and decoded back.  A run that hits its step budget, directly or under
-    the universal machine, counts as inconclusive, not as a refutation.
+    against set membership; (b) sampled member and non-member quads are
+    re-run under the universal machine on the checker's own encoding,
+    each only after its direct run gave the answer membership wants;
+    (c) sample tiles are assembled into macro-tiles, patch-verified, and
+    decoded back.  Runs are judged by ``_check``, so a budget hit leaves
+    its check inconclusive.  Raises ValueError for resident_samples below 1.
     """
+    if resident_samples is not None and resident_samples < 1:
+        raise ValueError("resident_samples must be at least 1")
     rng = random.Random(seed)
     cert = SelfCertificate()
     track = fp.track()
 
-    walkers = []
-    nonwalk = []
+    walkers, nonwalk = [], []
     for x, y, quad in _tile_records(fp.n, fp.size, fp.padded):
         (walkers if walks(fp, x, y) else nonwalk).append(quad)
     residents = nonwalk
     if resident_samples is not None:
         residents = rng.sample(nonwalk, min(resident_samples, len(nonwalk)))
-
-    def verdict(quad) -> str | None:
-        """The checker's status, or None (counted inconclusive) on a budget hit."""
-        status = run_checker(fp, quad, track=track).status
-        if status != "timeout":
-            return status
-        cert.inconclusive += 1
-        cert.note(f"checker budget hit at {quad}: inconclusive")
-        return None
-
-    for quad in residents:
-        cert.resident_checked += 1
-        status = verdict(quad)
-        if status == "accepted":
-            cert.resident_ok += 1
-        elif status:
-            cert.note(f"resident reject at {quad}")
-    for quad in rng.sample(walkers, min(walk_samples, len(walkers))):
-        cert.walk_checked += 1
-        status = verdict(quad)
-        if status == "accepted":
-            cert.walk_ok += 1
-        elif status:
-            cert.note(f"walk reject at {quad}")
-
-    probes = _reject_probes(fp, rng, reject_samples)
+    jobs = [("resident", q) for q in residents]
+    jobs += [("walks", q) for q in rng.sample(walkers, min(walk_samples, len(walkers)))]
+    jobs += [("probes", q) for q in itertools.islice(_reject_probes(fp, rng), reject_samples)]
     block_rows = list(fp.band)
     for _ in range(block_probes):  # pinned block bit flipped: walk then stick
         x, y = rng.randrange(fp.size), rng.choice(block_rows)
         quad = list(fp.edge_records(x, y, 0, 0, 0, 0))
         (pinned,) = _val_choices(fp.size, fp.padded, x, y)[3]
         quad[3] = pack_record(fp.n, x, y, 1 - pinned)
-        probes.append(tuple(quad))
-    for quad in probes:
-        want = quad in fp.accepted
-        status = verdict(quad)
-        cert.probes_checked += 1
-        if status and want == (status == "accepted"):
-            cert.probes_ok += 1
-        elif status:
-            cert.note(f"probe mismatch at {quad}: member={want}")
+        jobs.append(("probes", tuple(quad)))
+    jobs += [("universal", q) for q in rng.sample(nonwalk, utm_accepts)]
+    rejects = (q for q in _reject_probes(fp, rng) if q not in fp.accepted)
+    jobs += [("universal", q) for q in itertools.islice(rejects, utm_rejects)]
 
     utm = universal_machine(fp.state_bits)
-    picks = rng.sample(nonwalk, utm_accepts)
-    picks += [q for q in _reject_probes(fp, rng, utm_rejects * 3)
-              if q not in fp.accepted][:utm_rejects]
-    for quad in picks:
-        cert.utm_runs += 1
-        direct = verdict(quad)
-        if direct is None:
-            continue
-        sim = run_encoded(utm, list(fp.program), checker_tape(fp.n, *quad),
-                          max_steps=200_000_000, state_bits=fp.state_bits)
-        if sim.status == "timeout":
-            cert.inconclusive += 1
-            cert.note(f"universal budget hit at {quad}: inconclusive")
-        elif direct == sim.status and (direct == "accepted") == (quad in fp.accepted):
-            cert.utm_agree += 1
-        else:
-            cert.note(f"universal run disagrees at {quad}: {direct} vs {sim.status}")
+    for part, quad in jobs:
+        want = quad in fp.accepted
+        direct = run_checker(fp, quad, track=track).status
+        passed, sim = _check(direct, want), None
+        if passed and part == "universal":
+            sim = run_encoded(utm, list(fp.program), checker_tape(fp.n, *quad),
+                              max_steps=UNIVERSAL_STEPS, state_bits=fp.state_bits).status
+            passed = _check(sim, want)
+        cert.count(part, passed)
+        if passed is None:
+            cert.note(f"{'universal' if sim else 'checker'} budget hit at {quad}: inconclusive")
+        elif not passed:
+            cert.note(f"universal run disagrees at {quad}: {direct} vs {sim}" if sim
+                      else f"{part} check failed at {quad}: {direct}, member={want}")
 
     corners = [(0, 0), (fp.size - 1, fp.size - 1), (0, fp.size - 32)]
     inner = [(77, 30), (fp.size // 2, fp.size // 2), (5, 0)]
@@ -797,10 +780,9 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
         ls, rs, ts, bs = _val_choices(fp.size, fp.padded, x, y)
         quad = fp.edge_records(x, y, ls[-1], rs[-1], ts[-1], bs[-1])
         patch = assemble_self_patch(fp, quad)
-        cert.patches_checked += 1
-        if not verify_patch(fp.tile_set, patch) and decode_self_patch(fp, patch) == quad:
-            cert.patches_ok += 1
-        else:
+        passed = not verify_patch(fp.tile_set, patch) and decode_self_patch(fp, patch) == quad
+        cert.count("patches", passed)
+        if not passed:
             cert.note(f"macro-tile round trip failed at {(x, y)}")
     return cert
 
@@ -813,8 +795,13 @@ class MutationTrials:
     inconclusive: int  # budget hits: neither caught nor missed
 
     @property
+    def verdict(self) -> str:
+        """``_verdict`` over the misses plus a failed control."""
+        return _verdict(self.tried - self.caught + (not self.controls_ok), self.inconclusive)
+
+    @property
     def all_caught(self) -> bool:
-        return self.tried == self.caught and self.controls_ok
+        return self.verdict == "ok"
 
 
 def mutation_trials(fp: FixedPointSet, count: int = 50,
@@ -823,10 +810,10 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
     rejects the tile that carries the original bit at that block offset.
 
     The first three trials also run a control tile under the mutated
-    track, which the checker must still accept.  Only a stuck run is a
-    rejection: a wall is a miss, and a budget hit (``timeout``) on the
-    mutant, or on the control of a caught mutant, makes the trial
-    inconclusive, counted apart from both."""
+    track, which the checker must still accept.  Runs are judged by
+    ``_check``: a mutant that does not end stuck is a miss unless it hit
+    its budget, and a budget hit on the mutant, or on the control of a
+    caught mutant, makes the trial inconclusive, counted apart from both."""
     rng = random.Random(seed)
     bits = rng.sample(range(len(fp.program)), count)
     caught = inconclusive = 0
@@ -839,13 +826,13 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
         x, y = mbit % fp.size, fp.size // 4 + mbit // fp.size
         quad = fp.edge_records(
             x, y, *(ch[0] for ch in _val_choices(fp.size, fp.padded, x, y)))
-        status = run_checker(fp, quad, track=mutated).status
+        rejected = _check(run_checker(fp, quad, track=mutated).status, False)
         if k < 3:
-            check = run_checker(fp, control, track=mutated).status
-            controls_ok &= check in ("accepted", "timeout")
-            if check == "timeout" and status == "stuck":
-                status = "timeout"  # a catch its control cannot vouch for
-        caught += status == "stuck"
-        inconclusive += status == "timeout"
+            vouched = _check(run_checker(fp, control, track=mutated).status, True)
+            controls_ok &= vouched is not False
+            if vouched is None and rejected:
+                rejected = None  # a catch its control cannot vouch for
+        caught += bool(rejected)
+        inconclusive += rejected is None
     return MutationTrials(tried=count, caught=caught, controls_ok=controls_ok,
                           inconclusive=inconclusive)

@@ -7,7 +7,10 @@ when the benchmark runs.
 """
 
 import importlib
+import inspect
 import os
+
+from tilebench.compiler import fixedpoint
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -21,3 +24,10 @@ def test_tracer_targets_resolve(monkeypatch):
     found = tracing.originals()
     assert len(found) == len(tracing.TARGETS) == 27
     assert all(callable(fn) for fn in found.values())
+
+
+def test_run_checker_binds_as_the_audit_calls_it():
+    # fixpoint-audit calls run_checker(fp, quad, track=...) and nothing more
+    sig = inspect.signature(fixedpoint.run_checker)
+    assert list(sig.parameters) == ["fp", "quad", "track"]
+    sig.bind(object(), object(), track=[])

@@ -28,7 +28,7 @@ from tilebench.compiler.fixedpoint import (
     walks,
 )
 from tilebench.core import verify_patch
-from tilebench.machine import RunResult, encode_program
+from tilebench.machine import RunResult, encode_program, run_machine
 
 
 @pytest.fixture(scope="module")
@@ -175,11 +175,59 @@ class TestCertificate:
         cert = certificate(fp, walk_samples=2, reject_samples=25,
                            block_probes=1, utm_accepts=1, utm_rejects=1,
                            resident_samples=120, seed=5)
-        assert cert.ok
-        assert cert.resident_checked == 120
-        assert cert.probes_checked == 26
-        assert cert.utm_runs == 2
-        assert cert.patches_checked == 6
+        assert cert.ok and cert.verdict == "ok"
+        assert cert.parts["resident"][1] == 120
+        assert cert.parts["probes"][1] == 26
+        assert cert.parts["universal"][1] == 2
+        assert cert.parts["patches"][1] == 6
+
+    def test_resident_samples_below_one_is_refused(self, fp, monkeypatch):
+        def never_called(*args, **kwargs):
+            raise AssertionError("a checker run before the arguments were checked")
+
+        monkeypatch.setattr(fixedpoint, "run_checker", never_called)
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                certificate(fp, resident_samples=bad)
+        monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["fixed-point", "--certificate", "--seed", "7",
+                             "--walk-samples", "0", "--resident-samples", "0"])
+        assert code == 2 and buf.getvalue() == ""
+
+    def test_universal_rejects_do_not_fall_short(self, fp, monkeypatch):
+        # seed 139: the first three reject probes drawn for the universal
+        # check are all members, so the non-member pick takes a fourth draw
+        def checker_as_universal(utm, program, tape, **kwargs):
+            return run_machine(fp.machine, tape, track=fp.track(),
+                               max_steps=fixedpoint.CHECKER_STEPS, grow=True)
+
+        monkeypatch.setattr(fixedpoint, "universal_machine", lambda bits: None)
+        monkeypatch.setattr(fixedpoint, "run_encoded", checker_as_universal)
+        cert = certificate(fp, walk_samples=0, reject_samples=0, block_probes=0,
+                           utm_accepts=1, utm_rejects=1, resident_samples=1, seed=139)
+        assert cert.parts["universal"] == [2, 2] and cert.ok
+
+    def test_a_wall_is_not_a_rejection(self, fp, monkeypatch):
+        # only a stuck run rejects: a non-member probe that walks off the
+        # tape fails its check, and that refutes the audit
+        walled = []
+
+        def walls_on_non_members(fp_, quad, track=None):
+            if quad in fp_.accepted:
+                return run_checker(fp_, quad, track=track)
+            walled.append(quad)
+            return RunResult("hit_wall", 0, 0, 0, ())
+
+        monkeypatch.setattr(fixedpoint, "run_checker", walls_on_non_members)
+        monkeypatch.setattr(fixedpoint, "universal_machine", lambda bits: None)
+        cert = certificate(fp, walk_samples=0, reject_samples=4, block_probes=0,
+                           utm_accepts=0, utm_rejects=0, resident_samples=2, seed=5)
+        assert walled
+        assert cert.parts["probes"] == [4 - len(walled), 4]
+        assert cert.inconclusive == 0 and cert.verdict == "refuted" and not cert.ok
+        assert all("probes check failed" in n and "hit_wall" in n for n in cert.notes)
 
 
 def _budget_hit(*args, **kwargs):
@@ -235,9 +283,9 @@ class TestBudgetHits:
         monkeypatch.setattr(fixedpoint, "run_encoded", _budget_hit)
         cert = certificate(fp, walk_samples=0, reject_samples=0, block_probes=0,
                            utm_accepts=1, utm_rejects=1, resident_samples=3, seed=5)
-        assert (cert.utm_runs, cert.utm_agree, cert.inconclusive) == (2, 0, 2)
-        assert cert.resident_ok == cert.resident_checked == 3
-        assert cert.failures == cert.inconclusive and not cert.ok
+        assert cert.parts["universal"] == [0, 2] and cert.inconclusive == 2
+        assert cert.parts["resident"] == [3, 3]
+        assert cert.verdict == "inconclusive" and not cert.ok
         assert not any("disagrees" in n for n in cert.notes)
         assert sum("inconclusive" in n for n in cert.notes) == 2
 
@@ -250,8 +298,8 @@ class TestBudgetHits:
         cert = certificate(fp, walk_samples=1, reject_samples=2, block_probes=0,
                            utm_accepts=1, utm_rejects=0, resident_samples=2, seed=5)
         assert cert.inconclusive == 2 + 1 + 2 + 1
-        assert (cert.resident_ok, cert.walk_ok, cert.probes_ok, cert.utm_agree) == (0, 0, 0, 0)
-        assert cert.failures == cert.inconclusive and not cert.ok
+        assert [cert.parts[p][0] for p in ("resident", "walks", "probes", "universal")] == [0] * 4
+        assert cert.verdict == "inconclusive" and not cert.ok
 
     def _cli(self, fp, monkeypatch, sim_status):
         monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
@@ -276,6 +324,34 @@ class TestBudgetHits:
         code, body = self._cli(fp, monkeypatch, "stuck")
         assert code == 1
         assert body["inconclusive"] == 0 and body["universal"] == [1, 2]
+
+
+# The whole report of a trimmed audit, frozen: every part runs at least once,
+# so a change to how runs are judged or tallied shows here.
+AUDIT_PIN = {
+    "capacity": 40960,
+    "certificate": {"inconclusive": 0, "notes": [], "ok": True, "patches": [6, 6],
+                    "probes": [13, 13], "resident": [40, 40], "universal": [2, 2],
+                    "walks": [1, 1]},
+    "colors": 131584,
+    "mutations": {"caught": 3, "controls_ok": True, "inconclusive": 0, "tried": 3},
+    "program_bits": 16525,
+    "size": 256,
+    "state_count": 267,
+    "tiles": 66564,
+}
+
+
+def test_trimmed_cli_audit_is_pinned(fp, monkeypatch):
+    monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
+    monkeypatch.setattr(cli, "certificate", functools.partial(
+        certificate, reject_samples=12, block_probes=1, utm_accepts=0, utm_rejects=2))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["fixed-point", "--certificate", "--mutations", "3", "--seed", "7",
+                         "--walk-samples", "1", "--resident-samples", "40"])
+    assert code == 0
+    assert buf.getvalue() == json.dumps(AUDIT_PIN, indent=2, sort_keys=True) + "\n"
 
 
 # --- references: the enumeration and assembly before they shared one rule ---
