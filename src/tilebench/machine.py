@@ -65,14 +65,28 @@ class Machine:
 
         Entry ``(state*symbols + symbol)*tracks + bit`` (``tracks`` is 2 for
         program-track machines, else 1 and the bit is 0) holds the first
-        matching transition as ``(new state, write, move delta, sweep)``, or
+        matching transition as ``(new state, write, move delta, jump)``, or
         None when nothing fires; the accept state's rows are all None.
-        ``sweep`` is set on self-loops that rewrite nothing and move the same
-        way whatever the track bit: a 0/1 mask over the symbols on which that
-        state loops so, in that direction (one bytearray shared by those
-        entries, never changed after the build; a byte mask rather than a set
-        keeps the entries out of the cyclic garbage collector).  Otherwise it
-        is None.
+        ``jump`` is None, or ``(run, translate, succ)`` when the step starts a
+        run that ``run_machine`` crosses in one go.  ``run`` is a bytearray of
+        the symbols the run goes on over; the jump is one of three kinds,
+        each found from the table alone and only where the entries agree on
+        every track bit:
+
+        - *sweep* (``translate`` empty, ``succ`` None): a state that moves
+          one way, or stays put, on its own symbols and writes them back;
+        - *rewriting sweep* (``translate`` a 256-byte map): a state that
+          moves one way on its symbols and writes ``translate[symbol]``;
+        - *register shift* (``succ`` a tuple indexed by symbol, ``translate``
+          empty): a family of states ``q_c`` sharing the run symbols D and a
+          direction, where ``q_c`` on ``a`` in D writes its carry ``c`` and
+          goes on to ``q_a = succ[a]``; crossing the run shifts it one cell
+          and ends in ``succ[last cell crossed]``.
+
+        The bytearrays are shared by the entries of one run and never change
+        after the build (byte strings rather than sets keep the entries out
+        of the cyclic garbage collector).  Alphabets over 256 symbols get no
+        jumps, since a byte tape cannot hold them.
         """
         table = self.__dict__.get("_dispatch")
         if table is None:
@@ -119,10 +133,13 @@ DELTAS = {"L": -1, "R": 1, "S": 0}
 
 
 def _compile(m: Machine) -> list:
-    """Build ``Machine.dispatch``'s table: one pass over the rules per bit."""
+    """Build ``Machine.dispatch``'s table: one pass over the rules per bit,
+    which also builds each state's loops (sweeps and rewriting sweeps); then
+    the single-symbol loops seed the register families."""
     syms, tracks = m.symbols, 2 if m.program_track else 1
     table: list = [None] * (m.states * syms * tracks)
-    loops: dict[tuple[int, int], bytearray] = {}
+    jumps = syms <= 256
+    loops: dict[tuple[int, int], tuple] = {}
     for b in range(tracks):
         for t in m.transitions:
             if t.track is not None and t.track != b:
@@ -133,29 +150,78 @@ def _compile(m: Machine) -> list:
                 continue  # an earlier rule matches first, or accepted
             d = DELTAS[t.move]
             e = (t.new_state, t.write, d, None)
-            # the last bit's pass marks the loops that match on every bit
-            if (t.new_state == q and t.write == s and b == tracks - 1
+            # the last bit's pass marks the loops that match on every bit; a
+            # loop in place only spins when it writes back what it reads
+            if (jumps and t.new_state == q and b == tracks - 1
+                    and (d != 0 or t.write == s)
                     and (b == 0 or table[i - 1] == e)):
-                sweep = loops.get((q, d))
-                if sweep is None:
-                    sweep = loops[q, d] = bytearray(syms)
-                sweep[s] = 1
-                e = table[i - b] = (q, s, d, sweep)
+                jump = loops.get((q, d))
+                if jump is None:
+                    jump = loops[q, d] = (bytearray(), bytearray(), None)
+                run, translate, _ = jump
+                run.append(s)
+                if t.write != s:
+                    if not translate:
+                        translate.extend(range(256))
+                    translate[s] = t.write
+                e = table[i - b] = (q, t.write, d, jump)
             table[i] = e
+    # register families, seeded by the states that loop writing back on
+    # exactly one symbol in a direction: that symbol is the state's carry
+    carry = {key: run[0] for key, (run, translate, _) in loops.items()
+             if len(run) == 1 and key[1] != 0 and not translate}
+    seen: set[int] = set()
+    for (q, d), c in carry.items():
+        if q in seen:
+            continue
+        # D: the symbols on which q writes c, moves d and goes to the state
+        # whose carry is that symbol; every such state must do the same on D
+        succ = [0] * syms
+        members = {}
+        for a in range(syms):
+            e = table[(q * syms + a) * tracks]
+            if e is not None and e[1:3] == (c, d) and carry.get((e[0], d)) == a:
+                succ[a] = e[0]
+                members[e[0]] = a
+        seen.update(members)
+        rows = [((r * syms + a) * tracks + b, (succ[a], c2, d))
+                for r, c2 in members.items() for a in members.values()
+                for b in range(tracks)]
+        if len(members) < 2 or any(
+                table[i] is None or table[i][:3] != want for i, want in rows):
+            continue
+        jump = (bytearray(members.values()), b"", tuple(succ))
+        for i, want in rows:
+            table[i] = (*want, jump)
     return table
 
 
-#: Cells a sweep crosses one by one before the rest of it is scanned in C.
-LONG_RUN = 64
+def _run_end(cells: bytearray, j: int, end: int, run: bytearray) -> int:
+    """The first cell from j up to end (exclusive) whose symbol is not in
+    run, or end; the cells are stripped in slices of doubling size."""
+    size = 32
+    while j < end:
+        k = j + size if j + size < end else end
+        left = len(cells[j:k].lstrip(run))
+        if left:
+            return k - left
+        j = k
+        size *= 2
+    return end
 
 
-def _scan(cells: list, j: int, end: int, sweep: bytearray) -> int:
-    """The first cell from j towards end (exclusive) that is not a loop
-    symbol of sweep, or end if there is none; the cells are scanned as bytes."""
-    loop = bytes(s for s, on in enumerate(sweep) if on)
-    if end > j:
-        return end - len(bytes(cells[j:end]).lstrip(loop))
-    return end + len(bytes(cells[end + 1 : j + 1]).rstrip(loop))
+def _run_start(cells: bytearray, j: int, end: int, run: bytearray) -> int:
+    """The first cell from j down to end (exclusive) whose symbol is not in
+    run, or end: ``_run_end`` mirrored."""
+    size = 32
+    while j > end:
+        k = j - size if j - size > end else end
+        left = len(cells[k + 1 : j + 1].rstrip(run))
+        if left:
+            return k + left
+        j = k
+        size *= 2
+    return end
 
 
 @dataclass
@@ -181,26 +247,31 @@ def run_machine(
     The tape is a bounded segment unless grow=True, which appends blanks on
     the right on demand (moving left of cell 0 is always a wall).  The
     optional 0/1 track is pinned to tape positions and read-only; cells past
-    its end read as 0.
+    its end read as 0.  A negative budget is an error; a zero budget runs
+    nothing.
 
-    Steps go through the machine's compiled dispatch table.  A state that
-    sweeps over its own loop symbols (see ``Machine.dispatch``) crosses the
-    whole run of them in one jump (a long run is scanned in C), but every
-    cell crossed still counts one step, so step counts, budgets and end
-    configurations are exactly those of stepping one cell at a time.
+    Steps go through the machine's compiled dispatch table.  The tape is a
+    bytearray (a list for alphabets over 256 symbols, which step one cell
+    at a time), so each jump of the table (see ``Machine.dispatch``) crosses
+    its whole run in C: the run's end is found by stripping the run symbols
+    off tape slices of doubling size, a rewriting sweep is one ``translate``
+    of the crossed cells and a register shift one slice move.  Every cell
+    crossed still counts one step, so step counts, budgets, walls, ``grow``
+    and end configurations are exactly those of stepping one cell at a time.
     """
+    if max_steps < 0:
+        raise ValueError(f"negative step budget {max_steps}")
     table = machine.dispatch()
     syms, tracks = machine.symbols, 2 if machine.program_track else 1
     blank = machine.blank
     cells = list(tape) or [blank]
     if min(cells) < 0 or max(cells) >= syms:
         raise ValueError("tape symbol outside the machine's alphabet")
+    if syms <= 256:
+        cells = bytearray(cells)
     width = len(cells)
     if not 0 <= head < width:
         raise ValueError(f"head {head} outside the tape's {width} cells")
-    # sweeps longer than this finish in _scan (0: never; bytes() cannot
-    # hold symbols past 255)
-    long_run = LONG_RUN if syms <= 256 else 0
     trk = track if track is not None and tracks > 1 else ()
     ntrk = len(trk)
     state = machine.start
@@ -211,44 +282,46 @@ def run_machine(
         if head < ntrk:
             i += trk[head]
         try:
-            state, write, delta, sweep = table[i]
+            state, write, delta, jump = table[i]
         except TypeError:  # no rule fires (the accept state has none)
             status = "accepted" if state == machine.accept else "stuck"
             break
-        if sweep is not None:
-            # cross the run of loop cells: j is where the sweep stops
+        if jump is not None:
+            # cross the run: cells [lo, hi) are crossed, j is where it stops
+            run, translate, succ = jump
             if delta > 0:
                 stop = head + max_steps - steps
-                j = head + 1
-                end = stop if stop < width else width
-                while j < end and sweep[cells[j]]:
-                    j += 1
-                    if j - head == long_run:
-                        j = _scan(cells, j, end, sweep)
-                        break
+                j = _run_end(cells, head + 1, stop if stop < width else width, run)
                 if j == width:  # off the right end
-                    if grow and sweep[blank]:
-                        cells.extend([blank] * (stop + 1 - width))
+                    if grow and blank in run:
+                        cells.extend(bytes((blank,)) * (stop + 1 - width))
                         width = stop + 1
                         j = stop
                     else:
                         j = width - 1
+                lo, hi = head, j
             elif delta < 0:
                 stop = head - max_steps + steps
-                j = head - 1
-                end = stop if stop > -1 else -1
-                while j > end and sweep[cells[j]]:
-                    j -= 1
-                    if head - j == long_run:
-                        j = _scan(cells, j, end, sweep)
-                        break
+                j = _run_start(cells, head - 1, stop if stop > -1 else -1, run)
                 if j < 0:  # the last step, off cell 0, hits the wall
                     j = 0
+                lo, hi = j + 1, head + 1
             else:  # spins in place until the budget runs out
                 steps = max_steps
                 break
             if j != head:
-                steps += (j - head) * delta
+                if succ is not None:  # each crossed cell takes its neighbour's
+                    if delta > 0:
+                        state = succ[cells[hi - 1]]
+                        cells[lo + 1 : hi] = cells[lo : hi - 1]
+                        cells[lo] = write
+                    else:
+                        state = succ[cells[lo]]
+                        cells[lo : hi - 1] = cells[lo + 1 : hi]
+                        cells[hi - 1] = write
+                elif translate:
+                    cells[lo:hi] = cells[lo:hi].translate(translate)
+                steps += hi - lo
                 head = j
                 continue
         cells[head] = write
@@ -452,11 +525,16 @@ def utm_tape(
 
     The work zone holds the simulated tape with the head flag on cell 0;
     its track bits default to 0.  ``pad`` blank work cells are appended so
-    short runs never touch the wall.
+    short runs never touch the wall.  Input symbols must lie in 0..3 and
+    track bits in 0/1, the ranges a work cell encodes.
     """
     rb = record_bits(state_bits)
     if len(program) % rb != 1 or program[-1] != 0:
         raise ValueError("program must be whole records plus a 0 terminator bit")
+    if any(s not in (0, 1, 2, 3) for s in input_symbols):
+        raise ValueError("input symbols must lie in 0..3")
+    if track is not None and any(b not in (0, 1) for b in track):
+        raise ValueError("track bits must be 0 or 1")
     tape = [U_ORIGIN]
     for i in range(0, len(program) - 1, rb):
         tape += [U_BIT0 + b for b in program[i : i + rb]]

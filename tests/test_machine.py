@@ -116,6 +116,15 @@ def test_utm_tape_layout():
         utm_tape(p[:-1], [1])
 
 
+@pytest.mark.parametrize("symbols, track", [([4, 1], None), ([-1], None),
+                                            ([1, 2], [0, 2]), ([1], [-1])])
+def test_utm_tape_rejects_cells_a_work_cell_cannot_hold(symbols, track):
+    # symbol 4 under the head would lose the head flag:
+    # work_cell(4, 1, 0) == work_cell(0, 0, 1)
+    with pytest.raises(ValueError):
+        utm_tape(encode_program(always_accept_machine()), symbols, track)
+
+
 def test_universal_machine_pinned_size():
     u = universal_machine()
     assert u.states == 42744

@@ -4,7 +4,8 @@ plain dict-per-step reference stepper.
 The reference resolves every step through a (state, symbol, track bit)
 dict, first listed rule winning, and moves one cell at a time; the engine
 must agree with it on status, steps, state, head and tape, including runs
-that end in the middle of a compressed sweep.
+that end in the middle of a jump: a sweep, a rewriting sweep or a register
+shift.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilebench.compiler.fixedpoint import (
+    build_checker,
     build_fixed_point,
     checker_tape,
     pack_record,
@@ -21,6 +23,8 @@ from tilebench.compiler.fixedpoint import (
     unpack_record,
 )
 from tilebench.machine import (
+    SYM_BLANK,
+    SYM_MARK,
     SYM_ONE,
     SYM_ZERO,
     Machine,
@@ -151,10 +155,12 @@ def test_track_split_loop_is_not_a_sweep():
     assert (r.status, r.steps, r.head) == ("accepted", 4, 3)
 
 
-@pytest.mark.parametrize("stopper", [None, 1, 63, 64, 65, 66, 320, 1345, 1436, 2935, 2999])
+@pytest.mark.parametrize("stopper", [None, 1, 33, 35, 63, 64, 65, 66, 97, 320, 1345,
+                                     1436, 2017, 2902, 2935, 2966, 2999])
 def test_long_sweeps_agree(stopper):
-    # runs past LONG_RUN cells are scanned as bytes; some stoppers sit on
-    # the cell where that scan takes over (LONG_RUN from the start head)
+    # a run's end is found by stripping tape slices of 32, 64, 128, ...
+    # cells; some stoppers sit on or beside a slice boundary (33 and 97
+    # from head 0, 35 from head 2, 2966 and 2902 from head 2999)
     loop = SYM_ONE
     right = Machine(2, 4, 0, 1, 0, False, (
         Transition(0, loop, None, 0, loop, "R"),
@@ -176,12 +182,6 @@ def test_long_sweeps_agree(stopper):
             assert_agrees(left, tape, head=1500, max_steps=budget, grow=grow)
 
 
-def test_wide_alphabet_sweeps_cell_by_cell():
-    wide = Machine(2, 300, 0, 1, 0, False, (Transition(0, 299, None, 0, 299, "R"),))
-    r = assert_agrees(wide, [299] * 200 + [7], max_steps=1000)
-    assert (r.status, r.steps, r.head) == ("stuck", 200, 200)
-
-
 def test_tape_outside_alphabet_is_rejected():
     with pytest.raises(ValueError):
         run_machine(RUNNER, [0, 4])
@@ -193,6 +193,139 @@ def test_head_outside_the_tape_is_rejected(head):
     m = Machine(2, 4, 0, 1, 0, True, (Transition(0, 0, None, 0, 0, "L"),))
     with pytest.raises(ValueError, match="head"):
         run_machine(m, [0] * 4, head=head, track=[1, 0, 1, 0])
+
+
+def test_negative_budget_is_rejected():
+    with pytest.raises(ValueError, match="budget"):
+        run_machine(RUNNER, [0, 0], max_steps=-5)
+    r = assert_agrees(RUNNER, [0, 0], max_steps=0)
+    assert (r.status, r.steps, r.head) == ("timeout", 0, 0)
+
+
+# --- rewriting sweeps and register shifts ---------------------------------------
+
+Z, O, B, X = SYM_ZERO, SYM_ONE, SYM_BLANK, SYM_MARK
+
+
+def register(domain, move="R", *, symbols=4, split=False):
+    """A register family: state k + 2 carries domain[k]; on a symbol of the
+    domain it writes its carry and goes to the state carrying that symbol,
+    on the mark it accepts.  The family starts in state 2.  ``split`` puts a
+    track condition on one rule, so the family is no longer uniform."""
+    rules = []
+    for k, c in enumerate(domain):
+        for k2, a in enumerate(domain):
+            track = 0 if split and (k, k2) == (1, 0) else None
+            rules.append(Transition(k + 2, a, track, k2 + 2, c, move))
+        rules.append(Transition(k + 2, X, None, 1, c, "S"))
+    return Machine(len(domain) + 2, symbols, 2, 1, B, split, tuple(rules))
+
+
+def rewriter(mapping, move="R", *, symbols=4, split=False):
+    """One state that moves on over the symbols of mapping, writing
+    mapping[symbol], and accepts on the mark."""
+    rules = [Transition(0, a, 1 if split and k == 0 else None, 0, w, move)
+             for k, (a, w) in enumerate(mapping.items())]
+    rules.append(Transition(0, X, None, 1, X, "S"))
+    return Machine(2, symbols, 0, 1, B, split, tuple(rules))
+
+
+def jumps(machine):
+    """Each jump kind the dispatch table holds."""
+    kinds = set()
+    for e in machine.dispatch():
+        if e is not None and e[3] is not None:
+            _, translate, succ = e[3]
+            kinds.add("register" if succ is not None else
+                      "rewrite" if translate else "sweep")
+    return kinds
+
+
+SHIFT_R = register((Z, O))
+SHIFT_L = register((Z, O), "L")
+FLIP_R = rewriter({Z: O, O: Z})
+FLIP_L = rewriter({Z: O, O: Z}, "L")
+DRIFT = [Z, O, O, Z, Z, Z, O] * 30  # 210 cells: runs cross slice boundaries
+
+
+def test_jump_kinds_are_compiled():
+    assert jumps(SHIFT_R) == jumps(SHIFT_L) == {"register"}
+    assert jumps(FLIP_R) == jumps(FLIP_L) == {"rewrite"}
+    assert jumps(rewriter({Z: Z, O: O})) == {"sweep"}
+    # a loop that rewrites some symbols and keeps others is one rewriting sweep
+    assert jumps(rewriter({Z: O, O: O, B: B})) == {"rewrite"}
+
+
+@pytest.mark.parametrize("budget", [1, 2, 31, 32, 33, 96, 97, 98, 150, 209])
+@pytest.mark.parametrize("m", [SHIFT_R, FLIP_R], ids=["register", "rewrite"])
+def test_budget_stops_inside_a_jump(m, budget):
+    r = assert_agrees(m, DRIFT + [X], max_steps=budget)
+    assert (r.status, r.steps, r.head) == ("timeout", budget, budget)
+    left = SHIFT_L if m is SHIFT_R else FLIP_L
+    r = assert_agrees(left, [X] + DRIFT, head=210, max_steps=budget)
+    assert (r.status, r.steps, r.head) == ("timeout", budget, 210 - budget)
+
+
+@pytest.mark.parametrize("m", [SHIFT_R, FLIP_R], ids=["register", "rewrite"])
+def test_jumps_end_on_the_stopper(m):
+    r = assert_agrees(m, DRIFT + [X, Z])
+    assert (r.status, r.steps, r.head) == ("accepted", 211, 210)
+    for head in (0, 5, 100, 209):
+        assert_agrees(m, DRIFT + [X], head=head)
+    left = SHIFT_L if m is SHIFT_R else FLIP_L
+    r = assert_agrees(left, [Z, X] + DRIFT, head=211)
+    assert (r.status, r.steps, r.head) == ("accepted", 211, 1)
+
+
+@pytest.mark.parametrize("m", [SHIFT_R, FLIP_R], ids=["register", "rewrite"])
+def test_jumps_hit_both_walls(m):
+    r = assert_agrees(m, DRIFT)
+    assert (r.status, r.steps, r.head) == ("hit_wall", 209, 210)
+    left = SHIFT_L if m is SHIFT_R else FLIP_L
+    r = assert_agrees(left, DRIFT, head=209)
+    assert (r.status, r.steps, r.head) == ("hit_wall", 209, -1)
+    r = assert_agrees(left, [Z], max_steps=5)
+    assert (r.status, r.steps, r.head) == ("hit_wall", 0, -1)
+
+
+def test_jumps_grow_the_tape():
+    # blank in the run: the jump runs on over fresh blanks to the budget
+    for m in (register((B, Z, O)), rewriter({B: O, Z: Z, O: Z})):
+        r = assert_agrees(m, DRIFT, max_steps=500, grow=True)
+        assert (r.status, r.steps, r.head, len(r.tape)) == ("timeout", 500, 500, 501)
+        assert_agrees(m, [B], max_steps=70, grow=True)
+    # blank outside the run: the step off the end appends one blank, which
+    # then stops the run (stuck, as nothing reads it)
+    for m in (SHIFT_R, FLIP_R):
+        r = assert_agrees(m, DRIFT, max_steps=500, grow=True)
+        assert (r.status, r.steps, r.head, len(r.tape)) == ("stuck", 210, 210, 211)
+
+
+def test_track_split_family_and_loop_do_not_jump():
+    split_shift = register((Z, O), split=True)
+    split_flip = rewriter({Z: O, O: Z}, split=True)
+    # the family's own loops still sweep, but nothing shifts; the split rule
+    # of the rewriting loop steps one cell at a time
+    assert jumps(split_shift) == {"sweep"}
+    assert [e and e[3] for e in split_flip.dispatch()[Z * 2 : Z * 2 + 2]] == [None, None]
+    for track in ([], [0] * 211, [0] * 100 + [1], [1] * 211):
+        assert_agrees(split_shift, DRIFT + [X], track=track)
+        assert_agrees(split_flip, DRIFT + [X], track=track)
+
+
+def test_wide_alphabet_sweeps_cell_by_cell():
+    wide = Machine(2, 300, 0, 1, 0, False, (Transition(0, 299, None, 0, 299, "R"),))
+    r = assert_agrees(wide, [299] * 200 + [7], max_steps=1000)
+    assert (r.status, r.steps, r.head) == ("stuck", 200, 200)
+    # a register family and a rewriting sweep get no jumps either
+    shift = register((298, 299), symbols=300)
+    flip = rewriter({298: 299, 299: 298}, symbols=300)
+    assert jumps(wide) == jumps(shift) == jumps(flip) == set()
+    tape = [298, 299, 299] * 70 + [X]
+    r = assert_agrees(shift, tape)
+    assert (r.status, r.steps) == ("accepted", 211)
+    r = assert_agrees(flip, tape, max_steps=100)
+    assert (r.status, r.steps, r.head) == ("timeout", 100, 100)
 
 
 # --- random machines -----------------------------------------------------------
@@ -235,6 +368,74 @@ def test_random_machines_agree(case):
     assert_agrees(m, tape, **kw)
 
 
+@st.composite
+def planted_runs(draw):
+    """Machines with a register family and a rewriting loop planted among
+    random rules (which may come first and shadow parts of them), run on
+    tapes of up to 300 cells made mostly of long runs of the planted
+    symbols, so that jumps cross the scan's slice boundaries."""
+    symbols = draw(st.integers(2, 6))
+    states = draw(st.integers(4, 8))
+    program_track = draw(st.booleans())
+    pick = st.integers(0, symbols - 1)
+
+    def cond():
+        # now and then a track condition, which splits what it touches
+        return draw(st.sampled_from((None,) * 7 + (0,))) if program_track else None
+
+    # the family's states, the looping state and the accept state differ
+    domain = draw(st.lists(pick, min_size=2, max_size=min(symbols, states - 2),
+                           unique=True))
+    order = draw(st.permutations(range(states)))
+    family, q, accept = order[: len(domain)], order[len(domain)], order[len(domain) + 1]
+    move, loop_move = draw(st.sampled_from("LR")), draw(st.sampled_from("LR"))
+    planted = [Transition(r, a, cond(), family[k], c, move)
+               for r, c in zip(family, domain) for k, a in enumerate(domain)]
+    loop = draw(st.lists(pick, min_size=1, max_size=symbols, unique=True))
+    planted += [Transition(q, a, cond(), q, draw(pick), loop_move) for a in loop]
+    extra = [Transition(draw(st.integers(0, states - 1)), draw(pick), cond(),
+                        draw(st.integers(0, states - 1)), draw(pick),
+                        draw(st.sampled_from("LRS")))
+             for _ in range(draw(st.integers(0, 6)))]
+    in_family = draw(st.booleans())
+    m = Machine(states, symbols, draw(st.sampled_from(family)) if in_family else q,
+                accept, draw(pick), program_track,
+                tuple(draw(st.permutations(planted + extra))))
+    # runs of family or loop symbols, 10 to 120 long, between stray cells;
+    # the head starts where a run of the start state's kind begins (in the
+    # direction it moves), or anywhere
+    rnd = draw(st.randoms(use_true_random=True))
+    tape, heads = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("family", "loop", "stray")))
+        if kind == "stray":
+            tape += rnd.choices(range(symbols), k=rnd.randint(0, 3))
+            continue
+        length = rnd.randint(10, 120)
+        if (kind == "family") == in_family:
+            left = (move if in_family else loop_move) == "L"
+            heads.append(len(tape) + (length - 1 if left else 0))
+        tape += rnd.choices(domain if kind == "family" else loop, k=length)
+    tape = tape[:300] or [0]
+    heads = [h for h in heads if h < len(tape)]
+    kw = {
+        "head": draw(st.one_of(st.sampled_from(heads or [0]),
+                               st.integers(0, len(tape) - 1))),
+        "max_steps": rnd.randint(0, rnd.choice((40, 1500))),
+        "grow": draw(st.booleans()),
+    }
+    if program_track:
+        kw["track"] = draw(st.lists(st.integers(0, 1), max_size=320))
+    return m, tape, kw
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_runs())
+def test_planted_jumps_agree(case):
+    m, tape, kw = case
+    assert_agrees(m, tape, **kw)
+
+
 # --- the fixed-point checker and the universal machine -------------------------
 
 
@@ -254,6 +455,27 @@ def test_checker_tiles_agree(fp):
         r = assert_agrees(fp.machine, checker_tape(fp.n, *quad), track=track,
                           max_steps=4_000_000, grow=True)
         assert r.status == status, quad
+
+
+def test_checker_drag_compiles_to_jumps():
+    # the drag's register states shift in one jump and the decrement's
+    # Z -> O borrow is one rewriting sweep; losing either slows every walk
+    machine, names = build_checker(8)
+    table = machine.dispatch()
+
+    def jump(name, sym):
+        i = (names.index(name) * 4 + sym) * 2
+        assert table[i] == table[i + 1]  # the same on both track bits
+        return table[i][3]
+
+    for px in ("lt", "lb"):
+        for b in (0, 1):
+            for c in (0, 1):
+                for sym in (Z, O):
+                    succ = jump(f"{px}_s{b}{c}", sym)[2]
+                    assert [names[succ[a]] for a in (Z, O)] == [f"{px}_s{b}0", f"{px}_s{b}1"]
+            translate = jump(f"{px}_dec{b}", Z)[1]
+            assert translate and translate[Z] == O
 
 
 def test_universal_run_agrees(fp):
