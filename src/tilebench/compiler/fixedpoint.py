@@ -29,10 +29,19 @@ walking runs, cross-checks R against the universal machine, and verifies
 that single-bit corruptions of the program are caught.  Both audits judge
 every run by ``_check`` and report a ``_verdict``: ok, inconclusive (every
 failure a budget hit) or refuted.
+
+A walk is almost all drag: up to 3.2 M steps at N=256, against a few
+thousand before and after.  So ``run_checker`` composes each run from the
+engine's steps and a drag lemma (``DragLemma``), a macro step whose cost
+per decrement is measured from R once per set and whose preconditions are
+checked at every use; a drag that fails them is stepped.  A walk then
+costs about as much as a resident run, and every composed result is
+exactly that of a direct run.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -40,6 +49,7 @@ from dataclasses import dataclass, field
 from ..core import PatchGrid, Tile, TileSet, verify_patch
 from ..machine import (
     Machine,
+    Run,
     RunResult,
     Transition,
     encode_program,
@@ -326,7 +336,10 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
     # block offset (rows N/4..N-32 map to offsets 0..).  The walk then
     # drags the counter right, one tape cell per decrement; when it
     # empties, the head rests exactly 240 + 2n + fold cells in, where the
-    # track holds program bit fold.
+    # track holds program bit fold.  The drag states (dec, ret, sh, s,
+    # m, n) read no track bit but in the exit rule, and one decrement of
+    # a value with k trailing zero bits takes 4n + 5 + 2k steps whatever
+    # the other bits: the shape ``DragLemma`` measures and jumps.
     def walker(px: str, slot_off: int, val_cell: int, done: str) -> None:
         sek = f"{px}_sek"
         m.add(sek, SYM_B, f"{px}_k1")
@@ -437,6 +450,132 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
     return machine, tuple(m.names)
 
 
+# --- the drag lemma -----------------------------------------------------------
+
+_B, _Z, _O, _M = (bytes((sym,)) for sym in (SYM_B, SYM_Z, SYM_O, SYM_M))
+_ZO = _Z + _O
+_BITS = bytes.maketrans(_ZO, b"01")
+
+
+def _counter(value: int, width: int) -> list[int]:
+    """A counter block of ``width`` cells, low bit first."""
+    return [_sym((value >> v) & 1) for v in range(width)]
+
+
+@dataclass(frozen=True)
+class DragLemma:
+    """The walkers' counter drags as macro steps (``run_machine``'s ``macro``).
+
+    A drag (see ``build_checker``'s ``walker``) enters ``{px}_dec{b}`` from
+    ``{px}_h{b}`` on the anchor M, with the counter right after the anchor:
+    Z/O cells, low bit first, closed by an M.  One decrement of a value c
+    moves the block one cell right, leaves a B behind, reads no track bit
+    and costs ``costs[tz(c)]`` steps, tz(c) being the number of trailing
+    zero bits of c.  So the drag from C down to 0 takes
+    ``1 + sum_k costs[k] * (C >> k - C >> (k + 1))`` steps, the entry step
+    included, and ends in ``{px}_dec{b}`` on the emptied block C cells to
+    the right, where only the exit rule, which reads the track, is left.
+    ``entries`` maps each family's ``h`` state to its ``dec`` state and
+    costs, one per counter cell; ``body`` holds the drag states of every
+    family.
+    """
+
+    body: frozenset
+    entries: dict = field(hash=False)
+
+    def steps(self, entry: int, count: int) -> int:
+        """Steps of the drag that ``entry`` starts with the counter at count."""
+        costs = self.entries[entry][1]
+        return 1 + sum(cost * ((count >> k) - (count >> (k + 1)))
+                       for k, cost in enumerate(costs))
+
+    def __call__(self, run: Run, max_steps: int) -> bool:
+        """Jump the drag that ``run`` is about to enter, when every
+        precondition holds: the entry is a measured family's, on an M; the
+        block is Z/O cells closed by M; the cells it moves into are blank
+        or past the tape's end (which needs ``grow``); and the jump ends
+        within ``max_steps``.  Otherwise leave the run as it is."""
+        if run.state not in self.entries:
+            return False
+        dec, costs = self.entries[run.state]
+        cells, w = run.cells, len(costs)
+        p = run.head + 1  # the block's low bit
+        end = p + w  # its closing M
+        block = cells[p:end]
+        if (cells[run.head] != SYM_M or cells[end : end + 1] != _M
+                or block.translate(None, _ZO)):
+            return False
+        count = int(block.translate(_BITS)[::-1], 2)
+        steps = self.steps(run.state, count)
+        if (run.steps + steps > max_steps
+                or cells[end + 1 : end + 1 + count].lstrip(_B)
+                or (end + count >= len(cells) and not run.grow)):
+            return False
+        cells[p : end + count + 1] = _B * count + _Z * w + _M
+        run.state = dec
+        run.head = p + count
+        run.steps += steps
+        return True
+
+
+def _decrement_costs(machine: Machine, entry: int, dec: int, body: set,
+                     width: int, stops: frozenset) -> tuple[int, ...] | None:
+    """One walker family's decrement steps by trailing zero count, measured
+    on the machine (each run pauses on entering ``stops``, which holds
+    ``dec``); None unless the family drags as ``DragLemma`` assumes.
+
+    The checks: no step of the entry or the body reads the track bit (the
+    exit rule, ``dec`` on M, aside); the entry on M goes to ``dec`` and
+    steps right; and for each k one decrement of a value with k trailing
+    zeros, run once with an M left of the block and the bits above k clear
+    and once with a B there and those bits set, ends back in ``dec`` one
+    cell right, with the value one less and a B left behind, after the same
+    number of steps both times."""
+    syms, table = machine.symbols, machine.dispatch()
+    for q in body | {entry}:
+        for s in range(syms):
+            i = (q * syms + s) * 2
+            if (q, s) != (dec, SYM_M) and table[i] != table[i + 1]:
+                return None
+    if (table[(entry * syms + SYM_M) * 2] or ())[:3] != (dec, SYM_M, 1):
+        return None
+    costs = []
+    for k in range(width):
+        seen = set()
+        for left, value in ((SYM_M, 1 << k), (SYM_B, (1 << width) - (1 << k))):
+            run = Run(machine, [left, *_counter(value, width), SYM_M, SYM_B],
+                      head=1, state=dec)
+            if run.go(16 * width, stops) == "paused":
+                run.go(run.steps + 1)  # the step back into dec
+            want = [left, SYM_B, *_counter(value - 1, width), SYM_M]
+            if (run.state, run.head, list(run.cells)) != (dec, 2, want):
+                return None
+            seen.add(run.steps)
+        if len(seen) > 1:
+            return None
+        costs.append(seen.pop())
+    return tuple(costs)
+
+
+def drag_lemma(machine: Machine, names, width: int) -> DragLemma:
+    """The drag lemma of a checker from ``build_checker``, whose state
+    names locate the four walker families; a family that fails
+    ``_decrement_costs``'s checks gets no entry, and its drags are
+    stepped."""
+    ids = {name: q for q, name in enumerate(names)}
+    families = [(ids[f"{px}_h{b}"], ids[f"{px}_dec{b}"],
+                 {ids[f"{px}_{s}{b}"] for s in ("dec", "ret", "sh", "m", "n")}
+                 | {ids[f"{px}_s{b}{c}"] for c in (0, 1)})
+                for px in ("lt", "lb") for b in (0, 1)]
+    decs = frozenset(dec for _, dec, _ in families)
+    entries = {}
+    for entry, dec, states in families:
+        costs = _decrement_costs(machine, entry, dec, states, width, decs)
+        if costs is not None:
+            entries[entry] = (dec, costs)
+    return DragLemma(frozenset().union(*(states for *_, states in families)), entries)
+
+
 # --- the tile set -----------------------------------------------------------
 
 def _band(size: int) -> range:
@@ -459,7 +598,8 @@ def _records(n: int, size: int, x: int, y: int, vl: int, vr: int, vt: int,
 class FixedPointSet:
     """A self-describing tile set plus everything needed to audit it.
 
-    ``accepted`` maps the edge records of every tile to its tile id.
+    ``accepted`` maps the edge records of every tile to its tile id;
+    ``drag`` is the checker's drag lemma, which ``run_checker`` jumps with.
     """
 
     n: int
@@ -472,6 +612,7 @@ class FixedPointSet:
     capacity: int
     accepted: dict = field(hash=False)
     color_records: tuple = field(hash=False)
+    drag: DragLemma = field(hash=False)
 
     @property
     def band(self) -> range:
@@ -484,8 +625,15 @@ class FixedPointSet:
     def fold(self, x: int, y: int) -> int:
         return x + self.size * (y - self.size // 4)
 
+    @functools.cached_property
+    def track_bits(self) -> bytes:
+        """The checker's read-only track, built once per set: zeros up to
+        ``track_offset``, then the padded program."""
+        return bytes(self.track_offset) + bytes(self.padded)
+
     def track(self) -> list[int]:
-        return [0] * self.track_offset + list(self.padded)
+        """A fresh copy of ``track_bits`` that the caller may change."""
+        return list(self.track_bits)
 
     def edge_records(self, x: int, y: int, vl: int, vr: int, vt: int,
                      vb: int) -> tuple[int, int, int, int]:
@@ -533,7 +681,7 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
     n = (size - 1).bit_length()
     if size < 128 or (1 << n) != size:
         raise CompileError("grid side must be a power of two, at least 128")
-    machine, _ = build_checker(n)
+    machine, names = build_checker(n)
     state_bits = 8 if machine.states <= 256 else 9
     program = encode_program(machine, state_bits=state_bits)
     capacity = size * (3 * size // 4 - 32)
@@ -565,6 +713,7 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
         capacity=capacity,
         accepted=accepted,
         color_records=tuple(colors),
+        drag=drag_lemma(machine, names, 2 * n),
     )
 
 
@@ -575,11 +724,19 @@ UNIVERSAL_STEPS = 200_000_000  # budget of one checker run under the universal m
 
 
 def run_checker(fp: FixedPointSet, quad, *, track=None) -> RunResult:
-    """One checker run over the encoded quad (records, not color ids)."""
-    tape = checker_tape(fp.n, *quad)
-    return run_machine(fp.machine, tape,
-                       track=fp.track() if track is None else track,
-                       max_steps=CHECKER_STEPS, grow=True)
+    """One checker run over the encoded quad (records, not color ids), on
+    ``fp.track_bits`` unless another track is given.
+
+    The run is composed: the engine steps it to each counter drag, where
+    ``fp.drag`` jumps the whole drag, and resumes for the drag's exit rule,
+    the only one that reads the track (see ``run_machine``'s ``macro``).
+    A drag whose preconditions fail is stepped instead, so the result is
+    always exactly a direct run's.  Runs that never reach a drag (resident
+    tiles, most reject probes) are a single engine call.
+    """
+    return run_machine(fp.machine, checker_tape(fp.n, *quad),
+                       track=fp.track_bits if track is None else track,
+                       max_steps=CHECKER_STEPS, grow=True, macro=fp.drag)
 
 
 def walks(fp: FixedPointSet, x: int, y: int) -> bool:
@@ -736,7 +893,7 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
         raise ValueError("resident_samples must be at least 1")
     rng = random.Random(seed)
     cert = SelfCertificate()
-    track = fp.track()
+    track = fp.track_bits
 
     walkers, nonwalk = [], []
     for x, y, quad in _tile_records(fp.n, fp.size, fp.padded):

@@ -60,7 +60,7 @@ class Machine:
             if t.track not in (None, 0, 1):
                 raise ValueError("track condition must be None, 0 or 1")
 
-    def dispatch(self) -> list:
+    def dispatch(self, pause: frozenset = frozenset()) -> list:
         """The compiled dispatch table, built once and cached on the instance.
 
         Entry ``(state*symbols + symbol)*tracks + bit`` (``tracks`` is 2 for
@@ -87,11 +87,21 @@ class Machine:
         after the build (byte strings rather than sets keep the entries out
         of the cyclic garbage collector).  Alphabets over 256 symbols get no
         jumps, since a byte tape cannot hold them.
+
+        A non-empty ``pause`` (a frozenset of states) gives a variant, also
+        cached, in which every entry that would enter ``pause`` from a state
+        outside it is None, so ``Run.go`` stops before that step at no cost
+        to the steps around it; a register shift from outside that could end
+        inside ``pause`` steps one cell at a time there.
         """
-        table = self.__dict__.get("_dispatch")
+        tables = self.__dict__.get("_dispatch")
+        if tables is None:
+            tables = {frozenset(): _compile(self)}
+            object.__setattr__(self, "_dispatch", tables)
+        table = tables.get(pause)
         if table is None:
-            table = _compile(self)
-            object.__setattr__(self, "_dispatch", table)
+            table = tables[pause] = _paused(tables[frozenset()], pause,
+                                            self.symbols * (2 if self.program_track else 1))
         return table
 
     def to_json(self) -> dict:
@@ -196,6 +206,22 @@ def _compile(m: Machine) -> list:
     return table
 
 
+def _paused(table: list, pause: frozenset, row: int) -> list:
+    """``Machine.dispatch``'s variant of ``table`` for ``pause``; ``row`` is
+    the number of entries per state."""
+    out = list(table)
+    for i, e in enumerate(table):
+        if e is None:
+            continue
+        if e[0] in pause and i // row not in pause:
+            out[i] = None
+        elif e[3] is not None and e[3][2] is not None:
+            run, _, succ = e[3]
+            if len({succ[a] in pause for a in run}) > 1:
+                out[i] = (*e[:3], None)  # a shift across the border of pause
+    return out
+
+
 def _run_end(cells: bytearray, j: int, end: int, run: bytearray) -> int:
     """The first cell from j up to end (exclusive) whose symbol is not in
     run, or end; the cells are stripped in slices of doubling size."""
@@ -233,6 +259,137 @@ class RunResult:
     tape: tuple[int, ...]
 
 
+class Run:
+    """A run in progress: tape cells, head, state and steps so far.
+
+    ``go`` steps it on and can be called again to resume, so a caller can
+    stop a run before given steps, change its configuration by a step of
+    its own (a macro step) and go on.  The tape is a bytearray (a list for
+    alphabets over 256 symbols, which step one cell at a time); the 0/1
+    track is read-only and pinned to tape positions, and cells past its end
+    read as 0.  ``grow`` appends blanks on the right on demand (moving left
+    of cell 0 is always a wall).
+    """
+
+    __slots__ = ("machine", "cells", "head", "state", "steps", "track", "grow")
+
+    def __init__(self, machine: Machine, tape: Sequence[int], *, head: int = 0,
+                 state: int | None = None, track: Sequence[int] | None = None,
+                 grow: bool = False) -> None:
+        syms = machine.symbols
+        try:
+            cells = bytearray(tape) if syms <= 256 else list(tape)
+        except ValueError:  # a symbol outside 0..255
+            cells = None
+        # on a byte tape, deleting the alphabet must leave nothing (in C)
+        if cells is None or (cells.translate(None, bytes(range(syms))) if syms <= 256 else
+                             min(cells, default=0) < 0 or max(cells, default=0) >= syms):
+            raise ValueError("tape symbol outside the machine's alphabet")
+        if not cells:
+            cells.append(machine.blank)
+        if not 0 <= head < len(cells):
+            raise ValueError(f"head {head} outside the tape's {len(cells)} cells")
+        state = machine.start if state is None else state
+        if not 0 <= state < machine.states:
+            raise ValueError(f"state {state} outside the machine's {machine.states}")
+        self.machine = machine
+        self.cells = cells
+        self.head = head
+        self.state = state
+        self.steps = 0
+        self.track = track if track is not None and machine.program_track else ()
+        self.grow = grow
+
+    def go(self, max_steps: int, pause: frozenset = frozenset()) -> str:
+        """Step on until acceptance, a missing transition, a wall, or
+        ``max_steps`` steps in all; return the status, which is "paused"
+        when the run stopped before a step that would enter ``pause`` from
+        a state outside it (see ``Machine.dispatch``).
+
+        Each jump of the dispatch table crosses its whole run in C: the
+        run's end is found by stripping the run symbols off tape slices of
+        doubling size, a rewriting sweep is one ``translate`` of the crossed
+        cells and a register shift one slice move.  Every cell crossed
+        still counts one step, so step counts, budgets, walls, ``grow`` and
+        end configurations are exactly those of stepping one cell at a
+        time.  A run that ended on a wall is not resumed.
+        """
+        machine = self.machine
+        table = machine.dispatch(pause)
+        syms, tracks = machine.symbols, 2 if machine.program_track else 1
+        blank, grow = machine.blank, self.grow
+        cells, head, state, steps = self.cells, self.head, self.state, self.steps
+        width = len(cells)
+        trk = self.track
+        ntrk = len(trk)
+        status = "timeout"
+        while steps < max_steps:
+            i = (state * syms + cells[head]) * tracks
+            if head < ntrk:
+                i += trk[head]
+            try:
+                state, write, delta, jump = table[i]
+            except TypeError:  # no rule fires (the accept state has none)
+                status = ("accepted" if state == machine.accept else
+                          "paused" if pause and machine.dispatch()[i] is not None else
+                          "stuck")
+                break
+            if jump is not None:
+                # cross the run: cells [lo, hi) are crossed, j is where it stops
+                run, translate, succ = jump
+                if delta > 0:
+                    stop = head + max_steps - steps
+                    j = _run_end(cells, head + 1, stop if stop < width else width, run)
+                    if j == width:  # off the right end
+                        if grow and blank in run:
+                            cells.extend(bytes((blank,)) * (stop + 1 - width))
+                            width = stop + 1
+                            j = stop
+                        else:
+                            j = width - 1
+                    lo, hi = head, j
+                elif delta < 0:
+                    stop = head - max_steps + steps
+                    j = _run_start(cells, head - 1, stop if stop > -1 else -1, run)
+                    if j < 0:  # the last step, off cell 0, hits the wall
+                        j = 0
+                    lo, hi = j + 1, head + 1
+                else:  # spins in place until the budget runs out
+                    steps = max_steps
+                    break
+                if j != head:
+                    if succ is not None:  # each crossed cell takes its neighbour's
+                        if delta > 0:
+                            state = succ[cells[hi - 1]]
+                            cells[lo + 1 : hi] = cells[lo : hi - 1]
+                            cells[lo] = write
+                        else:
+                            state = succ[cells[lo]]
+                            cells[lo : hi - 1] = cells[lo + 1 : hi]
+                            cells[hi - 1] = write
+                    elif translate:
+                        cells[lo:hi] = cells[lo:hi].translate(translate)
+                    steps += hi - lo
+                    head = j
+                    continue
+            cells[head] = write
+            head += delta
+            if head < 0:
+                status = "hit_wall"
+                break
+            if head >= width:
+                if not grow:
+                    status = "hit_wall"
+                    break
+                cells.append(blank)
+                width += 1
+            steps += 1
+        if state == machine.accept and status == "timeout":
+            status = "accepted"
+        self.head, self.state, self.steps = head, state, steps
+        return status
+
+
 def run_machine(
     machine: Machine,
     tape: Sequence[int],
@@ -241,6 +398,7 @@ def run_machine(
     track: Sequence[int] | None = None,
     max_steps: int = 1_000_000,
     grow: bool = False,
+    macro=None,
 ) -> RunResult:
     """Run until acceptance, a missing transition, a wall, or the budget.
 
@@ -248,97 +406,32 @@ def run_machine(
     the right on demand (moving left of cell 0 is always a wall).  The
     optional 0/1 track is pinned to tape positions and read-only; cells past
     its end read as 0.  A negative budget is an error; a zero budget runs
-    nothing.
+    nothing.  Steps go through the machine's compiled dispatch table, one
+    ``Run.go`` call for the whole run.
 
-    Steps go through the machine's compiled dispatch table.  The tape is a
-    bytearray (a list for alphabets over 256 symbols, which step one cell
-    at a time), so each jump of the table (see ``Machine.dispatch``) crosses
-    its whole run in C: the run's end is found by stripping the run symbols
-    off tape slices of doubling size, a rewriting sweep is one ``translate``
-    of the crossed cells and a register shift one slice move.  Every cell
-    crossed still counts one step, so step counts, budgets, walls, ``grow``
-    and end configurations are exactly those of stepping one cell at a time.
+    ``macro`` composes the run from macro steps whose effect is proven
+    (H. Marxen and J. Buntrock, *Attacking the Busy Beaver 5*, 1990): an
+    object with ``body``, a frozenset of states, called as
+    ``macro(run, max_steps)`` whenever the run is about to enter ``body``
+    from outside it.  It either advances the ``Run`` in place to exactly
+    the configuration and step count that stepping would reach, within
+    ``max_steps``, and returns True, or returns False, and the run takes
+    the step itself.  Either way the result is that of a direct run.
     """
     if max_steps < 0:
         raise ValueError(f"negative step budget {max_steps}")
-    table = machine.dispatch()
-    syms, tracks = machine.symbols, 2 if machine.program_track else 1
-    blank = machine.blank
-    cells = list(tape) or [blank]
-    if min(cells) < 0 or max(cells) >= syms:
-        raise ValueError("tape symbol outside the machine's alphabet")
-    if syms <= 256:
-        cells = bytearray(cells)
-    width = len(cells)
-    if not 0 <= head < width:
-        raise ValueError(f"head {head} outside the tape's {width} cells")
-    trk = track if track is not None and tracks > 1 else ()
-    ntrk = len(trk)
-    state = machine.start
-    steps = 0
-    status = "timeout"
-    while steps < max_steps:
-        i = (state * syms + cells[head]) * tracks
-        if head < ntrk:
-            i += trk[head]
-        try:
-            state, write, delta, jump = table[i]
-        except TypeError:  # no rule fires (the accept state has none)
-            status = "accepted" if state == machine.accept else "stuck"
-            break
-        if jump is not None:
-            # cross the run: cells [lo, hi) are crossed, j is where it stops
-            run, translate, succ = jump
-            if delta > 0:
-                stop = head + max_steps - steps
-                j = _run_end(cells, head + 1, stop if stop < width else width, run)
-                if j == width:  # off the right end
-                    if grow and blank in run:
-                        cells.extend(bytes((blank,)) * (stop + 1 - width))
-                        width = stop + 1
-                        j = stop
-                    else:
-                        j = width - 1
-                lo, hi = head, j
-            elif delta < 0:
-                stop = head - max_steps + steps
-                j = _run_start(cells, head - 1, stop if stop > -1 else -1, run)
-                if j < 0:  # the last step, off cell 0, hits the wall
-                    j = 0
-                lo, hi = j + 1, head + 1
-            else:  # spins in place until the budget runs out
-                steps = max_steps
-                break
-            if j != head:
-                if succ is not None:  # each crossed cell takes its neighbour's
-                    if delta > 0:
-                        state = succ[cells[hi - 1]]
-                        cells[lo + 1 : hi] = cells[lo : hi - 1]
-                        cells[lo] = write
-                    else:
-                        state = succ[cells[lo]]
-                        cells[lo : hi - 1] = cells[lo + 1 : hi]
-                        cells[hi - 1] = write
-                elif translate:
-                    cells[lo:hi] = cells[lo:hi].translate(translate)
-                steps += hi - lo
-                head = j
-                continue
-        cells[head] = write
-        head += delta
-        if head < 0:
-            status = "hit_wall"
-            break
-        if head >= width:
-            if not grow:
-                status = "hit_wall"
-                break
-            cells.append(blank)
-            width += 1
-        steps += 1
-    if state == machine.accept and status == "timeout":
-        status = "accepted"
-    return RunResult(status, steps, state, head, tuple(cells))
+    run = Run(machine, tape, head=head, track=track, grow=grow)
+    if macro is None:
+        status = run.go(max_steps)
+    else:
+        status = run.go(max_steps, macro.body)
+        while status == "paused":
+            if not macro(run, max_steps):
+                status = run.go(run.steps + 1)  # the step into body, taken directly
+                if status != "timeout" or run.steps == max_steps:
+                    break
+            status = run.go(max_steps, macro.body)
+    return RunResult(status, run.steps, run.state, run.head, tuple(run.cells))
 
 
 # --- space-time diagram local rules -------------------------------------

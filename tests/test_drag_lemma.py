@@ -1,0 +1,310 @@
+"""The drag lemma and composed checker runs.
+
+A walking tile's checker run drags a binary counter one cell right per
+decrement (``build_checker``'s ``walker``); ``run_checker`` jumps each drag
+with ``FixedPointSet.drag`` and steps the rest.  A composed run must be
+exactly a direct one: the tests below compare status, steps, state, head
+and the whole tape (so its length under ``grow`` too) with runs of the
+same machine without the lemma, and check the lemma itself against a
+direct descent through every counter value.
+"""
+
+import dataclasses
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tilebench.compiler.fixedpoint import (
+    CHECKER_STEPS,
+    SYM_B,
+    SYM_M,
+    SYM_O,
+    SYM_Z,
+    build_checker,
+    build_fixed_point,
+    checker_tape,
+    pack_record,
+    run_checker,
+    unpack_record,
+    walks,
+)
+from tilebench.machine import Run, run_machine
+
+FAMILIES = ("lt_h0", "lt_h1", "lb_h0", "lb_h1")
+
+
+@pytest.fixture(scope="module")
+def fp():
+    return build_fixed_point(256)
+
+
+@pytest.fixture(scope="module")
+def names(fp):
+    return build_checker(fp.n)[1]
+
+
+def outcome(res):
+    return res.status, res.steps, res.state, res.head, res.tape
+
+
+def member(fp, x, y):
+    """The tile at (x, y) with its pinned vals and free vals 0."""
+    def vert(row):
+        return fp.padded[fp.fold(x, row)] if row in fp.band else 0
+
+    return fp.edge_records(x, y, 0, 0, vert((y + 1) % fp.size), vert(y))
+
+
+def at_fold(fp, fold):
+    """The cell whose bottom edge carries program bit ``fold``."""
+    return fold % fp.size, fp.size // 4 + fold // fp.size
+
+
+def flipped(fp, quad):
+    """A block probe: the quad with its bottom val flipped."""
+    quad = list(quad)
+    i, j, v = unpack_record(fp.n, quad[3])
+    quad[3] = pack_record(fp.n, i, j, 1 - v)
+    return tuple(quad)
+
+
+def same_as_direct(fp, quad, *, track=None, max_steps=CHECKER_STEPS, grow=True,
+                   macro=None):
+    """The composed run of quad, checked against a direct run."""
+    tape = checker_tape(fp.n, *quad)
+    kw = {"track": fp.track_bits if track is None else track, "max_steps": max_steps,
+          "grow": grow}
+    got = run_machine(fp.machine, tape, macro=macro or fp.drag, **kw)
+    assert outcome(got) == outcome(run_machine(fp.machine, tape, **kw)), quad
+    return got
+
+
+class Spy:
+    """Wraps a lemma and logs each call as (steps before, steps after, jumped)."""
+
+    def __init__(self, lemma):
+        self.lemma, self.body, self.log = lemma, lemma.body, []
+
+    def __call__(self, run, max_steps):
+        before = run.steps
+        jumped = self.lemma(run, max_steps)
+        self.log.append((before, run.steps, jumped))
+        return jumped
+
+
+# --- composed runs against direct runs ------------------------------------------
+
+
+def test_lemma_covers_every_family(fp, names):
+    assert sorted(names[q] for q in fp.drag.entries) == sorted(FAMILIES)
+    for dec, costs in fp.drag.entries.values():
+        assert costs == tuple(37 + 2 * k for k in range(16))  # 4n + 5 + 2k at n = 8
+        assert dec in fp.drag.body
+    assert len(fp.drag.body) == 4 * 7
+
+
+def test_first_last_and_carry_folds(fp):
+    last = fp.capacity - 1
+    folds = {0, last} | {f for k in range(16) for f in (2**k - 1, 2**k)}
+    pinned = set()
+    for fold in sorted(folds):
+        x, y = at_fold(fp, fold)
+        quad = member(fp, x, y)
+        assert walks(fp, x, y)
+        assert same_as_direct(fp, quad).status == "accepted"
+        pinned.add(fp.padded[fold])
+    assert pinned == {0, 1}  # both pinned bit values, so both b families
+    # top-edge walks only (row N/4 - 1) and bottom-edge walks only (row N - 33)
+    assert same_as_direct(fp, member(fp, 0, fp.size // 4 - 1)).status == "accepted"
+    assert same_as_direct(fp, member(fp, 255, fp.size - 33)).status == "accepted"
+
+
+def test_worst_walk_agrees(fp):
+    r = same_as_direct(fp, member(fp, 255, 222))
+    assert (r.status, r.steps) == ("accepted", 3_244_140)
+    assert outcome(run_checker(fp, member(fp, 255, 222))) == outcome(r)
+
+
+def test_random_walkers_and_block_probes(fp):
+    rng = random.Random(20261018)
+    rows = [y for y in range(fp.size) if walks(fp, 0, y)]
+    for _ in range(3):
+        x, y = rng.randrange(fp.size), rng.choice(rows)
+        assert same_as_direct(fp, member(fp, x, y)).status == "accepted"
+    for _ in range(3):
+        x, y = rng.randrange(fp.size), rng.choice(list(fp.band))
+        r = same_as_direct(fp, flipped(fp, member(fp, x, y)))
+        # stuck on the sentinel over the disputed track bit
+        assert (r.status, r.head) == ("stuck", fp.track_offset + fp.fold(x, y))
+
+
+def test_mutated_tracks_and_their_control(fp):
+    # the draws and the control tile of mutation_trials(fp, seed=20260816)
+    rng = random.Random(20260816)
+    control = fp.edge_records(3, 7, 0, 0, 0, 0)
+    for bit in rng.sample(range(len(fp.program)), 3):
+        mutated = fp.track()
+        mutated[fp.track_offset + bit] ^= 1
+        x, y = bit % fp.size, fp.size // 4 + bit // fp.size
+        assert same_as_direct(fp, member(fp, x, y), track=mutated).status == "stuck"
+        assert same_as_direct(fp, control, track=mutated).status == "accepted"
+
+
+def test_budgets_around_each_drag(fp):
+    # a tile that walks both edges: budgets one step before, at, one step
+    # after and inside each drag (where the jump does not fit and the run
+    # steps on), and around the end of each drag
+    spy = Spy(fp.drag)
+    quad = member(fp, 5, 70)
+    full = same_as_direct(fp, quad, macro=spy)
+    drags = [(before, after) for before, after, jumped in spy.log if jumped]
+    assert len(drags) == 2 and full.status == "accepted"
+    for start, end in drags:
+        for budget in (start - 1, start, start + 1, start + 2, (start + end) // 2,
+                       end - 1, end, end + 1):
+            assert same_as_direct(fp, quad, max_steps=budget).status == "timeout"
+    assert same_as_direct(fp, quad, max_steps=full.steps).status == "accepted"
+    assert same_as_direct(fp, quad, max_steps=full.steps - 1).status == "timeout"
+
+
+def test_preconditions_that_fail_on_real_tapes(fp):
+    quad = member(fp, 40, 64)  # drags 40 and 296 cells
+    tape = checker_tape(fp.n, *quad)
+    # a mark in the drag's way: the decrement that meets it is stuck
+    blocked = tape + [SYM_B] * 30 + [SYM_Z]
+    kw = {"track": fp.track_bits, "max_steps": CHECKER_STEPS}
+    for grow in (True, False):
+        got = run_machine(fp.machine, blocked, grow=grow, macro=fp.drag, **kw)
+        assert outcome(got) == outcome(run_machine(fp.machine, blocked, grow=grow, **kw))
+        assert got.status == "stuck"
+    # no grow: the block runs into the tape's end, a wall
+    short = tape + [SYM_B] * 30
+    got = run_machine(fp.machine, short, macro=fp.drag, **kw)
+    assert outcome(got) == outcome(run_machine(fp.machine, short, **kw))
+    assert got.status == "hit_wall"
+
+
+def test_lemma_declines_malformed_blocks(fp, names):
+    entry = names.index("lt_h0")
+    w = 2 * fp.n
+    counter = [SYM_O] + [SYM_Z] * (w - 1)  # the value 1
+
+    def declines(cells, *, grow=True, budget=CHECKER_STEPS, state=entry):
+        run = Run(fp.machine, cells, state=state, grow=grow)
+        before = (run.state, run.head, run.steps, bytes(run.cells))
+        assert not fp.drag(run, budget)
+        assert (run.state, run.head, run.steps, bytes(run.cells)) == before
+
+    declines([SYM_M, SYM_B] + counter[1:] + [SYM_M, SYM_B])  # a blank in the block
+    declines([SYM_M, SYM_M] + counter[1:] + [SYM_M, SYM_B])  # a mark in the block
+    declines([SYM_M] + counter + [SYM_Z, SYM_B])  # not closed by M
+    declines([SYM_M] + counter)  # closed by the tape's end
+    declines([SYM_M] + counter + [SYM_M, SYM_O])  # a mark where the block moves
+    declines([SYM_M] + counter + [SYM_M], grow=False)  # a wall where it moves
+    declines([SYM_B] + counter + [SYM_M, SYM_B])  # the entry reads no M
+    declines([SYM_M] + counter + [SYM_M, SYM_B], state=names.index("lt_g0"))
+    declines([SYM_M] + counter + [SYM_M, SYM_B], budget=37)  # 1 + 37 steps
+    run = Run(fp.machine, [SYM_M] + counter + [SYM_M, SYM_B], state=entry, grow=True)
+    assert fp.drag(run, 38) and (run.steps, run.head) == (38, 2)
+
+
+@st.composite
+def synthetic_drags(draw):
+    """A walker family's entry on an anchor M with a small counter after it,
+    now and then with a block cell, its closing mark or a cell in its way
+    broken, a short tape, a budget that ends the run anywhere, a track."""
+    family = draw(st.sampled_from(FAMILIES))
+    w = 16
+    count = draw(st.integers(0, 150))
+    block = [SYM_Z + ((count >> v) & 1) for v in range(w)]
+    if draw(st.integers(0, 4)) == 0:
+        block[draw(st.integers(0, w - 1))] = draw(st.sampled_from((SYM_B, SYM_M)))
+    closing = draw(st.sampled_from((SYM_M,) * 6 + (SYM_Z, SYM_B, None)))
+    tail = [SYM_B] * draw(st.integers(0, 160))
+    if tail and draw(st.integers(0, 3)) == 0:
+        tail[draw(st.integers(0, len(tail) - 1))] = draw(st.sampled_from((SYM_Z, SYM_O, SYM_M)))
+    lead = draw(st.integers(0, 3))
+    tape = [SYM_B] * lead + [SYM_M] + block + ([closing] if closing is not None else []) + tail
+    kw = {"head": lead, "grow": draw(st.booleans()),
+          "max_steps": draw(st.integers(0, 45 * count + 120))}
+    if draw(st.booleans()):
+        kw["track"] = draw(st.lists(st.integers(0, 1), max_size=len(tape) + 200))
+    return family, tape, kw
+
+
+@settings(max_examples=200, deadline=None)
+@given(synthetic_drags())
+def test_synthetic_drags_agree(fp, names, case):
+    family, tape, kw = case
+    machine = dataclasses.replace(fp.machine, start=names.index(family))
+    got = run_machine(machine, tape, macro=fp.drag, **kw)
+    assert outcome(got) == outcome(run_machine(machine, tape, **kw))
+
+
+# --- the lemma against a direct descent -------------------------------------------
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lemma_matches_every_counter_value(fp, names, family):
+    # one direct descent from the largest fold, stopped after the lemma's
+    # step count for each value: there the run must have just entered dec
+    # with the block moved one cell per decrement and holding the value
+    entry = names.index(family)
+    dec, costs = fp.drag.entries[entry]
+    top, w = fp.capacity - 1, len(costs)
+    run = Run(fp.machine, [SYM_M] + [SYM_Z + ((top >> v) & 1) for v in range(w)] + [SYM_M],
+              state=entry, grow=True)
+    cells, total = run.cells, fp.drag.steps(entry, top)
+    for count in range(top, -1, -1):
+        run.go(total - fp.drag.steps(entry, count) + 1)
+        p = run.head
+        assert (run.state, p) == (dec, 1 + top - count), count
+        assert cells[p + w] == SYM_M and int(bytes(cells[p : p + w]).translate(
+            bytes.maketrans(b"\x01\x02", b"01"))[::-1], 2) == count, count
+    assert cells == bytes([SYM_M] + [SYM_B] * top + [SYM_Z] * w + [SYM_M])
+    assert run.steps == total
+
+
+# --- the lemma stays on the checker's path ------------------------------------------
+
+
+def engine_lines(fn, limit):
+    """fn() while counting the lines ``Run.go`` executes (which bound its
+    loop's iterations) and its calls; fails as soon as the lines pass limit,
+    so a run that steps a drag fails fast."""
+    code, seen = Run.go.__code__, {"lines": 0, "calls": 0}
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen["lines"] += 1
+            if seen["lines"] > limit:
+                raise AssertionError(f"the engine loop ran past {limit} lines")
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        seen["calls"] += 1
+        return local
+
+    sys.settrace(calls)
+    try:
+        out = fn()
+    finally:
+        sys.settrace(None)
+    return out, seen
+
+
+def test_worst_walk_jumps_each_drag_once(fp):
+    # dropping the lemma from run_checker, or a precondition that never
+    # holds, fails here rather than only slowing the benchmark down
+    spy = Spy(fp.drag)
+    spied = dataclasses.replace(fp, drag=spy)
+    r, seen = engine_lines(lambda: run_checker(spied, member(fp, 255, 222)), 100_000)
+    assert (r.status, r.steps) == ("accepted", 3_244_140)
+    assert [jumped for *_, jumped in spy.log] == [True, True]
+    assert sum(after - before for before, after, _ in spy.log) > 3_100_000
+    assert seen["calls"] == 3  # to the first drag, to the second, to the end

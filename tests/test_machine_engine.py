@@ -28,6 +28,7 @@ from tilebench.machine import (
     SYM_ONE,
     SYM_ZERO,
     Machine,
+    Run,
     Transition,
     machine_corpus,
     run_machine,
@@ -37,8 +38,9 @@ from tilebench.machine import (
 
 
 def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000,
-                  grow=False):
-    """One dict lookup per step, one cell per step: the engine's oracle."""
+                  grow=False, moves=None):
+    """One dict lookup per step, one cell per step: the engine's oracle.
+    ``moves``, a list, collects each step's (state, next state)."""
     rules = {}
     for t in machine.transitions:
         for b in (0, 1):
@@ -57,6 +59,8 @@ def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000,
         if move is None:
             status = "stuck"
             break
+        if moves is not None:
+            moves.append((state, move[0]))
         state, cells[head], direction = move
         head += {"L": -1, "R": 1, "S": 0}[direction]
         if head < 0:
@@ -193,6 +197,12 @@ def test_head_outside_the_tape_is_rejected(head):
     m = Machine(2, 4, 0, 1, 0, True, (Transition(0, 0, None, 0, 0, "L"),))
     with pytest.raises(ValueError, match="head"):
         run_machine(m, [0] * 4, head=head, track=[1, 0, 1, 0])
+
+
+@pytest.mark.parametrize("state", [-1, 3])
+def test_start_state_outside_the_machine_is_rejected(state):
+    with pytest.raises(ValueError, match="state"):
+        Run(RUNNER, [0, 0], state=state)
 
 
 def test_negative_budget_is_rejected():
@@ -434,6 +444,30 @@ def planted_runs(draw):
 def test_planted_jumps_agree(case):
     m, tape, kw = case
     assert_agrees(m, tape, **kw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_runs(), st.data())
+def test_paused_runs_agree(case, data):
+    # a run paused before each step into a set of states, which is then
+    # taken directly, ends as an unbroken run does, and pauses exactly as
+    # often as that run steps into the set from outside it (register shifts
+    # that cross the set's border included)
+    m, tape, kw = case
+    pause = frozenset(data.draw(st.sets(st.integers(0, m.states - 1))))
+    budget = kw.pop("max_steps")
+    moves = []
+    want = reference_run(m, tape, max_steps=budget, moves=moves, **kw)
+    run = Run(m, tape, **kw)
+    pauses = 0
+    status = run.go(budget, pause)
+    while status == "paused":
+        pauses += 1
+        status = run.go(run.steps + 1)
+        if status == "timeout" and run.steps < budget:
+            status = run.go(budget, pause)
+    assert (status, run.steps, run.state, run.head, tuple(run.cells)) == want
+    assert pauses == sum(q not in pause and q2 in pause for q, q2 in moves)
 
 
 # --- the fixed-point checker and the universal machine -------------------------
