@@ -631,9 +631,11 @@ class FixedPointSet:
         ``track_offset``, then the padded program."""
         return bytes(self.track_offset) + bytes(self.padded)
 
-    def track(self) -> list[int]:
-        """A fresh copy of ``track_bits`` that the caller may change."""
-        return list(self.track_bits)
+    def track(self) -> bytes:
+        """The track to pass to ``run_checker``: ``track_bits`` itself, so
+        the engine checks its bits once per set; to change it, copy it
+        (``bytearray(fp.track())``)."""
+        return self.track_bits
 
     def edge_records(self, x: int, y: int, vl: int, vr: int, vt: int,
                      vb: int) -> tuple[int, int, int, int]:
@@ -663,14 +665,6 @@ def _val_choices(size: int, padded, x: int, y: int) -> tuple:
     )
 
 
-def _tile_records(n: int, size: int, padded):
-    """Every tile as (x, y, edge records), in tile id order."""
-    for y in range(size):
-        for x in range(size):
-            for vals in itertools.product(*_val_choices(size, padded, x, y)):
-                yield x, y, _records(n, size, x, y, *vals)
-
-
 def build_fixed_point(size: int = 256) -> FixedPointSet:
     """Build the self-describing tile set on a size x size coordinate grid.
 
@@ -698,9 +692,12 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
 
     tiles: list[Tile] = []
     accepted: dict = {}
-    for _, _, (recl, recr, rect, recb) in _tile_records(n, size, padded):
-        accepted[recl, recr, rect, recb] = len(tiles)
-        tiles.append(Tile(cid(0, recl), cid(0, recr), cid(1, rect), cid(1, recb)))
+    for y in range(size):
+        for x in range(size):
+            for vals in itertools.product(*_val_choices(size, padded, x, y)):
+                recl, recr, rect, recb = quad = _records(n, size, x, y, *vals)
+                accepted[quad] = len(tiles)
+                tiles.append(Tile(cid(0, recl), cid(0, recr), cid(1, rect), cid(1, recb)))
     assert len(tiles) == (size + 2) ** 2, "free border bits miscounted"
     return FixedPointSet(
         n=n,
@@ -893,10 +890,10 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
         raise ValueError("resident_samples must be at least 1")
     rng = random.Random(seed)
     cert = SelfCertificate()
-    track = fp.track_bits
 
     walkers, nonwalk = [], []
-    for x, y, quad in _tile_records(fp.n, fp.size, fp.padded):
+    for quad in fp.accepted:  # in tile id order
+        x, y, _ = unpack_record(fp.n, quad[0])
         (walkers if walks(fp, x, y) else nonwalk).append(quad)
     residents = nonwalk
     if resident_samples is not None:
@@ -915,13 +912,13 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     rejects = (q for q in _reject_probes(fp, rng) if q not in fp.accepted)
     jobs += [("universal", q) for q in itertools.islice(rejects, utm_rejects)]
 
-    utm = universal_machine(fp.state_bits)
     for part, quad in jobs:
         want = quad in fp.accepted
-        direct = run_checker(fp, quad, track=track).status
+        direct = run_checker(fp, quad).status
         passed, sim = _check(direct, want), None
         if passed and part == "universal":
-            sim = run_encoded(utm, list(fp.program), checker_tape(fp.n, *quad),
+            sim = run_encoded(universal_machine(fp.state_bits), list(fp.program),
+                              checker_tape(fp.n, *quad),
                               max_steps=UNIVERSAL_STEPS, state_bits=fp.state_bits).status
             passed = _check(sim, want)
         cert.count(part, passed)
@@ -977,9 +974,8 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
     controls_ok = True
     control = fp.edge_records(3, 7, 0, 0, 0, 0)
     for k, mbit in enumerate(bits):
-        mutated = fp.track()
-        pos = fp.track_offset + mbit
-        mutated[pos] = 1 - mutated[pos]
+        mutated = bytearray(fp.track_bits)
+        mutated[fp.track_offset + mbit] ^= 1
         x, y = mbit % fp.size, fp.size // 4 + mbit // fp.size
         quad = fp.edge_records(
             x, y, *(ch[0] for ch in _val_choices(fp.size, fp.padded, x, y)))

@@ -44,6 +44,8 @@ class Machine:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self) -> None:
+        if self.symbols > 256:
+            raise ValueError(f"{self.symbols} symbols: a byte tape holds at most 256")
         if not (0 <= self.start < self.states and 0 <= self.accept < self.states):
             raise ValueError("start/accept states out of range")
         if not (0 <= self.blank < self.symbols):
@@ -85,8 +87,7 @@ class Machine:
 
         The bytearrays are shared by the entries of one run and never change
         after the build (byte strings rather than sets keep the entries out
-        of the cyclic garbage collector).  Alphabets over 256 symbols get no
-        jumps, since a byte tape cannot hold them.
+        of the cyclic garbage collector).
 
         A non-empty ``pause`` (a frozenset of states) gives a variant, also
         cached, in which every entry that would enter ``pause`` from a state
@@ -148,7 +149,6 @@ def _compile(m: Machine) -> list:
     the single-symbol loops seed the register families."""
     syms, tracks = m.symbols, 2 if m.program_track else 1
     table: list = [None] * (m.states * syms * tracks)
-    jumps = syms <= 256
     loops: dict[tuple[int, int], tuple] = {}
     for b in range(tracks):
         for t in m.transitions:
@@ -162,7 +162,7 @@ def _compile(m: Machine) -> list:
             e = (t.new_state, t.write, d, None)
             # the last bit's pass marks the loops that match on every bit; a
             # loop in place only spins when it writes back what it reads
-            if (jumps and t.new_state == q and b == tracks - 1
+            if (t.new_state == q and b == tracks - 1
                     and (d != 0 or t.write == s)
                     and (b == 0 or table[i - 1] == e)):
                 jump = loops.get((q, d))
@@ -250,6 +250,16 @@ def _run_start(cells: bytearray, j: int, end: int, run: bytearray) -> int:
     return end
 
 
+@functools.lru_cache(maxsize=8)
+def _checked_track(track: bytes) -> bytes:
+    """``track`` once it is known to hold only 0s and 1s.  Memoised, so a
+    track object passed run after run (a bytes object keeps its hash) is
+    scanned once."""
+    if track.translate(None, b"\x00\x01"):
+        raise ValueError("track bits must be 0 or 1")
+    return track
+
+
 @dataclass
 class RunResult:
     status: str  # "accepted" | "stuck" | "timeout" | "hit_wall"
@@ -264,11 +274,12 @@ class Run:
 
     ``go`` steps it on and can be called again to resume, so a caller can
     stop a run before given steps, change its configuration by a step of
-    its own (a macro step) and go on.  The tape is a bytearray (a list for
-    alphabets over 256 symbols, which step one cell at a time); the 0/1
-    track is read-only and pinned to tape positions, and cells past its end
-    read as 0.  ``grow`` appends blanks on the right on demand (moving left
-    of cell 0 is always a wall).
+    its own (a macro step) and go on.  The tape is a bytearray.  The track
+    is read-only and pinned to tape positions, and cells past its end read
+    as 0; any sequence of bits is copied to ``bytes`` (an immutable bytes
+    track is used as it is), and a value other than 0 or 1 raises
+    ValueError, checked once per track object.  ``grow`` appends blanks on
+    the right on demand (moving left of cell 0 is always a wall).
     """
 
     __slots__ = ("machine", "cells", "head", "state", "steps", "track", "grow")
@@ -276,15 +287,15 @@ class Run:
     def __init__(self, machine: Machine, tape: Sequence[int], *, head: int = 0,
                  state: int | None = None, track: Sequence[int] | None = None,
                  grow: bool = False) -> None:
-        syms = machine.symbols
         try:
-            cells = bytearray(tape) if syms <= 256 else list(tape)
+            cells = bytearray(tape)
         except ValueError:  # a symbol outside 0..255
             cells = None
-        # on a byte tape, deleting the alphabet must leave nothing (in C)
-        if cells is None or (cells.translate(None, bytes(range(syms))) if syms <= 256 else
-                             min(cells, default=0) < 0 or max(cells, default=0) >= syms):
+        # deleting the alphabet must leave nothing (in C)
+        if cells is None or cells.translate(None, bytes(range(machine.symbols))):
             raise ValueError("tape symbol outside the machine's alphabet")
+        # bytes() rejects values past 0..255, _checked_track those past 0/1
+        track = b"" if track is None else _checked_track(bytes(track))
         if not cells:
             cells.append(machine.blank)
         if not 0 <= head < len(cells):
@@ -297,7 +308,7 @@ class Run:
         self.head = head
         self.state = state
         self.steps = 0
-        self.track = track if track is not None and machine.program_track else ()
+        self.track = track if machine.program_track else b""
         self.grow = grow
 
     def go(self, max_steps: int, pause: frozenset = frozenset()) -> str:
@@ -405,9 +416,10 @@ def run_machine(
     The tape is a bounded segment unless grow=True, which appends blanks on
     the right on demand (moving left of cell 0 is always a wall).  The
     optional 0/1 track is pinned to tape positions and read-only; cells past
-    its end read as 0.  A negative budget is an error; a zero budget runs
-    nothing.  Steps go through the machine's compiled dispatch table, one
-    ``Run.go`` call for the whole run.
+    its end read as 0.  A track value other than 0 or 1, a tape symbol
+    outside the alphabet and a negative budget raise ValueError before the
+    first step; a zero budget runs nothing.  Steps go through the machine's
+    compiled dispatch table, one ``Run.go`` call for the whole run.
 
     ``macro`` composes the run from macro steps whose effect is proven
     (H. Marxen and J. Buntrock, *Attacking the Busy Beaver 5*, 1990): an

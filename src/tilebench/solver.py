@@ -326,13 +326,6 @@ def count_patch_tilings(tile_set: TileSet, width: int, height: int, **kw) -> int
     return r.count
 
 
-def enumerate_patch_tilings(tile_set: TileSet, width: int, height: int, **kw) -> tuple[PatchGrid, ...]:
-    r = solve(tile_set, width, height, mode="enumerate", **kw)
-    if r.status == "inconclusive":
-        raise InconclusiveError(f"enumeration hit its cap after {r.count} tilings / {r.nodes} nodes")
-    return r.solutions
-
-
 def fill_template(tile_set: TileSet, template: PatchGrid, **kw) -> PatchGrid | None:
     """Complete the HOLE cells of a partial patch, or None if impossible."""
     r = solve(tile_set, template.width, template.height, template=template, mode="first", **kw)

@@ -195,57 +195,3 @@ def enforced_letter(rule: SubstitutionRule, tile_id: int) -> str:
     i = (tile_id // m) % m
     a = rule.alphabet[tile_id // (m * m)]
     return rule.images[a][j][i]
-
-
-def compatible_window_check(
-    rule: SubstitutionRule,
-    rows: Sequence[Sequence[str]],
-    depth: int = 1,
-    max_offsets: int = 4096,
-) -> str:
-    """Can this letter window occur in a depth-fold substitution image?
-
-    Tries every cumulative offset in [0, m^depth)^2 and propagates
-    allowed-letter sets up level by level; a window is compatible when some
-    offset leaves every ancestor cell at every level with at least one
-    possible letter.  Returns "compatible", "incompatible", or
-    "inconclusive" when the offset space exceeds max_offsets.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    m = rule.m
-    big = m**depth
-    if big * big > max_offsets:
-        return "inconclusive"
-    h = len(rows)
-    w = len(rows[0])
-    for oy in range(big):
-        for ox in range(big):
-            cons: dict[tuple[int, int], frozenset[str]] = {
-                (x + ox, y + oy): frozenset({rows[y][x]}) for y in range(h) for x in range(w)
-            }
-            ok = True
-            for _ in range(depth):
-                groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-                for (cx, cy) in cons:
-                    groups.setdefault((cx // m, cy // m), []).append((cx, cy))
-                parents: dict[tuple[int, int], frozenset[str]] = {}
-                for p, children in groups.items():
-                    allowed = frozenset(
-                        a
-                        for a in rule.alphabet
-                        if all(
-                            rule.images[a][cy % m][cx % m] in cons[(cx, cy)]
-                            for (cx, cy) in children
-                        )
-                    )
-                    if not allowed:
-                        ok = False
-                        break
-                    parents[p] = allowed
-                if not ok:
-                    break
-                cons = parents
-            if ok:
-                return "compatible"
-    return "incompatible"

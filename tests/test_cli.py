@@ -347,6 +347,9 @@ class TestErrorPaths:
         (("islands", "--alpha", "1", "--beta", "2", "--points"), [[1, 2, 3]]),
         (("clean", "--points"), [[1, 2], [3]]),
         (("compile", "--k", "1", "--machine-file"), {"states": 2}),
+        (("compile", "--k", "1", "--machine-file"),
+         {"states": 2, "symbols": 300, "start": 0, "accept": 1, "blank": 0,
+          "program_track": False, "transitions": [[0, 299, None, 0, 299, "R"]]}),
         (("substitute", "--rule"), {"alphabet": "ab"}),
         (("clean", "--points", "@points", "--schedule"), {"c": 2}),
         (("render", "--patch", "@patch", "--palette"), [1, 2]),
@@ -356,7 +359,7 @@ class TestErrorPaths:
         (("render", "--format", "ppm", "--patch", "@patch", "--palette"),
          {"0": 5, "1": [1, 2, 3]}),
     ], ids=["three-color-tile", "tiles-without-colors", "patch-as-list", "point-triple",
-            "point-single", "machine-without-rules", "rule-without-m",
+            "point-single", "machine-without-rules", "machine-of-300-symbols", "rule-without-m",
             "schedule-without-pairs", "palette-as-list", "empty-glyph", "rgb-pair",
             "rgb-scalar"])
     def test_malformed_file_is_a_usage_error(self, files, tmp_path, argv, content,

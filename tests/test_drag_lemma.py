@@ -146,7 +146,7 @@ def test_mutated_tracks_and_their_control(fp):
     rng = random.Random(20260816)
     control = fp.edge_records(3, 7, 0, 0, 0, 0)
     for bit in rng.sample(range(len(fp.program)), 3):
-        mutated = fp.track()
+        mutated = bytearray(fp.track())
         mutated[fp.track_offset + bit] ^= 1
         x, y = bit % fp.size, fp.size // 4 + bit // fp.size
         assert same_as_direct(fp, member(fp, x, y), track=mutated).status == "stuck"

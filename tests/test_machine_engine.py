@@ -31,6 +31,7 @@ from tilebench.machine import (
     Run,
     Transition,
     machine_corpus,
+    _checked_track,
     run_machine,
     universal_machine,
     utm_tape,
@@ -323,19 +324,65 @@ def test_track_split_family_and_loop_do_not_jump():
         assert_agrees(split_flip, DRIFT + [X], track=track)
 
 
-def test_wide_alphabet_sweeps_cell_by_cell():
-    wide = Machine(2, 300, 0, 1, 0, False, (Transition(0, 299, None, 0, 299, "R"),))
-    r = assert_agrees(wide, [299] * 200 + [7], max_steps=1000)
+def test_alphabet_boundary_at_256_symbols():
+    # the widest alphabet a byte tape holds: its top symbols still jump
+    wide = Machine(2, 256, 0, 1, 0, False, (Transition(0, 255, None, 0, 255, "R"),))
+    shift = register((254, 255), symbols=256)
+    flip = rewriter({254: 255, 255: 254}, symbols=256)
+    assert (jumps(wide), jumps(shift), jumps(flip)) == ({"sweep"}, {"register"}, {"rewrite"})
+    r = assert_agrees(wide, [255] * 200 + [7], max_steps=1000)
     assert (r.status, r.steps, r.head) == ("stuck", 200, 200)
-    # a register family and a rewriting sweep get no jumps either
-    shift = register((298, 299), symbols=300)
-    flip = rewriter({298: 299, 299: 298}, symbols=300)
-    assert jumps(wide) == jumps(shift) == jumps(flip) == set()
-    tape = [298, 299, 299] * 70 + [X]
+    tape = [254, 255, 255] * 70 + [X]
     r = assert_agrees(shift, tape)
     assert (r.status, r.steps) == ("accepted", 211)
     r = assert_agrees(flip, tape, max_steps=100)
     assert (r.status, r.steps, r.head) == ("timeout", 100, 100)
+    with pytest.raises(ValueError, match="256"):
+        Machine(2, 257, 0, 1, 0, False, ())
+
+
+# --- the track ---------------------------------------------------------------------
+
+# reads only O; a track value of 2 once indexed the O row from a Z cell
+READS_O = Machine(2, 4, 0, 1, B, True, (Transition(0, O, None, 1, O, "S"),))
+# marks the cells whose track bit is 1, and accepts on the blank
+MARKER = Machine(2, 4, 0, 1, B, True, (
+    Transition(0, Z, 1, 0, O, "R"),
+    Transition(0, Z, 0, 0, Z, "R"),
+    Transition(0, B, None, 1, B, "S"),
+))
+
+
+@pytest.mark.parametrize("track", [[2], b"\x02", bytearray([2]), [256], [-1]],
+                         ids=["list", "bytes", "bytearray", "past-a-byte", "negative"])
+def test_track_values_other_than_0_1_are_rejected(track):
+    with pytest.raises(ValueError):
+        run_machine(READS_O, [Z], track=track)
+
+
+def test_a_checked_track_vouches_for_no_other():
+    good = bytes([0, 1] * 50)
+    bad = good[:-1] + b"\x02"
+    assert assert_agrees(READS_O, [Z], track=good).status == "stuck"
+    for track in (bad, list(bad), bytearray(bad)):
+        with pytest.raises(ValueError):
+            run_machine(READS_O, [Z], track=track)
+    # a bytearray changed after a run that checked it
+    changing = bytearray(good)
+    run_machine(READS_O, [Z], track=changing)
+    changing[-1] = 2
+    with pytest.raises(ValueError):
+        run_machine(READS_O, [Z], track=changing)
+
+
+@pytest.mark.parametrize("bits", [[], [1], [0, 1, 1], [1, 0, 1, 1, 0, 0, 1, 1, 1, 1, 1]])
+def test_0_1_tracks_run_whatever_their_type(bits):
+    # empty, shorter and longer than the 9-cell tape
+    tape = [Z] * 8 + [B]
+    want = assert_agrees(MARKER, tape, track=bits)
+    assert want.status == "accepted" and want.tape.count(O) == sum(bits[:8])
+    for track in (bytes(bits), bytearray(bits), tuple(bits)):
+        assert outcome(run_machine(MARKER, tape, track=track)) == outcome(want)
 
 
 # --- random machines -----------------------------------------------------------
@@ -510,6 +557,19 @@ def test_checker_drag_compiles_to_jumps():
                     assert [names[succ[a]] for a in (Z, O)] == [f"{px}_s{b}0", f"{px}_s{b}1"]
             translate = jump(f"{px}_dec{b}", Z)[1]
             assert translate and translate[Z] == O
+
+
+def test_resident_runs_scan_the_set_track_once(fp):
+    # fixpoint-audit passes fp.track() to every resident run, which costs
+    # about 0.1 ms; a fresh copy per call, or a lost memo, would add a scan
+    # of the 41,216-cell track to each
+    assert fp.track() is fp.track_bits
+    quad = fp.edge_records(150, 10, 0, 0, 0, 0)
+    misses = _checked_track.cache_info().misses
+    for k in range(100):
+        track = fp.track() if k % 2 else None
+        assert run_checker(fp, quad, track=track).status == "accepted"
+    assert _checked_track.cache_info().misses - misses <= 1
 
 
 def test_universal_run_agrees(fp):

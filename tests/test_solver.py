@@ -13,7 +13,6 @@ from tilebench.solver import (
     InconclusiveError,
     check_simulation_window,
     count_patch_tilings,
-    enumerate_patch_tilings,
     fill_template,
     find_cut_offsets,
     find_periods,
@@ -52,7 +51,9 @@ def test_count_bounded_coordinate():
 
 def test_enumerate_all_valid_and_distinct():
     ts = coordinate_tileset(2)
-    sols = enumerate_patch_tilings(ts, 4, 4)
+    r = solve(ts, 4, 4, mode="enumerate")
+    assert r.status == "solved"
+    sols = r.solutions
     assert len(sols) == 4
     assert len(set(sols)) == 4
     for p in sols:

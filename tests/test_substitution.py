@@ -1,6 +1,3 @@
-import itertools
-import random
-
 import pytest
 
 from tilebench.core import verify_patch
@@ -9,7 +6,6 @@ from tilebench.substitution import (
     SubstitutionRule,
     aperiodicity_fraction,
     chessboard_oracle,
-    compatible_window_check,
     enforce_substitution,
     enforced_letter,
     enforced_patch,
@@ -120,58 +116,3 @@ def test_enforced_window_census():
     ts = enforce_substitution(thue_morse_rule())
     assert count_patch_tilings(ts, 2, 2) == 26
     assert count_patch_tilings(ts, 3, 3) == 64
-
-
-def test_compatibility_on_fixed_point_windows():
-    r = thue_morse_rule()
-    g = iterate_substitution(r, "0", 3)
-    w = [list(row) for row in g]
-    for depth in (1, 2, 3):
-        assert compatible_window_check(r, w, depth) == "compatible"
-    w[3][3] = "0" if w[3][3] == "1" else "1"
-    for depth in (1, 2, 3):
-        assert compatible_window_check(r, w, depth) == "incompatible"
-
-
-def test_compatibility_inconclusive_on_offset_blowup():
-    r = thue_morse_rule()
-    w = [["0"]]
-    assert compatible_window_check(r, w, 4, max_offsets=100) == "inconclusive"
-
-
-def brute_force_depth_one(rule, rows):
-    m = rule.m
-    h, w = len(rows), len(rows[0])
-    for oy in range(m):
-        for ox in range(m):
-            pw = (w + ox + m - 1) // m
-            ph = (h + oy + m - 1) // m
-            for combo in itertools.product(rule.alphabet, repeat=pw * ph):
-                if all(
-                    rule.images[combo[((y + oy) // m) * pw + (x + ox) // m]][
-                        (y + oy) % m
-                    ][(x + ox) % m]
-                    == rows[y][x]
-                    for y in range(h)
-                    for x in range(w)
-                ):
-                    return "compatible"
-    return "incompatible"
-
-
-def test_compatibility_agrees_with_brute_force():
-    r = thue_morse_rule()
-    rng = random.Random(7)
-    for trial in range(40):
-        kind = trial % 3
-        if kind == 0:  # genuine fixed-point window
-            bx, by = rng.randrange(64), rng.randrange(64)
-            w = [[str(thue_morse_oracle(bx + x, by + y)) for x in range(4)] for y in range(4)]
-        elif kind == 1:  # corrupted fixed-point window
-            bx, by = rng.randrange(64), rng.randrange(64)
-            w = [[str(thue_morse_oracle(bx + x, by + y)) for x in range(4)] for y in range(4)]
-            fx, fy = rng.randrange(4), rng.randrange(4)
-            w[fy][fx] = "0" if w[fy][fx] == "1" else "1"
-        else:  # random soup
-            w = [[rng.choice("01") for _ in range(4)] for _ in range(4)]
-        assert compatible_window_check(r, w, 1) == brute_force_depth_one(r, w), w
