@@ -18,9 +18,11 @@ vertical seams, the right columns for horizontal ones) carries the edge
 record of the tile the patch stands for, so macro-edges and tile edges
 match one against one and ``assemble_self_patch`` / ``decode_self_patch``
 round-trip.
-One generator enumerates the tiles from the val discipline; assembly
-works out each cell's vals and looks its tile up by the edge records it
-encodes.
+One generator enumerates the tiles from the val discipline and records
+each cell's first tile id as it goes.  Only the border ring of a patch
+has free vals, so assembly copies that id grid and re-derives just the
+ring cells: their vals, then the tile looked up by the edge records they
+encode.
 
 Everything here is desk-checkable: R has a few hundred states, its
 encoding fits the block with room to spare, and the certificate below
@@ -98,11 +100,13 @@ def window_bits(n: int, rec: int) -> tuple[int, ...]:
 def record_from_window(n: int, bits) -> int:
     if len(bits) != RECORD_BITS:
         raise ValueError(f"window slice needs {RECORD_BITS} bits")
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("window slice values must be bits (0 or 1)")
     if any(bits[v] for v in range(2 * n + 1, RECORD_BITS)):
         raise ValueError("padding bits of a window slice must be zero")
-    i = sum((bits[v] & 1) << v for v in range(n))
-    j = sum((bits[n + v] & 1) << v for v in range(n))
-    return pack_record(n, i, j, bits[2 * n] & 1)
+    i = sum(bits[v] << v for v in range(n))
+    j = sum(bits[n + v] << v for v in range(n))
+    return pack_record(n, i, j, bits[2 * n])
 
 
 def encode_quad(n: int, left: int, right: int, top: int, bottom: int) -> list[int]:
@@ -599,7 +603,9 @@ class FixedPointSet:
     """A self-describing tile set plus everything needed to audit it.
 
     ``accepted`` maps the edge records of every tile to its tile id;
-    ``drag`` is the checker's drag lemma, which ``run_checker`` jumps with.
+    ``cell_ids[y][x]`` is the id of the cell's first tile (free vals 0),
+    the same int object ``accepted`` holds; ``drag`` is the checker's drag
+    lemma, which ``run_checker`` jumps with.
     """
 
     n: int
@@ -611,6 +617,7 @@ class FixedPointSet:
     padded: tuple[int, ...]
     capacity: int
     accepted: dict = field(hash=False)
+    cell_ids: tuple = field(hash=False)
     color_records: tuple = field(hash=False)
     drag: DragLemma = field(hash=False)
 
@@ -692,12 +699,18 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
 
     tiles: list[Tile] = []
     accepted: dict = {}
+    cell_ids = []
+    tid = 0
     for y in range(size):
+        row = []
         for x in range(size):
+            row.append(tid)
             for vals in itertools.product(*_val_choices(size, padded, x, y)):
                 recl, recr, rect, recb = quad = _records(n, size, x, y, *vals)
-                accepted[quad] = len(tiles)
+                accepted[quad] = tid
                 tiles.append(Tile(cid(0, recl), cid(0, recr), cid(1, rect), cid(1, recb)))
+                tid += 1
+        cell_ids.append(tuple(row))
     assert len(tiles) == (size + 2) ** 2, "free border bits miscounted"
     return FixedPointSet(
         n=n,
@@ -709,6 +722,7 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
         padded=padded,
         capacity=capacity,
         accepted=accepted,
+        cell_ids=tuple(cell_ids),
         color_records=tuple(colors),
         drag=drag_lemma(machine, names, 2 * n),
     )
@@ -748,22 +762,23 @@ def assemble_self_patch(fp: FixedPointSet, quad) -> PatchGrid:
     edge records: border slices carry the records, everything else is
     pinned (block bits from the program, other vals zero).
 
-    Each cell takes its pinned vals from ``_val_choices`` and its free ones
-    from the border slice (0 off the slice); the tile is looked up by the
-    records it encodes."""
+    Only the 4*size - 4 border ring cells have a free val, so every other
+    cell takes its one tile from ``fp.cell_ids``.  A ring cell takes its
+    pinned vals from ``_val_choices`` and its free ones from the border
+    slice (0 off the slice); its tile is looked up by the records it
+    encodes."""
     n, size, padded, accepted = fp.n, fp.size, fp.padded, fp.accepted
     if quad not in accepted:
         raise ValueError("edge records do not belong to the tile set")
     lo = size - RECORD_BITS
     wl, wr, wt, wb = ((0,) * lo + window_bits(n, r) for r in quad)
-    grid = []
+    grid = [list(row) for row in fp.cell_ids]
+    edges = (0, size - 1)
     for y in range(size):
-        row = []
-        for x in range(size):
+        for x in range(size) if y in edges else edges:
             vals = [ch[0] if len(ch) == 1 else bit for ch, bit in
                     zip(_val_choices(size, padded, x, y), (wl[y], wr[y], wt[x], wb[x]))]
-            row.append(accepted[_records(n, size, x, y, *vals)])
-        grid.append(row)
+            grid[y][x] = accepted[_records(n, size, x, y, *vals)]
     return PatchGrid(size, size, grid)
 
 

@@ -1,9 +1,13 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilebench import cli
 from tilebench.compiler import fixedpoint
@@ -51,6 +55,15 @@ class TestRecords:
     def test_window_rejects_dirty_padding(self):
         bits = list(window_bits(8, pack_record(8, 1, 1, 0)))
         bits[20] = 1
+        with pytest.raises(ValueError):
+            record_from_window(8, tuple(bits))
+
+    @pytest.mark.parametrize("pos,value", [(16, 2), (0, 3), (9, -1)])
+    def test_window_rejects_non_bits(self, pos, value):
+        # positions 0..7 are i bits, 8..15 j bits and 16 the val cell at n=8;
+        # masking the value would read 2 as val 0, and 3 or -1 as a 1 bit
+        bits = list(window_bits(8, pack_record(8, 5, 7, 1)))
+        bits[pos] = value
         with pytest.raises(ValueError):
             record_from_window(8, tuple(bits))
 
@@ -168,6 +181,51 @@ class TestMacroTiles:
         quad[3] = pack_record(fp.n, 3, 3, 1)
         with pytest.raises(ValueError):
             assemble_self_patch(fp, tuple(quad))
+
+    def test_assembly_rederives_only_the_ring(self, fp, monkeypatch):
+        # every cell off the border ring comes from fp.cell_ids; a return to
+        # per-cell record lookups would call _records 65,536 times
+        quad = fp.edge_records(0, 0, 1, 0, 0, 1)
+        calls = 0
+        records = fixedpoint._records
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return records(*args)
+
+        monkeypatch.setattr(fixedpoint, "_records", counted)
+        patch = assemble_self_patch(fp, quad)
+        assert calls <= 4 * fp.size - 4
+        assert decode_self_patch(fp, patch) == quad
+
+    def test_cell_ids_hold_each_cells_first_tile(self, fp):
+        size = fp.size
+        want = [[fp.accepted[fp.edge_records(
+                    x, y, *(ch[0] for ch in reference_val_choices(size, fp.padded, x, y)))]
+                 for x in range(size)] for y in range(size)]
+        assert [list(row) for row in fp.cell_ids] == want
+        # the grid shares the ints accepted holds rather than copying them
+        assert all(a is b for got, row in zip(fp.cell_ids, want) for a, b in zip(got, row))
+
+
+@pytest.mark.parametrize("size", [256, 512])
+def test_free_vals_lie_exactly_on_the_ring(size):
+    # assembly takes every cell off the ring from the recorded id grid, which
+    # holds only if no other cell has a free val
+    capacity = size * (3 * size // 4 - 32)
+    rng = random.Random(size)
+    padded = tuple(rng.getrandbits(1) for _ in range(capacity))
+    last = size - 1
+    wrong = []
+    for y in range(size):
+        for x in range(size):
+            choices = fixedpoint._val_choices(size, padded, x, y)
+            free = tuple(ch == (0, 1) for ch in choices)
+            if free != (x == 0, x == last, y == last, y == 0) or not all(
+                    ch in ((0, 1), (0,), (1,)) for ch in choices):
+                wrong.append((x, y, choices))
+    assert wrong == []
 
 
 class TestCertificate:
@@ -446,11 +504,24 @@ class TestAgainstReference:
         assert list(fp.accepted) == quads
         assert list(fp.accepted.values()) == list(range(len(quads)))
 
-    @pytest.mark.parametrize("x,y", [(0, 0), (255, 255), (0, 224), (77, 30),
-                                     (128, 128), (5, 0), (128, 100)])
+    @pytest.mark.parametrize("x,y", [
+        (0, 0), (255, 0), (0, 255), (255, 255),  # corners
+        (0, 150), (255, 40), (90, 255), (5, 0),  # edges; row 0 is the seam row
+        (0, 224), (100, 224),  # row N - 32, where the border record slices start
+        (128, 100), (37, 150),  # band rows
+        (77, 30), (128, 128),  # interior
+    ])
     def test_patch_matches(self, fp, reference, x, y):
-        # the last val choice on each side: free vals set to 1
-        choices = reference_val_choices(fp.size, fp.padded, x, y)
-        quad = fp.edge_records(x, y, *(ch[-1] for ch in choices))
+        # every combination of the cell's free vals
+        for vals in itertools.product(*reference_val_choices(fp.size, fp.padded, x, y)):
+            quad = fp.edge_records(x, y, *vals)
+            patch = assemble_self_patch(fp, quad)
+            assert [list(row) for row in patch.cells] == reference_assemble(
+                fp, reference[3], quad), vals
+
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_drawn_patches_match(self, fp, reference, data):
+        quad = data.draw(st.sampled_from(list(fp.accepted)))
         patch = assemble_self_patch(fp, quad)
         assert [list(row) for row in patch.cells] == reference_assemble(fp, reference[3], quad)
