@@ -160,9 +160,11 @@ class PatchGrid:
     def __init__(self, width: int, height: int, cells: Sequence[Sequence[int]]) -> None:
         if width < 1 or height < 1:
             raise ValueError("patch dimensions must be positive")
-        rows = tuple(tuple(int(v) for v in row) for row in cells)
+        rows = tuple(map(tuple, cells))
         if len(rows) != height or any(len(r) != width for r in rows):
             raise ValueError("cells must be height rows of width entries (row 0 = bottom)")
+        if not all(set(map(type, row)) <= {int} for row in rows):
+            raise ValueError("cells must be ints (tile ids or HOLE)")
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "cells", rows)

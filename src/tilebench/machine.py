@@ -67,33 +67,20 @@ class Machine:
 
         Entry ``(state*symbols + symbol)*tracks + bit`` (``tracks`` is 2 for
         program-track machines, else 1 and the bit is 0) holds the first
-        matching transition as ``(new state, write, move delta, jump)``, or
+        matching transition as ``(new state, write, move delta, run)``, or
         None when nothing fires; the accept state's rows are all None.
-        ``jump`` is None, or ``(run, translate, succ)`` when the step starts a
-        run that ``run_machine`` crosses in one go.  ``run`` is a bytearray of
-        the symbols the run goes on over; the jump is one of three kinds,
-        each found from the table alone and only where the entries agree on
-        every track bit:
-
-        - *sweep* (``translate`` empty, ``succ`` None): a state that moves
-          one way, or stays put, on its own symbols and writes them back;
-        - *rewriting sweep* (``translate`` a 256-byte map): a state that
-          moves one way on its symbols and writes ``translate[symbol]``;
-        - *register shift* (``succ`` a tuple indexed by symbol, ``translate``
-          empty): a family of states ``q_c`` sharing the run symbols D and a
-          direction, where ``q_c`` on ``a`` in D writes its carry ``c`` and
-          goes on to ``q_a = succ[a]``; crossing the run shifts it one cell
-          and ends in ``succ[last cell crossed]``.
-
-        The bytearrays are shared by the entries of one run and never change
-        after the build (byte strings rather than sets keep the entries out
-        of the cyclic garbage collector).
+        ``run`` is None, or a bytearray of symbols when the step starts a
+        *sweep*, which ``run_machine`` crosses in one go: a state that moves
+        one way, or stays put, on its own symbols and writes them back, the
+        same on every track bit.  ``run`` holds every symbol of that state
+        and direction; one bytearray is shared by its entries and never
+        changes after the build (byte strings rather than sets keep the
+        entries out of the cyclic garbage collector).
 
         A non-empty ``pause`` (a frozenset of states) gives a variant, also
         cached, in which every entry that would enter ``pause`` from a state
         outside it is None, so ``Run.go`` stops before that step at no cost
-        to the steps around it; a register shift from outside that could end
-        inside ``pause`` steps one cell at a time there.
+        to the steps around it.
         """
         tables = self.__dict__.get("_dispatch")
         if tables is None:
@@ -145,11 +132,10 @@ DELTAS = {"L": -1, "R": 1, "S": 0}
 
 def _compile(m: Machine) -> list:
     """Build ``Machine.dispatch``'s table: one pass over the rules per bit,
-    which also builds each state's loops (sweeps and rewriting sweeps); then
-    the single-symbol loops seed the register families."""
+    which also collects each state's sweeps."""
     syms, tracks = m.symbols, 2 if m.program_track else 1
     table: list = [None] * (m.states * syms * tracks)
-    loops: dict[tuple[int, int], tuple] = {}
+    sweeps: dict[tuple[int, int], bytearray] = {}
     for b in range(tracks):
         for t in m.transitions:
             if t.track is not None and t.track != b:
@@ -160,66 +146,21 @@ def _compile(m: Machine) -> list:
                 continue  # an earlier rule matches first, or accepted
             d = DELTAS[t.move]
             e = (t.new_state, t.write, d, None)
-            # the last bit's pass marks the loops that match on every bit; a
-            # loop in place only spins when it writes back what it reads
-            if (t.new_state == q and b == tracks - 1
-                    and (d != 0 or t.write == s)
+            # the last bit's pass marks the sweeps that match on every bit
+            if (t.new_state == q and t.write == s and b == tracks - 1
                     and (b == 0 or table[i - 1] == e)):
-                jump = loops.get((q, d))
-                if jump is None:
-                    jump = loops[q, d] = (bytearray(), bytearray(), None)
-                run, translate, _ = jump
+                run = sweeps.setdefault((q, d), bytearray())
                 run.append(s)
-                if t.write != s:
-                    if not translate:
-                        translate.extend(range(256))
-                    translate[s] = t.write
-                e = table[i - b] = (q, t.write, d, jump)
+                e = table[i - b] = (q, s, d, run)
             table[i] = e
-    # register families, seeded by the states that loop writing back on
-    # exactly one symbol in a direction: that symbol is the state's carry
-    carry = {key: run[0] for key, (run, translate, _) in loops.items()
-             if len(run) == 1 and key[1] != 0 and not translate}
-    seen: set[int] = set()
-    for (q, d), c in carry.items():
-        if q in seen:
-            continue
-        # D: the symbols on which q writes c, moves d and goes to the state
-        # whose carry is that symbol; every such state must do the same on D
-        succ = [0] * syms
-        members = {}
-        for a in range(syms):
-            e = table[(q * syms + a) * tracks]
-            if e is not None and e[1:3] == (c, d) and carry.get((e[0], d)) == a:
-                succ[a] = e[0]
-                members[e[0]] = a
-        seen.update(members)
-        rows = [((r * syms + a) * tracks + b, (succ[a], c2, d))
-                for r, c2 in members.items() for a in members.values()
-                for b in range(tracks)]
-        if len(members) < 2 or any(
-                table[i] is None or table[i][:3] != want for i, want in rows):
-            continue
-        jump = (bytearray(members.values()), b"", tuple(succ))
-        for i, want in rows:
-            table[i] = (*want, jump)
     return table
 
 
 def _paused(table: list, pause: frozenset, row: int) -> list:
     """``Machine.dispatch``'s variant of ``table`` for ``pause``; ``row`` is
     the number of entries per state."""
-    out = list(table)
-    for i, e in enumerate(table):
-        if e is None:
-            continue
-        if e[0] in pause and i // row not in pause:
-            out[i] = None
-        elif e[3] is not None and e[3][2] is not None:
-            run, _, succ = e[3]
-            if len({succ[a] in pause for a in run}) > 1:
-                out[i] = (*e[:3], None)  # a shift across the border of pause
-    return out
+    return [None if e is not None and e[0] in pause and i // row not in pause else e
+            for i, e in enumerate(table)]
 
 
 def _run_end(cells: bytearray, j: int, end: int, run: bytearray) -> int:
@@ -317,13 +258,12 @@ class Run:
         when the run stopped before a step that would enter ``pause`` from
         a state outside it (see ``Machine.dispatch``).
 
-        Each jump of the dispatch table crosses its whole run in C: the
+        Each sweep of the dispatch table crosses its whole run in C: the
         run's end is found by stripping the run symbols off tape slices of
-        doubling size, a rewriting sweep is one ``translate`` of the crossed
-        cells and a register shift one slice move.  Every cell crossed
-        still counts one step, so step counts, budgets, walls, ``grow`` and
-        end configurations are exactly those of stepping one cell at a
-        time.  A run that ended on a wall is not resumed.
+        doubling size.  Every cell crossed still counts one step, so step
+        counts, budgets, walls, ``grow`` and end configurations are exactly
+        those of stepping one cell at a time.  A run that ended on a wall is
+        not resumed.
         """
         machine = self.machine
         table = machine.dispatch(pause)
@@ -339,15 +279,14 @@ class Run:
             if head < ntrk:
                 i += trk[head]
             try:
-                state, write, delta, jump = table[i]
+                state, write, delta, run = table[i]
             except TypeError:  # no rule fires (the accept state has none)
                 status = ("accepted" if state == machine.accept else
                           "paused" if pause and machine.dispatch()[i] is not None else
                           "stuck")
                 break
-            if jump is not None:
-                # cross the run: cells [lo, hi) are crossed, j is where it stops
-                run, translate, succ = jump
+            if run is not None:
+                # cross the sweep's run of cells; j is where it stops
                 if delta > 0:
                     stop = head + max_steps - steps
                     j = _run_end(cells, head + 1, stop if stop < width else width, run)
@@ -358,29 +297,16 @@ class Run:
                             j = stop
                         else:
                             j = width - 1
-                    lo, hi = head, j
                 elif delta < 0:
                     stop = head - max_steps + steps
                     j = _run_start(cells, head - 1, stop if stop > -1 else -1, run)
                     if j < 0:  # the last step, off cell 0, hits the wall
                         j = 0
-                    lo, hi = j + 1, head + 1
                 else:  # spins in place until the budget runs out
                     steps = max_steps
                     break
                 if j != head:
-                    if succ is not None:  # each crossed cell takes its neighbour's
-                        if delta > 0:
-                            state = succ[cells[hi - 1]]
-                            cells[lo + 1 : hi] = cells[lo : hi - 1]
-                            cells[lo] = write
-                        else:
-                            state = succ[cells[lo]]
-                            cells[lo : hi - 1] = cells[lo + 1 : hi]
-                            cells[hi - 1] = write
-                    elif translate:
-                        cells[lo:hi] = cells[lo:hi].translate(translate)
-                    steps += hi - lo
+                    steps += abs(j - head)
                     head = j
                     continue
             cells[head] = write
@@ -419,7 +345,8 @@ def run_machine(
     its end read as 0.  A track value other than 0 or 1, a tape symbol
     outside the alphabet and a negative budget raise ValueError before the
     first step; a zero budget runs nothing.  Steps go through the machine's
-    compiled dispatch table, one ``Run.go`` call for the whole run.
+    compiled dispatch table, one ``Run.go`` call for the whole run: a sweep
+    is crossed in one go, every other step is one table lookup.
 
     ``macro`` composes the run from macro steps whose effect is proven
     (H. Marxen and J. Buntrock, *Attacking the Busy Beaver 5*, 1990): an
@@ -427,8 +354,9 @@ def run_machine(
     ``macro(run, max_steps)`` whenever the run is about to enter ``body``
     from outside it.  It either advances the ``Run`` in place to exactly
     the configuration and step count that stepping would reach, within
-    ``max_steps``, and returns True, or returns False, and the run takes
-    the step itself.  Either way the result is that of a direct run.
+    ``max_steps``, and returns True, or returns False, and the engine
+    steps through that stretch itself.  Either way the result is that of a
+    direct run.
     """
     if max_steps < 0:
         raise ValueError(f"negative step budget {max_steps}")

@@ -6,11 +6,15 @@ test measures both.  Run with -v (and -s to see the lines live):
     pytest tests/test_acceptance.py -v
 """
 
+import contextlib
+import hashlib
+import io
 import itertools
 import time
 
 import pytest
 
+from tilebench import cli
 from tilebench.compiler import (
     CompileError,
     assemble_macro_tile,
@@ -134,7 +138,7 @@ def test_criterion_04_compiled_chessboard_simulation():
             f"zoom {n}, {len(compiled.accepted)} macro-tiles verified, cuts {cuts}")
 
 
-def test_criterion_05_fixed_point_certificate():
+def test_criterion_05_fixed_point_certificate(monkeypatch):
     t0 = time.perf_counter()
     with pytest.raises(CompileError):
         build_fixed_point(128)  # the program does not fit; 256 is smallest
@@ -142,10 +146,33 @@ def test_criterion_05_fixed_point_certificate():
     cert = certificate(fp, seed=20260816)
     trials = mutation_trials(fp, count=50, seed=20260816)
     ok = cert.ok and trials.all_caught and trials.tried == 50
+    # the default audit's stdout, pinned byte for byte: the CLI is handed
+    # the objects computed above, and must ask for exactly those calls
+    calls = []
+
+    def reuse(obj):
+        def call(*args, **kw):
+            calls.append((args, kw))
+            return obj
+        return call
+
+    monkeypatch.setattr(cli, "build_fixed_point", reuse(fp))
+    monkeypatch.setattr(cli, "certificate", reuse(cert))
+    monkeypatch.setattr(cli, "mutation_trials", reuse(trials))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["fixed-point", "--size", "256", "--certificate",
+                         "--mutations", "50", "--seed", "20260816"])
+    assert calls == [((256,), {}),
+                     ((fp,), {"seed": 20260816, "walk_samples": 80, "resident_samples": None}),
+                     ((fp,), {"count": 50, "seed": 20260816})]
+    digest = hashlib.md5(out.getvalue().encode()).hexdigest()
+    ok = ok and code == 0 and digest == "ad2c7df2ad3fa148047b839cfb83931c"
     parts = ", ".join(f"{part} {passed}/{checked}"
                       for part, (passed, checked) in cert.parts.items())
     checked(5, 1800, t0, ok,
-            f"N=256, {parts}, mutations caught {trials.caught}/{trials.tried}")
+            f"N=256, {parts}, mutations caught {trials.caught}/{trials.tried}, "
+            f"CLI exit {code}, stdout md5 {digest[:8]}")
 
 
 def test_criterion_06_translate_mismatch_fractions():

@@ -358,10 +358,13 @@ class TestErrorPaths:
          {"0": [1, 2], "1": [1, 2, 3]}),
         (("render", "--format", "ppm", "--patch", "@patch", "--palette"),
          {"0": 5, "1": [1, 2, 3]}),
+        (("render", "--patch"), {"width": 2, "height": 1, "cells": [["1", 1]]}),
+        (("fill-hole", "--stock", "chessboard", "--patch"),
+         {"width": 2, "height": 1, "cells": [[0, 1.9]]}),
     ], ids=["three-color-tile", "tiles-without-colors", "patch-as-list", "point-triple",
             "point-single", "machine-without-rules", "machine-of-300-symbols", "rule-without-m",
             "schedule-without-pairs", "palette-as-list", "empty-glyph", "rgb-pair",
-            "rgb-scalar"])
+            "rgb-scalar", "string-cell", "float-cell"])
     def test_malformed_file_is_a_usage_error(self, files, tmp_path, argv, content,
                                              capsys):
         path = tmp_path / "bad.json"

@@ -25,7 +25,9 @@ from tilebench.compiler.fixedpoint import (
     SYM_Z,
     build_checker,
     build_fixed_point,
+    certificate,
     checker_tape,
+    mutation_trials,
     pack_record,
     run_checker,
     unpack_record,
@@ -308,3 +310,17 @@ def test_worst_walk_jumps_each_drag_once(fp):
     assert [jumped for *_, jumped in spy.log] == [True, True]
     assert sum(after - before for before, after, _ in spy.log) > 3_100_000
     assert seen["calls"] == 3  # to the first drag, to the second, to the end
+
+
+def test_audit_drags_are_all_jumped(fp):
+    # a drag the lemma declines is stepped one cell at a time, which takes
+    # about 1 s on the worst walk; the audit's 80 walks and 6 block probes
+    # and 10 mutation trials decline none
+    spy = Spy(fp.drag)
+    spied = dataclasses.replace(fp, drag=spy)
+    cert = certificate(spied, resident_samples=1, reject_samples=0, utm_accepts=0,
+                       utm_rejects=0)
+    trials = mutation_trials(spied, 10)
+    assert cert.ok and trials.all_caught
+    assert len(spy.log) >= 80
+    assert all(jumped for *_, jumped in spy.log)

@@ -4,8 +4,9 @@ plain dict-per-step reference stepper.
 The reference resolves every step through a (state, symbol, track bit)
 dict, first listed rule winning, and moves one cell at a time; the engine
 must agree with it on status, steps, state, head and tape, including runs
-that end in the middle of a jump: a sweep, a rewriting sweep or a register
-shift.
+that end in the middle of a sweep, the engine's one jump.  Register
+families and rewriting loops, which the engine steps one cell at a time,
+are run over the same edge cases.
 """
 
 import itertools
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilebench.compiler.fixedpoint import (
-    build_checker,
     build_fixed_point,
     checker_tape,
     pack_record,
@@ -213,7 +213,7 @@ def test_negative_budget_is_rejected():
     assert (r.status, r.steps, r.head) == ("timeout", 0, 0)
 
 
-# --- rewriting sweeps and register shifts ---------------------------------------
+# --- register families and rewriting loops -------------------------------------
 
 Z, O, B, X = SYM_ZERO, SYM_ONE, SYM_BLANK, SYM_MARK
 
@@ -241,15 +241,11 @@ def rewriter(mapping, move="R", *, symbols=4, split=False):
     return Machine(2, symbols, 0, 1, B, split, tuple(rules))
 
 
-def jumps(machine):
-    """Each jump kind the dispatch table holds."""
-    kinds = set()
-    for e in machine.dispatch():
-        if e is not None and e[3] is not None:
-            _, translate, succ = e[3]
-            kinds.add("register" if succ is not None else
-                      "rewrite" if translate else "sweep")
-    return kinds
+def sweeps(machine):
+    """The (state, symbol) pairs whose dispatch entries start a sweep."""
+    tracks = 2 if machine.program_track else 1
+    return {divmod(i // tracks, machine.symbols)
+            for i, e in enumerate(machine.dispatch()) if e is not None and e[3] is not None}
 
 
 SHIFT_R = register((Z, O))
@@ -260,11 +256,11 @@ DRIFT = [Z, O, O, Z, Z, Z, O] * 30  # 210 cells: runs cross slice boundaries
 
 
 def test_jump_kinds_are_compiled():
-    assert jumps(SHIFT_R) == jumps(SHIFT_L) == {"register"}
-    assert jumps(FLIP_R) == jumps(FLIP_L) == {"rewrite"}
-    assert jumps(rewriter({Z: Z, O: O})) == {"sweep"}
-    # a loop that rewrites some symbols and keeps others is one rewriting sweep
-    assert jumps(rewriter({Z: O, O: O, B: B})) == {"rewrite"}
+    # the sweep is the one jump: a register family sweeps only where a state
+    # reads its own carry, and a loop that rewrites what it reads never does
+    assert sweeps(SHIFT_R) == {(2, Z), (3, O)}
+    assert sweeps(FLIP_R) == set()
+    assert sweeps(rewriter({Z: Z, O: O})) == {(0, Z), (0, O)}
 
 
 @pytest.mark.parametrize("budget", [1, 2, 31, 32, 33, 96, 97, 98, 150, 209])
@@ -300,12 +296,13 @@ def test_jumps_hit_both_walls(m):
 
 
 def test_jumps_grow_the_tape():
-    # blank in the run: the jump runs on over fresh blanks to the budget
+    # blank among the symbols the machine moves on over: it goes on over
+    # fresh blanks to the budget
     for m in (register((B, Z, O)), rewriter({B: O, Z: Z, O: Z})):
         r = assert_agrees(m, DRIFT, max_steps=500, grow=True)
         assert (r.status, r.steps, r.head, len(r.tape)) == ("timeout", 500, 500, 501)
         assert_agrees(m, [B], max_steps=70, grow=True)
-    # blank outside the run: the step off the end appends one blank, which
+    # blank not among them: the step off the end appends one blank, which
     # then stops the run (stuck, as nothing reads it)
     for m in (SHIFT_R, FLIP_R):
         r = assert_agrees(m, DRIFT, max_steps=500, grow=True)
@@ -315,21 +312,17 @@ def test_jumps_grow_the_tape():
 def test_track_split_family_and_loop_do_not_jump():
     split_shift = register((Z, O), split=True)
     split_flip = rewriter({Z: O, O: Z}, split=True)
-    # the family's own loops still sweep, but nothing shifts; the split rule
-    # of the rewriting loop steps one cell at a time
-    assert jumps(split_shift) == {"sweep"}
-    assert [e and e[3] for e in split_flip.dispatch()[Z * 2 : Z * 2 + 2]] == [None, None]
     for track in ([], [0] * 211, [0] * 100 + [1], [1] * 211):
         assert_agrees(split_shift, DRIFT + [X], track=track)
         assert_agrees(split_flip, DRIFT + [X], track=track)
 
 
 def test_alphabet_boundary_at_256_symbols():
-    # the widest alphabet a byte tape holds: its top symbols still jump
+    # the widest alphabet a byte tape holds: its top symbol still sweeps
     wide = Machine(2, 256, 0, 1, 0, False, (Transition(0, 255, None, 0, 255, "R"),))
     shift = register((254, 255), symbols=256)
     flip = rewriter({254: 255, 255: 254}, symbols=256)
-    assert (jumps(wide), jumps(shift), jumps(flip)) == ({"sweep"}, {"register"}, {"rewrite"})
+    assert sweeps(wide) == {(0, 255)}
     r = assert_agrees(wide, [255] * 200 + [7], max_steps=1000)
     assert (r.status, r.steps, r.head) == ("stuck", 200, 200)
     tape = [254, 255, 255] * 70 + [X]
@@ -427,10 +420,11 @@ def test_random_machines_agree(case):
 
 @st.composite
 def planted_runs(draw):
-    """Machines with a register family and a rewriting loop planted among
-    random rules (which may come first and shadow parts of them), run on
-    tapes of up to 300 cells made mostly of long runs of the planted
-    symbols, so that jumps cross the scan's slice boundaries."""
+    """Machines with a register family and a loop (a sweep where it writes
+    back what it reads) planted among random rules (which may come first and
+    shadow parts of them), run on tapes of up to 300 cells made mostly of
+    long runs of the planted symbols, so that sweeps cross the scan's slice
+    boundaries."""
     symbols = draw(st.integers(2, 6))
     states = draw(st.integers(4, 8))
     program_track = draw(st.booleans())
@@ -498,8 +492,7 @@ def test_planted_jumps_agree(case):
 def test_paused_runs_agree(case, data):
     # a run paused before each step into a set of states, which is then
     # taken directly, ends as an unbroken run does, and pauses exactly as
-    # often as that run steps into the set from outside it (register shifts
-    # that cross the set's border included)
+    # often as that run steps into the set from outside it
     m, tape, kw = case
     pause = frozenset(data.draw(st.sets(st.integers(0, m.states - 1))))
     budget = kw.pop("max_steps")
@@ -536,27 +529,6 @@ def test_checker_tiles_agree(fp):
         r = assert_agrees(fp.machine, checker_tape(fp.n, *quad), track=track,
                           max_steps=4_000_000, grow=True)
         assert r.status == status, quad
-
-
-def test_checker_drag_compiles_to_jumps():
-    # the drag's register states shift in one jump and the decrement's
-    # Z -> O borrow is one rewriting sweep; losing either slows every walk
-    machine, names = build_checker(8)
-    table = machine.dispatch()
-
-    def jump(name, sym):
-        i = (names.index(name) * 4 + sym) * 2
-        assert table[i] == table[i + 1]  # the same on both track bits
-        return table[i][3]
-
-    for px in ("lt", "lb"):
-        for b in (0, 1):
-            for c in (0, 1):
-                for sym in (Z, O):
-                    succ = jump(f"{px}_s{b}{c}", sym)[2]
-                    assert [names[succ[a]] for a in (Z, O)] == [f"{px}_s{b}0", f"{px}_s{b}1"]
-            translate = jump(f"{px}_dec{b}", Z)[1]
-            assert translate and translate[Z] == O
 
 
 def test_resident_runs_scan_the_set_track_once(fp):
