@@ -89,8 +89,14 @@ def _patch(path: str) -> PatchGrid:
     return _load(path, _patch_json)
 
 
+def _point(p) -> tuple[int, int]:
+    if not (isinstance(p, list) and len(p) == 2 and set(map(type, p)) <= {int}):
+        raise ValueError(f"point {p!r} is not a pair of ints")
+    return p[0], p[1]
+
+
 def _points(path: str) -> set[tuple[int, int]]:
-    return _load(path, lambda obj: {(int(x), int(y)) for x, y in obj})
+    return _load(path, lambda obj: set(map(_point, obj)))
 
 
 def _emit(obj: dict, out: str | None) -> None:

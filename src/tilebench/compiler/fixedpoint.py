@@ -497,8 +497,8 @@ class DragLemma:
         """Jump the drag that ``run`` is about to enter, when every
         precondition holds: the entry is a measured family's, on an M; the
         block is Z/O cells closed by M; the cells it moves into are blank
-        or past the tape's end (which needs ``grow``); and the jump ends
-        within ``max_steps``.  Otherwise leave the run as it is."""
+        or past the tape's end; and the jump ends within ``max_steps``.
+        Otherwise leave the run as it is."""
         if run.state not in self.entries:
             return False
         dec, costs = self.entries[run.state]
@@ -511,9 +511,7 @@ class DragLemma:
             return False
         count = int(block.translate(_BITS)[::-1], 2)
         steps = self.steps(run.state, count)
-        if (run.steps + steps > max_steps
-                or cells[end + 1 : end + 1 + count].lstrip(_B)
-                or (end + count >= len(cells) and not run.grow)):
+        if run.steps + steps > max_steps or cells[end + 1 : end + 1 + count].lstrip(_B):
             return False
         cells[p : end + count + 1] = _B * count + _Z * w + _M
         run.state = dec
@@ -747,7 +745,7 @@ def run_checker(fp: FixedPointSet, quad, *, track=None) -> RunResult:
     """
     return run_machine(fp.machine, checker_tape(fp.n, *quad),
                        track=fp.track_bits if track is None else track,
-                       max_steps=CHECKER_STEPS, grow=True, macro=fp.drag)
+                       max_steps=CHECKER_STEPS, macro=fp.drag)
 
 
 def walks(fp: FixedPointSet, x: int, y: int) -> bool:

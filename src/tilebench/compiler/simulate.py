@@ -31,6 +31,7 @@ from ..core import PatchGrid, Tile, TileSet
 from ..machine import (
     SYM_ZERO,
     Machine,
+    Run,
     ZoneCellRule,
     diagram_local_rules,
     run_machine,
@@ -68,7 +69,7 @@ def _probe_capacity(
     t_max, w_need = 0, 4 * k
     for bits in itertools.product((0, 1), repeat=4 * k):
         tape = [SYM_ZERO + b for b in bits]
-        res = run_machine(machine, tape, track=track, max_steps=probe_steps, grow=True)
+        res = run_machine(machine, tape, track=track, max_steps=probe_steps)
         if res.status == "accepted":
             accepted.add(bits)
             t_max = max(t_max, res.steps)
@@ -215,19 +216,20 @@ def payload_accepted(
 def _zone_run(compiled: CompiledTileSet, bits: tuple[int, ...]):
     """Configs and head signals of the accepting diagram, frozen to zone height.
 
-    Row t is the configuration after t steps: row 0 is the input, a run
-    with budget t ends on row t (budget stops are exact), and every row
-    from the accepting step on repeats the accepted configuration.
+    Row t is the configuration after t steps, read off one run resumed to
+    budget t row by row (budget stops are exact): row 0 is the input, and
+    every row from the accepting step on repeats the accepted one.
     """
     lay, machine, trk = compiled.layout, compiled.machine, compiled.track
     tape = [SYM_ZERO + b for b in bits] + [machine.blank] * (lay.zone_w - 4 * lay.k)
-    res = run_machine(machine, tape, track=trk, max_steps=lay.zone_h)
-    if res.status != "accepted" or res.steps > lay.zone_h - 1:
+    run = Run(machine, tape, track=trk)
+    rows, status = [], "timeout"
+    for t in range(lay.zone_h):
+        if status == "timeout":  # a run stuck or on the wall cannot resume
+            status = run.go(t)
+        rows.append((run.state, run.head, tuple(run.cells)))
+    if status != "accepted":
         raise ValueError(f"payload {bits} is rejected by the checker")
-    rows = [(machine.start, 0, tuple(tape))]
-    for t in range(1, lay.zone_h):
-        r = run_machine(machine, tape, track=trk, max_steps=t) if t < res.steps else res
-        rows.append((r.state, r.head, r.tape))
     cfgs = [
         tuple(
             (tape_t[c], state if head == c else None, trk[c])

@@ -12,7 +12,6 @@ id or the distinguished ``HOLE`` value (-1), which matches anything.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -144,13 +143,6 @@ class TileSet:
     def from_json(cls, obj: dict) -> "TileSet":
         return cls(obj["color_count"], [tuple(t) for t in obj["tiles"]], obj.get("names"))
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s: str) -> "TileSet":
-        return cls.from_json(json.loads(s))
-
 
 class PatchGrid:
     """A finite rectangle of tile ids and holes; immutable after construction."""
@@ -212,13 +204,6 @@ class PatchGrid:
     @classmethod
     def from_json(cls, obj: dict) -> "PatchGrid":
         return cls(obj["width"], obj["height"], obj["cells"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s: str) -> "PatchGrid":
-        return cls.from_json(json.loads(s))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -191,13 +190,6 @@ class Schedule:
             tuple(a for a, _ in pairs),
             tuple(b for _, b in pairs),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s: str) -> "Schedule":
-        return cls.from_json(json.loads(s))
 
 
 def make_schedule(c: int, alpha1: int, count: int) -> Schedule:

@@ -17,7 +17,6 @@ machine has accepted.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -71,11 +70,11 @@ class Machine:
         None when nothing fires; the accept state's rows are all None.
         ``run`` is None, or a bytearray of symbols when the step starts a
         *sweep*, which ``run_machine`` crosses in one go: a state that moves
-        one way, or stays put, on its own symbols and writes them back, the
-        same on every track bit.  ``run`` holds every symbol of that state
-        and direction; one bytearray is shared by its entries and never
-        changes after the build (byte strings rather than sets keep the
-        entries out of the cyclic garbage collector).
+        one way on its own symbols and writes them back, the same on every
+        track bit.  ``run`` holds every symbol of that state and direction;
+        one bytearray is shared by its entries and never changes after the
+        build (byte strings rather than sets keep the entries out of the
+        cyclic garbage collector).
 
         A non-empty ``pause`` (a frozenset of states) gives a variant, also
         cached, in which every entry that would enter ``pause`` from a state
@@ -118,13 +117,6 @@ class Machine:
             tuple(Transition(*t) for t in obj["transitions"]),
         )
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s: str) -> "Machine":
-        return cls.from_json(json.loads(s))
-
 
 #: Head movement per move letter.
 DELTAS = {"L": -1, "R": 1, "S": 0}
@@ -146,8 +138,8 @@ def _compile(m: Machine) -> list:
                 continue  # an earlier rule matches first, or accepted
             d = DELTAS[t.move]
             e = (t.new_state, t.write, d, None)
-            # the last bit's pass marks the sweeps that match on every bit
-            if (t.new_state == q and t.write == s and b == tracks - 1
+            # the last bit's pass marks the one-way sweeps, alike on every bit
+            if (t.new_state == q and t.write == s and d and b == tracks - 1
                     and (b == 0 or table[i - 1] == e)):
                 run = sweeps.setdefault((q, d), bytearray())
                 run.append(s)
@@ -219,15 +211,14 @@ class Run:
     is read-only and pinned to tape positions, and cells past its end read
     as 0; any sequence of bits is copied to ``bytes`` (an immutable bytes
     track is used as it is), and a value other than 0 or 1 raises
-    ValueError, checked once per track object.  ``grow`` appends blanks on
-    the right on demand (moving left of cell 0 is always a wall).
+    ValueError, checked once per track object.  A step past the tape's
+    right end appends a blank; a step left of cell 0 is the one wall.
     """
 
-    __slots__ = ("machine", "cells", "head", "state", "steps", "track", "grow")
+    __slots__ = ("machine", "cells", "head", "state", "steps", "track")
 
     def __init__(self, machine: Machine, tape: Sequence[int], *, head: int = 0,
-                 state: int | None = None, track: Sequence[int] | None = None,
-                 grow: bool = False) -> None:
+                 state: int | None = None, track: Sequence[int] | None = None) -> None:
         try:
             cells = bytearray(tape)
         except ValueError:  # a symbol outside 0..255
@@ -250,25 +241,23 @@ class Run:
         self.state = state
         self.steps = 0
         self.track = track if machine.program_track else b""
-        self.grow = grow
 
     def go(self, max_steps: int, pause: frozenset = frozenset()) -> str:
-        """Step on until acceptance, a missing transition, a wall, or
+        """Step on until acceptance, a missing transition, the wall, or
         ``max_steps`` steps in all; return the status, which is "paused"
         when the run stopped before a step that would enter ``pause`` from
         a state outside it (see ``Machine.dispatch``).
 
-        Each sweep of the dispatch table crosses its whole run in C: the
-        run's end is found by stripping the run symbols off tape slices of
-        doubling size.  Every cell crossed still counts one step, so step
-        counts, budgets, walls, ``grow`` and end configurations are exactly
-        those of stepping one cell at a time.  A run that ended on a wall is
-        not resumed.
+        Each sweep of the dispatch table moves one way and crosses its run,
+        up to the tape's last cell or cell 0, in C: the run's end is found
+        by stripping the run symbols off tape slices of doubling size.
+        Every cell crossed still counts one step, so step counts, budgets,
+        the wall, growth and end configurations are exactly those of
+        stepping one cell at a time.  A run on the wall is not resumed.
         """
         machine = self.machine
         table = machine.dispatch(pause)
         syms, tracks = machine.symbols, 2 if machine.program_track else 1
-        blank, grow = machine.blank, self.grow
         cells, head, state, steps = self.cells, self.head, self.state, self.steps
         width = len(cells)
         trk = self.track
@@ -289,22 +278,10 @@ class Run:
                 # cross the sweep's run of cells; j is where it stops
                 if delta > 0:
                     stop = head + max_steps - steps
-                    j = _run_end(cells, head + 1, stop if stop < width else width, run)
-                    if j == width:  # off the right end
-                        if grow and blank in run:
-                            cells.extend(bytes((blank,)) * (stop + 1 - width))
-                            width = stop + 1
-                            j = stop
-                        else:
-                            j = width - 1
-                elif delta < 0:
+                    j = _run_end(cells, head + 1, stop if stop < width else width - 1, run)
+                else:
                     stop = head - max_steps + steps
-                    j = _run_start(cells, head - 1, stop if stop > -1 else -1, run)
-                    if j < 0:  # the last step, off cell 0, hits the wall
-                        j = 0
-                else:  # spins in place until the budget runs out
-                    steps = max_steps
-                    break
+                    j = _run_start(cells, head - 1, stop if stop > 0 else 0, run)
                 if j != head:
                     steps += abs(j - head)
                     head = j
@@ -314,11 +291,8 @@ class Run:
             if head < 0:
                 status = "hit_wall"
                 break
-            if head >= width:
-                if not grow:
-                    status = "hit_wall"
-                    break
-                cells.append(blank)
+            if head == width:  # the tape grows a blank
+                cells.append(machine.blank)
                 width += 1
             steps += 1
         if state == machine.accept and status == "timeout":
@@ -334,19 +308,18 @@ def run_machine(
     head: int = 0,
     track: Sequence[int] | None = None,
     max_steps: int = 1_000_000,
-    grow: bool = False,
     macro=None,
 ) -> RunResult:
-    """Run until acceptance, a missing transition, a wall, or the budget.
+    """Run until acceptance, a missing transition, the wall, or the budget.
 
-    The tape is a bounded segment unless grow=True, which appends blanks on
-    the right on demand (moving left of cell 0 is always a wall).  The
-    optional 0/1 track is pinned to tape positions and read-only; cells past
-    its end read as 0.  A track value other than 0 or 1, a tape symbol
+    A step past the tape's right end appends a blank; a step left of cell
+    0 is the one wall.  The optional 0/1 track is pinned to tape positions
+    and read-only; cells past its end read as 0.
+    A track value other than 0 or 1, a tape symbol
     outside the alphabet and a negative budget raise ValueError before the
     first step; a zero budget runs nothing.  Steps go through the machine's
-    compiled dispatch table, one ``Run.go`` call for the whole run: a sweep
-    is crossed in one go, every other step is one table lookup.
+    compiled dispatch table, one ``Run.go`` call for the whole run: a
+    one-way sweep is crossed in one go, every other step a table lookup.
 
     ``macro`` composes the run from macro steps whose effect is proven
     (H. Marxen and J. Buntrock, *Attacking the Busy Beaver 5*, 1990): an
@@ -360,7 +333,7 @@ def run_machine(
     """
     if max_steps < 0:
         raise ValueError(f"negative step budget {max_steps}")
-    run = Run(machine, tape, head=head, track=track, grow=grow)
+    run = Run(machine, tape, head=head, track=track)
     if macro is None:
         status = run.go(max_steps)
     else:
@@ -557,9 +530,10 @@ def utm_tape(
     """Lay out origin marker, separated records, end marker, and work zone.
 
     The work zone holds the simulated tape with the head flag on cell 0;
-    its track bits default to 0.  ``pad`` blank work cells are appended so
-    short runs never touch the wall.  Input symbols must lie in 0..3 and
-    track bits in 0/1, the ranges a work cell encodes.
+    its track bits default to 0.  ``pad`` blank work cells are appended;
+    past them the tape grows ``U_BLANK`` cells, read as simulated blanks.
+    Input symbols must lie in 0..3 and track bits in 0/1, the ranges a
+    work cell encodes.
     """
     rb = record_bits(state_bits)
     if len(program) % rb != 1 or program[-1] != 0:
@@ -750,4 +724,4 @@ def run_encoded(
 ) -> RunResult:
     """Convenience wrapper: build the tape and run the universal machine."""
     tape = utm_tape(program, input_symbols, track, pad=pad, state_bits=state_bits)
-    return run_machine(utm, tape, max_steps=max_steps, grow=True)
+    return run_machine(utm, tape, max_steps=max_steps)

@@ -11,7 +11,6 @@ example of a configuration far from all its translates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -58,13 +57,6 @@ class SubstitutionRule:
     @classmethod
     def from_json(cls, obj: dict) -> "SubstitutionRule":
         return cls(tuple(obj["alphabet"]), obj["m"], obj["images"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s: str) -> "SubstitutionRule":
-        return cls.from_json(json.loads(s))
 
 
 def substitute_rows(rule: SubstitutionRule, rows: Sequence[Sequence[str]]) -> list[list[str]]:

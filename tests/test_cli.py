@@ -346,6 +346,9 @@ class TestErrorPaths:
         (("cut", "--n", "2", "--patch"), [[0, 1]]),
         (("islands", "--alpha", "1", "--beta", "2", "--points"), [[1, 2, 3]]),
         (("clean", "--points"), [[1, 2], [3]]),
+        (("islands", "--alpha", "1", "--beta", "2", "--points"), [[1.9, 2]]),
+        (("islands", "--alpha", "1", "--beta", "2", "--points"), [["3", 4]]),
+        (("clean", "--points"), [[1, 2], [True, 0]]),
         (("compile", "--k", "1", "--machine-file"), {"states": 2}),
         (("compile", "--k", "1", "--machine-file"),
          {"states": 2, "symbols": 300, "start": 0, "accept": 1, "blank": 0,
@@ -362,7 +365,8 @@ class TestErrorPaths:
         (("fill-hole", "--stock", "chessboard", "--patch"),
          {"width": 2, "height": 1, "cells": [[0, 1.9]]}),
     ], ids=["three-color-tile", "tiles-without-colors", "patch-as-list", "point-triple",
-            "point-single", "machine-without-rules", "machine-of-300-symbols", "rule-without-m",
+            "point-single", "float-point", "string-point", "bool-point",
+            "machine-without-rules", "machine-of-300-symbols", "rule-without-m",
             "schedule-without-pairs", "palette-as-list", "empty-glyph", "rgb-pair",
             "rgb-scalar", "string-cell", "float-cell"])
     def test_malformed_file_is_a_usage_error(self, files, tmp_path, argv, content,

@@ -1,8 +1,10 @@
 import functools
 import hashlib
+import json
 
 import pytest
 
+from tilebench.compiler import simulate
 from tilebench.compiler import (
     CompileError,
     LayoutError,
@@ -206,8 +208,12 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# Full sha256 of tile_set.dumps() and of the concatenated dumps of the
-# patches of every accepted payload (sorted), frozen from the enumerator
+def _dumps(x) -> str:
+    return json.dumps(x.to_json(), sort_keys=True)
+
+
+# Full sha256 of the tile set's _dumps and of the concatenated _dumps of
+# the patches of every accepted payload (sorted), frozen from the enumerator
 # that re-derived each cell's colors at assembly time.
 CORPUS = [
     ("chessboard", 1,
@@ -268,6 +274,31 @@ def test_compiled_corpus_is_frozen(machine, k, options, tiles_sha, patches_sha):
         assert verify_patch(c.tile_set, patch) == []
         assert macro_payloads(c, patch, 0, 0) == dict(zip(("left", "right", "top", "bottom"),
                                                           sides))
-        dumps.append(patch.dumps())
-    assert _sha(c.tile_set.dumps()) == tiles_sha
+        dumps.append(_dumps(patch))
+    assert _sha(_dumps(c.tile_set)) == tiles_sha
     assert _sha("".join(dumps)) == patches_sha
+
+
+def test_assembly_reads_one_run_per_payload(monkeypatch):
+    # the zone diagram is read off one resumed run, not a run per row, so
+    # assembly costs one run's steps however tall the zone is
+    c = compile_simulation(machine_corpus()["parity"], 2)
+    runs = []
+
+    class CountedRun(simulate.Run):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            runs.append(args)
+            super().__init__(*args, **kwargs)
+
+    def no_run_machine(*args, **kwargs):
+        raise AssertionError("assembly starts a run per row")
+
+    monkeypatch.setattr(simulate, "Run", CountedRun)
+    monkeypatch.setattr(simulate, "run_machine", no_run_machine)
+    assert c.layout.zone_h > 2
+    payloads = sorted(c.accepted)[:6]
+    for bits in payloads:
+        assemble_macro_tile(c, *(bits[s * 2:(s + 1) * 2] for s in range(4)))
+    assert len(runs) == len(payloads)

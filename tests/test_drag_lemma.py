@@ -4,9 +4,9 @@ A walking tile's checker run drags a binary counter one cell right per
 decrement (``build_checker``'s ``walker``); ``run_checker`` jumps each drag
 with ``FixedPointSet.drag`` and steps the rest.  A composed run must be
 exactly a direct one: the tests below compare status, steps, state, head
-and the whole tape (so its length under ``grow`` too) with runs of the
-same machine without the lemma, and check the lemma itself against a
-direct descent through every counter value.
+and the whole tape (so its length too) with runs of the same machine
+without the lemma, and check the lemma itself against a direct descent
+through every counter value.
 """
 
 import dataclasses
@@ -24,7 +24,6 @@ from tilebench.compiler.fixedpoint import (
     SYM_O,
     SYM_Z,
     build_checker,
-    build_fixed_point,
     certificate,
     checker_tape,
     mutation_trials,
@@ -36,11 +35,6 @@ from tilebench.compiler.fixedpoint import (
 from tilebench.machine import Run, run_machine
 
 FAMILIES = ("lt_h0", "lt_h1", "lb_h0", "lb_h1")
-
-
-@pytest.fixture(scope="module")
-def fp():
-    return build_fixed_point(256)
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +67,10 @@ def flipped(fp, quad):
     return tuple(quad)
 
 
-def same_as_direct(fp, quad, *, track=None, max_steps=CHECKER_STEPS, grow=True,
-                   macro=None):
+def same_as_direct(fp, quad, *, track=None, max_steps=CHECKER_STEPS, macro=None):
     """The composed run of quad, checked against a direct run."""
     tape = checker_tape(fp.n, *quad)
-    kw = {"track": fp.track_bits if track is None else track, "max_steps": max_steps,
-          "grow": grow}
+    kw = {"track": fp.track_bits if track is None else track, "max_steps": max_steps}
     got = run_machine(fp.machine, tape, macro=macro or fp.drag, **kw)
     assert outcome(got) == outcome(run_machine(fp.machine, tape, **kw)), quad
     return got
@@ -178,15 +170,9 @@ def test_preconditions_that_fail_on_real_tapes(fp):
     # a mark in the drag's way: the decrement that meets it is stuck
     blocked = tape + [SYM_B] * 30 + [SYM_Z]
     kw = {"track": fp.track_bits, "max_steps": CHECKER_STEPS}
-    for grow in (True, False):
-        got = run_machine(fp.machine, blocked, grow=grow, macro=fp.drag, **kw)
-        assert outcome(got) == outcome(run_machine(fp.machine, blocked, grow=grow, **kw))
-        assert got.status == "stuck"
-    # no grow: the block runs into the tape's end, a wall
-    short = tape + [SYM_B] * 30
-    got = run_machine(fp.machine, short, macro=fp.drag, **kw)
-    assert outcome(got) == outcome(run_machine(fp.machine, short, **kw))
-    assert got.status == "hit_wall"
+    got = run_machine(fp.machine, blocked, macro=fp.drag, **kw)
+    assert outcome(got) == outcome(run_machine(fp.machine, blocked, **kw))
+    assert got.status == "stuck"
 
 
 def test_lemma_declines_malformed_blocks(fp, names):
@@ -194,8 +180,8 @@ def test_lemma_declines_malformed_blocks(fp, names):
     w = 2 * fp.n
     counter = [SYM_O] + [SYM_Z] * (w - 1)  # the value 1
 
-    def declines(cells, *, grow=True, budget=CHECKER_STEPS, state=entry):
-        run = Run(fp.machine, cells, state=state, grow=grow)
+    def declines(cells, *, budget=CHECKER_STEPS, state=entry):
+        run = Run(fp.machine, cells, state=state)
         before = (run.state, run.head, run.steps, bytes(run.cells))
         assert not fp.drag(run, budget)
         assert (run.state, run.head, run.steps, bytes(run.cells)) == before
@@ -205,11 +191,10 @@ def test_lemma_declines_malformed_blocks(fp, names):
     declines([SYM_M] + counter + [SYM_Z, SYM_B])  # not closed by M
     declines([SYM_M] + counter)  # closed by the tape's end
     declines([SYM_M] + counter + [SYM_M, SYM_O])  # a mark where the block moves
-    declines([SYM_M] + counter + [SYM_M], grow=False)  # a wall where it moves
     declines([SYM_B] + counter + [SYM_M, SYM_B])  # the entry reads no M
     declines([SYM_M] + counter + [SYM_M, SYM_B], state=names.index("lt_g0"))
     declines([SYM_M] + counter + [SYM_M, SYM_B], budget=37)  # 1 + 37 steps
-    run = Run(fp.machine, [SYM_M] + counter + [SYM_M, SYM_B], state=entry, grow=True)
+    run = Run(fp.machine, [SYM_M] + counter + [SYM_M, SYM_B], state=entry)
     assert fp.drag(run, 38) and (run.steps, run.head) == (38, 2)
 
 
@@ -230,8 +215,7 @@ def synthetic_drags(draw):
         tail[draw(st.integers(0, len(tail) - 1))] = draw(st.sampled_from((SYM_Z, SYM_O, SYM_M)))
     lead = draw(st.integers(0, 3))
     tape = [SYM_B] * lead + [SYM_M] + block + ([closing] if closing is not None else []) + tail
-    kw = {"head": lead, "grow": draw(st.booleans()),
-          "max_steps": draw(st.integers(0, 45 * count + 120))}
+    kw = {"head": lead, "max_steps": draw(st.integers(0, 45 * count + 120))}
     if draw(st.booleans()):
         kw["track"] = draw(st.lists(st.integers(0, 1), max_size=len(tape) + 200))
     return family, tape, kw
@@ -258,7 +242,7 @@ def test_lemma_matches_every_counter_value(fp, names, family):
     dec, costs = fp.drag.entries[entry]
     top, w = fp.capacity - 1, len(costs)
     run = Run(fp.machine, [SYM_M] + [SYM_Z + ((top >> v) & 1) for v in range(w)] + [SYM_M],
-              state=entry, grow=True)
+              state=entry)
     cells, total = run.cells, fp.drag.steps(entry, top)
     for count in range(top, -1, -1):
         run.go(total - fp.drag.steps(entry, count) + 1)

@@ -35,11 +35,6 @@ from tilebench.core import verify_patch
 from tilebench.machine import RunResult, encode_program, run_machine
 
 
-@pytest.fixture(scope="module")
-def fp():
-    return build_fixed_point(256)
-
-
 class TestRecords:
     def test_pack_unpack_roundtrip(self):
         for i, j, v in [(0, 0, 0), (255, 255, 1), (17, 200, 0), (1, 2, 1)]:
@@ -259,7 +254,7 @@ class TestCertificate:
         # check are all members, so the non-member pick takes a fourth draw
         def checker_as_universal(utm, program, tape, **kwargs):
             return run_machine(fp.machine, tape, track=fp.track(),
-                               max_steps=fixedpoint.CHECKER_STEPS, grow=True)
+                               max_steps=fixedpoint.CHECKER_STEPS)
 
         monkeypatch.setattr(fixedpoint, "universal_machine", lambda bits: None)
         monkeypatch.setattr(fixedpoint, "run_encoded", checker_as_universal)

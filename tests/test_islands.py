@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -207,7 +208,7 @@ def test_make_schedule_frozen_values():
 
 def test_schedule_json_roundtrip():
     s = make_schedule(2, 1, 3)
-    again = Schedule.loads(s.dumps())
+    again = Schedule.from_json(json.loads(json.dumps(s.to_json())))
     assert again == s
 
 

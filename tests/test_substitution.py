@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tilebench.core import verify_patch
@@ -27,7 +29,7 @@ def test_rule_validation():
 
 def test_rule_json_roundtrip():
     r = thue_morse_rule()
-    again = SubstitutionRule.loads(r.dumps())
+    again = SubstitutionRule.from_json(json.loads(json.dumps(r.to_json())))
     assert again == r
 
 
