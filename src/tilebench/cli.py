@@ -238,9 +238,11 @@ def cmd_fixed_point(args) -> int:
         verdicts.add(cert.verdict)
     if args.mutations:
         trials = mutation_trials(fp, count=args.mutations, seed=args.seed)
-        body["mutations"] = {"tried": trials.tried, "caught": trials.caught,
+        caught, tried = trials.parts["mutations"]
+        vouched, controls = trials.parts["controls"]
+        body["mutations"] = {"tried": tried, "caught": caught,
                              "inconclusive": trials.inconclusive,
-                             "controls_ok": trials.controls_ok}
+                             "controls_ok": vouched + trials.hits["controls"] == controls}
         verdicts.add(trials.verdict)
     _emit(body, args.out)
     return FAIL if "refuted" in verdicts else INCONCLUSIVE if "inconclusive" in verdicts else OK
@@ -384,13 +386,13 @@ def _palette(args, ids: set[int]):
 
     def entry(v):
         if args.format == "ascii":
-            if not str(v):
-                raise ValueError("empty glyph")
-            return str(v)[0]
-        rgb = tuple(int(c) for c in v)
-        if len(rgb) != 3 or not all(0 <= c < 256 for c in rgb):
+            if not (isinstance(v, str) and v):
+                raise ValueError(f"{v!r} is not a glyph")
+            return v[0]
+        if not (isinstance(v, list) and len(v) == 3
+                and all(type(c) is int and 0 <= c < 256 for c in v)):
             raise ValueError(f"{v!r} is not an RGB triple")
-        return rgb
+        return tuple(v)
 
     table = _load(args.palette, lambda obj: {int(k): entry(v) for k, v in dict(obj).items()})
     missing = sorted(i for i in ids if i != HOLE and i not in table)

@@ -2,7 +2,6 @@
 
 from .fixedpoint import (
     FixedPointSet,
-    MutationTrials,
     SelfCertificate,
     assemble_self_patch,
     build_fixed_point,
@@ -33,7 +32,6 @@ from .simulate import (
 
 __all__ = [
     "FixedPointSet",
-    "MutationTrials",
     "SelfCertificate",
     "assemble_self_patch",
     "build_fixed_point",

@@ -28,9 +28,11 @@ Everything here is desk-checkable: R has a few hundred states, its
 encoding fits the block with room to spare, and the certificate below
 runs R over the whole non-block tile population plus samples of the
 walking runs, cross-checks R against the universal machine, and verifies
-that single-bit corruptions of the program are caught.  Both audits judge
-every run by ``_check`` and report a ``_verdict``: ok, inconclusive (every
-failure a budget hit) or refuted.
+that single-bit corruptions of the program are caught.  Both audits run
+one loop, ``_audit``, which judges every run by ``_check`` into a
+``SelfCertificate``: ok, inconclusive (every failure a budget hit) or
+refuted.  An ``ok`` is not evidence that the set is aperiodic: the set
+tiles the N x N torus (tests/test_fixedpoint.py::TestKnownGaps).
 
 A walk is almost all drag: up to 3.2 M steps at N=256, against a few
 thousand before and after.  So ``run_checker`` composes each run from the
@@ -815,28 +817,29 @@ def _check(status: str, want: bool) -> bool | None:
     return status == ("accepted" if want else "stuck")
 
 
-def _verdict(failures: int, budget_hits: int) -> str:
-    """No failed check is "ok"; failures that are all budget hits leave the
-    audit "inconclusive"; anything else is "refuted"."""
-    if not failures:
-        return "ok"
-    return "inconclusive" if failures == budget_hits else "refuted"
-
-
 @dataclass
 class SelfCertificate:
     """What was checked and how it came out: ``parts`` maps each part of the
-    audit to [passed, checked], and a check that failed on a budget hit also
-    counts in ``inconclusive``.
+    audit to [passed, checked], and ``hits`` maps it to its checks that
+    failed on a budget hit.
     """
 
-    parts: dict = field(default_factory=lambda: {part: [0, 0] for part in PARTS})
-    inconclusive: int = 0
+    parts: dict
+    hits: dict
     notes: list = field(default_factory=list)
 
     @property
+    def inconclusive(self) -> int:
+        return sum(self.hits.values())
+
+    @property
     def verdict(self) -> str:
-        return _verdict(sum(c - p for p, c in self.parts.values()), self.inconclusive)
+        """No failed check is "ok"; failures that are all budget hits leave the
+        audit "inconclusive"; anything else is "refuted"."""
+        failures = sum(c - p for p, c in self.parts.values())
+        if not failures:
+            return "ok"
+        return "inconclusive" if failures == self.inconclusive else "refuted"
 
     @property
     def ok(self) -> bool:
@@ -847,11 +850,34 @@ class SelfCertificate:
         tally = self.parts[part]
         tally[0] += bool(passed)
         tally[1] += 1
-        self.inconclusive += passed is None
+        self.hits[part] += passed is None
 
     def note(self, text: str) -> None:
         if len(self.notes) < 10:
             self.notes.append(text)
+
+
+def _audit(fp: FixedPointSet, parts, jobs) -> SelfCertificate:
+    """Run each job ``(part, quad, track, want)`` through the checker (on
+    the set's own track if ``track`` is None) and tally ``_check``'s
+    judgement under ``part``; a ``"universal"`` job that passed is judged
+    again under the universal machine."""
+    cert = SelfCertificate({part: [0, 0] for part in parts}, dict.fromkeys(parts, 0))
+    for part, quad, track, want in jobs:
+        direct = run_checker(fp, quad, track=track).status
+        passed, sim = _check(direct, want), None
+        if passed and part == "universal":
+            sim = run_encoded(universal_machine(fp.state_bits), list(fp.program),
+                              checker_tape(fp.n, *quad),
+                              max_steps=UNIVERSAL_STEPS, state_bits=fp.state_bits).status
+            passed = _check(sim, want)
+        cert.count(part, passed)
+        if passed is None:
+            cert.note(f"{'universal' if sim else 'checker'} budget hit at {quad}: inconclusive")
+        elif not passed:
+            cert.note(f"universal run disagrees at {quad}: {direct} vs {sim}" if sim
+                      else f"{part} check failed at {quad}: {direct}, want={want}")
+    return cert
 
 
 def _reject_probes(fp: FixedPointSet, rng: random.Random):
@@ -902,7 +928,6 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     if resident_samples is not None and resident_samples < 1:
         raise ValueError("resident_samples must be at least 1")
     rng = random.Random(seed)
-    cert = SelfCertificate()
 
     walkers, nonwalk = [], []
     for quad in fp.accepted:  # in tile id order
@@ -925,21 +950,7 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     rejects = (q for q in _reject_probes(fp, rng) if q not in fp.accepted)
     jobs += [("universal", q) for q in itertools.islice(rejects, utm_rejects)]
 
-    for part, quad in jobs:
-        want = quad in fp.accepted
-        direct = run_checker(fp, quad).status
-        passed, sim = _check(direct, want), None
-        if passed and part == "universal":
-            sim = run_encoded(universal_machine(fp.state_bits), list(fp.program),
-                              checker_tape(fp.n, *quad),
-                              max_steps=UNIVERSAL_STEPS, state_bits=fp.state_bits).status
-            passed = _check(sim, want)
-        cert.count(part, passed)
-        if passed is None:
-            cert.note(f"{'universal' if sim else 'checker'} budget hit at {quad}: inconclusive")
-        elif not passed:
-            cert.note(f"universal run disagrees at {quad}: {direct} vs {sim}" if sim
-                      else f"{part} check failed at {quad}: {direct}, member={want}")
+    cert = _audit(fp, PARTS, ((part, q, None, q in fp.accepted) for part, q in jobs))
 
     corners = [(0, 0), (fp.size - 1, fp.size - 1), (0, fp.size - 32)]
     inner = [(77, 30), (fp.size // 2, fp.size // 2), (5, 0)]
@@ -954,51 +965,28 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     return cert
 
 
-@dataclass
-class MutationTrials:
-    tried: int
-    caught: int
-    controls_ok: bool
-    inconclusive: int  # budget hits: neither caught nor missed
-
-    @property
-    def verdict(self) -> str:
-        """``_verdict`` over the misses plus a failed control."""
-        return _verdict(self.tried - self.caught + (not self.controls_ok), self.inconclusive)
-
-    @property
-    def all_caught(self) -> bool:
-        return self.verdict == "ok"
-
-
 def mutation_trials(fp: FixedPointSet, count: int = 50,
-                    seed: int = 20260816) -> MutationTrials:
+                    seed: int = 20260816) -> SelfCertificate:
     """Flip single program bits on the track and confirm the checker now
     rejects the tile that carries the original bit at that block offset.
 
     The first three trials also run a control tile under the mutated
-    track, which the checker must still accept.  Runs are judged by
-    ``_check``: a mutant that does not end stuck is a miss unless it hit
-    its budget, and a budget hit on the mutant, or on the control of a
-    caught mutant, makes the trial inconclusive, counted apart from both."""
+    track, which the checker must still accept.  Mutants and controls are
+    ``_audit`` jobs, each its own check; they are generated one trial at
+    a time, so only one mutated track is alive at once."""
     rng = random.Random(seed)
     bits = rng.sample(range(len(fp.program)), count)
-    caught = inconclusive = 0
-    controls_ok = True
     control = fp.edge_records(3, 7, 0, 0, 0, 0)
-    for k, mbit in enumerate(bits):
-        mutated = bytearray(fp.track_bits)
-        mutated[fp.track_offset + mbit] ^= 1
-        x, y = mbit % fp.size, fp.size // 4 + mbit // fp.size
-        quad = fp.edge_records(
-            x, y, *(ch[0] for ch in _val_choices(fp.size, fp.padded, x, y)))
-        rejected = _check(run_checker(fp, quad, track=mutated).status, False)
-        if k < 3:
-            vouched = _check(run_checker(fp, control, track=mutated).status, True)
-            controls_ok &= vouched is not False
-            if vouched is None and rejected:
-                rejected = None  # a catch its control cannot vouch for
-        caught += bool(rejected)
-        inconclusive += rejected is None
-    return MutationTrials(tried=count, caught=caught, controls_ok=controls_ok,
-                          inconclusive=inconclusive)
+
+    def jobs():
+        for k, mbit in enumerate(bits):
+            mutated = bytearray(fp.track_bits)
+            mutated[fp.track_offset + mbit] ^= 1
+            x, y = mbit % fp.size, fp.size // 4 + mbit // fp.size
+            quad = fp.edge_records(
+                x, y, *(ch[0] for ch in _val_choices(fp.size, fp.padded, x, y)))
+            yield "mutations", quad, mutated, False
+            if k < 3:
+                yield "controls", control, mutated, True
+
+    return _audit(fp, ("mutations", "controls"), jobs())

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from ..core import HOLE, PatchGrid, Tile, TileSet, verify_patch
 from ..islands import Schedule, clean, make_schedule
 from ..solver import InconclusiveError, fill_template, solve
+from .simulate import CompileError
 
 Point = tuple[int, int]
 
@@ -55,7 +56,8 @@ def robustify(
     (w+2) x (w+2) window, so every admitted pattern survives being
     surrounded - which is exactly what hole repair reads off the annulus
     around a damaged spot.  More than ``max_solutions`` windows, or a
-    search that hits ``max_nodes``, raises InconclusiveError.
+    search that hits ``max_nodes``, raises InconclusiveError; a set with
+    no legal window raises CompileError.
     """
     if w < 2:
         raise ValueError("patterns need w >= 2 to overlap")
@@ -72,7 +74,7 @@ def robustify(
             f"pattern census hit its budget ({r.count} windows, {r.nodes} nodes)"
         )
     if not r.solutions:
-        raise ValueError("tile set cannot tile the sampling window")
+        raise CompileError("tile set cannot tile the sampling window")
     pats = sorted(
         {
             tuple(tuple(sol.cells[y][x] for x in range(1, w + 1)) for y in range(1, w + 1))

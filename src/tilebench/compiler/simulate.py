@@ -40,7 +40,9 @@ from .layout import SimulationLayout, plan_layout
 
 
 class CompileError(ValueError):
-    """The machine cannot be compiled at the requested geometry."""
+    """The input cannot be compiled: a machine at the requested geometry, a
+    fixed-point set at the requested size, or a tile set that cannot tile
+    ``robustify``'s sampling window."""
 
 
 @dataclass

@@ -138,6 +138,13 @@ class TestCompilerCommands:
         assert body["w"] == 5
         assert body["tiles"] == len(body["tile_set"]["tiles"])
 
+    def test_robustify_of_an_untileable_set_is_a_domain_failure(self, tmp_path):
+        # the same set that solve reports unsatisfiable: exit 1, not a usage error
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps({"color_count": 2, "tiles": [[0, 1, 0, 0]]}))
+        code, out = run("robustify", "--tiles", str(path))
+        assert code == 1 and out == ""
+
     def test_robust_check_chessboard_annulus(self):
         code, body = run_json("robust-check", "--stock", "chessboard",
                               "--outer", "5", "--inner", "3")
@@ -361,6 +368,12 @@ class TestErrorPaths:
          {"0": [1, 2], "1": [1, 2, 3]}),
         (("render", "--format", "ppm", "--patch", "@patch", "--palette"),
          {"0": 5, "1": [1, 2, 3]}),
+        (("render", "--format", "ppm", "--patch", "@patch", "--palette"),
+         {"0": [1.9, 2, 3], "1": [1, 2, 3]}),
+        (("render", "--format", "ppm", "--patch", "@patch", "--palette"),
+         {"0": [1, True, 3], "1": [1, 2, 3]}),
+        (("render", "--format", "ppm", "--patch", "@patch", "--palette"),
+         {"0": [1, 2, "3"], "1": [1, 2, 3]}),
         (("render", "--patch"), {"width": 2, "height": 1, "cells": [["1", 1]]}),
         (("fill-hole", "--stock", "chessboard", "--patch"),
          {"width": 2, "height": 1, "cells": [[0, 1.9]]}),
@@ -368,7 +381,8 @@ class TestErrorPaths:
             "point-single", "float-point", "string-point", "bool-point",
             "machine-without-rules", "machine-of-300-symbols", "rule-without-m",
             "schedule-without-pairs", "palette-as-list", "empty-glyph", "rgb-pair",
-            "rgb-scalar", "string-cell", "float-cell"])
+            "rgb-scalar", "float-rgb", "bool-rgb", "string-rgb", "string-cell",
+            "float-cell"])
     def test_malformed_file_is_a_usage_error(self, files, tmp_path, argv, content,
                                              capsys):
         path = tmp_path / "bad.json"

@@ -31,7 +31,7 @@ from tilebench.compiler.fixedpoint import (
     window_bits,
     walks,
 )
-from tilebench.core import verify_patch
+from tilebench.core import PatchGrid, verify_patch
 from tilebench.machine import RunResult, encode_program, run_machine
 
 
@@ -152,7 +152,27 @@ class TestChecker:
 
     def test_mutated_track_bit_is_caught(self, fp):
         report = mutation_trials(fp, count=3, seed=11)
-        assert report.all_caught
+        assert report.ok
+
+    def test_mutation_jobs_are_drawn_one_trial_at_a_time(self, fp, monkeypatch):
+        # each trial's mutated track is a 41 KB copy; a list of every job
+        # would hold all of them at once
+        drawn, seen = 0, []
+        choices = fixedpoint._val_choices
+
+        def counted(*args):
+            nonlocal drawn
+            drawn += 1
+            return choices(*args)
+
+        def spy(fp_, quad, track=None):
+            seen.append(drawn)
+            return run_checker(fp_, quad, track=track)
+
+        monkeypatch.setattr(fixedpoint, "_val_choices", counted)
+        monkeypatch.setattr(fixedpoint, "run_checker", spy)
+        assert mutation_trials(fp, count=5, seed=11).ok
+        assert seen == [1, 1, 2, 2, 3, 3, 4, 5]
 
 
 class TestMacroTiles:
@@ -202,6 +222,37 @@ class TestMacroTiles:
         assert [list(row) for row in fp.cell_ids] == want
         # the grid shares the ints accepted holds rather than copying them
         assert all(a is b for got, row in zip(fp.cell_ids, want) for a, b in zip(got, row))
+
+
+class TestKnownGaps:
+    """What the audit does not show: these pin the set's known gaps, so a
+    change that closes one shows here."""
+
+    def test_cell_ids_tile_the_torus(self, fp):
+        # the per-cell id grid wraps with no mismatched edge: the N=256 set
+        # has a periodic tiling, so it is not aperiodic
+        size, ids = fp.size, fp.cell_ids
+        wrapped = [[ids[y % size][x % size] for x in range(size + 1)]
+                   for y in range(size + 1)]
+        assert verify_patch(fp.tile_set, PatchGrid(size + 1, size + 1, wrapped)) == []
+
+    def test_a_forged_border_record_verifies(self, fp):
+        # write another record into the free left vals of the top ring rows:
+        # the patch still verifies, and decodes to no tile of the set
+        n, size = fp.n, fp.size
+        ls, rs, ts, bs = fixedpoint._val_choices(size, fp.padded, 77, 30)
+        quad = fp.edge_records(77, 30, ls[-1], rs[-1], ts[-1], bs[-1])
+        cells = [list(row) for row in assemble_self_patch(fp, quad).cells]
+        lo = size - fixedpoint.RECORD_BITS
+        forged = window_bits(n, pack_record(n, 5, 9, 1))
+        for y in range(lo, size):
+            _, *pinned = (ch[0] for ch in fixedpoint._val_choices(size, fp.padded, 0, y))
+            cells[y][0] = fp.accepted[fp.edge_records(0, y, forged[y - lo], *pinned)]
+        patch = PatchGrid(size, size, cells)
+        assert verify_patch(fp.tile_set, patch) == []
+        decoded = decode_self_patch(fp, patch)
+        assert decoded == (pack_record(n, 5, 9, 1), *quad[1:])
+        assert decoded not in fp.accepted
 
 
 @pytest.mark.parametrize("size", [256, 512])
@@ -300,8 +351,8 @@ class TestBudgetHits:
 
         monkeypatch.setattr(fixedpoint, "run_checker", mutants_hit_budget)
         trials = mutation_trials(fp, count=5)
-        assert trials.caught == 0 and trials.inconclusive == 5
-        assert trials.controls_ok and not trials.all_caught
+        assert trials.parts == {"mutations": [0, 5], "controls": [3, 3]}
+        assert trials.inconclusive == 5 and not trials.ok
         monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -311,12 +362,14 @@ class TestBudgetHits:
         assert (body["tried"], body["caught"], body["inconclusive"]) == (5, 0, 5)
 
     @pytest.mark.parametrize("control_status,code,body", [
-        # the three controlled catches are left undecided, not refuted
-        ("timeout", 3, {"tried": 5, "caught": 2, "inconclusive": 3, "controls_ok": True}),
+        # each run is its own check: the catches stand, and the three
+        # controls' budget hits leave the audit undecided, not refuted
+        ("timeout", 3, {"tried": 5, "caught": 5, "inconclusive": 3, "controls_ok": True}),
         ("stuck", 1, {"tried": 5, "caught": 5, "inconclusive": 0, "controls_ok": False}),
     ])
     def test_control_budget_hit_is_inconclusive(self, fp, monkeypatch, control_status,
                                                 code, body):
+        hits = {"mutations": 0, "controls": 3 if control_status == "timeout" else 0}
         control = fp.edge_records(3, 7, 0, 0, 0, 0)
 
         def control_stub(fp_, quad, track=None):
@@ -324,7 +377,17 @@ class TestBudgetHits:
                 return RunResult(control_status, 0, 0, 0, ())
             return run_checker(fp_, quad, track=track)
 
+        counted = []
+        count = fixedpoint.SelfCertificate.count
+
+        def spy(cert, part, passed):
+            counted.append(part)
+            count(cert, part, passed)
+
         monkeypatch.setattr(fixedpoint, "run_checker", control_stub)
+        monkeypatch.setattr(fixedpoint.SelfCertificate, "count", spy)
+        assert mutation_trials(fp, count=5, seed=7).hits == hits
+        assert counted == ["mutations", "controls"] * 3 + ["mutations"] * 2
         monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
