@@ -384,17 +384,23 @@ def _palette(args, ids: set[int]):
     if not args.palette:
         return None
 
+    def key(k):
+        # only the canonical spelling, so no two keys name one tile id
+        if str(int(k)) != k or int(k) < 0:
+            raise ValueError(f"{k!r} is not a tile id")
+        return int(k)
+
     def entry(v):
         if args.format == "ascii":
-            if not (isinstance(v, str) and v):
-                raise ValueError(f"{v!r} is not a glyph")
-            return v[0]
+            if not (isinstance(v, str) and len(v) == 1):
+                raise ValueError(f"{v!r} is not a one-character glyph")
+            return v
         if not (isinstance(v, list) and len(v) == 3
                 and all(type(c) is int and 0 <= c < 256 for c in v)):
             raise ValueError(f"{v!r} is not an RGB triple")
         return tuple(v)
 
-    table = _load(args.palette, lambda obj: {int(k): entry(v) for k, v in dict(obj).items()})
+    table = _load(args.palette, lambda obj: {key(k): entry(v) for k, v in dict(obj).items()})
     missing = sorted(i for i in ids if i != HOLE and i not in table)
     if missing:
         raise UsageError(f"palette misses tile ids {missing}")

@@ -41,6 +41,11 @@ per decrement is measured from R once per set and whose preconditions are
 checked at every use; a drag that fails them is stepped.  A walk then
 costs about as much as a resident run, and every composed result is
 exactly that of a direct run.
+
+No step budget is a hand-set number: ``checker_budget`` works one out per
+set from the geometry and the drag lemma, and a universal re-run's comes
+from the direct run it re-checks.  Universal re-runs are drawn only at
+non-walking cells: a walk of 2 M steps would need about 10**13.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from ..machine import (
     run_encoded,
     run_machine,
     universal_machine,
+    utm_tape,
 )
 from .simulate import CompileError
 
@@ -582,6 +588,31 @@ def drag_lemma(machine: Machine, names, width: int) -> DragLemma:
 
 # --- the tile set -----------------------------------------------------------
 
+def checker_budget(n: int, size: int, drag: DragLemma) -> int:
+    """A step bound on every checker run over a grid of side ``size`` = 2**n,
+    worked out from the geometry and the drag lemma.
+
+    A walk starts only on a block row, so every drag count is below the
+    block's capacity C = size * (3*size/4 - 32), and a run drags at most
+    twice: at most ``2 * max_e drag.steps(e, C - 1)`` steps.  Every other
+    step but the accepting one moves the head one cell.  Outside the drags
+    the head turns at most 8n + 25 times, on a tile off both seams that
+    walks twice: 2 for the frame pass, 4 for each seam pass, 2 for each
+    vertical pass before its walk, and per walk 2 for each of the 2n
+    counter bits loaded, 3 in the transform, 1 back from the val fetch and
+    1 at the drag's exit, and 1 more after the top walk.  So those steps
+    fall into at most 8n + 26 one-way stretches, each no longer than the
+    tape: the ANCHOR + 1 cells of ``checker_tape``, the counter's 2n cells
+    and its mark, and one cell per decrement.  Raises CompileError when the
+    lemma lacks a walker family, whose drags would then have no cost.
+    """
+    if len(drag.entries) < 4:
+        raise CompileError("the drag lemma does not measure every walker family")
+    cap = size * len(_band(size))
+    drags = 2 * max(drag.steps(entry, cap - 1) for entry in drag.entries)
+    return drags + (8 * n + 26) * (ANCHOR + 2 * n + 1 + cap)
+
+
 def _band(size: int) -> range:
     """Rows whose vertical edges carry pinned program bits."""
     return range(size // 4, size - 32)
@@ -605,7 +636,8 @@ class FixedPointSet:
     ``accepted`` maps the edge records of every tile to its tile id;
     ``cell_ids[y][x]`` is the id of the cell's first tile (free vals 0),
     the same int object ``accepted`` holds; ``drag`` is the checker's drag
-    lemma, which ``run_checker`` jumps with.
+    lemma, which ``run_checker`` jumps with, and ``budget`` its step budget
+    (``checker_budget``).
     """
 
     n: int
@@ -620,6 +652,7 @@ class FixedPointSet:
     cell_ids: tuple = field(hash=False)
     color_records: tuple = field(hash=False)
     drag: DragLemma = field(hash=False)
+    budget: int
 
     @property
     def band(self) -> range:
@@ -712,6 +745,7 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
                 tid += 1
         cell_ids.append(tuple(row))
     assert len(tiles) == (size + 2) ** 2, "free border bits miscounted"
+    drag = drag_lemma(machine, names, 2 * n)
     return FixedPointSet(
         n=n,
         size=size,
@@ -724,19 +758,17 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
         accepted=accepted,
         cell_ids=tuple(cell_ids),
         color_records=tuple(colors),
-        drag=drag_lemma(machine, names, 2 * n),
+        drag=drag,
+        budget=checker_budget(n, size, drag),
     )
 
 
 # --- running the checker ----------------------------------------------------
 
-CHECKER_STEPS = 4_000_000  # budget of every direct checker run
-UNIVERSAL_STEPS = 200_000_000  # budget of one checker run under the universal machine
-
-
 def run_checker(fp: FixedPointSet, quad, *, track=None) -> RunResult:
     """One checker run over the encoded quad (records, not color ids), on
-    ``fp.track_bits`` unless another track is given.
+    ``fp.track_bits`` unless another track is given, within ``fp.budget``
+    steps.
 
     The run is composed: the engine steps it to each counter drag, where
     ``fp.drag`` jumps the whole drag, and resumes for the drag's exit rule,
@@ -747,7 +779,7 @@ def run_checker(fp: FixedPointSet, quad, *, track=None) -> RunResult:
     """
     return run_machine(fp.machine, checker_tape(fp.n, *quad),
                        track=fp.track_bits if track is None else track,
-                       max_steps=CHECKER_STEPS, macro=fp.drag)
+                       max_steps=fp.budget, macro=fp.drag)
 
 
 def walks(fp: FixedPointSet, x: int, y: int) -> bool:
@@ -864,19 +896,25 @@ def _audit(fp: FixedPointSet, parts, jobs) -> SelfCertificate:
     again under the universal machine."""
     cert = SelfCertificate({part: [0, 0] for part in parts}, dict.fromkeys(parts, 0))
     for part, quad, track, want in jobs:
-        direct = run_checker(fp, quad, track=track).status
-        passed, sim = _check(direct, want), None
+        direct = run_checker(fp, quad, track=track)
+        passed, sim = _check(direct.status, want), None
         if passed and part == "universal":
-            sim = run_encoded(universal_machine(fp.state_bits), list(fp.program),
-                              checker_tape(fp.n, *quad),
-                              max_steps=UNIVERSAL_STEPS, state_bits=fp.state_bits).status
+            # Each of the run's s steps, and the lookups before the first and
+            # after the last, cross the universal tape at most three times
+            # (back to the origin, along the records, out to the head), and
+            # the tape gains at most one cell a step.
+            program, tape, s = list(fp.program), checker_tape(fp.n, *quad), direct.steps
+            cells = len(utm_tape(program, tape, state_bits=fp.state_bits))
+            sim = run_encoded(universal_machine(fp.state_bits), program, tape,
+                              max_steps=3 * (s + 2) * (cells + s),
+                              state_bits=fp.state_bits).status
             passed = _check(sim, want)
         cert.count(part, passed)
         if passed is None:
             cert.note(f"{'universal' if sim else 'checker'} budget hit at {quad}: inconclusive")
         elif not passed:
-            cert.note(f"universal run disagrees at {quad}: {direct} vs {sim}" if sim
-                      else f"{part} check failed at {quad}: {direct}, want={want}")
+            cert.note(f"universal run disagrees at {quad}: {direct.status} vs {sim}" if sim
+                      else f"{part} check failed at {quad}: {direct.status}, want={want}")
     return cert
 
 
@@ -918,9 +956,10 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     (a) every non-walking tile is run through the checker (or a sample
     of resident_samples of them), walking tiles are sampled (their runs
     drag the counter across the track), and corrupted quads are checked
-    against set membership; (b) sampled member and non-member quads are
-    re-run under the universal machine on the checker's own encoding,
-    each only after its direct run gave the answer membership wants;
+    against set membership; (b) sampled member and non-member quads at
+    non-walking cells are re-run under the universal machine on the
+    checker's own encoding, each only after its direct run gave the answer
+    membership wants;
     (c) sample tiles are assembled into macro-tiles, patch-verified, and
     decoded back.  Runs are judged by ``_check``, so a budget hit leaves
     its check inconclusive.  Raises ValueError for resident_samples below 1.
@@ -947,7 +986,10 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
         quad[3] = pack_record(fp.n, x, y, 1 - pinned)
         jobs.append(("probes", tuple(quad)))
     jobs += [("universal", q) for q in rng.sample(nonwalk, utm_accepts)]
-    rejects = (q for q in _reject_probes(fp, rng) if q not in fp.accepted)
+    # Rejects sit at non-walking cells too; every probe mode keeps the
+    # bottom record's cell, the probe's own.
+    rejects = (q for q in _reject_probes(fp, rng) if q not in fp.accepted
+               and not walks(fp, *unpack_record(fp.n, q[3])[:2]))
     jobs += [("universal", q) for q in itertools.islice(rejects, utm_rejects)]
 
     cert = _audit(fp, PARTS, ((part, q, None, q in fp.accepted) for part, q in jobs))

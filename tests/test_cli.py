@@ -364,6 +364,10 @@ class TestErrorPaths:
         (("clean", "--points", "@points", "--schedule"), {"c": 2}),
         (("render", "--patch", "@patch", "--palette"), [1, 2]),
         (("render", "--patch", "@patch", "--palette"), {"0": "", "1": "x"}),
+        (("render", "--patch", "@patch", "--palette"), {"0": "#", "00": "+", "1": "x"}),
+        (("render", "--patch", "@patch", "--palette"), {" 0": "x", "1": "y"}),
+        (("render", "--patch", "@patch", "--palette"), {"-1": "x", "0": "x", "1": "y"}),
+        (("render", "--patch", "@patch", "--palette"), {"0": "ab", "1": "x"}),
         (("render", "--format", "ppm", "--patch", "@patch", "--palette"),
          {"0": [1, 2], "1": [1, 2, 3]}),
         (("render", "--format", "ppm", "--patch", "@patch", "--palette"),
@@ -380,7 +384,8 @@ class TestErrorPaths:
     ], ids=["three-color-tile", "tiles-without-colors", "patch-as-list", "point-triple",
             "point-single", "float-point", "string-point", "bool-point",
             "machine-without-rules", "machine-of-300-symbols", "rule-without-m",
-            "schedule-without-pairs", "palette-as-list", "empty-glyph", "rgb-pair",
+            "schedule-without-pairs", "palette-as-list", "empty-glyph", "padded-key",
+            "spaced-key", "negative-key", "long-glyph", "rgb-pair",
             "rgb-scalar", "float-rgb", "bool-rgb", "string-rgb", "string-cell",
             "float-cell"])
     def test_malformed_file_is_a_usage_error(self, files, tmp_path, argv, content,

@@ -17,22 +17,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilebench.compiler import CompileError
 from tilebench.compiler.fixedpoint import (
-    CHECKER_STEPS,
+    ANCHOR,
     SYM_B,
     SYM_M,
     SYM_O,
     SYM_Z,
+    DragLemma,
     build_checker,
     certificate,
+    checker_budget,
     checker_tape,
+    drag_lemma,
     mutation_trials,
     pack_record,
     run_checker,
     unpack_record,
     walks,
 )
-from tilebench.machine import Run, run_machine
+from tilebench.machine import Run, encode_program, run_machine
 
 FAMILIES = ("lt_h0", "lt_h1", "lb_h0", "lb_h1")
 
@@ -67,10 +71,12 @@ def flipped(fp, quad):
     return tuple(quad)
 
 
-def same_as_direct(fp, quad, *, track=None, max_steps=CHECKER_STEPS, macro=None):
-    """The composed run of quad, checked against a direct run."""
+def same_as_direct(fp, quad, *, track=None, max_steps=None, macro=None):
+    """The composed run of quad, checked against a direct run (on the set's
+    budget unless max_steps is given)."""
     tape = checker_tape(fp.n, *quad)
-    kw = {"track": fp.track_bits if track is None else track, "max_steps": max_steps}
+    kw = {"track": fp.track_bits if track is None else track,
+          "max_steps": fp.budget if max_steps is None else max_steps}
     got = run_machine(fp.machine, tape, macro=macro or fp.drag, **kw)
     assert outcome(got) == outcome(run_machine(fp.machine, tape, **kw)), quad
     return got
@@ -103,14 +109,17 @@ def test_lemma_covers_every_family(fp, names):
 def test_first_last_and_carry_folds(fp):
     last = fp.capacity - 1
     folds = {0, last} | {f for k in range(16) for f in (2**k - 1, 2**k)}
-    pinned = set()
+    pinned, steps = set(), []
     for fold in sorted(folds):
         x, y = at_fold(fp, fold)
         quad = member(fp, x, y)
         assert walks(fp, x, y)
-        assert same_as_direct(fp, quad).status == "accepted"
+        r = same_as_direct(fp, quad)
+        assert r.status == "accepted"
         pinned.add(fp.padded[fold])
+        steps.append(r.steps)
     assert pinned == {0, 1}  # both pinned bit values, so both b families
+    assert max(steps) <= fp.budget
     # top-edge walks only (row N/4 - 1) and bottom-edge walks only (row N - 33)
     assert same_as_direct(fp, member(fp, 0, fp.size // 4 - 1)).status == "accepted"
     assert same_as_direct(fp, member(fp, 255, fp.size - 33)).status == "accepted"
@@ -120,6 +129,69 @@ def test_worst_walk_agrees(fp):
     r = same_as_direct(fp, member(fp, 255, 222))
     assert (r.status, r.steps) == ("accepted", 3_244_140)
     assert outcome(run_checker(fp, member(fp, 255, 222))) == outcome(r)
+    assert r.steps <= fp.budget <= 2.5 * r.steps
+    # run_checker runs within the set's budget, whatever it is
+    short = dataclasses.replace(fp, budget=r.steps - 1)
+    assert run_checker(short, member(fp, 255, 222)).status == "timeout"
+
+
+def test_second_zoom_walks_fit_the_derived_budget():
+    # the n=9 checker, its program, lemma and track, without the 264,196
+    # tiles that build_fixed_point(512) enumerates; (511, 478) walks both
+    # edges, the top one from the last fold, and needs about 5x the steps
+    # of the worst N=256 walk
+    n, size = 9, 512
+    machine, names = build_checker(n)
+    program = encode_program(machine, state_bits=9)
+    band = range(size // 4, size - 32)
+    padded = program + [0] * (size * len(band) - len(program))
+    track = bytes(ANCHOR + 1 + 2 * n) + bytes(padded)
+    lemma = drag_lemma(machine, names, 2 * n)
+    budget = checker_budget(n, size, lemma)
+
+    def vert(x, row):
+        return padded[x + size * (row - size // 4)] if row in band else 0
+
+    steps = {}
+    for x, y in ((511, 478), (511, 128), (0, 127)):
+        quad = (pack_record(n, x, y, 0), pack_record(n, (x + 1) % size, y, 0),
+                pack_record(n, x, y + 1, vert(x, y + 1)), pack_record(n, x, y, vert(x, y)))
+        r = run_machine(machine, checker_tape(n, *quad), track=track, max_steps=budget,
+                        macro=lemma)
+        assert r.status == "accepted", (x, y)
+        steps[x, y] = r.steps
+    assert steps[511, 478] == 15_677_856
+    assert budget <= 2.5 * steps[511, 478]
+
+
+def head_turns(fp, quad):
+    """How often the head of quad's checker run turns, one step at a time
+    but for the drags, each jumped and taken as one move right."""
+    run = Run(fp.machine, checker_tape(fp.n, *quad), track=fp.track_bits)
+    moves, status = [], "timeout"
+    while status == "timeout":
+        head = run.head
+        status = "timeout" if fp.drag(run, fp.budget) else run.go(run.steps + 1)
+        if run.head != head:
+            moves.append(run.head > head)
+    return sum(a != b for a, b in zip(moves, moves[1:]))
+
+
+def test_head_turns_as_the_budget_counts_them(fp):
+    # checker_budget's 8n + 25 turns outside the drags: reached by a tile
+    # off both seams that walks twice, and not passed by seam tiles, tiles
+    # that walk once or not at all, or a block probe
+    worst = 8 * fp.n + 25
+    assert head_turns(fp, member(fp, 100, 100)) == worst
+    for x, y in ((255, 222), (0, 100), (5, 3), (0, fp.size // 4 - 1)):
+        assert head_turns(fp, member(fp, x, y)) < worst
+    assert head_turns(fp, flipped(fp, member(fp, 100, 100))) <= worst
+
+
+def test_budget_needs_every_family(fp):
+    partial = DragLemma(fp.drag.body, dict(list(fp.drag.entries.items())[:3]))
+    with pytest.raises(CompileError):
+        checker_budget(fp.n, fp.size, partial)
 
 
 def test_random_walkers_and_block_probes(fp):
@@ -169,7 +241,7 @@ def test_preconditions_that_fail_on_real_tapes(fp):
     tape = checker_tape(fp.n, *quad)
     # a mark in the drag's way: the decrement that meets it is stuck
     blocked = tape + [SYM_B] * 30 + [SYM_Z]
-    kw = {"track": fp.track_bits, "max_steps": CHECKER_STEPS}
+    kw = {"track": fp.track_bits, "max_steps": fp.budget}
     got = run_machine(fp.machine, blocked, macro=fp.drag, **kw)
     assert outcome(got) == outcome(run_machine(fp.machine, blocked, **kw))
     assert got.status == "stuck"
@@ -180,7 +252,7 @@ def test_lemma_declines_malformed_blocks(fp, names):
     w = 2 * fp.n
     counter = [SYM_O] + [SYM_Z] * (w - 1)  # the value 1
 
-    def declines(cells, *, budget=CHECKER_STEPS, state=entry):
+    def declines(cells, *, budget=fp.budget, state=entry):
         run = Run(fp.machine, cells, state=state)
         before = (run.state, run.head, run.steps, bytes(run.cells))
         assert not fp.drag(run, budget)

@@ -32,7 +32,7 @@ from tilebench.compiler.fixedpoint import (
     walks,
 )
 from tilebench.core import PatchGrid, verify_patch
-from tilebench.machine import RunResult, encode_program, run_machine
+from tilebench.machine import RunResult, encode_program, run_encoded
 
 
 class TestRecords:
@@ -301,17 +301,30 @@ class TestCertificate:
         assert code == 2 and buf.getvalue() == ""
 
     def test_universal_rejects_do_not_fall_short(self, fp, monkeypatch):
-        # seed 139: the first three reject probes drawn for the universal
-        # check are all members, so the non-member pick takes a fourth draw
-        def checker_as_universal(utm, program, tape, **kwargs):
-            return run_machine(fp.machine, tape, track=fp.track(),
-                               max_steps=fixedpoint.CHECKER_STEPS)
+        # seed 139: of the first seven reject probes drawn for the universal
+        # check, six are members and the fourth walks, so the non-member
+        # pick at a non-walking cell takes an eighth draw; each universal
+        # run decides within the budget derived from its direct run
+        direct, universal = [], []
 
-        monkeypatch.setattr(fixedpoint, "universal_machine", lambda bits: None)
-        monkeypatch.setattr(fixedpoint, "run_encoded", checker_as_universal)
+        def last_direct(fp_, quad, track=None):
+            direct.append(quad)
+            return run_checker(fp_, quad, track=track)
+
+        def real_universal(utm, program, tape, **kwargs):
+            quad = direct[-1]
+            assert tape == checker_tape(fp.n, *quad)
+            r = run_encoded(utm, program, tape, **kwargs)
+            universal.append((unpack_record(fp.n, quad[3])[:2], r.status))
+            return r
+
+        monkeypatch.setattr(fixedpoint, "run_checker", last_direct)
+        monkeypatch.setattr(fixedpoint, "run_encoded", real_universal)
         cert = certificate(fp, walk_samples=0, reject_samples=0, block_probes=0,
                            utm_accepts=1, utm_rejects=1, resident_samples=1, seed=139)
         assert cert.parts["universal"] == [2, 2] and cert.ok
+        assert [status for _, status in universal] == ["accepted", "stuck"]
+        assert not any(walks(fp, x, y) for (x, y), _ in universal)
 
     def test_a_wall_is_not_a_rejection(self, fp, monkeypatch):
         # only a stuck run rejects: a non-member probe that walks off the

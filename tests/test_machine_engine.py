@@ -505,7 +505,7 @@ def test_checker_tiles_agree(fp):
     probe[3] = pack_record(fp.n, i, j, 1 - fp.padded[fp.fold(7, 64)])
     for quad, status in ((resident, "accepted"), (walk, "accepted"), (tuple(probe), "stuck")):
         r = assert_agrees(fp.machine, checker_tape(fp.n, *quad), track=track,
-                          max_steps=4_000_000)
+                          max_steps=fp.budget)
         assert r.status == status, quad
 
 
