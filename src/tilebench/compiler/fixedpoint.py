@@ -59,7 +59,6 @@ from ..core import PatchGrid, Tile, TileSet, verify_patch
 from ..machine import (
     Machine,
     Run,
-    RunResult,
     Transition,
     encode_program,
     run_encoded,
@@ -268,8 +267,8 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
     m.add("hrz_3", SYM_Z, "rw_vt", move="L")
     rewind("rw_vt", "vt_e1")
 
-    # Shared shape for the two vertical-edge passes.  slot: 1 for the top
-    # record, 2 for the bottom one (cells past the tag).  The zero scan
+    # Shared shape for the two vertical-edge passes.  slot_off: 3 for the
+    # top record, 4 for the bottom one (cells past the tag).  The zero scan
     # over j quads classifies the edge: all zero means the seam row (val
     # free), otherwise the backward reads at the j/padding boundary
     # decide whether the row lies in the block.
@@ -293,8 +292,6 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
             m.add(f"{px}_p4", SYM_O, f"{px}_ff")
         else:
             m.add(f"{px}_p4", skip, f"{px}_t")
-            for k in range(slot_off + 1, 4):
-                m.add(f"{px}_f{k}", skip, f"{px}_f{k + 1}")
             m.add(f"{px}_f4", skip, f"{px}_ff")
         m.add(f"{px}_ff", SYM_O, f"{px}_g1")
         m.add(f"{px}_ff", SYM_B, f"{px}_b0", move="L")
@@ -306,10 +303,8 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
         hop = 5 - slot_off
         for k in range(1, hop):
             m.add(f"{px}_b{k - 1}", skip, f"{px}_b{k}", move="L")
-        m.add(f"{px}_b{hop - 1}" if hop > 1 else f"{px}_b0",
-              SYM_Z, f"{px}_m1_0", move="L")
-        m.add(f"{px}_b{hop - 1}" if hop > 1 else f"{px}_b0",
-              SYM_O, f"{px}_m1_1", move="L")
+        m.add(f"{px}_b{hop - 1}", SYM_Z, f"{px}_m1_0", move="L")
+        m.add(f"{px}_b{hop - 1}", SYM_O, f"{px}_m1_1", move="L")
         for v in (0, 1):
             for k in (1, 2, 3):
                 m.add(f"{px}_m{k}_{v}", skip, f"{px}_m{k + 1}_{v}", move="L")
@@ -765,10 +760,10 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
 
 # --- running the checker ----------------------------------------------------
 
-def run_checker(fp: FixedPointSet, quad, *, track=None) -> RunResult:
+def run_checker(fp: FixedPointSet, quad, *, track=None) -> Run:
     """One checker run over the encoded quad (records, not color ids), on
     ``fp.track_bits`` unless another track is given, within ``fp.budget``
-    steps.
+    steps; the ``Run`` that ``run_machine`` returns.
 
     The run is composed: the engine steps it to each counter drag, where
     ``fp.drag`` jumps the whole drag, and resumes for the drag's exit rule,
@@ -1012,23 +1007,26 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
     """Flip single program bits on the track and confirm the checker now
     rejects the tile that carries the original bit at that block offset.
 
-    The first three trials also run a control tile under the mutated
-    track, which the checker must still accept.  Mutants and controls are
-    ``_audit`` jobs, each its own check; they are generated one trial at
-    a time, so only one mutated track is alive at once."""
+    The first three trials also run a control under the mutated track,
+    which the checker must still accept: the mutant's row neighbour (x + 1,
+    or x - 1 on the last column), which walks too, and whose walks end one
+    bit off the mutated one, so a checker that misreads the track fails
+    it.  Mutants and controls are ``_audit`` jobs, each its own check;
+    they are generated one trial at a time, so only one mutated track is
+    alive at once."""
     rng = random.Random(seed)
     bits = rng.sample(range(len(fp.program)), count)
-    control = fp.edge_records(3, 7, 0, 0, 0, 0)
+
+    def member(x: int, y: int) -> tuple:
+        return fp.edge_records(x, y, *(ch[0] for ch in _val_choices(fp.size, fp.padded, x, y)))
 
     def jobs():
         for k, mbit in enumerate(bits):
             mutated = bytearray(fp.track_bits)
             mutated[fp.track_offset + mbit] ^= 1
             x, y = mbit % fp.size, fp.size // 4 + mbit // fp.size
-            quad = fp.edge_records(
-                x, y, *(ch[0] for ch in _val_choices(fp.size, fp.padded, x, y)))
-            yield "mutations", quad, mutated, False
+            yield "mutations", member(x, y), mutated, False
             if k < 3:
-                yield "controls", control, mutated, True
+                yield "controls", member(x + 1 if x < fp.size - 1 else x - 1, y), mutated, True
 
     return _audit(fp, ("mutations", "controls"), jobs())

@@ -75,7 +75,7 @@ def _probe_capacity(
         if res.status == "accepted":
             accepted.add(bits)
             t_max = max(t_max, res.steps)
-            w_need = max(w_need, len(res.tape))
+            w_need = max(w_need, len(res.cells))
         elif res.status == "timeout":
             raise CompileError(
                 f"checker still running on payload {bits} after {probe_steps} steps"

@@ -193,29 +193,23 @@ def _checked_track(track: bytes) -> bytes:
     return track
 
 
-@dataclass
-class RunResult:
-    status: str  # "accepted" | "stuck" | "timeout" | "hit_wall"
-    steps: int
-    state: int
-    head: int
-    tape: tuple[int, ...]
-
-
 class Run:
-    """A run in progress: tape cells, head, state and steps so far.
+    """A run: tape cells, head, state, steps so far and the status of the
+    last ``go``; the engine's one run object, and what ``run_machine``
+    returns once it has stepped it.
 
     ``go`` steps it on and can be called again to resume, so a caller can
     stop a run before given steps, change its configuration by a step of
-    its own (a macro step) and go on.  The tape is a bytearray.  The track
-    is read-only and pinned to tape positions, and cells past its end read
-    as 0; any sequence of bits is copied to ``bytes`` (an immutable bytes
-    track is used as it is), and a value other than 0 or 1 raises
-    ValueError, checked once per track object.  A step past the tape's
-    right end appends a blank; a step left of cell 0 is the one wall.
+    its own (a macro step) and go on.  The tape is ``cells``, a bytearray
+    that the run grows in place and never copies.  The track is read-only
+    and pinned to tape positions, and cells past its end read as 0; any
+    sequence of bits is copied to ``bytes`` (an immutable bytes track is
+    used as it is), and a value other than 0 or 1 raises ValueError,
+    checked once per track object.  A step past the tape's right end
+    appends a blank; a step left of cell 0 is the one wall.
     """
 
-    __slots__ = ("machine", "cells", "head", "state", "steps", "track")
+    __slots__ = ("machine", "cells", "head", "state", "steps", "status", "track")
 
     def __init__(self, machine: Machine, tape: Sequence[int], *, head: int = 0,
                  state: int | None = None, track: Sequence[int] | None = None) -> None:
@@ -240,11 +234,13 @@ class Run:
         self.head = head
         self.state = state
         self.steps = 0
+        self.status = None  # not stepped yet
         self.track = track if machine.program_track else b""
 
     def go(self, max_steps: int, pause: frozenset = frozenset()) -> str:
         """Step on until acceptance, a missing transition, the wall, or
-        ``max_steps`` steps in all; return the status, which is "paused"
+        ``max_steps`` steps in all; store the status on the run and return
+        it: "accepted", "stuck", "hit_wall", "timeout", or "paused"
         when the run stopped before a step that would enter ``pause`` from
         a state outside it (see ``Machine.dispatch``).
 
@@ -297,7 +293,7 @@ class Run:
             steps += 1
         if state == machine.accept and status == "timeout":
             status = "accepted"
-        self.head, self.state, self.steps = head, state, steps
+        self.head, self.state, self.steps, self.status = head, state, steps, status
         return status
 
 
@@ -305,12 +301,14 @@ def run_machine(
     machine: Machine,
     tape: Sequence[int],
     *,
-    head: int = 0,
     track: Sequence[int] | None = None,
     max_steps: int = 1_000_000,
     macro=None,
-) -> RunResult:
-    """Run until acceptance, a missing transition, the wall, or the budget.
+) -> Run:
+    """Run from cell 0 in the start state until acceptance, a missing
+    transition, the wall, or the budget, and return the ``Run``: its
+    ``status``, ``steps``, ``state``, ``head`` and tape ``cells`` are the
+    result.  To start elsewhere, build a ``Run`` and call ``go``.
 
     A step past the tape's right end appends a blank; a step left of cell
     0 is the one wall.  The optional 0/1 track is pinned to tape positions
@@ -333,18 +331,14 @@ def run_machine(
     """
     if max_steps < 0:
         raise ValueError(f"negative step budget {max_steps}")
-    run = Run(machine, tape, head=head, track=track)
-    if macro is None:
-        status = run.go(max_steps)
-    else:
-        status = run.go(max_steps, macro.body)
-        while status == "paused":
-            if not macro(run, max_steps):
-                status = run.go(run.steps + 1)  # the step into body, taken directly
-                if status != "timeout" or run.steps == max_steps:
-                    break
-            status = run.go(max_steps, macro.body)
-    return RunResult(status, run.steps, run.state, run.head, tuple(run.cells))
+    run = Run(machine, tape, track=track)
+    pause = frozenset() if macro is None else macro.body
+    while run.go(max_steps, pause) == "paused":
+        if not macro(run, max_steps):
+            run.go(run.steps + 1)  # the step into body, taken directly
+            if run.status != "timeout" or run.steps == max_steps:
+                break
+    return run
 
 
 # --- space-time diagram local rules -------------------------------------
@@ -719,9 +713,9 @@ def run_encoded(
     input_symbols: Sequence[int],
     track: Sequence[int] | None = None,
     max_steps: int = 2_000_000,
-    pad: int = 8,
     state_bits: int = 8,
-) -> RunResult:
-    """Convenience wrapper: build the tape and run the universal machine."""
-    tape = utm_tape(program, input_symbols, track, pad=pad, state_bits=state_bits)
+) -> Run:
+    """Convenience wrapper: build the tape and run the universal machine;
+    return the ``Run``, as ``run_machine`` does."""
+    tape = utm_tape(program, input_symbols, track, state_bits=state_bits)
     return run_machine(utm, tape, max_steps=max_steps)

@@ -36,7 +36,7 @@ from tilebench.compiler.fixedpoint import (
     unpack_record,
     walks,
 )
-from tilebench.machine import Run, encode_program, run_machine
+from tilebench.machine import Run, Transition, encode_program, run_machine
 
 FAMILIES = ("lt_h0", "lt_h1", "lb_h0", "lb_h1")
 
@@ -47,7 +47,7 @@ def names(fp):
 
 
 def outcome(res):
-    return res.status, res.steps, res.state, res.head, res.tape
+    return res.status, res.steps, res.state, res.head, res.cells
 
 
 def member(fp, x, y):
@@ -130,6 +130,7 @@ def test_worst_walk_agrees(fp):
     assert (r.status, r.steps) == ("accepted", 3_244_140)
     assert outcome(run_checker(fp, member(fp, 255, 222))) == outcome(r)
     assert r.steps <= fp.budget <= 2.5 * r.steps
+    assert fp.budget == 6_904_188
     # run_checker runs within the set's budget, whatever it is
     short = dataclasses.replace(fp, budget=r.steps - 1)
     assert run_checker(short, member(fp, 255, 222)).status == "timeout"
@@ -162,6 +163,7 @@ def test_second_zoom_walks_fit_the_derived_budget():
         steps[x, y] = r.steps
     assert steps[511, 478] == 15_677_856
     assert budget <= 2.5 * steps[511, 478]
+    assert budget == 33_186_352
 
 
 def head_turns(fp, quad):
@@ -194,6 +196,35 @@ def test_budget_needs_every_family(fp):
         checker_budget(fp.n, fp.size, partial)
 
 
+def doctored(fp, names, case):
+    """The checker with rules put in front of the lt_*0 family's, each
+    breaking one check that ``_decrement_costs`` makes before the family
+    gets an entry, and one more state, which only "costs" uses: there a
+    decrement takes one more step when an M sits left of the block."""
+    q = {name: names.index(f"lt_{name}0") for name in ("h", "dec", "ret", "n", "sh")}
+    extra = fp.machine.states
+    rules = {
+        "track": [Transition(q["ret"], SYM_O, 1, q["ret"], SYM_Z, "L")],
+        "entry": [Transition(q["h"], SYM_M, None, q["dec"], SYM_M, "S")],
+        "place": [Transition(q["n"], SYM_B, None, q["dec"], SYM_B, "S")],
+        "costs": [Transition(q["ret"], SYM_M, None, extra, SYM_M, "S"),
+                  Transition(extra, SYM_M, None, q["sh"], SYM_M, "R")],
+    }[case]
+    return dataclasses.replace(fp.machine, states=extra + 1,
+                               transitions=tuple(rules) + fp.machine.transitions)
+
+
+@pytest.mark.parametrize("case", ["track", "entry", "place", "costs"])
+def test_each_proof_obligation_can_fail(fp, names, case):
+    # a body rule that reads the track; an entry on M that does not step
+    # right into dec; a decrement that ends a cell short of where it
+    # should; a decrement whose cost depends on the cells around the block
+    lemma = drag_lemma(doctored(fp, names, case), names, 2 * fp.n)
+    assert sorted(names[e] for e in lemma.entries) == ["lb_h0", "lb_h1", "lt_h1"]
+    with pytest.raises(CompileError):
+        checker_budget(fp.n, fp.size, lemma)
+
+
 def test_random_walkers_and_block_probes(fp):
     rng = random.Random(20261018)
     rows = [y for y in range(fp.size) if walks(fp, 0, y)]
@@ -208,13 +239,15 @@ def test_random_walkers_and_block_probes(fp):
 
 
 def test_mutated_tracks_and_their_control(fp):
-    # the draws and the control tile of mutation_trials(fp, seed=20260816)
+    # the draws and the controls of mutation_trials(fp, seed=20260816): each
+    # control is the mutant's row neighbour and walks too
     rng = random.Random(20260816)
-    control = fp.edge_records(3, 7, 0, 0, 0, 0)
     for bit in rng.sample(range(len(fp.program)), 3):
         mutated = bytearray(fp.track())
         mutated[fp.track_offset + bit] ^= 1
-        x, y = bit % fp.size, fp.size // 4 + bit // fp.size
+        x, y = at_fold(fp, bit)
+        control = member(fp, x + 1 if x < fp.size - 1 else x - 1, y)
+        assert walks(fp, x, y)
         assert same_as_direct(fp, member(fp, x, y), track=mutated).status == "stuck"
         assert same_as_direct(fp, control, track=mutated).status == "accepted"
 
@@ -287,7 +320,7 @@ def synthetic_drags(draw):
         tail[draw(st.integers(0, len(tail) - 1))] = draw(st.sampled_from((SYM_Z, SYM_O, SYM_M)))
     lead = draw(st.integers(0, 3))
     tape = [SYM_B] * lead + [SYM_M] + block + ([closing] if closing is not None else []) + tail
-    kw = {"head": lead, "max_steps": draw(st.integers(0, 45 * count + 120))}
+    kw = {"max_steps": draw(st.integers(0, 45 * count + 120))}
     if draw(st.booleans()):
         kw["track"] = draw(st.lists(st.integers(0, 1), max_size=len(tape) + 200))
     return family, tape, kw
@@ -296,8 +329,14 @@ def synthetic_drags(draw):
 @settings(max_examples=200, deadline=None)
 @given(synthetic_drags())
 def test_synthetic_drags_agree(fp, names, case):
+    # a new start state crosses the lead blanks and enters the family on
+    # the anchor M, a step that both runs take
     family, tape, kw = case
-    machine = dataclasses.replace(fp.machine, start=names.index(family))
+    cross = fp.machine.states
+    machine = dataclasses.replace(fp.machine, states=cross + 1, start=cross, transitions=(
+        Transition(cross, SYM_B, None, cross, SYM_B, "R"),
+        Transition(cross, SYM_M, None, names.index(family), SYM_M, "S"),
+        *fp.machine.transitions))
     got = run_machine(machine, tape, macro=fp.drag, **kw)
     assert outcome(got) == outcome(run_machine(machine, tape, **kw))
 

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,24 @@ from tilebench.compiler.fixedpoint import (
     walks,
 )
 from tilebench.core import PatchGrid, verify_patch
-from tilebench.machine import RunResult, encode_program, run_encoded
+from tilebench.machine import encode_program, run_encoded
+
+
+def ended(status):
+    """A stand-in for a finished run: the audit reads its status and steps."""
+    return types.SimpleNamespace(status=status, steps=0)
+
+
+def mutation_controls(fp, count, seed):
+    """The control quads of mutation_trials(fp, count, seed): the row
+    neighbours of its first three mutants."""
+    controls = set()
+    for bit in random.Random(seed).sample(range(len(fp.program)), count)[:3]:
+        x, y = bit % fp.size, fp.size // 4 + bit // fp.size
+        x = x + 1 if x < fp.size - 1 else x - 1
+        vt = fp.padded[fp.fold(x, y + 1)] if y + 1 in fp.band else 0
+        controls.add(fp.edge_records(x, y, 0, 0, vt, fp.padded[fp.fold(x, y)]))
+    return controls
 
 
 class TestRecords:
@@ -172,7 +190,23 @@ class TestChecker:
         monkeypatch.setattr(fixedpoint, "_val_choices", counted)
         monkeypatch.setattr(fixedpoint, "run_checker", spy)
         assert mutation_trials(fp, count=5, seed=11).ok
-        assert seen == [1, 1, 2, 2, 3, 3, 4, 5]
+        # a mutant, and in the first three trials its control, draw once each
+        assert seen == [1, 2, 3, 4, 5, 6, 7, 8]
+
+    def test_mutation_controls_read_the_track(self, fp, monkeypatch):
+        # each control accepts under its trial's mutated track, but walks
+        # out to the track next to the mutated bit, so a track with every
+        # block bit flipped sticks it; a control that never reads the track
+        # would accept that track too
+        jobs = []
+        monkeypatch.setattr(fixedpoint, "_audit", lambda fp_, parts, js: jobs.extend(js))
+        mutation_trials(fp, count=5)
+        controls = [(quad, track) for part, quad, track, _ in jobs if part == "controls"]
+        flipped = fp.track_bits[:fp.track_offset] + bytes(1 - b for b in fp.padded)
+        for quad, mutated in controls:
+            assert run_checker(fp, quad, track=mutated).status == "accepted"
+            assert run_checker(fp, quad, track=flipped).status == "stuck"
+        assert {quad for quad, _ in controls} == mutation_controls(fp, 5, 20260816)
 
 
 class TestMacroTiles:
@@ -335,7 +369,7 @@ class TestCertificate:
             if quad in fp_.accepted:
                 return run_checker(fp_, quad, track=track)
             walled.append(quad)
-            return RunResult("hit_wall", 0, 0, 0, ())
+            return ended("hit_wall")
 
         monkeypatch.setattr(fixedpoint, "run_checker", walls_on_non_members)
         monkeypatch.setattr(fixedpoint, "universal_machine", lambda bits: None)
@@ -348,18 +382,19 @@ class TestCertificate:
 
 
 def _budget_hit(*args, **kwargs):
-    return RunResult("timeout", 0, 0, 0, ())
+    return ended("timeout")
 
 
 class TestBudgetHits:
     """A run that hits its step budget decides nothing either way."""
 
     def test_mutation_timeout_is_not_caught(self, fp, monkeypatch):
-        control = fp.edge_records(3, 7, 0, 0, 0, 0)
+        # the controls of the default seed and of the CLI run's seed 7
+        controls = mutation_controls(fp, 5, 20260816) | mutation_controls(fp, 5, 7)
 
         def mutants_hit_budget(fp_, quad, track=None):
-            if quad == control:
-                return RunResult("accepted", 0, 0, 0, ())
+            if quad in controls:
+                return ended("accepted")
             return _budget_hit()
 
         monkeypatch.setattr(fixedpoint, "run_checker", mutants_hit_budget)
@@ -383,11 +418,11 @@ class TestBudgetHits:
     def test_control_budget_hit_is_inconclusive(self, fp, monkeypatch, control_status,
                                                 code, body):
         hits = {"mutations": 0, "controls": 3 if control_status == "timeout" else 0}
-        control = fp.edge_records(3, 7, 0, 0, 0, 0)
+        controls = mutation_controls(fp, 5, 7)
 
         def control_stub(fp_, quad, track=None):
-            if quad == control:
-                return RunResult(control_status, 0, 0, 0, ())
+            if quad in controls:
+                return ended(control_status)
             return run_checker(fp_, quad, track=track)
 
         counted = []
@@ -435,7 +470,7 @@ class TestBudgetHits:
         monkeypatch.setattr(cli, "certificate", functools.partial(
             certificate, reject_samples=0, block_probes=0, utm_accepts=1, utm_rejects=1))
         monkeypatch.setattr(fixedpoint, "run_encoded",
-                            lambda *a, **k: RunResult(sim_status, 0, 0, 0, ()))
+                            lambda *a, **k: ended(sim_status))
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.main(["fixed-point", "--certificate", "--seed", "7",

@@ -184,7 +184,7 @@ def check_history_against_rules(machine, tape):
     hist = [(machine.start, 0, tuple(tape))]
     for t in range(1, r.steps + 1):
         rt = run_machine(machine, tape, max_steps=t)
-        hist.append((rt.state, rt.head, rt.tape))
+        hist.append((rt.state, rt.head, rt.cells))
     hist.append(hist[-1])  # one frozen row past acceptance
     width = len(tape)
     for t in range(len(hist) - 1):

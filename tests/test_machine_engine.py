@@ -74,12 +74,18 @@ def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000, mov
 
 
 def outcome(res):
-    return res.status, res.steps, res.state, res.head, res.tape
+    return res.status, res.steps, res.state, res.head, tuple(res.cells)
 
 
-def assert_agrees(machine, tape, **kw):
-    got = run_machine(machine, tape, **kw)
-    assert outcome(got) == reference_run(machine, tape, **kw)
+def assert_agrees(machine, tape, *, head=0, **kw):
+    """The engine's run against ``reference_run``: from ``run_machine``, or
+    from a ``Run`` when the head starts off cell 0."""
+    if head:
+        got = Run(machine, tape, head=head, track=kw.get("track"))
+        got.go(kw.get("max_steps", 1_000_000))
+    else:
+        got = run_machine(machine, tape, **kw)
+    assert outcome(got) == reference_run(machine, tape, head=head, **kw)
     return got
 
 
@@ -122,13 +128,13 @@ def test_grow_appends_a_blank():
     ))
     r = assert_agrees(m, [SYM_ONE] * 3)
     assert (r.status, r.steps, r.head) == ("accepted", 4, 3)
-    assert r.tape == (SYM_ONE,) * 3 + (SYM_ZERO,)
+    assert tuple(r.cells) == (SYM_ONE,) * 3 + (SYM_ZERO,)
 
 
 def test_blank_looping_sweep_with_grow_runs_out_the_budget():
     r = assert_agrees(RUNNER, [0, 0], max_steps=50)
     assert (r.status, r.steps, r.head) == ("timeout", 50, 50)
-    assert r.tape == (0,) * 51
+    assert tuple(r.cells) == (0,) * 51
 
 
 def test_spin_in_place_runs_out_the_budget():
@@ -184,7 +190,7 @@ def test_head_outside_the_tape_is_rejected(head):
     # a negative head would read wrapped cells, one past the end an IndexError
     m = Machine(2, 4, 0, 1, 0, True, (Transition(0, 0, None, 0, 0, "L"),))
     with pytest.raises(ValueError, match="head"):
-        run_machine(m, [0] * 4, head=head, track=[1, 0, 1, 0])
+        Run(m, [0] * 4, head=head, track=[1, 0, 1, 0])
 
 
 @pytest.mark.parametrize("state", [-1, 3])
@@ -285,13 +291,13 @@ def test_jumps_grow_the_tape():
     # fresh blanks to the budget
     for m in (register((B, Z, O)), rewriter({B: O, Z: Z, O: Z})):
         r = assert_agrees(m, DRIFT, max_steps=500)
-        assert (r.status, r.steps, r.head, len(r.tape)) == ("timeout", 500, 500, 501)
+        assert (r.status, r.steps, r.head, len(r.cells)) == ("timeout", 500, 500, 501)
         assert_agrees(m, [B], max_steps=70)
     # blank not among them: the step off the end appends one blank, which
     # then stops the run (stuck, as nothing reads it)
     for m in (SHIFT_R, FLIP_R):
         r = assert_agrees(m, DRIFT, max_steps=500)
-        assert (r.status, r.steps, r.head, len(r.tape)) == ("stuck", 210, 210, 211)
+        assert (r.status, r.steps, r.head, len(r.cells)) == ("stuck", 210, 210, 211)
 
 
 def test_track_split_family_and_loop_do_not_jump():
@@ -358,7 +364,7 @@ def test_0_1_tracks_run_whatever_their_type(bits):
     # empty, shorter and longer than the 9-cell tape
     tape = [Z] * 8 + [B]
     want = assert_agrees(MARKER, tape, track=bits)
-    assert want.status == "accepted" and want.tape.count(O) == sum(bits[:8])
+    assert want.status == "accepted" and want.cells.count(O) == sum(bits[:8])
     for track in (bytes(bits), bytearray(bits), tuple(bits)):
         assert outcome(run_machine(MARKER, tape, track=track)) == outcome(want)
 
