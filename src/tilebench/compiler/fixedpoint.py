@@ -73,7 +73,6 @@ SYM_B, SYM_Z, SYM_O, SYM_M = 0, 1, 2, 3
 
 RECORD_BITS = 32  # window slice width; also the padded record length
 QUADS = 32  # val + i bits + j bits + padding, see encode_quad
-ENC_CELLS = 2 + 5 * QUADS  # sentinel + 32 five-cell quads + sentinel
 ANCHOR = 239  # fixed M cell the loaders build the counter after
 
 
@@ -195,15 +194,33 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
     ZO = (SYM_Z, SYM_O)
     ZOB = (SYM_Z, SYM_O, SYM_B)
 
+    def cross(name: str, syms, to: str, *, move: str = "L", out: str = "R",
+              at=SYM_M) -> None:
+        """Run over ``syms`` moving ``move``, then step off ``at`` into ``to``."""
+        m.add(name, syms, name, move=move)
+        m.add(name, at, to, move=out)
+
+    def chain(px: str, first: int, last: int, syms, to: str) -> None:
+        """Step right over ``syms`` from ``{px}{first}`` to ``{px}{last}``, then into ``to``."""
+        for k in range(first, last):
+            m.add(f"{px}{k}", syms, f"{px}{k + 1}")
+        m.add(f"{px}{last}", syms, to)
+
+    def val_zero(px: str, slot: int, to: str, move: str = "L") -> None:
+        """Rewind, then require Z in slot ``slot`` (1..4) of the val quad."""
+        cross(f"rw_{px}", ZOB, f"{px}_1")
+        m.add(f"{px}_1", SYM_B, f"{px}_2")
+        for k in range(2, slot + 1):
+            m.add(f"{px}_{k}", ZO, f"{px}_{k + 1}")
+        m.add(f"{px}_{slot + 1}", SYM_Z, to, move=move)
+
     # Frame pass: sentinel, val quad binary, i quads with an increment
     # carry on the right slot, j quads with the carry on the top slot,
     # padding all zero.  Equal slots are checked on the fly: at i quads
     # left=top=bottom, at j quads left=right=bottom.
     m.add("start", SYM_M, "a_v0")
     m.add("a_v0", SYM_B, "a_v1")
-    for k in range(1, 4):
-        m.add(f"a_v{k}", ZO, f"a_v{k + 1}")
-    m.add("a_v4", ZO, "ai_t1")
+    chain("a_v", 1, 4, ZO, "ai_t1")
     for c in (0, 1):
         m.add(f"ai_t{c}", SYM_Z, f"ai_l{c}")
         m.add(f"ai_t{c}", SYM_O, "aj_l1")
@@ -220,23 +237,14 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
             m.add(f"aj_d{g}{b}", _sym(b), f"aj_t{g}")
         m.add(f"aj_t{g}", SYM_O, f"aj_l{g}")
         m.add(f"aj_t{g}", SYM_B, "ap_1")
-    for k in range(1, 4):
-        m.add(f"ap_{k}", SYM_Z, f"ap_{k + 1}")
-    m.add("ap_4", SYM_Z, "ap_t")
+    chain("ap_", 1, 4, SYM_Z, "ap_t")
     m.add("ap_t", SYM_B, "ap_1")
     m.add("ap_t", SYM_M, "rw_h", move="L")
-    m.add("rw_h", ZOB, "rw_h", move="L")
-    m.add("rw_h", SYM_M, "hl_e1")
+    cross("rw_h", ZOB, "hl_e1")
 
     def entry(prefix: str, to: str) -> None:
         m.add(f"{prefix}_e1", SYM_B, f"{prefix}_e2")
-        for k in (2, 3, 4):
-            m.add(f"{prefix}_e{k}", ZO, f"{prefix}_e{k + 1}")
-        m.add(f"{prefix}_e5", ZO, to)
-
-    def rewind(name: str, to: str, syms=ZOB) -> None:
-        m.add(name, syms, name, move="L")
-        m.add(name, SYM_M, to)
+        chain(f"{prefix}_e", 2, 5, ZO, to)
 
     # Left seam: val(left) is free exactly on the column x == 0.
     entry("hl", "hl_t")
@@ -244,13 +252,9 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
     m.add("hl_t", SYM_O, "rw_hr", move="L")  # all i bits zero: free
     m.add("hl_p1", SYM_Z, "hl_p2")
     m.add("hl_p1", SYM_O, "rw_hlz", move="L")  # x != 0: val must be Z
-    for k in (2, 3):
-        m.add(f"hl_p{k}", ZO, f"hl_p{k + 1}")
-    m.add("hl_p4", ZO, "hl_t")
-    rewind("rw_hlz", "hlz_1")
-    m.add("hlz_1", SYM_B, "hlz_2")
-    m.add("hlz_2", SYM_Z, "rw_hr", move="L")  # val(left) == 0
-    rewind("rw_hr", "hr_e1")
+    chain("hl_p", 2, 4, ZO, "hl_t")
+    val_zero("hlz", 1, "rw_hr")
+    cross("rw_hr", ZOB, "hr_e1")
 
     # Right seam: val(right) free exactly when right.i == 0 (x == N-1).
     entry("hr", "hr_t")
@@ -259,13 +263,9 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
     m.add("hr_p1", ZO, "hr_p2")
     m.add("hr_p2", SYM_Z, "hr_p3")
     m.add("hr_p2", SYM_O, "rw_hrz", move="L")
-    m.add("hr_p3", ZO, "hr_p4")
-    m.add("hr_p4", ZO, "hr_t")
-    rewind("rw_hrz", "hrz_1")
-    m.add("hrz_1", SYM_B, "hrz_2")
-    m.add("hrz_2", ZO, "hrz_3")
-    m.add("hrz_3", SYM_Z, "rw_vt", move="L")
-    rewind("rw_vt", "vt_e1")
+    chain("hr_p", 3, 4, ZO, "hr_t")
+    val_zero("hrz", 2, "rw_vt")
+    cross("rw_vt", ZOB, "vt_e1")
 
     # Shared shape for the two vertical-edge passes.  slot_off: 3 for the
     # top record, 4 for the bottom one (cells past the tag).  The zero scan
@@ -278,9 +278,7 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
         m.add(f"{px}_t", SYM_Z, f"{px}_k1")
         m.add(f"{px}_t", SYM_O, f"{px}_p1")
         m.add(f"{px}_t", SYM_B, free_to, move="L")
-        for k in (1, 2, 3):
-            m.add(f"{px}_k{k}", skip, f"{px}_k{k + 1}")
-        m.add(f"{px}_k4", skip, f"{px}_t")
+        chain(f"{px}_k", 1, 4, skip, f"{px}_t")
         for k in (1, 2, 3):
             if k == slot_off:
                 m.add(f"{px}_p{k}", SYM_Z, f"{px}_p{k + 1}")
@@ -295,9 +293,7 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
             m.add(f"{px}_f4", skip, f"{px}_ff")
         m.add(f"{px}_ff", SYM_O, f"{px}_g1")
         m.add(f"{px}_ff", SYM_B, f"{px}_b0", move="L")
-        for k in (1, 2, 3):
-            m.add(f"{px}_g{k}", skip, f"{px}_g{k + 1}")
-        m.add(f"{px}_g4", skip, f"{px}_ff")
+        chain(f"{px}_g", 1, 4, skip, f"{px}_ff")
         # Backward reads: with the head on the first padding tag, the top
         # j bit sits 5 - slot_off cells back, and each next bit 5 more.
         hop = 5 - slot_off
@@ -329,12 +325,8 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
 
     # Top edge pass (slot sT, offset 3 past the tag).
     vertical_pass("vt", 3, "rw_vb", "rw_vtz", "rw_lt", skip=ZO)
-    rewind("rw_vtz", "vtz_1")
-    m.add("vtz_1", SYM_B, "vtz_2")
-    for k in (2, 3):
-        m.add(f"vtz_{k}", ZO, f"vtz_{k + 1}")
-    m.add("vtz_4", SYM_Z, "rw_vb", move="L")
-    rewind("rw_vb", "vb_e1")
+    val_zero("vtz", 3, "rw_vb")
+    cross("rw_vb", ZOB, "vb_e1")
 
     # Loader + transform + val fetch + walk, stamped out twice.  The
     # loader streams the i then j bits of its slot into a counter built
@@ -352,9 +344,7 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
         m.add(sek, SYM_B, f"{px}_k1")
         m.add(sek, ZO, f"{px}_q1")
         m.add(sek, SYM_M, f"{px}_t0")
-        for k in (1, 2, 3):
-            m.add(f"{px}_k{k}", ZOB, f"{px}_k{k + 1}")
-        m.add(f"{px}_k4", ZOB, sek)
+        chain(f"{px}_k", 1, 4, ZOB, sek)
         for k in range(1, 5):
             name = f"{px}_q{k}"
             if k == slot_off:
@@ -366,24 +356,17 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
             else:
                 m.add(name, ZOB, sek)
         for b in (0, 1):
-            m.add(f"{px}_c{b}", ZOB, f"{px}_c{b}")
-            m.add(f"{px}_c{b}", SYM_M, f"{px}_d{b}")
-            m.add(f"{px}_d{b}", SYM_B, f"{px}_d{b}")
-            m.add(f"{px}_d{b}", SYM_M, f"{px}_w{b}")
+            cross(f"{px}_c{b}", ZOB, f"{px}_d{b}", move="R")
+            cross(f"{px}_d{b}", SYM_B, f"{px}_w{b}", move="R")
             m.add(f"{px}_w{b}", ZO, f"{px}_w{b}")
             m.add(f"{px}_w{b}", SYM_B, f"{px}_r1", write=_sym(b), move="L")
-        m.add(f"{px}_r1", ZO, f"{px}_r1", move="L")
-        m.add(f"{px}_r1", SYM_M, f"{px}_r2", move="L")
-        m.add(f"{px}_r2", SYM_B, f"{px}_r2", move="L")
-        m.add(f"{px}_r2", SYM_M, f"{px}_r3", move="L")
-        m.add(f"{px}_r3", ZOB, f"{px}_r3", move="L")
-        m.add(f"{px}_r3", SYM_M, sek)
+        cross(f"{px}_r1", ZO, f"{px}_r2", out="L")
+        cross(f"{px}_r2", SYM_B, f"{px}_r3", out="L")
+        cross(f"{px}_r3", ZOB, sek)
         # Transform: d = row - N/4 needs only the two top bits rewritten:
         # low(d) = low(row), d[n-2] = !row[n-2], d[n-1] = row[n-2] & row[n-1].
-        m.add(f"{px}_t0", SYM_B, f"{px}_t0")
-        m.add(f"{px}_t0", SYM_M, f"{px}_t1")
-        m.add(f"{px}_t1", ZO, f"{px}_t1")
-        m.add(f"{px}_t1", SYM_B, f"{px}_t2", move="L")
+        cross(f"{px}_t0", SYM_B, f"{px}_t1", move="R")
+        cross(f"{px}_t1", ZO, f"{px}_t2", move="R", out="L", at=SYM_B)
         m.add(f"{px}_t2", SYM_Z, f"{px}_t3z", move="L")
         m.add(f"{px}_t2", SYM_O, f"{px}_t3o", move="L")
         m.add(f"{px}_t3z", SYM_Z, f"{px}_t4z", write=SYM_O)
@@ -394,21 +377,16 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
         m.add(f"{px}_t4o", ZO, f"{px}_t5", write=SYM_O)
         m.add(f"{px}_t5", SYM_B, f"{px}_v1", write=SYM_M, move="L")
         # Fetch the val bit under test, then come back to the counter.
-        m.add(f"{px}_v1", ZO, f"{px}_v1", move="L")
-        m.add(f"{px}_v1", SYM_M, f"{px}_v2", move="L")
-        m.add(f"{px}_v2", SYM_B, f"{px}_v2", move="L")
-        m.add(f"{px}_v2", SYM_M, f"{px}_v3", move="L")
-        m.add(f"{px}_v3", ZOB, f"{px}_v3", move="L")
-        m.add(f"{px}_v3", SYM_M, f"{px}_v4")
+        cross(f"{px}_v1", ZO, f"{px}_v2", out="L")
+        cross(f"{px}_v2", SYM_B, f"{px}_v3", out="L")
+        cross(f"{px}_v3", ZOB, f"{px}_v4")
         for k in range(4, 4 + val_cell - 1):
             m.add(f"{px}_v{k}", ZOB if k > 4 else SYM_B, f"{px}_v{k + 1}")
         probe = f"{px}_v{3 + val_cell}"
         for b in (0, 1):
             m.add(probe, _sym(b), f"{px}_g{b}")
-            m.add(f"{px}_g{b}", ZOB, f"{px}_g{b}")
-            m.add(f"{px}_g{b}", SYM_M, f"{px}_h{b}")
-            m.add(f"{px}_h{b}", SYM_B, f"{px}_h{b}")
-            m.add(f"{px}_h{b}", SYM_M, f"{px}_dec{b}")
+            cross(f"{px}_g{b}", ZOB, f"{px}_h{b}", move="R")
+            cross(f"{px}_h{b}", SYM_B, f"{px}_dec{b}", move="R")
             # The drag: decrement the counter in place, then shift the
             # whole block one cell right with a one-bit register sweep
             # (each cell takes its left neighbour's old value, the top
@@ -419,38 +397,29 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
             m.add(f"{px}_dec{b}", SYM_Z, f"{px}_dec{b}", write=SYM_O)
             m.add(f"{px}_dec{b}", SYM_O, f"{px}_ret{b}", write=SYM_Z, move="L")
             m.add(f"{px}_dec{b}", SYM_M, done, track=b, move="L")
-            m.add(f"{px}_ret{b}", SYM_O, f"{px}_ret{b}", move="L")
-            m.add(f"{px}_ret{b}", SYM_B, f"{px}_sh{b}")
-            m.add(f"{px}_ret{b}", SYM_M, f"{px}_sh{b}")  # first advance only
+            # off a B, or off the anchor M on the first advance only
+            cross(f"{px}_ret{b}", SYM_O, f"{px}_sh{b}", at=(SYM_B, SYM_M))
             for c in (0, 1):
                 m.add(f"{px}_sh{b}", _sym(c), f"{px}_s{b}{c}", write=SYM_B)
                 m.add(f"{px}_s{b}{c}", SYM_Z, f"{px}_s{b}0", write=_sym(c))
                 m.add(f"{px}_s{b}{c}", SYM_O, f"{px}_s{b}1", write=_sym(c))
                 m.add(f"{px}_s{b}{c}", SYM_M, f"{px}_m{b}", write=_sym(c))
             m.add(f"{px}_m{b}", SYM_B, f"{px}_n{b}", write=SYM_M, move="L")
-            m.add(f"{px}_n{b}", ZO, f"{px}_n{b}", move="L")
-            m.add(f"{px}_n{b}", SYM_B, f"{px}_dec{b}")
+            cross(f"{px}_n{b}", ZO, f"{px}_dec{b}", at=SYM_B)
 
-    rewind("rw_lt", "lt_sek")
+    cross("rw_lt", ZOB, "lt_sek")
     walker("lt", 3, 4, "wt_x1")
-    m.add("wt_x1", ZOB, "wt_x1", move="L")
-    m.add("wt_x1", SYM_M, "wt_x2", move="L")
-    m.add("wt_x2", SYM_B, "wt_x2", move="L")
-    m.add("wt_x2", SYM_M, "wt_x3", move="L")
-    m.add("wt_x3", ZOB, "wt_x3", move="L")
-    m.add("wt_x3", SYM_M, "vb_e1")
+    cross("wt_x1", ZOB, "wt_x2", out="L")
+    cross("wt_x2", SYM_B, "wt_x3", out="L")
+    cross("wt_x3", ZOB, "vb_e1")
 
     # Bottom edge pass (slot sB, offset 4): mirrors the top pass, but its
     # scans run after a possible top walk, so skipped cells may read B.
     vertical_pass("vb", 4, "vb_ok", "rw_vbz", "rw_lb")
     m.add("vb_ok", ZOB, "accept", move="S")
     m.add("vb_ok", SYM_M, "accept", move="S")
-    rewind("rw_vbz", "vbz_1")
-    m.add("vbz_1", SYM_B, "vbz_2")
-    for k in (2, 3, 4):
-        m.add(f"vbz_{k}", ZO, f"vbz_{k + 1}")
-    m.add("vbz_5", SYM_Z, "accept", move="S")
-    rewind("rw_lb", "lb_sek")
+    val_zero("vbz", 4, "accept", move="S")
+    cross("rw_lb", ZOB, "lb_sek")
     walker("lb", 4, 5, "accept")
 
     machine = m.machine()

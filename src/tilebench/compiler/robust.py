@@ -216,6 +216,8 @@ def correct_errors(
     never touched, so the changed fraction stays below the schedule's
     density bound.
     """
+    if c1 < 0:
+        raise ValueError("repair collar c1 must be non-negative")
     ts = getattr(tile_set, "tile_set", tile_set)
     if schedule is None:
         schedule = make_schedule(13, 1, 4)

@@ -182,7 +182,7 @@ def compile_simulation(
     trk = tuple(
         (track[c] if track is not None and c < len(track) else 0) for c in range(zone_w)
     )
-    rules = list(dict.fromkeys(diagram_local_rules(machine)))
+    rules = diagram_local_rules(machine)
 
     n = lay.n
     colors: dict[tuple, int] = {}

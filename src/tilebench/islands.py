@@ -229,6 +229,8 @@ def correction_gap_ok(schedule: Schedule, c2: int) -> list[bool]:
     Guarantees that the half-beta neighborhoods used to repair rank-k
     islands are disjoint and wide enough for a c2-sized repair collar.
     """
+    if c2 < 0:
+        raise ValueError("repair collar c2 must be non-negative")
     return [b > 4 * c2 * a for a, b in schedule.pairs()]
 
 
@@ -240,6 +242,8 @@ def changed_fraction_bound(schedule: Schedule, c1: int) -> float:
     islands are more than beta_k apart; summing the per-rank densities
     bounds the total changed fraction.
     """
+    if c1 < 0:
+        raise ValueError("repair collar c1 must be non-negative")
     return sum(((4 * c1 + 1) * a / b) ** 2 for a, b in schedule.pairs())
 
 

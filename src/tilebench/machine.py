@@ -17,6 +17,7 @@ machine has accepted.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -508,6 +509,7 @@ def encode_program(machine: Machine, state_bits: int = 8) -> list[int]:
 U_BLANK, U_BIT0, U_BIT1, U_END, U_ORIGIN, U_SEP = range(6)
 U_WORK_BASE = 6
 U_SYMBOLS = U_WORK_BASE + 16
+U_PAD = 8  # blank work cells utm_tape lays out past the input
 
 
 def work_cell(symbol: int, head: int, track: int) -> int:
@@ -518,14 +520,14 @@ def utm_tape(
     program: Sequence[int],
     input_symbols: Sequence[int],
     track: Sequence[int] | None = None,
-    pad: int = 8,
     state_bits: int = 8,
 ) -> list[int]:
     """Lay out origin marker, separated records, end marker, and work zone.
 
-    The work zone holds the simulated tape with the head flag on cell 0;
-    its track bits default to 0.  ``pad`` blank work cells are appended;
-    past them the tape grows ``U_BLANK`` cells, read as simulated blanks.
+    The work zone holds the input (one blank cell if it is empty) with the
+    head flag on cell 0, then ``U_PAD`` blank work cells; its track bits
+    default to 0.  Past the zone the tape grows ``U_BLANK`` cells, read as
+    simulated blanks.
     Input symbols must lie in 0..3 and track bits in 0/1, the ranges a
     work cell encodes.
     """
@@ -542,7 +544,7 @@ def utm_tape(
         tape.append(U_SEP)
     tape.append(U_BIT0)  # terminator record: valid bit 0
     tape.append(U_END)
-    n = max(len(input_symbols), 1) + pad
+    n = max(len(input_symbols), 1) + U_PAD
     for i in range(n):
         s = input_symbols[i] if i < len(input_symbols) else 0
         b = track[i] if track is not None and i < len(track) else 0
@@ -584,103 +586,89 @@ def universal_machine(state_bits: int = 8) -> Machine:
         return acc if q == 1 else st("ret", q, sym, trk)
 
     passthrough = [U_BIT0, U_BIT1, U_END, U_ORIGIN, U_SEP]
-    for q in range(ns):
-        seek = st("seek", q)
+    rewound = [U_BIT0, U_BIT1, U_END, U_SEP] + [
+        work_cell(s, h, b) for s in range(4) for h in (0, 1) for b in (0, 1)
+    ]
+
+    def scan(state: int, flagged) -> None:
+        """Run right to the flagged work cell, then take ``flagged(s, b)``."""
         for sym in passthrough:
-            add(seek, sym, seek, sym, "R")
+            add(state, sym, state, sym, "R")
         for s in range(4):
             for b in (0, 1):
-                add(seek, work_cell(s, 0, b), seek, work_cell(s, 0, b), "R")
-                add(seek, work_cell(s, 1, b), st("rew", q, s, b), work_cell(s, 1, b), "L")
+                add(state, work_cell(s, 0, b), state, work_cell(s, 0, b), "R")
+                add(state, work_cell(s, 1, b), *flagged(s, b))
 
-    # rewind to the origin, then scan records
-    for q in range(ns):
-        for s in range(4):
-            for b in (0, 1):
-                rew = st("rew", q, s, b)
-                rec = st("rec", q, s, b)
-                skip = st("skip", q, s, b)
-                for sym in [U_BIT0, U_BIT1, U_END, U_SEP] + [
-                    work_cell(s2, h, b2) for s2 in range(4) for h in (0, 1) for b2 in (0, 1)
-                ]:
-                    add(rew, sym, rew, sym, "L")
-                add(rew, U_ORIGIN, rec, U_ORIGIN, "R")
-                # a 0 valid bit means no record matched: the simulation is stuck
-                add(rec, U_BIT1, st("cq", q, s, b, 0), U_BIT1, "R")
-                add(skip, U_BIT0, skip, U_BIT0, "R")
-                add(skip, U_BIT1, skip, U_BIT1, "R")
-                add(skip, U_SEP, rec, U_SEP, "R")
-                # state field, most significant bit first
-                for i in range(state_bits):
-                    cq = st("cq", q, s, b, i)
-                    expect = (q >> (state_bits - 1 - i)) & 1
-                    nxt = st("cq", q, s, b, i + 1) if i + 1 < state_bits else st("cs", q, s, b, 0)
-                    add(cq, U_BIT0 + expect, nxt, U_BIT0 + expect, "R")
-                    add(cq, U_BIT1 - expect, skip, U_BIT1 - expect, "R")
-                # symbol field
-                for j in range(2):
-                    cs = st("cs", q, s, b, j)
-                    expect = (s >> (1 - j)) & 1
-                    nxt = st("cs", q, s, b, 1) if j == 0 else st("cc", q, s, b)
-                    add(cs, U_BIT0 + expect, nxt, U_BIT0 + expect, "R")
-                    add(cs, U_BIT1 - expect, skip, U_BIT1 - expect, "R")
-                # condition field: 00 any, 01 never, 1x require track == x
-                cc = st("cc", q, s, b)
-                cc_any = st("cc0", q, s, b)
-                cc_trk = st("cc1", q, s, b)
-                add(cc, U_BIT0, cc_any, U_BIT0, "R")
-                add(cc, U_BIT1, cc_trk, U_BIT1, "R")
-                grab = st("gq", 0, 0)
-                add(cc_any, U_BIT0, grab, U_BIT0, "R")
-                add(cc_any, U_BIT1, skip, U_BIT1, "R")
-                add(cc_trk, U_BIT0 + b, grab, U_BIT0 + b, "R")
-                add(cc_trk, U_BIT1 - b, skip, U_BIT1 - b, "R")
+    def rewind(kind: str, q: int, s: int, b: int) -> None:
+        """Run left to the origin, then start matching records for (q, s, b)."""
+        state = st(kind, q, s, b)
+        for sym in rewound:
+            add(state, sym, state, sym, "L")
+        add(state, U_ORIGIN, st("rec", q, s, b), U_ORIGIN, "R")
 
-    # collect successor state / symbol / move, most significant bit first
-    for i in range(state_bits):
-        for partial in range(1 << i):
-            gq = st("gq", partial, i)
-            for bit in (0, 1):
-                val = (partial << 1) | bit
-                nxt = st("gq", val, i + 1) if i + 1 < state_bits else st("gs", val, 0, 0)
-                add(gq, U_BIT0 + bit, nxt, U_BIT0 + bit, "R")
-    for q2 in range(ns):
-        for j in range(2):
-            for partial in range(1 << j):
-                gs = st("gs", q2, partial, j)
+    def match(key: tuple, value: int, width: int, done: tuple, skip: int) -> None:
+        """Compare a field with ``value``, most significant bit first: on a
+        match go on into ``done``, on a mismatch to ``skip``."""
+        for i in range(width):
+            state = st(*key, i)
+            expect = (value >> (width - 1 - i)) & 1
+            nxt = st(*key, i + 1) if i + 1 < width else st(*done)
+            add(state, U_BIT0 + expect, nxt, U_BIT0 + expect, "R")
+            add(state, U_BIT1 - expect, skip, U_BIT1 - expect, "R")
+
+    def field(key: tuple, width: int, done) -> None:
+        """Read a ``width``-bit field, most significant bit first, into ``done(value)``."""
+        for i in range(width):
+            for partial in range(1 << i):
+                state = st(*key, partial, i)
                 for bit in (0, 1):
                     val = (partial << 1) | bit
-                    nxt = st("gs", q2, val, 1) if j == 0 else st("gm", q2, val, 0, 0)
-                    add(gs, U_BIT0 + bit, nxt, U_BIT0 + bit, "R")
+                    nxt = st(*key, val, i + 1) if i + 1 < width else done(val)
+                    add(state, U_BIT0 + bit, nxt, U_BIT0 + bit, "R")
+
+    for q in range(ns):
+        scan(st("seek", q), lambda s, b: (st("rew", q, s, b), work_cell(s, 1, b), "L"))
+
+    # rewind to the origin, then scan records
+    keys = list(itertools.product(range(ns), range(4), (0, 1)))
+    for q, s, b in keys:
+        rewind("rew", q, s, b)
+        rec = st("rec", q, s, b)
+        skip = st("skip", q, s, b)
+        # a 0 valid bit means no record matched: the simulation is stuck
+        add(rec, U_BIT1, st("cq", q, s, b, 0), U_BIT1, "R")
+        add(skip, U_BIT0, skip, U_BIT0, "R")
+        add(skip, U_BIT1, skip, U_BIT1, "R")
+        add(skip, U_SEP, rec, U_SEP, "R")
+        match(("cq", q, s, b), q, state_bits, ("cs", q, s, b, 0), skip)
+        match(("cs", q, s, b), s, 2, ("cc", q, s, b), skip)
+        # condition field: 00 any, 01 never, 1x require track == x
+        cc = st("cc", q, s, b)
+        cc_any = st("cc0", q, s, b)
+        cc_trk = st("cc1", q, s, b)
+        add(cc, U_BIT0, cc_any, U_BIT0, "R")
+        add(cc, U_BIT1, cc_trk, U_BIT1, "R")
+        grab = st("gq", 0, 0)
+        add(cc_any, U_BIT0, grab, U_BIT0, "R")
+        add(cc_any, U_BIT1, skip, U_BIT1, "R")
+        add(cc_trk, U_BIT0 + b, grab, U_BIT0 + b, "R")
+        add(cc_trk, U_BIT1 - b, skip, U_BIT1 - b, "R")
+
+    # collect successor state / symbol / move
+    field(("gq",), state_bits, lambda q2: st("gs", q2, 0, 0))
+    for q2 in range(ns):
+        field(("gs", q2), 2, lambda s2: st("gm", q2, s2, 0, 0))
         for s2 in range(4):
-            for j in range(2):
-                for partial in range(1 << j):
-                    gm = st("gm", q2, s2, partial, j)
-                    for bit in (0, 1):
-                        val = (partial << 1) | bit
-                        if j == 0:
-                            nxt = st("gm", q2, s2, val, 1)
-                        else:
-                            move = {0: "S", 1: "L", 2: "R", 3: "S"}[val]
-                            nxt = st("walk", q2, s2, move)
-                        add(gm, U_BIT0 + bit, nxt, U_BIT0 + bit, "R")
+            field(("gm", q2, s2), 2, lambda val: st("walk", q2, s2, "SLRS"[val]))
 
     # walk to the simulated head and apply the move
     for q2 in range(ns):
         for s2 in range(4):
-            for move in ("S", "L", "R"):
-                walk = st("walk", q2, s2, move)
-                for sym in passthrough:
-                    add(walk, sym, walk, sym, "R")
-                for s in range(4):
-                    for b in (0, 1):
-                        add(walk, work_cell(s, 0, b), walk, work_cell(s, 0, b), "R")
-                        if move == "S":
-                            add(walk, work_cell(s, 1, b), ret_state(q2, s2, b), work_cell(s2, 1, b), "L")
-                        elif move == "R":
-                            add(walk, work_cell(s, 1, b), st("plantR", q2), work_cell(s2, 0, b), "R")
-                        else:
-                            add(walk, work_cell(s, 1, b), st("plantL", q2), work_cell(s2, 0, b), "L")
+            scan(st("walk", q2, s2, "S"),
+                 lambda s, b: (ret_state(q2, s2, b), work_cell(s2, 1, b), "L"))
+            for move in ("L", "R"):
+                plant = st("plant" + move, q2)
+                scan(st("walk", q2, s2, move), lambda s, b: (plant, work_cell(s2, 0, b), move))
         plant_r = st("plantR", q2)
         plant_l = st("plantL", q2)
         for s in range(4):
@@ -692,17 +680,9 @@ def universal_machine(state_bits: int = 8) -> Machine:
         # walking left onto the end marker: the simulated head fell off; stuck
 
     # return to the origin and scan for the next step
-    for q in range(ns):
-        if q == 1:
-            continue
-        for s in range(4):
-            for b in (0, 1):
-                ret = st("ret", q, s, b)
-                for sym in [U_BIT0, U_BIT1, U_END, U_SEP] + [
-                    work_cell(s2, h, b2) for s2 in range(4) for h in (0, 1) for b2 in (0, 1)
-                ]:
-                    add(ret, sym, ret, sym, "L")
-                add(ret, U_ORIGIN, st("rec", q, s, b), U_ORIGIN, "R")
+    for q, s, b in keys:
+        if q != 1:
+            rewind("ret", q, s, b)
 
     return Machine(len(names), U_SYMBOLS, start, acc, U_BLANK, False, tuple(ts))
 

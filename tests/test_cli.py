@@ -399,6 +399,14 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert "cannot decode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("schedule", "--c", "2", "--alpha1", "1", "--count", "3", "--c2", "-1"),
+        ("correct", "--stock", "chessboard", "--c1", "-1", "--patch", "@patch"),
+    ], ids=["schedule-c2", "correct-c1"])
+    def test_negative_collar_is_a_usage_error(self, files, argv):
+        code, out = run(*[files["patch"] if a == "@patch" else a for a in argv])
+        assert code == 2 and out == ""
+
     def test_a_library_key_error_is_not_a_usage_error(self, monkeypatch):
         def broken(args):
             raise KeyError("internal")

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -95,6 +96,21 @@ class TestBuildFrozen:
         assert len(mach.transitions) == 612
         assert len(names) == mach.states
         assert len(encode_program(mach, state_bits=9)) == 16525
+
+    @pytest.mark.parametrize("n, states, digest, names_digest", [
+        (8, 267, "8ba4d400e4e493e312312903b16b0ae536ed544ea22a4a1bfefd61eb75f48b31",
+         "41bdeb99ace6942bd8f971d18168e26757e5568f9536812470526a62240a125c"),
+        (9, 277, "0bc94fbcce74ec55bdfb08430854497cee843a7bc523d28ee4c54816a8cfa149",
+         "6d207b8d4cb08188a096f009c3c4ef55a1621156b593bc9bad0e7d64e4261c8d"),
+    ], ids=["n8", "n9"])
+    def test_checker_content(self, n, states, digest, names_digest):
+        # The rules in order are the program the tiles carry: a rewritten or
+        # reordered rule that keeps the counts must still show.
+        mach, names = build_checker(n)
+        assert mach.states == states
+        text = json.dumps(mach.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == names_digest
 
     def test_set_census(self, fp):
         assert fp.size == 256 and fp.n == 8
@@ -562,44 +578,69 @@ def reference_build(fp):
     return tiles, color_records, quads, colors
 
 
-def reference_assemble(fp, colors, quad):
-    """Per-cell val rules re-derived at assembly time, tiles found by color."""
+def reference_cells(fp, colors):
+    """Each cell's tile, or its four sides where a val comes from the quad.
+
+    Derived once per set from the per-cell val rule: a val is a pinned bit,
+    or ``(window, index)``, bit ``index`` of the quad's border slice
+    ``window`` (0 left, 1 right, 2 top, 3 bottom).  A cell whose four vals
+    are pinned is its tile id; any other cell is a tuple of sides, each a
+    color id or ``(window, index, color for val 0, color for val 1)``.
+    """
     n, size = fp.n, fp.size
-    wl, wr, wt, wb = (window_bits(n, r) for r in quad)
     lo = size - 32
 
     def val(side, x, y):
         if side == 0:
             if x == 0:
-                return wl[y - lo] if y >= lo else 0
+                return (0, y - lo) if y >= lo else 0
             return 0
         if y == 0:
-            return wb[x - lo] if x >= lo else 0
+            return (3, x - lo) if x >= lo else 0
         if y in fp.band:
             return fp.padded[fp.fold(x, y)]
         return 0
+
+    def side(axis, x, y, v):
+        if isinstance(v, int):
+            return colors[axis, pack_record(n, x, y, v)]
+        return v + tuple(colors.get((axis, pack_record(n, x, y, b))) for b in (0, 1))
 
     grid = []
     for y in range(size):
         row = []
         for x in range(size):
             vl = val(0, x, y)
-            vr = (wr[y - lo] if y >= lo else 0) if x == size - 1 else val(0, x + 1, y)
+            vr = ((1, y - lo) if y >= lo else 0) if x == size - 1 else val(0, x + 1, y)
             vb = val(1, x, y)
-            vt = (wt[x - lo] if x >= lo else 0) if y == size - 1 else val(1, x, y + 1)
-            row.append(fp.tile_set.tile_id((
-                colors[0, pack_record(n, x, y, vl)],
-                colors[0, pack_record(n, (x + 1) % size, y, vr)],
-                colors[1, pack_record(n, x, (y + 1) % size, vt)],
-                colors[1, pack_record(n, x, y, vb)],
-            )))
+            vt = ((2, x - lo) if x >= lo else 0) if y == size - 1 else val(1, x, y + 1)
+            sides = (side(0, x, y, vl), side(0, (x + 1) % size, y, vr),
+                     side(1, x, (y + 1) % size, vt), side(1, x, y, vb))
+            pinned = all(isinstance(c, int) for c in sides)
+            row.append(fp.tile_set.tile_id(sides) if pinned else sides)
         grid.append(row)
     return grid
+
+
+def reference_assemble(fp, cells, quad):
+    """The quad's patch: window-fed vals read off its slices, tiles found by color."""
+    windows = [window_bits(fp.n, r) for r in quad]
+
+    def tile(sides):
+        return fp.tile_set.tile_id(tuple(
+            c if isinstance(c, int) else c[2 + windows[c[0]][c[1]]] for c in sides))
+
+    return [[c if isinstance(c, int) else tile(c) for c in row] for row in cells]
 
 
 @pytest.fixture(scope="module")
 def reference(fp):
     return reference_build(fp)
+
+
+@pytest.fixture(scope="module")
+def reference_grid(fp, reference):
+    return reference_cells(fp, reference[3])
 
 
 class TestAgainstReference:
@@ -617,17 +658,17 @@ class TestAgainstReference:
         (128, 100), (37, 150),  # band rows
         (77, 30), (128, 128),  # interior
     ])
-    def test_patch_matches(self, fp, reference, x, y):
+    def test_patch_matches(self, fp, reference_grid, x, y):
         # every combination of the cell's free vals
         for vals in itertools.product(*reference_val_choices(fp.size, fp.padded, x, y)):
             quad = fp.edge_records(x, y, *vals)
             patch = assemble_self_patch(fp, quad)
             assert [list(row) for row in patch.cells] == reference_assemble(
-                fp, reference[3], quad), vals
+                fp, reference_grid, quad), vals
 
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
-    def test_drawn_patches_match(self, fp, reference, data):
+    def test_drawn_patches_match(self, fp, reference_grid, data):
         quad = data.draw(st.sampled_from(list(fp.accepted)))
         patch = assemble_self_patch(fp, quad)
-        assert [list(row) for row in patch.cells] == reference_assemble(fp, reference[3], quad)
+        assert [list(row) for row in patch.cells] == reference_assemble(fp, reference_grid, quad)

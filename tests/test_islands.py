@@ -226,6 +226,17 @@ def test_changed_fraction_bound_frozen():
     assert changed_fraction_bound(s, 2) == pytest.approx(27.5625)
 
 
+def test_negative_collars_are_rejected():
+    s = make_schedule(2, 1, 3)
+    with pytest.raises(ValueError):
+        correction_gap_ok(s, -1)
+    with pytest.raises(ValueError):
+        changed_fraction_bound(s, -1)  # would read (3*a/b)^2 summed: 3.06
+    # a zero collar is the island's bounding box alone
+    assert correction_gap_ok(s, 0) == [True, True, True]
+    assert changed_fraction_bound(s, 0) == pytest.approx(0.25 + 0.0625 + 1 / 36)
+
+
 def test_survival_log2_bound_frozen():
     s = make_schedule(2, 1, 3)
     # 2*log2(2^-10) + 2*log2(8) = -20 + 6

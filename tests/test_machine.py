@@ -1,8 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
 from tilebench.machine import (
+    U_BIT0,
+    U_END,
+    U_ORIGIN,
+    U_SEP,
     Machine,
     Transition,
     ZoneCellRule,
@@ -17,6 +22,7 @@ from tilebench.machine import (
     run_machine,
     universal_machine,
     utm_tape,
+    work_cell,
 )
 
 
@@ -109,10 +115,15 @@ def test_encode_program_rejects():
 
 def test_utm_tape_layout():
     p = encode_program(always_accept_machine())
-    tape = utm_tape(p, [1, 2], pad=2)
-    assert tape[0] == 4  # origin
-    assert tape.count(5) == 4  # one separator per record
-    assert tape.count(3) == 1  # end marker
+    tape = utm_tape(p, [1, 2], [1])
+    assert tape[0] == U_ORIGIN
+    assert tape.count(U_SEP) == 4  # one separator per record
+    end = tape.index(U_END)
+    assert tape[end - 1] == U_BIT0  # the terminator record's 0 valid bit
+    assert end == 1 + (len(p) - 1) + 4 + 1
+    # the input under the head flag, then U_PAD blank work cells
+    assert tape[end + 1:] == [work_cell(1, 1, 1), work_cell(2, 0, 0)] + [work_cell(0, 0, 0)] * 8
+    assert len(utm_tape(p, [])) == end + 1 + 1 + 8
     with pytest.raises(ValueError):
         utm_tape(p[:-1], [1])
 
@@ -130,6 +141,10 @@ def test_universal_machine_pinned_size():
     u = universal_machine()
     assert u.states == 42744
     assert len(u.transitions) == 229718
+    # pinned by content too, so a reordered or rewritten rule shows
+    text = json.dumps(u.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fe9bb805a2acea41cd94b1d4e60eeac360c6215486aaffc70742485245ace8c6")
 
 
 def test_universal_agrees_with_direct():
@@ -207,6 +222,10 @@ def test_diagram_rules_cover_real_runs():
 def test_diagram_rules_counts_frozen():
     assert len(diagram_local_rules(parity_machine())) == 37
     assert len(diagram_local_rules(palindrome_machine())) == 83
+    # each rule once, by construction: compile_simulation uses the list as is
+    for machine in machine_corpus().values():
+        rules = diagram_local_rules(machine)
+        assert len(set(rules)) == len(rules)
 
 
 def test_diagram_rules_exclude_stuck_configs():

@@ -153,6 +153,18 @@ class TestCorrectErrors:
         sched = make_schedule(13, 1, 4)
         assert rep.changed_fraction <= changed_fraction_bound(sched, 2)
 
+    def test_collar_sizes(self, rob, lifted):
+        cells = [list(row) for row in lifted.cells]
+        cells[9][7] = HOLE
+        # refused up front, not by a carve of negative size deep inside
+        with pytest.raises(ValueError, match="collar"):
+            correct_errors(rob, PatchGrid(40, 40, cells), c1=-1)
+        # c1 = 0 carves the island's bounding box and nothing more
+        rep = correct_errors(rob, PatchGrid(40, 40, cells), c1=0)
+        assert rep.status == "clean"
+        assert rep.boxes == ((7, 9, 7, 9),)
+        assert rep.patch.cells == lifted.cells
+
     def test_mismatch_defect_is_rewritten(self, rob, lifted):
         cells = [list(row) for row in lifted.cells]
         cells[20][20] = 1 - cells[20][20]
