@@ -38,9 +38,10 @@ A walk is almost all drag: up to 3.2 M steps at N=256, against a few
 thousand before and after.  So ``run_checker`` composes each run from the
 engine's steps and a drag lemma (``DragLemma``), a macro step whose cost
 per decrement is measured from R once per set and whose preconditions are
-checked at every use; a drag that fails them is stepped.  A walk then
-costs about as much as a resident run, and every composed result is
-exactly that of a direct run.
+checked at every use.  The engine runs R without the four rules that
+start a drag, and the lemma takes those steps: it jumps the drag, or takes
+the entry step alone when a precondition fails.  A walk then costs about
+as much as a resident run, and every result is exactly a direct run's.
 
 No step budget is a hand-set number: ``checker_budget`` works one out per
 set from the geometry and the drag lemma, and a universal re-run's comes
@@ -53,7 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..core import PatchGrid, Tile, TileSet, verify_patch
 from ..machine import (
@@ -451,12 +452,13 @@ class DragLemma:
     ``1 + sum_k costs[k] * (C >> k - C >> (k + 1))`` steps, the entry step
     included, and ends in ``{px}_dec{b}`` on the emptied block C cells to
     the right, where only the exit rule, which reads the track, is left.
-    ``entries`` maps each family's ``h`` state to its ``dec`` state and
-    costs, one per counter cell; ``body`` holds the drag states of every
-    family.
+    ``entries`` maps each measured family's ``h`` state to its ``dec``
+    state and costs, one per counter cell; ``machine`` is the checker
+    without those families' entry rules (``h`` reading M), stuck where the
+    lemma takes over.
     """
 
-    body: frozenset
+    machine: Machine = field(hash=False)
     entries: dict = field(hash=False)
 
     def steps(self, entry: int, count: int) -> int:
@@ -466,43 +468,44 @@ class DragLemma:
                        for k, cost in enumerate(costs))
 
     def __call__(self, run: Run, max_steps: int) -> bool:
-        """Jump the drag that ``run`` is about to enter, when every
-        precondition holds: the entry is a measured family's, on an M; the
-        block is Z/O cells closed by M; the cells it moves into are blank
-        or past the tape's end; and the jump ends within ``max_steps``.
-        Otherwise leave the run as it is."""
-        if run.state not in self.entries:
+        """Take the drag entry that ``run`` is stuck on (False if it is
+        stuck elsewhere): jump the whole drag when the block is Z/O cells
+        closed by M, the cells it moves into are blank or past the tape's
+        end, and the jump ends within ``max_steps``; else take the entry
+        step alone (the M stays, the head moves right into ``dec``)."""
+        entry, cells = run.state, run.cells
+        if entry not in self.entries or cells[run.head] != SYM_M:
             return False
-        dec, costs = self.entries[run.state]
-        cells, w = run.cells, len(costs)
+        run.state, costs = self.entries[entry]
+        w = len(costs)
         p = run.head + 1  # the block's low bit
         end = p + w  # its closing M
         block = cells[p:end]
-        if (cells[run.head] != SYM_M or cells[end : end + 1] != _M
-                or block.translate(None, _ZO)):
-            return False
-        count = int(block.translate(_BITS)[::-1], 2)
-        steps = self.steps(run.state, count)
-        if run.steps + steps > max_steps or cells[end + 1 : end + 1 + count].lstrip(_B):
-            return False
-        cells[p : end + count + 1] = _B * count + _Z * w + _M
-        run.state = dec
-        run.head = p + count
-        run.steps += steps
+        if cells[end : end + 1] == _M and not block.translate(None, _ZO):
+            count = int(block.translate(_BITS)[::-1], 2)
+            steps = self.steps(entry, count)
+            if run.steps + steps <= max_steps and not cells[end + 1 : end + 1 + count].lstrip(_B):
+                cells[p : end + count + 1] = _B * count + _Z * w + _M
+                run.head = p + count
+                run.steps += steps
+                return True
+        if p == len(cells):  # the tape grows a blank
+            cells.append(self.machine.blank)
+        run.head = p
+        run.steps += 1
         return True
 
 
 def _decrement_costs(machine: Machine, entry: int, dec: int, body: set,
-                     width: int, stops: frozenset) -> tuple[int, ...] | None:
+                     width: int) -> tuple[int, ...] | None:
     """One walker family's decrement steps by trailing zero count, measured
-    on the machine (each run pauses on entering ``stops``, which holds
-    ``dec``); None unless the family drags as ``DragLemma`` assumes.
+    on the machine; None unless the family drags as ``DragLemma`` assumes.
 
     The checks: no step of the entry or the body reads the track bit (the
     exit rule, ``dec`` on M, aside); the entry on M goes to ``dec`` and
     steps right; and for each k one decrement of a value with k trailing
     zeros, run once with an M left of the block and the bits above k clear
-    and once with a B there and those bits set, ends back in ``dec`` one
+    and once with a B there and those bits set, first reaches ``dec`` one
     cell right, with the value one less and a B left behind, after the same
     number of steps both times."""
     syms, table = machine.symbols, machine.dispatch()
@@ -519,11 +522,10 @@ def _decrement_costs(machine: Machine, entry: int, dec: int, body: set,
         for left, value in ((SYM_M, 1 << k), (SYM_B, (1 << width) - (1 << k))):
             run = Run(machine, [left, *_counter(value, width), SYM_M, SYM_B],
                       head=1, state=dec)
-            if run.go(16 * width, stops) == "paused":
-                run.go(run.steps + 1)  # the step back into dec
-            want = [left, SYM_B, *_counter(value - 1, width), SYM_M]
-            if (run.state, run.head, list(run.cells)) != (dec, 2, want):
-                return None
+            want = (dec, 2, bytes([left, SYM_B, *_counter(value - 1, width), SYM_M]))
+            while (run.state, run.head, run.cells) != want:
+                if run.go(run.steps + 1) != "timeout" or run.steps == 16 * width:
+                    return None
             seen.add(run.steps)
         if len(seen) > 1:
             return None
@@ -534,20 +536,20 @@ def _decrement_costs(machine: Machine, entry: int, dec: int, body: set,
 def drag_lemma(machine: Machine, names, width: int) -> DragLemma:
     """The drag lemma of a checker from ``build_checker``, whose state
     names locate the four walker families; a family that fails
-    ``_decrement_costs``'s checks gets no entry, and its drags are
-    stepped."""
+    ``_decrement_costs``'s checks gets no entry, and the lemma's machine
+    keeps its entry rule, so its drags are stepped."""
     ids = {name: q for q, name in enumerate(names)}
     families = [(ids[f"{px}_h{b}"], ids[f"{px}_dec{b}"],
                  {ids[f"{px}_{s}{b}"] for s in ("dec", "ret", "sh", "m", "n")}
                  | {ids[f"{px}_s{b}{c}"] for c in (0, 1)})
                 for px in ("lt", "lb") for b in (0, 1)]
-    decs = frozenset(dec for _, dec, _ in families)
     entries = {}
     for entry, dec, states in families:
-        costs = _decrement_costs(machine, entry, dec, states, width, decs)
+        costs = _decrement_costs(machine, entry, dec, states, width)
         if costs is not None:
             entries[entry] = (dec, costs)
-    return DragLemma(frozenset().union(*(states for *_, states in families)), entries)
+    rules = tuple(t for t in machine.transitions if t.state not in entries or t.read != SYM_M)
+    return DragLemma(replace(machine, transitions=rules), entries)
 
 
 # --- the tile set -----------------------------------------------------------
@@ -734,14 +736,15 @@ def run_checker(fp: FixedPointSet, quad, *, track=None) -> Run:
     ``fp.track_bits`` unless another track is given, within ``fp.budget``
     steps; the ``Run`` that ``run_machine`` returns.
 
-    The run is composed: the engine steps it to each counter drag, where
-    ``fp.drag`` jumps the whole drag, and resumes for the drag's exit rule,
-    the only one that reads the track (see ``run_machine``'s ``macro``).
-    A drag whose preconditions fail is stepped instead, so the result is
-    always exactly a direct run's.  Runs that never reach a drag (resident
-    tiles, most reject probes) are a single engine call.
+    The run is composed: the engine steps ``fp.drag.machine`` to each
+    counter drag, where ``fp.drag`` takes the entry and jumps the drag
+    (or, when its preconditions fail, takes the entry step alone), and
+    resumes for the drag's exit rule, the only one that reads the track.
+    The result is always exactly a direct run's of ``fp.machine``.  Runs
+    that never reach a drag (resident tiles, most reject probes) are a
+    single engine call.
     """
-    return run_machine(fp.machine, checker_tape(fp.n, *quad),
+    return run_machine(fp.drag.machine, checker_tape(fp.n, *quad),
                        track=fp.track_bits if track is None else track,
                        max_steps=fp.budget, macro=fp.drag)
 

@@ -183,7 +183,13 @@ class Schedule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Schedule":
+        """Decode a schedule: one or more (alpha, beta) pairs, alpha <= beta, and c,
+        alpha1 and every scale a positive int (not a bool); ValueError otherwise."""
         pairs = [tuple(p) for p in obj["pairs"]]
+        ints = [obj["c"], obj["alpha1"], *(v for p in pairs for v in p)]
+        if not (pairs and set(map(type, ints)) <= {int} and min(ints) > 0
+                and all(len(p) == 2 and p[0] <= p[1] for p in pairs)):
+            raise ValueError("a schedule needs positive ints, one or more pairs, alpha <= beta")
         return cls(
             obj["c"],
             obj["alpha1"],

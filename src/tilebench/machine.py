@@ -62,7 +62,7 @@ class Machine:
             if t.track not in (None, 0, 1):
                 raise ValueError("track condition must be None, 0 or 1")
 
-    def dispatch(self, pause: frozenset = frozenset()) -> list:
+    def dispatch(self) -> list:
         """The compiled dispatch table, built once and cached on the instance.
 
         Entry ``(state*symbols + symbol)*tracks + bit`` (``tracks`` is 2 for
@@ -76,20 +76,11 @@ class Machine:
         one bytearray is shared by its entries and never changes after the
         build (byte strings rather than sets keep the entries out of the
         cyclic garbage collector).
-
-        A non-empty ``pause`` (a frozenset of states) gives a variant, also
-        cached, in which every entry that would enter ``pause`` from a state
-        outside it is None, so ``Run.go`` stops before that step at no cost
-        to the steps around it.
         """
-        tables = self.__dict__.get("_dispatch")
-        if tables is None:
-            tables = {frozenset(): _compile(self)}
-            object.__setattr__(self, "_dispatch", tables)
-        table = tables.get(pause)
+        table = self.__dict__.get("_dispatch")
         if table is None:
-            table = tables[pause] = _paused(tables[frozenset()], pause,
-                                            self.symbols * (2 if self.program_track else 1))
+            table = _compile(self)
+            object.__setattr__(self, "_dispatch", table)
         return table
 
     def to_json(self) -> dict:
@@ -108,15 +99,17 @@ class Machine:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Machine":
-        return cls(
-            obj["states"],
-            obj["symbols"],
-            obj["start"],
-            obj["accept"],
-            obj["blank"],
-            obj["program_track"],
-            tuple(Transition(*t) for t in obj["transitions"]),
-        )
+        """Decode a machine from outside input: its counts, states and
+        symbols must be ints (not bools or floats), ``program_track`` a
+        bool and each track condition None or an int; ValueError otherwise.
+        ``__post_init__`` checks the ranges."""
+        fields = [obj[k] for k in ("states", "symbols", "start", "accept", "blank")]
+        rules = tuple(Transition(*t) for t in obj["transitions"])
+        ints = fields + [v for t in rules for v in (t.state, t.read, t.new_state, t.write)]
+        if not (set(map(type, ints)) <= {int} and type(obj["program_track"]) is bool
+                and {type(t.track) for t in rules} <= {int, type(None)}):
+            raise ValueError("machine numbers must be ints and program_track a bool")
+        return cls(*fields, obj["program_track"], rules)
 
 
 #: Head movement per move letter.
@@ -147,13 +140,6 @@ def _compile(m: Machine) -> list:
                 e = table[i - b] = (q, s, d, run)
             table[i] = e
     return table
-
-
-def _paused(table: list, pause: frozenset, row: int) -> list:
-    """``Machine.dispatch``'s variant of ``table`` for ``pause``; ``row`` is
-    the number of entries per state."""
-    return [None if e is not None and e[0] in pause and i // row not in pause else e
-            for i, e in enumerate(table)]
 
 
 def _run_end(cells: bytearray, j: int, end: int, run: bytearray) -> int:
@@ -238,12 +224,10 @@ class Run:
         self.status = None  # not stepped yet
         self.track = track if machine.program_track else b""
 
-    def go(self, max_steps: int, pause: frozenset = frozenset()) -> str:
+    def go(self, max_steps: int) -> str:
         """Step on until acceptance, a missing transition, the wall, or
         ``max_steps`` steps in all; store the status on the run and return
-        it: "accepted", "stuck", "hit_wall", "timeout", or "paused"
-        when the run stopped before a step that would enter ``pause`` from
-        a state outside it (see ``Machine.dispatch``).
+        it: "accepted", "stuck", "hit_wall" or "timeout".
 
         Each sweep of the dispatch table moves one way and crosses its run,
         up to the tape's last cell or cell 0, in C: the run's end is found
@@ -253,7 +237,7 @@ class Run:
         stepping one cell at a time.  A run on the wall is not resumed.
         """
         machine = self.machine
-        table = machine.dispatch(pause)
+        table = machine.dispatch()
         syms, tracks = machine.symbols, 2 if machine.program_track else 1
         cells, head, state, steps = self.cells, self.head, self.state, self.steps
         width = len(cells)
@@ -267,9 +251,7 @@ class Run:
             try:
                 state, write, delta, run = table[i]
             except TypeError:  # no rule fires (the accept state has none)
-                status = ("accepted" if state == machine.accept else
-                          "paused" if pause and machine.dispatch()[i] is not None else
-                          "stuck")
+                status = "accepted" if state == machine.accept else "stuck"
                 break
             if run is not None:
                 # cross the sweep's run of cells; j is where it stops
@@ -320,25 +302,19 @@ def run_machine(
     compiled dispatch table, one ``Run.go`` call for the whole run: a
     one-way sweep is crossed in one go, every other step a table lookup.
 
-    ``macro`` composes the run from macro steps whose effect is proven
-    (H. Marxen and J. Buntrock, *Attacking the Busy Beaver 5*, 1990): an
-    object with ``body``, a frozenset of states, called as
-    ``macro(run, max_steps)`` whenever the run is about to enter ``body``
-    from outside it.  It either advances the ``Run`` in place to exactly
-    the configuration and step count that stepping would reach, within
-    ``max_steps``, and returns True, or returns False, and the engine
-    steps through that stretch itself.  Either way the result is that of a
-    direct run.
+    ``macro`` supplies rules the machine lacks, as steps of its own or
+    macro steps whose effect is proven (H. Marxen and J. Buntrock,
+    *Attacking the Busy Beaver 5*, 1990): a callable, called as
+    ``macro(run, max_steps)`` whenever the run is stuck.  It either
+    advances the ``Run`` in place, within ``max_steps``, and returns True,
+    and the engine steps on, or leaves the run as it is and returns False,
+    and the run ends stuck.
     """
     if max_steps < 0:
         raise ValueError(f"negative step budget {max_steps}")
     run = Run(machine, tape, track=track)
-    pause = frozenset() if macro is None else macro.body
-    while run.go(max_steps, pause) == "paused":
-        if not macro(run, max_steps):
-            run.go(run.steps + 1)  # the step into body, taken directly
-            if run.status != "timeout" or run.steps == max_steps:
-                break
+    while run.go(max_steps) == "stuck" and macro is not None and macro(run, max_steps):
+        pass
     return run
 
 
@@ -509,7 +485,7 @@ def encode_program(machine: Machine, state_bits: int = 8) -> list[int]:
 U_BLANK, U_BIT0, U_BIT1, U_END, U_ORIGIN, U_SEP = range(6)
 U_WORK_BASE = 6
 U_SYMBOLS = U_WORK_BASE + 16
-U_PAD = 8  # blank work cells utm_tape lays out past the input
+U_PAD = 8  # blank work cells utm_tape lays out past the input and the track
 
 
 def work_cell(symbol: int, head: int, track: int) -> int:
@@ -525,9 +501,9 @@ def utm_tape(
     """Lay out origin marker, separated records, end marker, and work zone.
 
     The work zone holds the input (one blank cell if it is empty) with the
-    head flag on cell 0, then ``U_PAD`` blank work cells; its track bits
-    default to 0.  Past the zone the tape grows ``U_BLANK`` cells, read as
-    simulated blanks.
+    head flag on cell 0, blank work cells up to the track's end, then
+    ``U_PAD`` more; its track bits default to 0.  Past the zone the tape
+    grows ``U_BLANK`` cells, read as simulated blanks on track bit 0.
     Input symbols must lie in 0..3 and track bits in 0/1, the ranges a
     work cell encodes.
     """
@@ -544,7 +520,7 @@ def utm_tape(
         tape.append(U_SEP)
     tape.append(U_BIT0)  # terminator record: valid bit 0
     tape.append(U_END)
-    n = max(len(input_symbols), 1) + U_PAD
+    n = max(len(input_symbols), 0 if track is None else len(track), 1) + U_PAD
     for i in range(n):
         s = input_symbols[i] if i < len(input_symbols) else 0
         b = track[i] if track is not None and i < len(track) else 0

@@ -7,8 +7,12 @@ import pytest
 from tilebench import cli
 from tilebench.cli import main
 from tilebench.core import HOLE, PatchGrid, Tile, TileSet, chessboard_tileset, coordinate_tileset
+from tilebench.machine import parity_machine
 from tilebench.solver import solve
 from tilebench.substitution import enforce_substitution, thue_morse_rule
+
+
+PARITY = parity_machine().to_json()
 
 
 def run(*argv):
@@ -360,8 +364,19 @@ class TestErrorPaths:
         (("compile", "--k", "1", "--machine-file"),
          {"states": 2, "symbols": 300, "start": 0, "accept": 1, "blank": 0,
           "program_track": False, "transitions": [[0, 299, None, 0, 299, "R"]]}),
+        (("compile", "--k", "1", "--machine-file"), {**PARITY, "symbols": 4.0}),
+        (("compile", "--k", "1", "--machine-file"),
+         {**PARITY, "transitions": [[0.0, 1, None, 0, 1, "R"]]}),
+        (("compile", "--k", "1", "--machine-file"), {**PARITY, "accept": True}),
         (("substitute", "--rule"), {"alphabet": "ab"}),
         (("clean", "--points", "@points", "--schedule"), {"c": 2}),
+        (("clean", "--points", "@points", "--schedule"),
+         {"c": 2, "alpha1": 1, "pairs": [[1, 2.5]]}),
+        (("clean", "--points", "@points", "--schedule"),
+         {"c": 2, "alpha1": 1, "pairs": [[True, 3]]}),
+        (("clean", "--points", "@points", "--schedule"), {"c": 2, "alpha1": 1, "pairs": []}),
+        (("mc-clean", "--epsilon", "0.001", "--size", "8", "--trials", "1", "--seed", "7",
+          "--schedule"), {"c": 2, "alpha1": 1, "pairs": [[3, 2]]}),
         (("render", "--patch", "@patch", "--palette"), [1, 2]),
         (("render", "--patch", "@patch", "--palette"), {"0": "", "1": "x"}),
         (("render", "--patch", "@patch", "--palette"), {"0": "#", "00": "+", "1": "x"}),
@@ -383,8 +398,10 @@ class TestErrorPaths:
          {"width": 2, "height": 1, "cells": [[0, 1.9]]}),
     ], ids=["three-color-tile", "tiles-without-colors", "patch-as-list", "point-triple",
             "point-single", "float-point", "string-point", "bool-point",
-            "machine-without-rules", "machine-of-300-symbols", "rule-without-m",
-            "schedule-without-pairs", "palette-as-list", "empty-glyph", "padded-key",
+            "machine-without-rules", "machine-of-300-symbols", "float-symbols",
+            "float-state", "bool-accept", "rule-without-m",
+            "schedule-without-pairs", "float-scale", "bool-scale", "empty-schedule",
+            "mc-schedule-alpha-past-beta", "palette-as-list", "empty-glyph", "padded-key",
             "spaced-key", "negative-key", "long-glyph", "rgb-pair",
             "rgb-scalar", "float-rgb", "bool-rgb", "string-rgb", "string-cell",
             "float-cell"])

@@ -1,12 +1,13 @@
 """The drag lemma and composed checker runs.
 
 A walking tile's checker run drags a binary counter one cell right per
-decrement (``build_checker``'s ``walker``); ``run_checker`` jumps each drag
-with ``FixedPointSet.drag`` and steps the rest.  A composed run must be
-exactly a direct one: the tests below compare status, steps, state, head
-and the whole tape (so its length too) with runs of the same machine
-without the lemma, and check the lemma itself against a direct descent
-through every counter value.
+decrement (``build_checker``'s ``walker``); ``run_checker`` steps the
+lemma's machine, the checker without its four drag-entry rules, and
+``FixedPointSet.drag`` takes each of those steps, jumping the drag when
+it can.  A composed run must be exactly a direct one: the tests below
+compare status, steps, state, head and the whole tape (so its length too)
+with runs of the whole checker without the lemma, and check the lemma
+itself against a direct descent through every counter value.
 """
 
 import dataclasses
@@ -24,7 +25,6 @@ from tilebench.compiler.fixedpoint import (
     SYM_M,
     SYM_O,
     SYM_Z,
-    DragLemma,
     build_checker,
     certificate,
     checker_budget,
@@ -71,28 +71,39 @@ def flipped(fp, quad):
     return tuple(quad)
 
 
-def same_as_direct(fp, quad, *, track=None, max_steps=None, macro=None):
-    """The composed run of quad, checked against a direct run (on the set's
-    budget unless max_steps is given)."""
-    tape = checker_tape(fp.n, *quad)
-    kw = {"track": fp.track_bits if track is None else track,
-          "max_steps": fp.budget if max_steps is None else max_steps}
-    got = run_machine(fp.machine, tape, macro=macro or fp.drag, **kw)
-    assert outcome(got) == outcome(run_machine(fp.machine, tape, **kw)), quad
-    return got
-
-
 class Spy:
-    """Wraps a lemma and logs each call as (steps before, steps after, jumped)."""
+    """Wraps a lemma, machine and all, and logs each call as (steps before,
+    steps after, jumped): a jump takes more than the one entry step."""
 
     def __init__(self, lemma):
-        self.lemma, self.body, self.log = lemma, lemma.body, []
+        self.lemma, self.machine, self.log = lemma, lemma.machine, []
 
     def __call__(self, run, max_steps):
         before = run.steps
-        jumped = self.lemma(run, max_steps)
-        self.log.append((before, run.steps, jumped))
-        return jumped
+        took = self.lemma(run, max_steps)
+        self.log.append((before, run.steps, run.steps - before > 1))
+        return took
+
+    @property
+    def jumps(self):
+        return sum(jumped for *_, jumped in self.log)
+
+
+def same_as_direct(fp, quad, *, track=None, max_steps=None, spy=None, jumps=True):
+    """The composed run of quad, checked against a direct run of the whole
+    checker (on the set's budget unless max_steps is given).  A walking
+    quad's run that ends within its budget must have gone through the
+    lemma, and jumped a drag unless ``jumps`` is False (every drag empty)."""
+    tape = checker_tape(fp.n, *quad)
+    kw = {"track": fp.track_bits if track is None else track,
+          "max_steps": fp.budget if max_steps is None else max_steps}
+    spy = spy or Spy(fp.drag)
+    got = run_machine(spy.machine, tape, macro=spy, **kw)
+    assert outcome(got) == outcome(run_machine(fp.machine, tape, **kw)), quad
+    x, y, _ = unpack_record(fp.n, quad[0])
+    if walks(fp, x, y) and got.status != "timeout":
+        assert spy.log and (spy.jumps or not jumps), quad
+    return got
 
 
 # --- composed runs against direct runs ------------------------------------------
@@ -100,10 +111,23 @@ class Spy:
 
 def test_lemma_covers_every_family(fp, names):
     assert sorted(names[q] for q in fp.drag.entries) == sorted(FAMILIES)
-    for dec, costs in fp.drag.entries.values():
+    for entry, (dec, costs) in fp.drag.entries.items():
         assert costs == tuple(37 + 2 * k for k in range(16))  # 4n + 5 + 2k at n = 8
-        assert dec in fp.drag.body
-    assert len(fp.drag.body) == 4 * 7
+        assert names[dec] == names[entry].replace("_h", "_dec")
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_lemma_machine_lacks_exactly_the_entry_rules(n):
+    # the checker, rule for rule in order, but for each family's h on M
+    machine, names = build_checker(n)
+    lemma = drag_lemma(machine, names, 2 * n)
+    entries = [t for t in machine.transitions if t.state in lemma.entries and t.read == SYM_M]
+    assert sorted(names[t.state] for t in entries) == sorted(FAMILIES)
+    for t in entries:
+        assert (t.track, t.new_state, t.write, t.move) == (
+            None, lemma.entries[t.state][0], SYM_M, "R")
+    assert lemma.machine == dataclasses.replace(
+        machine, transitions=tuple(t for t in machine.transitions if t not in entries))
 
 
 def test_first_last_and_carry_folds(fp):
@@ -120,8 +144,9 @@ def test_first_last_and_carry_folds(fp):
         steps.append(r.steps)
     assert pinned == {0, 1}  # both pinned bit values, so both b families
     assert max(steps) <= fp.budget
-    # top-edge walks only (row N/4 - 1) and bottom-edge walks only (row N - 33)
-    assert same_as_direct(fp, member(fp, 0, fp.size // 4 - 1)).status == "accepted"
+    # top-edge walks only (row N/4 - 1, an empty drag from fold 0) and
+    # bottom-edge walks only (row N - 33)
+    assert same_as_direct(fp, member(fp, 0, fp.size // 4 - 1), jumps=False).status == "accepted"
     assert same_as_direct(fp, member(fp, 255, fp.size - 33)).status == "accepted"
 
 
@@ -153,14 +178,17 @@ def test_second_zoom_walks_fit_the_derived_budget():
     def vert(x, row):
         return padded[x + size * (row - size // 4)] if row in band else 0
 
-    steps = {}
+    steps, jumps = {}, {}
     for x, y in ((511, 478), (511, 128), (0, 127)):
         quad = (pack_record(n, x, y, 0), pack_record(n, (x + 1) % size, y, 0),
                 pack_record(n, x, y + 1, vert(x, y + 1)), pack_record(n, x, y, vert(x, y)))
-        r = run_machine(machine, checker_tape(n, *quad), track=track, max_steps=budget,
-                        macro=lemma)
+        spy = Spy(lemma)
+        r = run_machine(spy.machine, checker_tape(n, *quad), track=track, max_steps=budget,
+                        macro=spy)
         assert r.status == "accepted", (x, y)
-        steps[x, y] = r.steps
+        steps[x, y], jumps[x, y] = r.steps, (len(spy.log), spy.jumps)
+    # (calls to the lemma, jumps): (0, 127)'s one drag, from fold 0, is empty
+    assert jumps == {(511, 478): (2, 2), (511, 128): (2, 2), (0, 127): (1, 0)}
     assert steps[511, 478] == 15_677_856
     assert budget <= 2.5 * steps[511, 478]
     assert budget == 33_186_352
@@ -169,7 +197,7 @@ def test_second_zoom_walks_fit_the_derived_budget():
 def head_turns(fp, quad):
     """How often the head of quad's checker run turns, one step at a time
     but for the drags, each jumped and taken as one move right."""
-    run = Run(fp.machine, checker_tape(fp.n, *quad), track=fp.track_bits)
+    run = Run(fp.drag.machine, checker_tape(fp.n, *quad), track=fp.track_bits)
     moves, status = [], "timeout"
     while status == "timeout":
         head = run.head
@@ -191,7 +219,7 @@ def test_head_turns_as_the_budget_counts_them(fp):
 
 
 def test_budget_needs_every_family(fp):
-    partial = DragLemma(fp.drag.body, dict(list(fp.drag.entries.items())[:3]))
+    partial = dataclasses.replace(fp.drag, entries=dict(list(fp.drag.entries.items())[:3]))
     with pytest.raises(CompileError):
         checker_budget(fp.n, fp.size, partial)
 
@@ -219,8 +247,11 @@ def test_each_proof_obligation_can_fail(fp, names, case):
     # a body rule that reads the track; an entry on M that does not step
     # right into dec; a decrement that ends a cell short of where it
     # should; a decrement whose cost depends on the cells around the block
-    lemma = drag_lemma(doctored(fp, names, case), names, 2 * fp.n)
+    machine = doctored(fp, names, case)
+    lemma = drag_lemma(machine, names, 2 * fp.n)
     assert sorted(names[e] for e in lemma.entries) == ["lb_h0", "lb_h1", "lt_h1"]
+    # the unmeasured family keeps its entry rule, so its drags are stepped
+    assert len(lemma.machine.transitions) == len(machine.transitions) - 3
     with pytest.raises(CompileError):
         checker_budget(fp.n, fp.size, lemma)
 
@@ -258,7 +289,7 @@ def test_budgets_around_each_drag(fp):
     # steps on), and around the end of each drag
     spy = Spy(fp.drag)
     quad = member(fp, 5, 70)
-    full = same_as_direct(fp, quad, macro=spy)
+    full = same_as_direct(fp, quad, spy=spy)
     drags = [(before, after) for before, after, jumped in spy.log if jumped]
     assert len(drags) == 2 and full.status == "accepted"
     for start, end in drags:
@@ -272,34 +303,72 @@ def test_budgets_around_each_drag(fp):
 def test_preconditions_that_fail_on_real_tapes(fp):
     quad = member(fp, 40, 64)  # drags 40 and 296 cells
     tape = checker_tape(fp.n, *quad)
-    # a mark in the drag's way: the decrement that meets it is stuck
+    # a mark in the drag's way: the lemma takes the entry step alone, and
+    # the decrement that meets the mark is stuck
     blocked = tape + [SYM_B] * 30 + [SYM_Z]
     kw = {"track": fp.track_bits, "max_steps": fp.budget}
-    got = run_machine(fp.machine, blocked, macro=fp.drag, **kw)
+    spy = Spy(fp.drag)
+    got = run_machine(spy.machine, blocked, macro=spy, **kw)
     assert outcome(got) == outcome(run_machine(fp.machine, blocked, **kw))
     assert got.status == "stuck"
+    # the entry step, then the stop at the mark, which the lemma leaves alone
+    assert [(after - before, jumped) for before, after, jumped in spy.log] == [
+        (1, False), (0, False)]
+
+
+def entered(machine, names, family):
+    """machine with a new start state that crosses blanks and enters
+    ``family`` on the first M; on the lemma's machine that entry is stuck."""
+    cross = machine.states
+    return dataclasses.replace(machine, states=cross + 1, start=cross, transitions=(
+        Transition(cross, SYM_B, None, cross, SYM_B, "R"),
+        Transition(cross, SYM_M, None, names.index(family), SYM_M, "S"),
+        *machine.transitions))
+
+
+MALFORMED = {  # tapes after the anchor M whose drag the lemma does not jump
+    "a blank in the block": [SYM_B] + [SYM_Z] * 15 + [SYM_M, SYM_B],
+    "a mark in the block": [SYM_M] + [SYM_Z] * 15 + [SYM_M, SYM_B],
+    "not closed by M": [SYM_O] + [SYM_Z] * 15 + [SYM_Z, SYM_B],
+    "closed by the tape's end": [SYM_O] + [SYM_Z] * 15,
+    "a mark where the block moves": [SYM_O] + [SYM_Z] * 15 + [SYM_M, SYM_O],
+    "no block": [],
+}
 
 
 def test_lemma_declines_malformed_blocks(fp, names):
-    entry = names.index("lt_h0")
-    w = 2 * fp.n
-    counter = [SYM_O] + [SYM_Z] * (w - 1)  # the value 1
+    # the lemma takes the entry step alone: the M stays, the head moves
+    # right into dec (onto a new blank when the M is the tape's last cell)
+    entry, dec = names.index("lt_h0"), names.index("lt_dec0")
+    composed, direct = entered(fp.drag.machine, names, "lt_h0"), entered(fp.machine, names, "lt_h0")
+    for case, after in MALFORMED.items():
+        cells = [SYM_M] + after
+        run = Run(fp.drag.machine, cells, state=entry)
+        assert fp.drag(run, fp.budget), case
+        assert (run.state, run.head, run.steps) == (dec, 1, 1), case
+        assert bytes(run.cells) == bytes(cells if after else cells + [SYM_B]), case
+        # and a run through it ends as a direct run does
+        tape = [SYM_B, SYM_B] + cells
+        assert outcome(run_machine(composed, tape, macro=fp.drag)) == outcome(
+            run_machine(direct, tape)), case
 
-    def declines(cells, *, budget=fp.budget, state=entry):
-        run = Run(fp.machine, cells, state=state)
+
+def test_lemma_leaves_other_stops_alone(fp, names):
+    entry = names.index("lt_h0")
+    counter = [SYM_O] + [SYM_Z] * (2 * fp.n - 1)  # the value 1
+
+    def declines(cells, *, state=entry):
+        run = Run(fp.drag.machine, cells, state=state)
         before = (run.state, run.head, run.steps, bytes(run.cells))
-        assert not fp.drag(run, budget)
+        assert not fp.drag(run, fp.budget)
         assert (run.state, run.head, run.steps, bytes(run.cells)) == before
 
-    declines([SYM_M, SYM_B] + counter[1:] + [SYM_M, SYM_B])  # a blank in the block
-    declines([SYM_M, SYM_M] + counter[1:] + [SYM_M, SYM_B])  # a mark in the block
-    declines([SYM_M] + counter + [SYM_Z, SYM_B])  # not closed by M
-    declines([SYM_M] + counter)  # closed by the tape's end
-    declines([SYM_M] + counter + [SYM_M, SYM_O])  # a mark where the block moves
     declines([SYM_B] + counter + [SYM_M, SYM_B])  # the entry reads no M
     declines([SYM_M] + counter + [SYM_M, SYM_B], state=names.index("lt_g0"))
-    declines([SYM_M] + counter + [SYM_M, SYM_B], budget=37)  # 1 + 37 steps
-    run = Run(fp.machine, [SYM_M] + counter + [SYM_M, SYM_B], state=entry)
+    # a jump that does not fit the budget is one step; one that fits is whole
+    run = Run(fp.drag.machine, [SYM_M] + counter + [SYM_M, SYM_B], state=entry)
+    assert fp.drag(run, 37) and (run.steps, run.head) == (1, 1)  # 1 + 37 steps
+    run = Run(fp.drag.machine, [SYM_M] + counter + [SYM_M, SYM_B], state=entry)
     assert fp.drag(run, 38) and (run.steps, run.head) == (38, 2)
 
 
@@ -329,16 +398,10 @@ def synthetic_drags(draw):
 @settings(max_examples=200, deadline=None)
 @given(synthetic_drags())
 def test_synthetic_drags_agree(fp, names, case):
-    # a new start state crosses the lead blanks and enters the family on
-    # the anchor M, a step that both runs take
+    # the entry into the family on the anchor M is the lemma's to take
     family, tape, kw = case
-    cross = fp.machine.states
-    machine = dataclasses.replace(fp.machine, states=cross + 1, start=cross, transitions=(
-        Transition(cross, SYM_B, None, cross, SYM_B, "R"),
-        Transition(cross, SYM_M, None, names.index(family), SYM_M, "S"),
-        *fp.machine.transitions))
-    got = run_machine(machine, tape, macro=fp.drag, **kw)
-    assert outcome(got) == outcome(run_machine(machine, tape, **kw))
+    got = run_machine(entered(fp.drag.machine, names, family), tape, macro=fp.drag, **kw)
+    assert outcome(got) == outcome(run_machine(entered(fp.machine, names, family), tape, **kw))
 
 
 # --- the lemma against a direct descent -------------------------------------------
@@ -410,7 +473,8 @@ def test_worst_walk_jumps_each_drag_once(fp):
 def test_audit_drags_are_all_jumped(fp):
     # a drag the lemma declines is stepped one cell at a time, which takes
     # about 1 s on the worst walk; the audit's 80 walks and 6 block probes
-    # and 10 mutation trials decline none
+    # and 10 mutation trials decline none (a probe's or a mutant's last call
+    # is its stop at the sentinel, which the lemma leaves alone)
     spy = Spy(fp.drag)
     spied = dataclasses.replace(fp, drag=spy)
     cert = certificate(spied, resident_samples=1, reject_samples=0, utm_accepts=0,
@@ -418,4 +482,4 @@ def test_audit_drags_are_all_jumped(fp):
     trials = mutation_trials(spied, 10)
     assert cert.ok and trials.ok
     assert len(spy.log) >= 80
-    assert all(jumped for *_, jumped in spy.log)
+    assert all(jumped or after == before for before, after, jumped in spy.log)

@@ -212,6 +212,19 @@ def test_schedule_json_roundtrip():
     assert again == s
 
 
+@pytest.mark.parametrize("change", [
+    {"pairs": []}, {"pairs": [[1, 2.5]]}, {"pairs": [[True, 3]]}, {"pairs": [[1, 2], [3, False]]},
+    {"pairs": [["1", 2]]}, {"pairs": [[0, 2]]}, {"pairs": [[3, 2]]}, {"pairs": [[1, 2, 3]]},
+    {"pairs": [1]}, {"c": 2.5}, {"alpha1": True}, {"c": 0},
+], ids=["empty", "float-beta", "bool-alpha", "bool-beta", "string-alpha", "zero-alpha",
+        "alpha-past-beta", "triple", "scalar", "float-c", "bool-alpha1", "zero-c"])
+def test_schedule_json_needs_int_scales(change):
+    with pytest.raises((TypeError, ValueError)):
+        Schedule.from_json({"c": 2, "alpha1": 1, "pairs": [[1, 2]], **change})
+    # alpha = beta is a legal pair
+    assert Schedule.from_json({"c": 2, "alpha1": 1, "pairs": [[3, 3]]}).pairs() == [(3, 3)]
+
+
 def test_correction_gap_frozen():
     s = make_schedule(2, 1, 3)
     # beta_k / alpha_k = 2k: the 4*c2 gap needs c*k > 4*c2

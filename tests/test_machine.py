@@ -40,6 +40,28 @@ def test_machine_json_roundtrip():
     assert Machine.from_json(json.loads(json.dumps(m.to_json()))) == m
 
 
+@pytest.mark.parametrize("key, value", [
+    ("symbols", 4.0), ("states", 2.0), ("accept", True), ("start", False),
+    ("program_track", 1), ("program_track", None),
+])
+def test_machine_json_needs_ints(key, value):
+    obj = {**parity_machine().to_json(), key: value}
+    with pytest.raises(ValueError):
+        Machine.from_json(obj)
+
+
+@pytest.mark.parametrize("field, value", [(0, 0.0), (1, 1.0), (2, True), (2, 1.0),
+                                          (3, True), (4, 2.0)])
+def test_machine_json_needs_int_rules(field, value):
+    obj = parity_machine().to_json()
+    if field == 2:  # a track condition needs a track
+        obj["program_track"] = True
+    rule = obj["transitions"][0]
+    rule[field] = value
+    with pytest.raises(ValueError):
+        Machine.from_json(obj)
+
+
 def test_parity_runs():
     m = parity_machine()
     assert run_machine(m, [0] * 4).status == "accepted"
@@ -160,6 +182,21 @@ def test_universal_agrees_with_direct():
             direct = run_machine(m, list(x) + [0] * 4, max_steps=10_000)
             sim = run_encoded(u, p, x)
             assert (direct.status == "accepted") == (sim.status == "accepted"), (name, x)
+
+
+def test_universal_reads_the_whole_track():
+    # walk right over blanks and accept on the first track bit that is 1:
+    # a track longer than the input still lies under work cells
+    m = Machine(2, 4, 0, 1, 0, True,
+                (Transition(0, 0, 0, 0, 0, "R"), Transition(0, 0, 1, 1, 0, "S")))
+    u, p = universal_machine(), encode_program(m)
+    for ones_at in (8, 9, 30):
+        track = [0] * ones_at + [1]
+        assert run_machine(m, [0], track=track).steps == ones_at + 1
+        assert run_encoded(u, p, [0], track=track).status == "accepted", ones_at
+    tape = utm_tape(p, [0], [0] * 9 + [1])
+    assert tape[tape.index(U_END) + 10] == work_cell(0, 0, 1)
+    assert len(tape) == tape.index(U_END) + 1 + 10 + 8
 
 
 def test_universal_track_conditions():

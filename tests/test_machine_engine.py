@@ -37,9 +37,8 @@ from tilebench.machine import (
 )
 
 
-def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000, moves=None):
-    """One dict lookup per step, one cell per step: the engine's oracle.
-    ``moves``, a list, collects each step's (state, next state)."""
+def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000):
+    """One dict lookup per step, one cell per step: the engine's oracle."""
     rules = {}
     for t in machine.transitions:
         for b in (0, 1):
@@ -58,8 +57,6 @@ def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000, mov
         if move is None:
             status = "stuck"
             break
-        if moves is not None:
-            moves.append((state, move[0]))
         state, cells[head], direction = move
         head += {"L": -1, "R": 1, "S": 0}[direction]
         if head < 0:
@@ -474,29 +471,6 @@ def planted_runs(draw):
 def test_planted_jumps_agree(case):
     m, tape, kw = case
     assert_agrees(m, tape, **kw)
-
-
-@settings(max_examples=200, deadline=None)
-@given(planted_runs(), st.data())
-def test_paused_runs_agree(case, data):
-    # a run paused before each step into a set of states, which is then
-    # taken directly, ends as an unbroken run does, and pauses exactly as
-    # often as that run steps into the set from outside it
-    m, tape, kw = case
-    pause = frozenset(data.draw(st.sets(st.integers(0, m.states - 1))))
-    budget = kw.pop("max_steps")
-    moves = []
-    want = reference_run(m, tape, max_steps=budget, moves=moves, **kw)
-    run = Run(m, tape, **kw)
-    pauses = 0
-    status = run.go(budget, pause)
-    while status == "paused":
-        pauses += 1
-        status = run.go(run.steps + 1)
-        if status == "timeout" and run.steps < budget:
-            status = run.go(budget, pause)
-    assert (status, run.steps, run.state, run.head, tuple(run.cells)) == want
-    assert pauses == sum(q not in pause and q2 in pause for q, q2 in moves)
 
 
 # --- the fixed-point checker and the universal machine -------------------------
