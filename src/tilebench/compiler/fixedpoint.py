@@ -18,11 +18,12 @@ vertical seams, the right columns for horizontal ones) carries the edge
 record of the tile the patch stands for, so macro-edges and tile edges
 match one against one and ``assemble_self_patch`` / ``decode_self_patch``
 round-trip.
-One generator enumerates the tiles from the val discipline and records
-each cell's first tile id as it goes.  Only the border ring of a patch
-has free vals, so assembly copies that id grid and re-derives just the
-ring cells: their vals, then the tile looked up by the edge records they
-encode.
+One generator enumerates the tiles from the val discipline, and the build
+records each cell's first tile id as it goes.  A tile's id is its cell's
+first id plus the rank of its free vals, so membership and ids are
+arithmetic on the edge records, with no table of tiles.  Only the border
+ring of a patch has free vals, so assembly copies that id grid and
+re-derives just the ring cells: their vals, then their ids by rank.
 
 Everything here is desk-checkable: R has a few hundred states, its
 encoding fits the block with room to spare, and the certificate below
@@ -54,6 +55,8 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 from ..core import PatchGrid, Tile, TileSet, verify_patch
@@ -599,10 +602,13 @@ def _records(n: int, size: int, x: int, y: int, vl: int, vr: int, vt: int,
 class FixedPointSet:
     """A self-describing tile set plus everything needed to audit it.
 
-    ``accepted`` maps the edge records of every tile to its tile id;
-    ``cell_ids[y][x]`` is the id of the cell's first tile (free vals 0),
-    the same int object ``accepted`` holds; ``drag`` is the checker's drag
-    lemma, which ``run_checker`` jumps with, and ``budget`` its step budget
+    ``accepted`` is a read-only mapping from the edge records of every tile
+    to its tile id, worked out from the records rather than stored
+    (``_Accepted``); ``cell_ids[y][x]`` is the id of the cell's first tile
+    (free vals 0); ``color_records[c]`` is color c's edge record shifted
+    left one bit, with its axis (0 for horizontal edges, 1 for vertical
+    ones) in bit 0; ``drag`` is the checker's drag lemma, which
+    ``run_checker`` jumps with, and ``budget`` its step budget
     (``checker_budget``).
     """
 
@@ -614,9 +620,9 @@ class FixedPointSet:
     program: tuple[int, ...]
     padded: tuple[int, ...]
     capacity: int
-    accepted: dict = field(hash=False)
+    accepted: Mapping = field(hash=False)
     cell_ids: tuple = field(hash=False)
-    color_records: tuple = field(hash=False)
+    color_records: array = field(hash=False)
     drag: DragLemma = field(hash=False)
     budget: int
 
@@ -671,6 +677,80 @@ def _val_choices(size: int, padded, x: int, y: int) -> tuple:
     )
 
 
+def _rank(choices, vals) -> int:
+    """The rank of ``vals`` in ``itertools.product(*choices)`` order, so a
+    tile's id is its cell's first id plus this; ValueError when a val is
+    not among its choices."""
+    rank = 0
+    for ch, v in zip(choices, vals):
+        rank = rank * len(ch) + ch.index(v)
+    return rank
+
+
+def _cells(n: int, size: int, padded):
+    """Each cell (x, y), row by row, with the edge records of its tiles in
+    tile id order: the cell's vals in ``itertools.product`` order."""
+    for y in range(size):
+        for x in range(size):
+            yield x, y, [_records(n, size, x, y, *vals)
+                         for vals in itertools.product(*_val_choices(size, padded, x, y))]
+
+
+class _Accepted(Mapping):
+    """The edge records of every tile mapped to its tile id, by arithmetic.
+
+    A quad of ints is a member exactly when it equals ``_records`` of the
+    cell (x, y) its bottom record names, with the val bit each record
+    carries, and each val is allowed by ``_val_choices``; its id is
+    ``cell_ids[y][x]`` plus the ``_rank`` of the vals.  Iteration runs in
+    tile id order.
+    """
+
+    def __init__(self, n: int, size: int, padded, cell_ids) -> None:
+        self._n, self._size, self._padded, self._cell_ids = n, size, padded, cell_ids
+
+    def __getitem__(self, quad) -> int:
+        n, size = self._n, self._size
+        if type(quad) is tuple and len(quad) == 4 and all(isinstance(r, int) for r in quad):
+            x, y, _ = unpack_record(n, quad[3])
+            vals = [(r >> (2 * n)) & 1 for r in quad]
+            choices = _val_choices(size, self._padded, x, y)
+            allowed = all(v in ch for ch, v in zip(choices, vals))
+            if allowed and quad == _records(n, size, x, y, *vals):
+                return self._cell_ids[y][x] + _rank(choices, vals)
+        raise KeyError(quad)
+
+    def __iter__(self):
+        for _, _, quads in _cells(self._n, self._size, self._padded):
+            yield from quads
+
+    def __len__(self) -> int:
+        return (self._size + 2) ** 2
+
+
+def _enumerate(n: int, size: int, padded) -> tuple[list, tuple, array]:
+    """The tiles in id order, the per-cell first-id grid and the color
+    records.  Colors get ids in order of first use, interned by one packed
+    int, the record shifted left one bit with the axis in bit 0.  A function
+    of its own, so the interning dict is freed before ``TileSet`` runs its
+    duplicate check and the two never peak together."""
+    colors: dict[int, int] = {}
+
+    def cid(key: int) -> int:
+        return colors.setdefault(key, len(colors))
+
+    tiles: list[Tile] = []
+    rows: list[list[int]] = []
+    for x, y, quads in _cells(n, size, padded):
+        if x == 0:
+            rows.append([])
+        rows[-1].append(len(tiles))
+        for recl, recr, rect, recb in quads:
+            tiles.append(Tile(cid(recl << 1), cid(recr << 1),
+                              cid(rect << 1 | 1), cid(recb << 1 | 1)))
+    return tiles, tuple(map(tuple, rows)), array("q", colors)
+
+
 def build_fixed_point(size: int = 256) -> FixedPointSet:
     """Build the self-describing tile set on a size x size coordinate grid.
 
@@ -690,40 +770,21 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
             f"checker needs {len(program)} program bits, the block holds {capacity}"
         )
     padded = tuple(program) + (0,) * (capacity - len(program))
-
-    colors: dict = {}  # (axis, record) -> color id, in id order
-
-    def cid(axis: int, rec: int) -> int:
-        return colors.setdefault((axis, rec), len(colors))
-
-    tiles: list[Tile] = []
-    accepted: dict = {}
-    cell_ids = []
-    tid = 0
-    for y in range(size):
-        row = []
-        for x in range(size):
-            row.append(tid)
-            for vals in itertools.product(*_val_choices(size, padded, x, y)):
-                recl, recr, rect, recb = quad = _records(n, size, x, y, *vals)
-                accepted[quad] = tid
-                tiles.append(Tile(cid(0, recl), cid(0, recr), cid(1, rect), cid(1, recb)))
-                tid += 1
-        cell_ids.append(tuple(row))
+    tiles, cell_ids, color_records = _enumerate(n, size, padded)
     assert len(tiles) == (size + 2) ** 2, "free border bits miscounted"
     drag = drag_lemma(machine, names, 2 * n)
     return FixedPointSet(
         n=n,
         size=size,
-        tile_set=TileSet(len(colors), tiles),
+        tile_set=TileSet(len(color_records), tiles),
         machine=machine,
         state_bits=state_bits,
         program=tuple(program),
         padded=padded,
         capacity=capacity,
-        accepted=accepted,
-        cell_ids=tuple(cell_ids),
-        color_records=tuple(colors),
+        accepted=_Accepted(n, size, padded, cell_ids),
+        cell_ids=cell_ids,
+        color_records=color_records,
         drag=drag,
         budget=checker_budget(n, size, drag),
     )
@@ -764,20 +825,21 @@ def assemble_self_patch(fp: FixedPointSet, quad) -> PatchGrid:
     Only the 4*size - 4 border ring cells have a free val, so every other
     cell takes its one tile from ``fp.cell_ids``.  A ring cell takes its
     pinned vals from ``_val_choices`` and its free ones from the border
-    slice (0 off the slice); its tile is looked up by the records it
-    encodes."""
-    n, size, padded, accepted = fp.n, fp.size, fp.padded, fp.accepted
-    if quad not in accepted:
+    slice (0 off the slice); its id is the cell's first id plus the
+    ``_rank`` of those vals."""
+    n, size, padded, ids = fp.n, fp.size, fp.padded, fp.cell_ids
+    if quad not in fp.accepted:
         raise ValueError("edge records do not belong to the tile set")
     lo = size - RECORD_BITS
     wl, wr, wt, wb = ((0,) * lo + window_bits(n, r) for r in quad)
-    grid = [list(row) for row in fp.cell_ids]
+    grid = [list(row) for row in ids]
     edges = (0, size - 1)
     for y in range(size):
         for x in range(size) if y in edges else edges:
+            choices = _val_choices(size, padded, x, y)
             vals = [ch[0] if len(ch) == 1 else bit for ch, bit in
-                    zip(_val_choices(size, padded, x, y), (wl[y], wr[y], wt[x], wb[x]))]
-            grid[y][x] = accepted[_records(n, size, x, y, *vals)]
+                    zip(choices, (wl[y], wr[y], wt[x], wb[x]))]
+            grid[y][x] = ids[y][x] + _rank(choices, vals)
     return PatchGrid(size, size, grid)
 
 
@@ -788,7 +850,7 @@ def decode_self_patch(fp: FixedPointSet, patch: PatchGrid) -> tuple:
     ts = fp.tile_set
 
     def vbit(color: int) -> int:
-        return unpack_record(n, fp.color_records[color][1])[2]
+        return unpack_record(n, fp.color_records[color] >> 1)[2]
 
     left = [vbit(ts.tiles[patch.get(0, y)].left) for y in range(lo, size)]
     right = [vbit(ts.tiles[patch.get(size - 1, y)].right) for y in range(lo, size)]

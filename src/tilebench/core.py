@@ -37,7 +37,7 @@ class DegenerateZoomError(ValueError):
     """Zoom factor too small for the requested construction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tile:
     left: int
     right: int
@@ -53,10 +53,12 @@ class TileSet:
 
     Tiles are indexed by their position in ``tiles``; that index is the tile
     id used in patches.  Duplicate quadruples are rejected: a Wang tile *is*
-    its quadruple, so a duplicate could never be distinguished.
+    its quadruple, so a duplicate could never be distinguished.  The set
+    keeps no index beside ``tiles``: ``tile_id`` and ``candidate_index``
+    build theirs on first use.
     """
 
-    __slots__ = ("color_count", "tiles", "names", "_by_sides", "_candidates")
+    __slots__ = ("color_count", "tiles", "names", "_ids", "_candidates")
 
     def __init__(
         self,
@@ -67,16 +69,16 @@ class TileSet:
         tl = tuple(t if isinstance(t, Tile) else Tile(*t) for t in tiles)
         if color_count < 1:
             raise ValueError("color_count must be positive")
-        seen: dict[tuple[int, int, int, int], int] = {}
+        seen: dict[Tile, int] = {}  # for the duplicate check only
         for idx, t in enumerate(tl):
             for c in t.sides():
                 if not (0 <= c < color_count):
                     raise ValueError(
                         f"tile {idx} uses color {c} outside [0, {color_count})"
                     )
-            if t.sides() in seen:
-                raise ValueError(f"duplicate tile quadruple at ids {seen[t.sides()]} and {idx}")
-            seen[t.sides()] = idx
+            first = seen.setdefault(t, idx)
+            if first != idx:
+                raise ValueError(f"duplicate tile quadruple at ids {first} and {idx}")
         if names is not None:
             names = tuple(names)
             if len(names) != len(tl):
@@ -84,7 +86,7 @@ class TileSet:
         object.__setattr__(self, "color_count", color_count)
         object.__setattr__(self, "tiles", tl)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_by_sides", seen)
+        object.__setattr__(self, "_ids", None)
         object.__setattr__(self, "_candidates", None)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
@@ -107,8 +109,15 @@ class TileSet:
         return hash((self.color_count, self.tiles))
 
     def tile_id(self, quad: tuple[int, int, int, int]) -> int | None:
-        """Id of the tile with these (left, right, top, bottom) colors, if any."""
-        return self._by_sides.get(quad)
+        """Id of the tile with these (left, right, top, bottom) colors, if any.
+
+        The index behind it is built on the first call and cached on the set.
+        """
+        ids = self._ids
+        if ids is None:
+            ids = {t.sides(): i for i, t in enumerate(self.tiles)}
+            object.__setattr__(self, "_ids", ids)
+        return ids.get(quad)
 
     def candidate_index(self) -> dict[int, tuple[int, ...]]:
         """Tile ids by (left, bottom) colors, built once and cached on the set.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -35,6 +36,8 @@ def test_tileset_rejects_bad_colors():
 def test_tileset_rejects_duplicates():
     with pytest.raises(ValueError):
         TileSet(2, [Tile(0, 1, 1, 0), Tile(0, 1, 1, 0)])
+    with pytest.raises(ValueError, match=r"duplicate tile quadruple at ids 1 and 3"):
+        TileSet(2, [Tile(0, 0, 0, 0), Tile(0, 1, 1, 0), Tile(1, 0, 0, 1), (0, 1, 1, 0)])
 
 
 def test_tileset_roundtrip_json():
@@ -53,6 +56,32 @@ def test_tile_id_lookup():
     assert ts.tile_id((0, 1, 1, 0)) == 0
     assert ts.tile_id((1, 0, 0, 1)) == 1
     assert ts.tile_id((0, 0, 0, 0)) is None
+
+
+def test_tile_id_answers_the_same_on_later_calls():
+    # the index is built on the first call and cached; the answers of a
+    # fresh set and of one already asked agree
+    ts = coordinate_tileset(4)
+    queries = [t.sides() for t in ts.tiles] + [(0, 0, 0, 0), (1, 2, 3), (15, 15, 15, 15)]
+    first = [ts.tile_id(q) for q in queries]
+    assert first == list(range(16)) + [None] * 3
+    assert [ts.tile_id(q) for q in queries] == first
+    again = coordinate_tileset(4)
+    assert [again.tile_id(q) for q in reversed(queries)] == first[::-1]
+
+
+def test_tiles_are_slotted_and_frozen():
+    t = Tile(0, 1, 2, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.left = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del t.bottom
+    assert t.sides() == (0, 1, 2, 3)
+    assert not hasattr(t, "__dict__")
+    assert t == Tile(0, 1, 2, 3) and t != Tile(0, 1, 2, 4)
+    assert t != (0, 1, 2, 3)
+    assert hash(t) == hash(Tile(0, 1, 2, 3)) == hash((0, 1, 2, 3))
+    assert len({t, Tile(0, 1, 2, 3), Tile(3, 2, 1, 0)}) == 2
 
 
 def test_patch_shape_checks():

@@ -264,14 +264,14 @@ class TestMacroTiles:
         assert calls <= 4 * fp.size - 4
         assert decode_self_patch(fp, patch) == quad
 
-    def test_cell_ids_hold_each_cells_first_tile(self, fp):
+    def test_cell_ids_hold_each_cells_first_tile(self, fp, reference_accepted):
+        # ids from the reference enumeration, not from fp.accepted, which
+        # works its ids out from cell_ids
         size = fp.size
-        want = [[fp.accepted[fp.edge_records(
+        want = [[reference_accepted[fp.edge_records(
                     x, y, *(ch[0] for ch in reference_val_choices(size, fp.padded, x, y)))]
                  for x in range(size)] for y in range(size)]
         assert [list(row) for row in fp.cell_ids] == want
-        # the grid shares the ints accepted holds rather than copying them
-        assert all(a is b for got, row in zip(fp.cell_ids, want) for a, b in zip(got, row))
 
 
 class TestKnownGaps:
@@ -639,15 +639,33 @@ def reference(fp):
 
 
 @pytest.fixture(scope="module")
+def reference_accepted(reference):
+    """The reference's record quads mapped to their tile ids, as a dict."""
+    return {quad: tid for tid, quad in enumerate(reference[2])}
+
+
+@pytest.fixture(scope="module")
 def reference_grid(fp, reference):
     return reference_cells(fp, reference[3])
+
+
+def perturbed(n, quad):
+    """Quads one edit away from ``quad``: a val flipped, a coordinate off by
+    one (with the carry or borrow of plain record arithmetic), a bit set
+    above the val, a non-int, or the wrong length."""
+    for side, rec in enumerate(quad):
+        for new in (rec ^ (1 << 2 * n), rec + 1, rec - 1, rec + (1 << n), rec - (1 << n),
+                    rec | (1 << (2 * n + 1)), rec | (1 << 40), rec + 0.5, str(rec), None):
+            yield quad[:side] + (new,) + quad[side + 1:]
+    yield from (quad[:3], quad + (0,), ())
 
 
 class TestAgainstReference:
     def test_enumeration_matches(self, fp, reference):
         tiles, color_records, quads, _ = reference
         assert [t.sides() for t in fp.tile_set.tiles] == tiles
-        assert list(fp.color_records) == color_records
+        # each color record is packed as record << 1 | axis
+        assert [(key & 1, key >> 1) for key in fp.color_records] == color_records
         assert list(fp.accepted) == quads
         assert list(fp.accepted.values()) == list(range(len(quads)))
 
@@ -672,3 +690,24 @@ class TestAgainstReference:
         quad = data.draw(st.sampled_from(list(fp.accepted)))
         patch = assemble_self_patch(fp, quad)
         assert [list(row) for row in patch.cells] == reference_assemble(fp, reference_grid, quad)
+
+    def test_accepted_matches_the_reference_dict(self, fp, reference_accepted):
+        ref, accepted = reference_accepted, fp.accepted
+        assert len(accepted) == len(ref) == 66564
+        assert list(accepted.items()) == list(ref.items())  # order and ids
+        # every tile of the ring cells, where the free vals are, and a sample
+        edges = (0, fp.size - 1)
+        ring = [q for q in ref if not {*unpack_record(fp.n, q[3])[:2]}.isdisjoint(edges)]
+        assert len(ring) == 8 * fp.size
+        members = 0
+        for quad in ring + random.Random(21).sample(list(ref), 1000):
+            for q in perturbed(fp.n, quad):
+                assert (q in accepted) == (q in ref), q
+                assert accepted.get(q) == ref.get(q), q
+                if q in ref:
+                    members += 1
+                else:
+                    with pytest.raises(KeyError):
+                        accepted[q]
+        # flipping a free val gives a sibling, so some edits stay members
+        assert members > 0
