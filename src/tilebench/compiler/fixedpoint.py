@@ -56,7 +56,8 @@ import functools
 import itertools
 import random
 from array import array
-from collections.abc import Mapping
+from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 from ..core import PatchGrid, Tile, TileSet, verify_patch
@@ -703,11 +704,27 @@ class _Accepted(Mapping):
     cell (x, y) its bottom record names, with the val bit each record
     carries, and each val is allowed by ``_val_choices``; its id is
     ``cell_ids[y][x]`` plus the ``_rank`` of the vals.  Iteration runs in
-    tile id order.
+    tile id order; ``quad_of`` maps an id back to its quad.
     """
 
     def __init__(self, n: int, size: int, padded, cell_ids) -> None:
         self._n, self._size, self._padded, self._cell_ids = n, size, padded, cell_ids
+        self._row_ids = [row[0] for row in cell_ids]
+
+    def quad_of(self, tile_id: int) -> tuple:
+        """The edge records of the tile with this id, so that
+        ``self[self.quad_of(i)] == i``: the cell is the last one whose first
+        id is at most ``tile_id``, and the vals are the rest unranked."""
+        if not 0 <= tile_id < len(self):
+            raise IndexError(tile_id)
+        y = bisect_right(self._row_ids, tile_id) - 1
+        row = self._cell_ids[y]
+        x = bisect_right(row, tile_id) - 1
+        rank, vals = tile_id - row[x], []
+        for ch in reversed(_val_choices(self._size, self._padded, x, y)):
+            rank, k = divmod(rank, len(ch))
+            vals.append(ch[k])
+        return _records(self._n, self._size, x, y, *reversed(vals))
 
     def __getitem__(self, quad) -> int:
         n, size = self._n, self._size
@@ -726,6 +743,24 @@ class _Accepted(Mapping):
 
     def __len__(self) -> int:
         return (self._size + 2) ** 2
+
+
+class _Members(Sequence):
+    """The member quads whose tile ids lie in the given ranges, in that
+    order, each built from its id (``_Accepted.quad_of``) when it is read."""
+
+    def __init__(self, accepted: _Accepted, *spans: range) -> None:
+        self._accepted, self._spans = accepted, spans
+
+    def __len__(self) -> int:
+        return sum(map(len, self._spans))
+
+    def __getitem__(self, i: int) -> tuple:
+        k = range(len(self))[i]  # IndexError past either end
+        for span in self._spans:
+            if k < len(span):
+                return self._accepted.quad_of(span[k])
+            k -= len(span)
 
 
 def _enumerate(n: int, size: int, padded) -> tuple[list, tuple, array]:
@@ -975,6 +1010,19 @@ def _reject_probes(fp: FixedPointSet, rng: random.Random):
         yield tuple(quad)
 
 
+def _split_walkers(fp: FixedPointSet) -> tuple[_Members, _Members]:
+    """The walking and the non-walking member quads, each in tile id
+    order, as views over tile ids: walking depends on the row alone and
+    the walking rows are one run, so the walkers' ids are one range (tile
+    ids run row by row)."""
+    rows = [y for y in range(fp.size) if walks(fp, 0, y)]
+    total = len(fp.accepted)
+    first = fp.cell_ids[rows[0]][0]
+    end = fp.cell_ids[rows[-1] + 1][0] if rows[-1] + 1 < fp.size else total
+    return (_Members(fp.accepted, range(first, end)),
+            _Members(fp.accepted, range(first), range(end, total)))
+
+
 def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
                 reject_samples: int = 200, block_probes: int = 6,
                 utm_accepts: int = 2, utm_rejects: int = 4,
@@ -997,10 +1045,7 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
         raise ValueError("resident_samples must be at least 1")
     rng = random.Random(seed)
 
-    walkers, nonwalk = [], []
-    for quad in fp.accepted:  # in tile id order
-        x, y, _ = unpack_record(fp.n, quad[0])
-        (walkers if walks(fp, x, y) else nonwalk).append(quad)
+    walkers, nonwalk = _split_walkers(fp)
     residents = nonwalk
     if resident_samples is not None:
         residents = rng.sample(nonwalk, min(resident_samples, len(nonwalk)))

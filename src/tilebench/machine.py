@@ -18,10 +18,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
+#: Move letters and track conditions; ``Rules`` stores each as its index here.
 MOVES = ("L", "R", "S")
+TRACKS = (0, 1, None)
+ANY_TRACK = TRACKS.index(None)
 
 
 class Transition(NamedTuple):
@@ -33,15 +38,79 @@ class Transition(NamedTuple):
     move: str
 
 
+class Rules(Sequence):
+    """A machine's rules in priority order, packed in one column per
+    ``Transition`` field: ``state`` and ``new_state`` are ``array("i")``,
+    ``read``, ``write``, ``track`` and ``move`` byte strings, a track
+    condition and a move stored as their index in ``TRACKS`` and ``MOVES``.
+
+    Indexing and iteration give back ``Transition``s, built on demand; two
+    Rules are equal, and hash alike, when their columns are.  ``Machine``
+    checks the columns and nothing changes them after.
+    """
+
+    __slots__ = ("state", "read", "track", "new_state", "write", "move")
+
+    def __init__(self, state: array, read: bytes, track: bytes, new_state: array,
+                 write: bytes, move: bytes) -> None:
+        self.state, self.read, self.track = state, read, track
+        self.new_state, self.write, self.move = new_state, write, move
+
+    @classmethod
+    def of(cls, transitions) -> "Rules":
+        """Pack ``Transition``s; ValueError for a state or symbol that is not
+        a small int, a track condition other than None, 0 or 1, or a move
+        other than a letter of ``MOVES``."""
+        state, read, track, new_state, write, move = tuple(zip(*transitions)) or ((),) * 6
+        try:
+            return cls(array("i", state), bytes(read), bytes(map(TRACKS.index, track)),
+                       array("i", new_state), bytes(write), bytes(map(MOVES.index, move)))
+        except (TypeError, OverflowError):
+            raise ValueError("transition states and symbols must be ints in range") from None
+
+    def columns(self) -> tuple:
+        return self.state, self.read, self.track, self.new_state, self.write, self.move
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Rules(*(c[i] for c in self.columns()))
+        return Transition(self.state[i], self.read[i], TRACKS[self.track[i]],
+                          self.new_state[i], self.write[i], MOVES[self.move[i]])
+
+    def __iter__(self):
+        return map(Transition, self.state, self.read, map(TRACKS.__getitem__, self.track),
+                   self.new_state, self.write, map(MOVES.__getitem__, self.move))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Rules):
+            return NotImplemented
+        return self.columns() == other.columns()
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(bytes, self.columns())))
+
+    def __repr__(self) -> str:
+        return f"<Rules: {len(self)} rules>"
+
+
 @dataclass(frozen=True)
 class Machine:
+    """A Turing machine.  ``transitions`` may be given as any sequence of
+    ``Transition``s and is kept packed, as ``Rules``; the constructor
+    checks every column in C (min, max and byte deletion, no loop per
+    rule) and raises ValueError for a state, symbol, move or track
+    condition out of range."""
+
     states: int
     symbols: int
     start: int
     accept: int
     blank: int
     program_track: bool
-    transitions: tuple[Transition, ...]
+    transitions: Sequence[Transition]
 
     def __post_init__(self) -> None:
         if self.symbols > 256:
@@ -50,32 +119,42 @@ class Machine:
             raise ValueError("start/accept states out of range")
         if not (0 <= self.blank < self.symbols):
             raise ValueError("blank symbol out of range")
-        for t in self.transitions:
-            if not (0 <= t.state < self.states and 0 <= t.new_state < self.states):
-                raise ValueError(f"transition {t} references unknown state")
-            if not (0 <= t.read < self.symbols and 0 <= t.write < self.symbols):
-                raise ValueError(f"transition {t} references unknown symbol")
-            if t.move not in MOVES:
-                raise ValueError(f"transition {t} has bad move")
-            if t.track is not None and not self.program_track:
-                raise ValueError("track condition on a machine without a track")
-            if t.track not in (None, 0, 1):
-                raise ValueError("track condition must be None, 0 or 1")
+        rules = self.transitions
+        if not isinstance(rules, Rules):
+            rules = Rules.of(rules)
+            object.__setattr__(self, "transitions", rules)
+        if len(set(map(len, rules.columns()))) > 1:
+            raise ValueError("rule columns of unequal length")
+        if not rules:
+            return
+        states = (rules.state, rules.new_state)
+        if min(map(min, states)) < 0 or max(map(max, states)) >= self.states:
+            raise ValueError("a transition references an unknown state")
+        if max(max(rules.read), max(rules.write)) >= self.symbols:
+            raise ValueError("a transition references an unknown symbol")
+        if rules.move.translate(None, bytes(range(len(MOVES)))):
+            raise ValueError("a transition has a bad move")
+        if rules.track.translate(None, bytes(range(len(TRACKS)))):
+            raise ValueError("track condition must be None, 0 or 1")
+        if not self.program_track and rules.track.translate(None, bytes([ANY_TRACK])):
+            raise ValueError("track condition on a machine without a track")
 
     def dispatch(self) -> list:
         """The compiled dispatch table, built once and cached on the instance.
 
         Entry ``(state*symbols + symbol)*tracks + bit`` (``tracks`` is 2 for
         program-track machines, else 1 and the bit is 0) holds the first
-        matching transition as ``(new state, write, move delta, run)``, or
-        None when nothing fires; the accept state's rows are all None.
-        ``run`` is None, or a bytearray of symbols when the step starts a
-        *sweep*, which ``run_machine`` crosses in one go: a state that moves
-        one way on its own symbols and writes them back, the same on every
-        track bit.  ``run`` holds every symbol of that state and direction;
-        one bytearray is shared by its entries and never changes after the
-        build (byte strings rather than sets keep the entries out of the
-        cyclic garbage collector).
+        matching rule as ``(new state, write, move delta, run)``, or None
+        when nothing fires; the accept state's rows are all None.  Entries
+        are shared: equal entries are one tuple.  ``run`` is None, or a
+        bytearray of symbols when the step starts a *sweep*, which
+        ``run_machine`` crosses in one go: a state that moves one way on
+        its own symbols and writes them back, the same on every track bit.
+        Each sweeping (state, direction) has one entry, whose ``run`` holds
+        every symbol it sweeps and whose write is None: the symbol is
+        already on the cell, so a sweep writes nothing.  The run never
+        changes after the build (byte strings rather than sets keep the
+        entries out of the cyclic garbage collector).
         """
         table = self.__dict__.get("_dispatch")
         if table is None:
@@ -112,32 +191,39 @@ class Machine:
         return cls(*fields, obj["program_track"], rules)
 
 
-#: Head movement per move letter.
-DELTAS = {"L": -1, "R": 1, "S": 0}
+#: Head movement per move, by its index in ``MOVES``.
+DELTAS = (-1, 1, 0)
 
 
 def _compile(m: Machine) -> list:
-    """Build ``Machine.dispatch``'s table: one pass over the rules per bit,
-    which also collects each state's sweeps."""
+    """Build ``Machine.dispatch``'s table: one pass over the rule columns
+    per bit, which also collects each state's sweeps.  Equal entries are
+    interned; a sweep's one entry per (state, direction) is kept apart, so
+    only the other entries go through the interning dict."""
+    rules = m.transitions
     syms, tracks = m.symbols, 2 if m.program_track else 1
     table: list = [None] * (m.states * syms * tracks)
-    sweeps: dict[tuple[int, int], bytearray] = {}
+    entries: dict[tuple, tuple] = {}
+    sweeps: dict[tuple[int, int], tuple] = {}
     for b in range(tracks):
-        for t in m.transitions:
-            if t.track is not None and t.track != b:
+        for q, s, c, q2, w, mv in zip(*rules.columns()):
+            if c != ANY_TRACK and c != b:
                 continue
-            q, s = t.state, t.read
             i = (q * syms + s) * tracks + b
             if table[i] is not None or q == m.accept:
                 continue  # an earlier rule matches first, or accepted
-            d = DELTAS[t.move]
-            e = (t.new_state, t.write, d, None)
+            d = DELTAS[mv]
+            e = (q2, w, d, None)
             # the last bit's pass marks the one-way sweeps, alike on every bit
-            if (t.new_state == q and t.write == s and d and b == tracks - 1
+            if (q2 == q and w == s and d and b == tracks - 1
                     and (b == 0 or table[i - 1] == e)):
-                run = sweeps.setdefault((q, d), bytearray())
-                run.append(s)
-                e = table[i - b] = (q, s, d, run)
+                e = sweeps.get((q, d))
+                if e is None:
+                    e = sweeps[q, d] = (q, None, d, bytearray())
+                e[3].append(s)
+                table[i - b] = e
+            else:
+                e = entries.setdefault(e, e)
             table[i] = e
     return table
 
@@ -253,8 +339,11 @@ class Run:
             except TypeError:  # no rule fires (the accept state has none)
                 status = "accepted" if state == machine.accept else "stuck"
                 break
-            if run is not None:
-                # cross the sweep's run of cells; j is where it stops
+            if run is None:
+                cells[head] = write
+            else:
+                # cross the sweep's run of cells; j is where it stops, and
+                # a sweep that cannot move on steps one cell, writing nothing
                 if delta > 0:
                     stop = head + max_steps - steps
                     j = _run_end(cells, head + 1, stop if stop < width else width - 1, run)
@@ -265,7 +354,6 @@ class Run:
                     steps += abs(j - head)
                     head = j
                     continue
-            cells[head] = write
             head += delta
             if head < 0:
                 status = "hit_wall"
@@ -360,7 +448,9 @@ def diagram_local_rules(machine: Machine) -> list[ZoneCellRule]:
                 entry = table[(q * machine.symbols + s) * len(tracks) + b]
                 if entry is None:
                     continue
-                q2, w, d, _ = entry
+                q2, w, d, run = entry
+                if run is not None:  # a sweep writes back what it read
+                    w = s
                 if d == 0:
                     rules.append(ZoneCellRule((s, q, b), (w, q2, b), None, None))
                 elif d > 0:
@@ -553,10 +643,17 @@ def universal_machine(state_bits: int = 8) -> Machine:
 
     acc = st("UACC")
     start = st("seek", 0)
-    ts: list[Transition] = []
+    # the rule columns, appended to straight (no Transition per rule)
+    from_col, to_col = array("i"), array("i")
+    read_col, write_col, move_col = bytearray(), bytearray(), bytearray()
+    move_code = {move: code for code, move in enumerate(MOVES)}
 
     def add(state: int, read: int, new_state: int, write: int, move: str) -> None:
-        ts.append(Transition(state, read, None, new_state, write, move))
+        from_col.append(state)
+        read_col.append(read)
+        to_col.append(new_state)
+        write_col.append(write)
+        move_col.append(move_code[move])
 
     def ret_state(q: int, sym: int, trk: int) -> int:
         return acc if q == 1 else st("ret", q, sym, trk)
@@ -660,7 +757,9 @@ def universal_machine(state_bits: int = 8) -> Machine:
         if q != 1:
             rewind("ret", q, s, b)
 
-    return Machine(len(names), U_SYMBOLS, start, acc, U_BLANK, False, tuple(ts))
+    rules = Rules(from_col, bytes(read_col), bytes([ANY_TRACK]) * len(from_col), to_col,
+                  bytes(write_col), bytes(move_col))
+    return Machine(len(names), U_SYMBOLS, start, acc, U_BLANK, False, rules)
 
 
 def run_encoded(

@@ -239,7 +239,7 @@ def doctored(fp, names, case):
                   Transition(extra, SYM_M, None, q["sh"], SYM_M, "R")],
     }[case]
     return dataclasses.replace(fp.machine, states=extra + 1,
-                               transitions=tuple(rules) + fp.machine.transitions)
+                               transitions=(*rules, *fp.machine.transitions))
 
 
 @pytest.mark.parametrize("case", ["track", "entry", "place", "costs"])

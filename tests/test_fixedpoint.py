@@ -335,6 +335,17 @@ class TestCertificate:
         assert cert.parts["universal"][1] == 2
         assert cert.parts["patches"][1] == 6
 
+    def test_walker_split_matches_a_scan(self, fp):
+        # the populations the audit samples from, in the order a scan of
+        # every member gives them, so its samples are that scan's
+        walkers, nonwalk = fixedpoint._split_walkers(fp)
+        scan = {True: [], False: []}
+        for quad in fp.accepted:
+            scan[walks(fp, *unpack_record(fp.n, quad[0])[:2])].append(quad)
+        assert len(walkers) == len(scan[True]) == 41538
+        assert list(walkers) == scan[True]
+        assert list(nonwalk) == scan[False]
+
     def test_resident_samples_below_one_is_refused(self, fp, monkeypatch):
         def never_called(*args, **kwargs):
             raise AssertionError("a checker run before the arguments were checked")
@@ -690,6 +701,23 @@ class TestAgainstReference:
         quad = data.draw(st.sampled_from(list(fp.accepted)))
         patch = assemble_self_patch(fp, quad)
         assert [list(row) for row in patch.cells] == reference_assemble(fp, reference_grid, quad)
+
+    def test_quad_of_inverts_the_ids(self, fp, reference_accepted):
+        accepted = fp.accepted
+        quads = [accepted.quad_of(i) for i in range(len(accepted))]
+        assert quads == list(reference_accepted)  # the reference's id order
+        assert all(accepted[q] == i for i, q in enumerate(quads))
+        for bad in (-1, len(accepted)):
+            with pytest.raises(IndexError):
+                accepted.quad_of(bad)
+
+    def test_members_view_concatenates_its_id_ranges(self, fp):
+        view = fixedpoint._Members(fp.accepted, range(3), range(10, 12))
+        assert len(view) == 5
+        assert list(view) == [fp.accepted.quad_of(i) for i in (0, 1, 2, 10, 11)]
+        assert view[-1] == view[4] == fp.accepted.quad_of(11)
+        with pytest.raises(IndexError):
+            view[5]
 
     def test_accepted_matches_the_reference_dict(self, fp, reference_accepted):
         ref, accepted = reference_accepted, fp.accepted

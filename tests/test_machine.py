@@ -1,14 +1,18 @@
 import hashlib
 import json
+from array import array
 
 import pytest
 
 from tilebench.machine import (
+    MOVES,
+    TRACKS,
     U_BIT0,
     U_END,
     U_ORIGIN,
     U_SEP,
     Machine,
+    Rules,
     Transition,
     ZoneCellRule,
     always_accept_machine,
@@ -38,6 +42,65 @@ def test_machine_validation():
 def test_machine_json_roundtrip():
     m = parity_machine()
     assert Machine.from_json(json.loads(json.dumps(m.to_json()))) == m
+
+
+# every move and every track condition, in an order that is not sorted
+TRACK_RULES = (
+    Transition(2, 1, 0, 0, 3, "R"),
+    Transition(0, 3, None, 2, 0, "L"),
+    Transition(1, 0, 1, 1, 2, "S"),
+    Transition(0, 2, 1, 1, 1, "R"),
+)
+
+
+def test_packed_rules_are_the_transitions_they_pack():
+    columns = [[t[k] for t in TRACK_RULES] for k in range(6)]
+    packed = Rules(array("i", columns[0]), bytes(columns[1]),
+                   bytes(map(TRACKS.index, columns[2])), array("i", columns[3]),
+                   bytes(columns[4]), bytes(map(MOVES.index, columns[5])))
+    a = Machine(3, 4, 0, 1, 0, True, TRACK_RULES)
+    b = Machine(3, 4, 0, 1, 0, True, packed)
+    assert a == b and hash(a) == hash(b)
+    assert isinstance(a.transitions, Rules)
+    assert len(b.transitions) == 4
+    assert [b.transitions[i] for i in range(4)] == list(b.transitions) == list(TRACK_RULES)
+    assert b.transitions[-1] == TRACK_RULES[-1]
+    assert tuple(b.transitions[1:3]) == TRACK_RULES[1:3]
+    with pytest.raises(IndexError):
+        b.transitions[4]
+    assert Machine.from_json(json.loads(json.dumps(b.to_json()))) == a
+    # one rule changed is another machine
+    c = Machine(3, 4, 0, 1, 0, True, TRACK_RULES[:3] + (TRACK_RULES[3]._replace(track=0),))
+    assert c != a and c.transitions != a.transitions
+
+
+@pytest.mark.parametrize("column, value", [(0, array("i", [3])), (3, array("i", [-1])),
+                                           (1, b"\x04"), (4, b"\x09"), (5, b"\x03"),
+                                           (2, b"\x03"), (2, b""), (0, array("i", [0, 0]))])
+def test_bad_rule_columns_are_rejected(column, value):
+    # packed columns are checked as Transitions are: a move or track code
+    # past MOVES or TRACKS, columns of unequal length
+    columns = [array("i", [0]), b"\x00", b"\x02", array("i", [1]), b"\x00", b"\x02"]
+    assert Machine(3, 4, 0, 1, 0, False, Rules(*columns)).transitions[0] == (
+        Transition(0, 0, None, 1, 0, "S"))
+    columns[column] = value
+    with pytest.raises(ValueError):
+        Machine(3, 4, 0, 1, 0, True, Rules(*columns))
+
+
+@pytest.mark.parametrize("bad", [
+    Transition(3, 0, None, 1, 0, "S"), Transition(0, 0, None, -1, 0, "S"),
+    Transition(2 ** 40, 0, None, 1, 0, "S"), Transition(0, 4, None, 1, 0, "S"),
+    Transition(0, 0, None, 1, 300, "S"), Transition(0, 0, None, 1, -1, "S"),
+    Transition(0, 0, None, 1, 0, "X"), Transition(0, 0, None, 1, 0, "LR"),
+    Transition(0, 0, None, 1, 0, None), Transition(0, 0, 2, 1, 0, "S"),
+    Transition(0, 0, "1", 1, 0, "S"), Transition(0, 0, -1, 1, 0, "S"),
+    Transition(0.0, 0, None, 1, 0, "S"),
+])
+def test_bad_transitions_are_rejected(bad):
+    # given as Transitions, not through JSON
+    with pytest.raises(ValueError):
+        Machine(3, 4, 0, 1, 0, True, TRACK_RULES + (bad,))
 
 
 @pytest.mark.parametrize("key, value", [

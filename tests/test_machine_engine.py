@@ -305,6 +305,51 @@ def test_track_split_family_and_loop_do_not_jump():
         assert_agrees(split_flip, DRIFT + [X], track=track)
 
 
+# --- shared sweep entries ---------------------------------------------------------
+
+
+def sweeper(move, split=None):
+    """Sweeps over Z and O and marks the first blank.  ``split`` None gives
+    a one-track machine; "any" a two-track one whose sweep rules take any
+    bit; "bits" one that lists them per bit, alike on both."""
+    conds = {None: (None,), "any": (None,), "bits": (0, 1)}[split]
+    rules = [Transition(0, a, c, 0, a, move) for a in (Z, O) for c in conds]
+    rules.append(Transition(0, B, None, 1, X, "S"))
+    return Machine(2, 4, 0, 1, B, split is not None, tuple(rules))
+
+
+@pytest.mark.parametrize("split", [None, "any", "bits"])
+def test_one_shared_entry_per_sweep_stops_like_single_steps(split):
+    # the sweep over Z and O has one entry, which writes nothing: where it
+    # cannot go on (the tape's last cell, cell 0) it steps one cell and
+    # the cell keeps its symbol, and a budget can end it on any cell
+    right, left = sweeper("R", split), sweeper("L", split)
+    for m in (right, left):
+        tracks = 2 if m.program_track else 1
+        table = m.dispatch()
+        (entry,) = {id(table[a * tracks + b]) for a in (Z, O) for b in range(tracks)}
+        assert table[Z * tracks][1] is None
+    tape = [Z, O, O, Z, O]
+    tracks = [None] if split is None else [None, [0, 1, 1, 0, 1], [1] * 5, [1, 0]]
+    for track in tracks:
+        kw = {} if track is None else {"track": track}
+        r = assert_agrees(right, tape, **kw)
+        assert (r.status, r.steps, r.head, tuple(r.cells)) == ("accepted", 6, 5, (*tape, X))
+        r = assert_agrees(left, tape, head=4, **kw)
+        assert (r.status, r.steps, r.head, tuple(r.cells)) == ("hit_wall", 4, -1, tuple(tape))
+        for budget in range(7):
+            for head in (0, 2, 4):
+                assert_agrees(right, tape, head=head, max_steps=budget, **kw)
+                assert_agrees(left, tape, head=head, max_steps=budget, **kw)
+
+
+def test_universal_dispatch_entries_are_shared():
+    # about a quarter of its 229,718 rules' entries: one per sweeping
+    # (state, direction), and one per distinct other entry
+    table = universal_machine(8).dispatch()
+    assert len({id(e) for e in table if e is not None}) == 60663
+
+
 def test_alphabet_boundary_at_256_symbols():
     # the widest alphabet a byte tape holds: its top symbol still sweeps
     wide = Machine(2, 256, 0, 1, 0, False, (Transition(0, 255, None, 0, 255, "R"),))
