@@ -206,7 +206,7 @@ def cmd_compile(args) -> int:
         "k": args.k,
         "zoom": compiled.layout.n,
         "colors": compiled.tile_set.color_count,
-        "tiles": len(compiled.tile_set.tiles),
+        "tiles": len(compiled.tile_set),
         "accepted_payloads": sorted("".join(map(str, q)) for q in compiled.accepted),
         "steps_needed": compiled.steps_needed,
     }
@@ -220,7 +220,7 @@ def cmd_fixed_point(args) -> int:
     fp = build_fixed_point(args.size)
     body = {
         "size": fp.size,
-        "tiles": len(fp.tile_set.tiles),
+        "tiles": len(fp.tile_set),
         "colors": fp.tile_set.color_count,
         "program_bits": len(fp.program),
         "capacity": fp.capacity,
@@ -259,7 +259,7 @@ def _rule_arg(args) -> SubstitutionRule:
 
 def cmd_substitute(args) -> int:
     ts = enforce_substitution(_rule_arg(args))
-    _emit({"colors": ts.color_count, "tiles": len(ts.tiles),
+    _emit({"colors": ts.color_count, "tiles": len(ts),
            "tile_set": ts.to_json()}, args.out)
     return OK
 
@@ -284,7 +284,7 @@ def cmd_robustify(args) -> int:
     rob = robustify(_tiles_arg(args), args.w)
     _emit({"w": rob.w, "patterns": len(rob.patterns),
            "colors": rob.tile_set.color_count,
-           "tiles": len(rob.tile_set.tiles),
+           "tiles": len(rob.tile_set),
            "tile_set": rob.tile_set.to_json()}, args.out)
     return OK
 

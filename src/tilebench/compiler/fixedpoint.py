@@ -60,7 +60,7 @@ from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
-from ..core import PatchGrid, Tile, TileSet, verify_patch
+from ..core import PatchGrid, TileSet, block_border, verify_patch
 from ..machine import (
     Machine,
     Run,
@@ -763,27 +763,31 @@ class _Members(Sequence):
             k -= len(span)
 
 
-def _enumerate(n: int, size: int, padded) -> tuple[list, tuple, array]:
-    """The tiles in id order, the per-cell first-id grid and the color
-    records.  Colors get ids in order of first use, interned by one packed
-    int, the record shifted left one bit with the axis in bit 0.  A function
-    of its own, so the interning dict is freed before ``TileSet`` runs its
-    duplicate check and the two never peak together."""
+def _enumerate(n: int, size: int, padded) -> tuple[tuple, tuple, array]:
+    """The tiles' (left, right, top, bottom) color columns in id order, the
+    per-cell first-id grid and the color records.  Colors get ids in order
+    of first use, interned by one packed int, the record shifted left one
+    bit with the axis in bit 0.  A function of its own, so the interning
+    dict is freed before ``TileSet`` packs the columns and the two never
+    peak together."""
     colors: dict[int, int] = {}
 
     def cid(key: int) -> int:
         return colors.setdefault(key, len(colors))
 
-    tiles: list[Tile] = []
+    cols = tuple(array("i") for _ in range(4))
+    left, right, top, bottom = (c.append for c in cols)
     rows: list[list[int]] = []
     for x, y, quads in _cells(n, size, padded):
         if x == 0:
             rows.append([])
-        rows[-1].append(len(tiles))
+        rows[-1].append(len(cols[0]))
         for recl, recr, rect, recb in quads:
-            tiles.append(Tile(cid(recl << 1), cid(recr << 1),
-                              cid(rect << 1 | 1), cid(recb << 1 | 1)))
-    return tiles, tuple(map(tuple, rows)), array("q", colors)
+            left(cid(recl << 1))
+            right(cid(recr << 1))
+            top(cid(rect << 1 | 1))
+            bottom(cid(recb << 1 | 1))
+    return cols, tuple(map(tuple, rows)), array("q", colors)
 
 
 def build_fixed_point(size: int = 256) -> FixedPointSet:
@@ -805,13 +809,13 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
             f"checker needs {len(program)} program bits, the block holds {capacity}"
         )
     padded = tuple(program) + (0,) * (capacity - len(program))
-    tiles, cell_ids, color_records = _enumerate(n, size, padded)
-    assert len(tiles) == (size + 2) ** 2, "free border bits miscounted"
+    cols, cell_ids, color_records = _enumerate(n, size, padded)
+    assert len(cols[0]) == (size + 2) ** 2, "free border bits miscounted"
     drag = drag_lemma(machine, names, 2 * n)
     return FixedPointSet(
         n=n,
         size=size,
-        tile_set=TileSet(len(color_records), tiles),
+        tile_set=TileSet(len(color_records), zip(*cols)),
         machine=machine,
         state_bits=state_bits,
         program=tuple(program),
@@ -879,24 +883,16 @@ def assemble_self_patch(fp: FixedPointSet, quad) -> PatchGrid:
 
 
 def decode_self_patch(fp: FixedPointSet, patch: PatchGrid) -> tuple:
-    """Read the four border record slices back off an assembled patch."""
+    """Read the four border record slices back off an assembled patch; a HOLE
+    or an unknown tile id on its border raises MalformedPatchError."""
     n, size = fp.n, fp.size
     lo = size - RECORD_BITS
-    ts = fp.tile_set
 
-    def vbit(color: int) -> int:
-        return unpack_record(n, fp.color_records[color] >> 1)[2]
+    def record(side: tuple[int, ...]) -> int:
+        vals = (unpack_record(n, fp.color_records[c] >> 1)[2] for c in side[lo:])
+        return record_from_window(n, tuple(vals))
 
-    left = [vbit(ts.tiles[patch.get(0, y)].left) for y in range(lo, size)]
-    right = [vbit(ts.tiles[patch.get(size - 1, y)].right) for y in range(lo, size)]
-    top = [vbit(ts.tiles[patch.get(x, size - 1)].top) for x in range(lo, size)]
-    bottom = [vbit(ts.tiles[patch.get(x, 0)].bottom) for x in range(lo, size)]
-    return (
-        record_from_window(n, tuple(left)),
-        record_from_window(n, tuple(right)),
-        record_from_window(n, tuple(top)),
-        record_from_window(n, tuple(bottom)),
-    )
+    return tuple(map(record, block_border(fp.tile_set, patch.cells, 0, 0, size)))
 
 
 # --- the certificate --------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import HOLE, PatchGrid, Tile, TileSet, verify_patch
+from ..core import HOLE, PatchGrid, TileSet, verify_patch
 from ..islands import Schedule, clean, make_schedule
 from ..solver import InconclusiveError, fill_template, solve
 from .simulate import CompileError
@@ -95,7 +95,7 @@ def robustify(
         right = cid(("h", tuple(pat[y][x] for y in range(w) for x in range(1, w))))
         top = cid(("v", tuple(pat[y][x] for y in range(1, w) for x in range(w))))
         bottom = cid(("v", tuple(pat[y][x] for y in range(w - 1) for x in range(w))))
-        tiles.append(Tile(left, right, top, bottom))
+        tiles.append((left, right, top, bottom))
         names.append(f"p{idx}")
     return Robustification(TileSet(len(intern), tiles, names), tile_set, w, tuple(pats))
 
@@ -164,16 +164,15 @@ def check_window_robust(
                    max_solutions=max_solutions + 1, max_nodes=max_nodes)
     if annuli.status == "inconclusive":
         return "inconclusive"
-    tiles = ts.tiles
     lo, hi = h0 - 1, h0 + inner  # the ring around the hole
     verdict = "robust"
     for ann in annuli.solutions:
         a = ann.cells
         ring = {
-            "left": [tiles[a[y][lo]].right for y in side],
-            "right": [tiles[a[y][hi]].left for y in side],
-            "bottom": [tiles[a[lo][x]].top for x in side],
-            "top": [tiles[a[hi][x]].bottom for x in side],
+            "left": [ts.right[a[y][lo]] for y in side],
+            "right": [ts.left[a[y][hi]] for y in side],
+            "bottom": [ts.top[a[lo][x]] for x in side],
+            "top": [ts.bottom[a[hi][x]] for x in side],
         }
         fill = solve(ts, inner, inner, boundary=ring, max_nodes=max_nodes)
         if fill.status == "unsatisfiable":

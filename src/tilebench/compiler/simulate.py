@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..core import PatchGrid, Tile, TileSet
+from ..core import PatchGrid, TileSet, block_border
 from ..machine import (
     SYM_ZERO,
     Machine,
@@ -191,14 +191,14 @@ def compile_simulation(
         return colors.setdefault((axis, i % n, j % n, content), len(colors))
 
     inc = _wire_incidence(lay)
-    tiles: list[Tile] = []
+    tiles: list[tuple] = []
     names: list[str] = []
     tile_of: dict[tuple, int] = {}
     for j in range(n):
         for i in range(n):
             for choice, quad, name in _cell_tiles(color, lay, trk, machine, rules, inc, i, j):
                 tile_of[i, j, choice] = len(tiles)
-                tiles.append(Tile(*quad))
+                tiles.append(quad)
                 names.append(name)
 
     tile_set = TileSet(len(colors), tiles, names)
@@ -295,11 +295,10 @@ def assemble_macro_tile(
 def macro_payloads(
     compiled: CompiledTileSet, patch: PatchGrid, ox: int, oy: int
 ) -> dict[str, tuple[int, ...]]:
-    """Read the four payload bit vectors off the macro-tile block at (ox, oy)."""
-    lay, ts = compiled.layout, compiled.tile_set
-    n = lay.n
-    if not (0 <= ox <= patch.width - n and 0 <= oy <= patch.height - n):
-        raise ValueError("block sticks out of the patch")
+    """Read the four payload bit vectors off the macro-tile block at (ox, oy);
+    a HOLE or an unknown tile id on its border raises MalformedPatchError."""
+    lay = compiled.layout
+    left, right, top, bottom = block_border(compiled.tile_set, patch.cells, ox, oy, lay.n)
 
     def pay_bit(color: int, edge: tuple) -> int:
         key = compiled.colors[color]
@@ -308,22 +307,10 @@ def macro_payloads(
         return key[3]
 
     return {
-        "left": tuple(
-            pay_bit(ts.tiles[patch.get(ox, oy + row)].left, ("H", 0, row))
-            for row in lay.hwin_rows
-        ),
-        "right": tuple(
-            pay_bit(ts.tiles[patch.get(ox + n - 1, oy + row)].right, ("H", 0, row))
-            for row in lay.hwin_rows
-        ),
-        "top": tuple(
-            pay_bit(ts.tiles[patch.get(ox + col, oy + n - 1)].top, ("V", col, 0))
-            for col in lay.vwin_cols
-        ),
-        "bottom": tuple(
-            pay_bit(ts.tiles[patch.get(ox + col, oy)].bottom, ("V", col, 0))
-            for col in lay.vwin_cols
-        ),
+        "left": tuple(pay_bit(left[row], ("H", 0, row)) for row in lay.hwin_rows),
+        "right": tuple(pay_bit(right[row], ("H", 0, row)) for row in lay.hwin_rows),
+        "top": tuple(pay_bit(top[col], ("V", col, 0)) for col in lay.vwin_cols),
+        "bottom": tuple(pay_bit(bottom[col], ("V", col, 0)) for col in lay.vwin_cols),
     }
 
 

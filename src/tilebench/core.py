@@ -3,7 +3,9 @@
 A tile is a quadruple of colors (left, right, top, bottom); colors are opaque
 non-negative integers drawn from a single universe of size ``color_count``.
 Tiles may not be rotated or reflected.  Two tiles sitting side by side match
-when the colors on their shared side are equal.
+when the colors on their shared side are equal.  A ``TileSet`` keeps its
+tiles as four int columns indexed by tile id, and every reader reads them;
+``block_border`` is the one reader of a block's outer side colors.
 
 Grid conventions used everywhere in this package: x grows to the right,
 y grows upward, row 0 is the *bottom* row.  A patch cell either holds a tile
@@ -12,7 +14,8 @@ id or the distinguished ``HOLE`` value (-1), which matches anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
@@ -37,8 +40,15 @@ class DegenerateZoomError(ValueError):
     """Zoom factor too small for the requested construction."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Tile:
+    """One tile's four side colors, as indexing a ``TileSet`` gives them back.
+
+    The slots are written out rather than asked of ``dataclass(slots=True)``,
+    whose new class breaks the frozen ``__setattr__`` for names that are not
+    fields (TypeError instead of FrozenInstanceError)."""
+
+    __slots__ = ("left", "right", "top", "bottom")
     left: int
     right: int
     top: int
@@ -51,14 +61,19 @@ class Tile:
 class TileSet:
     """An immutable finite set of Wang tiles over one color universe.
 
-    Tiles are indexed by their position in ``tiles``; that index is the tile
-    id used in patches.  Duplicate quadruples are rejected: a Wang tile *is*
-    its quadruple, so a duplicate could never be distinguished.  The set
-    keeps no index beside ``tiles``: ``tile_id`` and ``candidate_index``
-    build theirs on first use.
+    The sides are kept in four ``array("i")`` columns, ``left``, ``right``,
+    ``top`` and ``bottom``, indexed by tile id, the id used in patches;
+    indexing or iterating the set (or ``tiles``) builds ``Tile``s from them.
+    The constructor takes ``Tile``s or (left, right, top, bottom) quads and
+    raises ValueError for a tile of other than four colors, a color that is
+    not an int in ``[0, color_count)`` (or does not fit a C int), or a
+    duplicate quadruple: a Wang tile *is* its quadruple, so a duplicate
+    could never be distinguished.  ``tile_id`` and ``candidate_index``
+    build their indexes on first use and cache them.
     """
 
-    __slots__ = ("color_count", "tiles", "names", "_ids", "_candidates")
+    __slots__ = ("color_count", "left", "right", "top", "bottom", "names", "_ids",
+                 "_candidates")
 
     def __init__(
         self,
@@ -66,25 +81,33 @@ class TileSet:
         tiles: Iterable[Tile | tuple[int, int, int, int]],
         names: Sequence[str] | None = None,
     ) -> None:
-        tl = tuple(t if isinstance(t, Tile) else Tile(*t) for t in tiles)
         if color_count < 1:
             raise ValueError("color_count must be positive")
-        seen: dict[Tile, int] = {}  # for the duplicate check only
-        for idx, t in enumerate(tl):
-            for c in t.sides():
-                if not (0 <= c < color_count):
-                    raise ValueError(
-                        f"tile {idx} uses color {c} outside [0, {color_count})"
-                    )
-            first = seen.setdefault(t, idx)
-            if first != idx:
-                raise ValueError(f"duplicate tile quadruple at ids {first} and {idx}")
+        flat = array("i")
+        for idx, quad in enumerate(tiles):
+            if isinstance(quad, Tile):
+                quad = quad.sides()
+            if len(quad) != 4:
+                raise ValueError(f"tile {idx} has {len(quad)} colors, not 4")
+            try:
+                flat.extend(quad)
+            except (TypeError, OverflowError):
+                raise ValueError(f"tile {idx} has a color that is not a C int") from None
+        if flat and (min(flat) < 0 or max(flat) >= color_count):
+            i = next(i for i, c in enumerate(flat) if not 0 <= c < color_count)
+            raise ValueError(f"tile {i // 4} uses color {flat[i]} outside [0, {color_count})")
+        cols = tuple(flat[k::4] for k in range(4))
+        del flat  # the columns are copies; free it before the duplicate check
+        dup = _first_duplicate(cols)
+        if dup is not None:
+            raise ValueError("duplicate tile quadruple at ids %d and %d" % dup)
         if names is not None:
             names = tuple(names)
-            if len(names) != len(tl):
+            if len(names) != len(cols[0]):
                 raise ValueError("names must be parallel to tiles")
+        for name, value in zip(("left", "right", "top", "bottom"), cols):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "color_count", color_count)
-        object.__setattr__(self, "tiles", tl)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_ids", None)
         object.__setattr__(self, "_candidates", None)
@@ -92,21 +115,32 @@ class TileSet:
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("TileSet is immutable")
 
+    def _columns(self) -> tuple[array, array, array, array]:
+        return self.left, self.right, self.top, self.bottom
+
+    @property
+    def tiles(self) -> "TileSet":
+        """The set itself, read as the sequence of its ``Tile``s."""
+        return self
+
     def __len__(self) -> int:
-        return len(self.tiles)
+        return len(self.left)
+
+    def __getitem__(self, tile_id: int) -> Tile:
+        return Tile(*(c[tile_id] for c in self._columns()))
 
     def __iter__(self) -> Iterator[Tile]:
-        return iter(self.tiles)
+        return map(Tile, *self._columns())
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TileSet)
             and self.color_count == other.color_count
-            and self.tiles == other.tiles
+            and self._columns() == other._columns()
         )
 
     def __hash__(self) -> int:
-        return hash((self.color_count, self.tiles))
+        return hash((self.color_count, *(c.tobytes() for c in self._columns())))
 
     def tile_id(self, quad: tuple[int, int, int, int]) -> int | None:
         """Id of the tile with these (left, right, top, bottom) colors, if any.
@@ -115,7 +149,7 @@ class TileSet:
         """
         ids = self._ids
         if ids is None:
-            ids = {t.sides(): i for i, t in enumerate(self.tiles)}
+            ids = {q: i for i, q in enumerate(zip(*self._columns()))}
             object.__setattr__(self, "_ids", ids)
         return ids.get(quad)
 
@@ -131,9 +165,9 @@ class TileSet:
             free = self.color_count
             K = free + 1
             lists: dict[int, list[int]] = {}
-            for i, t in enumerate(self.tiles):
-                for l in (t.left, free):
-                    for b in (t.bottom, free):
+            for i, (left, bottom) in enumerate(zip(self.left, self.bottom)):
+                for l in (left, free):
+                    for b in (bottom, free):
                         lists.setdefault(l * K + b, []).append(i)
             index = {key: tuple(ids) for key, ids in lists.items()}
             object.__setattr__(self, "_candidates", index)
@@ -142,7 +176,7 @@ class TileSet:
     def to_json(self) -> dict:
         out: dict = {
             "color_count": self.color_count,
-            "tiles": [list(t.sides()) for t in self.tiles],
+            "tiles": [list(q) for q in zip(*self._columns())],
         }
         if self.names is not None:
             out["names"] = list(self.names)
@@ -150,7 +184,27 @@ class TileSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TileSet":
-        return cls(obj["color_count"], [tuple(t) for t in obj["tiles"]], obj.get("names"))
+        """The set a ``to_json`` object describes; ValueError unless the color
+        count and every color are ints (not bools or floats), four per tile."""
+        count, tiles = obj["color_count"], obj["tiles"]
+        if type(count) is not int or not isinstance(tiles, list):
+            raise ValueError("color_count must be an int and tiles a list")
+        for idx, quad in enumerate(tiles):
+            if not (isinstance(quad, list) and len(quad) == 4 and set(map(type, quad)) <= {int}):
+                raise ValueError(f"tile {idx} is not a list of four int colors")
+        return cls(count, tiles, obj.get("names"))
+
+
+def _first_duplicate(cols: tuple[array, ...]) -> tuple[int, int] | None:
+    """The first id whose quadruple an earlier id has, with that earlier id,
+    or None: a stable row sort of the columns brings equal rows together."""
+    rows = np.stack([np.frombuffer(c, dtype=np.intc) for c in cols], axis=1)
+    order = np.lexsort(rows.T)  # stable, so equal rows keep id order
+    same = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    if not same.any():
+        return None
+    later = int(order[1:][same].min())
+    return int(np.flatnonzero((rows == rows[later]).all(axis=1))[0]), later
 
 
 class PatchGrid:
@@ -229,28 +283,60 @@ def verify_patch(tile_set: TileSet, patch: PatchGrid) -> list[Violation]:
 
     Pairs where either cell is a HOLE never violate.  Tile ids outside the
     tile set raise MalformedPatchError rather than reporting violations.
+    Violations come cell by cell in row-major order (bottom row first), a
+    cell's "right" before its "top".
     """
-    n = len(tile_set.tiles)
-    tiles = tile_set.tiles
-    cells = patch.cells
-    out: list[Violation] = []
-    for y in range(patch.height):
-        row = cells[y]
-        for x in range(patch.width):
-            v = row[x]
-            if v == HOLE:
-                continue
-            if not (0 <= v < n):
-                raise MalformedPatchError(f"cell ({x}, {y}) holds unknown tile id {v}")
-            if x + 1 < patch.width:
-                w = row[x + 1]
-                if w != HOLE and tiles[v].right != tiles[w].left:
-                    out.append(Violation((x, y), (x + 1, y), "right"))
-            if y + 1 < patch.height:
-                w = cells[y + 1][x]
-                if w != HOLE and tiles[v].top != tiles[w].bottom:
-                    out.append(Violation((x, y), (x, y + 1), "top"))
-    return out
+    n = len(tile_set)
+    try:
+        ids = np.array(patch.cells, dtype=np.intp)
+        known = ids.min() >= HOLE and ids.max() < n
+    except OverflowError:  # an id past a C long
+        known = False
+    if not known:
+        y, x = next((y, x) for y, row in enumerate(patch.cells)
+                    for x, v in enumerate(row) if not HOLE <= v < n)
+        raise MalformedPatchError(f"cell ({x}, {y}) holds unknown tile id {patch.cells[y][x]}")
+    if not n:  # every cell is a HOLE
+        return []
+    # a HOLE reads the last tile's sides; the mask drops every pair it is in
+    left, right, top, bottom = (np.frombuffer(c, dtype=np.intc)[ids] for c in tile_set._columns())
+    real = ids != HOLE
+    bad = np.zeros(ids.shape + (2,), dtype=bool)  # [y, x, 0]: right side, [y, x, 1]: top
+    bad[:, :-1, 0] = (right[:, :-1] != left[:, 1:]) & real[:, :-1] & real[:, 1:]
+    bad[:-1, :, 1] = (top[:-1] != bottom[1:]) & real[:-1] & real[1:]
+    return [Violation((x, y), (x, y + 1), "top") if k else Violation((x, y), (x + 1, y), "right")
+            for y, x, k in np.argwhere(bad).tolist()]
+
+
+def block_border(tile_set: TileSet, cells: Sequence[Sequence[int]], ox: int, oy: int,
+                 size: int) -> tuple[tuple[int, ...], ...]:
+    """The outer side colors of the size x size block of ``cells`` (rows, row
+    0 at the bottom) whose bottom-left cell is (ox, oy), as (left, right,
+    top, bottom): the left sides of its left column and the right sides of
+    its right column, bottom to top, then the top sides of its top row and
+    the bottom sides of its bottom row, left to right.
+
+    Raises ValueError for a block that sticks out of ``cells``, and
+    MalformedPatchError for a HOLE or an unknown tile id on the border.
+    """
+    if not (size >= 1 and 0 <= ox and 0 <= oy and oy + size <= len(cells)
+            and ox + size <= len(cells[0])):
+        raise ValueError("block sticks out of the patch")
+    rows = cells[oy:oy + size]
+    x1, y1 = ox + size - 1, oy + size - 1
+    border = (  # each side's ids and the cell of its i-th id
+        (tile_set.left, [row[ox] for row in rows], lambda i: (ox, oy + i)),
+        (tile_set.right, [row[x1] for row in rows], lambda i: (x1, oy + i)),
+        (tile_set.top, rows[-1][ox:x1 + 1], lambda i: (ox + i, y1)),
+        (tile_set.bottom, rows[0][ox:x1 + 1], lambda i: (ox + i, oy)),
+    )
+    n = len(tile_set)
+    for _, ids, cell in border:
+        if min(ids) < 0 or max(ids) >= n:
+            i = next(i for i, v in enumerate(ids) if not 0 <= v < n)
+            what = "a HOLE" if ids[i] == HOLE else f"unknown tile id {ids[i]}"
+            raise MalformedPatchError(f"border cell {cell(i)} holds {what}")
+    return tuple(tuple(map(column.__getitem__, ids)) for column, ids, _ in border)
 
 
 def coordinate_tileset(n: int) -> TileSet:
@@ -271,14 +357,8 @@ def coordinate_tileset(n: int) -> TileSet:
     names = []
     for i in range(n):
         for j in range(n):
-            tiles.append(
-                Tile(
-                    left=color(i, j),
-                    right=color((i + 1) % n, j),
-                    top=color(i, (j + 1) % n),
-                    bottom=color(i, j),
-                )
-            )
+            tiles.append((color(i, j), color((i + 1) % n, j),
+                          color(i, (j + 1) % n), color(i, j)))
             names.append(f"t{i},{j}")
     return TileSet(n * n, tiles, names)
 
@@ -287,10 +367,7 @@ def chessboard_tileset() -> TileSet:
     """Two tiles that force a two-phase alternating (chessboard) tiling."""
     return TileSet(
         2,
-        [
-            Tile(left=0, right=1, top=1, bottom=0),
-            Tile(left=1, right=0, top=0, bottom=1),
-        ],
+        [(0, 1, 1, 0), (1, 0, 0, 1)],
         names=["even", "odd"],
     )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .core import HOLE, MalformedPatchError, PatchGrid, TileSet
+from .core import HOLE, MalformedPatchError, PatchGrid, TileSet, block_border
 
 
 class InconclusiveError(RuntimeError):
@@ -99,8 +99,7 @@ def solve(
     if max_solutions is not None and max_solutions < 1:
         raise ValueError("max_solutions must be at least 1")
 
-    tiles = tile_set.tiles
-    n_tiles = len(tiles)
+    n_tiles = len(tile_set)
     W = width
     pins: dict[int, int] = {}  # tile id pinned at cell y * W + x
     if template is not None:
@@ -128,13 +127,11 @@ def solve(
     free = tile_set.color_count
     K = free + 1
     index = tile_set.candidate_index()
-    left_of = [t.left for t in tiles]
-    right_of = [t.right for t in tiles]
-    bottom_of = [t.bottom for t in tiles]
+    left_of, right_of, bottom_of = tile_set.left, tile_set.right, tile_set.bottom
     # Key parts of the sides a later cell reads (right sides times K).  Id
     # n_tiles is a blank stand-in whose parts are 0: a side with no placed
     # neighbour reads it through the last slot of the placement list.
-    top_of = [t.top for t in tiles] + [0]
+    top_of = tile_set.top.tolist() + [0]
     right_k = [c * K for c in right_of] + [0]
     zero = [0] * n_tiles
 
@@ -390,16 +387,6 @@ def find_cut_offsets(
     return out
 
 
-def _macro_sides(block: Block, tile_set: TileSet):
-    tiles = tile_set.tiles
-    nb = len(block)
-    left = tuple(tiles[block[dy][0]].left for dy in range(nb))
-    right = tuple(tiles[block[dy][-1]].right for dy in range(nb))
-    bottom = tuple(tiles[block[0][dx]].bottom for dx in range(nb))
-    top = tuple(tiles[block[-1][dx]].top for dx in range(nb))
-    return left, right, top, bottom
-
-
 def _macro_tiles_embed(blocks: Sequence[Block], tau: TileSet, rho: TileSet) -> bool:
     """Can each block act as a rho tile, under injective per-axis color maps?
 
@@ -407,7 +394,8 @@ def _macro_tiles_embed(blocks: Sequence[Block], tau: TileSet, rho: TileSet) -> b
     (top/bottom) live in separate namespaces, since Wang matching never
     compares across axes.
     """
-    sides = [_macro_sides(b, tau) for b in blocks]
+    sides = [block_border(tau, b, 0, 0, len(b)) for b in blocks]
+    quads = list(zip(rho.left, rho.right, rho.top, rho.bottom))
     hmap: dict[tuple, int] = {}
     vmap: dict[tuple, int] = {}
     hused: set[int] = set()
@@ -417,14 +405,14 @@ def _macro_tiles_embed(blocks: Sequence[Block], tau: TileSet, rho: TileSet) -> b
         if i == len(sides):
             return True
         ml, mr, mt, mb = sides[i]
-        for rt in rho.tiles:
+        for rl, rr, rt, rb in quads:
             undo = []
             ok = True
             for m, c, mp, used in (
-                (ml, rt.left, hmap, hused),
-                (mr, rt.right, hmap, hused),
-                (mt, rt.top, vmap, vused),
-                (mb, rt.bottom, vmap, vused),
+                (ml, rl, hmap, hused),
+                (mr, rr, hmap, hused),
+                (mt, rt, vmap, vused),
+                (mb, rb, vmap, vused),
             ):
                 cur = mp.get(m)
                 if cur is None:

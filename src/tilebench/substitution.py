@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import PatchGrid, Tile, TileSet, _mismatch_fractions
+from .core import PatchGrid, TileSet, _mismatch_fractions
 
 Rows = tuple[tuple[str, ...], ...]
 
@@ -158,7 +158,7 @@ def enforce_substitution(rule: SubstitutionRule) -> TileSet:
                 right = color(("h", i + 1, j, a)) if i + 1 < m else color(("hb", j))
                 bottom = color(("v", i, j, a)) if j > 0 else color(("vb", i))
                 top = color(("v", i, j + 1, a)) if j + 1 < m else color(("vb", i))
-                tiles.append(Tile(left, right, top, bottom))
+                tiles.append((left, right, top, bottom))
                 names.append(f"{a}@{i},{j}")
     return TileSet(len(interned), tiles, names)
 

@@ -353,6 +353,16 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv,content", [
         (("solve", "--w", "2", "--h", "2", "--tiles"),
          {"color_count": 2, "tiles": [[0, 1, 0]]}),  # a 3-color tile
+        (("solve", "--w", "2", "--h", "2", "--tiles"),
+         {"color_count": 2, "tiles": [[0, 1, 1, 0, 0]]}),
+        (("solve", "--w", "2", "--h", "2", "--tiles"),
+         {"color_count": 2, "tiles": [[0, 1.0, 1, 0]]}),
+        (("solve", "--w", "2", "--h", "2", "--tiles"),
+         {"color_count": 2, "tiles": [[0, True, 1, 0]]}),
+        (("solve", "--w", "2", "--h", "2", "--tiles"),
+         {"color_count": 2 ** 40, "tiles": [[0, 2 ** 35, 1, 0]]}),
+        (("solve", "--w", "2", "--h", "2", "--tiles"),
+         {"color_count": 2.0, "tiles": [[0, 1, 1, 0]]}),
         (("solve", "--w", "2", "--h", "2", "--tiles"), {"tiles": []}),
         (("cut", "--n", "2", "--patch"), [[0, 1]]),
         (("islands", "--alpha", "1", "--beta", "2", "--points"), [[1, 2, 3]]),
@@ -396,7 +406,8 @@ class TestErrorPaths:
         (("render", "--patch"), {"width": 2, "height": 1, "cells": [["1", 1]]}),
         (("fill-hole", "--stock", "chessboard", "--patch"),
          {"width": 2, "height": 1, "cells": [[0, 1.9]]}),
-    ], ids=["three-color-tile", "tiles-without-colors", "patch-as-list", "point-triple",
+    ], ids=["three-color-tile", "five-color-tile", "float-color", "bool-color",
+            "color-past-c-int", "float-color-count", "tiles-without-colors", "patch-as-list", "point-triple",
             "point-single", "float-point", "string-point", "bool-point",
             "machine-without-rules", "machine-of-300-symbols", "float-symbols",
             "float-state", "bool-accept", "rule-without-m",
@@ -431,6 +442,18 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "cmd_count", broken)
         with pytest.raises(KeyError):
             run("count", "--stock", "chessboard", "--w", "2", "--h", "2")
+
+    @pytest.mark.parametrize("patch", [
+        {"width": 2, "height": 1, "cells": [[0, 5]]},
+        {"width": 1, "height": 2, "cells": [[0], [7]]},
+        {"width": 2, "height": 1, "cells": [[5, 0]]},
+    ], ids=["right-of-a-tile", "above-a-tile", "first-cell"])
+    def test_correct_with_an_unknown_tile_id_is_a_usage_error(self, tmp_path, patch, capsys):
+        path = tmp_path / "bad-ids.json"
+        path.write_text(json.dumps(patch))
+        code, out = run("correct", "--stock", "chessboard", "--patch", str(path))
+        assert code == 2 and out == ""
+        assert "unknown tile id" in capsys.readouterr().err
 
     def test_correct_clean_patch_is_a_noop(self, files):
         code, body = run_json("correct", "--stock", "chessboard",

@@ -15,7 +15,7 @@ from tilebench.compiler import (
     payload_accepted,
     plan_layout,
 )
-from tilebench.core import PatchGrid, verify_patch
+from tilebench.core import HOLE, MalformedPatchError, PatchGrid, verify_patch
 from tilebench.machine import SYM_ONE, SYM_ZERO, Machine, Transition, machine_corpus, run_machine
 from tilebench.solver import find_cut_offsets, solve
 
@@ -149,6 +149,20 @@ class TestChessboardPredicate:
         patch = assemble_macro_tile(chess, (0,), (1,), (1,), (0,))
         with pytest.raises(ValueError):
             macro_payloads(chess, patch, 1, 0)
+
+    @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
+    def test_a_hole_in_a_payload_window_is_malformed(self, chess, side):
+        # the hole used to read as the last tile and raise a misleading
+        # "is not the payload edge"
+        lay, n = chess.layout, chess.layout.n
+        row, col = lay.hwin_rows[0], lay.vwin_cols[0]
+        cell = {"left": (0, row), "right": (n - 1, row),
+                "top": (col, n - 1), "bottom": (col, 0)}[side]
+        patch = assemble_macro_tile(chess, (0,), (1,), (1,), (0,))
+        with pytest.raises(MalformedPatchError, match="HOLE"):
+            macro_payloads(chess, patch.replaced({cell: HOLE}), 0, 0)
+        with pytest.raises(MalformedPatchError, match="unknown tile id 1161"):
+            macro_payloads(chess, patch.replaced({cell: 1161}), 0, 0)
 
     def test_macro_payloads_off_the_cut_raises(self, chess):
         a = assemble_macro_tile(chess, (0,), (1,), (1,), (0,))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from array import array
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tilebench.core import (
     TileSet,
     Violation,
     besicovitch_distance,
+    block_border,
     chessboard_tileset,
     coordinate_tileset,
     verify_patch,
@@ -38,6 +40,38 @@ def test_tileset_rejects_duplicates():
         TileSet(2, [Tile(0, 1, 1, 0), Tile(0, 1, 1, 0)])
     with pytest.raises(ValueError, match=r"duplicate tile quadruple at ids 1 and 3"):
         TileSet(2, [Tile(0, 0, 0, 0), Tile(0, 1, 1, 0), Tile(1, 0, 0, 1), (0, 1, 1, 0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 1)] * 4), max_size=20))
+def test_duplicate_check_names_the_first_repeat(quads):
+    # the check sorts the columns; the reference walks the ids with a dict
+    seen = {}
+    for i, q in enumerate(quads):
+        if seen.setdefault(q, i) != i:
+            with pytest.raises(ValueError, match=rf"duplicate tile quadruple at ids {seen[q]} and {i}$"):
+                TileSet(2, quads)
+            return
+    assert list(TileSet(2, quads)) == [Tile(*q) for q in quads]
+
+
+@pytest.mark.parametrize("quad", [(0, 1, 1), (0, 1, 1, 0, 0), (0, 1.0, 1, 0), (0, "1", 1, 0),
+                                  (0, 2 ** 40, 1, 0), (0, -1, 1, 0)])
+def test_tileset_rejects_malformed_tiles(quad):
+    with pytest.raises(ValueError):
+        TileSet(2 ** 41, [(0, 0, 0, 0), quad])
+
+
+def test_tileset_keeps_its_sides_in_columns():
+    ts = TileSet(4, [Tile(0, 1, 2, 3), (3, 2, 1, 0)])
+    assert (ts.left, ts.right, ts.top, ts.bottom) == tuple(array("i", c) for c in
+                                                          ((0, 3), (1, 2), (2, 1), (3, 0)))
+    assert len(ts.tiles) == len(ts) == 2
+    assert list(ts.tiles) == list(ts) == [Tile(0, 1, 2, 3), Tile(3, 2, 1, 0)]
+    assert ts.tiles[-1] == Tile(3, 2, 1, 0)
+    assert ts == TileSet(4, [(0, 1, 2, 3), (3, 2, 1, 0)]) != TileSet(4, [(0, 1, 2, 3)])
+    assert hash(ts) == hash(TileSet(4, [(0, 1, 2, 3), Tile(3, 2, 1, 0)]))
+    assert ts != TileSet(5, [(0, 1, 2, 3), (3, 2, 1, 0)])
 
 
 def test_tileset_roundtrip_json():
@@ -76,6 +110,8 @@ def test_tiles_are_slotted_and_frozen():
         t.left = 5
     with pytest.raises(dataclasses.FrozenInstanceError):
         del t.bottom
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.extra = 1
     assert t.sides() == (0, 1, 2, 3)
     assert not hasattr(t, "__dict__")
     assert t == Tile(0, 1, 2, 3) and t != Tile(0, 1, 2, 4)
@@ -129,11 +165,67 @@ def test_verify_patch_flip_and_hole():
     }
 
 
-def test_verify_patch_rejects_unknown_ids():
+@pytest.mark.parametrize("bad", [7, 2, -2, 2 ** 70], ids=["id-7", "id-2", "id-minus-2", "id-2-70"])
+@pytest.mark.parametrize("cell", [(0, 0), (1, 0), (0, 1), (1, 1)],
+                         ids=["at-0-0", "at-1-0", "at-0-1", "at-1-1"])
+def test_verify_patch_rejects_unknown_ids(cell, bad):
+    # a bad id right of or above a valid cell used to raise IndexError
     ts = chessboard_tileset()
-    p = chessboard_patch(2, 2).replaced({(0, 0): 7})
-    with pytest.raises(MalformedPatchError):
+    p = chessboard_patch(2, 2).replaced({cell: bad})
+    with pytest.raises(MalformedPatchError, match=rf"cell \({cell[0]}, {cell[1]}\) holds unknown tile id {bad}"):
         verify_patch(ts, p)
+
+
+def reference_violations(ts, patch):
+    """verify_patch as one loop over the cells, reading Tile attributes."""
+    tiles, cells, out = ts.tiles, patch.cells, []
+    for y in range(patch.height):
+        for x in range(patch.width):
+            v = cells[y][x]
+            if v == HOLE:
+                continue
+            if x + 1 < patch.width and cells[y][x + 1] != HOLE:
+                if tiles[v].right != tiles[cells[y][x + 1]].left:
+                    out.append(Violation((x, y), (x + 1, y), "right"))
+            if y + 1 < patch.height and cells[y + 1][x] != HOLE:
+                if tiles[v].top != tiles[cells[y + 1][x]].bottom:
+                    out.append(Violation((x, y), (x, y + 1), "top"))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_patch_matches_a_cell_loop(data):
+    colors = data.draw(st.integers(1, 3))
+    quads = data.draw(st.sets(st.tuples(*[st.integers(0, colors - 1)] * 4), max_size=6))
+    ts = TileSet(colors, sorted(quads))
+    w, h = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    cell = st.integers(HOLE, len(ts) - 1)
+    patch = PatchGrid(w, h, data.draw(st.lists(st.lists(cell, min_size=w, max_size=w),
+                                               min_size=h, max_size=h)))
+    assert verify_patch(ts, patch) == reference_violations(ts, patch)
+
+
+def test_block_border_reads_the_outer_sides():
+    ts = coordinate_tileset(3)
+    rows = [[(x % 3) * 3 + y % 3 for x in range(5)] for y in range(4)]
+    left, right, top, bottom = block_border(ts, rows, 1, 1, 3)
+    assert left == tuple(ts.left[rows[y][1]] for y in (1, 2, 3))
+    assert right == tuple(ts.right[rows[y][3]] for y in (1, 2, 3))
+    assert top == tuple(ts.top[rows[3][x]] for x in (1, 2, 3))
+    assert bottom == tuple(ts.bottom[rows[1][x]] for x in (1, 2, 3))
+    for ox, oy in [(3, 0), (0, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="sticks out"):
+            block_border(ts, rows, ox, oy, 3)
+    rows[2][1] = HOLE  # on the left side of the block at (1, 1)
+    rows[1][2] = HOLE  # on its bottom side, which is read after the left
+    assert block_border(ts, rows, 2, 2, 1) == ((ts.left[rows[2][2]],), (ts.right[rows[2][2]],),
+                                               (ts.top[rows[2][2]],), (ts.bottom[rows[2][2]],))
+    with pytest.raises(MalformedPatchError, match=r"border cell \(1, 2\) holds a HOLE"):
+        block_border(ts, rows, 1, 1, 3)
+    rows[2][1] = 9
+    with pytest.raises(MalformedPatchError, match="unknown tile id 9"):
+        block_border(ts, rows, 1, 1, 3)
 
 
 def test_coordinate_tileset_structure():

@@ -33,7 +33,7 @@ from tilebench.compiler.fixedpoint import (
     window_bits,
     walks,
 )
-from tilebench.core import PatchGrid, verify_patch
+from tilebench.core import HOLE, MalformedPatchError, PatchGrid, verify_patch
 from tilebench.machine import encode_program, run_encoded
 
 
@@ -263,6 +263,20 @@ class TestMacroTiles:
         patch = assemble_self_patch(fp, quad)
         assert calls <= 4 * fp.size - 4
         assert decode_self_patch(fp, patch) == quad
+
+    @pytest.mark.parametrize("cell", [(0, 250), (255, 250), (250, 255), (250, 0)],
+                             ids=["left", "right", "top", "bottom"])
+    def test_a_hole_on_the_border_is_malformed(self, fp, cell):
+        # each cell lies in its side's record slice; a HOLE there used to be
+        # read as tile id -1, the last tile, and could decode to the intact quad
+        ls, rs, ts, bs = fixedpoint._val_choices(fp.size, fp.padded, 77, 30)
+        quad = fp.edge_records(77, 30, ls[0], rs[0], ts[0], bs[0])
+        patch = assemble_self_patch(fp, quad)
+        assert decode_self_patch(fp, patch) == quad
+        with pytest.raises(MalformedPatchError, match="HOLE"):
+            decode_self_patch(fp, patch.replaced({cell: HOLE}))
+        with pytest.raises(MalformedPatchError, match="unknown tile id 66564"):
+            decode_self_patch(fp, patch.replaced({cell: len(fp.tile_set)}))
 
     def test_cell_ids_hold_each_cells_first_tile(self, fp, reference_accepted):
         # ids from the reference enumeration, not from fp.accepted, which
