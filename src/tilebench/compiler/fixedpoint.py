@@ -18,12 +18,12 @@ vertical seams, the right columns for horizontal ones) carries the edge
 record of the tile the patch stands for, so macro-edges and tile edges
 match one against one and ``assemble_self_patch`` / ``decode_self_patch``
 round-trip.
-One generator enumerates the tiles from the val discipline, and the build
-records each cell's first tile id as it goes.  A tile's id is its cell's
-first id plus the rank of its free vals, so membership and ids are
-arithmetic on the edge records, with no table of tiles.  Only the border
-ring of a patch has free vals, so assembly copies that id grid and
-re-derives just the ring cells: their vals, then their ids by rank.
+One generator enumerates the tiles from the val discipline, row by row.
+Only the border ring has free vals, so a cell's first tile id is a closed
+form in its coordinates (``_first_id``, inverted by ``_cell_of``), and a
+tile's id is that plus the rank of its free vals: ids and membership are
+arithmetic on the edge records, with no table of tiles or cells.  Assembly
+builds each patch row as a range of first ids and re-ranks the ring cells.
 
 Everything here is desk-checkable: R has a few hundred states, its
 encoding fits the block with room to spare, and the certificate below
@@ -56,8 +56,7 @@ import functools
 import itertools
 import random
 from array import array
-from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 
 from ..core import PatchGrid, TileSet, block_border, verify_patch
@@ -588,6 +587,11 @@ def _band(size: int) -> range:
     return range(size // 4, size - 32)
 
 
+def _fold(size: int, x: int, y: int) -> int:
+    """The padded program's index at the bottom edge of a band cell (x, y)."""
+    return x + size * (y - size // 4)
+
+
 def _records(n: int, size: int, x: int, y: int, vl: int, vr: int, vt: int,
              vb: int) -> tuple[int, int, int, int]:
     """The (left, right, top, bottom) edge records of the cell (x, y)."""
@@ -605,8 +609,8 @@ class FixedPointSet:
 
     ``accepted`` is a read-only mapping from the edge records of every tile
     to its tile id, worked out from the records rather than stored
-    (``_Accepted``); ``cell_ids[y][x]`` is the id of the cell's first tile
-    (free vals 0); ``color_records[c]`` is color c's edge record shifted
+    (``_Accepted``: the cell's ``_first_id`` plus the rank of the free
+    vals); ``color_records[c]`` is color c's edge record shifted
     left one bit, with its axis (0 for horizontal edges, 1 for vertical
     ones) in bit 0; ``drag`` is the checker's drag lemma, which
     ``run_checker`` jumps with, and ``budget`` its step budget
@@ -622,7 +626,6 @@ class FixedPointSet:
     padded: tuple[int, ...]
     capacity: int
     accepted: Mapping = field(hash=False)
-    cell_ids: tuple = field(hash=False)
     color_records: array = field(hash=False)
     drag: DragLemma = field(hash=False)
     budget: int
@@ -636,7 +639,7 @@ class FixedPointSet:
         return ANCHOR + 1 + 2 * self.n
 
     def fold(self, x: int, y: int) -> int:
-        return x + self.size * (y - self.size // 4)
+        return _fold(self.size, x, y)
 
     @functools.cached_property
     def track_bits(self) -> bytes:
@@ -667,7 +670,7 @@ def _val_choices(size: int, padded, x: int, y: int) -> tuple:
         if row == 0:
             return (0, 1)
         if row in band:
-            return (padded[x + size * (row - size // 4)],)
+            return (padded[_fold(size, x, row)],)
         return (0,)
 
     return (
@@ -680,21 +683,41 @@ def _val_choices(size: int, padded, x: int, y: int) -> tuple:
 
 def _rank(choices, vals) -> int:
     """The rank of ``vals`` in ``itertools.product(*choices)`` order, so a
-    tile's id is its cell's first id plus this; ValueError when a val is
-    not among its choices."""
+    tile's id is its cell's first id plus this; pinned vals are not read,
+    and a free val that is not among its choices raises ValueError."""
     rank = 0
     for ch, v in zip(choices, vals):
-        rank = rank * len(ch) + ch.index(v)
+        if len(ch) > 1:
+            rank = rank * len(ch) + ch.index(v)
     return rank
 
 
+def _first_id(size: int, x: int, y: int) -> int:
+    """The id of the cell (x, y)'s first tile (free vals 0).  Ids run row by
+    row, and a cell has a tile per choice of its free vals (``_val_choices``):
+    m = 2 on rows 0 and size-1 and 1 elsewhere, doubled on columns 0 and
+    size-1.  So a row holds m * (size + 2) tiles, cell x >= 1 from m * (x + 1)."""
+    m = 2 if y in (0, size - 1) else 1
+    start = (size + 2) * (y + 1) if y else 0
+    return start + m * (x + 1) if x else start
+
+
+def _cell_of(size: int, tile_id: int) -> tuple[int, int]:
+    """The cell (x, y) whose tiles hold ``tile_id``, for 0 <= tile_id <
+    (size + 2)**2: the last cell whose ``_first_id`` is at most it."""
+    y = min(max(tile_id // (size + 2) - 1, 0), size - 1)
+    m = 2 if y in (0, size - 1) else 1
+    x = (tile_id - _first_id(size, 0, y)) // m - 1
+    return min(max(x, 0), size - 1), y
+
+
 def _cells(n: int, size: int, padded):
-    """Each cell (x, y), row by row, with the edge records of its tiles in
-    tile id order: the cell's vals in ``itertools.product`` order."""
+    """The edge records of each cell's tiles in tile id order, cell by cell
+    and row by row: the cell's vals in ``itertools.product`` order."""
     for y in range(size):
         for x in range(size):
-            yield x, y, [_records(n, size, x, y, *vals)
-                         for vals in itertools.product(*_val_choices(size, padded, x, y))]
+            yield [_records(n, size, x, y, *vals)
+                   for vals in itertools.product(*_val_choices(size, padded, x, y))]
 
 
 class _Accepted(Mapping):
@@ -703,24 +726,21 @@ class _Accepted(Mapping):
     A quad of ints is a member exactly when it equals ``_records`` of the
     cell (x, y) its bottom record names, with the val bit each record
     carries, and each val is allowed by ``_val_choices``; its id is
-    ``cell_ids[y][x]`` plus the ``_rank`` of the vals.  Iteration runs in
-    tile id order; ``quad_of`` maps an id back to its quad.
+    ``_first_id(size, x, y)`` plus the ``_rank`` of the vals.  Iteration
+    runs in tile id order; ``quad_of`` maps an id back to its quad.
     """
 
-    def __init__(self, n: int, size: int, padded, cell_ids) -> None:
-        self._n, self._size, self._padded, self._cell_ids = n, size, padded, cell_ids
-        self._row_ids = [row[0] for row in cell_ids]
+    def __init__(self, n: int, size: int, padded) -> None:
+        self._n, self._size, self._padded = n, size, padded
 
     def quad_of(self, tile_id: int) -> tuple:
         """The edge records of the tile with this id, so that
-        ``self[self.quad_of(i)] == i``: the cell is the last one whose first
-        id is at most ``tile_id``, and the vals are the rest unranked."""
+        ``self[self.quad_of(i)] == i``: the cell is ``_cell_of`` the id, and
+        the vals are the rest unranked."""
         if not 0 <= tile_id < len(self):
             raise IndexError(tile_id)
-        y = bisect_right(self._row_ids, tile_id) - 1
-        row = self._cell_ids[y]
-        x = bisect_right(row, tile_id) - 1
-        rank, vals = tile_id - row[x], []
+        x, y = _cell_of(self._size, tile_id)
+        rank, vals = tile_id - _first_id(self._size, x, y), []
         for ch in reversed(_val_choices(self._size, self._padded, x, y)):
             rank, k = divmod(rank, len(ch))
             vals.append(ch[k])
@@ -734,42 +754,23 @@ class _Accepted(Mapping):
             choices = _val_choices(size, self._padded, x, y)
             allowed = all(v in ch for ch, v in zip(choices, vals))
             if allowed and quad == _records(n, size, x, y, *vals):
-                return self._cell_ids[y][x] + _rank(choices, vals)
+                return _first_id(size, x, y) + _rank(choices, vals)
         raise KeyError(quad)
 
     def __iter__(self):
-        for _, _, quads in _cells(self._n, self._size, self._padded):
+        for quads in _cells(self._n, self._size, self._padded):
             yield from quads
 
     def __len__(self) -> int:
         return (self._size + 2) ** 2
 
 
-class _Members(Sequence):
-    """The member quads whose tile ids lie in the given ranges, in that
-    order, each built from its id (``_Accepted.quad_of``) when it is read."""
-
-    def __init__(self, accepted: _Accepted, *spans: range) -> None:
-        self._accepted, self._spans = accepted, spans
-
-    def __len__(self) -> int:
-        return sum(map(len, self._spans))
-
-    def __getitem__(self, i: int) -> tuple:
-        k = range(len(self))[i]  # IndexError past either end
-        for span in self._spans:
-            if k < len(span):
-                return self._accepted.quad_of(span[k])
-            k -= len(span)
-
-
-def _enumerate(n: int, size: int, padded) -> tuple[tuple, tuple, array]:
-    """The tiles' (left, right, top, bottom) color columns in id order, the
-    per-cell first-id grid and the color records.  Colors get ids in order
-    of first use, interned by one packed int, the record shifted left one
-    bit with the axis in bit 0.  A function of its own, so the interning
-    dict is freed before ``TileSet`` packs the columns and the two never
-    peak together."""
+def _enumerate(n: int, size: int, padded) -> tuple[tuple, array]:
+    """The tiles' (left, right, top, bottom) color columns in id order and
+    the color records.  Colors get ids in order of first use, interned by
+    one packed int, the record shifted left one bit with the axis in bit 0.
+    A function of its own, so the interning dict is freed before
+    ``TileSet`` packs the columns and the two never peak together."""
     colors: dict[int, int] = {}
 
     def cid(key: int) -> int:
@@ -777,17 +778,13 @@ def _enumerate(n: int, size: int, padded) -> tuple[tuple, tuple, array]:
 
     cols = tuple(array("i") for _ in range(4))
     left, right, top, bottom = (c.append for c in cols)
-    rows: list[list[int]] = []
-    for x, y, quads in _cells(n, size, padded):
-        if x == 0:
-            rows.append([])
-        rows[-1].append(len(cols[0]))
+    for quads in _cells(n, size, padded):
         for recl, recr, rect, recb in quads:
             left(cid(recl << 1))
             right(cid(recr << 1))
             top(cid(rect << 1 | 1))
             bottom(cid(recb << 1 | 1))
-    return cols, tuple(map(tuple, rows)), array("q", colors)
+    return cols, array("q", colors)
 
 
 def build_fixed_point(size: int = 256) -> FixedPointSet:
@@ -809,7 +806,7 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
             f"checker needs {len(program)} program bits, the block holds {capacity}"
         )
     padded = tuple(program) + (0,) * (capacity - len(program))
-    cols, cell_ids, color_records = _enumerate(n, size, padded)
+    cols, color_records = _enumerate(n, size, padded)
     assert len(cols[0]) == (size + 2) ** 2, "free border bits miscounted"
     drag = drag_lemma(machine, names, 2 * n)
     return FixedPointSet(
@@ -821,8 +818,7 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
         program=tuple(program),
         padded=padded,
         capacity=capacity,
-        accepted=_Accepted(n, size, padded, cell_ids),
-        cell_ids=cell_ids,
+        accepted=_Accepted(n, size, padded),
         color_records=color_records,
         drag=drag,
         budget=checker_budget(n, size, drag),
@@ -862,30 +858,33 @@ def assemble_self_patch(fp: FixedPointSet, quad) -> PatchGrid:
     pinned (block bits from the program, other vals zero).
 
     Only the 4*size - 4 border ring cells have a free val, so every other
-    cell takes its one tile from ``fp.cell_ids``.  A ring cell takes its
-    pinned vals from ``_val_choices`` and its free ones from the border
-    slice (0 off the slice); its id is the cell's first id plus the
-    ``_rank`` of those vals."""
-    n, size, padded, ids = fp.n, fp.size, fp.padded, fp.cell_ids
+    cell's one tile is its ``_first_id``: a row of them is a range with
+    step m, the row's tiles per cell off columns 0 and size-1.  A ring
+    cell's free vals come from the border slice (0 off the slice), and its
+    id is its first id plus the ``_rank`` of those vals."""
+    n, size, padded = fp.n, fp.size, fp.padded
     if quad not in fp.accepted:
         raise ValueError("edge records do not belong to the tile set")
     lo = size - RECORD_BITS
     wl, wr, wt, wb = ((0,) * lo + window_bits(n, r) for r in quad)
-    grid = [list(row) for row in ids]
     edges = (0, size - 1)
+    grid = []
     for y in range(size):
+        first, m = _first_id(size, 0, y), 2 if y in edges else 1
+        row = list(range(first + m, first + m * (size + 1), m))
+        row[0] = first  # the range starts each column x >= 1 at m * (x + 1) in
         for x in range(size) if y in edges else edges:
-            choices = _val_choices(size, padded, x, y)
-            vals = [ch[0] if len(ch) == 1 else bit for ch, bit in
-                    zip(choices, (wl[y], wr[y], wt[x], wb[x]))]
-            grid[y][x] = ids[y][x] + _rank(choices, vals)
+            row[x] += _rank(_val_choices(size, padded, x, y), (wl[y], wr[y], wt[x], wb[x]))
+        grid.append(row)
     return PatchGrid(size, size, grid)
 
 
 def decode_self_patch(fp: FixedPointSet, patch: PatchGrid) -> tuple:
     """Read the four border record slices back off an assembled patch; a HOLE
-    or an unknown tile id on its border raises MalformedPatchError."""
+    or unknown tile id there is MalformedPatchError, a wrong size ValueError."""
     n, size = fp.n, fp.size
+    if (patch.width, patch.height) != (size, size):
+        raise ValueError(f"a macro-tile is {size} x {size}, not {patch.width} x {patch.height}")
     lo = size - RECORD_BITS
 
     def record(side: tuple[int, ...]) -> int:
@@ -1006,17 +1005,15 @@ def _reject_probes(fp: FixedPointSet, rng: random.Random):
         yield tuple(quad)
 
 
-def _split_walkers(fp: FixedPointSet) -> tuple[_Members, _Members]:
-    """The walking and the non-walking member quads, each in tile id
-    order, as views over tile ids: walking depends on the row alone and
-    the walking rows are one run, so the walkers' ids are one range (tile
-    ids run row by row)."""
+def _split_walkers(fp: FixedPointSet) -> tuple[range, range, Callable[[int], int]]:
+    """The walking tiles' ids, the non-walking ones' indices in id order,
+    and the map from such an index to its id.  Walking depends on the row
+    alone and the walking rows are one run, so the walkers' ids are one
+    range (ids run row by row) and the other ids lie either side of it."""
     rows = [y for y in range(fp.size) if walks(fp, 0, y)]
-    total = len(fp.accepted)
-    first = fp.cell_ids[rows[0]][0]
-    end = fp.cell_ids[rows[-1] + 1][0] if rows[-1] + 1 < fp.size else total
-    return (_Members(fp.accepted, range(first, end)),
-            _Members(fp.accepted, range(first), range(end, total)))
+    walkers = range(_first_id(fp.size, 0, rows[0]), _first_id(fp.size, 0, rows[-1] + 1))
+    return (walkers, range(len(fp.accepted) - len(walkers)),
+            lambda i: i + len(walkers) if i >= walkers.start else i)
 
 
 def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
@@ -1041,12 +1038,13 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
         raise ValueError("resident_samples must be at least 1")
     rng = random.Random(seed)
 
-    walkers, nonwalk = _split_walkers(fp)
+    walkers, nonwalk, nonwalker = _split_walkers(fp)
+    quad_of = fp.accepted.quad_of
     residents = nonwalk
     if resident_samples is not None:
         residents = rng.sample(nonwalk, min(resident_samples, len(nonwalk)))
-    jobs = [("resident", q) for q in residents]
-    jobs += [("walks", q) for q in rng.sample(walkers, min(walk_samples, len(walkers)))]
+    jobs = [("resident", quad_of(nonwalker(i))) for i in residents]
+    jobs += [("walks", quad_of(i)) for i in rng.sample(walkers, min(walk_samples, len(walkers)))]
     jobs += [("probes", q) for q in itertools.islice(_reject_probes(fp, rng), reject_samples)]
     block_rows = list(fp.band)
     for _ in range(block_probes):  # pinned block bit flipped: walk then stick
@@ -1055,7 +1053,7 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
         (pinned,) = _val_choices(fp.size, fp.padded, x, y)[3]
         quad[3] = pack_record(fp.n, x, y, 1 - pinned)
         jobs.append(("probes", tuple(quad)))
-    jobs += [("universal", q) for q in rng.sample(nonwalk, utm_accepts)]
+    jobs += [("universal", quad_of(nonwalker(i))) for i in rng.sample(nonwalk, utm_accepts)]
     # Rejects sit at non-walking cells too; every probe mode keeps the
     # bottom record's cell, the probe's own.
     rejects = (q for q in _reject_probes(fp, rng) if q not in fp.accepted

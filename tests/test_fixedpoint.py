@@ -248,8 +248,9 @@ class TestMacroTiles:
             assemble_self_patch(fp, tuple(quad))
 
     def test_assembly_rederives_only_the_ring(self, fp, monkeypatch):
-        # every cell off the border ring comes from fp.cell_ids; a return to
-        # per-cell record lookups would call _records 65,536 times
+        # every cell off the border ring is its cell's first id, a range per
+        # row; a return to per-cell record lookups would call _records
+        # 65,536 times
         quad = fp.edge_records(0, 0, 1, 0, 0, 1)
         calls = 0
         records = fixedpoint._records
@@ -278,25 +279,36 @@ class TestMacroTiles:
         with pytest.raises(MalformedPatchError, match="unknown tile id 66564"):
             decode_self_patch(fp, patch.replaced({cell: len(fp.tile_set)}))
 
-    def test_cell_ids_hold_each_cells_first_tile(self, fp, reference_accepted):
+    @pytest.mark.parametrize("width,height", [(257, 257), (257, 256), (256, 257), (255, 255)])
+    def test_only_a_size_by_size_patch_decodes(self, fp, width, height):
+        # a larger patch used to decode from its bottom-left block
+        quad = fp.edge_records(77, 30, 0, 0, 0, 0)
+        cells = assemble_self_patch(fp, quad).cells
+        grown = [list(row) + [row[0]] for row in cells] + [list(cells[0]) * 2]
+        patch = PatchGrid(width, height, [row[:width] for row in grown[:height]])
+        with pytest.raises(ValueError, match="a macro-tile is 256 x 256"):
+            decode_self_patch(fp, patch)
+
+    def test_first_id_holds_each_cells_first_tile(self, fp, reference_accepted):
         # ids from the reference enumeration, not from fp.accepted, which
-        # works its ids out from cell_ids
+        # works its ids out from _first_id
         size = fp.size
         want = [[reference_accepted[fp.edge_records(
                     x, y, *(ch[0] for ch in reference_val_choices(size, fp.padded, x, y)))]
                  for x in range(size)] for y in range(size)]
-        assert [list(row) for row in fp.cell_ids] == want
+        got = [[fixedpoint._first_id(size, x, y) for x in range(size)] for y in range(size)]
+        assert got == want
 
 
 class TestKnownGaps:
     """What the audit does not show: these pin the set's known gaps, so a
     change that closes one shows here."""
 
-    def test_cell_ids_tile_the_torus(self, fp):
-        # the per-cell id grid wraps with no mismatched edge: the N=256 set
-        # has a periodic tiling, so it is not aperiodic
-        size, ids = fp.size, fp.cell_ids
-        wrapped = [[ids[y % size][x % size] for x in range(size + 1)]
+    def test_first_ids_tile_the_torus(self, fp):
+        # the grid of each cell's first tile wraps with no mismatched edge:
+        # the N=256 set has a periodic tiling, so it is not aperiodic
+        size = fp.size
+        wrapped = [[fixedpoint._first_id(size, x % size, y % size) for x in range(size + 1)]
                    for y in range(size + 1)]
         assert verify_patch(fp.tile_set, PatchGrid(size + 1, size + 1, wrapped)) == []
 
@@ -321,8 +333,8 @@ class TestKnownGaps:
 
 @pytest.mark.parametrize("size", [256, 512])
 def test_free_vals_lie_exactly_on_the_ring(size):
-    # assembly takes every cell off the ring from the recorded id grid, which
-    # holds only if no other cell has a free val
+    # assembly takes every cell off the ring to be its cell's first tile,
+    # which holds only if no other cell has a free val
     capacity = size * (3 * size // 4 - 32)
     rng = random.Random(size)
     padded = tuple(rng.getrandbits(1) for _ in range(capacity))
@@ -338,6 +350,26 @@ def test_free_vals_lie_exactly_on_the_ring(size):
     assert wrong == []
 
 
+
+@pytest.mark.parametrize("size", [128, 256, 512])
+def test_first_id_counts_the_enumeration(size):
+    # the closed form against the one statement of the val discipline: each
+    # cell's first id is the number of tiles _cells yields before it, and
+    # _cell_of takes every id (a sample at 512) back to the cell holding it
+    n = size.bit_length() - 1
+    padded = (0,) * (size * (3 * size // 4 - 32))
+    spans, total = [], 0
+    for k, quads in enumerate(fixedpoint._cells(n, size, padded)):
+        x, y = k % size, k // size
+        assert fixedpoint._first_id(size, x, y) == total, (x, y)
+        spans.append(range(total, total + len(quads)))
+        total += len(quads)
+    assert total == (size + 2) ** 2
+    ids = range(total) if size < 512 else random.Random(size).sample(range(total), 20000)
+    for tile_id in ids:
+        x, y = fixedpoint._cell_of(size, tile_id)
+        assert tile_id in spans[y * size + x], tile_id
+
 class TestCertificate:
     def test_trimmed_audit_passes(self, fp):
         cert = certificate(fp, walk_samples=2, reject_samples=25,
@@ -352,13 +384,13 @@ class TestCertificate:
     def test_walker_split_matches_a_scan(self, fp):
         # the populations the audit samples from, in the order a scan of
         # every member gives them, so its samples are that scan's
-        walkers, nonwalk = fixedpoint._split_walkers(fp)
+        walkers, nonwalk, nonwalker = fixedpoint._split_walkers(fp)
         scan = {True: [], False: []}
         for quad in fp.accepted:
             scan[walks(fp, *unpack_record(fp.n, quad[0])[:2])].append(quad)
         assert len(walkers) == len(scan[True]) == 41538
-        assert list(walkers) == scan[True]
-        assert list(nonwalk) == scan[False]
+        assert [fp.accepted.quad_of(i) for i in walkers] == scan[True]
+        assert [fp.accepted.quad_of(nonwalker(i)) for i in nonwalk] == scan[False]
 
     def test_resident_samples_below_one_is_refused(self, fp, monkeypatch):
         def never_called(*args, **kwargs):
@@ -724,14 +756,6 @@ class TestAgainstReference:
         for bad in (-1, len(accepted)):
             with pytest.raises(IndexError):
                 accepted.quad_of(bad)
-
-    def test_members_view_concatenates_its_id_ranges(self, fp):
-        view = fixedpoint._Members(fp.accepted, range(3), range(10, 12))
-        assert len(view) == 5
-        assert list(view) == [fp.accepted.quad_of(i) for i in (0, 1, 2, 10, 11)]
-        assert view[-1] == view[4] == fp.accepted.quad_of(11)
-        with pytest.raises(IndexError):
-            view[5]
 
     def test_accepted_matches_the_reference_dict(self, fp, reference_accepted):
         ref, accepted = reference_accepted, fp.accepted
