@@ -511,13 +511,12 @@ def _decrement_costs(machine: Machine, entry: int, dec: int, body: set,
     and once with a B there and those bits set, first reaches ``dec`` one
     cell right, with the value one less and a B left behind, after the same
     number of steps both times."""
-    syms, table = machine.symbols, machine.dispatch()
     for q in body | {entry}:
-        for s in range(syms):
-            i = (q * syms + s) * 2
-            if (q, s) != (dec, SYM_M) and table[i] != table[i + 1]:
+        row = machine.row(q)
+        for s in range(machine.symbols):
+            if (q, s) != (dec, SYM_M) and row[2 * s] != row[2 * s + 1]:
                 return None
-    if (table[(entry * syms + SYM_M) * 2] or ())[:3] != (dec, SYM_M, 1):
+    if (machine.row(entry)[2 * SYM_M] or ())[:3] != (dec, SYM_M, 1):
         return None
     costs = []
     for k in range(width):

@@ -68,8 +68,8 @@ class TileSet:
     raises ValueError for a tile of other than four colors, a color that is
     not an int in ``[0, color_count)`` (or does not fit a C int), or a
     duplicate quadruple: a Wang tile *is* its quadruple, so a duplicate
-    could never be distinguished.  ``tile_id`` and ``candidate_index``
-    build their indexes on first use and cache them.
+    could never be distinguished.  ``tile_id`` and ``search_tables`` (with
+    its ``candidate_index``) build their indexes on first use and cache them.
     """
 
     __slots__ = ("color_count", "left", "right", "top", "bottom", "names", "_ids",
@@ -160,8 +160,15 @@ class TileSet:
         ``color_count`` stands for a free side, which any color matches.  Ids
         are ascending, and pairs no tile has are absent.
         """
-        index = self._candidates
-        if index is None:
+        return self.search_tables()[0]
+
+    def search_tables(self) -> tuple[dict[int, tuple[int, ...]], list[int], list[int]]:
+        """``solve``'s tables, built once and cached on the set: the
+        ``candidate_index``, each tile's right side times ``K`` and each
+        tile's top side, both lists closed by a 0 for the stand-in id
+        ``len(self)``.  Callers read them and never change them."""
+        tables = self._candidates
+        if tables is None:
             free = self.color_count
             K = free + 1
             lists: dict[int, list[int]] = {}
@@ -170,8 +177,9 @@ class TileSet:
                     for b in (bottom, free):
                         lists.setdefault(l * K + b, []).append(i)
             index = {key: tuple(ids) for key, ids in lists.items()}
-            object.__setattr__(self, "_candidates", index)
-        return index
+            tables = index, [c * K for c in self.right] + [0], self.top.tolist() + [0]
+            object.__setattr__(self, "_candidates", tables)
+        return tables
 
     def to_json(self) -> dict:
         out: dict = {

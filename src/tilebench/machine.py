@@ -23,10 +23,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 #: Move letters and track conditions; ``Rules`` stores each as its index here.
 MOVES = ("L", "R", "S")
 TRACKS = (0, 1, None)
 ANY_TRACK = TRACKS.index(None)
+#: Head movement per move, by its index in ``MOVES``.
+DELTAS = (-1, 1, 0)
 
 
 class Transition(NamedTuple):
@@ -140,27 +144,79 @@ class Machine:
             raise ValueError("track condition on a machine without a track")
 
     def dispatch(self) -> list:
-        """The compiled dispatch table, built once and cached on the instance.
+        """The machine's dispatch rows, one slot per state, cached on the
+        instance; a slot is None until ``row`` compiles that state's row,
+        on first use, so a run pays only for the states it reaches."""
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = [None] * self.states
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
-        Entry ``(state*symbols + symbol)*tracks + bit`` (``tracks`` is 2 for
-        program-track machines, else 1 and the bit is 0) holds the first
-        matching rule as ``(new state, write, move delta, run)``, or None
-        when nothing fires; the accept state's rows are all None.  Entries
-        are shared: equal entries are one tuple.  ``run`` is None, or a
-        bytearray of symbols when the step starts a *sweep*, which
-        ``run_machine`` crosses in one go: a state that moves one way on
-        its own symbols and writes them back, the same on every track bit.
-        Each sweeping (state, direction) has one entry, whose ``run`` holds
-        every symbol it sweeps and whose write is None: the symbol is
-        already on the cell, so a sweep writes nothing.  The run never
-        changes after the build (byte strings rather than sets keep the
-        entries out of the cyclic garbage collector).
+    def row(self, q: int) -> list:
+        """State q's dispatch row, compiled from its rules on first use and
+        kept in ``dispatch()``.
+
+        Entry ``symbol*tracks + bit`` (``tracks`` is 2 for program-track
+        machines, else 1 and the bit is 0) holds the first matching rule as
+        ``(new state, write, move delta, run)``, or None when nothing fires;
+        the accept state's row is all None.  ``run`` is None, or a bytearray
+        of symbols when the step starts a *sweep*, which ``run_machine``
+        crosses in one go: a state that moves one way on its own symbols and
+        writes them back, the same on every track bit.  Each sweeping
+        direction of the state has one entry, whose ``run`` holds every
+        symbol it sweeps and whose write is None: the symbol is already on
+        the cell, so a sweep writes nothing.  The run never changes after
+        the row is compiled (byte strings rather than sets keep the entries
+        out of the cyclic garbage collector).
         """
-        table = self.__dict__.get("_dispatch")
-        if table is None:
-            table = _compile(self)
-            object.__setattr__(self, "_dispatch", table)
-        return table
+        rows = self.dispatch()
+        row = rows[q]
+        if row is not None:
+            return row
+        syms, tracks = self.symbols, 2 if self.program_track else 1
+        row = rows[q] = [None] * (syms * tracks)
+        if q == self.accept:
+            return row
+        order, starts = self._by_state()
+        rules = self.transitions
+        ids = order[starts[q] : starts[q + 1]]
+        sweeps: dict[int, tuple] = {}
+        for b in range(tracks):
+            for r in ids:
+                c = rules.track[r]
+                if c != ANY_TRACK and c != b:
+                    continue
+                s = rules.read[r]
+                i = s * tracks + b
+                if row[i] is not None:
+                    continue  # an earlier rule matches first
+                q2, w, d = rules.new_state[r], rules.write[r], DELTAS[rules.move[r]]
+                e = (q2, w, d, None)
+                # the last bit's pass marks the one-way sweeps, alike on every bit
+                if q2 == q and w == s and d and b == tracks - 1 and (b == 0 or row[i - 1] == e):
+                    e = sweeps.get(d)
+                    if e is None:
+                        e = sweeps[d] = (q, None, d, bytearray())
+                    e[3].append(s)
+                    row[i - b] = e
+                row[i] = e
+        return row
+
+    def _by_state(self) -> tuple[array, array]:
+        """The rule ids ordered by state, each state's in priority order,
+        and the ``states + 1`` offsets where each state's ids start: built
+        once, by a stable argsort, and cached on the instance."""
+        index = self.__dict__.get("_index")
+        if index is None:
+            state = np.frombuffer(self.transitions.state, dtype=np.intc)
+            order, starts = array("i"), array("i", [0])
+            order.frombytes(np.argsort(state, kind="stable").astype(np.intc).tobytes())
+            starts.frombytes(np.bincount(state, minlength=self.states).cumsum()
+                             .astype(np.intc).tobytes())
+            index = order, starts
+            object.__setattr__(self, "_index", index)
+        return index
 
     def to_json(self) -> dict:
         return {
@@ -189,43 +245,6 @@ class Machine:
                 and {type(t.track) for t in rules} <= {int, type(None)}):
             raise ValueError("machine numbers must be ints and program_track a bool")
         return cls(*fields, obj["program_track"], rules)
-
-
-#: Head movement per move, by its index in ``MOVES``.
-DELTAS = (-1, 1, 0)
-
-
-def _compile(m: Machine) -> list:
-    """Build ``Machine.dispatch``'s table: one pass over the rule columns
-    per bit, which also collects each state's sweeps.  Equal entries are
-    interned; a sweep's one entry per (state, direction) is kept apart, so
-    only the other entries go through the interning dict."""
-    rules = m.transitions
-    syms, tracks = m.symbols, 2 if m.program_track else 1
-    table: list = [None] * (m.states * syms * tracks)
-    entries: dict[tuple, tuple] = {}
-    sweeps: dict[tuple[int, int], tuple] = {}
-    for b in range(tracks):
-        for q, s, c, q2, w, mv in zip(*rules.columns()):
-            if c != ANY_TRACK and c != b:
-                continue
-            i = (q * syms + s) * tracks + b
-            if table[i] is not None or q == m.accept:
-                continue  # an earlier rule matches first, or accepted
-            d = DELTAS[mv]
-            e = (q2, w, d, None)
-            # the last bit's pass marks the one-way sweeps, alike on every bit
-            if (q2 == q and w == s and d and b == tracks - 1
-                    and (b == 0 or table[i - 1] == e)):
-                e = sweeps.get((q, d))
-                if e is None:
-                    e = sweeps[q, d] = (q, None, d, bytearray())
-                e[3].append(s)
-                table[i - b] = e
-            else:
-                e = entries.setdefault(e, e)
-            table[i] = e
-    return table
 
 
 def _run_end(cells: bytearray, j: int, end: int, run: bytearray) -> int:
@@ -315,28 +334,33 @@ class Run:
         ``max_steps`` steps in all; store the status on the run and return
         it: "accepted", "stuck", "hit_wall" or "timeout".
 
-        Each sweep of the dispatch table moves one way and crosses its run,
-        up to the tape's last cell or cell 0, in C: the run's end is found
-        by stripping the run symbols off tape slices of doubling size.
-        Every cell crossed still counts one step, so step counts, budgets,
-        the wall, growth and end configurations are exactly those of
-        stepping one cell at a time.  A run on the wall is not resumed.
+        Each step looks its entry up in the state's dispatch row, compiled
+        the first time the run reaches the state (``Machine.row``).  Each
+        sweep moves one way and crosses its run, up to the tape's last cell
+        or cell 0, in C: the run's end is found by stripping the run symbols
+        off tape slices of doubling size.  Every cell crossed still counts
+        one step, so step counts, budgets, the wall, growth and end
+        configurations are exactly those of stepping one cell at a time.  A
+        run on the wall is not resumed.
         """
         machine = self.machine
-        table = machine.dispatch()
-        syms, tracks = machine.symbols, 2 if machine.program_track else 1
+        rows = machine.dispatch()
+        tracks = 2 if machine.program_track else 1
         cells, head, state, steps = self.cells, self.head, self.state, self.steps
         width = len(cells)
         trk = self.track
         ntrk = len(trk)
         status = "timeout"
         while steps < max_steps:
-            i = (state * syms + cells[head]) * tracks
+            i = cells[head] * tracks
             if head < ntrk:
                 i += trk[head]
             try:
-                state, write, delta, run = table[i]
-            except TypeError:  # no rule fires (the accept state has none)
+                state, write, delta, run = rows[state][i]
+            except TypeError:  # the row is not compiled yet, or no rule fires
+                if rows[state] is None:
+                    machine.row(state)
+                    continue
                 status = "accepted" if state == machine.accept else "stuck"
                 break
             if run is None:
@@ -387,8 +411,9 @@ def run_machine(
     A track value other than 0 or 1, a tape symbol
     outside the alphabet and a negative budget raise ValueError before the
     first step; a zero budget runs nothing.  Steps go through the machine's
-    compiled dispatch table, one ``Run.go`` call for the whole run: a
-    one-way sweep is crossed in one go, every other step a table lookup.
+    dispatch rows, each compiled when the run first reaches its state, in
+    one ``Run.go`` call for the whole run: a one-way sweep is crossed in one
+    go, every other step a row lookup.
 
     ``macro`` supplies rules the machine lacks, as steps of its own or
     macro steps whose effect is proven (H. Marxen and J. Buntrock,
@@ -432,7 +457,6 @@ def diagram_local_rules(machine: Machine) -> list[ZoneCellRule]:
     applicable transition produce no rule at all - a diagram simply cannot
     continue through them.
     """
-    table = machine.dispatch()
     tracks = (0, 1) if machine.program_track else (0,)
     rules: list[ZoneCellRule] = []
     for s in range(machine.symbols):
@@ -445,7 +469,7 @@ def diagram_local_rules(machine: Machine) -> list[ZoneCellRule]:
                 if q == machine.accept:
                     rules.append(ZoneCellRule((s, q, b), (s, q, b), None, None))
                     continue
-                entry = table[(q * machine.symbols + s) * len(tracks) + b]
+                entry = machine.row(q)[s * len(tracks) + b]
                 if entry is None:
                     continue
                 q2, w, d, run = entry

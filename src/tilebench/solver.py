@@ -126,13 +126,11 @@ def solve(
 
     free = tile_set.color_count
     K = free + 1
-    index = tile_set.candidate_index()
     left_of, right_of, bottom_of = tile_set.left, tile_set.right, tile_set.bottom
     # Key parts of the sides a later cell reads (right sides times K).  Id
     # n_tiles is a blank stand-in whose parts are 0: a side with no placed
     # neighbour reads it through the last slot of the placement list.
-    top_of = tile_set.top.tolist() + [0]
-    right_k = [c * K for c in right_of] + [0]
+    index, right_k, top_of = tile_set.search_tables()
     zero = [0] * n_tiles
 
     def known(color: int) -> int:

@@ -1,5 +1,6 @@
 """Differential tests: the compiled engine behind ``run_machine`` against a
-plain dict-per-step reference stepper.
+plain dict-per-step reference stepper, and its dispatch rows, compiled on
+first use, against an eager reference compiler.
 
 The reference resolves every step through a (state, symbol, track bit)
 dict, first listed rule winning, and moves one cell at a time; the engine
@@ -10,6 +11,8 @@ are run over the same edge cases.
 """
 
 import itertools
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,8 @@ from tilebench.compiler.fixedpoint import (
     unpack_record,
 )
 from tilebench.machine import (
+    ANY_TRACK,
+    DELTAS,
     SYM_BLANK,
     SYM_MARK,
     SYM_ONE,
@@ -31,6 +36,7 @@ from tilebench.machine import (
     Transition,
     machine_corpus,
     _checked_track,
+    run_encoded,
     run_machine,
     universal_machine,
     utm_tape,
@@ -68,6 +74,57 @@ def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000):
     if state == machine.accept and status == "timeout":
         status = "accepted"
     return status, steps, state, head, tuple(cells)
+
+
+def reference_table(m):
+    """An eager reference for ``Machine.row``: every state's row in one flat
+    table, entry ``(state*symbols + symbol)*tracks + bit``, built by one
+    pass over the rule columns per bit, which also collects each state's
+    sweeps.  Equal entries are interned; a sweep's one entry per (state,
+    direction) is kept apart, so only the other entries go through the
+    interning dict."""
+    rules = m.transitions
+    syms, tracks = m.symbols, 2 if m.program_track else 1
+    table: list = [None] * (m.states * syms * tracks)
+    entries: dict[tuple, tuple] = {}
+    sweeps: dict[tuple[int, int], tuple] = {}
+    for b in range(tracks):
+        for q, s, c, q2, w, mv in zip(*rules.columns()):
+            if c != ANY_TRACK and c != b:
+                continue
+            i = (q * syms + s) * tracks + b
+            if table[i] is not None or q == m.accept:
+                continue  # an earlier rule matches first, or accepted
+            d = DELTAS[mv]
+            e = (q2, w, d, None)
+            # the last bit's pass marks the one-way sweeps, alike on every bit
+            if (q2 == q and w == s and d and b == tracks - 1
+                    and (b == 0 or table[i - 1] == e)):
+                e = sweeps.get((q, d))
+                if e is None:
+                    e = sweeps[q, d] = (q, None, d, bytearray())
+                e[3].append(s)
+                table[i - b] = e
+            else:
+                e = entries.setdefault(e, e)
+            table[i] = e
+    return table
+
+
+def assert_rows_match_reference(m):
+    """Every row of ``m``, those a run compiled and the rest, equals its
+    slice of ``reference_table``, entry for entry (a sweep's ``run`` bytes
+    included), and a sweep's entry is one object on every track bit."""
+    tracks = 2 if m.program_track else 1
+    width = m.symbols * tracks
+    table = reference_table(m)
+    for q in range(m.states):
+        row = m.row(q)
+        assert row == table[q * width : (q + 1) * width], q
+        assert m.dispatch()[q] is row
+        for i, e in enumerate(row):
+            if e is not None and e[3] is not None:
+                assert row[i - i % tracks] is e
 
 
 def outcome(res):
@@ -146,7 +203,7 @@ def test_track_split_loop_is_not_a_sweep():
         Transition(0, 0, 0, 0, 0, "R"),
         Transition(0, 0, 1, 1, 0, "S"),
     ))
-    assert m.dispatch()[0][3] is None
+    assert m.row(0)[0][3] is None
     r = assert_agrees(m, [0] * 6, track=[0, 0, 0, 1])
     assert (r.status, r.steps, r.head) == ("accepted", 4, 3)
 
@@ -234,8 +291,8 @@ def rewriter(mapping, move="R", *, symbols=4, split=False):
 def sweeps(machine):
     """The (state, symbol) pairs whose dispatch entries start a sweep."""
     tracks = 2 if machine.program_track else 1
-    return {divmod(i // tracks, machine.symbols)
-            for i, e in enumerate(machine.dispatch()) if e is not None and e[3] is not None}
+    return {(q, i // tracks) for q in range(machine.states)
+            for i, e in enumerate(machine.row(q)) if e is not None and e[3] is not None}
 
 
 SHIFT_R = register((Z, O))
@@ -326,9 +383,9 @@ def test_one_shared_entry_per_sweep_stops_like_single_steps(split):
     right, left = sweeper("R", split), sweeper("L", split)
     for m in (right, left):
         tracks = 2 if m.program_track else 1
-        table = m.dispatch()
-        (entry,) = {id(table[a * tracks + b]) for a in (Z, O) for b in range(tracks)}
-        assert table[Z * tracks][1] is None
+        row = m.row(0)
+        (entry,) = {id(row[a * tracks + b]) for a in (Z, O) for b in range(tracks)}
+        assert row[Z * tracks][1] is None
     tape = [Z, O, O, Z, O]
     tracks = [None] if split is None else [None, [0, 1, 1, 0, 1], [1] * 5, [1, 0]]
     for track in tracks:
@@ -341,13 +398,6 @@ def test_one_shared_entry_per_sweep_stops_like_single_steps(split):
             for head in (0, 2, 4):
                 assert_agrees(right, tape, head=head, max_steps=budget, **kw)
                 assert_agrees(left, tape, head=head, max_steps=budget, **kw)
-
-
-def test_universal_dispatch_entries_are_shared():
-    # about a quarter of its 229,718 rules' entries: one per sweeping
-    # (state, direction), and one per distinct other entry
-    table = universal_machine(8).dispatch()
-    assert len({id(e) for e in table if e is not None}) == 60663
 
 
 def test_alphabet_boundary_at_256_symbols():
@@ -448,6 +498,7 @@ def machines_and_runs(draw):
 def test_random_machines_agree(case):
     m, tape, kw = case
     assert_agrees(m, tape, **kw)
+    assert_rows_match_reference(m)
 
 
 @st.composite
@@ -516,6 +567,7 @@ def planted_runs(draw):
 def test_planted_jumps_agree(case):
     m, tape, kw = case
     assert_agrees(m, tape, **kw)
+    assert_rows_match_reference(m)
 
 
 # --- the fixed-point checker and the universal machine -------------------------
@@ -560,3 +612,41 @@ def test_worst_walk_pinned(fp):
     quad = fp.edge_records(x, y, 0, 0, fp.padded[fp.fold(x, y + 1)], fp.padded[fp.fold(x, y)])
     r = run_checker(fp, quad)
     assert (r.status, r.steps) == ("accepted", 3_244_140)
+
+
+# --- dispatch rows compiled on first use ---------------------------------------
+
+
+@pytest.mark.parametrize("name", ["corpus", "checker", "drag lemma", "universal"])
+def test_rows_match_the_eager_reference(fp, name):
+    # a fresh copy of universal_machine(8), whose rows other tests leave alone
+    machines = {"corpus": list(machine_corpus().values()), "checker": [fp.machine],
+                "drag lemma": [fp.drag.machine], "universal": [replace(universal_machine(8))]}
+    for m in machines[name]:
+        assert_rows_match_reference(m)
+
+
+def test_a_universal_accept_compiles_few_rows(fp):
+    # the flat table had a slot for every (state, symbol) of 89,592 states
+    # and held 30.1 MB; one accept of a resident quad, 25,122,739 steps,
+    # reaches 3,785 states
+    utm = replace(universal_machine(fp.state_bits))
+    assert all(row is None for row in utm.dispatch())
+    quad = fp.edge_records(150, 10, 0, 0, 0, 0)
+    r = run_encoded(utm, list(fp.program), checker_tape(fp.n, *quad), max_steps=10**8,
+                    state_bits=fp.state_bits)
+    assert (r.status, r.steps) == ("accepted", 25_122_739)
+    reached = [q for q, row in enumerate(utm.dispatch()) if row is not None]
+    assert (utm.states, len(reached)) == (89_592, 3_785)
+    # the same rows and the by-state rule index, traced on a fresh copy:
+    # the index is 1.9 MB of rule ids and 0.4 MB of offsets
+    fresh = replace(utm)
+    fresh.dispatch()
+    tracemalloc.start()
+    try:
+        for q in reached:
+            fresh.row(q)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert traced < 5_000_000
