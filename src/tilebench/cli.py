@@ -217,7 +217,16 @@ def cmd_compile(args) -> int:
 
 
 def cmd_fixed_point(args) -> int:
+    # flags are checked before the build, which takes tens of seconds at size 2048
+    if (args.certificate or args.mutations) and args.seed is None:
+        raise UsageError("--seed is required with --certificate/--mutations")
+    if args.mutations < 0 or args.walk_samples < 0:
+        raise UsageError("--mutations and --walk-samples must not be negative")
+    if args.resident_samples is not None and args.resident_samples < 1:
+        raise UsageError("--resident-samples must be at least 1")
     fp = build_fixed_point(args.size)
+    if args.mutations > len(fp.program):
+        raise UsageError(f"--mutations exceeds the program's {len(fp.program)} bits")
     body = {
         "size": fp.size,
         "tiles": len(fp.tile_set),
@@ -226,8 +235,6 @@ def cmd_fixed_point(args) -> int:
         "capacity": fp.capacity,
         "state_count": fp.machine.states,
     }
-    if (args.certificate or args.mutations) and args.seed is None:
-        raise UsageError("--seed is required with --certificate/--mutations")
     verdicts = set()
     if args.certificate:
         cert = certificate(fp, seed=args.seed,

@@ -59,7 +59,7 @@ from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 
-from ..core import PatchGrid, TileSet, block_border, verify_patch
+from ..core import Interner, PatchGrid, TileSet, block_border, verify_patch
 from ..machine import (
     Machine,
     Run,
@@ -154,15 +154,8 @@ class _TM:
     """Tiny assembler for hand-built machines: named states, listed rules."""
 
     def __init__(self) -> None:
-        self.names: list[str] = ["start", "accept"]
-        self._ids = {"start": 0, "accept": 1}
+        self.ids = Interner(start=0, accept=1)
         self.rules: list[Transition] = []
-
-    def st(self, name: str) -> int:
-        if name not in self._ids:
-            self._ids[name] = len(self.names)
-            self.names.append(name)
-        return self._ids[name]
 
     def add(self, frm, reads, to, *, write: int | None = None, move: str = "R",
             track: int | None = None) -> None:
@@ -170,12 +163,12 @@ class _TM:
             reads = (reads,)
         for sym in reads:
             self.rules.append(
-                Transition(self.st(frm), sym, track, self.st(to),
+                Transition(self.ids[frm], sym, track, self.ids[to],
                            sym if write is None else write, move)
             )
 
     def machine(self) -> Machine:
-        return Machine(len(self.names), 4, 0, 1, SYM_B, True, tuple(self.rules))
+        return Machine(len(self.ids), 4, 0, 1, SYM_B, True, tuple(self.rules))
 
 
 def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
@@ -427,7 +420,7 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
     walker("lb", 4, 5, "accept")
 
     machine = m.machine()
-    return machine, tuple(m.names)
+    return machine, tuple(m.ids)
 
 
 # --- the drag lemma -----------------------------------------------------------
@@ -770,19 +763,15 @@ def _enumerate(n: int, size: int, padded) -> tuple[tuple, array]:
     one packed int, the record shifted left one bit with the axis in bit 0.
     A function of its own, so the interning dict is freed before
     ``TileSet`` packs the columns and the two never peak together."""
-    colors: dict[int, int] = {}
-
-    def cid(key: int) -> int:
-        return colors.setdefault(key, len(colors))
-
+    colors = Interner()
     cols = tuple(array("i") for _ in range(4))
     left, right, top, bottom = (c.append for c in cols)
     for quads in _cells(n, size, padded):
         for recl, recr, rect, recb in quads:
-            left(cid(recl << 1))
-            right(cid(recr << 1))
-            top(cid(rect << 1 | 1))
-            bottom(cid(recb << 1 | 1))
+            left(colors[recl << 1])
+            right(colors[recr << 1])
+            top(colors[rect << 1 | 1])
+            bottom(colors[recb << 1 | 1])
     return cols, array("q", colors)
 
 

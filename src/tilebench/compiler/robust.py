@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import HOLE, PatchGrid, TileSet, verify_patch
+from ..core import HOLE, Interner, PatchGrid, TileSet, verify_patch
 from ..islands import Schedule, clean, make_schedule
 from ..solver import InconclusiveError, fill_template, solve
 from .simulate import CompileError
@@ -81,23 +81,16 @@ def robustify(
             for sol in r.solutions
         }
     )
-    intern: dict[tuple, int] = {}
-
-    def cid(key: tuple) -> int:
-        v = intern.get(key)
-        if v is None:
-            v = intern[key] = len(intern)
-        return v
-
+    colors = Interner()
     tiles, names = [], []
     for idx, pat in enumerate(pats):
-        left = cid(("h", tuple(pat[y][x] for y in range(w) for x in range(w - 1))))
-        right = cid(("h", tuple(pat[y][x] for y in range(w) for x in range(1, w))))
-        top = cid(("v", tuple(pat[y][x] for y in range(1, w) for x in range(w))))
-        bottom = cid(("v", tuple(pat[y][x] for y in range(w - 1) for x in range(w))))
+        left = colors["h", tuple(pat[y][x] for y in range(w) for x in range(w - 1))]
+        right = colors["h", tuple(pat[y][x] for y in range(w) for x in range(1, w))]
+        top = colors["v", tuple(pat[y][x] for y in range(1, w) for x in range(w))]
+        bottom = colors["v", tuple(pat[y][x] for y in range(w - 1) for x in range(w))]
         tiles.append((left, right, top, bottom))
         names.append(f"p{idx}")
-    return Robustification(TileSet(len(intern), tiles, names), tile_set, w, tuple(pats))
+    return Robustification(TileSet(len(colors), tiles, names), tile_set, w, tuple(pats))
 
 
 def lift(rob: Robustification, base_patch: PatchGrid) -> PatchGrid:

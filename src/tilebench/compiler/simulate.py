@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..core import PatchGrid, TileSet, block_border
+from ..core import Interner, PatchGrid, TileSet, block_border
 from ..machine import (
     SYM_ZERO,
     Machine,
@@ -59,8 +59,12 @@ class CompiledTileSet:
     tile_of: dict[tuple, int] = field(repr=False)
 
 
+#: Steps a probed payload may run before the checker counts as looping.
+PROBE_STEPS = 10_000
+
+
 def _probe_capacity(
-    machine: Machine, k: int, track: Sequence[int] | None, probe_steps: int
+    machine: Machine, k: int, track: Sequence[int] | None
 ) -> tuple[frozenset[tuple[int, ...]], int, int]:
     """Run the checker on all 2^(4k) payloads; bound its time and space.
 
@@ -71,14 +75,14 @@ def _probe_capacity(
     t_max, w_need = 0, 4 * k
     for bits in itertools.product((0, 1), repeat=4 * k):
         tape = [SYM_ZERO + b for b in bits]
-        res = run_machine(machine, tape, track=track, max_steps=probe_steps)
+        res = run_machine(machine, tape, track=track, max_steps=PROBE_STEPS)
         if res.status == "accepted":
             accepted.add(bits)
             t_max = max(t_max, res.steps)
             w_need = max(w_need, len(res.cells))
         elif res.status == "timeout":
             raise CompileError(
-                f"checker still running on payload {bits} after {probe_steps} steps"
+                f"checker still running on payload {bits} after {PROBE_STEPS} steps"
             )
     if not accepted:
         raise CompileError("checker accepts no payload; the tile set would be empty")
@@ -162,7 +166,6 @@ def compile_simulation(
     *,
     zoom: int | None = None,
     track: Sequence[int] | None = None,
-    probe_steps: int = 10_000,
 ) -> CompiledTileSet:
     """Build the simulating tile set for a 4k-bit checker machine.
 
@@ -175,7 +178,7 @@ def compile_simulation(
         raise CompileError("need at least one payload bit per side")
     if track is not None and not machine.program_track:
         raise CompileError("track bits supplied for a machine without a track")
-    accepted, t_max, w_need = _probe_capacity(machine, k, track, probe_steps)
+    accepted, t_max, w_need = _probe_capacity(machine, k, track)
     zone_w = w_need
     zone_h = max(2, t_max + 1)
     lay = plan_layout(k, zone_w, zone_h, zoom=zoom)
@@ -185,10 +188,10 @@ def compile_simulation(
     rules = diagram_local_rules(machine)
 
     n = lay.n
-    colors: dict[tuple, int] = {}
+    colors = Interner()
 
     def color(axis: str, i: int, j: int, content=None) -> int:
-        return colors.setdefault((axis, i % n, j % n, content), len(colors))
+        return colors[axis, i % n, j % n, content]
 
     inc = _wire_incidence(lay)
     tiles: list[tuple] = []

@@ -32,6 +32,18 @@ HOLE = -1
 ConfigurationOracle = Callable[[int, int], int]
 
 
+class Interner(dict):
+    """Ids in order of first use: looking up a new key gives it the next id,
+    so the keys iterate in id order.  Every builder that numbers its colors
+    or states as it meets them numbers them through one of these."""
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> int:
+        new = self[key] = len(self)
+        return new
+
+
 class MalformedPatchError(ValueError):
     """A patch references tile ids outside the tile set."""
 
@@ -68,12 +80,11 @@ class TileSet:
     raises ValueError for a tile of other than four colors, a color that is
     not an int in ``[0, color_count)`` (or does not fit a C int), or a
     duplicate quadruple: a Wang tile *is* its quadruple, so a duplicate
-    could never be distinguished.  ``tile_id`` and ``search_tables`` (with
-    its ``candidate_index``) build their indexes on first use and cache them.
+    could never be distinguished.  ``search_tables`` builds its tables on
+    first use and caches them.
     """
 
-    __slots__ = ("color_count", "left", "right", "top", "bottom", "names", "_ids",
-                 "_candidates")
+    __slots__ = ("color_count", "left", "right", "top", "bottom", "names", "_candidates")
 
     def __init__(
         self,
@@ -109,7 +120,6 @@ class TileSet:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "color_count", color_count)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_ids", None)
         object.__setattr__(self, "_candidates", None)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
@@ -142,31 +152,16 @@ class TileSet:
     def __hash__(self) -> int:
         return hash((self.color_count, *(c.tobytes() for c in self._columns())))
 
-    def tile_id(self, quad: tuple[int, int, int, int]) -> int | None:
-        """Id of the tile with these (left, right, top, bottom) colors, if any.
-
-        The index behind it is built on the first call and cached on the set.
-        """
-        ids = self._ids
-        if ids is None:
-            ids = {q: i for i, q in enumerate(zip(*self._columns()))}
-            object.__setattr__(self, "_ids", ids)
-        return ids.get(quad)
-
-    def candidate_index(self) -> dict[int, tuple[int, ...]]:
-        """Tile ids by (left, bottom) colors, built once and cached on the set.
-
-        The key of the pair (l, b) is ``l * K + b`` with ``K = color_count + 1``;
-        ``color_count`` stands for a free side, which any color matches.  Ids
-        are ascending, and pairs no tile has are absent.
-        """
-        return self.search_tables()[0]
-
     def search_tables(self) -> tuple[dict[int, tuple[int, ...]], list[int], list[int]]:
-        """``solve``'s tables, built once and cached on the set: the
-        ``candidate_index``, each tile's right side times ``K`` and each
-        tile's top side, both lists closed by a 0 for the stand-in id
-        ``len(self)``.  Callers read them and never change them."""
+        """``solve``'s tables, built once and cached on the set.
+
+        The candidate index: tile ids by (left, bottom) colors, the pair
+        (l, b) keyed ``l * K + b`` with ``K = color_count + 1``, where
+        ``color_count`` stands for a free side, which any color matches; ids
+        are ascending, and pairs no tile has are absent.  Then each tile's
+        right side times ``K`` and each tile's top side, both lists closed
+        by a 0 for the stand-in id ``len(self)``.  Callers read the tables
+        and never change them."""
         tables = self._candidates
         if tables is None:
             free = self.color_count

@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import Interner
+
 #: Move letters and track conditions; ``Rules`` stores each as its index here.
 MOVES = ("L", "R", "S")
 TRACKS = (0, 1, None)
@@ -658,11 +660,9 @@ def universal_machine(state_bits: int = 8) -> Machine:
     transition counts rather than by shipping the table around.
     """
     ns = 1 << state_bits
-    names: dict[tuple, int] = {}
+    names = Interner()
 
     def st(*key) -> int:
-        if key not in names:
-            names[key] = len(names)
         return names[key]
 
     acc = st("UACC")

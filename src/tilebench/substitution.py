@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import PatchGrid, TileSet, _mismatch_fractions
+from .core import Interner, PatchGrid, TileSet, _mismatch_fractions
 
 Rows = tuple[tuple[str, ...], ...]
 
@@ -142,25 +142,19 @@ def enforce_substitution(rule: SubstitutionRule) -> TileSet:
     off the tiles form the substitution image of that parent configuration.
     """
     m = rule.m
-    interned: dict[tuple, int] = {}
-
-    def color(key: tuple) -> int:
-        if key not in interned:
-            interned[key] = len(interned)
-        return interned[key]
-
+    colors = Interner()
     tiles = []
     names = []
     for a in rule.alphabet:
         for i in range(m):
             for j in range(m):
-                left = color(("h", i, j, a)) if i > 0 else color(("hb", j))
-                right = color(("h", i + 1, j, a)) if i + 1 < m else color(("hb", j))
-                bottom = color(("v", i, j, a)) if j > 0 else color(("vb", i))
-                top = color(("v", i, j + 1, a)) if j + 1 < m else color(("vb", i))
+                left = colors["h", i, j, a] if i > 0 else colors["hb", j]
+                right = colors["h", i + 1, j, a] if i + 1 < m else colors["hb", j]
+                bottom = colors["v", i, j, a] if j > 0 else colors["vb", i]
+                top = colors["v", i, j + 1, a] if j + 1 < m else colors["vb", i]
                 tiles.append((left, right, top, bottom))
                 names.append(f"{a}@{i},{j}")
-    return TileSet(len(interned), tiles, names)
+    return TileSet(len(colors), tiles, names)
 
 
 def enforced_patch(rule: SubstitutionRule, parents: Sequence[Sequence[str]]) -> PatchGrid:

@@ -6,6 +6,7 @@ import pytest
 
 from tilebench import cli
 from tilebench.cli import main
+from tilebench.compiler import fixedpoint
 from tilebench.core import HOLE, PatchGrid, Tile, TileSet, chessboard_tileset, coordinate_tileset
 from tilebench.machine import parity_machine
 from tilebench.solver import solve
@@ -135,6 +136,30 @@ class TestCompilerCommands:
     def test_fixed_point_audit_requires_a_seed(self):
         code, _ = run("fixed-point", "--size", "256", "--certificate")
         assert code == 2
+
+    @staticmethod
+    def _refuse(*args, **kw):
+        raise AssertionError("worked before checking its flags")
+
+    @pytest.mark.parametrize("flags", [
+        ["--certificate"],
+        ["--mutations", "3"],
+        ["--certificate", "--seed", "7", "--mutations", "-1"],
+        ["--certificate", "--seed", "7", "--walk-samples", "-1"],
+        ["--certificate", "--seed", "7", "--resident-samples", "0"],
+    ])
+    def test_fixed_point_flags_are_checked_before_the_build(self, monkeypatch, flags):
+        monkeypatch.setattr(cli, "build_fixed_point", self._refuse)
+        monkeypatch.setattr(fixedpoint, "run_checker", self._refuse)
+        assert run("fixed-point", *flags) == (2, "")
+
+    def test_fixed_point_mutations_beyond_the_program_are_refused_before_any_run(
+            self, monkeypatch, fp):
+        monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
+        monkeypatch.setattr(fixedpoint, "run_checker", self._refuse)
+        too_many = str(len(fp.program) + 1)
+        flags = ["--certificate", "--seed", "7", "--mutations", too_many]
+        assert run("fixed-point", *flags) == (2, "")
 
     def test_robustify_reports_the_padded_set(self):
         code, body = run_json("robustify", "--stock", "chessboard", "--w", "5")

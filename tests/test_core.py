@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tilebench.core import (
     HOLE,
     DegenerateZoomError,
+    Interner,
     MalformedPatchError,
     PatchGrid,
     Tile,
@@ -85,23 +86,16 @@ def test_tileset_roundtrip_json():
     assert obj["tiles"][0] == [0, 1, 1, 0]
 
 
-def test_tile_id_lookup():
-    ts = chessboard_tileset()
-    assert ts.tile_id((0, 1, 1, 0)) == 0
-    assert ts.tile_id((1, 0, 0, 1)) == 1
-    assert ts.tile_id((0, 0, 0, 0)) is None
-
-
-def test_tile_id_answers_the_same_on_later_calls():
-    # the index is built on the first call and cached; the answers of a
-    # fresh set and of one already asked agree
-    ts = coordinate_tileset(4)
-    queries = [t.sides() for t in ts.tiles] + [(0, 0, 0, 0), (1, 2, 3), (15, 15, 15, 15)]
-    first = [ts.tile_id(q) for q in queries]
-    assert first == list(range(16)) + [None] * 3
-    assert [ts.tile_id(q) for q in queries] == first
-    again = coordinate_tileset(4)
-    assert [again.tile_id(q) for q in reversed(queries)] == first[::-1]
+def test_interner_numbers_keys_by_first_use():
+    ids = Interner()
+    # a new key gets the next id, a repeated one keeps its own
+    assert [ids[k] for k in ("b", "a", "b", ("c", 1), "a")] == [0, 1, 0, 2, 1]
+    assert list(ids) == ["b", "a", ("c", 1)]  # keys iterate in id order
+    assert list(ids.values()) == [0, 1, 2]
+    # only a lookup by [] numbers a key; `in` and get leave the ids alone
+    assert "z" not in ids and ids.get("z") is None and len(ids) == 3
+    seeded = Interner(start=0, accept=1)
+    assert (seeded["x"], seeded["start"], list(seeded)) == (2, 0, ["start", "accept", "x"])
 
 
 def test_tiles_are_slotted_and_frozen():

@@ -635,7 +635,7 @@ def reference_build(fp):
     return tiles, color_records, quads, colors
 
 
-def reference_cells(fp, colors):
+def reference_cells(fp, colors, ids):
     """Each cell's tile, or its four sides where a val comes from the quad.
 
     Derived once per set from the per-cell val rule: a val is a pinned bit,
@@ -674,17 +674,17 @@ def reference_cells(fp, colors):
             sides = (side(0, x, y, vl), side(0, (x + 1) % size, y, vr),
                      side(1, x, (y + 1) % size, vt), side(1, x, y, vb))
             pinned = all(isinstance(c, int) for c in sides)
-            row.append(fp.tile_set.tile_id(sides) if pinned else sides)
+            row.append(ids.get(sides) if pinned else sides)
         grid.append(row)
     return grid
 
 
-def reference_assemble(fp, cells, quad):
+def reference_assemble(fp, cells, ids, quad):
     """The quad's patch: window-fed vals read off its slices, tiles found by color."""
     windows = [window_bits(fp.n, r) for r in quad]
 
     def tile(sides):
-        return fp.tile_set.tile_id(tuple(
+        return ids.get(tuple(
             c if isinstance(c, int) else c[2 + windows[c[0]][c[1]]] for c in sides))
 
     return [[c if isinstance(c, int) else tile(c) for c in row] for row in cells]
@@ -702,8 +702,15 @@ def reference_accepted(reference):
 
 
 @pytest.fixture(scope="module")
-def reference_grid(fp, reference):
-    return reference_cells(fp, reference[3])
+def tile_ids(fp):
+    """The set's tile ids by (left, right, top, bottom), read off its columns."""
+    ts = fp.tile_set
+    return {q: i for i, q in enumerate(zip(ts.left, ts.right, ts.top, ts.bottom))}
+
+
+@pytest.fixture(scope="module")
+def reference_grid(fp, reference, tile_ids):
+    return reference_cells(fp, reference[3], tile_ids)
 
 
 def perturbed(n, quad):
@@ -733,20 +740,21 @@ class TestAgainstReference:
         (128, 100), (37, 150),  # band rows
         (77, 30), (128, 128),  # interior
     ])
-    def test_patch_matches(self, fp, reference_grid, x, y):
+    def test_patch_matches(self, fp, reference_grid, tile_ids, x, y):
         # every combination of the cell's free vals
         for vals in itertools.product(*reference_val_choices(fp.size, fp.padded, x, y)):
             quad = fp.edge_records(x, y, *vals)
             patch = assemble_self_patch(fp, quad)
             assert [list(row) for row in patch.cells] == reference_assemble(
-                fp, reference_grid, quad), vals
+                fp, reference_grid, tile_ids, quad), vals
 
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
-    def test_drawn_patches_match(self, fp, reference_grid, data):
+    def test_drawn_patches_match(self, fp, reference_grid, tile_ids, data):
         quad = data.draw(st.sampled_from(list(fp.accepted)))
         patch = assemble_self_patch(fp, quad)
-        assert [list(row) for row in patch.cells] == reference_assemble(fp, reference_grid, quad)
+        assert [list(row) for row in patch.cells] == reference_assemble(
+            fp, reference_grid, tile_ids, quad)
 
     def test_quad_of_inverts_the_ids(self, fp, reference_accepted):
         accepted = fp.accepted

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from tilebench.compiler import (
@@ -49,6 +52,16 @@ class TestRobustify:
     def test_striped_set_patterns(self):
         rxy = robustify(striped_tileset())
         assert len(rxy.tile_set.tiles) == 32  # five free column phases
+
+    @pytest.mark.parametrize("base, w, digest", [
+        (chessboard_tileset, 3, "1cfd45076a0852b1db8afd0b8e052a08a731f6ddb0bc8206df1e8728bc0f7160"),
+        (chessboard_tileset, 5, "1cfd45076a0852b1db8afd0b8e052a08a731f6ddb0bc8206df1e8728bc0f7160"),
+        (striped_tileset, 5, "37491e8b2024e740cec496ecf1ddb86703adeaf465de8f82d702b64f9cd93c28"),
+    ])
+    def test_pattern_set_is_frozen(self, base, w, digest):
+        # sha256 of the sorted-key JSON: pins the color numbering, not only counts
+        obj = robustify(base(), w).tile_set.to_json()
+        assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest() == digest
 
     def test_w_too_small(self):
         with pytest.raises(ValueError):

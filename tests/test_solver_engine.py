@@ -429,14 +429,13 @@ def test_compiled_chessboard_node_counts(compiled_chessboard, width, height, nod
 
 def test_candidate_index_is_cached_per_set():
     a, b = chessboard_tileset(), chessboard_tileset()
-    assert a.candidate_index() is a.candidate_index()
-    assert a.candidate_index() is not b.candidate_index()
+    assert a.search_tables() is a.search_tables()
+    assert a.search_tables() is not b.search_tables()
     K = a.color_count + 1
-    # solve's other two tables are cached with it, a stand-in 0 closing each
+    # the candidate index, then solve's other two tables, a stand-in 0 closing each
     index, right_k, top_of = a.search_tables()
-    assert a.search_tables() is a.search_tables() and index is a.candidate_index()
     assert (right_k, top_of) == ([c * K for c in a.right] + [0], [*a.top, 0])
-    assert a.candidate_index() == {0 * K + 0: (0,), 0 * K + 2: (0,), 2 * K + 0: (0,),
-                                   1 * K + 1: (1,), 1 * K + 2: (1,), 2 * K + 1: (1,),
-                                   2 * K + 2: (0, 1)}
+    assert index == {0 * K + 0: (0,), 0 * K + 2: (0,), 2 * K + 0: (0,),
+                     1 * K + 1: (1,), 1 * K + 2: (1,), 2 * K + 1: (1,),
+                     2 * K + 2: (0, 1)}
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -100,6 +101,14 @@ def test_enforce_substitution_counts():
     ts = enforce_substitution(thue_morse_rule())
     assert len(ts) == 8  # |alphabet| * m^2
     assert ts.color_count == 12
+
+
+def test_enforce_substitution_is_frozen():
+    # sha256 of the sorted-key JSON: pins the color numbering, not only counts
+    obj = enforce_substitution(thue_morse_rule()).to_json()
+    assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest() == (
+        "28322cc1a2db91c8105813a4804b45929b66d0510090d16fae7c1a07152e29ad"
+    )
 
 
 def test_enforced_patch_is_valid_and_reads_back():
