@@ -201,6 +201,8 @@ def _machine_arg(args) -> Machine:
 
 
 def cmd_compile(args) -> int:
+    if args.k < 1:
+        raise UsageError("--k must be at least 1")
     compiled = compile_simulation(_machine_arg(args), args.k, zoom=args.zoom)
     body = {
         "k": args.k,
@@ -218,6 +220,8 @@ def cmd_compile(args) -> int:
 
 def cmd_fixed_point(args) -> int:
     # flags are checked before the build, which takes tens of seconds at size 2048
+    if args.size < 128 or args.size & (args.size - 1):
+        raise UsageError("--size must be a power of two, at least 128")
     if (args.certificate or args.mutations) and args.seed is None:
         raise UsageError("--seed is required with --certificate/--mutations")
     if args.mutations < 0 or args.walk_samples < 0:

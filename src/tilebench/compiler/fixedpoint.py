@@ -1020,8 +1020,15 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     membership wants;
     (c) sample tiles are assembled into macro-tiles, patch-verified, and
     decoded back.  Runs are judged by ``_check``, so a budget hit leaves
-    its check inconclusive.  Raises ValueError for resident_samples below 1.
+    its check inconclusive.  Raises ValueError, naming the argument, for a
+    negative sample count or resident_samples below 1.
     """
+    counts = {"walk_samples": walk_samples, "reject_samples": reject_samples,
+              "block_probes": block_probes, "utm_accepts": utm_accepts,
+              "utm_rejects": utm_rejects}
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must not be negative, got {value}")
     if resident_samples is not None and resident_samples < 1:
         raise ValueError("resident_samples must be at least 1")
     rng = random.Random(seed)
@@ -1074,7 +1081,10 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
     bit off the mutated one, so a checker that misreads the track fails
     it.  Mutants and controls are ``_audit`` jobs, each its own check;
     they are generated one trial at a time, so only one mutated track is
-    alive at once."""
+    alive at once.  Raises ValueError unless 0 <= count <= the program's
+    bit count."""
+    if not 0 <= count <= len(fp.program):
+        raise ValueError(f"count must lie in 0..{len(fp.program)}, the program's bits; got {count}")
     rng = random.Random(seed)
     bits = rng.sample(range(len(fp.program)), count)
 

@@ -57,14 +57,6 @@ def _check_torus(points: Sequence[Point], torus: tuple[int, int]) -> None:
             raise ValueError(f"point {(x, y)} lies outside the torus {torus}")
 
 
-def _near(c: int, count: int | None) -> Iterable[int]:
-    """Bucket index c and its neighbours on one axis, wrapped modulo count
-    (None on the plane); with one or two buckets the wrapped ones coincide."""
-    if count is None:
-        return (c - 1, c, c + 1)
-    return {(c - 1) % count, c, (c + 1) % count}
-
-
 def _diameter(pts: Sequence[Point], torus: tuple[int, int] | None) -> int:
     if len(pts) < 2:
         return 0
@@ -88,6 +80,71 @@ def diameter(points: Iterable[Point], torus: tuple[int, int] | None = None) -> i
     return _diameter(pts, torus)
 
 
+# Candidate pairs are built and filtered at most this many at a time, so the
+# sweep's working memory stays near 1 MB whatever the density and beta.
+_BLOCK = 1 << 14
+_INT64 = 2**63
+
+
+def _coordinates(pts: list[Point], torus: tuple[int, int] | None) -> np.ndarray:
+    """The points as an n x 2 int64 array.  ValueError names a point outside
+    the torus (as ``_check_torus`` does) or one that does not fit in int64."""
+    try:
+        flat = itertools.chain.from_iterable(pts)
+        xy = np.fromiter(flat, np.int64, 2 * len(pts)).reshape(-1, 2)
+    except OverflowError:
+        xy = None
+    if torus is not None:
+        last = [min(side - 1, _INT64 - 1) for side in torus]
+        if xy is None or min(last) < 0 or not ((xy >= 0) & (xy <= last)).all():
+            _check_torus(pts, torus)
+    if xy is None:
+        bad = next(p for p in pts if not all(-_INT64 <= v < _INT64 for v in p))
+        raise ValueError(f"point {bad} does not fit in int64")
+    return xy
+
+
+def _links(xy: np.ndarray, beta: int, torus: tuple[int, int] | None):
+    """Index pairs (i, j), i < j, of the points (sorted by x) at most beta
+    apart, yielded as two lists per block of at most _BLOCK candidates.
+
+    Each j's candidates are the points at most beta behind it in x and, on
+    a torus of width w, the points at least w - beta behind it (across the
+    wrap); the two windows do not overlap.  A candidate is kept when its y
+    distance, cyclic on a torus, is at most beta too.  Distances are taken
+    in uint64, where the difference of two int64 values is exact; a side of
+    2**64 or more wraps no distance that beta does not already cover, so
+    such an axis is swept as a line.
+    """
+    u64, top = np.uint64, 2**64 - 1
+    w, h = (None, None) if torus is None else (s if s <= top else None for s in torus)
+    reach = u64(min(beta, top))
+    x, y = xy[:, 0], xy[:, 1]
+    x = (x - x[0]).view(u64)
+    index = np.arange(len(xy))
+    rows = stops = index
+    starts = x.searchsorted(x - np.minimum(x, reach))
+    if w is not None and w > beta:
+        back = u64(w - beta)  # x + back saturates at top, past every x
+        wrap = (np.minimum(x, u64(top) - back) + back).searchsorted(x, "right")
+        rows = np.concatenate((index, index))
+        stops = np.concatenate((index, np.minimum(wrap, starts)))
+        starts = np.concatenate((starts, np.zeros_like(index)))
+    # candidate k is the k-th of all rows' ranges [starts, stops) laid end to end
+    ends = (stops - starts).cumsum()
+    total = int(ends[-1])
+    for first in range(0, total, _BLOCK):
+        k = np.arange(first, min(first + _BLOCK, total))
+        r = ends.searchsorted(k, "right")
+        i, j = k - ends[r] + stops[r], rows[r]
+        yi, yj = y[i], y[j]
+        d = np.maximum(yi, yj).view(u64) - np.minimum(yi, yj).view(u64)
+        if h is not None:
+            d = np.minimum(d, u64(h) - d)
+        keep = (d <= reach).nonzero()
+        yield i[keep].tolist(), j[keep].tolist()
+
+
 def find_islands(
     points: Iterable[Point],
     alpha: int,
@@ -101,65 +158,53 @@ def find_islands(
     a neighbor within beta), and a union of several would already have
     diameter above beta >= alpha.  Components are therefore islands exactly
     when their diameter is at most alpha; wider ones are returned in the
-    second list, untouched.
+    second list, untouched.  Both lists are in order of their least point.
 
-    Components are found over a grid of buckets at least beta wide on each
-    axis: (x // beta, y // beta) on the plane, max(1, side // beta) equal
-    buckets per side on the torus.  Two points in buckets that are not
-    neighbours (cyclically on the torus) are then more than beta apart, so
-    only pairs within a bucket or across neighbouring buckets are compared.
-    A torus with one bucket per axis is less than 2 beta wide both ways, so
-    no two points are more than beta apart: they form one component, found
-    without a comparison.  On a torus every point must lie in [0, w) x [0, h).
+    Components come from one sweep over the points sorted by x: a binary
+    search gives each point the earlier points within beta in x (and, on a
+    torus, those within beta across the wrap), the candidate pairs are
+    filtered by their y distance in vector blocks of bounded size, and a
+    union-find joins the pairs that survive, each root its component's
+    least point.  A torus less than 2 beta wide both ways has no two points
+    more than beta apart: they form one component, found without a pair.
+    On a torus every point must lie in [0, w) x [0, h); every coordinate
+    must fit in int64.
     """
     if not (0 < alpha <= beta):
         raise ValueError("need 0 < alpha <= beta")
     pts = sorted(set(points))
-    if torus is None:
-        nx = ny = None
-        keys = [(x // beta, y // beta) for x, y in pts]
-    else:
-        _check_torus(pts, torus)
-        w, h = torus
-        nx, ny = max(1, w // beta), max(1, h // beta)
-        keys = [(x * nx // w, y * ny // h) for x, y in pts]
-    buckets: dict[tuple[int, int], list[int]] = {}
-    if nx == ny == 1:
+    xy = _coordinates(pts, torus)
+    if torus is not None and torus[0] < 2 * beta and torus[1] < 2 * beta:
         # side < 2 beta on both axes, so every torus distance is at most
         # side // 2 < beta: all points form one component
-        parent = [0] * len(pts)
+        groups = [pts] if pts else []
     else:
-        for i, key in enumerate(keys):
-            buckets.setdefault(key, []).append(i)
         parent = list(range(len(pts)))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
 
-    for (bx, by), members in buckets.items():
-        # each unordered pair of neighbouring buckets is visited once, from the smaller
-        rows = _near(by, ny)
-        across = [j for u in _near(bx, nx) for v in rows if (u, v) > (bx, by)
-                  for j in buckets.get((u, v), ())]
-        for k, i in enumerate(members):
-            ri = find(i)
-            for j in itertools.chain(members[k + 1:], across):
-                rj = find(j)
-                if ri != rj and chebyshev(pts[i], pts[j], torus) <= beta:
-                    parent[ri] = rj
-                    ri = rj
-    groups: dict[int, list[Point]] = {}
-    for i, p in enumerate(pts):
-        groups.setdefault(find(i), []).append(p)
+        if len(pts) > 1:
+            for ii, jj in _links(xy, beta, torus):
+                for i, j in zip(ii, jj):
+                    ri, rj = find(i), find(j)
+                    if ri < rj:
+                        parent[rj] = ri
+                    elif rj < ri:
+                        parent[ri] = rj
+        # a root is its component's least index, so the groups come out in
+        # order of their least point
+        by_root: dict[int, list[Point]] = {}
+        for i, p in enumerate(pts):
+            by_root.setdefault(find(i), []).append(p)
+        groups = list(by_root.values())
     islands: list[frozenset[Point]] = []
     oversize: list[frozenset[Point]] = []
-    for g in groups.values():
+    for g in groups:
         (islands if _diameter(g, torus) <= alpha else oversize).append(frozenset(g))
-    islands.sort(key=min)
-    oversize.sort(key=min)
     return islands, oversize
 
 
@@ -298,12 +343,11 @@ def clean(
     ranks: list[RankOutcome] = []
     for k, (a, b) in enumerate(schedule.pairs(), start=1):
         islands, oversize = find_islands(current, a, b, torus)
-        removed = sum(len(i) for i in islands)
-        for isl in islands:
-            current -= isl
-        ranks.append(
-            RankOutcome(k, a, b, tuple(islands), tuple(oversize), removed, len(current))
-        )
+        # islands and oversize groups split the current set between them
+        left = set().union(*oversize)
+        ranks.append(RankOutcome(k, a, b, tuple(islands), tuple(oversize),
+                                 len(current) - len(left), len(left)))
+        current = left
         if not current:
             break
     return CleaningReport(ranks, not current, frozenset(current))
@@ -316,5 +360,5 @@ def sample_bernoulli(
     if not (0 <= epsilon <= 1):
         raise ValueError("epsilon must be a probability")
     rng = np.random.default_rng(seed)
-    mask = rng.random((height, width)) < epsilon
-    return {(int(x), int(y)) for y, x in np.argwhere(mask)}
+    ys, xs = np.nonzero(rng.random((height, width)) < epsilon)
+    return set(zip(xs.tolist(), ys.tolist()))

@@ -153,6 +153,17 @@ class TestCompilerCommands:
         monkeypatch.setattr(fixedpoint, "run_checker", self._refuse)
         assert run("fixed-point", *flags) == (2, "")
 
+    @pytest.mark.parametrize("size", ["200", "64", "0"])
+    def test_fixed_point_sizes_off_the_grid_are_usage_errors(self, monkeypatch, size):
+        # not a power of two at least 128; --size 128 builds and fails (exit 1)
+        monkeypatch.setattr(cli, "build_fixed_point", self._refuse)
+        assert run("fixed-point", "--size", size) == (2, "")
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_compile_without_payload_bits_is_a_usage_error(self, monkeypatch, k):
+        monkeypatch.setattr(cli, "compile_simulation", self._refuse)
+        assert run("compile", "--machine", "chessboard", "--k", k) == (2, "")
+
     def test_fixed_point_mutations_beyond_the_program_are_refused_before_any_run(
             self, monkeypatch, fp):
         monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
@@ -240,6 +251,13 @@ class TestIslandCommands:
                               "--alpha", "2", "--beta", "4", "--torus", "10", "10")
         assert code == 0
         assert body["islands"] == [[[0, 0], [1, 0], [9, 9]]]
+
+    def test_islands_rejects_a_point_past_int64(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps([[0, 0], [2**63, 1]]))
+        code, out = run("islands", "--points", str(path), "--alpha", "1", "--beta", "2")
+        assert code == 2 and out == ""
+        assert str((2**63, 1)) in capsys.readouterr().err
 
     def test_clean_sparse_points(self, files):
         code, body = run_json("clean", "--points", files["points"],

@@ -407,6 +407,24 @@ class TestCertificate:
                              "--walk-samples", "0", "--resident-samples", "0"])
         assert code == 2 and buf.getvalue() == ""
 
+    @pytest.mark.parametrize("audit, argument, bad", [
+        (certificate, "walk_samples", -1),
+        (certificate, "reject_samples", -1),
+        (certificate, "block_probes", -1),
+        (certificate, "utm_accepts", -1),
+        (certificate, "utm_rejects", -1),
+        (mutation_trials, "count", -1),
+        (mutation_trials, "count", None),  # one more than the program's bits
+    ])
+    def test_bad_sample_counts_name_their_argument(self, fp, monkeypatch, audit, argument, bad):
+        def never_called(*args, **kwargs):
+            raise AssertionError("a checker run before the arguments were checked")
+
+        monkeypatch.setattr(fixedpoint, "run_checker", never_called)
+        value = len(fp.program) + 1 if bad is None else bad
+        with pytest.raises(ValueError, match=argument):
+            audit(fp, **{argument: value})
+
     def test_universal_rejects_do_not_fall_short(self, fp, monkeypatch):
         # seed 139: of the first seven reject probes drawn for the universal
         # check, six are members and the fourth walks, so the non-member

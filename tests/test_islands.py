@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -77,7 +79,7 @@ def test_find_islands_rejects_points_outside_the_torus(points, torus):
 
 
 def reference_islands(points, alpha, beta, torus=None):
-    """The all-pairs union-find that the bucketed search replaced."""
+    """An all-pairs union-find: every pair of points is compared."""
     pts = sorted(set(points))
     parent = list(range(len(pts)))
 
@@ -109,8 +111,8 @@ def island_cases(draw):
     beta = draw(st.integers(1, 40))
     alpha = draw(st.integers(1, beta))
     if draw(st.booleans()):
-        # sides below beta, near beta/2 and up to a few betas, mostly not
-        # multiples of beta (a narrow last bucket would break across the wrap)
+        # sides below beta (no pair can wrap), below 2 beta on both axes (one
+        # component, no pair built) and up to a few betas (the wrap window)
         w, h = (draw(st.one_of(st.integers(1, 4 * beta + 3), st.integers(1, 90)))
                 for _ in range(2))
         torus = (w, h)
@@ -139,7 +141,7 @@ def test_find_islands_matches_all_pairs_reference(case):
 @given(st.sets(st.tuples(st.integers(0, 511), st.integers(0, 511)), max_size=60),
        st.sampled_from([(1, 2), (17, 68), (561, 3366)]))
 def test_find_islands_matches_reference_on_the_benchmark_torus(points, scale):
-    # 512 is not a multiple of 68: the buckets must stay at least beta wide
+    # the stock scales on the benchmark torus: small, wrapping, one component
     alpha, beta = scale
     assert find_islands(points, alpha, beta, (512, 512)) == reference_islands(
         points, alpha, beta, (512, 512))
@@ -148,29 +150,92 @@ def test_find_islands_matches_reference_on_the_benchmark_torus(points, scale):
 
 def test_find_islands_joins_everything_when_beta_spans_the_torus(monkeypatch):
     # 512 < 2 * 3366 on both axes: every torus distance is at most 256 < beta,
-    # so the last stock rank is one component, found without a pair check
+    # so the last stock rank is one component, found without building a pair
     rng = random.Random(3366)
     pts = {(rng.randrange(512), rng.randrange(512)) for _ in range(200)}
     want = reference_islands(pts, 561, 3366, (512, 512))
     assert want == ([frozenset(pts)], [])
 
-    def no_pair_checks(*args):
-        raise AssertionError("compared a pair")
+    def no_candidate_pairs(*args):
+        raise AssertionError("built candidate pairs")
 
-    monkeypatch.setattr("tilebench.islands.chebyshev", no_pair_checks)
+    monkeypatch.setattr("tilebench.islands._links", no_candidate_pairs)
     assert find_islands(pts, 561, 3366, (512, 512)) == want
     assert find_islands(pts, 200, 3366, (512, 512)) == ([], [frozenset(pts)])
     assert find_islands(set(), 561, 3366, (512, 512)) == ([], [])
 
 
 def test_find_islands_across_the_wrap_of_an_uneven_torus():
-    # 512 // 68 = 7 buckets of 73 or 74 cells; 511 and 67 are 68 apart across the wrap
+    # 511 and 67 are 68 apart across the wrap: an x gap of 444 = 512 - 68,
+    # the first the wrap window takes; 511 and 68 (gap 443) are 69 apart
     torus = (512, 512)
     for pts in ({(511, 0), (67, 0)}, {(0, 511), (0, 67)}, {(0, 0), (444, 444)}):
         assert find_islands(pts, 68, 68, torus) == ([frozenset(pts)], [])
     apart = {(511, 0), (68, 0)}
     assert find_islands(apart, 68, 68, torus) == (
         sorted(map(frozenset, ([p] for p in apart)), key=min), [])
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 3e-3])
+@pytest.mark.parametrize("scale", [(1, 2), (17, 68)])
+def test_find_islands_matches_reference_on_bernoulli_samples(epsilon, scale):
+    # the benchmark's sparse and mid densities: about 260 and 790 points
+    pts = sample_bernoulli(512, 512, epsilon, (27, 0))
+    alpha, beta = scale
+    assert find_islands(pts, alpha, beta, (512, 512)) == reference_islands(
+        pts, alpha, beta, (512, 512))
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 64])
+def test_find_islands_does_not_depend_on_the_block_size(monkeypatch, block):
+    # candidate blocks end mid-row and hold one row's candidates in pieces
+    rng = random.Random(block)
+    cases = []
+    for _ in range(30):
+        torus = rng.choice([None, (23, 17), (40, 9)])
+        w, h = torus or (30, 30)
+        pts = {(rng.randrange(w), rng.randrange(h)) for _ in range(rng.randrange(40))}
+        cases.append((pts, 2, rng.choice([2, 5, 9]), torus))
+    monkeypatch.setattr("tilebench.islands._BLOCK", block)
+    for case in cases:
+        assert find_islands(*case) == reference_islands(*case), case
+
+
+def test_find_islands_is_exact_across_the_int64_range():
+    top, bottom = 2**63 - 1, -(2**63)
+    corners = {(bottom, bottom), (bottom + 1, top), (top, top - 2), (0, 0), (top, bottom)}
+    for beta in (1, 2, 2**62, 2**64, 2**70):
+        assert find_islands(corners, 1, beta) == reference_islands(corners, 1, beta)
+    # on a side past 2**63, x + (w - beta) can pass 2**64 - 1; a side of
+    # 2**64 or more wraps no distance between int64 points
+    for spots in ({(0, 0), (top, 5), (3, top)}, {(0, 0), (2, 0), (2**62, 1), (top - 1, 0), (top, 1)}):
+        for torus in ((2**64 - 1, 3), (2**63 + 1, 2**70), (2**64, 2**64 + 7), (2**70, 2)):
+            pts = {(x, min(y, torus[1] - 1)) for x, y in spots}
+            for beta in (1, 2, 2**62 + 1, 2**63 - 1, 2**63):
+                assert find_islands(pts, 1, beta, torus) == reference_islands(
+                    pts, 1, beta, torus), (pts, beta, torus)
+
+
+@pytest.mark.parametrize("point", [(2**63, 0), (0, -(2**63) - 1), (2**70, 5)])
+def test_find_islands_names_a_point_past_int64(point):
+    with pytest.raises(ValueError, match=re.escape(str(point))):
+        find_islands({(0, 0), point}, 1, 2)
+    with pytest.raises(ValueError, match=re.escape(str(point))):
+        find_islands({point}, 1, 2, torus=(2**80, 2**80))
+
+
+def test_cleaning_a_2048_torus_stays_within_its_memory():
+    # rank 2 sweeps about 6,600 points at beta = 68: millions of candidate
+    # pairs, which unblocked arrays would hold at once (about 120 MB)
+    pts = sample_bernoulli(2048, 2048, 0.01, (7, 0))
+    tracemalloc.start()
+    try:
+        report = clean(pts, make_schedule(2, 1, 3), torus=(2048, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.remaining for r in report.ranks] == [6582, 6582, 6582]
+    assert peak <= 28 * 2**20, f"{peak / 2**20:.1f} MB traced"
 
 
 def brute_force_islands(points, alpha, beta, torus=None):
