@@ -10,10 +10,17 @@ status ``"inconclusive"`` (with ``nodes == max_nodes + 1``) rather than a
 wrong verdict.
 
 The search tree is exactly that of trying one candidate per step: the
-engine only does less work per node (a cached candidate index, flat
-per-cell arrays, no step into a cell left without candidates, nodes
-counted in bulk per visit), so node counts, solution order and the point
-where a budget runs out are the same.  Nothing is pruned or reordered.
+engine only does less work per node, so node counts, solution order and
+the point where a budget runs out are the same.  Nothing is pruned or
+reordered.  Candidates come from a cached index, and a candidate that
+leaves the next cell none is counted but never stepped into.  A cell with
+one candidate and no wrap or boundary check is forced: one node, one
+lookup, nothing recorded.  Only cells with candidates left go on a stack
+of choice points, so backing up is one pop.  A cell with several
+candidates and no check reads a survivor list, built once per call for
+its candidates and placed sides: the candidates worth stepping on with,
+each charging the dead ones before it as nodes.  Cells with checks try
+one candidate at a time.
 
 Bounded mode leaves window borders free unless explicit boundary colors are
 given; toroidal mode wraps both axes instead.  A mask removes cells from
@@ -146,21 +153,62 @@ def solve(
         pos[y * W + x] = q
     n = len(cells)
 
-    # How each position finds its candidates: a lookup of the key
-    # l * K + b in the shared index, or in a pinned tile's own keys, where
-    # l is the right side of the tile at position ls (the stand-in when
-    # ls == -1) times K, b the top side of the tile at bs, and c adds the
-    # boundary color or ``free`` for a side with no placed neighbour.
-    looks = []
-    parts = []
-    for q, (x, y) in enumerate(cells):
+    # spec[p] tells a visit at position p how to find the candidates of
+    # p + 1 for its own candidate t: look_next(A[t] + base), where A brings
+    # in the side of t that p + 1 faces and base = right_k[g[ls]] +
+    # top_of[g[bs]] + c the sides placed before (the stand-in's 0 where ls
+    # or bs is -1), c adding the boundary color, or ``free``, of a side with
+    # no placed neighbour.  look_next reads the shared index or a pinned
+    # tile's own keys.  One backward pass builds spec, carrying how p + 1
+    # finds its candidates; the last position looks up a constant key that
+    # always "has candidates": every t there that passes its checks
+    # completes a tiling.
+    SELF = object()
+    find = index.get
+    spec: list = [None] * n
+    look, ls, bs, c = {0: ()}.get, -1, -1, 0
+    for p in range(n - 1, -1, -1):
+        x, y = cells[p]
+        if ls == p:
+            A, ls = right_k, -1
+        elif bs == p:
+            A, bs = top_of, -1
+        else:
+            A = zero
+        # Wrap and boundary checks on t's right and top sides: None, SELF
+        # (t's own opposite side, on a torus of width or height 1), a color,
+        # or the color of the placed tile at a source position (rsrc, tsrc).
+        checks = None
+        if x == width - 1 or y == height - 1:
+            rsrc = tsrc = -1
+            rc = tc = None
+            if x == width - 1:
+                if toroidal:
+                    if width == 1:
+                        rc = SELF
+                    else:
+                        rsrc = pos[y * W]
+                elif b_right is not None:
+                    rc = b_right[y]
+            if y == height - 1:
+                if toroidal:
+                    if height == 1:
+                        tc = SELF
+                    else:
+                        tsrc = pos[x]
+                elif b_top is not None:
+                    tc = b_top[x]
+            if rsrc >= 0 or tsrc >= 0 or rc is not None or tc is not None:
+                checks = (rsrc, rc, tsrc, tc)
+        # the last slot holds the position's survivor lists (see below)
+        spec[p] = (A, ls, bs, c, look, checks, {})
         k = y * W + x
         pin = pins.get(k)
         if pin is None:
-            looks.append(index.get)
+            look = find
         else:
-            looks.append({l * K + b: (pin,) for l in (left_of[pin], free)
-                          for b in (bottom_of[pin], free)}.get)
+            look = {l * K + b: (pin,) for l in (left_of[pin], free)
+                    for b in (bottom_of[pin], free)}.get
         ls = pos[k - 1] if x > 0 else -1
         bs = pos[k - W] if y > 0 else -1
         c = 0
@@ -168,56 +216,13 @@ def solve(
             c += K * (known(b_left[y]) if x == 0 and b_left is not None else free)
         if bs < 0:
             c += known(b_bottom[x]) if y == 0 and b_bottom is not None else free
-        parts.append((ls, bs, c))
-
-    # spec[p] tells a visit at position p how to find the candidates of
-    # p + 1 for its own candidate t: look up A[t] + base, where A brings in
-    # the side of t that p + 1 faces and base the sides placed before.  The
-    # last position looks up a constant key that always "has candidates":
-    # every t there that passes its checks completes a tiling.
-    SELF = object()
-    spec = []
-    for p, (x, y) in enumerate(cells):
-        if p + 1 < n:
-            ls, bs, c = parts[p + 1]
-            if ls == p:
-                A, ls = right_k, -1
-            elif bs == p:
-                A, bs = top_of, -1
-            else:
-                A = zero
-            look_next = looks[p + 1]
-        else:
-            A, ls, bs, c, look_next = zero, -1, -1, 0, {0: ()}.get
-        # Wrap and boundary checks on t's right and top sides: None, SELF
-        # (t's own opposite side, on a torus of width or height 1), a color,
-        # or the color of the placed tile at a source position (rsrc, tsrc).
-        rsrc = tsrc = -1
-        rc = tc = None
-        if x == width - 1:
-            if toroidal:
-                if width == 1:
-                    rc = SELF
-                else:
-                    rsrc = pos[y * W]
-            elif b_right is not None:
-                rc = b_right[y]
-        if y == height - 1:
-            if toroidal:
-                if height == 1:
-                    tc = SELF
-                else:
-                    tsrc = pos[x]
-            elif b_top is not None:
-                tc = b_top[x]
-        checks = None
-        if rsrc >= 0 or tsrc >= 0 or rc is not None or tc is not None:
-            checks = (rsrc, rc, tsrc, tc)
-        spec.append((A, ls, bs, c, look_next, checks))
 
     g = [0] * n + [n_tiles]  # tile placed at each position, then the stand-in
-    cl: list[tuple[int, ...]] = [()] * n  # candidates of each position on the path
-    ix = [0] * n  # next one to try there, -1 when none is left
+    # Choice points, deepest last: (p, sequence, next index) for each
+    # position on the path with candidates left.  The sequence is a
+    # survivor list, or the candidates themselves at a position with checks.
+    stack: list = []
+    push, pop = stack.append, stack.pop
 
     def snapshot() -> PatchGrid:
         rows = [[HOLE] * width for _ in range(height)]
@@ -232,56 +237,54 @@ def solve(
     budget_hit = False
     cap_hit = False
 
-    cands = looks[0](parts[0][2]) if n else ()
-    p = 0 if cands is not None else -1
-    i = 0
-    while p >= 0:
-        if p < n:
-            A, ls, bs, c, look_next, checks = spec[p]
-            end = len(cands)
-            # every candidate tried is a node, so the budget ends the visit
-            # after `room` of them, just before the one that exceeds it
-            stop = end if end - i <= room else i + room
-            base = right_k[g[ls]] + top_of[g[bs]] + c
-            start = i
-            nxt = None
-            if checks is None:
-                while i < stop:
-                    t = cands[i]
-                    i += 1
-                    # a candidate that leaves its successor no candidates
-                    # is a node too, but the search need not step there
-                    nxt = look_next(A[t] + base)
-                    if nxt is not None:
-                        break
-            else:
-                rsrc, rc, tsrc, tc = checks
-                if rsrc >= 0:
-                    rc = left_of[g[rsrc]]
-                if tsrc >= 0:
-                    tc = bottom_of[g[tsrc]]
-                while i < stop:
-                    t = cands[i]
-                    i += 1
-                    if rc is not None and right_of[t] != (left_of[t] if rc is SELF else rc):
-                        continue
-                    if tc is not None and top_of[t] != (bottom_of[t] if tc is SELF else tc):
-                        continue
-                    nxt = look_next(A[t] + base)
-                    if nxt is not None:
-                        break
-            room -= i - start
-            if nxt is not None:
-                g[p] = t
-                cl[p] = cands
-                ix[p] = i if i < end else -1
-                p += 1
-                cands = nxt
-                i = 0
-                continue
-            if stop < end:
-                budget_hit = True
+    # cands holds the candidates of position p on arrival there, or None
+    # when the search backs up to the deepest choice point
+    cands = look(c)
+    p = 0
+    while True:
+        if cands is None:
+            if not stack:
                 break
+            p, seq, j = pop()
+            A, ls, bs, c, look_next, checks, memo = spec[p]
+            if checks is not None:
+                base = right_k[g[ls]] + top_of[g[bs]] + c
+        elif p < n:
+            A, ls, bs, c, look_next, checks, memo = spec[p]
+            base = right_k[g[ls]] + top_of[g[bs]] + c
+            if checks is None:
+                if len(cands) == 1:
+                    # a forced cell: one node, one lookup, no choice point
+                    if not room:
+                        budget_hit = True
+                        break
+                    room -= 1
+                    t = cands[0]
+                    cands = look_next(A[t] + base)
+                    if cands is not None:
+                        g[p] = t
+                        p += 1
+                    continue
+                # The survivor list of these candidates after these sides:
+                # (nodes, t, successor's candidates) for each t that leaves
+                # its successor candidates, where nodes counts t and the
+                # dead candidates before it, then (nodes, -1, None) for a
+                # dead tail.  Built on the first visit, read on every other.
+                key = (cands, base)
+                seq = memo.get(key)
+                if seq is None:
+                    seq = memo[key] = []
+                    last = 0
+                    for k, t in enumerate(cands, 1):
+                        nxt = look_next(A[t] + base)
+                        if nxt is not None:
+                            seq.append((k - last, t, nxt))
+                            last = k
+                    if last < len(cands):
+                        seq.append((len(cands) - last, -1, None))
+            else:
+                seq = cands
+            j = 0
         else:
             count += 1
             if first is None or mode == "enumerate":
@@ -295,14 +298,54 @@ def solve(
             if max_solutions is not None and count >= max_solutions:
                 cap_hit = True
                 break
-        # back to the deepest position with candidates left
-        p -= 1
-        while p >= 0 and ix[p] < 0:
-            p -= 1
-        if p >= 0:
-            cands = cl[p]
-            i = ix[p]
-    nodes = max_nodes - room + budget_hit
+            cands = None
+            continue
+        if checks is None:
+            # one survivor list entry: every candidate it covers is a node,
+            # so an entry the budget cannot pay ends the search
+            spent, t, cands = seq[j]
+            if spent > room:
+                budget_hit = True
+                break
+            room -= spent
+            j += 1
+            if j < len(seq):
+                push((p, seq, j))
+        else:
+            # one candidate at a time, each a node, until one passes its
+            # checks and leaves its successor candidates; the budget ends
+            # the visit after `room` of them, just before the one past it
+            rsrc, rc, tsrc, tc = checks
+            if rsrc >= 0:
+                rc = left_of[g[rsrc]]
+            if tsrc >= 0:
+                tc = bottom_of[g[tsrc]]
+            end = len(seq)
+            stop = end if end - j <= room else j + room
+            start = j
+            cands = None
+            while j < stop:
+                t = seq[j]
+                j += 1
+                if rc is not None and right_of[t] != (left_of[t] if rc is SELF else rc):
+                    continue
+                if tc is not None and top_of[t] != (bottom_of[t] if tc is SELF else tc):
+                    continue
+                cands = look_next(A[t] + base)
+                if cands is not None:
+                    break
+            room -= j - start
+            if cands is None:
+                if stop < end:
+                    budget_hit = True
+                    break
+                continue
+            if j < end:
+                push((p, seq, j))
+        if cands is not None:
+            g[p] = t
+            p += 1
+    nodes = max_nodes + 1 if budget_hit else max_nodes - room
 
     if budget_hit or cap_hit:
         status = "inconclusive"

@@ -40,9 +40,13 @@ def reference_solve(tile_set, width, height, *, template=None, boundary=None,
     b_top = _boundary_side(boundary, "top", width)
     b_bottom = _boundary_side(boundary, "bottom", width)
 
+    seen = {}
+
     def candidates(l, b):
-        return tuple(i for i in range(n_tiles)
-                     if (l is None or left_of[i] == l) and (b is None or bottom_of[i] == b))
+        if (l, b) not in seen:
+            seen[l, b] = tuple(i for i in range(n_tiles)
+                               if (l is None or left_of[i] == l) and (b is None or bottom_of[i] == b))
+        return seen[l, b]
 
     order = [(x, y) for y in range(height) for x in range(width)]
     ncells = width * height
@@ -425,6 +429,27 @@ def compiled_chessboard():
 def test_compiled_chessboard_node_counts(compiled_chessboard, width, height, nodes):
     r = solve(compiled_chessboard, width, height)
     assert (r.status, r.nodes) == ("solved", nodes)
+
+
+def test_every_budget_on_a_forced_chain_window(compiled_chessboard):
+    """Forced cells and survivor lists charge their nodes in bulk; the search
+    must still stop exactly where one candidate per step stops."""
+    full = solve(compiled_chessboard, 16, 16)
+    assert (full.status, full.nodes) == ("solved", 4_755)
+    for budget in range(full.nodes + 2):
+        r = solve(compiled_chessboard, 16, 16, max_nodes=budget)
+        if budget < full.nodes:
+            assert (r.status, r.nodes, r.patch) == ("inconclusive", budget + 1, None)
+        else:
+            assert (r.status, r.nodes, r.patch) == ("solved", full.nodes, full.patch)
+
+
+def test_every_budget_matches_reference_on_compiled_chessboard(compiled_chessboard):
+    full = reference_solve(compiled_chessboard, 8, 8)
+    assert (full.status, full.nodes) == ("solved", 191)
+    for budget in range(full.nodes + 2):
+        got = solve(compiled_chessboard, 8, 8, max_nodes=budget)
+        assert as_tuple(got) == as_tuple(reference_solve(compiled_chessboard, 8, 8, max_nodes=budget))
 
 
 def test_candidate_index_is_cached_per_set():
