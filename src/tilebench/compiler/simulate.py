@@ -16,26 +16,21 @@ an accepting diagram, so a rejected payload combination simply cannot be
 tiled over.
 
 ``SimulationLayout`` and ``_cell_tiles`` are the one statement of the
-floor plan and of which tiles a cell has; the compiler records each
-tile's id under the choice it encodes, and ``assemble_macro_tile`` works
-out each cell's choice from the payload and looks the tile up.
+floor plan and of which tiles a cell has.  Nothing else restates them:
+an accepted payload's border has exactly one fill, so
+``assemble_macro_tile`` hands that border to ``solve`` and returns the
+tiling it finds.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..core import Interner, PatchGrid, TileSet, block_border
-from ..machine import (
-    SYM_ZERO,
-    Machine,
-    Run,
-    ZoneCellRule,
-    diagram_local_rules,
-    run_machine,
-)
+from ..machine import SYM_ZERO, Machine, diagram_local_rules, run_machine
+from ..solver import InconclusiveError, solve
 from .layout import SimulationLayout, plan_layout
 
 
@@ -56,7 +51,6 @@ class CompiledTileSet:
     steps_needed: int
     track: tuple[int, ...]
     colors: tuple[tuple, ...]
-    tile_of: dict[tuple, int] = field(repr=False)
 
 
 #: Steps a probed payload may run before the checker counts as looping.
@@ -66,7 +60,7 @@ PROBE_STEPS = 10_000
 def _probe_capacity(
     machine: Machine, k: int, track: Sequence[int] | None
 ) -> tuple[frozenset[tuple[int, ...]], int, int]:
-    """Run the checker on all 2^(4k) payloads; bound its time and space.
+    """Probe the checker on all 2^(4k) payloads; bound its time and space.
 
     Payloads it rejects must reject by getting stuck or walking off, not by
     running forever - a looping checker cannot be given a finite zone.
@@ -101,15 +95,15 @@ def _wire_incidence(lay: SimulationLayout) -> dict[tuple[int, int], list]:
 
 def _cell_tiles(color, lay: SimulationLayout, trk, machine: Machine, rules, inc,
                 i: int, j: int):
-    """Every tile of cell (i, j) as (choice, (left, right, top, bottom), name).
+    """Every tile of cell (i, j) as ((left, right, top, bottom), name).
 
-    The choice is what the tile encodes beyond its position: the input bit
-    (None on padding) on the zone's input row, ``(rule, transit bit)`` in
-    the rest of the zone, and the tuple of wire bits, in ``inc`` order,
-    outside it.  ``color(axis, i, j, content)`` interns an edge; the
-    content is the edge's carried bit, head signal or ``(configuration,
-    transit bit)``, else None.  Colors are interned in call order, which
-    fixes the color ids.
+    A tile encodes, beyond its position, the input bit (none on padding)
+    on the zone's input row, a diagram rule and its transit bit in the
+    rest of the zone, and the bits of the wires in ``inc`` outside it.
+    ``color(axis, i, j, content)`` interns an edge; the content is the
+    edge's carried bit, head signal or ``(configuration, transit bit)``,
+    else None.  Colors are interned in call order, which fixes the color
+    ids.
     """
     k = lay.k
     if lay.in_zone(i, j):
@@ -123,10 +117,10 @@ def _cell_tiles(color, lay: SimulationLayout, trk, machine: Machine, rules, inc,
                     cfg0 = (SYM_ZERO + b, machine.start if c == 0 else None, trk[c])
                     top = color("V", i, j + 1, (cfg0, b if transit else None))
                     bottom = color("V", i, j, None if transit else b)
-                    yield b, (left, right, top, bottom), f"{i},{j} in{c}={b}"
+                    yield (left, right, top, bottom), f"{i},{j} in{c}={b}"
             else:
                 top = color("V", i, j + 1, ((machine.blank, None, trk[c]), None))
-                yield None, (left, right, top, color("V", i, j)), f"{i},{j} pad"
+                yield (left, right, top, color("V", i, j)), f"{i},{j} pad"
             return
         ceiling = t == lay.zone_h - 1
         for ridx, rule in enumerate(rules):
@@ -144,7 +138,7 @@ def _cell_tiles(color, lay: SimulationLayout, trk, machine: Machine, rules, inc,
                 bottom = color("V", i, j, (rule.below, tb))
                 top = color("V", i, j + 1, tb if ceiling else (rule.above, tb))
                 suffix = "" if tb is None else f" t={tb}"
-                yield (rule, tb), (left, right, top, bottom), f"{i},{j} z{ridx}{suffix}"
+                yield (left, right, top, bottom), f"{i},{j} z{ridx}{suffix}"
         return
     entries = inc.get((i, j), ())
     for bits in itertools.product((0, 1), repeat=len(entries)):
@@ -157,7 +151,7 @@ def _cell_tiles(color, lay: SimulationLayout, trk, machine: Machine, rules, inc,
         top = color("V", i, j + 1, side_bit.get("top"))
         bottom = color("V", i, j, side_bit.get("bottom"))
         tag = " ".join(f"{wid[0]}{wid[1]}={b}" for (wid, _), b in zip(entries, bits))
-        yield bits, (left, right, top, bottom), f"{i},{j}" + (f" {tag}" if tag else "")
+        yield (left, right, top, bottom), f"{i},{j}" + (f" {tag}" if tag else "")
 
 
 def compile_simulation(
@@ -194,18 +188,20 @@ def compile_simulation(
         return colors[axis, i % n, j % n, content]
 
     inc = _wire_incidence(lay)
-    tiles: list[tuple] = []
-    names: list[str] = []
-    tile_of: dict[tuple, int] = {}
-    for j in range(n):
-        for i in range(n):
-            for choice, quad, name in _cell_tiles(color, lay, trk, machine, rules, inc, i, j):
-                tile_of[i, j, choice] = len(tiles)
-                tiles.append(quad)
-                names.append(name)
-
+    cells = (_cell_tiles(color, lay, trk, machine, rules, inc, i, j)
+             for j in range(n) for i in range(n))
+    tiles, names = zip(*itertools.chain.from_iterable(cells))
     tile_set = TileSet(len(colors), tiles, names)
-    return CompiledTileSet(tile_set, lay, machine, accepted, t_max, trk, tuple(colors), tile_of)
+    return CompiledTileSet(tile_set, lay, machine, accepted, t_max, trk, tuple(colors))
+
+
+def _payload(compiled: CompiledTileSet, *sides: Sequence[int]) -> tuple[int, ...]:
+    """The four sides' bits in input order; each side needs exactly k bits."""
+    k = compiled.layout.k
+    for side in sides:
+        if len(side) != k or any(b not in (0, 1) for b in side):
+            raise ValueError(f"each side needs exactly {k} payload bits, each 0 or 1")
+    return tuple(b for side in sides for b in side)
 
 
 def payload_accepted(
@@ -215,44 +211,25 @@ def payload_accepted(
     top: Sequence[int],
     bottom: Sequence[int],
 ) -> bool:
-    return (*left, *right, *top, *bottom) in compiled.accepted
+    return _payload(compiled, left, right, top, bottom) in compiled.accepted
 
 
-def _zone_run(compiled: CompiledTileSet, bits: tuple[int, ...]):
-    """Configs and head signals of the accepting diagram, frozen to zone height.
+def _border(compiled: CompiledTileSet, bits: tuple[int, ...]) -> dict[str, list[int]]:
+    """The N x N block's border colors for a payload, as ``solve``'s boundary.
 
-    Row t is the configuration after t steps, read off one run resumed to
-    budget t row by row (budget stops are exact): row 0 is the input, and
-    every row from the accepting step on repeats the accepted one.
+    Each side carries its k bits on its window edges and None on every
+    other border edge; left and right edges are keyed at column 0, top
+    and bottom edges at row 0.
     """
-    lay, machine, trk = compiled.layout, compiled.machine, compiled.track
-    tape = [SYM_ZERO + b for b in bits] + [machine.blank] * (lay.zone_w - 4 * lay.k)
-    run = Run(machine, tape, track=trk)
-    rows, status = [], "timeout"
-    for t in range(lay.zone_h):
-        if status == "timeout":  # a run stuck or on the wall cannot resume
-            status = run.go(t)
-        rows.append((run.state, run.head, tuple(run.cells)))
-    if status != "accepted":
-        raise ValueError(f"payload {bits} is rejected by the checker")
-    cfgs = [
-        tuple(
-            (tape_t[c], state if head == c else None, trk[c])
-            for c in range(lay.zone_w)
-        )
-        for (state, head, tape_t) in rows
-    ]
-    sigs: list[dict[int, tuple[str, int]]] = [{}]
-    for t in range(1, lay.zone_h):
-        _, h_prev, _ = rows[t - 1]
-        state, h_now, _ = rows[t]
-        cross: dict[int, tuple[str, int]] = {}
-        if h_now == h_prev + 1:
-            cross[h_now] = ("R", state)
-        elif h_now == h_prev - 1:
-            cross[h_prev] = ("L", state)
-        sigs.append(cross)
-    return cfgs, sigs
+    lay = compiled.layout
+    k, n = lay.k, lay.n
+    ids = {key: c for c, key in enumerate(compiled.colors)}
+    border = {}
+    for s, name in enumerate(("left", "right", "top", "bottom")):
+        at = dict(zip(lay.hwin_rows if s < 2 else lay.vwin_cols, bits[s * k:(s + 1) * k]))
+        keys = (("H", 0, p, at.get(p)) if s < 2 else ("V", p, 0, at.get(p)) for p in range(n))
+        border[name] = [ids[key] for key in keys]
+    return border
 
 
 def assemble_macro_tile(
@@ -262,37 +239,20 @@ def assemble_macro_tile(
     top: Sequence[int],
     bottom: Sequence[int],
 ) -> PatchGrid:
-    """The unique macro-tile content for an accepted payload quadruple."""
-    lay = compiled.layout
-    k, n, sx0, zy0 = lay.k, lay.n, lay.sx0, lay.zy0
-    for side in (left, right, top, bottom):
-        if len(side) != k or any(b not in (0, 1) for b in side):
-            raise ValueError("each side needs exactly k payload bits")
-    bits = (*left, *right, *top, *bottom)
-    cfgs, sigs = _zone_run(compiled, bits)
-    wire_bit = {("L", r): left[r] for r in range(k)}
-    wire_bit |= {("R", r): right[r] for r in range(k)}
-    wire_bit |= {("T", r): top[r] for r in range(k)}
-    wire_bit |= {("B", r): bottom[r] for r in range(k)}
-    inc = _wire_incidence(lay)
-    grid = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            if lay.in_zone(i, j):
-                c, t = i - sx0, j - zy0
-                if t == 0:
-                    choice = bits[c] if c < 4 * k else None
-                else:
-                    rule = ZoneCellRule(cfgs[t - 1][c], cfgs[t][c],
-                                        sigs[t].get(c), sigs[t].get(c + 1))
-                    choice = (rule, top[c - 2 * k] if i in lay.vwin_cols else None)
-            else:
-                choice = tuple(wire_bit[wid] for wid, _ in inc.get((i, j), ()))
-            tid = compiled.tile_of.get((i, j, choice))
-            if tid is None:
-                raise AssertionError(f"no tile matches cell {(i, j)}")
-            grid[j][i] = tid
-    return PatchGrid(n, n, grid)
+    """The unique macro-tile content for an accepted payload quadruple.
+
+    It is the one tiling of the block whose border carries the payload.  A
+    payload the checker rejects leaves that border no tiling and raises
+    ValueError; a fill that hits its budget raises InconclusiveError.
+    """
+    bits = _payload(compiled, left, right, top, bottom)
+    n = compiled.layout.n
+    res = solve(compiled.tile_set, n, n, boundary=_border(compiled, bits))
+    if res.status == "unsatisfiable":
+        raise ValueError(f"payload {bits} is rejected by the checker")
+    if res.status == "inconclusive":
+        raise InconclusiveError(f"macro-tile fill hit the search budget after {res.nodes} nodes")
+    return res.patch
 
 
 def macro_payloads(

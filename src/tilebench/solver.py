@@ -23,7 +23,8 @@ each charging the dead ones before it as nodes.  Cells with checks try
 one candidate at a time.
 
 Bounded mode leaves window borders free unless explicit boundary colors are
-given; toroidal mode wraps both axes instead.  A mask removes cells from
+given (a compiled macro-tile is assembled as the fill of its payload's
+border); toroidal mode wraps both axes instead.  A mask removes cells from
 the window; sides facing a removed cell are free.
 """
 

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from tilebench.compiler import (
 )
 from tilebench.core import HOLE, MalformedPatchError, PatchGrid, verify_patch
 from tilebench.machine import SYM_ONE, SYM_ZERO, Machine, Transition, machine_corpus, run_machine
-from tilebench.solver import find_cut_offsets, solve
+from tilebench.solver import InconclusiveError, find_cut_offsets, solve
 
 
 def first_bit_zero_machine():
@@ -122,13 +123,22 @@ class TestChessboardPredicate:
             }
 
     def test_assemble_rejected_payload_raises(self, chess):
-        with pytest.raises(ValueError):
-            assemble_macro_tile(chess, (0,), (0,), (0,), (0,))
+        rejected = [q for q in itertools.product((0, 1), repeat=4) if q not in chess.accepted]
+        assert len(rejected) == 14
+        for quad in rejected:
+            with pytest.raises(ValueError, match="rejected by the checker"):
+                assemble_macro_tile(chess, *[(b,) for b in quad])
 
     def test_payload_accepted(self, chess):
         assert payload_accepted(chess, (0,), (1,), (1,), (0,))
         assert payload_accepted(chess, (1,), (0,), (0,), (1,))
         assert not payload_accepted(chess, (1,), (1,), (0,), (1,))
+        # the concatenation is accepted, but the sides are not one bit each
+        for sides in [((0, 1), (1,), (), (0,)), ((0,), (1,), (1,), (2,))]:
+            with pytest.raises(ValueError, match="exactly 1 payload bits"):
+                payload_accepted(chess, *sides)
+            with pytest.raises(ValueError, match="exactly 1 payload bits"):
+                assemble_macro_tile(chess, *sides)
 
     def test_solver_window_cuts_uniquely(self, chess):
         res = solve(chess.tile_set, 16, 16, mode="first")
@@ -291,28 +301,20 @@ def test_compiled_corpus_is_frozen(machine, k, options, tiles_sha, patches_sha):
         dumps.append(_dumps(patch))
     assert _sha(_dumps(c.tile_set)) == tiles_sha
     assert _sha("".join(dumps)) == patches_sha
+    # a macro-tile is the fill of its border: an accepted payload's border
+    # has exactly one tiling and a rejected one's none
+    n = c.layout.n
+    for bits in itertools.product((0, 1), repeat=4 * k):
+        r = solve(c.tile_set, n, n, boundary=simulate._border(c, bits), mode="count",
+                  max_solutions=2)
+        want = ("solved", 1) if bits in c.accepted else ("unsatisfiable", 0)
+        assert (r.status, r.count) == want, bits
 
 
-def test_assembly_reads_one_run_per_payload(monkeypatch):
-    # the zone diagram is read off one resumed run, not a run per row, so
-    # assembly costs one run's steps however tall the zone is
-    c = compile_simulation(machine_corpus()["parity"], 2)
-    runs = []
-
-    class CountedRun(simulate.Run):
-        __slots__ = ()
-
-        def __init__(self, *args, **kwargs):
-            runs.append(args)
-            super().__init__(*args, **kwargs)
-
-    def no_run_machine(*args, **kwargs):
-        raise AssertionError("assembly starts a run per row")
-
-    monkeypatch.setattr(simulate, "Run", CountedRun)
-    monkeypatch.setattr(simulate, "run_machine", no_run_machine)
-    assert c.layout.zone_h > 2
-    payloads = sorted(c.accepted)[:6]
-    for bits in payloads:
-        assemble_macro_tile(c, *(bits[s * 2:(s + 1) * 2] for s in range(4)))
-    assert len(runs) == len(payloads)
+def test_a_fill_past_its_budget_is_inconclusive(monkeypatch, chess):
+    # a budget hit is neither a patch nor a rejected payload, whichever the
+    # payload; every chessboard fill, accepted or rejected, takes 80+ nodes
+    monkeypatch.setattr(simulate, "solve", functools.partial(solve, max_nodes=10))
+    for quad in itertools.product((0, 1), repeat=4):
+        with pytest.raises(InconclusiveError, match="after 11 nodes"):
+            assemble_macro_tile(chess, *[(b,) for b in quad])
