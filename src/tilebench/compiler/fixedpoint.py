@@ -18,7 +18,8 @@ vertical seams, the right columns for horizontal ones) carries the edge
 record of the tile the patch stands for, so macro-edges and tile edges
 match one against one and ``assemble_self_patch`` / ``decode_self_patch``
 round-trip.
-One generator enumerates the tiles from the val discipline, row by row.
+One array pass (``_tile_keys``) enumerates the tiles from the val
+discipline, all cells at once; ``_cells`` states it cell by cell.
 Only the border ring has free vals, so a cell's first tile id is a closed
 form in its coordinates (``_first_id``, inverted by ``_cell_of``), and a
 tile's id is that plus the rank of its free vals: ids and membership are
@@ -58,6 +59,8 @@ import random
 from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from ..core import Interner, PatchGrid, TileSet, block_border, verify_patch
 from ..machine import (
@@ -602,10 +605,11 @@ class FixedPointSet:
     ``accepted`` is a read-only mapping from the edge records of every tile
     to its tile id, worked out from the records rather than stored
     (``_Accepted``: the cell's ``_first_id`` plus the rank of the free
-    vals); ``color_records[c]`` is color c's edge record shifted
-    left one bit, with its axis (0 for horizontal edges, 1 for vertical
-    ones) in bit 0; ``drag`` is the checker's drag lemma, which
-    ``run_checker`` jumps with, and ``budget`` its step budget
+    vals); ``tile_set`` and ``color_records`` come from one array pass
+    over every tile (``_enumerate``), and ``color_records[c]`` is color c's
+    edge record shifted left one bit, with its axis (0 for horizontal
+    edges, 1 for vertical ones) in bit 0; ``drag`` is the checker's drag
+    lemma, which ``run_checker`` jumps with, and ``budget`` its step budget
     (``checker_budget``).
     """
 
@@ -757,22 +761,59 @@ class _Accepted(Mapping):
         return (self._size + 2) ** 2
 
 
-def _enumerate(n: int, size: int, padded) -> tuple[tuple, array]:
-    """The tiles' (left, right, top, bottom) color columns in id order and
-    the color records.  Colors get ids in order of first use, interned by
-    one packed int, the record shifted left one bit with the axis in bit 0.
-    A function of its own, so the interning dict is freed before
-    ``TileSet`` packs the columns and the two never peak together."""
-    colors = Interner()
-    cols = tuple(array("i") for _ in range(4))
-    left, right, top, bottom = (c.append for c in cols)
-    for quads in _cells(n, size, padded):
-        for recl, recr, rect, recb in quads:
-            left(colors[recl << 1])
-            right(colors[recr << 1])
-            top(colors[rect << 1 | 1])
-            bottom(colors[recb << 1 | 1])
-    return cols, array("q", colors)
+def _tile_keys(n: int, size: int, padded) -> np.ndarray:
+    """The (left, right, top, bottom) color keys of every tile, a (tiles, 4)
+    array in tile id order: each side's record shifted left one bit with
+    its axis (0 for horizontal edges, 1 for vertical ones) in bit 0.
+
+    The val discipline of ``_val_choices``, for all cells at once: a cell
+    has a tile per choice of its free vals (vl on column 0, vr on column
+    size-1, vt on row size-1, vb on row 0), in ``itertools.product`` order,
+    so tile ``_first_id + rank`` reads its free vals off the bits of
+    ``rank``, the bottom one lowest.  A pinned val is the program bit on
+    band rows and 0 elsewhere; no free val lies on a band row, so each key
+    is its cell's key with the tile's free bit or'ed in.
+    """
+    band, val_bit = _band(size), 1 << (2 * n + 1)  # a key's val bit
+    vert = np.zeros((size, size), np.int32)  # pinned vertical vals by (row, x)
+    vert[band.start:band.stop] = np.frombuffer(bytes(padded), np.uint8).reshape(-1, size)
+    y, x = np.divmod(np.arange(size * size, dtype=np.int32), size)
+    up = (y + 1) % size
+    free = (x == 0, x == size - 1, up == 0, y == 0)
+    cell_keys = (
+        (x | y << n) << 1,
+        ((x + 1) % size | y << n) << 1,
+        (x | up << n | vert[up, x] << 2 * n) << 1 | 1,
+        (x | y << n | vert[y, x] << 2 * n) << 1 | 1,
+    )
+    per = 1 << sum(f.astype(np.int32) for f in free)
+    cell = np.repeat(np.arange(size * size, dtype=np.int32), per)
+    rank = np.arange(len(cell), dtype=np.int32) - (np.cumsum(per, dtype=np.int32) - per)[cell]
+    keys, shift = np.empty((len(cell), 4), np.int32), np.zeros(len(cell), np.int32)
+    for side in (3, 2, 1, 0):
+        bit = free[side][cell]
+        keys[:, side] = cell_keys[side][cell] | ((rank >> shift) & bit) * val_bit
+        shift += bit
+    return keys
+
+
+def _enumerate(n: int, size: int, padded) -> tuple[np.ndarray, array]:
+    """The tiles' (left, right, top, bottom) color ids, a (tiles, 4) array
+    in tile id order, and the color records: ``_tile_keys`` numbered in
+    order of first use over the sides, read tile by tile, through a table
+    with a slot for every key (2n + 2 bits) rather than a dict.  int32
+    holds every key and every side's index up to N = 16384."""
+    keys = _tile_keys(n, size, padded)
+    flat = keys.ravel()
+    table = np.full(1 << (2 * n + 2), len(flat), np.int32)  # key -> first use, then color id
+    np.minimum.at(table, flat, np.arange(len(flat), dtype=np.int32))
+    firsts = np.zeros(len(flat), bool)
+    firsts[table[table < len(flat)]] = True
+    records = flat[firsts]
+    table[records] = np.arange(len(records), dtype=np.int32)
+    color_records = array("q")
+    color_records.frombytes(records.astype(np.int64).view(np.uint8))
+    return table[keys], color_records
 
 
 def build_fixed_point(size: int = 256) -> FixedPointSet:
@@ -794,13 +835,13 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
             f"checker needs {len(program)} program bits, the block holds {capacity}"
         )
     padded = tuple(program) + (0,) * (capacity - len(program))
-    cols, color_records = _enumerate(n, size, padded)
-    assert len(cols[0]) == (size + 2) ** 2, "free border bits miscounted"
+    ids, color_records = _enumerate(n, size, padded)
+    assert len(ids) == (size + 2) ** 2, "free border bits miscounted"
     drag = drag_lemma(machine, names, 2 * n)
     return FixedPointSet(
         n=n,
         size=size,
-        tile_set=TileSet(len(color_records), zip(*cols)),
+        tile_set=TileSet(len(color_records), ids),
         machine=machine,
         state_bits=state_bits,
         program=tuple(program),

@@ -76,11 +76,12 @@ class TileSet:
     The sides are kept in four ``array("i")`` columns, ``left``, ``right``,
     ``top`` and ``bottom``, indexed by tile id, the id used in patches;
     indexing or iterating the set (or ``tiles``) builds ``Tile``s from them.
-    The constructor takes ``Tile``s or (left, right, top, bottom) quads and
-    raises ValueError for a tile of other than four colors, a color that is
-    not an int in ``[0, color_count)`` (or does not fit a C int), or a
-    duplicate quadruple: a Wang tile *is* its quadruple, so a duplicate
-    could never be distinguished.  ``search_tables`` builds its tables on
+    The constructor takes ``Tile``s, (left, right, top, bottom) quads or a
+    (tiles, 4) numpy array of C ints, which it reads without a per-tile
+    loop, and raises ValueError for a tile of other than four colors, a
+    color that is not an int in ``[0, color_count)`` (or does not fit a C
+    int), or a duplicate quadruple: a Wang tile *is* its quadruple, so a
+    duplicate could never be distinguished.  ``search_tables`` builds its tables on
     first use and caches them.
     """
 
@@ -89,35 +90,39 @@ class TileSet:
     def __init__(
         self,
         color_count: int,
-        tiles: Iterable[Tile | tuple[int, int, int, int]],
+        tiles: Iterable[Tile | tuple[int, int, int, int]] | np.ndarray,
         names: Sequence[str] | None = None,
     ) -> None:
         if color_count < 1:
             raise ValueError("color_count must be positive")
-        flat = array("i")
-        for idx, quad in enumerate(tiles):
-            if isinstance(quad, Tile):
-                quad = quad.sides()
-            if len(quad) != 4:
-                raise ValueError(f"tile {idx} has {len(quad)} colors, not 4")
-            try:
-                flat.extend(quad)
-            except (TypeError, OverflowError):
-                raise ValueError(f"tile {idx} has a color that is not a C int") from None
-        if flat and (min(flat) < 0 or max(flat) >= color_count):
-            i = next(i for i, c in enumerate(flat) if not 0 <= c < color_count)
-            raise ValueError(f"tile {i // 4} uses color {flat[i]} outside [0, {color_count})")
-        cols = tuple(flat[k::4] for k in range(4))
-        del flat  # the columns are copies; free it before the duplicate check
-        dup = _first_duplicate(cols)
+        if isinstance(tiles, np.ndarray):
+            if tiles.ndim != 2 or tiles.shape[1] != 4 or tiles.dtype != np.intc:
+                raise ValueError(f"a tile array must be (tiles, 4) C ints, not {tiles.shape} {tiles.dtype}")
+            rows = tiles
+        else:
+            flat = array("i")
+            for idx, quad in enumerate(tiles):
+                if isinstance(quad, Tile):
+                    quad = quad.sides()
+                if len(quad) != 4:
+                    raise ValueError(f"tile {idx} has {len(quad)} colors, not 4")
+                try:
+                    flat.extend(quad)
+                except (TypeError, OverflowError):
+                    raise ValueError(f"tile {idx} has a color that is not a C int") from None
+            rows = np.frombuffer(flat, dtype=np.intc).reshape(-1, 4)
+        if rows.size and (rows.min() < 0 or rows.max() >= color_count):
+            i = int(((rows < 0) | (rows >= color_count)).argmax())
+            raise ValueError(f"tile {i // 4} uses color {rows.flat[i]} outside [0, {color_count})")
+        dup = _first_duplicate(rows)
         if dup is not None:
             raise ValueError("duplicate tile quadruple at ids %d and %d" % dup)
         if names is not None:
             names = tuple(names)
-            if len(names) != len(cols[0]):
+            if len(names) != len(rows):
                 raise ValueError("names must be parallel to tiles")
-        for name, value in zip(("left", "right", "top", "bottom"), cols):
-            object.__setattr__(self, name, value)
+        for k, name in enumerate(("left", "right", "top", "bottom")):
+            object.__setattr__(self, name, array("i", rows[:, k].tobytes()))
         object.__setattr__(self, "color_count", color_count)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_candidates", None)
@@ -198,12 +203,12 @@ class TileSet:
         return cls(count, tiles, obj.get("names"))
 
 
-def _first_duplicate(cols: tuple[array, ...]) -> tuple[int, int] | None:
+def _first_duplicate(rows: np.ndarray) -> tuple[int, int] | None:
     """The first id whose quadruple an earlier id has, with that earlier id,
-    or None: a stable row sort of the columns brings equal rows together."""
-    rows = np.stack([np.frombuffer(c, dtype=np.intc) for c in cols], axis=1)
+    or None: a stable sort of the (tiles, 4) rows brings equal rows together."""
     order = np.lexsort(rows.T)  # stable, so equal rows keep id order
-    same = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    ranked = rows[order]
+    same = (ranked[1:] == ranked[:-1]).all(axis=1)
     if not same.any():
         return None
     later = int(order[1:][same].min())

@@ -133,10 +133,10 @@ class Machine:
             raise ValueError("rule columns of unequal length")
         if not rules:
             return
-        states = (rules.state, rules.new_state)
-        if min(map(min, states)) < 0 or max(map(max, states)) >= self.states:
+        states = [np.frombuffer(c, dtype=np.intc) for c in (rules.state, rules.new_state)]
+        if min(c.min() for c in states) < 0 or max(c.max() for c in states) >= self.states:
             raise ValueError("a transition references an unknown state")
-        if max(max(rules.read), max(rules.write)) >= self.symbols:
+        if max(np.frombuffer(c, dtype=np.uint8).max() for c in (rules.read, rules.write)) >= self.symbols:
             raise ValueError("a transition references an unknown symbol")
         if rules.move.translate(None, bytes(range(len(MOVES)))):
             raise ValueError("a transition has a bad move")
@@ -671,13 +671,18 @@ def universal_machine(state_bits: int = 8) -> Machine:
     from_col, to_col = array("i"), array("i")
     read_col, write_col, move_col = bytearray(), bytearray(), bytearray()
     move_code = {move: code for code, move in enumerate(MOVES)}
+    right, left = move_code["R"], move_code["L"]
+
+    def extend(froms, reads, tos, writes, moves) -> None:
+        """Append one rule per position of the five parallel columns."""
+        from_col.extend(froms)
+        read_col.extend(reads)
+        to_col.extend(tos)
+        write_col.extend(writes)
+        move_col.extend(moves)
 
     def add(state: int, read: int, new_state: int, write: int, move: str) -> None:
-        from_col.append(state)
-        read_col.append(read)
-        to_col.append(new_state)
-        write_col.append(write)
-        move_col.append(move_code[move])
+        extend((state,), (read,), (new_state,), (write,), (move_code[move],))
 
     def ret_state(q: int, sym: int, trk: int) -> int:
         return acc if q == 1 else st("ret", q, sym, trk)
@@ -687,41 +692,57 @@ def universal_machine(state_bits: int = 8) -> Machine:
         work_cell(s, h, b) for s in range(4) for h in (0, 1) for b in (0, 1)
     ]
 
+    # scan's reads: the passthrough symbols, then per work cell (s, b) the
+    # unflagged cell, which scan runs over, and the flagged one it stops on
+    scan_reads = bytes(passthrough + [
+        work_cell(s, h, b) for s in range(4) for b in (0, 1) for h in (0, 1)])
+
     def scan(state: int, flagged) -> None:
-        """Run right to the flagged work cell, then take ``flagged(s, b)``."""
-        for sym in passthrough:
-            add(state, sym, state, sym, "R")
-        for s in range(4):
-            for b in (0, 1):
-                add(state, work_cell(s, 0, b), state, work_cell(s, 0, b), "R")
-                add(state, work_cell(s, 1, b), *flagged(s, b))
+        """Run right to the flagged work cell, then take ``flagged(s, b)``;
+        the rules in the order of ``scan_reads``."""
+        to, write, move = zip(*(flagged(s, b) for s in range(4) for b in (0, 1)))
+        stops = slice(len(passthrough) + 1, None, 2)  # the flagged cells' rules
+        tos, writes = [state] * len(scan_reads), bytearray(scan_reads)
+        moves = bytearray([right]) * len(scan_reads)
+        tos[stops], writes[stops], moves[stops] = to, write, map(move_code.get, move)
+        extend([state] * len(scan_reads), scan_reads, tos, writes, moves)
 
     def rewind(kind: str, q: int, s: int, b: int) -> None:
         """Run left to the origin, then start matching records for (q, s, b)."""
         state = st(kind, q, s, b)
-        for sym in rewound:
-            add(state, sym, state, sym, "L")
+        extend([state] * len(rewound), rewound, [state] * len(rewound), rewound,
+               [left] * len(rewound))
         add(state, U_ORIGIN, st("rec", q, s, b), U_ORIGIN, "R")
+
+    def forward(rules) -> None:
+        """Append (state, read, new_state) rules that keep what they read
+        and move right, each column extended once."""
+        froms, reads, tos = zip(*rules)
+        extend(froms, reads, tos, reads, [right] * len(reads))
 
     def match(key: tuple, value: int, width: int, done: tuple, skip: int) -> None:
         """Compare a field with ``value``, most significant bit first: on a
         match go on into ``done``, on a mismatch to ``skip``."""
+        states = [st(*key, i) for i in range(width)]
+        states.append(st(*done))
+        rules = []
         for i in range(width):
-            state = st(*key, i)
             expect = (value >> (width - 1 - i)) & 1
-            nxt = st(*key, i + 1) if i + 1 < width else st(*done)
-            add(state, U_BIT0 + expect, nxt, U_BIT0 + expect, "R")
-            add(state, U_BIT1 - expect, skip, U_BIT1 - expect, "R")
+            rules += ((states[i], U_BIT0 + expect, states[i + 1]),
+                      (states[i], U_BIT1 - expect, skip))
+        forward(rules)
 
     def field(key: tuple, width: int, done) -> None:
         """Read a ``width``-bit field, most significant bit first, into ``done(value)``."""
+        rules = []
         for i in range(width):
             for partial in range(1 << i):
                 state = st(*key, partial, i)
                 for bit in (0, 1):
                     val = (partial << 1) | bit
                     nxt = st(*key, val, i + 1) if i + 1 < width else done(val)
-                    add(state, U_BIT0 + bit, nxt, U_BIT0 + bit, "R")
+                    rules.append((state, U_BIT0 + bit, nxt))
+        forward(rules)
 
     for q in range(ns):
         scan(st("seek", q), lambda s, b: (st("rew", q, s, b), work_cell(s, 1, b), "L"))
@@ -730,26 +751,18 @@ def universal_machine(state_bits: int = 8) -> Machine:
     keys = list(itertools.product(range(ns), range(4), (0, 1)))
     for q, s, b in keys:
         rewind("rew", q, s, b)
-        rec = st("rec", q, s, b)
-        skip = st("skip", q, s, b)
+        rec, skip = st("rec", q, s, b), st("skip", q, s, b)
         # a 0 valid bit means no record matched: the simulation is stuck
-        add(rec, U_BIT1, st("cq", q, s, b, 0), U_BIT1, "R")
-        add(skip, U_BIT0, skip, U_BIT0, "R")
-        add(skip, U_BIT1, skip, U_BIT1, "R")
-        add(skip, U_SEP, rec, U_SEP, "R")
+        forward(((rec, U_BIT1, st("cq", q, s, b, 0)),
+                 (skip, U_BIT0, skip), (skip, U_BIT1, skip), (skip, U_SEP, rec)))
         match(("cq", q, s, b), q, state_bits, ("cs", q, s, b, 0), skip)
         match(("cs", q, s, b), s, 2, ("cc", q, s, b), skip)
         # condition field: 00 any, 01 never, 1x require track == x
-        cc = st("cc", q, s, b)
-        cc_any = st("cc0", q, s, b)
-        cc_trk = st("cc1", q, s, b)
-        add(cc, U_BIT0, cc_any, U_BIT0, "R")
-        add(cc, U_BIT1, cc_trk, U_BIT1, "R")
+        cc, cc_any, cc_trk = st("cc", q, s, b), st("cc0", q, s, b), st("cc1", q, s, b)
         grab = st("gq", 0, 0)
-        add(cc_any, U_BIT0, grab, U_BIT0, "R")
-        add(cc_any, U_BIT1, skip, U_BIT1, "R")
-        add(cc_trk, U_BIT0 + b, grab, U_BIT0 + b, "R")
-        add(cc_trk, U_BIT1 - b, skip, U_BIT1 - b, "R")
+        forward(((cc, U_BIT0, cc_any), (cc, U_BIT1, cc_trk),
+                 (cc_any, U_BIT0, grab), (cc_any, U_BIT1, skip),
+                 (cc_trk, U_BIT0 + b, grab), (cc_trk, U_BIT1 - b, skip)))
 
     # collect successor state / symbol / move
     field(("gq",), state_bits, lambda q2: st("gs", q2, 0, 0))

@@ -63,6 +63,20 @@ def test_tileset_rejects_malformed_tiles(quad):
         TileSet(2 ** 41, [(0, 0, 0, 0), quad])
 
 
+def test_tileset_takes_an_id_array():
+    # a (tiles, 4) array of C ints is the same set as its rows, and gets the
+    # same checks and messages
+    quads = [(0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0)]
+    assert TileSet(2, np.array(quads, dtype=np.intc)) == TileSet(2, quads)
+    with pytest.raises(ValueError, match=r"^tile 2 uses color 2 outside \[0, 2\)$"):
+        TileSet(2, np.array(quads[:2] + [(1, 1, 2, 0)], dtype=np.intc))
+    with pytest.raises(ValueError, match=r"^duplicate tile quadruple at ids 0 and 3$"):
+        TileSet(2, np.array(quads + [quads[0]], dtype=np.intc))
+    for bad in (np.array(quads), np.array(quads, dtype=np.intc)[:, :3], np.zeros(4, np.intc)):
+        with pytest.raises(ValueError, match=r"^a tile array must be \(tiles, 4\) C ints"):
+            TileSet(2, bad)
+
+
 def test_tileset_keeps_its_sides_in_columns():
     ts = TileSet(4, [Tile(0, 1, 2, 3), (3, 2, 1, 0)])
     assert (ts.left, ts.right, ts.top, ts.bottom) == tuple(array("i", c) for c in

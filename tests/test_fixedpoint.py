@@ -33,7 +33,7 @@ from tilebench.compiler.fixedpoint import (
     window_bits,
     walks,
 )
-from tilebench.core import HOLE, MalformedPatchError, PatchGrid, verify_patch
+from tilebench.core import HOLE, Interner, MalformedPatchError, PatchGrid, TileSet, verify_patch
 from tilebench.machine import encode_program, run_encoded
 
 
@@ -349,6 +349,24 @@ def test_free_vals_lie_exactly_on_the_ring(size):
                 wrong.append((x, y, choices))
     assert wrong == []
 
+
+
+@pytest.mark.parametrize("size", [8, 64, 128])
+def test_array_enumeration_matches_the_per_cell_rules(size):
+    # the array pass against _cells / _records, which read _val_choices cell
+    # by cell, with random program bits on the band (rows 16-31 at 64, none
+    # at 8); test_enumeration_matches holds it at 256
+    n = size.bit_length() - 1
+    rng = random.Random(size)
+    padded = tuple(rng.getrandbits(1) for _ in range(size * len(fixedpoint._band(size))))
+    colors = Interner()
+    want = [(colors[left << 1], colors[right << 1], colors[top << 1 | 1], colors[bottom << 1 | 1])
+            for quads in fixedpoint._cells(n, size, padded)
+            for left, right, top, bottom in quads]
+    ids, color_records = fixedpoint._enumerate(n, size, padded)
+    assert list(map(tuple, ids.tolist())) == want
+    assert list(color_records) == list(colors)
+    assert TileSet(len(colors), ids) == TileSet(len(colors), want)
 
 
 @pytest.mark.parametrize("size", [128, 256, 512])
