@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -106,7 +107,7 @@ def _coordinates(pts: list[Point], torus: tuple[int, int] | None) -> np.ndarray:
 
 def _links(xy: np.ndarray, beta: int, torus: tuple[int, int] | None):
     """Index pairs (i, j), i < j, of the points (sorted by x) at most beta
-    apart, yielded as two lists per block of at most _BLOCK candidates.
+    apart, yielded as two index arrays per block of at most _BLOCK candidates.
 
     Each j's candidates are the points at most beta behind it in x and, on
     a torus of width w, the points at least w - beta behind it (across the
@@ -142,7 +143,7 @@ def _links(xy: np.ndarray, beta: int, torus: tuple[int, int] | None):
         if h is not None:
             d = np.minimum(d, u64(h) - d)
         keep = (d <= reach).nonzero()
-        yield i[keep].tolist(), j[keep].tolist()
+        yield i[keep], j[keep]
 
 
 def find_islands(
@@ -165,8 +166,11 @@ def find_islands(
     torus, those within beta across the wrap), the candidate pairs are
     filtered by their y distance in vector blocks of bounded size, and a
     union-find joins the pairs that survive, each root its component's
-    least point.  A torus less than 2 beta wide both ways has no two points
-    more than beta apart: they form one component, found without a pair.
+    least point.  Only the points that some pair links go through the
+    union-find and the diameter: a point no pair links is a component of its
+    own, of diameter 0 <= alpha, so it is an island as it stands.  A torus
+    less than 2 beta wide both ways has no two points more than beta apart:
+    they form one component, found without a pair.
     On a torus every point must lie in [0, w) x [0, h); every coordinate
     must fit in int64.
     """
@@ -177,9 +181,11 @@ def find_islands(
     if torus is not None and torus[0] < 2 * beta and torus[1] < 2 * beta:
         # side < 2 beta on both axes, so every torus distance is at most
         # side // 2 < beta: all points form one component
-        groups = [pts] if pts else []
+        groups = {0: pts} if pts else {}
+        lone = []
     else:
         parent = list(range(len(pts)))
+        linked = np.zeros(len(pts), bool)
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -189,7 +195,8 @@ def find_islands(
 
         if len(pts) > 1:
             for ii, jj in _links(xy, beta, torus):
-                for i, j in zip(ii, jj):
+                linked[ii] = linked[jj] = True
+                for i, j in zip(ii.tolist(), jj.tolist()):
                     ri, rj = find(i), find(j)
                     if ri < rj:
                         parent[rj] = ri
@@ -197,15 +204,21 @@ def find_islands(
                         parent[ri] = rj
         # a root is its component's least index, so the groups come out in
         # order of their least point
-        by_root: dict[int, list[Point]] = {}
-        for i, p in enumerate(pts):
-            by_root.setdefault(find(i), []).append(p)
-        groups = list(by_root.values())
-    islands: list[frozenset[Point]] = []
+        groups: dict[int, list[Point]] = {}
+        for i in np.flatnonzero(linked).tolist():
+            groups.setdefault(find(i), []).append(pts[i])
+        lone = np.flatnonzero(~linked).tolist()
+    # islands are keyed by their least index, so that lone points and linked
+    # groups merge in order of their least point
+    islands = [(i, frozenset((pts[i],))) for i in lone]
     oversize: list[frozenset[Point]] = []
-    for g in groups:
-        (islands if _diameter(g, torus) <= alpha else oversize).append(frozenset(g))
-    return islands, oversize
+    for root, g in groups.items():
+        if _diameter(g, torus) <= alpha:
+            islands.append((root, frozenset(g)))
+        else:
+            oversize.append(frozenset(g))
+    islands.sort(key=operator.itemgetter(0))
+    return [g for _, g in islands], oversize
 
 
 @dataclass(frozen=True)
@@ -353,12 +366,34 @@ def clean(
     return CleaningReport(ranks, not current, frozenset(current))
 
 
+# Cells per band of sample_bernoulli's draw: 256 KB of doubles.
+_BAND = 1 << 15
+
+
 def sample_bernoulli(
     width: int, height: int, epsilon: float, seed: int | Sequence[int]
 ) -> set[Point]:
-    """Each cell of the width x height grid is dirty independently w.p. epsilon."""
+    """Each cell of the width x height grid is dirty independently w.p. epsilon.
+
+    The cells are drawn in row-major order, in bands of at most _BAND cells
+    (a few rows, or part of one) that reuse one buffer.  A Generator's
+    doubles do not depend on how a draw is split, so each band holds the
+    same doubles as its cells in ``rng.random((height, width))``, and every
+    seed gives the same set as that whole-grid draw.  Besides the set it
+    returns, the draw holds one band, 256 KB, where the whole grid would
+    take 8 * width * height bytes (32 MB at 2048 x 2048).
+    """
     if not (0 <= epsilon <= 1):
         raise ValueError("epsilon must be a probability")
+    if width < 0 or height < 0:
+        raise ValueError(f"grid sides must not be negative, got {width} x {height}")
     rng = np.random.default_rng(seed)
-    ys, xs = np.nonzero(rng.random((height, width)) < epsilon)
-    return set(zip(xs.tolist(), ys.tolist()))
+    cells = width * height
+    band = np.empty(min(cells, _BAND))
+    points: set[Point] = set()
+    for first in range(0, cells, _BAND):
+        draw = band[:cells - first]
+        rng.random(out=draw)
+        ys, xs = np.divmod(np.flatnonzero(draw < epsilon) + first, width)
+        points.update(zip(xs.tolist(), ys.tolist()))
+    return points

@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -176,14 +177,18 @@ def test_find_islands_across_the_wrap_of_an_uneven_torus():
         sorted(map(frozenset, ([p] for p in apart)), key=min), [])
 
 
-@pytest.mark.parametrize("epsilon", [1e-3, 3e-3])
+@pytest.mark.parametrize("epsilon", [1e-3, 3e-3, 1e-2])
 @pytest.mark.parametrize("scale", [(1, 2), (17, 68)])
 def test_find_islands_matches_reference_on_bernoulli_samples(epsilon, scale):
-    # the benchmark's sparse and mid densities: about 260 and 790 points
-    pts = sample_bernoulli(512, 512, epsilon, (27, 0))
+    # the benchmark's sparse and mid densities on its torus: about 260 and
+    # 790 points; and the dense one on a 256 x 256 torus (674 points), where
+    # at (1, 2) 534 lone points and 140 linked ones meet in one call and must
+    # merge in order
+    side = 256 if epsilon == 1e-2 else 512
+    pts = sample_bernoulli(side, side, epsilon, (27, 0))
     alpha, beta = scale
-    assert find_islands(pts, alpha, beta, (512, 512)) == reference_islands(
-        pts, alpha, beta, (512, 512))
+    assert find_islands(pts, alpha, beta, (side, side)) == reference_islands(
+        pts, alpha, beta, (side, side))
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 64])
@@ -351,6 +356,37 @@ def test_clean_empty_is_trivially_successful():
     assert rep.success and rep.residual == frozenset()
 
 
+def whole_grid_bernoulli(width, height, epsilon, seed):
+    """The sample drawn as one height x width array of doubles."""
+    ys, xs = np.nonzero(np.random.default_rng(seed).random((height, width)) < epsilon)
+    return set(zip(xs.tolist(), ys.tolist()))
+
+
+@pytest.mark.parametrize("width, height", [
+    (1, 1), (513, 511), (2048, 3), (3, 2048), (70_000, 1), (1, 70_000), (0, 7), (7, 0)])
+@pytest.mark.parametrize("epsilon", [0, 1e-3, 0.5, 1])
+@pytest.mark.parametrize("seed", [11, (11, 3)])
+def test_sample_bernoulli_matches_a_whole_grid_draw(width, height, epsilon, seed):
+    # bands of 32,768 cells divide none of these grids, and a 70,000-cell row
+    # spans three bands
+    assert sample_bernoulli(width, height, epsilon, seed) == whole_grid_bernoulli(
+        width, height, epsilon, seed)
+
+
+def test_sampling_a_2048_grid_stays_within_its_memory():
+    # the whole-grid draw peaked at 36.0 MiB traced (a 32 MiB array of
+    # doubles, then its mask); the banded draw peaks at 6.7 MiB, of which
+    # 6.5 MiB is the returned set of 41,959 points
+    tracemalloc.start()
+    try:
+        pts = sample_bernoulli(2048, 2048, 0.01, (7, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 41959
+    assert peak <= 10 * 2**20, f"{peak / 2**20:.1f} MiB traced"
+
+
 def test_sample_bernoulli_deterministic_and_calibrated():
     a = sample_bernoulli(128, 128, 0.01, seed=[5, 0])
     b = sample_bernoulli(128, 128, 0.01, seed=[5, 0])
@@ -359,3 +395,5 @@ def test_sample_bernoulli_deterministic_and_calibrated():
     assert 100 <= len(a) <= 230
     assert all(0 <= x < 128 and 0 <= y < 128 for x, y in a)
     assert sample_bernoulli(16, 16, 0.0, seed=1) == set()
+    with pytest.raises(ValueError):
+        sample_bernoulli(-1, -1, 0.5, seed=1)
