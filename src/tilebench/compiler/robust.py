@@ -55,32 +55,33 @@ def robustify(
     A pattern is admitted when it occurs as the center of a legal
     (w+2) x (w+2) window, so every admitted pattern survives being
     surrounded - which is exactly what hole repair reads off the annulus
-    around a damaged spot.  More than ``max_solutions`` windows, or a
-    search that hits ``max_nodes``, raises InconclusiveError; a set with
-    no legal window raises CompileError.
+    around a damaged spot.  The census enumerates the w x w tilings and
+    admits each one that extends: one first-solution search of the
+    (w+2) x (w+2) window with the tiling pinned at its center.  More than
+    ``max_solutions`` w x w tilings, or a search (the census or one
+    extension) that hits ``max_nodes``, raises InconclusiveError; a set
+    with no legal window raises CompileError.
     """
     if w < 2:
         raise ValueError("patterns need w >= 2 to overlap")
-    r = solve(
-        tile_set,
-        w + 2,
-        w + 2,
-        mode="enumerate",
-        max_nodes=max_nodes,
-        max_solutions=max_solutions + 1,
-    )
+    r = solve(tile_set, w, w, mode="enumerate", max_nodes=max_nodes,
+              max_solutions=max_solutions + 1)
     if r.status == "inconclusive":
         raise InconclusiveError(
-            f"pattern census hit its budget ({r.count} windows, {r.nodes} nodes)"
+            f"pattern census hit its budget ({r.count} tilings, {r.nodes} nodes)"
         )
-    if not r.solutions:
+    edge = [HOLE] * (w + 2)
+    pats = []
+    for sol in r.solutions:
+        framed = PatchGrid(w + 2, w + 2, [edge, *([HOLE, *row, HOLE] for row in sol.cells), edge])
+        ext = solve(tile_set, w + 2, w + 2, template=framed, max_nodes=max_nodes)
+        if ext.status == "inconclusive":
+            raise InconclusiveError(f"a pattern's extension hit its budget ({ext.nodes} nodes)")
+        if ext.status == "solved":
+            pats.append(sol.cells)
+    if not pats:
         raise CompileError("tile set cannot tile the sampling window")
-    pats = sorted(
-        {
-            tuple(tuple(sol.cells[y][x] for x in range(1, w + 1)) for y in range(1, w + 1))
-            for sol in r.solutions
-        }
-    )
+    pats.sort()
     colors = Interner()
     tiles, names = [], []
     for idx, pat in enumerate(pats):
@@ -139,38 +140,56 @@ def check_window_robust(
 ) -> str:
     """Does every tiling of the outer/inner annulus extend across the hole?
 
-    Accepts a TileSet or a Robustification.  Enumerates all tilings of the
-    outer x outer window minus the centered inner x inner hole and tries to
-    fill each hole: to tile the inner x inner window with the colors of the
-    ring around it as its boundary.  One unfillable annulus makes the
-    verdict "not_robust".  More than ``max_solutions`` annulus tilings, or a
-    search that hits ``max_nodes``, leaves the verdict "inconclusive" unless
-    some annulus is already known to be unfillable.
+    Accepts a TileSet or a Robustification.  The hole, the centered
+    inner x inner square, touches only the ring of 4 * (inner + 1) cells
+    around it, so once the ring is fixed the hole and the rest of the
+    annulus extend independently.  The check enumerates the tilings of the
+    ring alone and fills the hole once per distinct vector of hole-facing
+    colors: it tiles the inner x inner window with them as its boundary.
+    Only a ring whose hole does not fill is tried outward, with one
+    first-solution search of the outer window with the ring pinned and the
+    hole removed.  A ring that extends outward around an unfillable hole
+    makes the verdict "not_robust"; a ring that does not extend decides
+    nothing.  More than ``max_solutions`` ring tilings make the verdict
+    "inconclusive" before any fill.  ``max_nodes`` bounds each search on
+    its own (the ring enumeration, each fill, each outward search); a fill
+    or outward search that hits it leaves the verdict "inconclusive" unless
+    a later ring is "not_robust".
     """
     ts = getattr(tile_set, "tile_set", tile_set)
     if inner < 1 or outer < inner + 2:
         raise ValueError("the window must strictly contain the hole")
     h0 = (outer - inner) // 2
+    lo, hi = h0 - 1, h0 + inner  # the ring around the hole
     side = range(h0, h0 + inner)
     hole = [(x, y) for y in side for x in side]
-    annuli = solve(ts, outer, outer, mask=hole, mode="enumerate",
-                   max_solutions=max_solutions + 1, max_nodes=max_nodes)
-    if annuli.status == "inconclusive":
+    beyond = [(x, y) for y in range(outer) for x in range(outer)
+              if not (lo <= x <= hi and lo <= y <= hi)]
+    rings = solve(ts, outer, outer, mask=hole + beyond, mode="enumerate",
+                  max_solutions=max_solutions + 1, max_nodes=max_nodes)
+    if rings.status == "inconclusive":
         return "inconclusive"
-    lo, hi = h0 - 1, h0 + inner  # the ring around the hole
+    fills: dict[tuple, str] = {}
     verdict = "robust"
-    for ann in annuli.solutions:
-        a = ann.cells
-        ring = {
-            "left": [ts.right[a[y][lo]] for y in side],
-            "right": [ts.left[a[y][hi]] for y in side],
-            "bottom": [ts.top[a[lo][x]] for x in side],
-            "top": [ts.bottom[a[hi][x]] for x in side],
-        }
-        fill = solve(ts, inner, inner, boundary=ring, max_nodes=max_nodes)
-        if fill.status == "unsatisfiable":
+    for ring in rings.solutions:
+        a = ring.cells
+        colors = (
+            tuple(ts.right[a[y][lo]] for y in side),
+            tuple(ts.left[a[y][hi]] for y in side),
+            tuple(ts.top[a[lo][x]] for x in side),
+            tuple(ts.bottom[a[hi][x]] for x in side),
+        )
+        fill = fills.get(colors)
+        if fill is None:
+            boundary = dict(zip(("left", "right", "bottom", "top"), colors))
+            fill = fills[colors] = solve(ts, inner, inner, boundary=boundary,
+                                         max_nodes=max_nodes).status
+        if fill == "solved":
+            continue
+        out = solve(ts, outer, outer, template=ring, mask=hole, max_nodes=max_nodes).status
+        if out == "solved" and fill == "unsatisfiable":
             return "not_robust"
-        if fill.status == "inconclusive":
+        if out != "unsatisfiable":
             verdict = "inconclusive"
     return verdict
 

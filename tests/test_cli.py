@@ -193,9 +193,9 @@ class TestCompilerCommands:
 
     def test_robust_check_past_the_annulus_cap_is_inconclusive(self, files):
         code, body = run_json("robust-check", "--tiles", files["tm-enforced"],
-                              "--outer", "6", "--inner", "2")
+                              "--outer", "8", "--inner", "4")
         assert code == 3
-        assert body == {"outer": 6, "inner": 2, "status": "inconclusive"}
+        assert body == {"outer": 8, "inner": 4, "status": "inconclusive"}
 
 
 class TestSubstitutionCommands:

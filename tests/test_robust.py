@@ -63,6 +63,13 @@ class TestRobustify:
         obj = robustify(base(), w).tile_set.to_json()
         assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("w, patterns", [(4, 656), (5, 2048)])
+    def test_thue_morse_patterns_under_default_caps(self, w, patterns):
+        # the census caps w x w tilings, not (w+2) x (w+2) windows: at w=5
+        # the Thue-Morse set has 2,048 patterns in 262,144 windows
+        tm = enforce_substitution(thue_morse_rule())
+        assert len(robustify(tm, w).patterns) == patterns
+
     def test_w_too_small(self):
         with pytest.raises(ValueError):
             robustify(chessboard_tileset(), 1)
@@ -102,16 +109,23 @@ class TestWindowRobust:
             check_window_robust(chessboard_tileset(), 3, 3)
 
     def test_budget_hits_are_inconclusive(self):
-        # the Thue-Morse-enforced annulus at 6/2 has more than 4,096 tilings
+        # the Thue-Morse-enforced ring around a 4x4 hole has 6,400 tilings
         tm = enforce_substitution(thue_morse_rule())
-        assert check_window_robust(tm, 6, 2) == "inconclusive"
+        assert check_window_robust(tm, 8, 4) == "inconclusive"
         assert check_window_robust(tm, 5, 3, max_nodes=50) == "inconclusive"
         # the chessboard annulus has two tilings (its two phases)
         assert check_window_robust(chessboard_tileset(), 5, 3, max_solutions=1) == "inconclusive"
         assert check_window_robust(chessboard_tileset(), 5, 3, max_solutions=2) == "robust"
 
+    @pytest.mark.parametrize("outer, inner", [(6, 2), (7, 3)])
+    def test_thue_morse_decides_under_default_caps(self, outer, inner):
+        # 73,984 and 131,072 annulus tilings, but only 400 and 1,024 ring
+        # tilings: the cap counts rings
+        tm = enforce_substitution(thue_morse_rule())
+        assert check_window_robust(tm, outer, inner) == "robust"
+
     def test_pattern_census_cap_means_more_than(self):
-        # the chessboard has exactly two 5x5 windows (its two phases)
+        # the chessboard has exactly two 3x3 tilings (its two phases)
         assert len(robustify(chessboard_tileset(), 3, max_solutions=2).patterns) == 2
         with pytest.raises(InconclusiveError):
             robustify(chessboard_tileset(), 3, max_solutions=1)

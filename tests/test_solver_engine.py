@@ -6,6 +6,9 @@ tries one candidate per step and counts a node per candidate tried, before
 the right-side and top-side checks; ``reference_region_tilings`` is the
 recursive annulus enumerator.  The engine must search exactly the same tree:
 same status, nodes, count, first patch and solutions in the same order.
+The robustness searches built on the engine are held to whole-window
+references: each ring decided by template fills of the window, the older
+whole-annulus check, and the pattern census of every (w+2) x (w+2) window.
 """
 
 import itertools
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilebench.compiler import check_window_robust, robustify
-from tilebench.compiler.simulate import chessboard_predicate_machine, compile_simulation
+from tilebench.compiler.simulate import CompileError, chessboard_predicate_machine, compile_simulation
 from tilebench.core import HOLE, MalformedPatchError, PatchGrid, Tile, TileSet, chessboard_tileset
 from tilebench.solver import InconclusiveError, SolveResult, _boundary_side, fill_template, solve
 from tilebench.substitution import enforce_substitution, thue_morse_rule
@@ -281,7 +284,39 @@ def test_annuli_match_region_reference(name, outer, inner):
 
 
 
+def ring(outer, inner):
+    """The hole of the outer/inner annulus and the ring of cells around it."""
+    hole, _ = annulus(outer, inner)
+    lo, hi = (outer - inner) // 2 - 1, (outer - inner) // 2 + inner
+    cells = [(x, y) for y in range(lo, hi + 1) for x in range(lo, hi + 1) if (x, y) not in hole]
+    return hole, cells
+
+
 def reference_window_robust(ts, outer, inner):
+    """The robustness check by its ring semantics, with nothing shared: every
+    ring tiling is pinned in the outer window, which is filled whole and
+    filled around the hole.  A ring that extends outward but not across the
+    whole window has an unfillable hole."""
+    hole, cells = ring(outer, inner)
+    try:
+        tilings, _ = reference_region_tilings(ts, cells, 4096, 2_000_000)
+    except InconclusiveError:
+        return "inconclusive"
+    verdict = "robust"
+    for pins in tilings:
+        template = PatchGrid.filled(outer, outer).replaced(pins)
+        try:
+            whole = fill_template(ts, template)
+            out = fill_template(ts, template, mask=hole)
+        except InconclusiveError:
+            verdict = "inconclusive"
+            continue
+        if whole is None and out is not None:
+            return "not_robust"
+    return verdict
+
+
+def reference_annulus_robust(ts, outer, inner):
     """The robustness check as it was: region enumeration, then a template
     fill of the whole window around each annulus."""
     hole, region = annulus(outer, inner)
@@ -300,9 +335,50 @@ def reference_window_robust(ts, outer, inner):
 @given(st.lists(st.tuples(*[st.integers(0, 1)] * 4), min_size=1, max_size=6, unique=True),
        st.sampled_from([(3, 1), (4, 1), (4, 2), (5, 3)]))
 @example([(0, 0, 1, 2), (0, 0, 2, 1)], (5, 3))  # the striped set: not robust
+# more than 4,096 annuli, so the annulus reference decides nothing; the ring decides
+@example([(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)], (4, 1))
 def test_robust_check_matches_template_fill_reference(quads, shape):
     ts = TileSet(3, quads)
-    assert check_window_robust(ts, *shape) == reference_window_robust(ts, *shape)
+    got = check_window_robust(ts, *shape)
+    assert got == reference_window_robust(ts, *shape)
+    if got != "inconclusive":
+        old = reference_annulus_robust(ts, *shape)
+        assert old in (got, "inconclusive")
+
+
+def reference_patterns(ts, w, max_windows=4096):
+    """robustify's pattern census as it was: every (w+2) x (w+2) tiling,
+    projected onto its central w x w pattern; None past ``max_windows``."""
+    r = solve(ts, w + 2, w + 2, mode="enumerate", max_solutions=max_windows + 1)
+    if r.status == "inconclusive":
+        return None
+    return sorted({tuple(row[1:w + 1] for row in sol.cells[1:w + 1]) for sol in r.solutions})
+
+
+def assert_patterns_match_census(ts, w, max_windows=4096):
+    want = reference_patterns(ts, w, max_windows)
+    if want == []:
+        with pytest.raises(CompileError):
+            robustify(ts, w)
+    elif want is not None:
+        assert list(robustify(ts, w).patterns) == want
+
+
+@pytest.mark.parametrize("w, windows", [(3, 2_048), (4, 74_240)])
+def test_robustify_matches_window_census_on_thue_morse(w, windows):
+    ts = enforce_substitution(thue_morse_rule())
+    assert solve(ts, w + 2, w + 2, mode="count").count == windows
+    assert_patterns_match_census(ts, w, windows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 1)] * 4), min_size=1, max_size=5, unique=True),
+       st.sampled_from([2, 3]))
+@example([(0, 0, 1, 2), (0, 0, 2, 1)], 3)  # the striped set
+@example([(0, 1, 0, 0), (1, 2, 0, 0)], 2)  # rows of two tiles: 2x2 tilings, none extends
+def test_robustify_matches_window_census(quads, w):
+    assert_patterns_match_census(TileSet(3, quads), w)
+
 
 @settings(max_examples=200, deadline=None)
 @given(windows(), st.data())
