@@ -32,6 +32,7 @@ from .compiler import (
     mutation_trials,
     robustify,
 )
+from .compiler.fixedpoint import MAX_SIZE
 from .compiler.simulate import chessboard_predicate_machine
 from .islands import Schedule, clean, find_islands, make_schedule, sample_bernoulli
 from .machine import Machine, machine_corpus
@@ -219,9 +220,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_fixed_point(args) -> int:
-    # flags are checked before the build, which takes tens of seconds at size 2048
-    if args.size < 128 or args.size & (args.size - 1):
-        raise UsageError("--size must be a power of two, at least 128")
+    # flags are checked before the build, whose time and memory grow with size squared
+    if not 128 <= args.size <= MAX_SIZE or args.size & (args.size - 1):
+        raise UsageError(f"--size must be a power of two from 128 to {MAX_SIZE}")
     if (args.certificate or args.mutations) and args.seed is None:
         raise UsageError("--seed is required with --certificate/--mutations")
     if args.mutations < 0 or args.walk_samples < 0:

@@ -19,12 +19,14 @@ record of the tile the patch stands for, so macro-edges and tile edges
 match one against one and ``assemble_self_patch`` / ``decode_self_patch``
 round-trip.
 One array pass (``_tile_keys``) enumerates the tiles from the val
-discipline, all cells at once; ``_cells`` states it cell by cell.
-Only the border ring has free vals, so a cell's first tile id is a closed
-form in its coordinates (``_first_id``, inverted by ``_cell_of``), and a
-tile's id is that plus the rank of its free vals: ids and membership are
-arithmetic on the edge records, with no table of tiles or cells.  Assembly
-builds each patch row as a range of first ids and re-ranks the ring cells.
+discipline, all cells at once; ``_free`` states which vals are free, and
+only the border ring has any.  So a cell's first tile id is a closed form
+in its coordinates (``_first_id``), and a tile's id is that plus the rank
+of its free vals (``_rank``).  The built set is the only table of tiles:
+a tile's edge records are read off its color columns, and a quad is a
+member when the tile its cell and vals name has exactly those records.
+Assembly builds each patch row as a range of first ids and re-ranks the
+ring cells.
 
 Everything here is desk-checkable: R has a few hundred states, its
 encoding fits the block with room to spare, and the certificate below
@@ -81,6 +83,7 @@ SYM_B, SYM_Z, SYM_O, SYM_M = 0, 1, 2, 3
 RECORD_BITS = 32  # window slice width; also the padded record length
 QUADS = 32  # val + i bits + j bits + padding, see encode_quad
 ANCHOR = 239  # fixed M cell the loaders build the counter after
+MAX_SIZE = 16384  # the largest grid side whose color keys (2n + 2 bits) fit int32
 
 
 def _sym(bit: int) -> int:
@@ -582,11 +585,6 @@ def _band(size: int) -> range:
     return range(size // 4, size - 32)
 
 
-def _fold(size: int, x: int, y: int) -> int:
-    """The padded program's index at the bottom edge of a band cell (x, y)."""
-    return x + size * (y - size // 4)
-
-
 def _records(n: int, size: int, x: int, y: int, vl: int, vr: int, vt: int,
              vb: int) -> tuple[int, int, int, int]:
     """The (left, right, top, bottom) edge records of the cell (x, y)."""
@@ -602,14 +600,13 @@ def _records(n: int, size: int, x: int, y: int, vl: int, vr: int, vt: int,
 class FixedPointSet:
     """A self-describing tile set plus everything needed to audit it.
 
-    ``accepted`` is a read-only mapping from the edge records of every tile
-    to its tile id, worked out from the records rather than stored
-    (``_Accepted``: the cell's ``_first_id`` plus the rank of the free
-    vals); ``tile_set`` and ``color_records`` come from one array pass
-    over every tile (``_enumerate``), and ``color_records[c]`` is color c's
-    edge record shifted left one bit, with its axis (0 for horizontal
-    edges, 1 for vertical ones) in bit 0; ``drag`` is the checker's drag
-    lemma, which ``run_checker`` jumps with, and ``budget`` its step budget
+    ``tile_set`` and ``color_records`` come from one array pass over every
+    tile (``_enumerate``), and ``accepted`` is a read-only mapping from
+    the edge records of every tile to its tile id, read off those two
+    (``_Accepted``); ``color_records[c]`` is color c's edge record shifted
+    left one bit, with its axis (0 for horizontal edges, 1 for vertical
+    ones) in bit 0; ``drag`` is the checker's drag lemma, which
+    ``run_checker`` jumps with, and ``budget`` its step budget
     (``checker_budget``).
     """
 
@@ -635,7 +632,8 @@ class FixedPointSet:
         return ANCHOR + 1 + 2 * self.n
 
     def fold(self, x: int, y: int) -> int:
-        return _fold(self.size, x, y)
+        """The padded program's index at the bottom edge of a band cell (x, y)."""
+        return x + self.size * (y - self.size // 4)
 
     @functools.cached_property
     def track_bits(self) -> bytes:
@@ -654,43 +652,29 @@ class FixedPointSet:
         return _records(self.n, self.size, x, y, vl, vr, vt, vb)
 
 
-def _val_choices(size: int, padded, x: int, y: int) -> tuple:
-    """(left, right, top, bottom) val alternatives for the cell (x, y).
-
-    The one statement of the val discipline: a pair (0, 1) is a free val,
-    a single value a pinned one.
-    """
-    band = _band(size)
-
-    def vert(row: int) -> tuple:
-        if row == 0:
-            return (0, 1)
-        if row in band:
-            return (padded[_fold(size, x, row)],)
-        return (0,)
-
-    return (
-        (0, 1) if x == 0 else (0,),
-        (0, 1) if x == size - 1 else (0,),
-        vert((y + 1) % size),
-        vert(y),
-    )
+def _free(size: int, x, y) -> tuple:
+    """Which of the cell (x, y)'s (left, right, top, bottom) vals are free:
+    vl on column 0, vr on column size-1, vt on row size-1 and vb on row 0.
+    The one statement of which vals are free, on ints or on arrays of cells;
+    every other val is pinned, to the program bit on band rows and 0
+    elsewhere."""
+    return (x == 0, x == size - 1, (y + 1) % size == 0, y == 0)
 
 
-def _rank(choices, vals) -> int:
-    """The rank of ``vals`` in ``itertools.product(*choices)`` order, so a
-    tile's id is its cell's first id plus this; pinned vals are not read,
-    and a free val that is not among its choices raises ValueError."""
+def _rank(size: int, x: int, y: int, vals) -> int:
+    """The cell (x, y)'s free vals in ``vals`` read as bits, left highest and
+    bottom lowest, so a tile's id is its cell's first id plus this; pinned
+    vals are not read."""
     rank = 0
-    for ch, v in zip(choices, vals):
-        if len(ch) > 1:
-            rank = rank * len(ch) + ch.index(v)
+    for free, v in zip(_free(size, x, y), vals):
+        if free:
+            rank = rank << 1 | v
     return rank
 
 
 def _first_id(size: int, x: int, y: int) -> int:
     """The id of the cell (x, y)'s first tile (free vals 0).  Ids run row by
-    row, and a cell has a tile per choice of its free vals (``_val_choices``):
+    row, and a cell has a tile per choice of its free vals (``_free``):
     m = 2 on rows 0 and size-1 and 1 elsewhere, doubled on columns 0 and
     size-1.  So a row holds m * (size + 2) tiles, cell x >= 1 from m * (x + 1)."""
     m = 2 if y in (0, size - 1) else 1
@@ -698,64 +682,41 @@ def _first_id(size: int, x: int, y: int) -> int:
     return start + m * (x + 1) if x else start
 
 
-def _cell_of(size: int, tile_id: int) -> tuple[int, int]:
-    """The cell (x, y) whose tiles hold ``tile_id``, for 0 <= tile_id <
-    (size + 2)**2: the last cell whose ``_first_id`` is at most it."""
-    y = min(max(tile_id // (size + 2) - 1, 0), size - 1)
-    m = 2 if y in (0, size - 1) else 1
-    x = (tile_id - _first_id(size, 0, y)) // m - 1
-    return min(max(x, 0), size - 1), y
-
-
-def _cells(n: int, size: int, padded):
-    """The edge records of each cell's tiles in tile id order, cell by cell
-    and row by row: the cell's vals in ``itertools.product`` order."""
-    for y in range(size):
-        for x in range(size):
-            yield [_records(n, size, x, y, *vals)
-                   for vals in itertools.product(*_val_choices(size, padded, x, y))]
-
-
 class _Accepted(Mapping):
-    """The edge records of every tile mapped to its tile id, by arithmetic.
+    """The edge records of every tile mapped to its tile id, read off the set.
 
-    A quad of ints is a member exactly when it equals ``_records`` of the
-    cell (x, y) its bottom record names, with the val bit each record
-    carries, and each val is allowed by ``_val_choices``; its id is
-    ``_first_id(size, x, y)`` plus the ``_rank`` of the vals.  Iteration
-    runs in tile id order; ``quad_of`` maps an id back to its quad.
+    ``quad_of`` reads a tile's records off its color columns.  A quad of
+    ints names a tile id: ``_first_id`` of the cell its bottom record
+    names, plus the ``_rank`` of the val bits it carries; it is a member
+    exactly when that tile's records are the quad, which catches a wrong
+    coordinate and a pinned val set wrong alike.  Iteration runs in tile id
+    order.
     """
 
-    def __init__(self, n: int, size: int, padded) -> None:
-        self._n, self._size, self._padded = n, size, padded
+    def __init__(self, n: int, size: int, tile_set: TileSet, color_records: array) -> None:
+        self._n, self._size = n, size
+        self._sides = (tile_set.left, tile_set.right, tile_set.top, tile_set.bottom)
+        self._color_records = color_records
 
     def quad_of(self, tile_id: int) -> tuple:
         """The edge records of the tile with this id, so that
-        ``self[self.quad_of(i)] == i``: the cell is ``_cell_of`` the id, and
-        the vals are the rest unranked."""
+        ``self[self.quad_of(i)] == i``."""
         if not 0 <= tile_id < len(self):
             raise IndexError(tile_id)
-        x, y = _cell_of(self._size, tile_id)
-        rank, vals = tile_id - _first_id(self._size, x, y), []
-        for ch in reversed(_val_choices(self._size, self._padded, x, y)):
-            rank, k = divmod(rank, len(ch))
-            vals.append(ch[k])
-        return _records(self._n, self._size, x, y, *reversed(vals))
+        return tuple(self._color_records[side[tile_id]] >> 1 for side in self._sides)
 
     def __getitem__(self, quad) -> int:
         n, size = self._n, self._size
         if type(quad) is tuple and len(quad) == 4 and all(isinstance(r, int) for r in quad):
             x, y, _ = unpack_record(n, quad[3])
             vals = [(r >> (2 * n)) & 1 for r in quad]
-            choices = _val_choices(size, self._padded, x, y)
-            allowed = all(v in ch for ch, v in zip(choices, vals))
-            if allowed and quad == _records(n, size, x, y, *vals):
-                return _first_id(size, x, y) + _rank(choices, vals)
+            tile_id = _first_id(size, x, y) + _rank(size, x, y, vals)
+            if self.quad_of(tile_id) == quad:
+                return tile_id
         raise KeyError(quad)
 
     def __iter__(self):
-        for quads in _cells(self._n, self._size, self._padded):
-            yield from quads
+        return map(self.quad_of, range(len(self)))
 
     def __len__(self) -> int:
         return (self._size + 2) ** 2
@@ -766,20 +727,19 @@ def _tile_keys(n: int, size: int, padded) -> np.ndarray:
     array in tile id order: each side's record shifted left one bit with
     its axis (0 for horizontal edges, 1 for vertical ones) in bit 0.
 
-    The val discipline of ``_val_choices``, for all cells at once: a cell
-    has a tile per choice of its free vals (vl on column 0, vr on column
-    size-1, vt on row size-1, vb on row 0), in ``itertools.product`` order,
-    so tile ``_first_id + rank`` reads its free vals off the bits of
-    ``rank``, the bottom one lowest.  A pinned val is the program bit on
-    band rows and 0 elsewhere; no free val lies on a band row, so each key
-    is its cell's key with the tile's free bit or'ed in.
+    The val discipline for all cells at once: a cell has a tile per choice
+    of its free vals (``_free``), and tile ``_first_id + rank`` reads them
+    off the bits of ``rank`` as ``_rank`` does, the bottom one lowest.  A
+    pinned val is the program bit on band rows and 0 elsewhere; no free val
+    lies on a band row, so each key is its cell's key with the tile's free
+    bit or'ed in.
     """
     band, val_bit = _band(size), 1 << (2 * n + 1)  # a key's val bit
     vert = np.zeros((size, size), np.int32)  # pinned vertical vals by (row, x)
     vert[band.start:band.stop] = np.frombuffer(bytes(padded), np.uint8).reshape(-1, size)
     y, x = np.divmod(np.arange(size * size, dtype=np.int32), size)
     up = (y + 1) % size
-    free = (x == 0, x == size - 1, up == 0, y == 0)
+    free = _free(size, x, y)
     cell_keys = (
         (x | y << n) << 1,
         ((x + 1) % size | y << n) << 1,
@@ -802,7 +762,7 @@ def _enumerate(n: int, size: int, padded) -> tuple[np.ndarray, array]:
     in tile id order, and the color records: ``_tile_keys`` numbered in
     order of first use over the sides, read tile by tile, through a table
     with a slot for every key (2n + 2 bits) rather than a dict.  int32
-    holds every key and every side's index up to N = 16384."""
+    holds every key and every side's index up to N = MAX_SIZE."""
     keys = _tile_keys(n, size, padded)
     flat = keys.ravel()
     table = np.full(1 << (2 * n + 2), len(flat), np.int32)  # key -> first use, then color id
@@ -819,13 +779,15 @@ def _enumerate(n: int, size: int, padded) -> tuple[np.ndarray, array]:
 def build_fixed_point(size: int = 256) -> FixedPointSet:
     """Build the self-describing tile set on a size x size coordinate grid.
 
-    Raises CompileError when the checker's encoding does not fit the
-    program block that the grid offers (capacity size * (3*size/4 - 32)
-    bits); 256 is the smallest side that fits.
+    Raises CompileError for a side that is not a power of two from 128 to
+    MAX_SIZE, above which the int32 arrays of ``_enumerate`` overflow, and
+    when the checker's encoding does not fit the program block that the
+    grid offers (capacity size * (3*size/4 - 32) bits); 256 is the smallest
+    side that fits.
     """
     n = (size - 1).bit_length()
-    if size < 128 or (1 << n) != size:
-        raise CompileError("grid side must be a power of two, at least 128")
+    if not 128 <= size <= MAX_SIZE or (1 << n) != size:
+        raise CompileError(f"grid side must be a power of two from 128 to {MAX_SIZE}")
     machine, names = build_checker(n)
     state_bits = 8 if machine.states <= 256 else 9
     program = encode_program(machine, state_bits=state_bits)
@@ -837,17 +799,18 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
     padded = tuple(program) + (0,) * (capacity - len(program))
     ids, color_records = _enumerate(n, size, padded)
     assert len(ids) == (size + 2) ** 2, "free border bits miscounted"
+    tile_set = TileSet(len(color_records), ids)
     drag = drag_lemma(machine, names, 2 * n)
     return FixedPointSet(
         n=n,
         size=size,
-        tile_set=TileSet(len(color_records), ids),
+        tile_set=tile_set,
         machine=machine,
         state_bits=state_bits,
         program=tuple(program),
         padded=padded,
         capacity=capacity,
-        accepted=_Accepted(n, size, padded),
+        accepted=_Accepted(n, size, tile_set, color_records),
         color_records=color_records,
         drag=drag,
         budget=checker_budget(n, size, drag),
@@ -891,7 +854,7 @@ def assemble_self_patch(fp: FixedPointSet, quad) -> PatchGrid:
     step m, the row's tiles per cell off columns 0 and size-1.  A ring
     cell's free vals come from the border slice (0 off the slice), and its
     id is its first id plus the ``_rank`` of those vals."""
-    n, size, padded = fp.n, fp.size, fp.padded
+    n, size = fp.n, fp.size
     if quad not in fp.accepted:
         raise ValueError("edge records do not belong to the tile set")
     lo = size - RECORD_BITS
@@ -903,7 +866,7 @@ def assemble_self_patch(fp: FixedPointSet, quad) -> PatchGrid:
         row = list(range(first + m, first + m * (size + 1), m))
         row[0] = first  # the range starts each column x >= 1 at m * (x + 1) in
         for x in range(size) if y in edges else edges:
-            row[x] += _rank(_val_choices(size, padded, x, y), (wl[y], wr[y], wt[x], wb[x]))
+            row[x] += _rank(size, x, y, (wl[y], wr[y], wt[x], wb[x]))
         grid.append(row)
     return PatchGrid(size, size, grid)
 
@@ -1011,8 +974,9 @@ def _reject_probes(fp: FixedPointSet, rng: random.Random):
     n, size = fp.n, fp.size
     while True:
         x, y = rng.randrange(size), rng.randrange(size)
-        ls, rs, ts, bs = _val_choices(size, fp.padded, x, y)
-        quad = list(fp.edge_records(x, y, ls[0], rs[0], ts[-1], bs[-1]))
+        # the cell's tile with vl and vr 0 and vt and vb 1 where they are free
+        free = _free(size, x, y)
+        quad = list(fp.accepted.quad_of(_first_id(size, x, y) + _rank(size, x, y, (0, 0, 1, 1))))
         mode = rng.randrange(5)
         if mode == 0:  # wrong successor column
             quad[1] = pack_record(n, (x + 2) % size, y, 0)
@@ -1020,17 +984,15 @@ def _reject_probes(fp: FixedPointSet, rng: random.Random):
             i, j, v = unpack_record(n, quad[2])
             quad[2] = pack_record(n, (i + 1) % size, j, v)
         elif mode == 2:  # flip a pinned val bit off the block
-            side = rng.choice([s for s, ch in ((0, ls), (1, rs), (3, bs))
-                               if ch == (0,)] or [0])
-            i, j, _ = unpack_record(n, quad[side])
-            quad[side] = pack_record(n, i, j, 1)
+            side = rng.choice([s for s in (0, 1, 3)
+                               if not free[s] and not quad[s] >> 2 * n & 1] or [0])
+            quad[side] |= 1 << 2 * n
         elif mode == 3:  # rows disagree
             i, j, v = unpack_record(n, quad[0])
             quad[0] = pack_record(n, i, (j + 1) % size, v)
         else:  # sibling: flip a free val, stays a tile
-            side, ch = rng.choice([(0, ls), (1, rs), (2, ts), (3, bs)])
-            i, j, v = unpack_record(n, quad[side])
-            quad[side] = pack_record(n, i, j, 1 - v if len(ch) == 2 else v)
+            side = rng.choice(range(4))
+            quad[side] ^= free[side] << 2 * n
         yield tuple(quad)
 
 
@@ -1085,10 +1047,8 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     block_rows = list(fp.band)
     for _ in range(block_probes):  # pinned block bit flipped: walk then stick
         x, y = rng.randrange(fp.size), rng.choice(block_rows)
-        quad = list(fp.edge_records(x, y, 0, 0, 0, 0))
-        (pinned,) = _val_choices(fp.size, fp.padded, x, y)[3]
-        quad[3] = pack_record(fp.n, x, y, 1 - pinned)
-        jobs.append(("probes", tuple(quad)))
+        quad = fp.edge_records(x, y, 0, 0, 0, 1 - fp.padded[fp.fold(x, y)])
+        jobs.append(("probes", quad))
     jobs += [("universal", quad_of(nonwalker(i))) for i in rng.sample(nonwalk, utm_accepts)]
     # Rejects sit at non-walking cells too; every probe mode keeps the
     # bottom record's cell, the probe's own.
@@ -1101,8 +1061,7 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     corners = [(0, 0), (fp.size - 1, fp.size - 1), (0, fp.size - 32)]
     inner = [(77, 30), (fp.size // 2, fp.size // 2), (5, 0)]
     for x, y in corners + inner:
-        ls, rs, ts, bs = _val_choices(fp.size, fp.padded, x, y)
-        quad = fp.edge_records(x, y, ls[-1], rs[-1], ts[-1], bs[-1])
+        quad = quad_of(_first_id(fp.size, x, y) + _rank(fp.size, x, y, (1, 1, 1, 1)))
         patch = assemble_self_patch(fp, quad)
         passed = not verify_patch(fp.tile_set, patch) and decode_self_patch(fp, patch) == quad
         cert.count("patches", passed)
@@ -1129,8 +1088,8 @@ def mutation_trials(fp: FixedPointSet, count: int = 50,
     rng = random.Random(seed)
     bits = rng.sample(range(len(fp.program)), count)
 
-    def member(x: int, y: int) -> tuple:
-        return fp.edge_records(x, y, *(ch[0] for ch in _val_choices(fp.size, fp.padded, x, y)))
+    def member(x: int, y: int) -> tuple:  # the cell's first tile
+        return fp.accepted.quad_of(_first_id(fp.size, x, y))
 
     def jobs():
         for k, mbit in enumerate(bits):

@@ -153,9 +153,10 @@ class TestCompilerCommands:
         monkeypatch.setattr(fixedpoint, "run_checker", self._refuse)
         assert run("fixed-point", *flags) == (2, "")
 
-    @pytest.mark.parametrize("size", ["200", "64", "0"])
+    @pytest.mark.parametrize("size", ["200", "64", "0", "32768", "65536"])
     def test_fixed_point_sizes_off_the_grid_are_usage_errors(self, monkeypatch, size):
-        # not a power of two at least 128; --size 128 builds and fails (exit 1)
+        # not a power of two from 128 to 16384, where the set's int32 keys
+        # end; --size 128 builds and fails (exit 1)
         monkeypatch.setattr(cli, "build_fixed_point", self._refuse)
         assert run("fixed-point", "--size", size) == (2, "")
 

@@ -7,6 +7,7 @@ import json
 import random
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +123,20 @@ class TestBuildFrozen:
         assert fp.track_offset == 256
         assert fp.band == range(64, 224)
 
+    def test_sides_past_the_int32_keys_are_refused(self, monkeypatch):
+        # refused before anything is built: at 32768 the padded program
+        # alone would hold 804 M entries, and the keys would overflow int32;
+        # 16384 passes the check and goes on to build the checker
+        def built(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(fixedpoint, "build_checker", built)
+        for size in (32768, 65536):
+            with pytest.raises(CompileError, match="from 128 to 16384"):
+                build_fixed_point(size)
+        with pytest.raises(AssertionError, match="built"):
+            build_fixed_point(16384)
+
     def test_block_too_small(self):
         with pytest.raises(CompileError):
             build_fixed_point(128)
@@ -192,18 +207,18 @@ class TestChecker:
         # each trial's mutated track is a 41 KB copy; a list of every job
         # would hold all of them at once
         drawn, seen = 0, []
-        choices = fixedpoint._val_choices
+        first_id = fixedpoint._first_id
 
         def counted(*args):
             nonlocal drawn
             drawn += 1
-            return choices(*args)
+            return first_id(*args)
 
         def spy(fp_, quad, track=None):
             seen.append(drawn)
             return run_checker(fp_, quad, track=track)
 
-        monkeypatch.setattr(fixedpoint, "_val_choices", counted)
+        monkeypatch.setattr(fixedpoint, "_first_id", counted)
         monkeypatch.setattr(fixedpoint, "run_checker", spy)
         assert mutation_trials(fp, count=5, seed=11).ok
         # a mutant, and in the first three trials its control, draw once each
@@ -249,20 +264,20 @@ class TestMacroTiles:
 
     def test_assembly_rederives_only_the_ring(self, fp, monkeypatch):
         # every cell off the border ring is its cell's first id, a range per
-        # row; a return to per-cell record lookups would call _records
-        # 65,536 times
+        # row; only the 4 * size - 4 ring cells rank their vals, and one more
+        # rank is the membership check; ranking every cell would take 65,537
         quad = fp.edge_records(0, 0, 1, 0, 0, 1)
         calls = 0
-        records = fixedpoint._records
+        rank = fixedpoint._rank
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            return records(*args)
+            return rank(*args)
 
-        monkeypatch.setattr(fixedpoint, "_records", counted)
+        monkeypatch.setattr(fixedpoint, "_rank", counted)
         patch = assemble_self_patch(fp, quad)
-        assert calls <= 4 * fp.size - 4
+        assert calls == 4 * fp.size - 4 + 1
         assert decode_self_patch(fp, patch) == quad
 
     @pytest.mark.parametrize("cell", [(0, 250), (255, 250), (250, 255), (250, 0)],
@@ -270,7 +285,7 @@ class TestMacroTiles:
     def test_a_hole_on_the_border_is_malformed(self, fp, cell):
         # each cell lies in its side's record slice; a HOLE there used to be
         # read as tile id -1, the last tile, and could decode to the intact quad
-        ls, rs, ts, bs = fixedpoint._val_choices(fp.size, fp.padded, 77, 30)
+        ls, rs, ts, bs = reference_val_choices(fp.size, fp.padded, 77, 30)
         quad = fp.edge_records(77, 30, ls[0], rs[0], ts[0], bs[0])
         patch = assemble_self_patch(fp, quad)
         assert decode_self_patch(fp, patch) == quad
@@ -316,13 +331,13 @@ class TestKnownGaps:
         # write another record into the free left vals of the top ring rows:
         # the patch still verifies, and decodes to no tile of the set
         n, size = fp.n, fp.size
-        ls, rs, ts, bs = fixedpoint._val_choices(size, fp.padded, 77, 30)
+        ls, rs, ts, bs = reference_val_choices(size, fp.padded, 77, 30)
         quad = fp.edge_records(77, 30, ls[-1], rs[-1], ts[-1], bs[-1])
         cells = [list(row) for row in assemble_self_patch(fp, quad).cells]
         lo = size - fixedpoint.RECORD_BITS
         forged = window_bits(n, pack_record(n, 5, 9, 1))
         for y in range(lo, size):
-            _, *pinned = (ch[0] for ch in fixedpoint._val_choices(size, fp.padded, 0, y))
+            _, *pinned = (ch[0] for ch in reference_val_choices(size, fp.padded, 0, y))
             cells[y][0] = fp.accepted[fp.edge_records(0, y, forged[y - lo], *pinned)]
         patch = PatchGrid(size, size, cells)
         assert verify_patch(fp.tile_set, patch) == []
@@ -333,60 +348,64 @@ class TestKnownGaps:
 
 @pytest.mark.parametrize("size", [256, 512])
 def test_free_vals_lie_exactly_on_the_ring(size):
-    # assembly takes every cell off the ring to be its cell's first tile,
-    # which holds only if no other cell has a free val
+    # _free on every cell, on ints and on arrays, against the test-side
+    # rules; assembly takes every cell off the ring to be its cell's first
+    # tile, which holds only if no other cell has a free val
     capacity = size * (3 * size // 4 - 32)
     rng = random.Random(size)
     padded = tuple(rng.getrandbits(1) for _ in range(capacity))
-    last = size - 1
-    wrong = []
-    for y in range(size):
-        for x in range(size):
-            choices = fixedpoint._val_choices(size, padded, x, y)
-            free = tuple(ch == (0, 1) for ch in choices)
-            if free != (x == 0, x == last, y == last, y == 0) or not all(
-                    ch in ((0, 1), (0,), (1,)) for ch in choices):
-                wrong.append((x, y, choices))
-    assert wrong == []
-
+    cells = [(x, y) for y in range(size) for x in range(size)]
+    want = [tuple(len(ch) == 2 for ch in reference_val_choices(size, padded, x, y))
+            for x, y in cells]
+    assert [fixedpoint._free(size, x, y) for x, y in cells] == want
+    ys, xs = np.divmod(np.arange(size * size), size)
+    assert list(zip(*(f.tolist() for f in fixedpoint._free(size, xs, ys)))) == want
+    edges = (0, size - 1)
+    assert [c for c, free in zip(cells, want) if any(free)] == [
+        (x, y) for x, y in cells if x in edges or y in edges]
 
 
 @pytest.mark.parametrize("size", [8, 64, 128])
 def test_array_enumeration_matches_the_per_cell_rules(size):
-    # the array pass against _cells / _records, which read _val_choices cell
-    # by cell, with random program bits on the band (rows 16-31 at 64, none
-    # at 8); test_enumeration_matches holds it at 256
+    # the array pass, and the ids and membership read off the set it
+    # builds, against record quads from the test-side rules, cell by cell,
+    # with random program bits on the band (rows 16-31 at 64, none at 8);
+    # test_enumeration_matches and TestAgainstReference hold them at 256
     n = size.bit_length() - 1
     rng = random.Random(size)
     padded = tuple(rng.getrandbits(1) for _ in range(size * len(fixedpoint._band(size))))
+    quads = [(pack_record(n, x, y, vl), pack_record(n, (x + 1) % size, y, vr),
+              pack_record(n, x, (y + 1) % size, vt), pack_record(n, x, y, vb))
+             for y in range(size) for x in range(size)
+             for vl, vr, vt, vb in itertools.product(*reference_val_choices(size, padded, x, y))]
     colors = Interner()
     want = [(colors[left << 1], colors[right << 1], colors[top << 1 | 1], colors[bottom << 1 | 1])
-            for quads in fixedpoint._cells(n, size, padded)
             for left, right, top, bottom in quads]
     ids, color_records = fixedpoint._enumerate(n, size, padded)
     assert list(map(tuple, ids.tolist())) == want
     assert list(color_records) == list(colors)
-    assert TileSet(len(colors), ids) == TileSet(len(colors), want)
+    tile_set = TileSet(len(colors), ids)
+    assert tile_set == TileSet(len(colors), want)
+    accepted = fixedpoint._Accepted(n, size, tile_set, color_records)
+    assert [accepted.quad_of(i) for i in range(len(accepted))] == quads
+    ref = {quad: i for i, quad in enumerate(quads)}
+    for quad in rng.sample(quads, min(1000, len(quads))):
+        for q in perturbed(n, quad):
+            assert accepted.get(q) == ref.get(q), q
 
 
 @pytest.mark.parametrize("size", [128, 256, 512])
 def test_first_id_counts_the_enumeration(size):
-    # the closed form against the one statement of the val discipline: each
-    # cell's first id is the number of tiles _cells yields before it, and
-    # _cell_of takes every id (a sample at 512) back to the cell holding it
-    n = size.bit_length() - 1
+    # the closed form against the test-side rules: each cell's first id is
+    # the number of tiles the cells before it hold
     padded = (0,) * (size * (3 * size // 4 - 32))
-    spans, total = [], 0
-    for k, quads in enumerate(fixedpoint._cells(n, size, padded)):
-        x, y = k % size, k // size
-        assert fixedpoint._first_id(size, x, y) == total, (x, y)
-        spans.append(range(total, total + len(quads)))
-        total += len(quads)
+    total = 0
+    for y in range(size):
+        for x in range(size):
+            assert fixedpoint._first_id(size, x, y) == total, (x, y)
+            total += len(list(itertools.product(*reference_val_choices(size, padded, x, y))))
     assert total == (size + 2) ** 2
-    ids = range(total) if size < 512 else random.Random(size).sample(range(total), 20000)
-    for tile_id in ids:
-        x, y = fixedpoint._cell_of(size, tile_id)
-        assert tile_id in spans[y * size + x], tile_id
+
 
 class TestCertificate:
     def test_trimmed_audit_passes(self, fp):
