@@ -421,14 +421,13 @@ def _palette(args, ids: set[int]):
 
 def cmd_render(args) -> int:
     patch = _patch(args.patch)
-    ids = {patch.get(x, y) for y in range(patch.height) for x in range(patch.width)}
-    table = _palette(args, ids)
+    rows = patch.cells.tolist()[::-1]  # top-down
+    table = _palette(args, {tid for cells in rows for tid in cells})
     if args.format == "ascii":
         lines = []
-        for y in reversed(range(patch.height)):  # rows top-down
+        for cells in rows:
             row = ""
-            for x in range(patch.width):
-                tid = patch.get(x, y)
+            for tid in cells:
                 if tid == HOLE:
                     row += HOLE_GLYPH
                 elif table is not None:
@@ -443,10 +442,9 @@ def cmd_render(args) -> int:
         raise UsageError("--block must be at least 1")
     w, h = patch.width * b, patch.height * b
     payload = bytearray()
-    for y in reversed(range(patch.height)):
+    for cells in rows:
         rowbytes = bytearray()
-        for x in range(patch.width):
-            tid = patch.get(x, y)
+        for tid in cells:
             if tid == HOLE:
                 color = HOLE_COLOR
             elif table is not None:
@@ -474,10 +472,12 @@ def cmd_distance(args) -> int:
     if not radii or radii[0] < 1 or radii[-1] > fit:
         raise UsageError(f"radii must lie in 1..{fit} for these patches")
 
-    def hole(x: int, y: int) -> bool:
-        return pa.get(x, y) == HOLE or pb.get(x, y) == HOLE
+    a, b = pa.cells.tolist(), pb.cells.tolist()
 
-    report = besicovitch_distance(pa.get, pb.get, radii, hole=hole,
+    def hole(x: int, y: int) -> bool:
+        return a[y][x] == HOLE or b[y][x] == HOLE
+
+    report = besicovitch_distance(lambda x, y: a[y][x], lambda x, y: b[y][x], radii, hole=hole,
                                   center=(cx, cy))
     _emit({"radii": list(report.radii), "fractions": list(report.fractions),
            "tail_max": list(report.tail_max), "label": report.label}, args.out)

@@ -672,14 +672,14 @@ def _rank(size: int, x: int, y: int, vals) -> int:
     return rank
 
 
-def _first_id(size: int, x: int, y: int) -> int:
-    """The id of the cell (x, y)'s first tile (free vals 0).  Ids run row by
-    row, and a cell has a tile per choice of its free vals (``_free``):
-    m = 2 on rows 0 and size-1 and 1 elsewhere, doubled on columns 0 and
-    size-1.  So a row holds m * (size + 2) tiles, cell x >= 1 from m * (x + 1)."""
-    m = 2 if y in (0, size - 1) else 1
-    start = (size + 2) * (y + 1) if y else 0
-    return start + m * (x + 1) if x else start
+def _first_id(size: int, x, y):
+    """The id of the cell (x, y)'s first tile (free vals 0), on ints or on
+    arrays of cells.  Ids run row by row, and a cell has a tile per choice
+    of its free vals (``_free``): m = 2 on rows 0 and size-1 and 1
+    elsewhere, doubled on columns 0 and size-1.  So row y >= 1 starts at
+    (size + 2) * (y + 1), and its cell x >= 1 at m * (x + 1) in."""
+    m_is_2 = y % (size - 1) == 0  # a bool: shifting by it doubles m and keeps an array int32
+    return (size + 2) * (y + 1) * (y > 0) + ((x + 1) << m_is_2) * (x > 0)
 
 
 class _Accepted(Mapping):
@@ -850,24 +850,20 @@ def assemble_self_patch(fp: FixedPointSet, quad) -> PatchGrid:
     pinned (block bits from the program, other vals zero).
 
     Only the 4*size - 4 border ring cells have a free val, so every other
-    cell's one tile is its ``_first_id``: a row of them is a range with
-    step m, the row's tiles per cell off columns 0 and size-1.  A ring
-    cell's free vals come from the border slice (0 off the slice), and its
-    id is its first id plus the ``_rank`` of those vals."""
+    cell's one tile is its ``_first_id``, worked out for the whole grid at
+    once.  A ring cell's free vals come from the border slice (0 off the
+    slice), and its id is its first id plus the ``_rank`` of those vals."""
     n, size = fp.n, fp.size
     if quad not in fp.accepted:
         raise ValueError("edge records do not belong to the tile set")
     lo = size - RECORD_BITS
     wl, wr, wt, wb = ((0,) * lo + window_bits(n, r) for r in quad)
     edges = (0, size - 1)
-    grid = []
+    xs = np.arange(size, dtype=np.int32)
+    grid = _first_id(size, xs, xs[:, None])
     for y in range(size):
-        first, m = _first_id(size, 0, y), 2 if y in edges else 1
-        row = list(range(first + m, first + m * (size + 1), m))
-        row[0] = first  # the range starts each column x >= 1 at m * (x + 1) in
         for x in range(size) if y in edges else edges:
-            row[x] += _rank(size, x, y, (wl[y], wr[y], wt[x], wb[x]))
-        grid.append(row)
+            grid[y, x] += _rank(size, x, y, (wl[y], wr[y], wt[x], wb[x]))
     return PatchGrid(size, size, grid)
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..core import HOLE, Interner, PatchGrid, TileSet, verify_patch
 from ..islands import Schedule, clean, make_schedule
 from ..solver import InconclusiveError, fill_template, solve
@@ -70,15 +72,15 @@ def robustify(
         raise InconclusiveError(
             f"pattern census hit its budget ({r.count} tilings, {r.nodes} nodes)"
         )
-    edge = [HOLE] * (w + 2)
     pats = []
+    framed = np.full((w + 2, w + 2), HOLE, dtype=np.int32)
     for sol in r.solutions:
-        framed = PatchGrid(w + 2, w + 2, [edge, *([HOLE, *row, HOLE] for row in sol.cells), edge])
-        ext = solve(tile_set, w + 2, w + 2, template=framed, max_nodes=max_nodes)
+        framed[1:-1, 1:-1] = sol.cells
+        ext = solve(tile_set, w + 2, w + 2, template=PatchGrid(w + 2, w + 2, framed), max_nodes=max_nodes)
         if ext.status == "inconclusive":
             raise InconclusiveError(f"a pattern's extension hit its budget ({ext.nodes} nodes)")
         if ext.status == "solved":
-            pats.append(sol.cells)
+            pats.append(tuple(map(tuple, sol.cells.tolist())))
     if not pats:
         raise CompileError("tile set cannot tile the sampling window")
     pats.sort()
@@ -102,15 +104,12 @@ def lift(rob: Robustification, base_patch: PatchGrid) -> PatchGrid:
         raise ValueError(f"base patch smaller than one {w} x {w} window")
     if base_patch.holes():
         raise ValueError("cannot lift a patch with holes")
+    base = base_patch.cells.tolist()
     cells = []
     for y in range(H):
         row = []
         for x in range(W):
-            pat = tuple(
-                tuple(base_patch.get(x + dx, y + dy) for dx in range(w))
-                for dy in range(w)
-            )
-            pid = rob.pattern_id(pat)
+            pid = rob.pattern_id(tuple(r[x:x + w]) for r in base[y:y + w])
             if pid is None:
                 raise ValueError(f"window at ({x}, {y}) is not an admitted pattern")
             row.append(pid)
@@ -120,14 +119,8 @@ def lift(rob: Robustification, base_patch: PatchGrid) -> PatchGrid:
 
 def project(rob: Robustification, patch: PatchGrid) -> PatchGrid:
     """Base-level view of a pattern tiling: cell (x, y) is its window's corner."""
-    cells = [
-        [
-            HOLE if patch.cells[y][x] == HOLE else rob.patterns[patch.cells[y][x]][0][0]
-            for x in range(patch.width)
-        ]
-        for y in range(patch.height)
-    ]
-    return PatchGrid(patch.width, patch.height, cells)
+    corners = np.array([pat[0][0] for pat in rob.patterns] + [HOLE], dtype=np.int32)
+    return PatchGrid(patch.width, patch.height, corners[patch.cells])  # HOLE (-1) reads HOLE
 
 
 def check_window_robust(
@@ -172,7 +165,7 @@ def check_window_robust(
     fills: dict[tuple, str] = {}
     verdict = "robust"
     for ring in rings.solutions:
-        a = ring.cells
+        a = ring.cells.tolist()
         colors = (
             tuple(ts.right[a[y][lo]] for y in side),
             tuple(ts.left[a[y][hi]] for y in side),
@@ -248,7 +241,7 @@ def correct_errors(
     if not report.success:
         failures.append(frozenset(report.residual))
 
-    cells = [list(row) for row in patch.cells]
+    cells = patch.cells.copy()
     boxes: list[tuple[int, int, int, int]] = []
     for rank, isl in ranked:
         r = 2 * c1 * schedule.alphas[rank - 1]
@@ -260,30 +253,18 @@ def correct_errors(
         # sub-window: the box carved to holes, plus a ring of intact context
         rx0, ry0 = max(0, x0 - 1), max(0, y0 - 1)
         rx1, ry1 = min(W - 1, x1 + 1), min(H - 1, y1 + 1)
-        sub = []
-        for y in range(ry0, ry1 + 1):
-            row = []
-            for x in range(rx0, rx1 + 1):
-                inside = x0 <= x <= x1 and y0 <= y <= y1
-                row.append(HOLE if inside else cells[y][x])
-            sub.append(row)
+        sub = cells[ry0:ry1 + 1, rx0:rx1 + 1].copy()
+        sub[y0 - ry0:y1 - ry0 + 1, x0 - rx0:x1 - rx0 + 1] = HOLE
         filled = fill_template(
             ts, PatchGrid(rx1 - rx0 + 1, ry1 - ry0 + 1, sub), max_nodes=max_nodes
         )
         if filled is None:
             failures.append(isl)
             continue
-        for y in range(ry0, ry1 + 1):
-            for x in range(rx0, rx1 + 1):
-                cells[y][x] = filled.get(x - rx0, y - ry0)
+        cells[ry0:ry1 + 1, rx0:rx1 + 1] = filled.cells
 
     fixed = PatchGrid(W, H, cells)
-    changed = frozenset(
-        (x, y)
-        for y in range(H)
-        for x in range(W)
-        if fixed.cells[y][x] != patch.cells[y][x]
-    )
+    changed = frozenset((x, y) for y, x in np.argwhere(fixed.cells != patch.cells).tolist())
     ok = (
         not failures
         and not fixed.holes()

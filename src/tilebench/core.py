@@ -17,7 +17,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -216,61 +216,74 @@ def _first_duplicate(rows: np.ndarray) -> tuple[int, int] | None:
 
 
 class PatchGrid:
-    """A finite rectangle of tile ids and holes; immutable after construction."""
+    """A finite rectangle of tile ids and holes; immutable after construction.
+
+    ``cells`` is one read-only (height, width) ``np.int32`` array, row 0 at
+    the bottom, and every reader reads it.  The constructor takes an integer
+    array or rows of ints (numpy integers included), and raises ValueError
+    for a width or height that is not an int, a shape that is not height
+    rows of width cells, or a cell that is not an int (a float, a bool, a
+    string); an id past int32 raises MalformedPatchError.
+    """
 
     __slots__ = ("width", "height", "cells")
 
-    def __init__(self, width: int, height: int, cells: Sequence[Sequence[int]]) -> None:
+    def __init__(self, width: int, height: int, cells: np.ndarray | Iterable[Sequence[int]]) -> None:
+        if type(width) is not int or type(height) is not int:
+            raise ValueError(f"patch dimensions must be ints, not {width!r} x {height!r}")
         if width < 1 or height < 1:
             raise ValueError("patch dimensions must be positive")
-        rows = tuple(map(tuple, cells))
-        if len(rows) != height or any(len(r) != width for r in rows):
-            raise ValueError("cells must be height rows of width entries (row 0 = bottom)")
-        if not all(set(map(type, row)) <= {int} for row in rows):
+        if not isinstance(cells, np.ndarray):
+            rows = [list(row) for row in cells]
+            if not all(issubclass(t, (int, np.integer)) and t is not bool
+                       for t in set(map(type, chain.from_iterable(rows)))):
+                raise ValueError("cells must be ints (tile ids or HOLE)")
+            cells = np.array(rows, dtype=object)  # Python ints, so no id wraps or overflows
+        elif cells.dtype.kind not in "iu":
             raise ValueError("cells must be ints (tile ids or HOLE)")
+        if cells.shape != (height, width):
+            raise ValueError("cells must be height rows of width entries (row 0 = bottom)")
+        if cells.dtype != np.int32:
+            past = (cells < -2**31) | (cells >= 2**31)
+            if past.any():
+                y, x = np.argwhere(past)[0]
+                raise MalformedPatchError(f"cell ({x}, {y}) holds unknown tile id {cells[y, x]}")
+        ids = np.array(cells, dtype=np.int32)
+        ids.flags.writeable = False
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
-        object.__setattr__(self, "cells", rows)
+        object.__setattr__(self, "cells", ids)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("PatchGrid is immutable")
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PatchGrid) and self.cells == other.cells
+        return isinstance(other, PatchGrid) and np.array_equal(self.cells, other.cells)
 
     def __hash__(self) -> int:
-        return hash(self.cells)
+        return hash((self.width, self.height, self.cells.tobytes()))
 
     def get(self, x: int, y: int) -> int:
         if x < 0 or y < 0:  # a negative index would wrap to the far edge
             raise IndexError(f"cell {(x, y)} lies outside the patch")
-        return self.cells[y][x]
+        return int(self.cells[y, x])
 
     def holes(self) -> list[tuple[int, int]]:
-        return [
-            (x, y)
-            for y in range(self.height)
-            for x in range(self.width)
-            if self.cells[y][x] == HOLE
-        ]
+        return [(x, y) for y, x in np.argwhere(self.cells == HOLE).tolist()]
 
     def replaced(self, updates: dict[tuple[int, int], int]) -> "PatchGrid":
         """A copy with the given cells replaced."""
-        rows = [list(r) for r in self.cells]
+        rows = self.cells.tolist()
         for (x, y), v in updates.items():
             rows[y][x] = v
         return PatchGrid(self.width, self.height, rows)
 
     @classmethod
     def filled(cls, width: int, height: int, value: int = HOLE) -> "PatchGrid":
-        return cls(width, height, [[value] * width for _ in range(height)])
+        return cls(width, height, [[value] * width] * height)
 
     def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "cells": [list(r) for r in self.cells],
-        }
+        return {"width": self.width, "height": self.height, "cells": self.cells.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PatchGrid":
@@ -289,21 +302,17 @@ class Violation:
 def verify_patch(tile_set: TileSet, patch: PatchGrid) -> list[Violation]:
     """All side-matching violations between horizontally/vertically adjacent cells.
 
-    Pairs where either cell is a HOLE never violate.  Tile ids outside the
-    tile set raise MalformedPatchError rather than reporting violations.
-    Violations come cell by cell in row-major order (bottom row first), a
-    cell's "right" before its "top".
+    Reads ``patch.cells`` as it is, in one numpy pass over the tile set's
+    columns.  Pairs where either cell is a HOLE never violate.  Tile ids
+    outside the tile set raise MalformedPatchError rather than reporting
+    violations.  Violations come cell by cell in row-major order (bottom row
+    first), a cell's "right" before its "top".
     """
-    n = len(tile_set)
-    try:
-        ids = np.array(patch.cells, dtype=np.intp)
-        known = ids.min() >= HOLE and ids.max() < n
-    except OverflowError:  # an id past a C long
-        known = False
-    if not known:
-        y, x = next((y, x) for y, row in enumerate(patch.cells)
-                    for x, v in enumerate(row) if not HOLE <= v < n)
-        raise MalformedPatchError(f"cell ({x}, {y}) holds unknown tile id {patch.cells[y][x]}")
+    ids, n = patch.cells, len(tile_set)
+    unknown = (ids < HOLE) | (ids >= n)
+    if unknown.any():
+        y, x = np.argwhere(unknown)[0]
+        raise MalformedPatchError(f"cell ({x}, {y}) holds unknown tile id {ids[y, x]}")
     if not n:  # every cell is a HOLE
         return []
     # a HOLE reads the last tile's sides; the mask drops every pair it is in
@@ -316,35 +325,37 @@ def verify_patch(tile_set: TileSet, patch: PatchGrid) -> list[Violation]:
             for y, x, k in np.argwhere(bad).tolist()]
 
 
-def block_border(tile_set: TileSet, cells: Sequence[Sequence[int]], ox: int, oy: int,
+def block_border(tile_set: TileSet, cells: np.ndarray | Sequence[Sequence[int]], ox: int, oy: int,
                  size: int) -> tuple[tuple[int, ...], ...]:
-    """The outer side colors of the size x size block of ``cells`` (rows, row
-    0 at the bottom) whose bottom-left cell is (ox, oy), as (left, right,
-    top, bottom): the left sides of its left column and the right sides of
-    its right column, bottom to top, then the top sides of its top row and
-    the bottom sides of its bottom row, left to right.
+    """The outer side colors of the size x size block of ``cells`` (a patch's
+    array, or rows; row 0 at the bottom) whose bottom-left cell is (ox, oy),
+    as (left, right, top, bottom): the left sides of its left column and the
+    right sides of its right column, bottom to top, then the top sides of
+    its top row and the bottom sides of its bottom row, left to right.
 
     Raises ValueError for a block that sticks out of ``cells``, and
     MalformedPatchError for a HOLE or an unknown tile id on the border.
     """
-    if not (size >= 1 and 0 <= ox and 0 <= oy and oy + size <= len(cells)
-            and ox + size <= len(cells[0])):
+    ids = np.asarray(cells)
+    if not (size >= 1 and 0 <= ox and 0 <= oy and oy + size <= ids.shape[0]
+            and ox + size <= ids.shape[1]):
         raise ValueError("block sticks out of the patch")
-    rows = cells[oy:oy + size]
+    block = ids[oy:oy + size, ox:ox + size]
     x1, y1 = ox + size - 1, oy + size - 1
     border = (  # each side's ids and the cell of its i-th id
-        (tile_set.left, [row[ox] for row in rows], lambda i: (ox, oy + i)),
-        (tile_set.right, [row[x1] for row in rows], lambda i: (x1, oy + i)),
-        (tile_set.top, rows[-1][ox:x1 + 1], lambda i: (ox + i, y1)),
-        (tile_set.bottom, rows[0][ox:x1 + 1], lambda i: (ox + i, oy)),
+        (tile_set.left, block[:, 0], lambda i: (ox, oy + i)),
+        (tile_set.right, block[:, -1], lambda i: (x1, oy + i)),
+        (tile_set.top, block[-1], lambda i: (ox + i, y1)),
+        (tile_set.bottom, block[0], lambda i: (ox + i, oy)),
     )
     n = len(tile_set)
-    for _, ids, cell in border:
-        if min(ids) < 0 or max(ids) >= n:
-            i = next(i for i, v in enumerate(ids) if not 0 <= v < n)
-            what = "a HOLE" if ids[i] == HOLE else f"unknown tile id {ids[i]}"
+    for _, side, cell in border:
+        unknown = (side < 0) | (side >= n)
+        if unknown.any():
+            i = int(unknown.argmax())
+            what = "a HOLE" if side[i] == HOLE else f"unknown tile id {side[i]}"
             raise MalformedPatchError(f"border cell {cell(i)} holds {what}")
-    return tuple(tuple(map(column.__getitem__, ids)) for column, ids, _ in border)
+    return tuple(tuple(np.frombuffer(column, dtype=np.intc)[side].tolist()) for column, side, _ in border)
 
 
 def coordinate_tileset(n: int) -> TileSet:

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .core import HOLE, MalformedPatchError, PatchGrid, TileSet, block_border
 
 
@@ -113,13 +115,13 @@ def solve(
     if template is not None:
         if template.width != width or template.height != height:
             raise ValueError("template dimensions must match the window")
-        for y, row in enumerate(template.cells):
-            for x, v in enumerate(row):
-                if v != HOLE:
-                    if not (0 <= v < n_tiles):
-                        raise MalformedPatchError(
-                            f"template cell ({x}, {y}) holds unknown tile id {v}")
-                    pins[y * W + x] = v
+        ids = template.cells.ravel()
+        at = np.flatnonzero(ids != HOLE)
+        unknown = (ids[at] < 0) | (ids[at] >= n_tiles)
+        if unknown.any():
+            k = at[unknown.argmax()]
+            raise MalformedPatchError(f"template cell ({k % W}, {k // W}) holds unknown tile id {ids[k]}")
+        pins = dict(zip(at.tolist(), ids[at].tolist()))
     absent = set() if mask is None else {(int(x), int(y)) for x, y in mask}
     for x, y in absent:
         if not (0 <= x < width and 0 <= y < height):
@@ -225,11 +227,15 @@ def solve(
     stack: list = []
     push, pop = stack.append, stack.pop
 
+    flat = None  # the cell y * W + x at each position, built at the first tiling
+
     def snapshot() -> PatchGrid:
-        rows = [[HOLE] * width for _ in range(height)]
-        for (x, y), t in zip(cells, g):
-            rows[y][x] = t
-        return PatchGrid(width, height, rows)
+        nonlocal flat
+        if flat is None:
+            flat = np.array([y * W + x for x, y in cells], dtype=np.intp)
+        grid = np.full((height, width), HOLE, dtype=np.int32)
+        grid.ravel()[flat] = g[:n]
+        return PatchGrid(width, height, grid)
 
     room = max_nodes  # nodes left in the budget
     count = 0
@@ -394,13 +400,10 @@ Block = tuple[tuple[int, ...], ...]
 
 
 def _blocks_at(patch: PatchGrid, n: int, ox: int, oy: int) -> frozenset[Block]:
-    out = set()
-    for ay in range(oy, patch.height - n + 1, n):
-        for ax in range(ox, patch.width - n + 1, n):
-            out.add(
-                tuple(tuple(patch.cells[ay + dy][ax + dx] for dx in range(n)) for dy in range(n))
-            )
-    return frozenset(out)
+    rows = patch.cells.tolist()
+    return frozenset(tuple(tuple(row[ax:ax + n]) for row in rows[ay:ay + n])
+                     for ay in range(oy, patch.height - n + 1, n)
+                     for ax in range(ox, patch.width - n + 1, n))
 
 
 def find_cut_offsets(

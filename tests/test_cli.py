@@ -450,6 +450,9 @@ class TestErrorPaths:
         (("render", "--patch"), {"width": 2, "height": 1, "cells": [["1", 1]]}),
         (("fill-hole", "--stock", "chessboard", "--patch"),
          {"width": 2, "height": 1, "cells": [[0, 1.9]]}),
+        (("render", "--patch"), {"width": 2.0, "height": 1, "cells": [[0, 1]]}),
+        (("fill-hole", "--stock", "chessboard", "--patch"),
+         {"width": 2, "height": True, "cells": [[0, HOLE]]}),
     ], ids=["three-color-tile", "five-color-tile", "float-color", "bool-color",
             "color-past-c-int", "float-color-count", "tiles-without-colors", "patch-as-list", "point-triple",
             "point-single", "float-point", "string-point", "bool-point",
@@ -459,7 +462,7 @@ class TestErrorPaths:
             "mc-schedule-alpha-past-beta", "palette-as-list", "empty-glyph", "padded-key",
             "spaced-key", "negative-key", "long-glyph", "rgb-pair",
             "rgb-scalar", "float-rgb", "bool-rgb", "string-rgb", "string-cell",
-            "float-cell"])
+            "float-cell", "float-width", "bool-height"])
     def test_malformed_file_is_a_usage_error(self, files, tmp_path, argv, content,
                                              capsys):
         path = tmp_path / "bad.json"

@@ -177,7 +177,7 @@ class TestChessboardPredicate:
     def test_macro_payloads_off_the_cut_raises(self, chess):
         a = assemble_macro_tile(chess, (0,), (1,), (1,), (0,))
         b = assemble_macro_tile(chess, (1,), (0,), (0,), (1,))
-        pair = PatchGrid(16, 8, [ra + rb for ra, rb in zip(a.cells, b.cells)])
+        pair = PatchGrid(16, 8, [ra + rb for ra, rb in zip(a.cells.tolist(), b.cells.tolist())])
         assert verify_patch(chess.tile_set, pair) == []
         assert macro_payloads(chess, pair, 8, 0)["left"] == (1,)
         for ox in (1, 4, 7):

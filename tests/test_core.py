@@ -138,12 +138,67 @@ def test_patch_shape_checks():
     assert len(p.holes()) == 6
 
 
+@pytest.mark.parametrize("width, height, cells", [
+    (2, 1, [[0, 1.0]]), (2, 1, [[0, True]]), (2, 1, [[0, "1"]]), (2, 1, [[0, np.bool_(1)]]),
+    (2, 1, np.array([[0.0, 1.0]])), (2, 1, np.array([[False, True]])),
+    (2.0, 1, [[0, 1]]), (2, True, [[0, 1]]),
+], ids=["float", "bool", "string", "numpy-bool", "float-array", "bool-array",
+        "float-width", "bool-height"])
+def test_patch_refuses_what_is_not_an_int(width, height, cells):
+    with pytest.raises(ValueError) as err:
+        PatchGrid(width, height, cells)
+    assert not isinstance(err.value, MalformedPatchError)
+
+
+@pytest.mark.parametrize("bad", [2**31, -2**31 - 1, 2**63, 2**70])
+def test_an_id_past_int32_is_malformed(bad):
+    rows = [[0, 1], [1, bad]]
+    for cells in [rows] + ([np.array(rows, dtype=np.int64)] if bad < 2**63 else []):
+        with pytest.raises(MalformedPatchError, match=rf"cell \(1, 1\) holds unknown tile id {bad}"):
+            PatchGrid(2, 2, cells)
+    assert PatchGrid(1, 1, [[2**31 - 1]]).get(0, 0) == 2**31 - 1
+
+
 def test_patch_row_zero_is_bottom():
     p = PatchGrid(2, 2, [[0, 1], [2, 3]])
     assert p.get(0, 0) == 0
     assert p.get(1, 1) == 3
     obj = p.to_json()
     assert obj["cells"][0] == [0, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_patch_grid_matches_a_list_of_rows(data):
+    # the int32 array against the plain rows it was built from
+    w, h = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    cell = st.integers(HOLE, 3)
+    rows = data.draw(st.lists(st.lists(cell, min_size=w, max_size=w), min_size=h, max_size=h))
+    p = PatchGrid(w, h, rows)
+    assert [[p.get(x, y) for x in range(w)] for y in range(h)] == rows
+    assert all(type(p.get(x, y)) is int for y in range(h) for x in range(w))
+    assert p.holes() == [(x, y) for y in range(h) for x in range(w) if rows[y][x] == HOLE]
+    assert p.to_json() == {"width": w, "height": h, "cells": rows}
+    assert PatchGrid.from_json(json.loads(json.dumps(p.to_json()))) == p
+    updates = data.draw(st.dictionaries(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+                                        cell, max_size=4))
+    want = [list(row) for row in rows]
+    for (x, y), v in updates.items():
+        want[y][x] = v
+    q = p.replaced(updates)
+    assert q.to_json()["cells"] == want and p.to_json()["cells"] == rows
+    assert (q == p) == (want == rows)
+    if q == p:
+        assert hash(q) == hash(p)
+    flat = [v for row in rows for v in row]
+    turned = [flat[i:i + h] for i in range(0, w * h, h)]  # the same cells as w rows of h
+    assert (PatchGrid(h, w, turned) == p) == (turned == rows)
+    for dtype in (np.int8, np.int64, np.uint32):
+        if dtype is np.uint32 and HOLE in flat:
+            continue
+        same = PatchGrid(w, h, [list(np.array(row, dtype=dtype)) for row in rows])
+        assert same == p and hash(same) == hash(p)
+        assert PatchGrid(w, h, np.array(rows, dtype=dtype)) == p
 
 
 @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (3, 0), (0, 3)])
@@ -177,11 +232,11 @@ def test_verify_patch_flip_and_hole():
 @pytest.mark.parametrize("cell", [(0, 0), (1, 0), (0, 1), (1, 1)],
                          ids=["at-0-0", "at-1-0", "at-0-1", "at-1-1"])
 def test_verify_patch_rejects_unknown_ids(cell, bad):
-    # a bad id right of or above a valid cell used to raise IndexError
+    # a bad id right of or above a valid cell used to raise IndexError; an id
+    # past int32 is refused when the patch is built, with the same message
     ts = chessboard_tileset()
-    p = chessboard_patch(2, 2).replaced({cell: bad})
     with pytest.raises(MalformedPatchError, match=rf"cell \({cell[0]}, {cell[1]}\) holds unknown tile id {bad}"):
-        verify_patch(ts, p)
+        verify_patch(ts, chessboard_patch(2, 2).replaced({cell: bad}))
 
 
 def reference_violations(ts, patch):

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
 import types
 
 import numpy as np
@@ -405,6 +406,23 @@ def test_first_id_counts_the_enumeration(size):
             assert fixedpoint._first_id(size, x, y) == total, (x, y)
             total += len(list(itertools.product(*reference_val_choices(size, padded, x, y))))
     assert total == (size + 2) ** 2
+
+
+def test_a_macro_tile_round_trip_holds_an_int32_grid():
+    # a patch is one int32 array that verify_patch reads without a copy; as
+    # a tuple of tuples of Python ints the N=512 round trip traced 17.3 MB
+    fp = build_fixed_point(512)
+    quad = fp.edge_records(0, 0, 1, 0, 0, 1)
+    tracemalloc.start()
+    try:
+        patch = assemble_self_patch(fp, quad)
+        violations = verify_patch(fp.tile_set, patch)
+        decoded = decode_self_patch(fp, patch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == [] and decoded == quad
+    assert peak <= 8 * 2**20, f"{peak / 2**20:.1f} MB traced"
 
 
 class TestCertificate:

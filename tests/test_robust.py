@@ -175,7 +175,7 @@ class TestCorrectErrors:
                         x0 <= x <= x1 and y0 <= y <= y1 for x0, y0, x1, y1 in boxes
                     )
         # ...in fact the unique chessboard completion restores the original
-        assert rep.patch.cells == lifted.cells
+        assert rep.patch == lifted
         assert rep.changed == frozenset(holes)
         sched = make_schedule(13, 1, 4)
         assert rep.changed_fraction <= changed_fraction_bound(sched, 2)
@@ -190,14 +190,14 @@ class TestCorrectErrors:
         rep = correct_errors(rob, PatchGrid(40, 40, cells), c1=0)
         assert rep.status == "clean"
         assert rep.boxes == ((7, 9, 7, 9),)
-        assert rep.patch.cells == lifted.cells
+        assert rep.patch == lifted
 
     def test_mismatch_defect_is_rewritten(self, rob, lifted):
         cells = [list(row) for row in lifted.cells]
         cells[20][20] = 1 - cells[20][20]
         rep = correct_errors(rob, PatchGrid(40, 40, cells))
         assert rep.status == "clean"
-        assert rep.patch.cells == lifted.cells
+        assert rep.patch == lifted
         assert (20, 20) in rep.changed
 
     def test_contradiction_beyond_carve_radius_fails(self):

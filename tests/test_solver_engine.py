@@ -352,7 +352,7 @@ def reference_patterns(ts, w, max_windows=4096):
     r = solve(ts, w + 2, w + 2, mode="enumerate", max_solutions=max_windows + 1)
     if r.status == "inconclusive":
         return None
-    return sorted({tuple(row[1:w + 1] for row in sol.cells[1:w + 1]) for sol in r.solutions})
+    return sorted({tuple(map(tuple, sol.cells[1:w + 1, 1:w + 1].tolist())) for sol in r.solutions})
 
 
 def assert_patterns_match_census(ts, w, max_windows=4096):
