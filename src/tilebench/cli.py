@@ -472,13 +472,8 @@ def cmd_distance(args) -> int:
     if not radii or radii[0] < 1 or radii[-1] > fit:
         raise UsageError(f"radii must lie in 1..{fit} for these patches")
 
-    a, b = pa.cells.tolist(), pb.cells.tolist()
-
-    def hole(x: int, y: int) -> bool:
-        return a[y][x] == HOLE or b[y][x] == HOLE
-
-    report = besicovitch_distance(lambda x, y: a[y][x], lambda x, y: b[y][x], radii, hole=hole,
-                                  center=(cx, cy))
+    a, b = pa.cells, pb.cells
+    report = besicovitch_distance(a, b, radii, hole=(a == HOLE) | (b == HOLE), center=(cx, cy))
     _emit({"radii": list(report.radii), "fractions": list(report.fractions),
            "tail_max": list(report.tail_max), "label": report.label}, args.out)
     return OK

@@ -64,11 +64,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..core import Interner, PatchGrid, TileSet, block_border, verify_patch
+from ..core import PatchGrid, TileSet, block_border, verify_patch
 from ..machine import (
+    COND_TRACK0,
+    LEFT,
+    RIGHT,
+    STAY,
+    Assembler,
     Machine,
     Run,
-    Transition,
     encode_program,
     run_encoded,
     run_machine,
@@ -156,27 +160,6 @@ def checker_tape(n: int, left: int, right: int, top: int, bottom: int) -> list[i
 
 # --- the checker machine ----------------------------------------------------
 
-class _TM:
-    """Tiny assembler for hand-built machines: named states, listed rules."""
-
-    def __init__(self) -> None:
-        self.ids = Interner(start=0, accept=1)
-        self.rules: list[Transition] = []
-
-    def add(self, frm, reads, to, *, write: int | None = None, move: str = "R",
-            track: int | None = None) -> None:
-        if isinstance(reads, int):
-            reads = (reads,)
-        for sym in reads:
-            self.rules.append(
-                Transition(self.ids[frm], sym, track, self.ids[to],
-                           sym if write is None else write, move)
-            )
-
-    def machine(self) -> Machine:
-        return Machine(len(self.ids), 4, 0, 1, SYM_B, True, tuple(self.rules))
-
-
 def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
     """The record checker for grid side 2**n.
 
@@ -193,11 +176,11 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
         raise ValueError("grid side below 128 leaves no block rows")
     if 2 * n + 1 >= QUADS:
         raise ValueError("records wider than the 32-bit window")
-    m = _TM()
+    m = Assembler("start", "accept")
     ZO = (SYM_Z, SYM_O)
     ZOB = (SYM_Z, SYM_O, SYM_B)
 
-    def cross(name: str, syms, to: str, *, move: str = "L", out: str = "R",
+    def cross(name: str, syms, to: str, *, move: int = LEFT, out: int = RIGHT,
               at=SYM_M) -> None:
         """Run over ``syms`` moving ``move``, then step off ``at`` into ``to``."""
         m.add(name, syms, name, move=move)
@@ -209,7 +192,7 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
             m.add(f"{px}{k}", syms, f"{px}{k + 1}")
         m.add(f"{px}{last}", syms, to)
 
-    def val_zero(px: str, slot: int, to: str, move: str = "L") -> None:
+    def val_zero(px: str, slot: int, to: str, move: int = LEFT) -> None:
         """Rewind, then require Z in slot ``slot`` (1..4) of the val quad."""
         cross(f"rw_{px}", ZOB, f"{px}_1")
         m.add(f"{px}_1", SYM_B, f"{px}_2")
@@ -242,7 +225,7 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
         m.add(f"aj_t{g}", SYM_B, "ap_1")
     chain("ap_", 1, 4, SYM_Z, "ap_t")
     m.add("ap_t", SYM_B, "ap_1")
-    m.add("ap_t", SYM_M, "rw_h", move="L")
+    m.add("ap_t", SYM_M, "rw_h", move=LEFT)
     cross("rw_h", ZOB, "hl_e1")
 
     def entry(prefix: str, to: str) -> None:
@@ -252,9 +235,9 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
     # Left seam: val(left) is free exactly on the column x == 0.
     entry("hl", "hl_t")
     m.add("hl_t", SYM_Z, "hl_p1")
-    m.add("hl_t", SYM_O, "rw_hr", move="L")  # all i bits zero: free
+    m.add("hl_t", SYM_O, "rw_hr", move=LEFT)  # all i bits zero: free
     m.add("hl_p1", SYM_Z, "hl_p2")
-    m.add("hl_p1", SYM_O, "rw_hlz", move="L")  # x != 0: val must be Z
+    m.add("hl_p1", SYM_O, "rw_hlz", move=LEFT)  # x != 0: val must be Z
     chain("hl_p", 2, 4, ZO, "hl_t")
     val_zero("hlz", 1, "rw_hr")
     cross("rw_hr", ZOB, "hr_e1")
@@ -262,10 +245,10 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
     # Right seam: val(right) free exactly when right.i == 0 (x == N-1).
     entry("hr", "hr_t")
     m.add("hr_t", SYM_Z, "hr_p1")
-    m.add("hr_t", SYM_O, "rw_vt", move="L")
+    m.add("hr_t", SYM_O, "rw_vt", move=LEFT)
     m.add("hr_p1", ZO, "hr_p2")
     m.add("hr_p2", SYM_Z, "hr_p3")
-    m.add("hr_p2", SYM_O, "rw_hrz", move="L")
+    m.add("hr_p2", SYM_O, "rw_hrz", move=LEFT)
     chain("hr_p", 3, 4, ZO, "hr_t")
     val_zero("hrz", 2, "rw_vt")
     cross("rw_vt", ZOB, "vt_e1")
@@ -280,7 +263,7 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
         entry(px, f"{px}_t")
         m.add(f"{px}_t", SYM_Z, f"{px}_k1")
         m.add(f"{px}_t", SYM_O, f"{px}_p1")
-        m.add(f"{px}_t", SYM_B, free_to, move="L")
+        m.add(f"{px}_t", SYM_B, free_to, move=LEFT)
         chain(f"{px}_k", 1, 4, skip, f"{px}_t")
         for k in (1, 2, 3):
             if k == slot_off:
@@ -295,36 +278,36 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
             m.add(f"{px}_p4", skip, f"{px}_t")
             m.add(f"{px}_f4", skip, f"{px}_ff")
         m.add(f"{px}_ff", SYM_O, f"{px}_g1")
-        m.add(f"{px}_ff", SYM_B, f"{px}_b0", move="L")
+        m.add(f"{px}_ff", SYM_B, f"{px}_b0", move=LEFT)
         chain(f"{px}_g", 1, 4, skip, f"{px}_ff")
         # Backward reads: with the head on the first padding tag, the top
         # j bit sits 5 - slot_off cells back, and each next bit 5 more.
         hop = 5 - slot_off
         for k in range(1, hop):
-            m.add(f"{px}_b{k - 1}", skip, f"{px}_b{k}", move="L")
-        m.add(f"{px}_b{hop - 1}", SYM_Z, f"{px}_m1_0", move="L")
-        m.add(f"{px}_b{hop - 1}", SYM_O, f"{px}_m1_1", move="L")
+            m.add(f"{px}_b{k - 1}", skip, f"{px}_b{k}", move=LEFT)
+        m.add(f"{px}_b{hop - 1}", SYM_Z, f"{px}_m1_0", move=LEFT)
+        m.add(f"{px}_b{hop - 1}", SYM_O, f"{px}_m1_1", move=LEFT)
         for v in (0, 1):
             for k in (1, 2, 3):
-                m.add(f"{px}_m{k}_{v}", skip, f"{px}_m{k + 1}_{v}", move="L")
-            m.add(f"{px}_m4_{v}", skip, f"{px}_r6_{v}", move="L")
+                m.add(f"{px}_m{k}_{v}", skip, f"{px}_m{k + 1}_{v}", move=LEFT)
+            m.add(f"{px}_m4_{v}", skip, f"{px}_r6_{v}", move=LEFT)
         # r6 reads the second-highest j bit with the top bit in the state.
-        m.add(f"{px}_r6_0", SYM_Z, zero_to, move="L")  # below N/4
-        m.add(f"{px}_r6_0", SYM_O, prog_to, move="L")
-        m.add(f"{px}_r6_1", SYM_Z, prog_to, move="L")
+        m.add(f"{px}_r6_0", SYM_Z, zero_to, move=LEFT)  # below N/4
+        m.add(f"{px}_r6_0", SYM_O, prog_to, move=LEFT)
+        m.add(f"{px}_r6_1", SYM_Z, prog_to, move=LEFT)
         if n == 7:
-            m.add(f"{px}_r6_1", SYM_O, zero_to, move="L")  # top 32 rows
+            m.add(f"{px}_r6_1", SYM_O, zero_to, move=LEFT)  # top 32 rows
         else:
-            m.add(f"{px}_r6_1", SYM_O, f"{px}_w1_1", move="L")
+            m.add(f"{px}_r6_1", SYM_O, f"{px}_w1_1", move=LEFT)
             for k in range(n - 7):
                 last = k == n - 8
                 for j in (1, 2, 3):
                     m.add(f"{px}_w{j}_{k + 1}", skip, f"{px}_w{j + 1}_{k + 1}",
-                          move="L")
-                m.add(f"{px}_w4_{k + 1}", skip, f"{px}_r5_{k + 1}", move="L")
-                m.add(f"{px}_r5_{k + 1}", SYM_Z, prog_to, move="L")
+                          move=LEFT)
+                m.add(f"{px}_w4_{k + 1}", skip, f"{px}_r5_{k + 1}", move=LEFT)
+                m.add(f"{px}_r5_{k + 1}", SYM_Z, prog_to, move=LEFT)
                 m.add(f"{px}_r5_{k + 1}", SYM_O,
-                      zero_to if last else f"{px}_w1_{k + 2}", move="L")
+                      zero_to if last else f"{px}_w1_{k + 2}", move=LEFT)
 
     # Top edge pass (slot sT, offset 3 past the tag).
     vertical_pass("vt", 3, "rw_vb", "rw_vtz", "rw_lt", skip=ZO)
@@ -359,37 +342,37 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
             else:
                 m.add(name, ZOB, sek)
         for b in (0, 1):
-            cross(f"{px}_c{b}", ZOB, f"{px}_d{b}", move="R")
-            cross(f"{px}_d{b}", SYM_B, f"{px}_w{b}", move="R")
+            cross(f"{px}_c{b}", ZOB, f"{px}_d{b}", move=RIGHT)
+            cross(f"{px}_d{b}", SYM_B, f"{px}_w{b}", move=RIGHT)
             m.add(f"{px}_w{b}", ZO, f"{px}_w{b}")
-            m.add(f"{px}_w{b}", SYM_B, f"{px}_r1", write=_sym(b), move="L")
-        cross(f"{px}_r1", ZO, f"{px}_r2", out="L")
-        cross(f"{px}_r2", SYM_B, f"{px}_r3", out="L")
+            m.add(f"{px}_w{b}", SYM_B, f"{px}_r1", write=_sym(b), move=LEFT)
+        cross(f"{px}_r1", ZO, f"{px}_r2", out=LEFT)
+        cross(f"{px}_r2", SYM_B, f"{px}_r3", out=LEFT)
         cross(f"{px}_r3", ZOB, sek)
         # Transform: d = row - N/4 needs only the two top bits rewritten:
         # low(d) = low(row), d[n-2] = !row[n-2], d[n-1] = row[n-2] & row[n-1].
-        cross(f"{px}_t0", SYM_B, f"{px}_t1", move="R")
-        cross(f"{px}_t1", ZO, f"{px}_t2", move="R", out="L", at=SYM_B)
-        m.add(f"{px}_t2", SYM_Z, f"{px}_t3z", move="L")
-        m.add(f"{px}_t2", SYM_O, f"{px}_t3o", move="L")
+        cross(f"{px}_t0", SYM_B, f"{px}_t1", move=RIGHT)
+        cross(f"{px}_t1", ZO, f"{px}_t2", move=RIGHT, out=LEFT, at=SYM_B)
+        m.add(f"{px}_t2", SYM_Z, f"{px}_t3z", move=LEFT)
+        m.add(f"{px}_t2", SYM_O, f"{px}_t3o", move=LEFT)
         m.add(f"{px}_t3z", SYM_Z, f"{px}_t4z", write=SYM_O)
         m.add(f"{px}_t3z", SYM_O, f"{px}_t4z", write=SYM_Z)
         m.add(f"{px}_t3o", SYM_Z, f"{px}_t4z", write=SYM_O)
         m.add(f"{px}_t3o", SYM_O, f"{px}_t4o", write=SYM_Z)
         m.add(f"{px}_t4z", ZO, f"{px}_t5", write=SYM_Z)
         m.add(f"{px}_t4o", ZO, f"{px}_t5", write=SYM_O)
-        m.add(f"{px}_t5", SYM_B, f"{px}_v1", write=SYM_M, move="L")
+        m.add(f"{px}_t5", SYM_B, f"{px}_v1", write=SYM_M, move=LEFT)
         # Fetch the val bit under test, then come back to the counter.
-        cross(f"{px}_v1", ZO, f"{px}_v2", out="L")
-        cross(f"{px}_v2", SYM_B, f"{px}_v3", out="L")
+        cross(f"{px}_v1", ZO, f"{px}_v2", out=LEFT)
+        cross(f"{px}_v2", SYM_B, f"{px}_v3", out=LEFT)
         cross(f"{px}_v3", ZOB, f"{px}_v4")
         for k in range(4, 4 + val_cell - 1):
             m.add(f"{px}_v{k}", ZOB if k > 4 else SYM_B, f"{px}_v{k + 1}")
         probe = f"{px}_v{3 + val_cell}"
         for b in (0, 1):
             m.add(probe, _sym(b), f"{px}_g{b}")
-            cross(f"{px}_g{b}", ZOB, f"{px}_h{b}", move="R")
-            cross(f"{px}_h{b}", SYM_B, f"{px}_dec{b}", move="R")
+            cross(f"{px}_g{b}", ZOB, f"{px}_h{b}", move=RIGHT)
+            cross(f"{px}_h{b}", SYM_B, f"{px}_dec{b}", move=RIGHT)
             # The drag: decrement the counter in place, then shift the
             # whole block one cell right with a one-bit register sweep
             # (each cell takes its left neighbour's old value, the top
@@ -398,8 +381,8 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
             # sentinel rests exactly fold cells past where it started,
             # and only a matching track bit lets the run continue.
             m.add(f"{px}_dec{b}", SYM_Z, f"{px}_dec{b}", write=SYM_O)
-            m.add(f"{px}_dec{b}", SYM_O, f"{px}_ret{b}", write=SYM_Z, move="L")
-            m.add(f"{px}_dec{b}", SYM_M, done, track=b, move="L")
+            m.add(f"{px}_dec{b}", SYM_O, f"{px}_ret{b}", write=SYM_Z, move=LEFT)
+            m.add(f"{px}_dec{b}", SYM_M, done, track=COND_TRACK0 + b, move=LEFT)
             # off a B, or off the anchor M on the first advance only
             cross(f"{px}_ret{b}", SYM_O, f"{px}_sh{b}", at=(SYM_B, SYM_M))
             for c in (0, 1):
@@ -407,26 +390,25 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
                 m.add(f"{px}_s{b}{c}", SYM_Z, f"{px}_s{b}0", write=_sym(c))
                 m.add(f"{px}_s{b}{c}", SYM_O, f"{px}_s{b}1", write=_sym(c))
                 m.add(f"{px}_s{b}{c}", SYM_M, f"{px}_m{b}", write=_sym(c))
-            m.add(f"{px}_m{b}", SYM_B, f"{px}_n{b}", write=SYM_M, move="L")
+            m.add(f"{px}_m{b}", SYM_B, f"{px}_n{b}", write=SYM_M, move=LEFT)
             cross(f"{px}_n{b}", ZO, f"{px}_dec{b}", at=SYM_B)
 
     cross("rw_lt", ZOB, "lt_sek")
     walker("lt", 3, 4, "wt_x1")
-    cross("wt_x1", ZOB, "wt_x2", out="L")
-    cross("wt_x2", SYM_B, "wt_x3", out="L")
+    cross("wt_x1", ZOB, "wt_x2", out=LEFT)
+    cross("wt_x2", SYM_B, "wt_x3", out=LEFT)
     cross("wt_x3", ZOB, "vb_e1")
 
     # Bottom edge pass (slot sB, offset 4): mirrors the top pass, but its
     # scans run after a possible top walk, so skipped cells may read B.
     vertical_pass("vb", 4, "vb_ok", "rw_vbz", "rw_lb")
-    m.add("vb_ok", ZOB, "accept", move="S")
-    m.add("vb_ok", SYM_M, "accept", move="S")
-    val_zero("vbz", 4, "accept", move="S")
+    m.add("vb_ok", ZOB, "accept", move=STAY)
+    m.add("vb_ok", SYM_M, "accept", move=STAY)
+    val_zero("vbz", 4, "accept", move=STAY)
     cross("rw_lb", ZOB, "lb_sek")
     walker("lb", 4, 5, "accept")
 
-    machine = m.machine()
-    return machine, tuple(m.ids)
+    return m.machine(4, "start", "accept", SYM_B, True), tuple(m.ids)
 
 
 # --- the drag lemma -----------------------------------------------------------
@@ -549,8 +531,10 @@ def drag_lemma(machine: Machine, names, width: int) -> DragLemma:
         costs = _decrement_costs(machine, entry, dec, states, width)
         if costs is not None:
             entries[entry] = (dec, costs)
-    rules = tuple(t for t in machine.transitions if t.state not in entries or t.read != SYM_M)
-    return DragLemma(replace(machine, transitions=rules), entries)
+    rules = machine.transitions
+    entry_rules = (np.isin(np.frombuffer(rules.state, dtype=np.intc), list(entries))
+                   & (np.frombuffer(rules.read, dtype=np.uint8) == SYM_M))
+    return DragLemma(replace(machine, transitions=rules.where(~entry_rules)), entries)
 
 
 # --- the tile set -----------------------------------------------------------

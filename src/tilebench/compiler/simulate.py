@@ -29,7 +29,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..core import Interner, PatchGrid, TileSet, block_border
-from ..machine import SYM_ZERO, Machine, diagram_local_rules, run_machine
+from ..machine import (
+    STAY,
+    SYM_BLANK,
+    SYM_ONE,
+    SYM_ZERO,
+    Assembler,
+    Machine,
+    diagram_local_rules,
+    run_machine,
+)
 from ..solver import InconclusiveError, solve
 from .layout import SimulationLayout, plan_layout
 
@@ -283,17 +292,10 @@ def chessboard_predicate_machine() -> Machine:
     The accepted quadruples 0110 and 1001 are exactly the two chessboard
     tiles, so the compiled tile set simulates the chessboard up to renaming.
     """
-    from ..machine import SYM_ONE, Transition
-
     Z, O = SYM_ZERO, SYM_ONE
-    ts = [
-        Transition(0, Z, None, 2, Z, "R"),
-        Transition(0, O, None, 3, O, "R"),
-        Transition(2, O, None, 4, O, "R"),
-        Transition(3, Z, None, 5, Z, "R"),
-        Transition(4, O, None, 6, O, "R"),
-        Transition(5, Z, None, 7, Z, "R"),
-        Transition(6, Z, None, 1, Z, "S"),
-        Transition(7, O, None, 1, O, "S"),
-    ]
-    return Machine(8, 4, 0, 1, 0, False, tuple(ts))
+    m = Assembler(*range(8))  # state q is named q
+    for q, s, q2 in ((0, Z, 2), (0, O, 3), (2, O, 4), (3, Z, 5), (4, O, 6), (5, Z, 7)):
+        m.add(q, s, q2)
+    m.add(6, Z, 1, move=STAY)
+    m.add(7, O, 1, move=STAY)
+    return m.machine(4, 0, 1, SYM_BLANK)

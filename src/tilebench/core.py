@@ -28,7 +28,8 @@ HOLE = -1
 #: Pure function (x, y) -> tile id (or any small int label) describing an
 #: infinite configuration.  Callers must guarantee repeatability: the same
 #: (x, y) always yields the same value.  Oracles must also be hashable,
-#: because the window sampler caches its samples keyed by the oracle.
+#: because the window sampler caches its samples keyed by the oracle.  The
+#: sampler also takes a finite configuration as a 2-D array, row = y.
 ConfigurationOracle = Callable[[int, int], int]
 
 
@@ -417,23 +418,34 @@ def _square(oracle: Callable[[int, int], int], cx: int, cy: int, r: int) -> np.n
     )
 
 
+def _window(config, cx: int, cy: int, r: int) -> np.ndarray:
+    """``_square`` of an oracle, or that square sliced out of a 2-D array
+    (row = y), uncached; ValueError when it leaves the array."""
+    if not isinstance(config, np.ndarray):
+        return _square(config, cx, cy, r)
+    if not (r <= cx < config.shape[1] - r and r <= cy < config.shape[0] - r):
+        raise ValueError(f"the radius {r} window about ({cx}, {cy}) leaves the array")
+    return config[cy - r : cy + r + 1, cx - r : cx + r + 1]
+
+
 def _mismatch_fractions(a: ConfigurationOracle, b: ConfigurationOracle, radii: Sequence[int],
                         shift=(0, 0), hole=None, center=(0, 0)) -> list[float]:
     """Per radius, the fraction of unmasked p in the centred window with a(p) != b(p + shift).
 
-    Each oracle is sampled once, on the largest window padded by the shift
-    rounded up to a multiple of 4, so a sweep of small shifts reuses one
-    cached sample.  A window whose every point is masked reads 0.0.
+    Each configuration is sampled once, on the largest window padded by the
+    shift rounded up to a multiple of 4, so a sweep of small shifts reuses
+    one cached sample of an oracle.  A window whose every point is masked
+    reads 0.0.
     """
     dx, dy = shift
     cx, cy = center
     pad = -(-max(abs(dx), abs(dy)) // 4) * 4
     big = max(radii) + pad
-    grid_a, grid_b = _square(a, cx, cy, big), _square(b, cx, cy, big)
+    grid_a, grid_b = _window(a, cx, cy, big), _window(b, cx, cy, big)
     if hole is None:
         kept = np.ones(grid_a.shape, dtype=bool)
-    else:  # truthiness, so a hole oracle may return bools or 0/1 ints
-        kept = ~_square(hole, cx, cy, big).astype(bool)
+    else:  # truthiness, so a hole mask may hold bools or 0/1 ints
+        kept = ~_window(hole, cx, cy, big).astype(bool)
     out = []
     for r in radii:
         lo, hi = big - r, big + r + 1
@@ -445,19 +457,20 @@ def _mismatch_fractions(a: ConfigurationOracle, b: ConfigurationOracle, radii: S
 
 
 def besicovitch_distance(
-    a: ConfigurationOracle,
-    b: ConfigurationOracle,
+    a: ConfigurationOracle | np.ndarray,
+    b: ConfigurationOracle | np.ndarray,
     radii: Sequence[int],
-    hole: Callable[[int, int], bool] | None = None,
+    hole: Callable[[int, int], bool] | np.ndarray | None = None,
     center: tuple[int, int] = (0, 0),
 ) -> BesicovitchReport:
     """Mismatch fractions between two configurations on centered windows.
 
     Args:
-        a, b: configuration oracles.
+        a, b: configuration oracles, or 2-D arrays (row = y) that hold
+            every window.
         radii: strictly positive window radii, typically increasing.
-        hole: optional mask; masked points count in neither numerator nor
-            denominator.
+        hole: optional mask, an oracle or an array; masked points count in
+            neither numerator nor denominator.
         center: window center.
 
     Returns:

@@ -21,38 +21,28 @@ import itertools
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import Interner
 
-#: Move letters and track conditions; ``Rules`` stores each as its index here.
-MOVES = ("L", "R", "S")
-TRACKS = (0, 1, None)
-ANY_TRACK = TRACKS.index(None)
-#: Head movement per move, by its index in ``MOVES``.
-DELTAS = (-1, 1, 0)
+#: A rule's track condition and move, coded as in docs/program-format.md;
+#: ``Rules``' ``track`` and ``move`` columns hold these codes, and no rule
+#: holds COND_NEVER.
+COND_ANY, COND_NEVER, COND_TRACK0, COND_TRACK1 = range(4)
+STAY, LEFT, RIGHT = range(3)
+#: The move letters of the JSON form, and the head movements, by move code.
+MOVES = ("S", "L", "R")
+DELTAS = (0, -1, 1)
 
 
-class Transition(NamedTuple):
-    state: int
-    read: int
-    track: int | None
-    new_state: int
-    write: int
-    move: str
+class Rules:
+    """A machine's rules in priority order, one column per field: ``state``
+    and ``new_state`` are ``array("i")``, ``read``, ``write``, ``track`` and
+    ``move`` byte strings, the track condition and the move as their codes.
 
-
-class Rules(Sequence):
-    """A machine's rules in priority order, packed in one column per
-    ``Transition`` field: ``state`` and ``new_state`` are ``array("i")``,
-    ``read``, ``write``, ``track`` and ``move`` byte strings, a track
-    condition and a move stored as their index in ``TRACKS`` and ``MOVES``.
-
-    Indexing and iteration give back ``Transition``s, built on demand; two
-    Rules are equal, and hash alike, when their columns are.  ``Machine``
-    checks the columns and nothing changes them after.
+    Two Rules are equal, and hash alike, when their columns are.
+    ``Machine`` checks the columns and nothing changes them after.
     """
 
     __slots__ = ("state", "read", "track", "new_state", "write", "move")
@@ -63,32 +53,29 @@ class Rules(Sequence):
         self.new_state, self.write, self.move = new_state, write, move
 
     @classmethod
-    def of(cls, transitions) -> "Rules":
-        """Pack ``Transition``s; ValueError for a state or symbol that is not
-        a small int, a track condition other than None, 0 or 1, or a move
-        other than a letter of ``MOVES``."""
-        state, read, track, new_state, write, move = tuple(zip(*transitions)) or ((),) * 6
+    def of(cls, rows) -> "Rules":
+        """Pack rows ``(state, read, track, new_state, write, move)`` of ints,
+        the JSON form's order with the columns' codes; ValueError for a value
+        that is not an int in its column's range."""
+        state, read, track, new_state, write, move = tuple(zip(*rows)) or ((),) * 6
         try:
-            return cls(array("i", state), bytes(read), bytes(map(TRACKS.index, track)),
-                       array("i", new_state), bytes(write), bytes(map(MOVES.index, move)))
+            return cls(array("i", state), bytes(read), bytes(track), array("i", new_state),
+                       bytes(write), bytes(move))
         except (TypeError, OverflowError):
-            raise ValueError("transition states and symbols must be ints in range") from None
+            raise ValueError("rule states and symbols must be ints in range") from None
 
     def columns(self) -> tuple:
         return self.state, self.read, self.track, self.new_state, self.write, self.move
 
+    def where(self, keep: np.ndarray) -> "Rules":
+        """The rules at the True entries of the boolean mask ``keep``, in order."""
+        q, s, c, q2, w, mv = (np.frombuffer(col, dtype=np.intc if isinstance(col, array)
+                                            else np.uint8)[keep].tobytes()
+                              for col in self.columns())
+        return Rules(array("i", q), s, c, array("i", q2), w, mv)
+
     def __len__(self) -> int:
         return len(self.state)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Rules(*(c[i] for c in self.columns()))
-        return Transition(self.state[i], self.read[i], TRACKS[self.track[i]],
-                          self.new_state[i], self.write[i], MOVES[self.move[i]])
-
-    def __iter__(self):
-        return map(Transition, self.state, self.read, map(TRACKS.__getitem__, self.track),
-                   self.new_state, self.write, map(MOVES.__getitem__, self.move))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rules):
@@ -102,13 +89,52 @@ class Rules(Sequence):
         return f"<Rules: {len(self)} rules>"
 
 
+class Assembler:
+    """Builds a machine rule by rule, in priority order: states are named by
+    any hashable key and numbered by first use through an ``Interner``, the
+    constructor's keys first, in order."""
+
+    def __init__(self, *keys) -> None:
+        self.ids = Interner((key, q) for q, key in enumerate(keys))
+        self.state, self.new_state = array("i"), array("i")
+        self.read, self.track, self.write, self.move = (bytearray() for _ in range(4))
+
+    def add(self, frm, reads, to, *, write: int | None = None, move: int = RIGHT,
+            track: int = COND_ANY) -> None:
+        """A rule from state ``frm`` to ``to`` for each symbol of ``reads``
+        (one symbol or several), writing ``write`` or, when it is None, the
+        symbol read back; ``frm`` and ``to`` are named in that order."""
+        reads = (reads,) if isinstance(reads, int) else tuple(reads)
+        q, q2, n = self.ids[frm], self.ids[to], len(reads)
+        self.extend([q] * n, reads, [q2] * n, reads if write is None else [write] * n,
+                    [move] * n, track=track)
+
+    def extend(self, froms, reads, tos, writes, moves, *, track: int = COND_ANY) -> None:
+        """One rule per position of the parallel columns (sequences), whose
+        states are ids (``ids[key]``), all with the track condition ``track``."""
+        self.state.extend(froms)
+        self.read.extend(reads)
+        self.track.extend(bytes((track,)) * len(reads))
+        self.new_state.extend(tos)
+        self.write.extend(writes)
+        self.move.extend(moves)
+
+    def machine(self, symbols: int, start, accept, blank: int,
+                program_track: bool = False) -> "Machine":
+        """The machine of the rules so far, its start and accept states named
+        by key; the assembler is done with once this is called."""
+        rules = Rules(self.state, bytes(self.read), bytes(self.track), self.new_state,
+                      bytes(self.write), bytes(self.move))
+        return Machine(len(self.ids), symbols, self.ids[start], self.ids[accept], blank,
+                       program_track, rules)
+
+
 @dataclass(frozen=True)
 class Machine:
-    """A Turing machine.  ``transitions`` may be given as any sequence of
-    ``Transition``s and is kept packed, as ``Rules``; the constructor
-    checks every column in C (min, max and byte deletion, no loop per
-    rule) and raises ValueError for a state, symbol, move or track
-    condition out of range."""
+    """A Turing machine whose ``transitions`` are ``Rules``; the constructor
+    checks every column in C (min, max and byte deletion, no loop per rule)
+    and raises ValueError for a state, symbol, move or track condition out
+    of range."""
 
     states: int
     symbols: int
@@ -116,7 +142,7 @@ class Machine:
     accept: int
     blank: int
     program_track: bool
-    transitions: Sequence[Transition]
+    transitions: Rules
 
     def __post_init__(self) -> None:
         if self.symbols > 256:
@@ -127,8 +153,7 @@ class Machine:
             raise ValueError("blank symbol out of range")
         rules = self.transitions
         if not isinstance(rules, Rules):
-            rules = Rules.of(rules)
-            object.__setattr__(self, "transitions", rules)
+            raise TypeError("a machine's transitions are Rules")
         if len(set(map(len, rules.columns()))) > 1:
             raise ValueError("rule columns of unequal length")
         if not rules:
@@ -140,9 +165,9 @@ class Machine:
             raise ValueError("a transition references an unknown symbol")
         if rules.move.translate(None, bytes(range(len(MOVES)))):
             raise ValueError("a transition has a bad move")
-        if rules.track.translate(None, bytes(range(len(TRACKS)))):
-            raise ValueError("track condition must be None, 0 or 1")
-        if not self.program_track and rules.track.translate(None, bytes([ANY_TRACK])):
+        if rules.track.translate(None, bytes((COND_ANY, COND_TRACK0, COND_TRACK1))):
+            raise ValueError("track condition must be any, track bit 0 or track bit 1")
+        if not self.program_track and rules.track.translate(None, bytes([COND_ANY])):
             raise ValueError("track condition on a machine without a track")
 
     def dispatch(self) -> list:
@@ -180,14 +205,14 @@ class Machine:
         row = rows[q] = [None] * (syms * tracks)
         if q == self.accept:
             return row
-        order, starts = self._by_state()
+        starts, ends, offsets = self._by_state()
         rules = self.transitions
-        ids = order[starts[q] : starts[q + 1]]
+        ids = [r for k in range(offsets[q], offsets[q + 1]) for r in range(starts[k], ends[k])]
         sweeps: dict[int, tuple] = {}
         for b in range(tracks):
             for r in ids:
                 c = rules.track[r]
-                if c != ANY_TRACK and c != b:
+                if c != COND_ANY and c != COND_TRACK0 + b:
                     continue
                 s = rules.read[r]
                 i = s * tracks + b
@@ -205,18 +230,21 @@ class Machine:
                 row[i] = e
         return row
 
-    def _by_state(self) -> tuple[array, array]:
-        """The rule ids ordered by state, each state's in priority order,
-        and the ``states + 1`` offsets where each state's ids start: built
-        once, by a stable argsort, and cached on the instance."""
+    def _by_state(self) -> tuple[array, array, array]:
+        """The machine's runs (maximal blocks of consecutive rules of one
+        state) ordered by state, each state's in priority order, as their
+        first rule ids and their end ids, and the ``states + 1`` offsets
+        where each state's runs start: built once, by a stable argsort of
+        the runs, and cached on the instance."""
         index = self.__dict__.get("_index")
         if index is None:
             state = np.frombuffer(self.transitions.state, dtype=np.intc)
-            order, starts = array("i"), array("i", [0])
-            order.frombytes(np.argsort(state, kind="stable").astype(np.intc).tobytes())
-            starts.frombytes(np.bincount(state, minlength=self.states).cumsum()
-                             .astype(np.intc).tobytes())
-            index = order, starts
+            first = np.flatnonzero(np.diff(state, prepend=-1))
+            end = np.append(first[1:], len(state))
+            order = np.argsort(state[first], kind="stable")
+            offsets = np.bincount(state[first], minlength=self.states).cumsum()
+            index = tuple(array("i", np.asarray(a, dtype=np.intc).tobytes())
+                          for a in (first[order], end[order], np.append(0, offsets)))
             object.__setattr__(self, "_index", index)
         return index
 
@@ -229,8 +257,8 @@ class Machine:
             "blank": self.blank,
             "program_track": self.program_track,
             "transitions": [
-                [t.state, t.read, t.track, t.new_state, t.write, t.move]
-                for t in self.transitions
+                [q, s, None if c == COND_ANY else c - COND_TRACK0, q2, w, MOVES[mv]]
+                for q, s, c, q2, w, mv in zip(*self.transitions.columns())
             ],
         }
 
@@ -238,14 +266,18 @@ class Machine:
     def from_json(cls, obj: dict) -> "Machine":
         """Decode a machine from outside input: its counts, states and
         symbols must be ints (not bools or floats), ``program_track`` a
-        bool and each track condition None or an int; ValueError otherwise.
-        ``__post_init__`` checks the ranges."""
+        bool, each track condition None or an int and each move a letter of
+        ``MOVES``; ValueError otherwise.  ``__post_init__`` checks the
+        ranges."""
         fields = [obj[k] for k in ("states", "symbols", "start", "accept", "blank")]
-        rules = tuple(Transition(*t) for t in obj["transitions"])
-        ints = fields + [v for t in rules for v in (t.state, t.read, t.new_state, t.write)]
+        rows = [tuple(t) for t in obj["transitions"]]
+        # unpacking raises ValueError for a row that is not six fields
+        ints = fields + [v for q, s, _, q2, w, _ in rows for v in (q, s, q2, w)]
         if not (set(map(type, ints)) <= {int} and type(obj["program_track"]) is bool
-                and {type(t.track) for t in rules} <= {int, type(None)}):
+                and {type(t[2]) for t in rows} <= {int, type(None)}):
             raise ValueError("machine numbers must be ints and program_track a bool")
+        rules = Rules.of((q, s, COND_ANY if c is None else COND_TRACK0 + c, q2, w, MOVES.index(mv))
+                         for q, s, c, q2, w, mv in rows)
         return cls(*fields, obj["program_track"], rules)
 
 
@@ -496,52 +528,42 @@ SYM_BLANK, SYM_ZERO, SYM_ONE, SYM_MARK = 0, 1, 2, 3
 
 def always_accept_machine() -> Machine:
     """Accepts any input in one step."""
-    ts = [Transition(0, s, None, 1, s, "S") for s in range(4)]
-    return Machine(2, 4, 0, 1, SYM_BLANK, False, tuple(ts))
+    m = Assembler("start", "accept")
+    m.add("start", range(4), "accept", move=STAY)
+    return m.machine(4, "start", "accept", SYM_BLANK)
 
 
 def parity_machine() -> Machine:
     """Accepts when the input holds an even number of ones."""
-    even, acc, odd = 0, 1, 2
-    ts = [
-        Transition(even, SYM_ZERO, None, even, SYM_ZERO, "R"),
-        Transition(even, SYM_ONE, None, odd, SYM_ONE, "R"),
-        Transition(odd, SYM_ZERO, None, odd, SYM_ZERO, "R"),
-        Transition(odd, SYM_ONE, None, even, SYM_ONE, "R"),
-        Transition(even, SYM_BLANK, None, acc, SYM_BLANK, "S"),
-    ]
-    return Machine(3, 4, 0, 1, SYM_BLANK, False, tuple(ts))
+    m = Assembler("even", "accept", "odd")
+    m.add("even", SYM_ZERO, "even")
+    m.add("even", SYM_ONE, "odd")
+    m.add("odd", SYM_ZERO, "odd")
+    m.add("odd", SYM_ONE, "even")
+    m.add("even", SYM_BLANK, "accept", move=STAY)
+    return m.machine(4, "even", "accept", SYM_BLANK)
 
 
 def palindrome_machine() -> Machine:
     """Accepts palindromes over letters 0/1, by marking matched ends inward."""
-    s0, acc, r0, r1, c0, c1, rew = range(7)
+    m = Assembler("s0", "acc", "r0", "r1", "c0", "c1", "rew")
     Z, O, B, X = SYM_ZERO, SYM_ONE, SYM_BLANK, SYM_MARK
-    ts = [
-        Transition(s0, Z, None, r0, X, "R"),
-        Transition(s0, O, None, r1, X, "R"),
-        Transition(s0, B, None, acc, B, "S"),
-        Transition(s0, X, None, acc, X, "S"),
-        # run right over letters to the matched/blank edge
-        Transition(r0, Z, None, r0, Z, "R"),
-        Transition(r0, O, None, r0, O, "R"),
-        Transition(r0, X, None, c0, X, "L"),
-        Transition(r0, B, None, c0, B, "L"),
-        Transition(r1, Z, None, r1, Z, "R"),
-        Transition(r1, O, None, r1, O, "R"),
-        Transition(r1, X, None, c1, X, "L"),
-        Transition(r1, B, None, c1, B, "L"),
-        # the last unmarked letter must match; a mark means nothing was left
-        Transition(c0, Z, None, rew, X, "L"),
-        Transition(c0, X, None, acc, X, "S"),
-        Transition(c1, O, None, rew, X, "L"),
-        Transition(c1, X, None, acc, X, "S"),
-        # rewind to the leftmost unmarked letter
-        Transition(rew, Z, None, rew, Z, "L"),
-        Transition(rew, O, None, rew, O, "L"),
-        Transition(rew, X, None, s0, X, "R"),
-    ]
-    return Machine(7, 4, 0, 1, SYM_BLANK, False, tuple(ts))
+    m.add("s0", Z, "r0", write=X)
+    m.add("s0", O, "r1", write=X)
+    m.add("s0", (B, X), "acc", move=STAY)
+    # run right over letters to the matched/blank edge
+    for run, check in (("r0", "c0"), ("r1", "c1")):
+        m.add(run, (Z, O), run)
+        m.add(run, (X, B), check, move=LEFT)
+    # the last unmarked letter must match; a mark means nothing was left
+    m.add("c0", Z, "rew", write=X, move=LEFT)
+    m.add("c0", X, "acc", move=STAY)
+    m.add("c1", O, "rew", write=X, move=LEFT)
+    m.add("c1", X, "acc", move=STAY)
+    # rewind to the leftmost unmarked letter
+    m.add("rew", (Z, O), "rew", move=LEFT)
+    m.add("rew", X, "s0")
+    return m.machine(4, "s0", "acc", SYM_BLANK)
 
 
 def machine_corpus() -> dict[str, Machine]:
@@ -553,10 +575,6 @@ def machine_corpus() -> dict[str, Machine]:
 
 
 # --- machine descriptions as bit strings ----------------------------------
-
-COND_ANY, COND_NEVER, COND_TRACK0, COND_TRACK1 = 0, 1, 2, 3
-MOVE_CODES = {"S": 0, "L": 1, "R": 2}
-
 
 def record_bits(state_bits: int) -> int:
     """valid(1) + state + symbol(2) + condition(2) + state + symbol(2) + move(2)."""
@@ -581,15 +599,15 @@ def encode_program(machine: Machine, state_bits: int = 8) -> list[int]:
     if machine.start != 0 or machine.accept != 1:
         raise ValueError("encoding expects start state 0 and accept state 1")
     bits: list[int] = []
-    for t in machine.transitions:
-        cond = COND_ANY if t.track is None else (COND_TRACK0 + t.track)
+    # the track and move columns hold the record's codes already
+    for q, s, c, q2, w, mv in zip(*machine.transitions.columns()):
         bits.append(1)
-        bits += _field(t.state, state_bits)
-        bits += _field(t.read, 2)
-        bits += _field(cond, 2)
-        bits += _field(t.new_state, state_bits)
-        bits += _field(t.write, 2)
-        bits += _field(MOVE_CODES[t.move], 2)
+        bits += _field(q, state_bits)
+        bits += _field(s, 2)
+        bits += _field(c, 2)
+        bits += _field(q2, state_bits)
+        bits += _field(w, 2)
+        bits += _field(mv, 2)
     bits.append(0)
     return bits
 
@@ -660,32 +678,11 @@ def universal_machine(state_bits: int = 8) -> Machine:
     transition counts rather than by shipping the table around.
     """
     ns = 1 << state_bits
-    names = Interner()
+    asm = Assembler("UACC", ("seek", 0))
+    ids = asm.ids
 
-    def st(*key) -> int:
-        return names[key]
-
-    acc = st("UACC")
-    start = st("seek", 0)
-    # the rule columns, appended to straight (no Transition per rule)
-    from_col, to_col = array("i"), array("i")
-    read_col, write_col, move_col = bytearray(), bytearray(), bytearray()
-    move_code = {move: code for code, move in enumerate(MOVES)}
-    right, left = move_code["R"], move_code["L"]
-
-    def extend(froms, reads, tos, writes, moves) -> None:
-        """Append one rule per position of the five parallel columns."""
-        from_col.extend(froms)
-        read_col.extend(reads)
-        to_col.extend(tos)
-        write_col.extend(writes)
-        move_col.extend(moves)
-
-    def add(state: int, read: int, new_state: int, write: int, move: str) -> None:
-        extend((state,), (read,), (new_state,), (write,), (move_code[move],))
-
-    def ret_state(q: int, sym: int, trk: int) -> int:
-        return acc if q == 1 else st("ret", q, sym, trk)
+    def ret(q: int, sym: int, trk: int) -> int:
+        return ids["UACC" if q == 1 else ("ret", q, sym, trk)]
 
     passthrough = [U_BIT0, U_BIT1, U_END, U_ORIGIN, U_SEP]
     rewound = [U_BIT0, U_BIT1, U_END, U_SEP] + [
@@ -703,28 +700,29 @@ def universal_machine(state_bits: int = 8) -> Machine:
         to, write, move = zip(*(flagged(s, b) for s in range(4) for b in (0, 1)))
         stops = slice(len(passthrough) + 1, None, 2)  # the flagged cells' rules
         tos, writes = [state] * len(scan_reads), bytearray(scan_reads)
-        moves = bytearray([right]) * len(scan_reads)
-        tos[stops], writes[stops], moves[stops] = to, write, map(move_code.get, move)
-        extend([state] * len(scan_reads), scan_reads, tos, writes, moves)
+        moves = bytearray([RIGHT]) * len(scan_reads)
+        tos[stops], writes[stops], moves[stops] = to, write, move
+        asm.extend([state] * len(scan_reads), scan_reads, tos, writes, moves)
 
     def rewind(kind: str, q: int, s: int, b: int) -> None:
         """Run left to the origin, then start matching records for (q, s, b)."""
-        state = st(kind, q, s, b)
-        extend([state] * len(rewound), rewound, [state] * len(rewound), rewound,
-               [left] * len(rewound))
-        add(state, U_ORIGIN, st("rec", q, s, b), U_ORIGIN, "R")
+        state = ids[kind, q, s, b]
+        n = len(rewound)
+        asm.extend([state] * (n + 1), rewound + [U_ORIGIN],
+                   [state] * n + [ids["rec", q, s, b]], rewound + [U_ORIGIN],
+                   [LEFT] * n + [RIGHT])
 
     def forward(rules) -> None:
         """Append (state, read, new_state) rules that keep what they read
         and move right, each column extended once."""
         froms, reads, tos = zip(*rules)
-        extend(froms, reads, tos, reads, [right] * len(reads))
+        asm.extend(froms, reads, tos, reads, [RIGHT] * len(reads))
 
     def match(key: tuple, value: int, width: int, done: tuple, skip: int) -> None:
         """Compare a field with ``value``, most significant bit first: on a
         match go on into ``done``, on a mismatch to ``skip``."""
-        states = [st(*key, i) for i in range(width)]
-        states.append(st(*done))
+        states = [ids[(*key, i)] for i in range(width)]
+        states.append(ids[done])
         rules = []
         for i in range(width):
             expect = (value >> (width - 1 - i)) & 1
@@ -737,66 +735,67 @@ def universal_machine(state_bits: int = 8) -> Machine:
         rules = []
         for i in range(width):
             for partial in range(1 << i):
-                state = st(*key, partial, i)
+                state = ids[(*key, partial, i)]
                 for bit in (0, 1):
                     val = (partial << 1) | bit
-                    nxt = st(*key, val, i + 1) if i + 1 < width else done(val)
+                    nxt = ids[(*key, val, i + 1)] if i + 1 < width else done(val)
                     rules.append((state, U_BIT0 + bit, nxt))
         forward(rules)
 
     for q in range(ns):
-        scan(st("seek", q), lambda s, b: (st("rew", q, s, b), work_cell(s, 1, b), "L"))
+        scan(ids["seek", q], lambda s, b: (ids["rew", q, s, b], work_cell(s, 1, b), LEFT))
 
     # rewind to the origin, then scan records
     keys = list(itertools.product(range(ns), range(4), (0, 1)))
     for q, s, b in keys:
         rewind("rew", q, s, b)
-        rec, skip = st("rec", q, s, b), st("skip", q, s, b)
+        rec, skip = ids["rec", q, s, b], ids["skip", q, s, b]
         # a 0 valid bit means no record matched: the simulation is stuck
-        forward(((rec, U_BIT1, st("cq", q, s, b, 0)),
+        forward(((rec, U_BIT1, ids["cq", q, s, b, 0]),
                  (skip, U_BIT0, skip), (skip, U_BIT1, skip), (skip, U_SEP, rec)))
         match(("cq", q, s, b), q, state_bits, ("cs", q, s, b, 0), skip)
         match(("cs", q, s, b), s, 2, ("cc", q, s, b), skip)
         # condition field: 00 any, 01 never, 1x require track == x
-        cc, cc_any, cc_trk = st("cc", q, s, b), st("cc0", q, s, b), st("cc1", q, s, b)
-        grab = st("gq", 0, 0)
+        cc, cc_any, cc_trk = ids["cc", q, s, b], ids["cc0", q, s, b], ids["cc1", q, s, b]
+        grab = ids["gq", 0, 0]
         forward(((cc, U_BIT0, cc_any), (cc, U_BIT1, cc_trk),
                  (cc_any, U_BIT0, grab), (cc_any, U_BIT1, skip),
                  (cc_trk, U_BIT0 + b, grab), (cc_trk, U_BIT1 - b, skip)))
 
-    # collect successor state / symbol / move
-    field(("gq",), state_bits, lambda q2: st("gs", q2, 0, 0))
+    # collect successor state / symbol / move (code 3 stays, as 0 does)
+    field(("gq",), state_bits, lambda q2: ids["gs", q2, 0, 0])
     for q2 in range(ns):
-        field(("gs", q2), 2, lambda s2: st("gm", q2, s2, 0, 0))
+        field(("gs", q2), 2, lambda s2: ids["gm", q2, s2, 0, 0])
         for s2 in range(4):
-            field(("gm", q2, s2), 2, lambda val: st("walk", q2, s2, "SLRS"[val]))
+            field(("gm", q2, s2), 2, lambda val: ids["walk", q2, s2, val % 3])
 
     # walk to the simulated head and apply the move
     for q2 in range(ns):
         for s2 in range(4):
-            scan(st("walk", q2, s2, "S"),
-                 lambda s, b: (ret_state(q2, s2, b), work_cell(s2, 1, b), "L"))
-            for move in ("L", "R"):
-                plant = st("plant" + move, q2)
-                scan(st("walk", q2, s2, move), lambda s, b: (plant, work_cell(s2, 0, b), move))
-        plant_r = st("plantR", q2)
-        plant_l = st("plantL", q2)
-        for s in range(4):
-            for b in (0, 1):
-                add(plant_r, work_cell(s, 0, b), ret_state(q2, s, b), work_cell(s, 1, b), "L")
-                add(plant_l, work_cell(s, 0, b), ret_state(q2, s, b), work_cell(s, 1, b), "L")
-        # walking right onto untouched blank: treat it as simulated blank
-        add(plant_r, U_BLANK, ret_state(q2, 0, 0), work_cell(0, 1, 0), "L")
-        # walking left onto the end marker: the simulated head fell off; stuck
+            scan(ids["walk", q2, s2, STAY],
+                 lambda s, b: (ret(q2, s2, b), work_cell(s2, 1, b), LEFT))
+            for move in (LEFT, RIGHT):
+                plant = ids["plant", move, q2]
+                scan(ids["walk", q2, s2, move], lambda s, b: (plant, work_cell(s2, 0, b), move))
+        # plant the head flag where a move ended: each work cell has a rule
+        # for the right-moving plant, then one for the left-moving plant;
+        # walking right onto untouched blank reads as a simulated blank;
+        # walking left onto the end marker, the simulated head fell off: stuck
+        cells = [(s, b) for s in range(4) for b in (0, 1)]
+        rets = [ret(q2, s, b) for s, b in cells]
+        plants = [ids["plant", RIGHT, q2], ids["plant", LEFT, q2]]
+        asm.extend(plants * len(cells) + plants[:1],
+                   [work_cell(s, 0, b) for s, b in cells for _ in plants] + [U_BLANK],
+                   [q for q in rets for _ in plants] + rets[:1],
+                   [work_cell(s, 1, b) for s, b in cells for _ in plants] + [work_cell(0, 1, 0)],
+                   [LEFT] * (2 * len(cells) + 1))
 
     # return to the origin and scan for the next step
     for q, s, b in keys:
         if q != 1:
             rewind("ret", q, s, b)
 
-    rules = Rules(from_col, bytes(read_col), bytes([ANY_TRACK]) * len(from_col), to_col,
-                  bytes(write_col), bytes(move_col))
-    return Machine(len(names), U_SYMBOLS, start, acc, U_BLANK, False, rules)
+    return asm.machine(U_SYMBOLS, ("seek", 0), "UACC", U_BLANK)
 
 
 def run_encoded(

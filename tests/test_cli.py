@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -363,6 +364,28 @@ class TestDistanceCommand:
         assert code == 0
         assert body["radii"] == [1, 3]
         assert body["fractions"] == [0.0, 0.0]
+
+    def test_distance_of_a_patch_pair_is_pinned(self, tmp_path):
+        # mismatches and holes on both sides, and a window as wide as the
+        # patches: the report, byte for byte, as the per-point oracles gave it
+        side = 65
+        a = [[(x + y) % 2 for x in range(side)] for y in range(side)]
+        b = [[c ^ int((x * 7 + y * 13) % 29 == 0) for x, c in enumerate(row)]
+             for y, row in enumerate(a)]
+        for y in range(side):
+            for x in range(side):
+                if (x * 5 + y * 3) % 31 == 0:
+                    a[y][x] = HOLE
+                if (x * 3 + y * 11) % 37 == 0:
+                    b[y][x] = HOLE
+        paths = []
+        for name, cells in (("a.json", a), ("b.json", b)):
+            (tmp_path / name).write_text(json.dumps({"width": side, "height": side,
+                                                     "cells": cells}))
+            paths.append(str(tmp_path / name))
+        code, out = run("distance", "--a", paths[0], "--b", paths[1], "--radii", "32,1,4,16")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == "e8ced3026eb491f0835b13e52d7017d1"
 
     def test_oversized_radius_is_a_usage_error(self, files):
         code, _ = run("distance", "--a", files["patch"], "--b", files["patch"],

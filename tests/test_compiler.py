@@ -17,23 +17,34 @@ from tilebench.compiler import (
     plan_layout,
 )
 from tilebench.core import HOLE, MalformedPatchError, PatchGrid, verify_patch
-from tilebench.machine import SYM_ONE, SYM_ZERO, Machine, Transition, machine_corpus, run_machine
+from tilebench.machine import (
+    COND_ANY as ANY,
+    COND_TRACK0 as T0,
+    RIGHT,
+    STAY,
+    SYM_ONE,
+    SYM_ZERO,
+    Machine,
+    Rules,
+    machine_corpus,
+    run_machine,
+)
 from tilebench.solver import InconclusiveError, find_cut_offsets, solve
 
 
 def first_bit_zero_machine():
     # k=2 exercise: accepts iff input cell 0 reads a 0 bit
-    return Machine(2, 4, 0, 1, 0, False, (Transition(0, SYM_ZERO, None, 1, SYM_ZERO, "S"),))
+    return Machine(2, 4, 0, 1, 0, False, Rules.of([(0, SYM_ZERO, ANY, 1, SYM_ZERO, STAY)]))
 
 
 def track_machine():
     # program-track exercise: sweeps right, sticks on a 0 bit over a track 1
     # and accepts on the blank past the input
-    return Machine(2, 4, 0, 1, 0, True, (
-        Transition(0, SYM_ZERO, 0, 0, SYM_ZERO, "R"),
-        Transition(0, SYM_ONE, None, 0, SYM_ONE, "R"),
-        Transition(0, 0, None, 1, 0, "S"),
-    ))
+    return Machine(2, 4, 0, 1, 0, True, Rules.of([
+        (0, SYM_ZERO, T0, 0, SYM_ZERO, RIGHT),
+        (0, SYM_ONE, ANY, 0, SYM_ONE, RIGHT),
+        (0, 0, ANY, 1, 0, STAY),
+    ]))
 
 
 class TestLayout:
@@ -211,15 +222,15 @@ class TestCompileErrors:
             compile_simulation(chessboard_predicate_machine(), 0)
 
     def test_checker_accepting_nothing(self):
-        m = Machine(2, 4, 0, 1, 0, False, ())
+        m = Machine(2, 4, 0, 1, 0, False, Rules.of(()))
         with pytest.raises(CompileError, match="no payload"):
             compile_simulation(m, 1)
 
     def test_looping_checker(self):
-        m = Machine(2, 4, 0, 1, 0, False, (
-            Transition(0, SYM_ZERO, None, 0, SYM_ZERO, "S"),
-            Transition(0, SYM_ONE, None, 1, SYM_ONE, "S"),
-        ))
+        m = Machine(2, 4, 0, 1, 0, False, Rules.of([
+            (0, SYM_ZERO, ANY, 0, SYM_ZERO, STAY),
+            (0, SYM_ONE, ANY, 1, SYM_ONE, STAY),
+        ]))
         with pytest.raises(CompileError, match="still running .* after 10000 steps"):
             compile_simulation(m, 1)
 

@@ -466,6 +466,36 @@ class CountingOracle:
         return self.fn(x, y)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    radii=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    center=st.tuples(st.integers(6, 10), st.integers(6, 10)),
+    hole=st.sampled_from(sorted(HOLES)),
+)
+def test_besicovitch_reads_arrays_as_the_oracles_they_hold(seed, radii, center, hole):
+    # a 17 x 17 array, row = y, against the oracle that reads it
+    a = hashed_oracle(seed, 3)
+    b = sparse_errors(a, seed + 1, 3)
+    grid = [np.array([[f(x, y) for x in range(17)] for y in range(17)]) for f in (a, b)]
+    mask = HOLES[hole]
+    rep = besicovitch_distance(a, b, radii, hole=mask, center=center)
+    held = None if mask is None else np.array([[mask(x, y) for x in range(17)]
+                                               for y in range(17)])
+    assert besicovitch_distance(*grid, radii, hole=held, center=center) == rep
+
+
+@pytest.mark.parametrize("center, radius", [((5, 5), 6), ((0, 8), 1), ((16, 8), 1),
+                                            ((8, 0), 1), ((8, 16), 1), ((8, 8), 9)])
+def test_besicovitch_window_must_lie_in_the_array(center, radius):
+    grid = np.zeros((17, 17), dtype=np.int32)
+    with pytest.raises(ValueError, match="leaves"):
+        besicovitch_distance(grid, grid, [radius], center=center)
+    # an oracle has no edge
+    assert besicovitch_distance(lambda x, y: 0, lambda x, y: 0, [radius],
+                                center=center).fractions == (0.0,)
+
+
 def test_besicovitch_samples_each_oracle_once_on_the_largest_window():
     a = CountingOracle(lambda x, y: (x + y) % 2)
     b = CountingOracle(lambda x, y: x % 2)

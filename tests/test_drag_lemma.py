@@ -36,9 +36,24 @@ from tilebench.compiler.fixedpoint import (
     unpack_record,
     walks,
 )
-from tilebench.machine import Run, Transition, encode_program, run_machine
+from tilebench.machine import (
+    COND_ANY as ANY,
+    COND_TRACK1 as T1,
+    LEFT,
+    RIGHT,
+    STAY,
+    Rules,
+    Run,
+    encode_program,
+    run_machine,
+)
 
 FAMILIES = ("lt_h0", "lt_h1", "lb_h0", "lb_h1")
+
+
+def rows_of(machine):
+    """The machine's rules as ``Rules.of`` rows, in priority order."""
+    return list(zip(*machine.transitions.columns()))
 
 
 @pytest.fixture(scope="module")
@@ -131,13 +146,13 @@ def test_lemma_machine_lacks_exactly_the_entry_rules(n):
     # the checker, rule for rule in order, but for each family's h on M
     machine, names = build_checker(n)
     lemma = drag_lemma(machine, names, 2 * n)
-    entries = [t for t in machine.transitions if t.state in lemma.entries and t.read == SYM_M]
-    assert sorted(names[t.state] for t in entries) == sorted(FAMILIES)
-    for t in entries:
-        assert (t.track, t.new_state, t.write, t.move) == (
-            None, lemma.entries[t.state][0], SYM_M, "R")
+    rows = rows_of(machine)
+    entries = [t for t in rows if t[0] in lemma.entries and t[1] == SYM_M]
+    assert sorted(names[t[0]] for t in entries) == sorted(FAMILIES)
+    for q, _, track, q2, write, move in entries:
+        assert (track, q2, write, move) == (ANY, lemma.entries[q][0], SYM_M, RIGHT)
     assert lemma.machine == dataclasses.replace(
-        machine, transitions=tuple(t for t in machine.transitions if t not in entries))
+        machine, transitions=Rules.of(t for t in rows if t not in entries))
 
 
 def test_first_last_and_carry_folds(fp):
@@ -242,14 +257,14 @@ def doctored(fp, names, case):
     q = {name: names.index(f"lt_{name}0") for name in ("h", "dec", "ret", "n", "sh")}
     extra = fp.machine.states
     rules = {
-        "track": [Transition(q["ret"], SYM_O, 1, q["ret"], SYM_Z, "L")],
-        "entry": [Transition(q["h"], SYM_M, None, q["dec"], SYM_M, "S")],
-        "place": [Transition(q["n"], SYM_B, None, q["dec"], SYM_B, "S")],
-        "costs": [Transition(q["ret"], SYM_M, None, extra, SYM_M, "S"),
-                  Transition(extra, SYM_M, None, q["sh"], SYM_M, "R")],
+        "track": [(q["ret"], SYM_O, T1, q["ret"], SYM_Z, LEFT)],
+        "entry": [(q["h"], SYM_M, ANY, q["dec"], SYM_M, STAY)],
+        "place": [(q["n"], SYM_B, ANY, q["dec"], SYM_B, STAY)],
+        "costs": [(q["ret"], SYM_M, ANY, extra, SYM_M, STAY),
+                  (extra, SYM_M, ANY, q["sh"], SYM_M, RIGHT)],
     }[case]
     return dataclasses.replace(fp.machine, states=extra + 1,
-                               transitions=(*rules, *fp.machine.transitions))
+                               transitions=Rules.of([*rules, *rows_of(fp.machine)]))
 
 
 @pytest.mark.parametrize("case", ["track", "entry", "place", "costs"])
@@ -334,10 +349,10 @@ def entered(machine, names, family):
     """machine with a new start state that crosses blanks and enters
     ``family`` on the first M; on the lemma's machine that entry is stuck."""
     cross = machine.states
-    return dataclasses.replace(machine, states=cross + 1, start=cross, transitions=(
-        Transition(cross, SYM_B, None, cross, SYM_B, "R"),
-        Transition(cross, SYM_M, None, names.index(family), SYM_M, "S"),
-        *machine.transitions))
+    return dataclasses.replace(machine, states=cross + 1, start=cross, transitions=Rules.of([
+        (cross, SYM_B, ANY, cross, SYM_B, RIGHT),
+        (cross, SYM_M, ANY, names.index(family), SYM_M, STAY),
+        *rows_of(machine)]))
 
 
 MALFORMED = {  # tapes after the anchor M whose drag the lemma does not jump

@@ -2,18 +2,28 @@ import hashlib
 import json
 from array import array
 
+import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tilebench.compiler.fixedpoint import build_checker
+from tilebench.compiler.simulate import chessboard_predicate_machine
 from tilebench.machine import (
-    MOVES,
-    TRACKS,
+    COND_ANY,
+    COND_NEVER,
+    COND_TRACK0,
+    COND_TRACK1,
+    LEFT,
+    RIGHT,
+    STAY,
     U_BIT0,
     U_END,
     U_ORIGIN,
     U_SEP,
     Machine,
     Rules,
-    Transition,
     ZoneCellRule,
     always_accept_machine,
     diagram_local_rules,
@@ -30,13 +40,18 @@ from tilebench.machine import (
 )
 
 
+ANY, T0, T1 = COND_ANY, COND_TRACK0, COND_TRACK1
+
+
 def test_machine_validation():
     with pytest.raises(ValueError):
-        Machine(2, 4, 0, 5, 0, False, ())
+        Machine(2, 4, 0, 5, 0, False, Rules.of(()))
     with pytest.raises(ValueError):
-        Machine(2, 4, 0, 1, 0, False, (Transition(0, 9, None, 1, 0, "S"),))
+        Machine(2, 4, 0, 1, 0, False, Rules.of([(0, 9, ANY, 1, 0, STAY)]))
     with pytest.raises(ValueError):
-        Machine(2, 4, 0, 1, 0, False, (Transition(0, 0, 1, 1, 0, "S"),))  # track w/o track
+        Machine(2, 4, 0, 1, 0, False, Rules.of([(0, 0, T1, 1, 0, STAY)]))  # track w/o track
+    with pytest.raises(TypeError):
+        Machine(2, 4, 0, 1, 0, False, ())  # rules come packed
 
 
 def test_machine_json_roundtrip():
@@ -46,61 +61,68 @@ def test_machine_json_roundtrip():
 
 # every move and every track condition, in an order that is not sorted
 TRACK_RULES = (
-    Transition(2, 1, 0, 0, 3, "R"),
-    Transition(0, 3, None, 2, 0, "L"),
-    Transition(1, 0, 1, 1, 2, "S"),
-    Transition(0, 2, 1, 1, 1, "R"),
+    (2, 1, T0, 0, 3, RIGHT),
+    (0, 3, ANY, 2, 0, LEFT),
+    (1, 0, T1, 1, 2, STAY),
+    (0, 2, T1, 1, 1, RIGHT),
 )
 
 
 def test_packed_rules_are_the_transitions_they_pack():
     columns = [[t[k] for t in TRACK_RULES] for k in range(6)]
-    packed = Rules(array("i", columns[0]), bytes(columns[1]),
-                   bytes(map(TRACKS.index, columns[2])), array("i", columns[3]),
-                   bytes(columns[4]), bytes(map(MOVES.index, columns[5])))
-    a = Machine(3, 4, 0, 1, 0, True, TRACK_RULES)
+    packed = Rules(array("i", columns[0]), bytes(columns[1]), bytes(columns[2]),
+                   array("i", columns[3]), bytes(columns[4]), bytes(columns[5]))
+    a = Machine(3, 4, 0, 1, 0, True, Rules.of(TRACK_RULES))
     b = Machine(3, 4, 0, 1, 0, True, packed)
     assert a == b and hash(a) == hash(b)
-    assert isinstance(a.transitions, Rules)
     assert len(b.transitions) == 4
-    assert [b.transitions[i] for i in range(4)] == list(b.transitions) == list(TRACK_RULES)
-    assert b.transitions[-1] == TRACK_RULES[-1]
-    assert tuple(b.transitions[1:3]) == TRACK_RULES[1:3]
-    with pytest.raises(IndexError):
-        b.transitions[4]
+    assert list(zip(*b.transitions.columns())) == list(TRACK_RULES)
+    # the JSON form: track conditions None, 0 or 1, moves as letters
+    assert b.to_json()["transitions"] == [[2, 1, 0, 0, 3, "R"], [0, 3, None, 2, 0, "L"],
+                                          [1, 0, 1, 1, 2, "S"], [0, 2, 1, 1, 1, "R"]]
     assert Machine.from_json(json.loads(json.dumps(b.to_json()))) == a
     # one rule changed is another machine
-    c = Machine(3, 4, 0, 1, 0, True, TRACK_RULES[:3] + (TRACK_RULES[3]._replace(track=0),))
+    c = Machine(3, 4, 0, 1, 0, True, Rules.of(TRACK_RULES[:3] + ((0, 2, T0, 1, 1, RIGHT),)))
     assert c != a and c.transitions != a.transitions
+
+
+def test_rules_where_keeps_the_masked_rules_in_order():
+    rules = Rules.of(TRACK_RULES)
+    kept = rules.where(np.array([True, False, True, True]))
+    assert kept == Rules.of(TRACK_RULES[:1] + TRACK_RULES[2:])
+    assert rules.where(np.ones(4, dtype=bool)) == rules
+    assert len(rules.where(np.zeros(4, dtype=bool))) == 0
 
 
 @pytest.mark.parametrize("column, value", [(0, array("i", [3])), (3, array("i", [-1])),
                                            (1, b"\x04"), (4, b"\x09"), (5, b"\x03"),
-                                           (2, b"\x03"), (2, b""), (0, array("i", [0, 0]))])
+                                           (2, b"\x01"), (2, b""), (0, array("i", [0, 0])),
+                                           (2, b"\x04")])
 def test_bad_rule_columns_are_rejected(column, value):
-    # packed columns are checked as Transitions are: a move or track code
-    # past MOVES or TRACKS, columns of unequal length
-    columns = [array("i", [0]), b"\x00", b"\x02", array("i", [1]), b"\x00", b"\x02"]
-    assert Machine(3, 4, 0, 1, 0, False, Rules(*columns)).transitions[0] == (
-        Transition(0, 0, None, 1, 0, "S"))
+    # packed columns are checked as rows are: a move code past MOVES, a
+    # track condition that is "never" or past the codes, columns of
+    # unequal length
+    columns = [array("i", [0]), b"\x00", b"\x00", array("i", [1]), b"\x00", b"\x00"]
+    assert Machine(3, 4, 0, 1, 0, False, Rules(*columns)).transitions == Rules.of(
+        [(0, 0, ANY, 1, 0, STAY)])
     columns[column] = value
     with pytest.raises(ValueError):
         Machine(3, 4, 0, 1, 0, True, Rules(*columns))
 
 
 @pytest.mark.parametrize("bad", [
-    Transition(3, 0, None, 1, 0, "S"), Transition(0, 0, None, -1, 0, "S"),
-    Transition(2 ** 40, 0, None, 1, 0, "S"), Transition(0, 4, None, 1, 0, "S"),
-    Transition(0, 0, None, 1, 300, "S"), Transition(0, 0, None, 1, -1, "S"),
-    Transition(0, 0, None, 1, 0, "X"), Transition(0, 0, None, 1, 0, "LR"),
-    Transition(0, 0, None, 1, 0, None), Transition(0, 0, 2, 1, 0, "S"),
-    Transition(0, 0, "1", 1, 0, "S"), Transition(0, 0, -1, 1, 0, "S"),
-    Transition(0.0, 0, None, 1, 0, "S"),
+    (3, 0, ANY, 1, 0, STAY), (0, 0, ANY, -1, 0, STAY),
+    (2 ** 40, 0, ANY, 1, 0, STAY), (0, 4, ANY, 1, 0, STAY),
+    (0, 0, ANY, 1, 300, STAY), (0, 0, ANY, 1, -1, STAY),
+    (0, 0, ANY, 1, 0, 3), (0, 0, ANY, 1, 0, -1),
+    (0, 0, ANY, 1, 0, None), (0, 0, COND_NEVER, 1, 0, STAY),
+    (0, 0, "1", 1, 0, STAY), (0, 0, -1, 1, 0, STAY),
+    (0.0, 0, ANY, 1, 0, STAY),
 ])
 def test_bad_transitions_are_rejected(bad):
-    # given as Transitions, not through JSON
+    # given as rows, not through JSON
     with pytest.raises(ValueError):
-        Machine(3, 4, 0, 1, 0, True, TRACK_RULES + (bad,))
+        Machine(3, 4, 0, 1, 0, True, Rules.of(TRACK_RULES + (bad,)))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -125,6 +147,55 @@ def test_machine_json_needs_int_rules(field, value):
         Machine.from_json(obj)
 
 
+@pytest.mark.parametrize("field, value", [(5, "X"), (5, "LR"), (5, None), (5, 0),
+                                          (2, 2), (2, -1), (2, 300)])
+def test_machine_json_needs_a_move_letter_and_a_track_bit(field, value):
+    obj = {**parity_machine().to_json(), "program_track": True}
+    obj["transitions"][0][field] = value
+    with pytest.raises(ValueError):
+        Machine.from_json(obj)
+
+
+@pytest.mark.parametrize("rule", [[0, 1, None, 0, 1], [0, 1, None, 0, 1, "R", 0]])
+def test_machine_json_rules_have_six_fields(rule):
+    obj = parity_machine().to_json()
+    obj["transitions"][0] = rule
+    with pytest.raises(ValueError):
+        Machine.from_json(obj)
+
+
+# sha256 of json.dumps(to_json()), measured before the rule columns held
+# the program format's codes: the JSON form did not move
+JSON_PINS = {
+    "always": "4513e18b037d905a71014909b8dfe3b13775e81942e8c6b829ef2e816b05270d",
+    "parity": "c2e069c4fdfce87fe1e3ff36e5644d9adb1907c9b43c7d4a6840a4447efcf77c",
+    "palindrome": "fdaffdb8283a4ac97eefdc14931ab881e1bb16b25fb16ae8c8ea342e26b0a362",
+    "checker8": "f05faae987197e95b40e6eb6b31f2bb97cdd2b97e950a2bf3135d7d80e380f37",
+    "checker9": "89a39128ceb1288e48f7031f9171761d1dfd9857c690b482ac5d7fcf2236cff1",
+    "chessboard": "7db4d1b4811edc4835c852821098543b0e273b58413c6c1658d46a54018964b9",
+    "universal8": "2373c505ef024ac487aaed0cf8dc58c7040b7eba89dff3db6866e4794a4c6969",
+}
+
+
+def pinned_machine(name):
+    if name.startswith("checker"):
+        return build_checker(int(name[7:]))[0]
+    if name == "chessboard":
+        return chessboard_predicate_machine()
+    if name == "universal8":
+        return universal_machine(8)
+    return machine_corpus()[name]
+
+
+@pytest.mark.parametrize("name", sorted(JSON_PINS))
+def test_json_form_is_frozen_and_round_trips(name):
+    m = pinned_machine(name)
+    text = json.dumps(m.to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == JSON_PINS[name]
+    back = Machine.from_json(json.loads(text))
+    assert back == m and json.dumps(back.to_json()) == text
+
+
 def test_parity_runs():
     m = parity_machine()
     assert run_machine(m, [0] * 4).status == "accepted"
@@ -145,11 +216,11 @@ def test_palindrome_runs():
 
 
 def test_run_statuses():
-    spinner = Machine(3, 4, 0, 1, 0, False, (Transition(0, 0, None, 0, 0, "S"),))
+    spinner = Machine(3, 4, 0, 1, 0, False, Rules.of([(0, 0, ANY, 0, 0, STAY)]))
     assert run_machine(spinner, [0], max_steps=50).status == "timeout"
-    runner = Machine(3, 4, 0, 1, 0, False, (Transition(0, 0, None, 0, 0, "R"),))
+    runner = Machine(3, 4, 0, 1, 0, False, Rules.of([(0, 0, ANY, 0, 0, RIGHT)]))
     assert run_machine(runner, [0, 0], max_steps=50).status == "timeout"
-    lefty = Machine(3, 4, 0, 1, 0, False, (Transition(0, 0, None, 0, 0, "L"),))
+    lefty = Machine(3, 4, 0, 1, 0, False, Rules.of([(0, 0, ANY, 0, 0, LEFT)]))
     assert run_machine(lefty, [0, 0], max_steps=50).status == "hit_wall"
 
 
@@ -161,7 +232,7 @@ def test_track_conditions():
         1,
         0,
         True,
-        (Transition(0, 0, 1, 1, 0, "S"), Transition(0, 1, 1, 1, 1, "S")),
+        Rules.of([(0, 0, T1, 1, 0, STAY), (0, 1, T1, 1, 1, STAY)]),
     )
     assert run_machine(m, [0], track=[1]).status == "accepted"
     assert run_machine(m, [0], track=[0]).status == "stuck"
@@ -177,7 +248,7 @@ def test_first_match_wins():
         1,
         0,
         False,
-        (Transition(0, 0, None, 1, 0, "S"), Transition(0, 0, None, 2, 0, "S")),
+        Rules.of([(0, 0, ANY, 1, 0, STAY), (0, 0, ANY, 2, 0, STAY)]),
     )
     assert run_machine(m, [0]).state == 1
 
@@ -191,11 +262,56 @@ def test_encode_program_frozen():
 
 
 def test_encode_program_rejects():
-    bad = Machine(2, 4, 1, 0, 0, False, ())
+    bad = Machine(2, 4, 1, 0, 0, False, Rules.of(()))
     with pytest.raises(ValueError):
         encode_program(bad)  # start/accept not 0/1
     with pytest.raises(ValueError):
         encode_program(parity_machine(), state_bits=1)
+
+
+def reference_encode(machine, state_bits=8):
+    """The per-rule encoder of the JSON form, which translates each track
+    condition (None, 0, 1) and move letter to its record code: the encoder
+    from before the rule columns held those codes."""
+    cond, move = {None: 0, 0: 2, 1: 3}, {"S": 0, "L": 1, "R": 2}
+    bits = []
+    for q, s, c, q2, w, mv in machine.to_json()["transitions"]:
+        bits.append(1)
+        for value, width in ((q, state_bits), (s, 2), (cond[c], 2), (q2, state_bits),
+                             (w, 2), (move[mv], 2)):
+            bits += [(value >> (width - 1 - i)) & 1 for i in range(width)]
+    bits.append(0)
+    return bits
+
+
+@pytest.mark.parametrize("name", ["always", "parity", "palindrome", "chessboard",
+                                  "checker8", "checker9"])
+def test_encode_program_matches_the_reference(name):
+    m = pinned_machine(name)
+    for state_bits in (8, 9):
+        if m.states > 1 << state_bits:  # a checker's 267 states need 9 bits
+            with pytest.raises(ValueError):
+                encode_program(m, state_bits)
+            continue
+        assert encode_program(m, state_bits) == reference_encode(m, state_bits)
+
+
+@st.composite
+def encodable_machines(draw):
+    """Machines with start 0 and accept 1, and track conditions."""
+    states, symbols = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, states - 1), st.integers(0, symbols - 1),
+        st.sampled_from((ANY, T0, T1)), st.integers(0, states - 1),
+        st.integers(0, symbols - 1), st.sampled_from((STAY, LEFT, RIGHT))), max_size=12))
+    return Machine(states, symbols, 0, 1, 0, True, Rules.of(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(encodable_machines(), st.sampled_from((8, 9)))
+def test_encode_program_matches_the_reference_on_random_machines(m, state_bits):
+    assert encode_program(m, state_bits) == reference_encode(m, state_bits)
+    assert Machine.from_json(json.loads(json.dumps(m.to_json()))) == m
 
 
 def test_utm_tape_layout():
@@ -251,7 +367,7 @@ def test_universal_reads_the_whole_track():
     # walk right over blanks and accept on the first track bit that is 1:
     # a track longer than the input still lies under work cells
     m = Machine(2, 4, 0, 1, 0, True,
-                (Transition(0, 0, 0, 0, 0, "R"), Transition(0, 0, 1, 1, 0, "S")))
+                Rules.of([(0, 0, T0, 0, 0, RIGHT), (0, 0, T1, 1, 0, STAY)]))
     u, p = universal_machine(), encode_program(m)
     for ones_at in (8, 9, 30):
         track = [0] * ones_at + [1]
@@ -270,7 +386,7 @@ def test_universal_track_conditions():
         1,
         0,
         True,
-        (Transition(0, 0, 1, 1, 0, "S"), Transition(0, 1, 1, 1, 1, "S")),
+        Rules.of([(0, 0, T1, 1, 0, STAY), (0, 1, T1, 1, 1, STAY)]),
     )
     u = universal_machine()
     p = encode_program(m)
