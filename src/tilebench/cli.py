@@ -202,8 +202,11 @@ def _machine_arg(args) -> Machine:
 
 
 def cmd_compile(args) -> int:
+    # flags are checked before the payload probe, which runs every payload
     if args.k < 1:
         raise UsageError("--k must be at least 1")
+    if args.zoom is not None and (args.zoom < 2 or args.zoom & (args.zoom - 1)):
+        raise UsageError("--zoom must be a power of two, at least 2")
     compiled = compile_simulation(_machine_arg(args), args.k, zoom=args.zoom)
     body = {
         "k": args.k,

@@ -13,14 +13,14 @@ The search tree is exactly that of trying one candidate per step: the
 engine only does less work per node, so node counts, solution order and
 the point where a budget runs out are the same.  Nothing is pruned or
 reordered.  Candidates come from a cached index, and a candidate that
-leaves the next cell none is counted but never stepped into.  A cell with
-one candidate and no wrap or boundary check is forced: one node, one
-lookup, nothing recorded.  Only cells with candidates left go on a stack
-of choice points, so backing up is one pop.  A cell with several
-candidates and no check reads a survivor list, built once per call for
-its candidates and placed sides: the candidates worth stepping on with,
-each charging the dead ones before it as nodes.  Cells with checks try
-one candidate at a time.
+fails a check or leaves the next cell none is counted but never stepped
+into.  A cell, with or without checks, is visited one of two ways.  A
+cell with one candidate is forced: one node, its checks, one lookup, nothing
+recorded.  A cell with several candidates reads a survivor list, built
+once per call for its candidates, placed sides and check colors: the
+candidates worth stepping on with, each charging the dead ones before it
+as nodes.  Only cells with survivors left go on a stack of choice points,
+so backing up is one pop.
 
 Bounded mode leaves window borders free unless explicit boundary colors are
 given (a compiled macro-tile is assembled as the fill of its payload's
@@ -166,8 +166,13 @@ def solve(
     # finds its candidates; the last position looks up a constant key that
     # always "has candidates": every t there that passes its checks
     # completes a tiling.
-    SELF = object()
     find = index.get
+    # On a torus of width (height) 1 a tile meets itself: it passes its
+    # wrap check when its right (top) side less its left (bottom) one is 0.
+    if toroidal and width == 1:
+        loop_h = [r - l for r, l in zip(right_of, left_of)]
+    if toroidal and height == 1:
+        loop_v = [u - d for u, d in zip(top_of, bottom_of)]
     spec: list = [None] * n
     look, ls, bs, c = {0: ()}.get, -1, -1, 0
     for p in range(n - 1, -1, -1):
@@ -178,31 +183,32 @@ def solve(
             A, bs = top_of, -1
         else:
             A = zero
-        # Wrap and boundary checks on t's right and top sides: None, SELF
-        # (t's own opposite side, on a torus of width or height 1), a color,
-        # or the color of the placed tile at a source position (rsrc, tsrc).
+        # Wrap and boundary checks: t passes when rtab[t] == rc and ttab[t]
+        # == tc, where rc is a boundary color or, when rsrc >= 0, the left
+        # side of the tile placed at position rsrc (tc likewise, with the
+        # bottom side at tsrc).  A side without a check reads zero == 0.
         checks = None
         if x == width - 1 or y == height - 1:
-            rsrc = tsrc = -1
-            rc = tc = None
+            rtab, rc, rsrc = zero, 0, -1
+            ttab, tc, tsrc = zero, 0, -1
             if x == width - 1:
-                if toroidal:
-                    if width == 1:
-                        rc = SELF
-                    else:
-                        rsrc = pos[y * W]
-                elif b_right is not None:
-                    rc = b_right[y]
+                if not toroidal:
+                    if b_right is not None:
+                        rtab, rc = right_of, b_right[y]
+                elif width == 1:
+                    rtab = loop_h
+                elif pos[y * W] >= 0:
+                    rtab, rsrc = right_of, pos[y * W]
             if y == height - 1:
-                if toroidal:
-                    if height == 1:
-                        tc = SELF
-                    else:
-                        tsrc = pos[x]
-                elif b_top is not None:
-                    tc = b_top[x]
-            if rsrc >= 0 or tsrc >= 0 or rc is not None or tc is not None:
-                checks = (rsrc, rc, tsrc, tc)
+                if not toroidal:
+                    if b_top is not None:
+                        ttab, tc = top_of, b_top[x]
+                elif height == 1:
+                    ttab = loop_v
+                elif pos[x] >= 0:
+                    ttab, tsrc = top_of, pos[x]
+            if rtab is not zero or ttab is not zero:
+                checks = (rtab, rc, rsrc, ttab, tc, tsrc)
         # the last slot holds the position's survivor lists (see below)
         spec[p] = (A, ls, bs, c, look, checks, {})
         k = y * W + x
@@ -221,9 +227,8 @@ def solve(
             c += known(b_bottom[x]) if y == 0 and b_bottom is not None else free
 
     g = [0] * n + [n_tiles]  # tile placed at each position, then the stand-in
-    # Choice points, deepest last: (p, sequence, next index) for each
-    # position on the path with candidates left.  The sequence is a
-    # survivor list, or the candidates themselves at a position with checks.
+    # Choice points, deepest last: (p, survivor list, next index) for each
+    # position on the path with survivors left.
     stack: list = []
     push, pop = stack.append, stack.pop
 
@@ -253,44 +258,50 @@ def solve(
             if not stack:
                 break
             p, seq, j = pop()
-            A, ls, bs, c, look_next, checks, memo = spec[p]
-            if checks is not None:
-                base = right_k[g[ls]] + top_of[g[bs]] + c
         elif p < n:
             A, ls, bs, c, look_next, checks, memo = spec[p]
             base = right_k[g[ls]] + top_of[g[bs]] + c
-            if checks is None:
-                if len(cands) == 1:
-                    # a forced cell: one node, one lookup, no choice point
-                    if not room:
-                        budget_hit = True
-                        break
-                    room -= 1
-                    t = cands[0]
+            if checks is not None:
+                # the colors rtab[t] and ttab[t] must equal at this cell
+                rtab, rc, rsrc, ttab, tc, tsrc = checks
+                if rsrc >= 0:
+                    rc = left_of[g[rsrc]]
+                if tsrc >= 0:
+                    tc = bottom_of[g[tsrc]]
+            if len(cands) == 1:
+                # a forced cell: one node, its checks, one lookup, no choice point
+                if not room:
+                    budget_hit = True
+                    break
+                room -= 1
+                t = cands[0]
+                if checks is None or rtab[t] == rc and ttab[t] == tc:
                     cands = look_next(A[t] + base)
                     if cands is not None:
                         g[p] = t
                         p += 1
-                    continue
-                # The survivor list of these candidates after these sides:
-                # (nodes, t, successor's candidates) for each t that leaves
-                # its successor candidates, where nodes counts t and the
-                # dead candidates before it, then (nodes, -1, None) for a
-                # dead tail.  Built on the first visit, read on every other.
-                key = (cands, base)
-                seq = memo.get(key)
-                if seq is None:
-                    seq = memo[key] = []
-                    last = 0
-                    for k, t in enumerate(cands, 1):
+                else:
+                    cands = None
+                continue
+            # The survivor list of these candidates after these sides and
+            # checks: (nodes, t, successor's candidates) for each t that
+            # passes its checks and leaves its successor candidates, where
+            # nodes counts t and the dead candidates before it, then (nodes,
+            # -1, None) for a dead tail.  Built on the first visit, read on
+            # every other.
+            key = (cands, base) if checks is None else (cands, base, rc, tc)
+            seq = memo.get(key)
+            if seq is None:
+                seq = memo[key] = []
+                last = 0
+                for k, t in enumerate(cands, 1):
+                    if checks is None or rtab[t] == rc and ttab[t] == tc:
                         nxt = look_next(A[t] + base)
                         if nxt is not None:
                             seq.append((k - last, t, nxt))
                             last = k
-                    if last < len(cands):
-                        seq.append((len(cands) - last, -1, None))
-            else:
-                seq = cands
+                if last < len(cands):
+                    seq.append((len(cands) - last, -1, None))
             j = 0
         else:
             count += 1
@@ -307,48 +318,16 @@ def solve(
                 break
             cands = None
             continue
-        if checks is None:
-            # one survivor list entry: every candidate it covers is a node,
-            # so an entry the budget cannot pay ends the search
-            spent, t, cands = seq[j]
-            if spent > room:
-                budget_hit = True
-                break
-            room -= spent
-            j += 1
-            if j < len(seq):
-                push((p, seq, j))
-        else:
-            # one candidate at a time, each a node, until one passes its
-            # checks and leaves its successor candidates; the budget ends
-            # the visit after `room` of them, just before the one past it
-            rsrc, rc, tsrc, tc = checks
-            if rsrc >= 0:
-                rc = left_of[g[rsrc]]
-            if tsrc >= 0:
-                tc = bottom_of[g[tsrc]]
-            end = len(seq)
-            stop = end if end - j <= room else j + room
-            start = j
-            cands = None
-            while j < stop:
-                t = seq[j]
-                j += 1
-                if rc is not None and right_of[t] != (left_of[t] if rc is SELF else rc):
-                    continue
-                if tc is not None and top_of[t] != (bottom_of[t] if tc is SELF else tc):
-                    continue
-                cands = look_next(A[t] + base)
-                if cands is not None:
-                    break
-            room -= j - start
-            if cands is None:
-                if stop < end:
-                    budget_hit = True
-                    break
-                continue
-            if j < end:
-                push((p, seq, j))
+        # one survivor list entry: every candidate it covers is a node, so
+        # an entry the budget cannot pay ends the search
+        spent, t, cands = seq[j]
+        if spent > room:
+            budget_hit = True
+            break
+        room -= spent
+        j += 1
+        if j < len(seq):
+            push((p, seq, j))
         if cands is not None:
             g[p] = t
             p += 1
@@ -510,6 +489,8 @@ def check_simulation_window(
     ``max_solutions`` tilings, or a search that hits ``max_nodes``, surface
     as "inconclusive" rather than a verdict.
     """
+    if n < 1:
+        raise ValueError("zoom n must be at least 1")
     if window < 2 * n - 1:
         raise ValueError("window must be at least 2n-1 so every offset has a complete block")
     r = solve(tau, window, window, mode="enumerate", max_solutions=max_solutions + 1,

@@ -56,6 +56,10 @@ class SubstitutionRule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SubstitutionRule":
+        """The rule a ``to_json`` object describes; ValueError unless m is an
+        int (not a bool or float)."""
+        if type(obj["m"]) is not int:
+            raise ValueError("substitution zoom m must be an int")
         return cls(tuple(obj["alphabet"]), obj["m"], obj["images"])
 
 

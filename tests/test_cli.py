@@ -15,6 +15,7 @@ from tilebench.substitution import enforce_substitution, thue_morse_rule
 
 
 PARITY = parity_machine().to_json()
+TM = thue_morse_rule().to_json()
 
 
 def run(*argv):
@@ -111,6 +112,12 @@ class TestSolverCommands:
         assert body["status"] == "refuted"
         assert len(body["counterexample_offsets"]) == 4
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_simulation_zoom_below_one_is_a_usage_error(self, files, n):
+        code, out = run("simulate-check", "--tau", files["coord"],
+                        "--rho", files["white"], "--n", n, "--window", "6")
+        assert (code, out) == (2, "")
+
     def test_fill_hole_completes_a_template(self, files, tmp_path):
         template = PatchGrid(2, 2, [[0, HOLE], [HOLE, 0]])
         p = tmp_path / "holes.json"
@@ -165,6 +172,16 @@ class TestCompilerCommands:
     def test_compile_without_payload_bits_is_a_usage_error(self, monkeypatch, k):
         monkeypatch.setattr(cli, "compile_simulation", self._refuse)
         assert run("compile", "--machine", "chessboard", "--k", k) == (2, "")
+
+    @pytest.mark.parametrize("zoom", ["6", "0", "-8"])
+    def test_compile_zoom_off_the_powers_of_two_is_a_usage_error(self, monkeypatch, zoom):
+        monkeypatch.setattr(cli, "compile_simulation", self._refuse)
+        assert run("compile", "--machine", "chessboard", "--k", "1", "--zoom", zoom) == (2, "")
+
+    def test_compile_zoom_too_small_for_the_zone_is_a_domain_failure(self, capsys):
+        # a power of two, but the chessboard checker's zone needs zoom 8
+        assert run("compile", "--machine", "chessboard", "--k", "1", "--zoom", "4") == (1, "")
+        assert "does not fit" in capsys.readouterr().err
 
     def test_fixed_point_mutations_beyond_the_program_are_refused_before_any_run(
             self, monkeypatch, fp):
@@ -446,6 +463,9 @@ class TestErrorPaths:
          {**PARITY, "transitions": [[0.0, 1, None, 0, 1, "R"]]}),
         (("compile", "--k", "1", "--machine-file"), {**PARITY, "accept": True}),
         (("substitute", "--rule"), {"alphabet": "ab"}),
+        (("substitute", "--rule"), {**TM, "m": 2.0}),
+        (("subst-iterate", "--seed-letter", "0", "--k", "1", "--rule"), {**TM, "m": 2.0}),
+        (("substitute", "--rule"), {**TM, "m": True}),
         (("clean", "--points", "@points", "--schedule"), {"c": 2}),
         (("clean", "--points", "@points", "--schedule"),
          {"c": 2, "alpha1": 1, "pairs": [[1, 2.5]]}),
@@ -481,6 +501,7 @@ class TestErrorPaths:
             "point-single", "float-point", "string-point", "bool-point",
             "machine-without-rules", "machine-of-300-symbols", "float-symbols",
             "float-state", "bool-accept", "rule-without-m",
+            "float-m", "float-m-iterated", "bool-m",
             "schedule-without-pairs", "float-scale", "bool-scale", "empty-schedule",
             "mc-schedule-alpha-past-beta", "palette-as-list", "empty-glyph", "padded-key",
             "spaced-key", "negative-key", "long-glyph", "rgb-pair",

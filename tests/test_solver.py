@@ -183,6 +183,12 @@ def test_simulation_refuted_bad_target():
     assert "embed" in chk.detail
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_simulation_rejects_a_zoom_below_one(n):
+    with pytest.raises(ValueError, match="at least 1"):
+        check_simulation_window(coordinate_tileset(2), white_tileset(), n, 6)
+
+
 def test_simulation_inconclusive_on_cap():
     chk = check_simulation_window(
         coordinate_tileset(2), white_tileset(), 2, 6, max_solutions=2

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilebench.compiler import check_window_robust, robustify
-from tilebench.compiler.simulate import CompileError, chessboard_predicate_machine, compile_simulation
+from tilebench.compiler.simulate import (CompileError, _border, chessboard_predicate_machine,
+                                        compile_simulation)
 from tilebench.core import HOLE, MalformedPatchError, PatchGrid, Tile, TileSet, chessboard_tileset
 from tilebench.solver import InconclusiveError, SolveResult, _boundary_side, fill_template, solve
 from tilebench.substitution import enforce_substitution, thue_morse_rule
@@ -496,15 +497,40 @@ def test_fully_masked_window_has_one_empty_tiling():
 
 
 @pytest.fixture(scope="module")
-def compiled_chessboard():
-    return compile_simulation(chessboard_predicate_machine(), 1).tile_set
+def compiled():
+    return compile_simulation(chessboard_predicate_machine(), 1)
 
 
-@pytest.mark.parametrize("width, height, nodes", [(32, 32, 373_051), (29, 12, 653_430),
-                                                  (21, 20, 102_299)])
-def test_compiled_chessboard_node_counts(compiled_chessboard, width, height, nodes):
-    r = solve(compiled_chessboard, width, height)
-    assert (r.status, r.nodes) == ("solved", nodes)
+@pytest.fixture(scope="module")
+def compiled_chessboard(compiled):
+    return compiled.tile_set
+
+
+def search_kw(compiled, how):
+    """solve's keywords for a torus, or for the fill of a payload's border."""
+    if how == "torus":
+        return {"toroidal": True}
+    return {} if how is None else {"boundary": _border(compiled, how)}
+
+
+@pytest.mark.parametrize("width, height, how, status, nodes", [
+    pytest.param(32, 32, None, "solved", 373_051, id="32-32-373051"),
+    pytest.param(29, 12, None, "solved", 653_430, id="29-12-653430"),
+    pytest.param(21, 20, None, "solved", 102_299, id="21-20-102299"),
+    # cells with wrap or boundary checks: the last column and the top row
+    pytest.param(16, 16, "torus", "solved", 2_835, id="16-16-torus-2835"),
+    pytest.param(8, 8, (0, 1, 1, 0), "solved", 125, id="8-8-border-0110-125"),
+    pytest.param(8, 8, (1, 0, 0, 1), "solved", 64, id="8-8-border-1001-64"),
+    pytest.param(8, 8, (0, 0, 0, 0), "unsatisfiable", 87, id="8-8-border-0000-87"),
+])
+def test_compiled_chessboard_node_counts(compiled, width, height, how, status, nodes):
+    r = solve(compiled.tile_set, width, height, **search_kw(compiled, how))
+    assert (r.status, r.nodes) == (status, nodes)
+
+
+def test_thue_morse_torus_count():
+    r = solve(enforce_substitution(thue_morse_rule()), 6, 6, toroidal=True, mode="count")
+    assert (r.status, r.count, r.nodes) == ("solved", 2_048, 33_868)
 
 
 def test_every_budget_on_a_forced_chain_window(compiled_chessboard):
@@ -526,6 +552,23 @@ def test_every_budget_matches_reference_on_compiled_chessboard(compiled_chessboa
     for budget in range(full.nodes + 2):
         got = solve(compiled_chessboard, 8, 8, max_nodes=budget)
         assert as_tuple(got) == as_tuple(reference_solve(compiled_chessboard, 8, 8, max_nodes=budget))
+
+
+@pytest.mark.parametrize("case", ["thue-morse-torus", "border-fill"])
+def test_every_budget_matches_reference_on_checked_cells(compiled, case):
+    """Wrap and boundary checks fail candidates inside forced steps and
+    survivor lists; the budget must still stop where the reference stops."""
+    if case == "thue-morse-torus":
+        ts, w, h, kw = enforce_substitution(thue_morse_rule()), 4, 2, dict(toroidal=True, mode="count")
+        want = ("solved", 144)
+    else:
+        ts, w, h, kw = compiled.tile_set, 8, 8, search_kw(compiled, (0, 0, 0, 0))
+        want = ("unsatisfiable", 87)
+    full = reference_solve(ts, w, h, **kw)
+    assert (full.status, full.nodes) == want
+    for budget in range(full.nodes + 2):
+        got = solve(ts, w, h, max_nodes=budget, **kw)
+        assert as_tuple(got) == as_tuple(reference_solve(ts, w, h, max_nodes=budget, **kw))
 
 
 def test_candidate_index_is_cached_per_set():

@@ -34,6 +34,12 @@ def test_rule_json_roundtrip():
     assert again == r
 
 
+@pytest.mark.parametrize("m", [2.0, True])
+def test_rule_json_refuses_a_zoom_that_is_not_an_int(m):
+    with pytest.raises(ValueError, match="must be an int"):
+        SubstitutionRule.from_json({**thue_morse_rule().to_json(), "m": m})
+
+
 def test_thue_morse_second_iterate():
     # frozen 4x4 fixed-point corner (row 0 = bottom)
     assert iterate_substitution(thue_morse_rule(), "0", 2) == [
