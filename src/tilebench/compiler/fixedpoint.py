@@ -12,6 +12,11 @@ tile's block offset and compares the pinned bit against its read-only
 track -- which holds R's own encoding.  The loop closes at the tile
 level: the tiles carry the program, and the program describes the tiles.
 
+An edge record is one int, ``i | j << n | val << 2n``, and only
+``pack_record``, ``unpack_record`` and ``_records`` know where i, j and val
+sit: the checker tape is one frame with each record's bits sliced in
+(``checker_tape``), and a record's 32-bit border slice is its own low bits.
+
 Macro-tiles are N x N patches of these tiles.  The border val bits of a
 patch form the payload; a 32-bit slice of each border (the top rows for
 vertical seams, the right columns for horizontal ones) carries the edge
@@ -85,13 +90,27 @@ from .simulate import CompileError
 SYM_B, SYM_Z, SYM_O, SYM_M = 0, 1, 2, 3
 
 RECORD_BITS = 32  # window slice width; also the padded record length
-QUADS = 32  # val + i bits + j bits + padding, see encode_quad
+QUADS = 32  # val + i bits + j bits + padding, see _frame
 ANCHOR = 239  # fixed M cell the loaders build the counter after
 MAX_SIZE = 16384  # the largest grid side whose color keys (2n + 2 bits) fit int32
+
+_B, _Z, _O, _M = (bytes((sym,)) for sym in (SYM_B, SYM_Z, SYM_O, SYM_M))
+_ZO = _Z + _O
+_CELLS = bytes.maketrans(b"01", _ZO)
+_BITS = bytes.maketrans(_ZO, b"01")  # its inverse
 
 
 def _sym(bit: int) -> int:
     return SYM_Z + bit
+
+
+def _symbols(value: int, width: int) -> bytes:
+    """``value`` as ``width`` Z/O cells, low bit first; ValueError unless
+    0 <= value < 2**width.  The drag lemma reads cells back with
+    ``translate(_BITS)``."""
+    if not 0 <= value < 1 << width:
+        raise ValueError(f"{value} does not fit in {width} bits")
+    return format(value, f"0{width}b")[::-1].encode().translate(_CELLS)
 
 
 # --- edge records -----------------------------------------------------------
@@ -107,14 +126,9 @@ def unpack_record(n: int, rec: int) -> tuple[int, int, int]:
 
 
 def window_bits(n: int, rec: int) -> tuple[int, ...]:
-    """The record widened to the 32-bit border slice (zero padded)."""
-    i, j, val = unpack_record(n, rec)
-    bits = [0] * RECORD_BITS
-    for v in range(n):
-        bits[v] = (i >> v) & 1
-        bits[n + v] = (j >> v) & 1
-    bits[2 * n] = val
-    return tuple(bits)
+    """The 32-bit border slice of a record: the record's own bits, low
+    first, zero padded.  ValueError for a record outside [0, 2**(2n+1))."""
+    return tuple(cell - SYM_Z for cell in _symbols(rec, 2 * n + 1).ljust(RECORD_BITS, _Z))
 
 
 def record_from_window(n: int, bits) -> int:
@@ -124,38 +138,31 @@ def record_from_window(n: int, bits) -> int:
         raise ValueError("window slice values must be bits (0 or 1)")
     if any(bits[v] for v in range(2 * n + 1, RECORD_BITS)):
         raise ValueError("padding bits of a window slice must be zero")
-    i = sum(bits[v] << v for v in range(n))
-    j = sum(bits[n + v] << v for v in range(n))
-    return pack_record(n, i, j, bits[2 * n])
+    return sum(b << v for v, b in enumerate(bits))
 
 
-def encode_quad(n: int, left: int, right: int, top: int, bottom: int) -> list[int]:
-    """The four edge records of one tile as a checker tape.
-
-    Layout: M, then 32 quads of five cells [tag, sL, sR, sT, sB], then M.
+@functools.cache
+def _frame(n: int) -> bytes:
+    """The checker tape with every record slot Z: M, then 32 quads of five
+    cells [tag, sL, sR, sT, sB], then M, then blanks out to the anchor M.
     Quad 0 is the val quad (tag B), quads 1..n the i bits (tag Z, low bit
     first), quads n+1..2n the j bits (tag O), and the rest padding quads
-    (tag B, all-Z slots).
-    """
-    recs = [unpack_record(n, r) for r in (left, right, top, bottom)]
-    tape = [SYM_M]
-    tape += [SYM_B] + [_sym(v) for (_, _, v) in recs]
-    for v in range(n):
-        tape += [SYM_Z] + [_sym((i >> v) & 1) for (i, _, _) in recs]
-    for v in range(n):
-        tape += [SYM_O] + [_sym((j >> v) & 1) for (_, j, _) in recs]
-    for _ in range(QUADS - 2 * n - 1):
-        tape += [SYM_B, SYM_Z, SYM_Z, SYM_Z, SYM_Z]
-    tape.append(SYM_M)
-    return tape
+    (tag B)."""
+    tags = [SYM_B] + [SYM_Z] * n + [SYM_O] * n + [SYM_B] * (QUADS - 2 * n - 1)
+    quads = b"".join(bytes((tag, SYM_Z, SYM_Z, SYM_Z, SYM_Z)) for tag in tags)
+    return (_M + quads + _M).ljust(ANCHOR, _B) + _M
 
 
-def checker_tape(n: int, left: int, right: int, top: int, bottom: int) -> list[int]:
-    """encode_quad plus the blank run out to the fixed anchor mark."""
-    tape = encode_quad(n, left, right, top, bottom)
-    tape += [SYM_B] * (ANCHOR - len(tape))
-    tape.append(SYM_M)
-    return tape
+def checker_tape(n: int, left: int, right: int, top: int, bottom: int) -> bytes:
+    """The four edge records of one tile as a checker tape: ``_frame`` with
+    record k's slot (cells 2 + k, every fifth) holding its val cell, then
+    its i and j cells.  ValueError for a record outside [0, 2**(2n+1))."""
+    width = 2 * n + 1
+    tape = bytearray(_frame(n))
+    for k, rec in enumerate((left, right, top, bottom)):
+        cells = _symbols(rec, width)
+        tape[2 + k : 2 + k + 5 * width : 5] = cells[-1:] + cells[:-1]
+    return bytes(tape)
 
 
 # --- the checker machine ----------------------------------------------------
@@ -413,16 +420,6 @@ def build_checker(n: int) -> tuple[Machine, tuple[str, ...]]:
 
 # --- the drag lemma -----------------------------------------------------------
 
-_B, _Z, _O, _M = (bytes((sym,)) for sym in (SYM_B, SYM_Z, SYM_O, SYM_M))
-_ZO = _Z + _O
-_BITS = bytes.maketrans(_ZO, b"01")
-
-
-def _counter(value: int, width: int) -> list[int]:
-    """A counter block of ``width`` cells, low bit first."""
-    return [_sym((value >> v) & 1) for v in range(width)]
-
-
 @dataclass(frozen=True)
 class DragLemma:
     """The walkers' counter drags as macro steps (``run_machine``'s ``macro``).
@@ -503,9 +500,9 @@ def _decrement_costs(machine: Machine, entry: int, dec: int, body: set,
     for k in range(width):
         seen = set()
         for left, value in ((SYM_M, 1 << k), (SYM_B, (1 << width) - (1 << k))):
-            run = Run(machine, [left, *_counter(value, width), SYM_M, SYM_B],
+            run = Run(machine, bytes([left]) + _symbols(value, width) + _M + _B,
                       head=1, state=dec)
-            want = (dec, 2, bytes([left, SYM_B, *_counter(value - 1, width), SYM_M]))
+            want = (dec, 2, bytes([left, SYM_B]) + _symbols(value - 1, width) + _M)
             while (run.state, run.head, run.cells) != want:
                 if run.go(run.steps + 1) != "timeout" or run.steps == 16 * width:
                     return None
@@ -693,7 +690,7 @@ class _Accepted(Mapping):
         n, size = self._n, self._size
         if type(quad) is tuple and len(quad) == 4 and all(isinstance(r, int) for r in quad):
             x, y, _ = unpack_record(n, quad[3])
-            vals = [(r >> (2 * n)) & 1 for r in quad]
+            vals = [unpack_record(n, r)[2] for r in quad]
             tile_id = _first_id(size, x, y) + _rank(size, x, y, vals)
             if self.quad_of(tile_id) == quad:
                 return tile_id
@@ -715,28 +712,24 @@ def _tile_keys(n: int, size: int, padded) -> np.ndarray:
     of its free vals (``_free``), and tile ``_first_id + rank`` reads them
     off the bits of ``rank`` as ``_rank`` does, the bottom one lowest.  A
     pinned val is the program bit on band rows and 0 elsewhere; no free val
-    lies on a band row, so each key is its cell's key with the tile's free
-    bit or'ed in.
+    lies on a band row, so each record is its cell's (``_records`` on
+    arrays, free vals 0) with the tile's free val or'ed in.
     """
-    band, val_bit = _band(size), 1 << (2 * n + 1)  # a key's val bit
+    band = _band(size)
     vert = np.zeros((size, size), np.int32)  # pinned vertical vals by (row, x)
     vert[band.start:band.stop] = np.frombuffer(bytes(padded), np.uint8).reshape(-1, size)
     y, x = np.divmod(np.arange(size * size, dtype=np.int32), size)
-    up = (y + 1) % size
     free = _free(size, x, y)
-    cell_keys = (
-        (x | y << n) << 1,
-        ((x + 1) % size | y << n) << 1,
-        (x | up << n | vert[up, x] << 2 * n) << 1 | 1,
-        (x | y << n | vert[y, x] << 2 * n) << 1 | 1,
-    )
+    cell_records = _records(n, size, x, y, 0, 0, vert[(y + 1) % size, x], vert[y, x])
     per = 1 << sum(f.astype(np.int32) for f in free)
     cell = np.repeat(np.arange(size * size, dtype=np.int32), per)
     rank = np.arange(len(cell), dtype=np.int32) - (np.cumsum(per, dtype=np.int32) - per)[cell]
     keys, shift = np.empty((len(cell), 4), np.int32), np.zeros(len(cell), np.int32)
     for side in (3, 2, 1, 0):
         bit = free[side][cell]
-        keys[:, side] = cell_keys[side][cell] | ((rank >> shift) & bit) * val_bit
+        # the free val first: its temporaries go before the cell records are gathered
+        records = pack_record(n, 0, 0, (rank >> shift) & bit) | cell_records[side][cell]
+        keys[:, side] = records << 1 | side // 2  # axis 1 for top and bottom
         shift += bit
     return keys
 
@@ -965,14 +958,16 @@ def _reject_probes(fp: FixedPointSet, rng: random.Random):
             quad[2] = pack_record(n, (i + 1) % size, j, v)
         elif mode == 2:  # flip a pinned val bit off the block
             side = rng.choice([s for s in (0, 1, 3)
-                               if not free[s] and not quad[s] >> 2 * n & 1] or [0])
-            quad[side] |= 1 << 2 * n
+                               if not free[s] and not unpack_record(n, quad[s])[2]] or [0])
+            i, j, _ = unpack_record(n, quad[side])
+            quad[side] = pack_record(n, i, j, 1)
         elif mode == 3:  # rows disagree
             i, j, v = unpack_record(n, quad[0])
             quad[0] = pack_record(n, i, (j + 1) % size, v)
         else:  # sibling: flip a free val, stays a tile
             side = rng.choice(range(4))
-            quad[side] ^= free[side] << 2 * n
+            i, j, v = unpack_record(n, quad[side])
+            quad[side] = pack_record(n, i, j, v ^ free[side])
         yield tuple(quad)
 
 
@@ -1025,9 +1020,10 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     jobs += [("walks", quad_of(i)) for i in rng.sample(walkers, min(walk_samples, len(walkers)))]
     jobs += [("probes", q) for q in itertools.islice(_reject_probes(fp, rng), reject_samples)]
     block_rows = list(fp.band)
-    for _ in range(block_probes):  # pinned block bit flipped: walk then stick
+    for _ in range(block_probes):  # a member with its pinned bottom bit flipped: walk then stick
         x, y = rng.randrange(fp.size), rng.choice(block_rows)
-        quad = fp.edge_records(x, y, 0, 0, 0, 1 - fp.padded[fp.fold(x, y)])
+        vt = fp.padded[fp.fold(x, y + 1)] if y + 1 in fp.band else 0
+        quad = fp.edge_records(x, y, 0, 0, vt, 1 - fp.padded[fp.fold(x, y)])
         jobs.append(("probes", quad))
     jobs += [("universal", quad_of(nonwalker(i))) for i in rng.sample(nonwalk, utm_accepts)]
     # Rejects sit at non-walking cells too; every probe mode keeps the

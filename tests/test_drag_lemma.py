@@ -334,7 +334,7 @@ def test_preconditions_that_fail_on_real_tapes(fp):
     tape = checker_tape(fp.n, *quad)
     # a mark in the drag's way: the lemma takes the entry step alone, and
     # the decrement that meets the mark is stuck
-    blocked = tape + [SYM_B] * 30 + [SYM_Z]
+    blocked = tape + bytes([SYM_B] * 30 + [SYM_Z])
     kw = {"track": fp.track_bits, "max_steps": fp.budget}
     spy = Spy(fp.drag)
     got = run_machine(spy.machine, blocked, macro=spy, **kw)

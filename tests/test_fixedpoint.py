@@ -26,9 +26,13 @@ from tilebench.compiler import (
 )
 from tilebench.compiler.fixedpoint import (
     ANCHOR,
+    QUADS,
+    SYM_B,
+    SYM_M,
+    SYM_O,
+    SYM_Z,
     build_checker,
     checker_tape,
-    encode_quad,
     pack_record,
     record_from_window,
     unpack_record,
@@ -54,6 +58,48 @@ def mutation_controls(fp, count, seed):
         vt = fp.padded[fp.fold(x, y + 1)] if y + 1 in fp.band else 0
         controls.add(fp.edge_records(x, y, 0, 0, vt, fp.padded[fp.fold(x, y)]))
     return controls
+
+
+def reference_window_bits(n, rec):
+    """The border slice built bit by bit from the record's fields."""
+    i, j, val = unpack_record(n, rec)
+    bits = [0] * 32
+    for v in range(n):
+        bits[v] = (i >> v) & 1
+        bits[n + v] = (j >> v) & 1
+    bits[2 * n] = val
+    return tuple(bits)
+
+
+def reference_record_from_window(n, bits):
+    i = sum(bits[v] << v for v in range(n))
+    j = sum(bits[n + v] << v for v in range(n))
+    return pack_record(n, i, j, bits[2 * n])
+
+
+def reference_tape(n, left, right, top, bottom):
+    """The checker tape built as a list, quad by quad and bit by bit: M, the
+    val quad (tag B), n i-bit quads (tag Z), n j-bit quads (tag O), padding
+    quads (tag B, all Z), M, then blanks out to the anchor M."""
+    recs = [unpack_record(n, r) for r in (left, right, top, bottom)]
+    tape = [SYM_M]
+    tape += [SYM_B] + [SYM_Z + v for (_, _, v) in recs]
+    for v in range(n):
+        tape += [SYM_Z] + [SYM_Z + ((i >> v) & 1) for (i, _, _) in recs]
+    for v in range(n):
+        tape += [SYM_O] + [SYM_Z + ((j >> v) & 1) for (_, j, _) in recs]
+    for _ in range(QUADS - 2 * n - 1):
+        tape += [SYM_B, SYM_Z, SYM_Z, SYM_Z, SYM_Z]
+    tape.append(SYM_M)
+    tape += [SYM_B] * (ANCHOR - len(tape))
+    tape.append(SYM_M)
+    return tape
+
+
+@st.composite
+def records(draw):
+    n = draw(st.integers(7, 13))
+    return n, draw(st.lists(st.integers(0, (1 << (2 * n + 1)) - 1), min_size=4, max_size=4))
 
 
 class TestRecords:
@@ -84,11 +130,50 @@ class TestRecords:
             record_from_window(8, tuple(bits))
 
     def test_encoding_geometry(self):
-        tape = encode_quad(8, *(pack_record(8, 5, 9, 0),) * 4)
-        assert len(tape) == 162
-        full = checker_tape(8, *(pack_record(8, 5, 9, 0),) * 4)
-        assert len(full) == ANCHOR + 1
-        assert full[0] == full[161] == full[ANCHOR] == 3
+        tape = checker_tape(8, *(pack_record(8, 5, 9, 0),) * 4)
+        assert type(tape) is bytes and len(tape) == ANCHOR + 1
+        assert tape[0] == tape[161] == tape[ANCHOR] == SYM_M
+        assert tape[162:ANCHOR] == bytes(ANCHOR - 162)  # blanks between the frame and the anchor
+
+    @settings(max_examples=300, deadline=None)
+    @given(records())
+    def test_tape_and_window_match_the_per_bit_reference(self, drawn):
+        n, recs = drawn
+        assert checker_tape(n, *recs) == bytes(reference_tape(n, *recs))
+        for rec in recs:
+            bits = window_bits(n, rec)
+            assert bits == reference_window_bits(n, rec)
+            assert record_from_window(n, bits) == reference_record_from_window(n, bits) == rec
+
+    @pytest.mark.parametrize("edit", ["bit 2n+1", "minus 2**40", "2**(2n+1)", "-1"])
+    def test_a_record_past_its_bits_is_refused(self, fp, edit):
+        # the tape used to mask a record silently, so tile 70's quad with its
+        # left record edited so came out byte-identical and the checker
+        # accepted a quad that is no tile
+        n, quad = fp.n, fp.accepted.quad_of(70)
+        left = {"bit 2n+1": quad[0] | 1 << (2 * n + 1), "minus 2**40": quad[0] - 2**40,
+                "2**(2n+1)": 1 << (2 * n + 1), "-1": -1}[edit]
+        forged = (left, *quad[1:])
+        assert forged not in fp.accepted
+        with pytest.raises(ValueError):
+            checker_tape(n, *forged)
+        with pytest.raises(ValueError):
+            window_bits(n, left)
+        with pytest.raises(ValueError):
+            run_checker(fp, forged)
+
+    def test_the_widest_record_is_taken(self):
+        top = (1 << 17) - 1  # every bit of an n=8 record set
+        assert window_bits(8, top) == (1,) * 17 + (0,) * 15
+        assert checker_tape(8, top, 0, 0, 0) == bytes(reference_tape(8, top, 0, 0, 0))
+
+
+def test_tape_matches_the_per_bit_reference_on_every_resident(fp):
+    _, residents, nonwalker = fixedpoint._split_walkers(fp)
+    assert len(residents) == 25026
+    for k in residents:
+        quad = fp.accepted.quad_of(nonwalker(k))
+        assert checker_tape(fp.n, *quad) == bytes(reference_tape(fp.n, *quad)), quad
 
 
 class TestBuildFrozen:
@@ -199,6 +284,30 @@ class TestChecker:
         assert res.status == "stuck"
         # stuck exactly on the counter sentinel over the disputed track bit
         assert res.head == fp.track_offset + fp.fold(x, y)
+
+    def test_block_probes_differ_from_a_member_in_the_bottom_val_only(self, fp, monkeypatch):
+        # each probe keeps the top val its cell pins, so its run walks out to
+        # the flipped bottom bit and sticks one step short of the member's
+        # accept; with the top val 0, the probe at (73, 79) stuck in the top
+        # walk after 171,819 steps, before the flipped bit was read
+        n, jobs = fp.n, []
+        audit = fixedpoint._audit
+
+        def drawn_only(fp_, parts, js):
+            jobs.extend(js)
+            return audit(fp_, parts, ())
+
+        monkeypatch.setattr(fixedpoint, "_audit", drawn_only)
+        certificate(fp)
+        probes = [quad for part, quad, _, _ in jobs if part == "probes"][-6:]
+        assert (73, 79) in [unpack_record(n, q[3])[:2] for q in probes]
+        for probe in probes:
+            i, j, v = unpack_record(n, probe[3])
+            member = (*probe[:3], pack_record(n, i, j, 1 - v))
+            assert probe not in fp.accepted and member in fp.accepted
+            stuck, accepted = run_checker(fp, probe), run_checker(fp, member)
+            assert (stuck.status, accepted.status) == ("stuck", "accepted")
+            assert stuck.steps == accepted.steps - 1
 
     def test_mutated_track_bit_is_caught(self, fp):
         report = mutation_trials(fp, count=3, seed=11)
