@@ -33,6 +33,7 @@ from .compiler import (
     robustify,
 )
 from .compiler.fixedpoint import MAX_SIZE
+from .compiler.layout import MAX_ZOOM
 from .compiler.simulate import chessboard_predicate_machine
 from .islands import Schedule, clean, find_islands, make_schedule, sample_bernoulli
 from .machine import Machine, machine_corpus
@@ -205,8 +206,8 @@ def cmd_compile(args) -> int:
     # flags are checked before the payload probe, which runs every payload
     if args.k < 1:
         raise UsageError("--k must be at least 1")
-    if args.zoom is not None and (args.zoom < 2 or args.zoom & (args.zoom - 1)):
-        raise UsageError("--zoom must be a power of two, at least 2")
+    if args.zoom is not None and (not 2 <= args.zoom <= MAX_ZOOM or args.zoom & (args.zoom - 1)):
+        raise UsageError(f"--zoom must be a power of two from 2 to {MAX_ZOOM}")
     compiled = compile_simulation(_machine_arg(args), args.k, zoom=args.zoom)
     body = {
         "k": args.k,

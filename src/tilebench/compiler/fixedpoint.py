@@ -724,6 +724,7 @@ def _tile_keys(n: int, size: int, padded) -> np.ndarray:
     per = 1 << sum(f.astype(np.int32) for f in free)
     cell = np.repeat(np.arange(size * size, dtype=np.int32), per)
     rank = np.arange(len(cell), dtype=np.int32) - (np.cumsum(per, dtype=np.int32) - per)[cell]
+    del vert, x, y, per  # the loop below holds the peak: free what it does not read
     keys, shift = np.empty((len(cell), 4), np.int32), np.zeros(len(cell), np.int32)
     for side in (3, 2, 1, 0):
         bit = free[side][cell]
@@ -1022,9 +1023,9 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
     block_rows = list(fp.band)
     for _ in range(block_probes):  # a member with its pinned bottom bit flipped: walk then stick
         x, y = rng.randrange(fp.size), rng.choice(block_rows)
-        vt = fp.padded[fp.fold(x, y + 1)] if y + 1 in fp.band else 0
-        quad = fp.edge_records(x, y, 0, 0, vt, 1 - fp.padded[fp.fold(x, y)])
-        jobs.append(("probes", quad))
+        *quad, bottom = quad_of(_first_id(fp.size, x, y))
+        i, j, v = unpack_record(fp.n, bottom)
+        jobs.append(("probes", (*quad, pack_record(fp.n, i, j, v ^ 1))))
     jobs += [("universal", quad_of(nonwalker(i))) for i in rng.sample(nonwalk, utm_accepts)]
     # Rejects sit at non-walking cells too; every probe mode keeps the
     # bottom record's cell, the probe's own.

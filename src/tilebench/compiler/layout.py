@@ -31,7 +31,13 @@ from dataclasses import dataclass
 
 Side = str
 Cell = tuple[int, int]
+Edge = tuple[str, int, int]  # (axis, column, row), both mod N
 WireId = tuple[str, int]  # ("L"|"R"|"T"|"B", window index)
+
+#: The edge each cell side lies on, as (axis, column offset, row offset), in
+#: tile order (left, right, top, bottom): a cell owns its left and bottom
+#: edges, and its right and top sides are its neighbours'.
+SIDES = {"left": ("H", 0, 0), "right": ("H", 1, 0), "top": ("V", 0, 1), "bottom": ("V", 0, 0)}
 
 
 class LayoutError(ValueError):
@@ -82,6 +88,21 @@ class SimulationLayout:
             and self.zy0 <= j < self.zy0 + self.zone_h
         )
 
+    def edge(self, side: Side, i: int, j: int) -> Edge:
+        """The edge that side of the cell (i, j) lies on."""
+        axis, di, dj = SIDES[side]
+        return axis, (i + di) % self.n, (j + dj) % self.n
+
+    def border(self, side: Side) -> tuple[tuple[Edge, int | None], ...]:
+        """The n edges along that side of the macro-tile, bottom to top or
+        left to right, each with the index of the payload bit it carries,
+        or None.  Left and right share their edges, as do top and bottom."""
+        across = side in ("left", "right")
+        window = self.hwin_rows if across else self.vwin_cols
+        far = self.n - 1 if side in ("right", "top") else 0  # the border cells' column or row
+        return tuple((self.edge(side, *((far, p) if across else (p, far))),
+                      window.index(p) if p in window else None) for p in range(self.n))
+
     def wire_runs(self) -> dict[WireId, tuple[tuple[Cell, tuple[Side, Side]], ...]]:
         """Every wire as the cells it traverses and the two sides it touches.
 
@@ -126,38 +147,25 @@ class SimulationLayout:
         return runs
 
     def _check_disjoint(self, runs) -> None:
-        n = self.n
-        claimed: dict[tuple, WireId] = {}
+        # the only legal double claims are the payload edges that L and R
+        # (T and B) share on the macro-tile border
+        shared = {edge: pair for pair, side in (({"L", "R"}, "left"), ({"T", "B"}, "bottom"))
+                  for edge, bit in self.border(side) if bit is not None}
+        claimed: dict[Edge, WireId] = {}
         for wid, path in runs.items():
             for (i, j), sides in path:
                 if self.in_zone(i, j):
                     raise LayoutError(f"wire {wid} runs through zone cell {(i, j)}")
                 for side in sides:
-                    if side == "left":
-                        edge = ("H", i, j)
-                    elif side == "right":
-                        edge = ("H", (i + 1) % n, j)
-                    elif side == "bottom":
-                        edge = ("V", i, j)
-                    else:
-                        edge = ("V", i, (j + 1) % n)
+                    edge = self.edge(side, i, j)
                     prev = claimed.setdefault(edge, wid)
-                    if prev != wid:
-                        # the only legal double claims are the shared border
-                        # payload edges: L/R on ("H", 0, row), T/B on ("V", c, 0)
-                        axis, a, b = edge
-                        pair = {prev[0], wid[0]}
-                        ok = (axis == "H" and a == 0 and pair == {"L", "R"}) or (
-                            axis == "V" and b == 0 and pair == {"T", "B"}
-                        )
-                        if not ok:
-                            raise LayoutError(
-                                f"wires {prev} and {wid} collide on edge {edge}"
-                            )
+                    if prev != wid and shared.get(edge) != {prev[0], wid[0]}:
+                        raise LayoutError(f"wires {prev} and {wid} collide on edge {edge}")
 
 
-#: Largest zoom ``plan_layout`` tries before giving up.
-MAX_ZOOM = 1 << 20
+#: Largest zoom ``plan_layout`` builds, picked or given: the chessboard set
+#: at zoom 1024 has about a million tiles.
+MAX_ZOOM = 1024
 
 
 def plan_layout(
@@ -167,14 +175,12 @@ def plan_layout(
 
     The zone needs ``zone_w`` columns, ``2k`` interchange rows below it and
     one spare row above it (the top-window transit row), so the zoom must
-    be at least ``max(zone_w, 2k + zone_h + 1)``.
+    be at least ``max(zone_w, 2k + zone_h + 1)``.  Raises LayoutError for a
+    zoom, picked or given, above ``MAX_ZOOM``.
     """
-    need = max(zone_w, 2 * k + zone_h + 1, 2)
     if zoom is None:
-        zoom = 2
-        while zoom < need:
-            zoom *= 2
-            if zoom > MAX_ZOOM:
-                raise LayoutError(f"no feasible zoom up to {MAX_ZOOM}")
+        zoom = 1 << (max(zone_w, 2 * k + zone_h + 1, 2) - 1).bit_length()
+    if zoom > MAX_ZOOM:
+        raise LayoutError(f"zoom {zoom} is above the largest, {MAX_ZOOM}")
     sx0 = (zoom - zone_w) // 2
     return SimulationLayout(zoom, k, zone_w, zone_h, sx0)

@@ -15,11 +15,12 @@ fixed; every other edge carries None.  The zone's top edge only exists in
 an accepting diagram, so a rejected payload combination simply cannot be
 tiled over.
 
-``SimulationLayout`` and ``_cell_tiles`` are the one statement of the
-floor plan and of which tiles a cell has.  Nothing else restates them:
-an accepted payload's border has exactly one fill, so
-``assemble_macro_tile`` hands that border to ``solve`` and returns the
-tiling it finds.
+``SimulationLayout`` is the one statement of the floor plan (the edge a
+cell side lies on, the border edges that carry payload bits), and
+``_cell_tiles`` of which tiles a cell has.  Nothing else restates them: a
+border is a lookup in the build's own color table, and an accepted
+payload's border has exactly one fill, so ``assemble_macro_tile`` hands
+that border to ``solve`` and returns the tiling it finds.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..machine import (
     run_machine,
 )
 from ..solver import InconclusiveError, solve
-from .layout import SimulationLayout, plan_layout
+from .layout import SIDES, SimulationLayout, plan_layout
 
 
 class CompileError(ValueError):
@@ -51,15 +52,14 @@ class CompileError(ValueError):
 
 @dataclass
 class CompiledTileSet:
-    """A simulating tile set plus everything needed to read it back."""
+    """A simulating tile set plus everything needed to read it back:
+    ``colors`` maps each color's key ``(axis, i, j, content)`` to its id."""
 
     tile_set: TileSet
     layout: SimulationLayout
-    machine: Machine
     accepted: frozenset[tuple[int, ...]]
     steps_needed: int
-    track: tuple[int, ...]
-    colors: tuple[tuple, ...]
+    colors: dict[tuple, int]
 
 
 #: Steps a probed payload may run before the checker counts as looping.
@@ -109,27 +109,26 @@ def _cell_tiles(color, lay: SimulationLayout, trk, machine: Machine, rules, inc,
     A tile encodes, beyond its position, the input bit (none on padding)
     on the zone's input row, a diagram rule and its transit bit in the
     rest of the zone, and the bits of the wires in ``inc`` outside it.
-    ``color(axis, i, j, content)`` interns an edge; the content is the
-    edge's carried bit, head signal or ``(configuration, transit bit)``,
-    else None.  Colors are interned in call order, which fixes the color
-    ids.
+    ``color(side, i, j, content)`` interns the edge that side of the cell
+    lies on; the content is the edge's carried bit, head signal or
+    ``(configuration, transit bit)``, else None.  Colors are interned in
+    call order, which fixes the color ids.
     """
     k = lay.k
     if lay.in_zone(i, j):
         c, t = i - lay.sx0, j - lay.zy0
         transit = i in lay.vwin_cols
         if t == 0:
-            left = color("H", i, j)
-            right = color("H", i + 1, j)
+            left, right = color("left", i, j), color("right", i, j)
             if c < 4 * k:
                 for b in (0, 1):
                     cfg0 = (SYM_ZERO + b, machine.start if c == 0 else None, trk[c])
-                    top = color("V", i, j + 1, (cfg0, b if transit else None))
-                    bottom = color("V", i, j, None if transit else b)
+                    top = color("top", i, j, (cfg0, b if transit else None))
+                    bottom = color("bottom", i, j, None if transit else b)
                     yield (left, right, top, bottom), f"{i},{j} in{c}={b}"
             else:
-                top = color("V", i, j + 1, ((machine.blank, None, trk[c]), None))
-                yield (left, right, top, color("V", i, j)), f"{i},{j} pad"
+                top = color("top", i, j, ((machine.blank, None, trk[c]), None))
+                yield (left, right, top, color("bottom", i, j)), f"{i},{j} pad"
             return
         ceiling = t == lay.zone_h - 1
         for ridx, rule in enumerate(rules):
@@ -141,11 +140,10 @@ def _cell_tiles(color, lay: SimulationLayout, trk, machine: Machine, rules, inc,
                 continue
             if ceiling and rule.above[1] not in (None, machine.accept):
                 continue
-            left = color("H", i, j, rule.left)
-            right = color("H", i + 1, j, rule.right)
+            left, right = color("left", i, j, rule.left), color("right", i, j, rule.right)
             for tb in (0, 1) if transit else (None,):
-                bottom = color("V", i, j, (rule.below, tb))
-                top = color("V", i, j + 1, tb if ceiling else (rule.above, tb))
+                bottom = color("bottom", i, j, (rule.below, tb))
+                top = color("top", i, j, tb if ceiling else (rule.above, tb))
                 suffix = "" if tb is None else f" t={tb}"
                 yield (left, right, top, bottom), f"{i},{j} z{ridx}{suffix}"
         return
@@ -155,12 +153,9 @@ def _cell_tiles(color, lay: SimulationLayout, trk, machine: Machine, rules, inc,
         for (wid, sides), b in zip(entries, bits):
             for side in sides:
                 side_bit[side] = b
-        left = color("H", i, j, side_bit.get("left"))
-        right = color("H", i + 1, j, side_bit.get("right"))
-        top = color("V", i, j + 1, side_bit.get("top"))
-        bottom = color("V", i, j, side_bit.get("bottom"))
         tag = " ".join(f"{wid[0]}{wid[1]}={b}" for (wid, _), b in zip(entries, bits))
-        yield (left, right, top, bottom), f"{i},{j}" + (f" {tag}" if tag else "")
+        edges = tuple(color(side, i, j, side_bit.get(side)) for side in SIDES)
+        yield edges, f"{i},{j}" + (f" {tag}" if tag else "")
 
 
 def compile_simulation(
@@ -193,15 +188,16 @@ def compile_simulation(
     n = lay.n
     colors = Interner()
 
-    def color(axis: str, i: int, j: int, content=None) -> int:
-        return colors[axis, i % n, j % n, content]
+    def color(side: str, i: int, j: int, content=None) -> int:
+        axis, di, dj = SIDES[side]  # SimulationLayout.edge, inline: it runs once a tile side
+        return colors[axis, (i + di) % n, (j + dj) % n, content]
 
     inc = _wire_incidence(lay)
     cells = (_cell_tiles(color, lay, trk, machine, rules, inc, i, j)
              for j in range(n) for i in range(n))
     tiles, names = zip(*itertools.chain.from_iterable(cells))
     tile_set = TileSet(len(colors), tiles, names)
-    return CompiledTileSet(tile_set, lay, machine, accepted, t_max, trk, tuple(colors))
+    return CompiledTileSet(tile_set, lay, accepted, t_max, dict(colors))
 
 
 def _payload(compiled: CompiledTileSet, *sides: Sequence[int]) -> tuple[int, ...]:
@@ -224,21 +220,13 @@ def payload_accepted(
 
 
 def _border(compiled: CompiledTileSet, bits: tuple[int, ...]) -> dict[str, list[int]]:
-    """The N x N block's border colors for a payload, as ``solve``'s boundary.
-
-    Each side carries its k bits on its window edges and None on every
-    other border edge; left and right edges are keyed at column 0, top
-    and bottom edges at row 0.
-    """
-    lay = compiled.layout
-    k, n = lay.k, lay.n
-    ids = {key: c for c, key in enumerate(compiled.colors)}
-    border = {}
-    for s, name in enumerate(("left", "right", "top", "bottom")):
-        at = dict(zip(lay.hwin_rows if s < 2 else lay.vwin_cols, bits[s * k:(s + 1) * k]))
-        keys = (("H", 0, p, at.get(p)) if s < 2 else ("V", p, 0, at.get(p)) for p in range(n))
-        border[name] = [ids[key] for key in keys]
-    return border
+    """The N x N block's border colors for a payload, as ``solve``'s boundary:
+    each side carries its k bits on its window edges and None on every
+    other border edge (``SimulationLayout.border``)."""
+    k, colors = compiled.layout.k, compiled.colors
+    return {side: [colors[(*edge, None if b is None else bits[s * k + b])]
+                   for edge, b in compiled.layout.border(side)]
+            for s, side in enumerate(SIDES)}
 
 
 def assemble_macro_tile(
@@ -269,21 +257,18 @@ def macro_payloads(
 ) -> dict[str, tuple[int, ...]]:
     """Read the four payload bit vectors off the macro-tile block at (ox, oy);
     a HOLE or an unknown tile id on its border raises MalformedPatchError."""
-    lay = compiled.layout
-    left, right, top, bottom = block_border(compiled.tile_set, patch.cells, ox, oy, lay.n)
+    lay, colors = compiled.layout, compiled.colors
 
     def pay_bit(color: int, edge: tuple) -> int:
-        key = compiled.colors[color]
-        if key[:3] != edge:
-            raise ValueError(f"edge color {key} is not the payload edge {edge}")
-        return key[3]
+        for b in (0, 1):
+            if colors.get((*edge, b)) == color:
+                return b
+        raise ValueError(f"edge color {color} is not the payload edge {edge}")
 
-    return {
-        "left": tuple(pay_bit(left[row], ("H", 0, row)) for row in lay.hwin_rows),
-        "right": tuple(pay_bit(right[row], ("H", 0, row)) for row in lay.hwin_rows),
-        "top": tuple(pay_bit(top[col], ("V", col, 0)) for col in lay.vwin_cols),
-        "bottom": tuple(pay_bit(bottom[col], ("V", col, 0)) for col in lay.vwin_cols),
-    }
+    border = block_border(compiled.tile_set, patch.cells, ox, oy, lay.n)
+    return {side: tuple(pay_bit(got[p], edge) for p, (edge, b) in enumerate(lay.border(side))
+                        if b is not None)
+            for side, got in zip(SIDES, border)}
 
 
 def chessboard_predicate_machine() -> Machine:

@@ -173,7 +173,8 @@ class TestCompilerCommands:
         monkeypatch.setattr(cli, "compile_simulation", self._refuse)
         assert run("compile", "--machine", "chessboard", "--k", k) == (2, "")
 
-    @pytest.mark.parametrize("zoom", ["6", "0", "-8"])
+    # 2048 and 65536 are powers of two above MAX_ZOOM, refused alike
+    @pytest.mark.parametrize("zoom", ["6", "0", "-8", "2048", "65536"])
     def test_compile_zoom_off_the_powers_of_two_is_a_usage_error(self, monkeypatch, zoom):
         monkeypatch.setattr(cli, "compile_simulation", self._refuse)
         assert run("compile", "--machine", "chessboard", "--k", "1", "--zoom", zoom) == (2, "")

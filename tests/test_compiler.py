@@ -16,7 +16,8 @@ from tilebench.compiler import (
     payload_accepted,
     plan_layout,
 )
-from tilebench.core import HOLE, MalformedPatchError, PatchGrid, verify_patch
+from tilebench.compiler.layout import MAX_ZOOM
+from tilebench.core import HOLE, MalformedPatchError, PatchGrid, block_border, verify_patch
 from tilebench.machine import (
     COND_ANY as ANY,
     COND_TRACK0 as T0,
@@ -59,6 +60,23 @@ class TestLayout:
     def test_zoom_must_be_power_of_two(self):
         with pytest.raises(LayoutError):
             plan_layout(1, 4, 5, zoom=12)
+
+    def test_picked_zoom_is_the_smallest_power_of_two_hosting_the_zone(self):
+        for zone_w in range(4, 300):
+            want = 2
+            while want < max(zone_w, 5):  # the doubling loop plan_layout once ran
+                want *= 2
+            assert plan_layout(1, zone_w, 2).n == want, zone_w
+
+    def test_a_given_zoom_above_the_largest_is_refused(self):
+        assert plan_layout(1, 4, 5, zoom=MAX_ZOOM).n == MAX_ZOOM
+        with pytest.raises(LayoutError, match="above the largest"):
+            plan_layout(1, 4, 5, zoom=2 * MAX_ZOOM)
+
+    def test_a_zone_needing_more_than_the_largest_zoom_is_refused(self):
+        assert plan_layout(1, MAX_ZOOM, 5).n == MAX_ZOOM
+        with pytest.raises(LayoutError, match="above the largest"):
+            plan_layout(1, MAX_ZOOM + 1, 5)
 
     def test_wire_runs_frozen_geometry(self):
         runs = plan_layout(1, 4, 5).wire_runs()
@@ -320,6 +338,106 @@ def test_compiled_corpus_is_frozen(machine, k, options, tiles_sha, patches_sha):
                   max_solutions=2)
         want = ("solved", 1) if bits in c.accepted else ("unsatisfiable", 0)
         assert (r.status, r.count) == want, bits
+
+
+# References from before SimulationLayout stated the floor plan: the side
+# chain _check_disjoint wrote out, and the border readers that keyed each
+# border edge by hand (left and right at column 0, top and bottom at row 0)
+# and read a color's key back through a reverse color map.
+def _chain_edge(n, side, i, j):
+    if side == "left":
+        return ("H", i, j)
+    elif side == "right":
+        return ("H", (i + 1) % n, j)
+    elif side == "bottom":
+        return ("V", i, j)
+    return ("V", i, (j + 1) % n)
+
+
+def _hand_keyed_border(c, bits):
+    lay = c.layout
+    k, n = lay.k, lay.n
+    border = {}
+    for s, name in enumerate(("left", "right", "top", "bottom")):
+        at = dict(zip(lay.hwin_rows if s < 2 else lay.vwin_cols, bits[s * k:(s + 1) * k]))
+        keys = (("H", 0, p, at.get(p)) if s < 2 else ("V", p, 0, at.get(p)) for p in range(n))
+        border[name] = [c.colors[key] for key in keys]
+    return border
+
+
+def _hand_keyed_payloads(c, patch, ox, oy):
+    lay = c.layout
+    keys = {color: key for key, color in c.colors.items()}
+    left, right, top, bottom = block_border(c.tile_set, patch.cells, ox, oy, lay.n)
+
+    def pay_bit(color, edge):
+        key = keys[color]
+        if key[:3] != edge:
+            raise ValueError(f"edge color {key} is not the payload edge {edge}")
+        return key[3]
+
+    return {
+        "left": tuple(pay_bit(left[row], ("H", 0, row)) for row in lay.hwin_rows),
+        "right": tuple(pay_bit(right[row], ("H", 0, row)) for row in lay.hwin_rows),
+        "top": tuple(pay_bit(top[col], ("V", col, 0)) for col in lay.vwin_cols),
+        "bottom": tuple(pay_bit(bottom[col], ("V", col, 0)) for col in lay.vwin_cols),
+    }
+
+
+def _read(reader, *args):
+    """A reader's answer, or the kind of error it raised."""
+    try:
+        return reader(*args)
+    except ValueError as e:
+        return type(e).__name__
+
+
+CASE_ARGS = {case.id: case.values[:3] for case in CASES}
+
+
+@functools.cache
+def _compiled(case):
+    machine, k, options = CASE_ARGS[case]
+    return compile_simulation(machine(), k, **options)
+
+
+@pytest.mark.parametrize("case", CASE_ARGS)
+def test_layout_edge_is_the_side_chain(case):
+    lay = _compiled(case).layout
+    n = lay.n
+    for side in ("left", "right", "top", "bottom"):
+        for i, j in itertools.product(range(n), repeat=2):
+            assert lay.edge(side, i, j) == _chain_edge(n, side, i, j), (side, i, j)
+
+
+@pytest.mark.parametrize("case", CASE_ARGS)
+def test_border_readers_match_the_hand_keyed_ones(case):
+    # every payload's border, and every accepted payload's macro-tile read
+    # back; then a 2 x 2 block of macro-tiles read at every offset, where
+    # both readers refuse a block off the cut alike
+    c = _compiled(case)
+    k, n = c.layout.k, c.layout.n
+    patches = []
+    for bits in itertools.product((0, 1), repeat=4 * k):
+        assert simulate._border(c, bits) == _hand_keyed_border(c, bits), bits
+        if bits in c.accepted:
+            patches.append(assemble_macro_tile(c, *(bits[s * k:(s + 1) * k] for s in range(4))))
+    for patch in patches:
+        assert macro_payloads(c, patch, 0, 0) == _hand_keyed_payloads(c, patch, 0, 0)
+    a, b = patches[0].cells.tolist(), patches[-1].cells.tolist()
+    rows = [ra + rb for ra, rb in zip(a, b)] + [rb + ra for ra, rb in zip(a, b)]
+    block = PatchGrid(2 * n, 2 * n, rows)
+    for ox, oy in itertools.product(range(n + 1), repeat=2):
+        want = _read(_hand_keyed_payloads, c, block, ox, oy)
+        assert _read(macro_payloads, c, block, ox, oy) == want, (ox, oy)
+
+
+def test_the_color_table_is_read_only(chess):
+    # a lookup of a key the build never made is a KeyError, not a new color
+    assert type(chess.colors) is dict and len(chess.colors) == chess.tile_set.color_count == 908
+    with pytest.raises(KeyError):
+        chess.colors[("H", 0, chess.layout.hwin_rows[0], 2)]
+    assert len(chess.colors) == 908
 
 
 def test_a_fill_past_its_budget_is_inconclusive(monkeypatch, chess):
