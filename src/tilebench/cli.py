@@ -38,6 +38,7 @@ from .compiler.simulate import chessboard_predicate_machine
 from .islands import Schedule, clean, find_islands, make_schedule, sample_bernoulli
 from .machine import Machine, machine_corpus
 from .solver import (
+    MAX_NODES,
     InconclusiveError,
     check_simulation_window,
     count_patch_tilings,
@@ -507,18 +508,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--toroidal", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=500_000)
+    p.add_argument("--max-nodes", type=int, default=MAX_NODES)
 
     p = add("count", cmd_count, "count tilings of a window")
     _tiles_flags(p)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=500_000)
+    p.add_argument("--max-nodes", type=int, default=MAX_NODES)
 
     p = add("periods", cmd_periods, "enumerate torus periods")
     _tiles_flags(p)
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=500_000)
+    p.add_argument("--max-nodes", type=int, default=MAX_NODES)
 
     p = add("cut", cmd_cut, "find n-block cut offsets of a patch")
     p.add_argument("--patch", required=True)
@@ -534,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("fill-hole", cmd_fill_hole, "complete the HOLE cells of a patch")
     _tiles_flags(p)
     p.add_argument("--patch", required=True)
-    p.add_argument("--max-nodes", type=int, default=500_000)
+    p.add_argument("--max-nodes", type=int, default=MAX_NODES)
 
     p = add("compile", cmd_compile, "compile a checker machine to tiles")
     g = p.add_mutually_exclusive_group(required=True)

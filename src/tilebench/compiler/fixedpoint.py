@@ -983,31 +983,33 @@ def _split_walkers(fp: FixedPointSet) -> tuple[range, range, Callable[[int], int
             lambda i: i + len(walkers) if i >= walkers.start else i)
 
 
+# certificate's fixed sample counts (its docstring says what each samples)
+REJECT_SAMPLES = 200
+BLOCK_PROBES = 6
+UTM_ACCEPTS = 2
+UTM_REJECTS = 4
+
+
 def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
-                reject_samples: int = 200, block_probes: int = 6,
-                utm_accepts: int = 2, utm_rejects: int = 4,
                 resident_samples: int | None = None,
                 seed: int = 20260816) -> SelfCertificate:
     """Audit the fixed point.
 
     (a) every non-walking tile is run through the checker (or a sample
-    of resident_samples of them), walking tiles are sampled (their runs
-    drag the counter across the track), and corrupted quads are checked
-    against set membership; (b) sampled member and non-member quads at
-    non-walking cells are re-run under the universal machine on the
-    checker's own encoding, each only after its direct run gave the answer
-    membership wants;
+    of resident_samples of them), walk_samples walking tiles are sampled
+    (their runs drag the counter across the track), and ``REJECT_SAMPLES``
+    corrupted quads and ``BLOCK_PROBES`` flipped members are checked
+    against set membership; (b) ``UTM_ACCEPTS`` member and ``UTM_REJECTS``
+    non-member quads at non-walking cells are re-run under the universal
+    machine on the checker's own encoding, each only after its direct run
+    gave the answer membership wants;
     (c) sample tiles are assembled into macro-tiles, patch-verified, and
     decoded back.  Runs are judged by ``_check``, so a budget hit leaves
     its check inconclusive.  Raises ValueError, naming the argument, for a
-    negative sample count or resident_samples below 1.
+    negative walk_samples or resident_samples below 1.
     """
-    counts = {"walk_samples": walk_samples, "reject_samples": reject_samples,
-              "block_probes": block_probes, "utm_accepts": utm_accepts,
-              "utm_rejects": utm_rejects}
-    for name, value in counts.items():
-        if value < 0:
-            raise ValueError(f"{name} must not be negative, got {value}")
+    if walk_samples < 0:
+        raise ValueError(f"walk_samples must not be negative, got {walk_samples}")
     if resident_samples is not None and resident_samples < 1:
         raise ValueError("resident_samples must be at least 1")
     rng = random.Random(seed)
@@ -1019,19 +1021,19 @@ def certificate(fp: FixedPointSet, *, walk_samples: int = 80,
         residents = rng.sample(nonwalk, min(resident_samples, len(nonwalk)))
     jobs = [("resident", quad_of(nonwalker(i))) for i in residents]
     jobs += [("walks", quad_of(i)) for i in rng.sample(walkers, min(walk_samples, len(walkers)))]
-    jobs += [("probes", q) for q in itertools.islice(_reject_probes(fp, rng), reject_samples)]
+    jobs += [("probes", q) for q in itertools.islice(_reject_probes(fp, rng), REJECT_SAMPLES)]
     block_rows = list(fp.band)
-    for _ in range(block_probes):  # a member with its pinned bottom bit flipped: walk then stick
+    for _ in range(BLOCK_PROBES):  # a member with its pinned bottom bit flipped: walk then stick
         x, y = rng.randrange(fp.size), rng.choice(block_rows)
         *quad, bottom = quad_of(_first_id(fp.size, x, y))
         i, j, v = unpack_record(fp.n, bottom)
         jobs.append(("probes", (*quad, pack_record(fp.n, i, j, v ^ 1))))
-    jobs += [("universal", quad_of(nonwalker(i))) for i in rng.sample(nonwalk, utm_accepts)]
+    jobs += [("universal", quad_of(nonwalker(i))) for i in rng.sample(nonwalk, UTM_ACCEPTS)]
     # Rejects sit at non-walking cells too; every probe mode keeps the
     # bottom record's cell, the probe's own.
     rejects = (q for q in _reject_probes(fp, rng) if q not in fp.accepted
                and not walks(fp, *unpack_record(fp.n, q[3])[:2]))
-    jobs += [("universal", q) for q in itertools.islice(rejects, utm_rejects)]
+    jobs += [("universal", q) for q in itertools.islice(rejects, UTM_REJECTS)]
 
     cert = _audit(fp, PARTS, ((part, q, None, q in fp.accepted) for part, q in jobs))
 

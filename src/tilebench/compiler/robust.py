@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core import HOLE, Interner, PatchGrid, TileSet, verify_patch
 from ..islands import Schedule, clean, make_schedule
-from ..solver import InconclusiveError, fill_template, solve
+from ..solver import MAX_NODES, MAX_SOLUTIONS, InconclusiveError, fill_template, solve
 from .simulate import CompileError
 
 Point = tuple[int, int]
@@ -33,7 +33,6 @@ class Robustification:
     """A pattern tile set plus the bookkeeping to move between levels."""
 
     tile_set: TileSet
-    base: TileSet
     w: int
     patterns: tuple[tuple[tuple[int, ...], ...], ...]
     _index: dict = field(repr=False, default_factory=dict)
@@ -45,13 +44,7 @@ class Robustification:
         return self._index.get(tuple(tuple(row) for row in pattern))
 
 
-def robustify(
-    tile_set: TileSet,
-    w: int = 5,
-    *,
-    max_solutions: int = 4096,
-    max_nodes: int = 2_000_000,
-) -> Robustification:
+def robustify(tile_set: TileSet, w: int = 5) -> Robustification:
     """Build the w x w pattern tile set of ``tile_set``.
 
     A pattern is admitted when it occurs as the center of a legal
@@ -60,14 +53,14 @@ def robustify(
     around a damaged spot.  The census enumerates the w x w tilings and
     admits each one that extends: one first-solution search of the
     (w+2) x (w+2) window with the tiling pinned at its center.  More than
-    ``max_solutions`` w x w tilings, or a search (the census or one
-    extension) that hits ``max_nodes``, raises InconclusiveError; a set
-    with no legal window raises CompileError.
+    ``MAX_SOLUTIONS`` w x w tilings, or a search (the census or one
+    extension) that spends more than ``MAX_NODES`` nodes, raises
+    InconclusiveError; a set with no legal window raises CompileError.
     """
     if w < 2:
         raise ValueError("patterns need w >= 2 to overlap")
-    r = solve(tile_set, w, w, mode="enumerate", max_nodes=max_nodes,
-              max_solutions=max_solutions + 1)
+    r = solve(tile_set, w, w, mode="enumerate", max_nodes=MAX_NODES,
+              max_solutions=MAX_SOLUTIONS + 1)
     if r.status == "inconclusive":
         raise InconclusiveError(
             f"pattern census hit its budget ({r.count} tilings, {r.nodes} nodes)"
@@ -76,7 +69,7 @@ def robustify(
     framed = np.full((w + 2, w + 2), HOLE, dtype=np.int32)
     for sol in r.solutions:
         framed[1:-1, 1:-1] = sol.cells
-        ext = solve(tile_set, w + 2, w + 2, template=PatchGrid(w + 2, w + 2, framed), max_nodes=max_nodes)
+        ext = solve(tile_set, w + 2, w + 2, template=PatchGrid(w + 2, w + 2, framed), max_nodes=MAX_NODES)
         if ext.status == "inconclusive":
             raise InconclusiveError(f"a pattern's extension hit its budget ({ext.nodes} nodes)")
         if ext.status == "solved":
@@ -93,7 +86,7 @@ def robustify(
         bottom = colors["v", tuple(pat[y][x] for y in range(w - 1) for x in range(w))]
         tiles.append((left, right, top, bottom))
         names.append(f"p{idx}")
-    return Robustification(TileSet(len(colors), tiles, names), tile_set, w, tuple(pats))
+    return Robustification(TileSet(len(colors), tiles, names), w, tuple(pats))
 
 
 def lift(rob: Robustification, base_patch: PatchGrid) -> PatchGrid:
@@ -123,14 +116,7 @@ def project(rob: Robustification, patch: PatchGrid) -> PatchGrid:
     return PatchGrid(patch.width, patch.height, corners[patch.cells])  # HOLE (-1) reads HOLE
 
 
-def check_window_robust(
-    tile_set,
-    outer: int,
-    inner: int,
-    *,
-    max_solutions: int = 4096,
-    max_nodes: int = 2_000_000,
-) -> str:
+def check_window_robust(tile_set, outer: int, inner: int) -> str:
     """Does every tiling of the outer/inner annulus extend across the hole?
 
     Accepts a TileSet or a Robustification.  The hole, the centered
@@ -143,11 +129,11 @@ def check_window_robust(
     first-solution search of the outer window with the ring pinned and the
     hole removed.  A ring that extends outward around an unfillable hole
     makes the verdict "not_robust"; a ring that does not extend decides
-    nothing.  More than ``max_solutions`` ring tilings make the verdict
-    "inconclusive" before any fill.  ``max_nodes`` bounds each search on
+    nothing.  More than ``MAX_SOLUTIONS`` ring tilings make the verdict
+    "inconclusive" before any fill.  ``MAX_NODES`` bounds each search on
     its own (the ring enumeration, each fill, each outward search); a fill
-    or outward search that hits it leaves the verdict "inconclusive" unless
-    a later ring is "not_robust".
+    or outward search that runs out leaves the verdict "inconclusive"
+    unless a later ring is "not_robust".
     """
     ts = getattr(tile_set, "tile_set", tile_set)
     if inner < 1 or outer < inner + 2:
@@ -159,7 +145,7 @@ def check_window_robust(
     beyond = [(x, y) for y in range(outer) for x in range(outer)
               if not (lo <= x <= hi and lo <= y <= hi)]
     rings = solve(ts, outer, outer, mask=hole + beyond, mode="enumerate",
-                  max_solutions=max_solutions + 1, max_nodes=max_nodes)
+                  max_solutions=MAX_SOLUTIONS + 1, max_nodes=MAX_NODES)
     if rings.status == "inconclusive":
         return "inconclusive"
     fills: dict[tuple, str] = {}
@@ -176,10 +162,10 @@ def check_window_robust(
         if fill is None:
             boundary = dict(zip(("left", "right", "bottom", "top"), colors))
             fill = fills[colors] = solve(ts, inner, inner, boundary=boundary,
-                                         max_nodes=max_nodes).status
+                                         max_nodes=MAX_NODES).status
         if fill == "solved":
             continue
-        out = solve(ts, outer, outer, template=ring, mask=hole, max_nodes=max_nodes).status
+        out = solve(ts, outer, outer, template=ring, mask=hole, max_nodes=MAX_NODES).status
         if out == "solved" and fill == "unsatisfiable":
             return "not_robust"
         if out != "unsatisfiable":
@@ -209,7 +195,6 @@ def correct_errors(
     *,
     schedule: Schedule | None = None,
     c1: int = 2,
-    max_nodes: int = 500_000,
 ) -> CorrectionReport:
     """Repair holes and mismatches by island-local carve-and-refill.
 
@@ -218,7 +203,8 @@ def correct_errors(
     2*c1*alpha_k beyond it, which is carved to holes and re-solved against
     its intact surroundings.  Cells outside the mandated neighborhoods are
     never touched, so the changed fraction stays below the schedule's
-    density bound.
+    density bound.  Each refill is one search of at most ``MAX_NODES``
+    nodes; one that runs out raises InconclusiveError.
     """
     if c1 < 0:
         raise ValueError("repair collar c1 must be non-negative")
@@ -255,9 +241,8 @@ def correct_errors(
         rx1, ry1 = min(W - 1, x1 + 1), min(H - 1, y1 + 1)
         sub = cells[ry0:ry1 + 1, rx0:rx1 + 1].copy()
         sub[y0 - ry0:y1 - ry0 + 1, x0 - rx0:x1 - rx0 + 1] = HOLE
-        filled = fill_template(
-            ts, PatchGrid(rx1 - rx0 + 1, ry1 - ry0 + 1, sub), max_nodes=max_nodes
-        )
+        filled = fill_template(ts, PatchGrid(rx1 - rx0 + 1, ry1 - ry0 + 1, sub),
+                               max_nodes=MAX_NODES)
         if filled is None:
             failures.append(isl)
             continue

@@ -5,9 +5,9 @@ cells in row-major order (bottom row first, x inner), trying tile ids in
 ascending order among those whose left and bottom sides match the placed
 neighbours, so results are reproducible.  A node is one candidate tried at
 a cell; it is counted before the right-side and top-side wrap or boundary
-check.  Searches carry an explicit node budget; exceeding it yields the
-status ``"inconclusive"`` (with ``nodes == max_nodes + 1``) rather than a
-wrong verdict.
+check.  Every search carries a node budget, ``MAX_NODES`` unless its
+caller passes one; exceeding it yields the status ``"inconclusive"`` (with
+``nodes == max_nodes + 1``) rather than a wrong verdict.
 
 The search tree is exactly that of trying one candidate per step: the
 engine only does less work per node, so node counts, solution order and
@@ -37,6 +37,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import HOLE, MalformedPatchError, PatchGrid, TileSet, block_border
+
+
+#: Node budget of one search: an enumeration, a fill, an extension, or all
+#: the embedding searches of one simulation window check.
+MAX_NODES = 2_000_000
+#: Most tilings an enumeration collects before its caller gives up.
+MAX_SOLUTIONS = 4_096
 
 
 class InconclusiveError(RuntimeError):
@@ -76,7 +83,7 @@ def solve(
     toroidal: bool = False,
     mask: Iterable[tuple[int, int]] | None = None,
     mode: str = "first",
-    max_nodes: int = 2_000_000,
+    max_nodes: int = MAX_NODES,
     max_solutions: int | None = None,
 ) -> SolveResult:
     """Search for tilings of a width x height window.
@@ -358,12 +365,15 @@ def fill_template(tile_set: TileSet, template: PatchGrid, **kw) -> PatchGrid | N
     return r.patch
 
 
-def find_periods(tile_set: TileSet, max_period: int, *, max_nodes: int = 500_000) -> set[tuple[int, int]]:
+def find_periods(tile_set: TileSet, max_period: int, *, max_nodes: int = MAX_NODES) -> set[tuple[int, int]]:
     """All (px, py) with 1 <= px, py <= max_period admitting a toroidal tiling.
 
     A tiling of the px x py torus unrolls to a plane tiling with periods
     (px, 0) and (0, py), so this is the exhaustive small-period census.
+    ``max_nodes`` bounds each torus search; max_period < 1 is a ValueError.
     """
+    if max_period < 1:
+        raise ValueError(f"max_period must be at least 1, got {max_period}")
     out: set[tuple[int, int]] = set()
     for px in range(1, max_period + 1):
         for py in range(1, max_period + 1):
@@ -411,12 +421,14 @@ def find_cut_offsets(
     return out
 
 
-def _macro_tiles_embed(blocks: Sequence[Block], tau: TileSet, rho: TileSet) -> bool:
+def _macro_tiles_embed(blocks: Sequence[Block], tau: TileSet, rho: TileSet,
+                      room: list[int]) -> bool | None:
     """Can each block act as a rho tile, under injective per-axis color maps?
 
     Vertical-side macro colors (left/right N-tuples) and horizontal-side ones
     (top/bottom) live in separate namespaces, since Wang matching never
-    compares across axes.
+    compares across axes.  A node is one rho tile tried for a block, paid
+    from ``room[0]``, the nodes left; when they run out the answer is None.
     """
     sides = [block_border(tau, b, 0, 0, len(b)) for b in blocks]
     quads = list(zip(rho.left, rho.right, rho.top, rho.bottom))
@@ -425,11 +437,14 @@ def _macro_tiles_embed(blocks: Sequence[Block], tau: TileSet, rho: TileSet) -> b
     hused: set[int] = set()
     vused: set[int] = set()
 
-    def rec(i: int) -> bool:
+    def rec(i: int) -> bool | None:
         if i == len(sides):
             return True
         ml, mr, mt, mb = sides[i]
         for rl, rr, rt, rb in quads:
+            if not room[0]:
+                return None
+            room[0] -= 1
             undo = []
             ok = True
             for m, c, mp, used in (
@@ -449,8 +464,8 @@ def _macro_tiles_embed(blocks: Sequence[Block], tau: TileSet, rho: TileSet) -> b
                 elif cur != c:
                     ok = False
                     break
-            if ok and rec(i + 1):
-                return True
+            if ok and (found := rec(i + 1)) is not False:
+                return found  # embedded, or out of nodes
             for mp, used, m, c in undo:
                 del mp[m]
                 used.discard(c)
@@ -470,31 +485,26 @@ class SimulationCheck:
     counterexample_offsets: tuple[tuple[int, int], ...] = ()
 
 
-def check_simulation_window(
-    tau: TileSet,
-    rho: TileSet,
-    n: int,
-    window: int,
-    *,
-    max_solutions: int = 4096,
-    max_nodes: int = 5_000_000,
-) -> SimulationCheck:
+def check_simulation_window(tau: TileSet, rho: TileSet, n: int, window: int) -> SimulationCheck:
     """Window evidence that tau simulates rho with zoom n.
 
     Enumerates every tau-tiling of a window x window square, infers a
     candidate macro-tile family from the first tiling at each cut offset,
     and accepts when some candidate (a) cuts *every* tiling at exactly one
     offset and (b) embeds into rho as macro-tiles under injective per-axis
-    color maps.  Bounded windows are evidence, not proof; more than
-    ``max_solutions`` tilings, or a search that hits ``max_nodes``, surface
-    as "inconclusive" rather than a verdict.
+    color maps.  Bounded windows are evidence, not proof.  The enumeration
+    has a budget of ``MAX_NODES`` nodes and collects at most
+    ``MAX_SOLUTIONS`` tilings; the embedding searches of all candidates
+    share one more budget of ``MAX_NODES``.  Either budget running out
+    makes the check "inconclusive" unless a candidate verified first:
+    "refuted" needs every candidate decided.
     """
     if n < 1:
         raise ValueError("zoom n must be at least 1")
     if window < 2 * n - 1:
         raise ValueError("window must be at least 2n-1 so every offset has a complete block")
-    r = solve(tau, window, window, mode="enumerate", max_solutions=max_solutions + 1,
-              max_nodes=max_nodes)
+    r = solve(tau, window, window, mode="enumerate", max_solutions=MAX_SOLUTIONS + 1,
+              max_nodes=MAX_NODES)
     if r.status == "inconclusive":
         return SimulationCheck(
             "inconclusive",
@@ -506,35 +516,36 @@ def check_simulation_window(
     tilings = r.solutions
     offsets = list(product(range(n), range(n)))
     first_bad: tuple[PatchGrid, tuple[tuple[int, int], ...]] | None = None
-    embed_failed = False
+    room = [MAX_NODES]  # the embedding searches' shared budget
     for off0 in offsets:
         family = _blocks_at(tilings[0], n, *off0)
-        unique = True
         for u in tilings:
             valid = tuple(find_cut_offsets(u, n, family))
             if len(valid) != 1:
-                unique = False
-                if first_bad is None:
-                    first_bad = (u, valid)
+                first_bad = first_bad or (u, valid)
                 break
-        if not unique:
-            continue
-        if _macro_tiles_embed(sorted(family), tau, rho):
-            return SimulationCheck(
-                "verified",
-                f"unique cut in all {len(tilings)} tilings; {len(family)} macro-tiles embed",
-                offset=off0,
-                family_size=len(family),
-                tilings_seen=len(tilings),
-            )
-        embed_failed = True
-    if embed_failed and first_bad is None:
+        else:
+            embeds = _macro_tiles_embed(sorted(family), tau, rho, room)
+            if embeds is None:
+                return SimulationCheck(
+                    "inconclusive",
+                    f"macro-tile embedding hit its budget of {MAX_NODES} nodes",
+                    tilings_seen=len(tilings),
+                )
+            if embeds:
+                return SimulationCheck(
+                    "verified",
+                    f"unique cut in all {len(tilings)} tilings; {len(family)} macro-tiles embed",
+                    offset=off0,
+                    family_size=len(family),
+                    tilings_seen=len(tilings),
+                )
+    if first_bad is None:  # every candidate cuts uniquely and fails to embed
         return SimulationCheck(
             "refuted",
             "cuts are unique but the macro-tiles do not embed into the target set",
             tilings_seen=len(tilings),
         )
-    assert first_bad is not None
     u, valid = first_bad
     return SimulationCheck(
         "refuted",

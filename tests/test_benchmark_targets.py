@@ -10,7 +10,10 @@ import importlib
 import inspect
 import os
 
-from tilebench.compiler import fixedpoint
+import pytest
+
+from tilebench import solver
+from tilebench.compiler import fixedpoint, robust
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -31,3 +34,19 @@ def test_run_checker_binds_as_the_audit_calls_it():
     sig = inspect.signature(fixedpoint.run_checker)
     assert list(sig.parameters) == ["fp", "quad", "track"]
     sig.bind(object(), object(), track=[])
+
+
+@pytest.mark.parametrize("fn, args", [
+    (robust.robustify, 1),  # robustify(ts)
+    (robust.check_window_robust, 3),  # check_window_robust(ts, 4, 2)
+    (robust.correct_errors, 2),  # correct_errors(rob, patch)
+    (solver.check_simulation_window, 4),  # check_simulation_window(tau, rho, 2, 6)
+])
+def test_window_solve_calls_bind(fn, args):
+    # window-solve passes positional arguments only; these searches read
+    # their budgets from solver.MAX_NODES and MAX_SOLUTIONS, not a keyword
+    sig = inspect.signature(fn)
+    sig.bind(*[object()] * args)
+    for removed in ("max_nodes", "max_solutions"):
+        with pytest.raises(TypeError):
+            sig.bind(*[object()] * args, **{removed: 1})

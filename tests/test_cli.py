@@ -1,11 +1,12 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
 
-from tilebench import cli
+from tilebench import cli, solver
 from tilebench.cli import main
 from tilebench.compiler import fixedpoint
 from tilebench.core import HOLE, PatchGrid, Tile, TileSet, chessboard_tileset, coordinate_tileset
@@ -117,6 +118,25 @@ class TestSolverCommands:
         code, out = run("simulate-check", "--tau", files["coord"],
                         "--rho", files["white"], "--n", n, "--window", "6")
         assert (code, out) == (2, "")
+
+    def test_simulation_embedding_budget_hit_exits_3(self, tmp_path, monkeypatch):
+        # coordinate(4) over the free 3-color set spends 11,988 embedding
+        # nodes to refute; 5,000 leave it undecided
+        tau, rho = tmp_path / "tau.json", tmp_path / "rho.json"
+        tau.write_text(json.dumps(coordinate_tileset(4).to_json()))
+        rho.write_text(json.dumps(TileSet(3, list(itertools.product(range(3), repeat=4))).to_json()))
+        argv = ("simulate-check", "--tau", str(tau), "--rho", str(rho), "--n", "2", "--window", "8")
+        code, body = run_json(*argv)
+        assert (code, body["status"]) == (1, "refuted")
+        monkeypatch.setattr(solver, "MAX_NODES", 5_000)
+        code, body = run_json(*argv)
+        assert (code, body["status"]) == (3, "inconclusive")
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_periods_bound_below_one_is_a_usage_error(self, files, bound, capsys):
+        code, out = run("periods", "--tiles", files["chess"], "--max", bound)
+        assert (code, out) == (2, "")
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_fill_hole_completes_a_template(self, files, tmp_path):
         template = PatchGrid(2, 2, [[0, HOLE], [HOLE, 0]])

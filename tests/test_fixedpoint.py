@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import hashlib
 import io
 import itertools
@@ -46,6 +45,12 @@ from tilebench.machine import encode_program, run_encoded
 def ended(status):
     """A stand-in for a finished run: the audit reads its status and steps."""
     return types.SimpleNamespace(status=status, steps=0)
+
+
+def trim(monkeypatch, **counts):
+    """Set certificate's sample-count constants for one test."""
+    for name, value in counts.items():
+        monkeypatch.setattr(fixedpoint, name, value)
 
 
 def mutation_controls(fp, count, seed):
@@ -535,10 +540,9 @@ def test_a_macro_tile_round_trip_holds_an_int32_grid():
 
 
 class TestCertificate:
-    def test_trimmed_audit_passes(self, fp):
-        cert = certificate(fp, walk_samples=2, reject_samples=25,
-                           block_probes=1, utm_accepts=1, utm_rejects=1,
-                           resident_samples=120, seed=5)
+    def test_trimmed_audit_passes(self, fp, monkeypatch):
+        trim(monkeypatch, REJECT_SAMPLES=25, BLOCK_PROBES=1, UTM_ACCEPTS=1, UTM_REJECTS=1)
+        cert = certificate(fp, walk_samples=2, resident_samples=120, seed=5)
         assert cert.ok and cert.verdict == "ok"
         assert cert.parts["resident"][1] == 120
         assert cert.parts["probes"][1] == 26
@@ -573,10 +577,6 @@ class TestCertificate:
 
     @pytest.mark.parametrize("audit, argument, bad", [
         (certificate, "walk_samples", -1),
-        (certificate, "reject_samples", -1),
-        (certificate, "block_probes", -1),
-        (certificate, "utm_accepts", -1),
-        (certificate, "utm_rejects", -1),
         (mutation_trials, "count", -1),
         (mutation_trials, "count", None),  # one more than the program's bits
     ])
@@ -609,8 +609,8 @@ class TestCertificate:
 
         monkeypatch.setattr(fixedpoint, "run_checker", last_direct)
         monkeypatch.setattr(fixedpoint, "run_encoded", real_universal)
-        cert = certificate(fp, walk_samples=0, reject_samples=0, block_probes=0,
-                           utm_accepts=1, utm_rejects=1, resident_samples=1, seed=139)
+        trim(monkeypatch, REJECT_SAMPLES=0, BLOCK_PROBES=0, UTM_ACCEPTS=1, UTM_REJECTS=1)
+        cert = certificate(fp, walk_samples=0, resident_samples=1, seed=139)
         assert cert.parts["universal"] == [2, 2] and cert.ok
         assert [status for _, status in universal] == ["accepted", "stuck"]
         assert not any(walks(fp, x, y) for (x, y), _ in universal)
@@ -628,8 +628,8 @@ class TestCertificate:
 
         monkeypatch.setattr(fixedpoint, "run_checker", walls_on_non_members)
         monkeypatch.setattr(fixedpoint, "universal_machine", lambda bits: None)
-        cert = certificate(fp, walk_samples=0, reject_samples=4, block_probes=0,
-                           utm_accepts=0, utm_rejects=0, resident_samples=2, seed=5)
+        trim(monkeypatch, REJECT_SAMPLES=4, BLOCK_PROBES=0, UTM_ACCEPTS=0, UTM_REJECTS=0)
+        cert = certificate(fp, walk_samples=0, resident_samples=2, seed=5)
         assert walled
         assert cert.parts["probes"] == [4 - len(walled), 4]
         assert cert.inconclusive == 0 and cert.verdict == "refuted" and not cert.ok
@@ -700,8 +700,8 @@ class TestBudgetHits:
 
     def test_universal_budget_hit_is_inconclusive(self, fp, monkeypatch):
         monkeypatch.setattr(fixedpoint, "run_encoded", _budget_hit)
-        cert = certificate(fp, walk_samples=0, reject_samples=0, block_probes=0,
-                           utm_accepts=1, utm_rejects=1, resident_samples=3, seed=5)
+        trim(monkeypatch, REJECT_SAMPLES=0, BLOCK_PROBES=0, UTM_ACCEPTS=1, UTM_REJECTS=1)
+        cert = certificate(fp, walk_samples=0, resident_samples=3, seed=5)
         assert cert.parts["universal"] == [0, 2] and cert.inconclusive == 2
         assert cert.parts["resident"] == [3, 3]
         assert cert.verdict == "inconclusive" and not cert.ok
@@ -714,16 +714,15 @@ class TestBudgetHits:
 
         monkeypatch.setattr(fixedpoint, "run_checker", _budget_hit)
         monkeypatch.setattr(fixedpoint, "run_encoded", never_called)
-        cert = certificate(fp, walk_samples=1, reject_samples=2, block_probes=0,
-                           utm_accepts=1, utm_rejects=0, resident_samples=2, seed=5)
+        trim(monkeypatch, REJECT_SAMPLES=2, BLOCK_PROBES=0, UTM_ACCEPTS=1, UTM_REJECTS=0)
+        cert = certificate(fp, walk_samples=1, resident_samples=2, seed=5)
         assert cert.inconclusive == 2 + 1 + 2 + 1
         assert [cert.parts[p][0] for p in ("resident", "walks", "probes", "universal")] == [0] * 4
         assert cert.verdict == "inconclusive" and not cert.ok
 
     def _cli(self, fp, monkeypatch, sim_status):
         monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
-        monkeypatch.setattr(cli, "certificate", functools.partial(
-            certificate, reject_samples=0, block_probes=0, utm_accepts=1, utm_rejects=1))
+        trim(monkeypatch, REJECT_SAMPLES=0, BLOCK_PROBES=0, UTM_ACCEPTS=1, UTM_REJECTS=1)
         monkeypatch.setattr(fixedpoint, "run_encoded",
                             lambda *a, **k: ended(sim_status))
         buf = io.StringIO()
@@ -763,8 +762,7 @@ AUDIT_PIN = {
 
 def test_trimmed_cli_audit_is_pinned(fp, monkeypatch):
     monkeypatch.setattr(cli, "build_fixed_point", lambda size: fp)
-    monkeypatch.setattr(cli, "certificate", functools.partial(
-        certificate, reject_samples=12, block_probes=1, utm_accepts=0, utm_rejects=2))
+    trim(monkeypatch, REJECT_SAMPLES=12, BLOCK_PROBES=1, UTM_ACCEPTS=0, UTM_REJECTS=2)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(["fixed-point", "--certificate", "--mutations", "3", "--seed", "7",

@@ -8,6 +8,7 @@ from tilebench.compiler import (
     correct_errors,
     lift,
     project,
+    robust,
     robustify,
 )
 from tilebench.core import HOLE, PatchGrid, Tile, TileSet, chessboard_tileset, verify_patch
@@ -108,14 +109,18 @@ class TestWindowRobust:
         with pytest.raises(ValueError):
             check_window_robust(chessboard_tileset(), 3, 3)
 
-    def test_budget_hits_are_inconclusive(self):
+    def test_budget_hits_are_inconclusive(self, monkeypatch):
         # the Thue-Morse-enforced ring around a 4x4 hole has 6,400 tilings
         tm = enforce_substitution(thue_morse_rule())
         assert check_window_robust(tm, 8, 4) == "inconclusive"
-        assert check_window_robust(tm, 5, 3, max_nodes=50) == "inconclusive"
+        with monkeypatch.context() as m:
+            m.setattr(robust, "MAX_NODES", 50)
+            assert check_window_robust(tm, 5, 3) == "inconclusive"
         # the chessboard annulus has two tilings (its two phases)
-        assert check_window_robust(chessboard_tileset(), 5, 3, max_solutions=1) == "inconclusive"
-        assert check_window_robust(chessboard_tileset(), 5, 3, max_solutions=2) == "robust"
+        monkeypatch.setattr(robust, "MAX_SOLUTIONS", 1)
+        assert check_window_robust(chessboard_tileset(), 5, 3) == "inconclusive"
+        monkeypatch.setattr(robust, "MAX_SOLUTIONS", 2)
+        assert check_window_robust(chessboard_tileset(), 5, 3) == "robust"
 
     @pytest.mark.parametrize("outer, inner", [(6, 2), (7, 3)])
     def test_thue_morse_decides_under_default_caps(self, outer, inner):
@@ -124,11 +129,13 @@ class TestWindowRobust:
         tm = enforce_substitution(thue_morse_rule())
         assert check_window_robust(tm, outer, inner) == "robust"
 
-    def test_pattern_census_cap_means_more_than(self):
+    def test_pattern_census_cap_means_more_than(self, monkeypatch):
         # the chessboard has exactly two 3x3 tilings (its two phases)
-        assert len(robustify(chessboard_tileset(), 3, max_solutions=2).patterns) == 2
+        monkeypatch.setattr(robust, "MAX_SOLUTIONS", 2)
+        assert len(robustify(chessboard_tileset(), 3).patterns) == 2
+        monkeypatch.setattr(robust, "MAX_SOLUTIONS", 1)
         with pytest.raises(InconclusiveError):
-            robustify(chessboard_tileset(), 3, max_solutions=1)
+            robustify(chessboard_tileset(), 3)
 
     def test_fill_budget_hit_is_inconclusive(self, monkeypatch):
         fills = []
@@ -191,6 +198,13 @@ class TestCorrectErrors:
         assert rep.status == "clean"
         assert rep.boxes == ((7, 9, 7, 9),)
         assert rep.patch == lifted
+
+    def test_refill_budget_hit_is_inconclusive(self, rob, lifted, monkeypatch):
+        cells = [list(row) for row in lifted.cells]
+        cells[9][7] = HOLE
+        monkeypatch.setattr(robust, "MAX_NODES", 0)
+        with pytest.raises(InconclusiveError, match="after 1 nodes"):
+            correct_errors(rob, PatchGrid(40, 40, cells))
 
     def test_mismatch_defect_is_rewritten(self, rob, lifted):
         cells = [list(row) for row in lifted.cells]

@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 
+from tilebench import solver
 from tilebench.core import (
     HOLE,
     PatchGrid,
     Tile,
     TileSet,
+    block_border,
     chessboard_tileset,
     coordinate_tileset,
     verify_patch,
@@ -136,6 +140,13 @@ def test_find_periods_coordinate_three():
     assert got == {(3, 3), (3, 6), (6, 3), (6, 6)}
 
 
+@pytest.mark.parametrize("max_period", [0, -3])
+def test_find_periods_bound_below_one_is_refused(max_period):
+    # an empty census would read as "no period" for any set
+    with pytest.raises(ValueError, match="max_period"):
+        find_periods(white_tileset(), max_period)
+
+
 def coordinate_patch(n, w, h, dx=0, dy=0):
     return PatchGrid(
         w, h, [[((x + dx) % n) * n + (y + dy) % n for x in range(w)] for y in range(h)]
@@ -189,20 +200,111 @@ def test_simulation_rejects_a_zoom_below_one(n):
         check_simulation_window(coordinate_tileset(2), white_tileset(), n, 6)
 
 
-def test_simulation_inconclusive_on_cap():
-    chk = check_simulation_window(
-        coordinate_tileset(2), white_tileset(), 2, 6, max_solutions=2
-    )
+def test_simulation_inconclusive_on_cap(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_SOLUTIONS", 2)
+    chk = check_simulation_window(coordinate_tileset(2), white_tileset(), 2, 6)
     assert chk.status == "inconclusive"
 
 
-def test_simulation_cap_means_more_than():
+def test_simulation_cap_means_more_than(monkeypatch):
     # the 6x6 window has exactly four tilings: a cap of four is not hit
-    chk = check_simulation_window(
-        coordinate_tileset(2), white_tileset(), 2, 6, max_solutions=4
-    )
+    monkeypatch.setattr(solver, "MAX_SOLUTIONS", 4)
+    chk = check_simulation_window(coordinate_tileset(2), white_tileset(), 2, 6)
     assert chk.status == "verified" and chk.tilings_seen == 4
-    chk = check_simulation_window(
-        coordinate_tileset(2), white_tileset(), 2, 6, max_solutions=3
-    )
+    monkeypatch.setattr(solver, "MAX_SOLUTIONS", 3)
+    chk = check_simulation_window(coordinate_tileset(2), white_tileset(), 2, 6)
     assert chk.status == "inconclusive"
+
+
+def free_tileset(colors):
+    """Every tile over ``colors`` colors: any macro-tile family embeds into it
+    once it has at least as many colors as the family's macro colors."""
+    return TileSet(colors, list(itertools.product(range(colors), repeat=4)))
+
+
+def reference_embed(blocks, tau, rho):
+    """The embedding search before it had a budget: the check's rho tiles
+    tried in the same order, with no count of them."""
+    sides = [block_border(tau, b, 0, 0, len(b)) for b in blocks]
+    quads = list(zip(rho.left, rho.right, rho.top, rho.bottom))
+    hmap, vmap, hused, vused = {}, {}, set(), set()
+
+    def rec(i):
+        if i == len(sides):
+            return True
+        ml, mr, mt, mb = sides[i]
+        for rl, rr, rt, rb in quads:
+            undo = []
+            ok = True
+            for m, c, mp, used in ((ml, rl, hmap, hused), (mr, rr, hmap, hused),
+                                   (mt, rt, vmap, vused), (mb, rb, vmap, vused)):
+                cur = mp.get(m)
+                if cur is None:
+                    if c in used:
+                        ok = False
+                        break
+                    mp[m] = c
+                    used.add(c)
+                    undo.append((mp, used, m, c))
+                elif cur != c:
+                    ok = False
+                    break
+            if ok and rec(i + 1):
+                return True
+            for mp, used, m, c in undo:
+                del mp[m]
+                used.discard(c)
+        return False
+
+    return rec(0)
+
+
+SIMULATION_CASES = (
+    # the cases above and the benchmark's simulate ops
+    [("coordinate", 2, "white", 2, 6), ("white", 1, "white", 2, 6),
+     ("coordinate", 2, "chessboard", 2, 6)]
+    + [("coordinate", k, "white", k, w) for k in (2, 3, 4) for w in range(2 * k - 1, 2 * k + 3)]
+    + [(tau, 1, "white", 2, w) for tau in ("chessboard", "white") for w in (3, 4, 8)]
+    # coordinate sets over free sets of 2-5 colors
+    + [("coordinate", k, c, n, w) for n in (2, 3) for k in range(2, 7) for c in range(2, 6)
+       for w in (2 * n - 1, 2 * n + 2)]
+)
+
+
+def _simulation_sets(tau, k, rho):
+    sets = {"white": white_tileset(), "chessboard": chessboard_tileset()}
+    return (coordinate_tileset(k) if tau == "coordinate" else sets[tau],
+            free_tileset(rho) if isinstance(rho, int) else sets[rho])
+
+
+def test_simulation_verdicts_match_the_unbudgeted_embedding(monkeypatch):
+    # where the shared embedding budget suffices, the verdict and its report
+    # are the reference's; 30,000 nodes decide all but two of the free cases
+    monkeypatch.setattr(solver, "MAX_NODES", 30_000)
+    decided = 0
+    for tau_name, k, rho_name, n, window in SIMULATION_CASES:
+        tau, rho = _simulation_sets(tau_name, k, rho_name)
+        got = check_simulation_window(tau, rho, n, window)
+        if got.status == "inconclusive":
+            continue
+        decided += 1
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_macro_tiles_embed",
+                      lambda blocks, tau, rho, room: reference_embed(blocks, tau, rho))
+            want = check_simulation_window(tau, rho, n, window)
+        assert got == want, (tau_name, k, rho_name, n, window)
+    assert decided == len(SIMULATION_CASES) - 2
+
+
+def test_simulation_embedding_budget_is_inconclusive(monkeypatch):
+    # coordinate(4) over three colors: 1,024 enumeration nodes, then four
+    # candidate offsets whose embedding searches fail after 2,997 nodes each
+    tau, rho = coordinate_tileset(4), free_tileset(3)
+    chk = check_simulation_window(tau, rho, 2, 8)
+    assert chk.status == "refuted" and "embed" in chk.detail
+    monkeypatch.setattr(solver, "MAX_NODES", 5_000)
+    chk = check_simulation_window(tau, rho, 2, 8)
+    assert chk.status == "inconclusive" and "embedding" in chk.detail
+    assert chk.tilings_seen == 16 and chk.counterexample_tiling is None
+    # a search the budget covers still decides: 514 nodes verify over four colors
+    assert check_simulation_window(tau, free_tileset(4), 2, 6).status == "verified"
