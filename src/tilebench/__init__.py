@@ -8,7 +8,6 @@ enforcement, hole robustness, and island-of-errors cleaning analysis.
 from .core import (
     HOLE,
     BesicovitchReport,
-    DegenerateZoomError,
     MalformedPatchError,
     PatchGrid,
     Tile,
@@ -23,7 +22,6 @@ from .core import (
 __all__ = [
     "HOLE",
     "BesicovitchReport",
-    "DegenerateZoomError",
     "MalformedPatchError",
     "PatchGrid",
     "Tile",

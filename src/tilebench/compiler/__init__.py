@@ -10,7 +10,7 @@ from .fixedpoint import (
     mutation_trials,
     run_checker,
 )
-from .layout import LayoutError, SimulationLayout, plan_layout
+from .layout import SimulationLayout, plan_layout
 from .robust import (
     CorrectionReport,
     Robustification,
@@ -39,7 +39,6 @@ __all__ = [
     "decode_self_patch",
     "mutation_trials",
     "run_checker",
-    "LayoutError",
     "SimulationLayout",
     "plan_layout",
     "CompiledTileSet",

@@ -597,7 +597,7 @@ class FixedPointSet:
     machine: Machine
     state_bits: int
     program: tuple[int, ...]
-    padded: tuple[int, ...]
+    padded: bytes
     capacity: int
     accepted: Mapping = field(hash=False)
     color_records: array = field(hash=False)
@@ -620,7 +620,7 @@ class FixedPointSet:
     def track_bits(self) -> bytes:
         """The checker's read-only track, built once per set: zeros up to
         ``track_offset``, then the padded program."""
-        return bytes(self.track_offset) + bytes(self.padded)
+        return bytes(self.track_offset) + self.padded
 
     def track(self) -> bytes:
         """The track to pass to ``run_checker``: ``track_bits`` itself, so
@@ -757,24 +757,24 @@ def _enumerate(n: int, size: int, padded) -> tuple[np.ndarray, array]:
 def build_fixed_point(size: int = 256) -> FixedPointSet:
     """Build the self-describing tile set on a size x size coordinate grid.
 
-    Raises CompileError for a side that is not a power of two from 128 to
-    MAX_SIZE, above which the int32 arrays of ``_enumerate`` overflow, and
-    when the checker's encoding does not fit the program block that the
-    grid offers (capacity size * (3*size/4 - 32) bits); 256 is the smallest
-    side that fits.
+    Raises ValueError, before any work, for a side that is not a power of
+    two from 128 to MAX_SIZE, above which the int32 arrays of ``_enumerate``
+    overflow, and CompileError when the checker's encoding does not fit the
+    program block that the grid offers (capacity size * (3*size/4 - 32)
+    bits, held as ``bytes``); 256 is the smallest side that fits.
     """
     n = (size - 1).bit_length()
     if not 128 <= size <= MAX_SIZE or (1 << n) != size:
-        raise CompileError(f"grid side must be a power of two from 128 to {MAX_SIZE}")
+        raise ValueError(f"grid side must be a power of two from 128 to {MAX_SIZE}")
     machine, names = build_checker(n)
     state_bits = 8 if machine.states <= 256 else 9
     program = encode_program(machine, state_bits=state_bits)
-    capacity = size * (3 * size // 4 - 32)
+    capacity = size * len(_band(size))
     if len(program) > capacity:
         raise CompileError(
             f"checker needs {len(program)} program bits, the block holds {capacity}"
         )
-    padded = tuple(program) + (0,) * (capacity - len(program))
+    padded = bytes(program).ljust(capacity, b"\0")
     ids, color_records = _enumerate(n, size, padded)
     assert len(ids) == (size + 2) ** 2, "free border bits miscounted"
     tile_set = TileSet(len(color_records), ids)

@@ -40,12 +40,28 @@ WireId = tuple[str, int]  # ("L"|"R"|"T"|"B", window index)
 SIDES = {"left": ("H", 0, 0), "right": ("H", 1, 0), "top": ("V", 0, 1), "bottom": ("V", 0, 0)}
 
 
-class LayoutError(ValueError):
-    """The requested geometry cannot host the zone and its wiring."""
+#: Largest zoom a layout may have, picked or given: the chessboard set at
+#: zoom 1024 has about a million tiles.
+MAX_ZOOM = 1024
+
+
+class CompileError(ValueError):
+    """The input cannot be built: a zone no zoom up to ``MAX_ZOOM`` hosts, a
+    checker that accepts nothing or loops, a program too big for its block,
+    a tile set that cannot tile ``robustify``'s window."""
+
+
+def check_zoom(zoom: int) -> None:
+    """ValueError unless ``zoom`` is a power of two from 2 to ``MAX_ZOOM``."""
+    if not 2 <= zoom <= MAX_ZOOM or zoom & (zoom - 1):
+        raise ValueError(f"zoom must be a power of two from 2 to {MAX_ZOOM}, not {zoom}")
 
 
 @dataclass(frozen=True)
 class SimulationLayout:
+    """The floor plan of a zoom-n macro-tile, k payload bits a side.  A bad k
+    or zoom is a ValueError; a zone that does not fit is a CompileError."""
+
     n: int
     k: int
     zone_w: int
@@ -54,15 +70,14 @@ class SimulationLayout:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise LayoutError("need at least one payload bit per side")
+            raise ValueError("need at least one payload bit per side")
+        check_zoom(self.n)
         if self.zone_w < 4 * self.k:
-            raise LayoutError("zone narrower than its 4k input cells")
-        if self.n & (self.n - 1) or self.n < 2:
-            raise LayoutError(f"zoom {self.n} is not a power of two")
+            raise CompileError("zone narrower than its 4k input cells")
         if self.sx0 < 0 or self.sx0 + self.zone_w > self.n:
-            raise LayoutError("zone sticks out horizontally")
+            raise CompileError("zone sticks out horizontally")
         if self.zone_h < 1 or self.zy0 + self.zone_h > self.n - 1:
-            raise LayoutError(
+            raise CompileError(
                 f"zone of height {self.zone_h} does not fit above {self.zy0} "
                 f"interchange rows in zoom {self.n}"
             )
@@ -155,17 +170,12 @@ class SimulationLayout:
         for wid, path in runs.items():
             for (i, j), sides in path:
                 if self.in_zone(i, j):
-                    raise LayoutError(f"wire {wid} runs through zone cell {(i, j)}")
+                    raise CompileError(f"wire {wid} runs through zone cell {(i, j)}")
                 for side in sides:
                     edge = self.edge(side, i, j)
                     prev = claimed.setdefault(edge, wid)
                     if prev != wid and shared.get(edge) != {prev[0], wid[0]}:
-                        raise LayoutError(f"wires {prev} and {wid} collide on edge {edge}")
-
-
-#: Largest zoom ``plan_layout`` builds, picked or given: the chessboard set
-#: at zoom 1024 has about a million tiles.
-MAX_ZOOM = 1024
+                        raise CompileError(f"wires {prev} and {wid} collide on edge {edge}")
 
 
 def plan_layout(
@@ -175,12 +185,13 @@ def plan_layout(
 
     The zone needs ``zone_w`` columns, ``2k`` interchange rows below it and
     one spare row above it (the top-window transit row), so the zoom must
-    be at least ``max(zone_w, 2k + zone_h + 1)``.  Raises LayoutError for a
-    zoom, picked or given, above ``MAX_ZOOM``.
+    be at least ``max(zone_w, 2k + zone_h + 1)``.  A zone that needs a zoom
+    above ``MAX_ZOOM``, or does not fit a given zoom, raises CompileError;
+    a given zoom that ``check_zoom`` refuses raises ValueError.
     """
     if zoom is None:
         zoom = 1 << (max(zone_w, 2 * k + zone_h + 1, 2) - 1).bit_length()
-    if zoom > MAX_ZOOM:
-        raise LayoutError(f"zoom {zoom} is above the largest, {MAX_ZOOM}")
+        if zoom > MAX_ZOOM:
+            raise CompileError(f"the zone needs zoom {zoom}, above the largest, {MAX_ZOOM}")
     sx0 = (zoom - zone_w) // 2
     return SimulationLayout(zoom, k, zone_w, zone_h, sx0)

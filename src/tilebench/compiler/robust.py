@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core import HOLE, Interner, PatchGrid, TileSet, verify_patch
 from ..islands import Schedule, clean, make_schedule
-from ..solver import MAX_NODES, MAX_SOLUTIONS, InconclusiveError, fill_template, solve
+from ..solver import MAX_NODES, MAX_SOLUTIONS, fill_template, solve
 from .simulate import CompileError
 
 Point = tuple[int, int]
@@ -60,19 +60,13 @@ def robustify(tile_set: TileSet, w: int = 5) -> Robustification:
     if w < 2:
         raise ValueError("patterns need w >= 2 to overlap")
     r = solve(tile_set, w, w, mode="enumerate", max_nodes=MAX_NODES,
-              max_solutions=MAX_SOLUTIONS + 1)
-    if r.status == "inconclusive":
-        raise InconclusiveError(
-            f"pattern census hit its budget ({r.count} tilings, {r.nodes} nodes)"
-        )
+              max_solutions=MAX_SOLUTIONS + 1).decided("pattern census")
     pats = []
     framed = np.full((w + 2, w + 2), HOLE, dtype=np.int32)
     for sol in r.solutions:
         framed[1:-1, 1:-1] = sol.cells
         ext = solve(tile_set, w + 2, w + 2, template=PatchGrid(w + 2, w + 2, framed), max_nodes=MAX_NODES)
-        if ext.status == "inconclusive":
-            raise InconclusiveError(f"a pattern's extension hit its budget ({ext.nodes} nodes)")
-        if ext.status == "solved":
+        if ext.decided("a pattern's extension").status == "solved":
             pats.append(tuple(map(tuple, sol.cells.tolist())))
     if not pats:
         raise CompileError("tile set cannot tile the sampling window")

@@ -40,14 +40,8 @@ from ..machine import (
     diagram_local_rules,
     run_machine,
 )
-from ..solver import InconclusiveError, solve
-from .layout import SIDES, SimulationLayout, plan_layout
-
-
-class CompileError(ValueError):
-    """The input cannot be compiled: a machine at the requested geometry, a
-    fixed-point set at the requested size, or a tile set that cannot tile
-    ``robustify``'s sampling window."""
+from ..solver import solve
+from .layout import SIDES, CompileError, SimulationLayout, check_zoom, plan_layout
 
 
 @dataclass
@@ -171,11 +165,17 @@ def compile_simulation(
     zoom defaults to the smallest feasible power of two.  ``track`` pins
     read-only track bits under the zone's tape cells (position c of the
     track sits under tape cell c; missing positions read 0).
+
+    A k below 1, a track for a machine without one or a zoom ``check_zoom``
+    refuses raises ValueError before the probe; a checker that accepts
+    nothing or loops, or a zone no allowed zoom hosts, raises CompileError.
     """
     if k < 1:
-        raise CompileError("need at least one payload bit per side")
+        raise ValueError("need at least one payload bit per side")
     if track is not None and not machine.program_track:
-        raise CompileError("track bits supplied for a machine without a track")
+        raise ValueError("track bits supplied for a machine without a track")
+    if zoom is not None:
+        check_zoom(zoom)
     accepted, t_max, w_need = _probe_capacity(machine, k, track)
     zone_w = w_need
     zone_h = max(2, t_max + 1)
@@ -244,11 +244,9 @@ def assemble_macro_tile(
     """
     bits = _payload(compiled, left, right, top, bottom)
     n = compiled.layout.n
-    res = solve(compiled.tile_set, n, n, boundary=_border(compiled, bits))
+    res = solve(compiled.tile_set, n, n, boundary=_border(compiled, bits)).decided("macro-tile fill")
     if res.status == "unsatisfiable":
         raise ValueError(f"payload {bits} is rejected by the checker")
-    if res.status == "inconclusive":
-        raise InconclusiveError(f"macro-tile fill hit the search budget after {res.nodes} nodes")
     return res.patch
 
 

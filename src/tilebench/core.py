@@ -49,10 +49,6 @@ class MalformedPatchError(ValueError):
     """A patch references tile ids outside the tile set."""
 
 
-class DegenerateZoomError(ValueError):
-    """Zoom factor too small for the requested construction."""
-
-
 @dataclass(frozen=True)
 class Tile:
     """One tile's four side colors, as indexing a ``TileSet`` gives them back.
@@ -273,9 +269,12 @@ class PatchGrid:
         return [(x, y) for y, x in np.argwhere(self.cells == HOLE).tolist()]
 
     def replaced(self, updates: dict[tuple[int, int], int]) -> "PatchGrid":
-        """A copy with the given cells replaced."""
+        """A copy with the given cells replaced; a cell outside the patch
+        raises IndexError."""
         rows = self.cells.tolist()
         for (x, y), v in updates.items():
+            if not (0 <= x < self.width and 0 <= y < self.height):
+                raise IndexError(f"cell {(x, y)} lies outside the patch")
             rows[y][x] = v
         return PatchGrid(self.width, self.height, rows)
 
@@ -365,10 +364,11 @@ def coordinate_tileset(n: int) -> TileSet:
     Tile (i, j) carries color (i, j) on its left and bottom sides,
     ((i+1) mod N, j) on the right and (i, (j+1) mod N) on top, so every
     tiling reproduces the coordinate grid mod N and admits exactly one cut
-    into N×N blocks anchored where (i, j) = (0, 0).
+    into N×N blocks anchored where (i, j) = (0, 0).  An n below 2 raises
+    ValueError.
     """
     if n < 2:
-        raise DegenerateZoomError("coordinate tile set needs n >= 2")
+        raise ValueError("coordinate tile set needs n >= 2")
 
     def color(i: int, j: int) -> int:
         return i * n + j

@@ -58,6 +58,13 @@ class SolveResult:
     nodes: int
     solutions: tuple[PatchGrid, ...] = ()
 
+    def decided(self, what: str) -> "SolveResult":
+        """This result, unless its search hit a budget: then InconclusiveError,
+        the one place a budget hit becomes that error."""
+        if self.status == "inconclusive":
+            raise InconclusiveError(f"{what} hit its budget after {self.nodes} nodes")
+        return self
+
 
 def _boundary_side(boundary: Mapping | None, side: str, length: int) -> tuple[int, ...] | None:
     if boundary is None:
@@ -92,9 +99,9 @@ def solve(
         template: optional partial patch; HOLE cells are free, other cells
             are pinned to their tile id.
         boundary: optional mapping with any of the keys "left", "right",
-            "top", "bottom"; each value is a single color or a per-cell
-            sequence (bottom-to-top for the vertical sides, left-to-right
-            for the horizontal ones).  Only allowed in bounded mode.
+            "top", "bottom" and no other; each value is a single color or a
+            per-cell sequence (bottom-to-top for the vertical sides,
+            left-to-right for the horizontal ones).  Bounded mode only.
         toroidal: wrap both axes (periodic tiling of the w x h torus).
         mask: optional cells (x, y) that do not exist: the search skips them,
             a side facing one is free, and they are HOLE in every patch.
@@ -109,6 +116,8 @@ def solve(
         raise ValueError(f"unknown mode {mode!r}")
     if toroidal and boundary:
         raise ValueError("boundary colors make no sense on a torus")
+    if unknown := set(boundary or ()) - {"left", "right", "top", "bottom"}:
+        raise ValueError(f"unknown boundary sides {sorted(unknown, key=repr)}")
     if width < 1 or height < 1:
         raise ValueError("window dimensions must be positive")
     if max_nodes < 0:
@@ -351,18 +360,12 @@ def solve(
 
 def count_patch_tilings(tile_set: TileSet, width: int, height: int, **kw) -> int:
     """Exact number of tilings of the window; raises InconclusiveError on budget."""
-    r = solve(tile_set, width, height, mode="count", **kw)
-    if r.status == "inconclusive":
-        raise InconclusiveError(f"count hit the search budget after {r.nodes} nodes")
-    return r.count
+    return solve(tile_set, width, height, mode="count", **kw).decided("count").count
 
 
 def fill_template(tile_set: TileSet, template: PatchGrid, **kw) -> PatchGrid | None:
     """Complete the HOLE cells of a partial patch, or None if impossible."""
-    r = solve(tile_set, template.width, template.height, template=template, mode="first", **kw)
-    if r.status == "inconclusive":
-        raise InconclusiveError(f"fill hit the search budget after {r.nodes} nodes")
-    return r.patch
+    return solve(tile_set, template.width, template.height, template=template, **kw).decided("fill").patch
 
 
 def find_periods(tile_set: TileSet, max_period: int, *, max_nodes: int = MAX_NODES) -> set[tuple[int, int]]:
@@ -378,9 +381,7 @@ def find_periods(tile_set: TileSet, max_period: int, *, max_nodes: int = MAX_NOD
     for px in range(1, max_period + 1):
         for py in range(1, max_period + 1):
             r = solve(tile_set, px, py, toroidal=True, mode="first", max_nodes=max_nodes)
-            if r.status == "inconclusive":
-                raise InconclusiveError(f"period ({px}, {py}) hit the search budget")
-            if r.status == "solved":
+            if r.decided(f"period ({px}, {py})").status == "solved":
                 out.add((px, py))
     return out
 
@@ -429,8 +430,13 @@ def _macro_tiles_embed(blocks: Sequence[Block], tau: TileSet, rho: TileSet,
     (top/bottom) live in separate namespaces, since Wang matching never
     compares across axes.  A node is one rho tile tried for a block, paid
     from ``room[0]``, the nodes left; when they run out the answer is None.
+    A family with more macro colors on an axis than rho has there cannot
+    map injectively, so it fails before any node.
     """
     sides = [block_border(tau, b, 0, 0, len(b)) for b in blocks]
+    for axis, colors in ((slice(0, 2), {*rho.left, *rho.right}), (slice(2, 4), {*rho.top, *rho.bottom})):
+        if len({m for quad in sides for m in quad[axis]}) > len(colors):
+            return False
     quads = list(zip(rho.left, rho.right, rho.top, rho.bottom))
     hmap: dict[tuple, int] = {}
     vmap: dict[tuple, int] = {}

@@ -8,7 +8,7 @@ import pytest
 
 from tilebench import cli, solver
 from tilebench.cli import main
-from tilebench.compiler import fixedpoint
+from tilebench.compiler import fixedpoint, simulate
 from tilebench.core import HOLE, PatchGrid, Tile, TileSet, chessboard_tileset, coordinate_tileset
 from tilebench.machine import parity_machine
 from tilebench.solver import solve
@@ -120,11 +120,12 @@ class TestSolverCommands:
         assert (code, out) == (2, "")
 
     def test_simulation_embedding_budget_hit_exits_3(self, tmp_path, monkeypatch):
-        # coordinate(4) over the free 3-color set spends 11,988 embedding
-        # nodes to refute; 5,000 leave it undecided
+        # coordinate(4) over the 64 tiles whose four colors sum to 1 mod 4
+        # spends 16,640 embedding nodes to refute; 5,000 leave it undecided
         tau, rho = tmp_path / "tau.json", tmp_path / "rho.json"
         tau.write_text(json.dumps(coordinate_tileset(4).to_json()))
-        rho.write_text(json.dumps(TileSet(3, list(itertools.product(range(3), repeat=4))).to_json()))
+        mod4 = [q for q in itertools.product(range(4), repeat=4) if sum(q) % 4 == 1]
+        rho.write_text(json.dumps(TileSet(4, mod4).to_json()))
         argv = ("simulate-check", "--tau", str(tau), "--rho", str(rho), "--n", "2", "--window", "8")
         code, body = run_json(*argv)
         assert (code, body["status"]) == (1, "refuted")
@@ -184,19 +185,20 @@ class TestCompilerCommands:
     @pytest.mark.parametrize("size", ["200", "64", "0", "32768", "65536"])
     def test_fixed_point_sizes_off_the_grid_are_usage_errors(self, monkeypatch, size):
         # not a power of two from 128 to 16384, where the set's int32 keys
-        # end; --size 128 builds and fails (exit 1)
-        monkeypatch.setattr(cli, "build_fixed_point", self._refuse)
+        # end; --size 128 builds and fails (exit 1); the library refuses it
+        # before it builds the checker
+        monkeypatch.setattr(fixedpoint, "build_checker", self._refuse)
         assert run("fixed-point", "--size", size) == (2, "")
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_compile_without_payload_bits_is_a_usage_error(self, monkeypatch, k):
-        monkeypatch.setattr(cli, "compile_simulation", self._refuse)
+        monkeypatch.setattr(simulate, "_probe_capacity", self._refuse)
         assert run("compile", "--machine", "chessboard", "--k", k) == (2, "")
 
     # 2048 and 65536 are powers of two above MAX_ZOOM, refused alike
     @pytest.mark.parametrize("zoom", ["6", "0", "-8", "2048", "65536"])
     def test_compile_zoom_off_the_powers_of_two_is_a_usage_error(self, monkeypatch, zoom):
-        monkeypatch.setattr(cli, "compile_simulation", self._refuse)
+        monkeypatch.setattr(simulate, "_probe_capacity", self._refuse)
         assert run("compile", "--machine", "chessboard", "--k", "1", "--zoom", zoom) == (2, "")
 
     def test_compile_zoom_too_small_for_the_zone_is_a_domain_failure(self, capsys):

@@ -8,7 +8,7 @@ import pytest
 from tilebench.compiler import simulate
 from tilebench.compiler import (
     CompileError,
-    LayoutError,
+    SimulationLayout,
     assemble_macro_tile,
     chessboard_predicate_machine,
     compile_simulation,
@@ -54,12 +54,13 @@ class TestLayout:
         assert (lay.n, lay.sx0, lay.zy0) == (8, 2, 2)
 
     def test_explicit_zoom_too_small(self):
-        with pytest.raises(LayoutError):
+        with pytest.raises(CompileError, match="does not fit"):
             plan_layout(1, 4, 5, zoom=4)
 
     def test_zoom_must_be_power_of_two(self):
-        with pytest.raises(LayoutError):
+        with pytest.raises(ValueError, match="power of two") as err:
             plan_layout(1, 4, 5, zoom=12)
+        assert type(err.value) is ValueError
 
     def test_picked_zoom_is_the_smallest_power_of_two_hosting_the_zone(self):
         for zone_w in range(4, 300):
@@ -70,13 +71,25 @@ class TestLayout:
 
     def test_a_given_zoom_above_the_largest_is_refused(self):
         assert plan_layout(1, 4, 5, zoom=MAX_ZOOM).n == MAX_ZOOM
-        with pytest.raises(LayoutError, match="above the largest"):
+        with pytest.raises(ValueError, match=f"from 2 to {MAX_ZOOM}") as err:
             plan_layout(1, 4, 5, zoom=2 * MAX_ZOOM)
+        assert type(err.value) is ValueError
 
     def test_a_zone_needing_more_than_the_largest_zoom_is_refused(self):
         assert plan_layout(1, MAX_ZOOM, 5).n == MAX_ZOOM
-        with pytest.raises(LayoutError, match="above the largest"):
+        with pytest.raises(CompileError, match="above the largest"):
             plan_layout(1, MAX_ZOOM + 1, 5)
+
+    @pytest.mark.parametrize("k, n", [(0, 8), (1, 12), (1, 1), (1, 2 * MAX_ZOOM)])
+    def test_a_bad_k_or_zoom_is_a_bad_argument(self, k, n):
+        # not a geometry that cannot host the zone: no CompileError
+        with pytest.raises(ValueError) as err:
+            SimulationLayout(n, k, 4, 2, 0)
+        assert type(err.value) is ValueError
+
+    def test_a_zone_sticking_out_cannot_be_built(self):
+        with pytest.raises(CompileError, match="sticks out"):
+            SimulationLayout(8, 1, 4, 2, 5)
 
     def test_wire_runs_frozen_geometry(self):
         runs = plan_layout(1, 4, 5).wire_runs()
@@ -235,9 +248,22 @@ class TestTwoBitPayloads:
 
 
 class TestCompileErrors:
-    def test_k_must_be_positive(self):
-        with pytest.raises(CompileError):
+    @staticmethod
+    def _refuse(*args, **kw):
+        raise AssertionError("probed before checking its arguments")
+
+    def test_k_must_be_positive(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_probe_capacity", self._refuse)
+        with pytest.raises(ValueError, match="payload bit") as err:
             compile_simulation(chessboard_predicate_machine(), 0)
+        assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("zoom", [0, -8, 1, 6, 2 * MAX_ZOOM, 65536])
+    def test_a_zoom_off_the_powers_of_two_is_refused_before_the_probe(self, monkeypatch, zoom):
+        monkeypatch.setattr(simulate, "_probe_capacity", self._refuse)
+        with pytest.raises(ValueError, match=f"from 2 to {MAX_ZOOM}") as err:
+            compile_simulation(chessboard_predicate_machine(), 1, zoom=zoom)
+        assert type(err.value) is ValueError
 
     def test_checker_accepting_nothing(self):
         m = Machine(2, 4, 0, 1, 0, False, Rules.of(()))
@@ -252,9 +278,15 @@ class TestCompileErrors:
         with pytest.raises(CompileError, match="still running .* after 10000 steps"):
             compile_simulation(m, 1)
 
-    def test_track_needs_track_machine(self):
-        with pytest.raises(CompileError, match="track"):
+    def test_track_needs_track_machine(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_probe_capacity", self._refuse)
+        with pytest.raises(ValueError, match="track") as err:
             compile_simulation(chessboard_predicate_machine(), 1, track=[0, 1])
+        assert type(err.value) is ValueError
+
+    def test_a_zoom_too_small_for_the_zone_cannot_be_built(self):
+        with pytest.raises(CompileError, match="does not fit"):
+            compile_simulation(chessboard_predicate_machine(), 1, zoom=4)
 
 
 def _sha(text: str) -> str:

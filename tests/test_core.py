@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from array import array
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from tilebench.core import (
     HOLE,
-    DegenerateZoomError,
     Interner,
     MalformedPatchError,
     PatchGrid,
@@ -157,6 +157,15 @@ def test_an_id_past_int32_is_malformed(bad):
         with pytest.raises(MalformedPatchError, match=rf"cell \(1, 1\) holds unknown tile id {bad}"):
             PatchGrid(2, 2, cells)
     assert PatchGrid(1, 1, [[2**31 - 1]]).get(0, 0) == 2**31 - 1
+
+
+@pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (3, 0), (0, 2), (-4, 0), (3, 2)])
+def test_replaced_refuses_a_cell_outside_the_patch(cell):
+    # a negative coordinate would otherwise land on the far edge
+    p = PatchGrid.filled(3, 2, 0)
+    with pytest.raises(IndexError, match=re.escape(f"cell {cell} lies outside the patch")):
+        p.replaced({cell: 5})
+    assert p.replaced({(0, 0): 5, (2, 1): 6}).cells.tolist() == [[5, 0, 0], [0, 0, 6]]
 
 
 def test_patch_row_zero_is_bottom():
@@ -315,7 +324,7 @@ def test_coordinate_tileset_tiles_the_plane():
 
 
 def test_coordinate_tileset_rejects_degenerate():
-    with pytest.raises(DegenerateZoomError):
+    with pytest.raises(ValueError, match="n >= 2"):
         coordinate_tileset(1)
 
 

@@ -216,15 +216,16 @@ class TestBuildFrozen:
 
     def test_sides_past_the_int32_keys_are_refused(self, monkeypatch):
         # refused before anything is built: at 32768 the padded program
-        # alone would hold 804 M entries, and the keys would overflow int32;
+        # alone would take 804 MB, and the keys would overflow int32;
         # 16384 passes the check and goes on to build the checker
         def built(*args):
             raise AssertionError("built")
 
         monkeypatch.setattr(fixedpoint, "build_checker", built)
         for size in (32768, 65536):
-            with pytest.raises(CompileError, match="from 128 to 16384"):
+            with pytest.raises(ValueError, match="from 128 to 16384") as err:
                 build_fixed_point(size)
+            assert type(err.value) is ValueError
         with pytest.raises(AssertionError, match="built"):
             build_fixed_point(16384)
 
@@ -233,8 +234,15 @@ class TestBuildFrozen:
             build_fixed_point(128)
 
     def test_side_must_be_power_of_two(self):
-        with pytest.raises(CompileError):
+        with pytest.raises(ValueError, match="power of two") as err:
             build_fixed_point(200)
+        assert type(err.value) is ValueError
+
+    def test_the_program_block_is_bytes(self, fp):
+        # the program, zero-filled to the block's capacity, one byte a bit
+        assert type(fp.padded) is bytes
+        assert len(fp.padded) == fp.capacity == fp.size * len(fp.band)
+        assert fp.padded == bytes(fp.program) + bytes(fp.capacity - len(fp.program))
 
     def test_program_bits_ride_the_block_rows(self, fp):
         # the first program bits appear verbatim as pinned bottom vals

@@ -134,7 +134,7 @@ class TestWindowRobust:
         monkeypatch.setattr(robust, "MAX_SOLUTIONS", 2)
         assert len(robustify(chessboard_tileset(), 3).patterns) == 2
         monkeypatch.setattr(robust, "MAX_SOLUTIONS", 1)
-        with pytest.raises(InconclusiveError):
+        with pytest.raises(InconclusiveError, match="pattern census hit its budget after"):
             robustify(chessboard_tileset(), 3)
 
     def test_fill_budget_hit_is_inconclusive(self, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -105,10 +106,22 @@ def test_boundary_constrains_sides():
         solve(ts, 2, 2, toroidal=True, boundary={"left": 0})
 
 
+@pytest.mark.parametrize("boundary", [{"lft": 5}, {"left": 5, "Top": 0}, {0: 1}])
+def test_an_unknown_boundary_side_is_refused(boundary):
+    # a misspelt side would otherwise leave that border free
+    unknown = [k for k in boundary if k not in ("left", "right", "top", "bottom")]
+    with pytest.raises(ValueError, match=re.escape(f"unknown boundary sides {unknown}")):
+        solve(chessboard_tileset(), 2, 2, boundary=boundary)
+
+
 def test_budget_raises_inconclusive():
     ts = coordinate_tileset(3)
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError, match="count hit its budget after 11 nodes"):
         count_patch_tilings(ts, 6, 6, max_nodes=10)
+    with pytest.raises(InconclusiveError, match="fill hit its budget after 3 nodes"):
+        fill_template(ts, PatchGrid.filled(6, 6), max_nodes=2)
+    with pytest.raises(InconclusiveError, match=re.escape("period (1, 1) hit its budget after 1 nodes")):
+        find_periods(ts, 3, max_nodes=0)
     r = solve(ts, 6, 6, mode="count", max_nodes=10)
     assert r.status == "inconclusive"
 
@@ -279,7 +292,7 @@ def _simulation_sets(tau, k, rho):
 
 def test_simulation_verdicts_match_the_unbudgeted_embedding(monkeypatch):
     # where the shared embedding budget suffices, the verdict and its report
-    # are the reference's; 30,000 nodes decide all but two of the free cases
+    # are the reference's; 30,000 nodes decide every case
     monkeypatch.setattr(solver, "MAX_NODES", 30_000)
     decided = 0
     for tau_name, k, rho_name, n, window in SIMULATION_CASES:
@@ -293,13 +306,32 @@ def test_simulation_verdicts_match_the_unbudgeted_embedding(monkeypatch):
                       lambda blocks, tau, rho, room: reference_embed(blocks, tau, rho))
             want = check_simulation_window(tau, rho, n, window)
         assert got == want, (tau_name, k, rho_name, n, window)
-    assert decided == len(SIMULATION_CASES) - 2
+    assert decided == len(SIMULATION_CASES)
+
+
+def mod4_tileset():
+    """The 64 tiles over four colors whose colors sum to 1 mod 4: as many
+    colors on each axis as coordinate(4)'s 2-blocks, yet no embedding."""
+    return TileSet(4, [q for q in itertools.product(range(4), repeat=4) if sum(q) % 4 == 1])
+
+
+def test_more_macro_colors_than_rho_has_refutes_before_any_node(monkeypatch):
+    # coordinate(4)'s 2-blocks have four macro colors on each axis, and three
+    # colors cannot take them injectively: the embedding refutes before any
+    # node, so a budget that just covers the enumeration (1,024 nodes) decides
+    tau, rho = coordinate_tileset(4), free_tileset(3)
+    assert check_simulation_window(tau, rho, 2, 8).status == "refuted"
+    monkeypatch.setattr(solver, "MAX_NODES", 1_024)
+    chk = check_simulation_window(tau, rho, 2, 8)
+    assert chk.status == "refuted" and "embed" in chk.detail
+    family = sorted(solver._blocks_at(solve(tau, 8, 8).patch, 2, 0, 0))
+    assert solver._macro_tiles_embed(family, tau, rho, [0]) is False
 
 
 def test_simulation_embedding_budget_is_inconclusive(monkeypatch):
-    # coordinate(4) over three colors: 1,024 enumeration nodes, then four
-    # candidate offsets whose embedding searches fail after 2,997 nodes each
-    tau, rho = coordinate_tileset(4), free_tileset(3)
+    # coordinate(4) over the mod-4 set: 1,024 enumeration nodes, then
+    # embedding searches that refute after 16,640 nodes in all
+    tau, rho = coordinate_tileset(4), mod4_tileset()
     chk = check_simulation_window(tau, rho, 2, 8)
     assert chk.status == "refuted" and "embed" in chk.detail
     monkeypatch.setattr(solver, "MAX_NODES", 5_000)
