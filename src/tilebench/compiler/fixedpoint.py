@@ -23,15 +23,15 @@ vertical seams, the right columns for horizontal ones) carries the edge
 record of the tile the patch stands for, so macro-edges and tile edges
 match one against one and ``assemble_self_patch`` / ``decode_self_patch``
 round-trip.
-One array pass (``_tile_keys``) enumerates the tiles from the val
-discipline, all cells at once; ``_free`` states which vals are free, and
-only the border ring has any.  So a cell's first tile id is a closed form
-in its coordinates (``_first_id``), and a tile's id is that plus the rank
-of its free vals (``_rank``).  The built set is the only table of tiles:
-a tile's edge records are read off its color columns, and a quad is a
-member when the tile its cell and vals name has exactly those records.
-Assembly builds each patch row as a range of first ids and re-ranks the
-ring cells.
+A color id is a closed form of its edge's axis and record (``_color``,
+read back by ``_record``).  One array pass (``_tile_colors``) enumerates
+the tiles from the val discipline, all cells at once; ``_free`` states
+which vals are free, and only the border ring has any.  So a cell's first
+tile id is a closed form in its coordinates (``_first_id``), and a tile's
+id is that plus the rank of its free vals (``_rank``).  The built set is
+the only table of tiles: a quad is a member when the tile its cell and
+vals name has exactly those records.  Assembly builds each patch row as a
+range of first ids and re-ranks the ring cells.
 
 Everything here is desk-checkable: R has a few hundred states, its
 encoding fits the block with room to spare, and the certificate below
@@ -63,7 +63,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 
@@ -92,7 +91,7 @@ SYM_B, SYM_Z, SYM_O, SYM_M = 0, 1, 2, 3
 RECORD_BITS = 32  # window slice width; also the padded record length
 QUADS = 32  # val + i bits + j bits + padding, see _frame
 ANCHOR = 239  # fixed M cell the loaders build the counter after
-MAX_SIZE = 16384  # the largest grid side whose color keys (2n + 2 bits) fit int32
+MAX_SIZE = 16384  # color ids 2N(N+1) and tile ids (N+2)**2 fit int32 up to here; 2*32768*32769 does not
 
 _B, _Z, _O, _M = (bytes((sym,)) for sym in (SYM_B, SYM_Z, SYM_O, SYM_M))
 _ZO = _Z + _O
@@ -581,12 +580,11 @@ def _records(n: int, size: int, x: int, y: int, vl: int, vr: int, vt: int,
 class FixedPointSet:
     """A self-describing tile set plus everything needed to audit it.
 
-    ``tile_set`` and ``color_records`` come from one array pass over every
-    tile (``_enumerate``), and ``accepted`` is a read-only mapping from
-    the edge records of every tile to its tile id, read off those two
-    (``_Accepted``); ``color_records[c]`` is color c's edge record shifted
-    left one bit, with its axis (0 for horizontal edges, 1 for vertical
-    ones) in bit 0; ``drag`` is the checker's drag lemma, which
+    ``tile_set`` comes from one array pass over every tile
+    (``_tile_colors``), its 2N(N+1) color ids each a closed form of an edge
+    record (``_color``), and ``accepted`` is a read-only mapping from the
+    edge records of every tile to its tile id, read off its color columns
+    (``_Accepted``); ``drag`` is the checker's drag lemma, which
     ``run_checker`` jumps with, and ``budget`` its step budget
     (``checker_budget``).
     """
@@ -600,7 +598,6 @@ class FixedPointSet:
     padded: bytes
     capacity: int
     accepted: Mapping = field(hash=False)
-    color_records: array = field(hash=False)
     drag: DragLemma = field(hash=False)
     budget: int
 
@@ -666,25 +663,24 @@ def _first_id(size: int, x, y):
 class _Accepted(Mapping):
     """The edge records of every tile mapped to its tile id, read off the set.
 
-    ``quad_of`` reads a tile's records off its color columns.  A quad of
-    ints names a tile id: ``_first_id`` of the cell its bottom record
-    names, plus the ``_rank`` of the val bits it carries; it is a member
-    exactly when that tile's records are the quad, which catches a wrong
-    coordinate and a pinned val set wrong alike.  Iteration runs in tile id
-    order.
+    ``quad_of`` reads a tile's records off its color columns (``_record``).
+    A quad of ints names a tile id: ``_first_id`` of the cell its bottom
+    record names, plus the ``_rank`` of the val bits it carries; it is a
+    member exactly when that tile's records are the quad, which catches a
+    wrong coordinate and a pinned val set wrong alike.  Iteration runs in
+    tile id order.
     """
 
-    def __init__(self, n: int, size: int, tile_set: TileSet, color_records: array) -> None:
-        self._n, self._size = n, size
+    def __init__(self, n: int, size: int, tile_set: TileSet, padded: bytes) -> None:
+        self._n, self._size, self._record = n, size, functools.partial(_record, n, padded)
         self._sides = (tile_set.left, tile_set.right, tile_set.top, tile_set.bottom)
-        self._color_records = color_records
 
     def quad_of(self, tile_id: int) -> tuple:
         """The edge records of the tile with this id, so that
         ``self[self.quad_of(i)] == i``."""
         if not 0 <= tile_id < len(self):
             raise IndexError(tile_id)
-        return tuple(self._color_records[side[tile_id]] >> 1 for side in self._sides)
+        return tuple(self._record(side[tile_id]) for side in self._sides)
 
     def __getitem__(self, quad) -> int:
         n, size = self._n, self._size
@@ -703,65 +699,68 @@ class _Accepted(Mapping):
         return (self._size + 2) ** 2
 
 
-def _tile_keys(n: int, size: int, padded) -> np.ndarray:
-    """The (left, right, top, bottom) color keys of every tile, a (tiles, 4)
-    array in tile id order: each side's record shifted left one bit with
-    its axis (0 for horizontal edges, 1 for vertical ones) in bit 0.
+def _color(n: int, axis: int, rec):
+    """The color id of an edge record on ``axis`` (0 for horizontal edges, 1
+    for vertical ones), on ints or on arrays.  ``across`` is the coordinate
+    that is 0 on the seam.  Each line along the seam has N + 1 ids: 0 and 1
+    are its seam edge with val 0 and 1, and each other edge, its val pinned,
+    has one; so a free val of 1 is the next id.  ``_record`` inverts it."""
+    size = 1 << n
+    i, j, val = unpack_record(n, rec)
+    along, across = (i, j) if axis else (j, i)
+    return (axis * size + along) * (size + 1) + across + (across > 0) + val * (across == 0)
 
-    The val discipline for all cells at once: a cell has a tile per choice
-    of its free vals (``_free``), and tile ``_first_id + rank`` reads them
-    off the bits of ``rank`` as ``_rank`` does, the bottom one lowest.  A
-    pinned val is the program bit on band rows and 0 elsewhere; no free val
-    lies on a band row, so each record is its cell's (``_records`` on
-    arrays, free vals 0) with the tile's free val or'ed in.
-    """
+
+def _record(n: int, padded: bytes, color: int) -> int:
+    """The edge record of a color id, inverting ``_color``; a pinned val is
+    the program bit in ``padded`` on band rows and 0 elsewhere."""
+    size = 1 << n
+    line, pos = divmod(color, size + 1)
+    axis, along = divmod(line, size)
+    across, val = (0, pos) if pos < 2 else (pos - 1, 0)
+    if axis == 0:
+        return pack_record(n, across, along, val)
+    if size // 4 <= across < size - 32:  # a band row; a range per call is slower
+        val = padded[along + size * (across - size // 4)]
+    return pack_record(n, along, across, val)
+
+
+def _tile_colors(n: int, size: int, padded) -> np.ndarray:
+    """The (left, right, top, bottom) color ids of every tile, a (tiles, 4)
+    int32 array in tile id order: the val discipline for all cells at once.
+    A cell has a tile per choice of its free vals (``_free``), and tile
+    ``_first_id + rank`` reads them off the bits of ``rank`` as ``_rank``
+    does, the bottom one lowest.  A free val lies on a seam, where val 1 is
+    the next id, so each side's color is its cell's (``_color`` of
+    ``_records`` on arrays, free vals 0, pinned ones the program bit on
+    band rows and 0 elsewhere) plus the tile's free val."""
     band = _band(size)
     vert = np.zeros((size, size), np.int32)  # pinned vertical vals by (row, x)
     vert[band.start:band.stop] = np.frombuffer(bytes(padded), np.uint8).reshape(-1, size)
     y, x = np.divmod(np.arange(size * size, dtype=np.int32), size)
     free = _free(size, x, y)
-    cell_records = _records(n, size, x, y, 0, 0, vert[(y + 1) % size, x], vert[y, x])
+    cell_colors = [_color(n, side // 2, rec) for side, rec in  # axis 1 for top and bottom
+                   enumerate(_records(n, size, x, y, 0, 0, vert[(y + 1) % size, x], vert[y, x]))]
     per = 1 << sum(f.astype(np.int32) for f in free)
     cell = np.repeat(np.arange(size * size, dtype=np.int32), per)
     rank = np.arange(len(cell), dtype=np.int32) - (np.cumsum(per, dtype=np.int32) - per)[cell]
     del vert, x, y, per  # the loop below holds the peak: free what it does not read
-    keys, shift = np.empty((len(cell), 4), np.int32), np.zeros(len(cell), np.int32)
+    colors, shift = np.empty((len(cell), 4), np.int32), np.zeros(len(cell), np.int32)
     for side in (3, 2, 1, 0):
         bit = free[side][cell]
-        # the free val first: its temporaries go before the cell records are gathered
-        records = pack_record(n, 0, 0, (rank >> shift) & bit) | cell_records[side][cell]
-        keys[:, side] = records << 1 | side // 2  # axis 1 for top and bottom
+        colors[:, side] = cell_colors[side][cell] + ((rank >> shift) & bit)
         shift += bit
-    return keys
-
-
-def _enumerate(n: int, size: int, padded) -> tuple[np.ndarray, array]:
-    """The tiles' (left, right, top, bottom) color ids, a (tiles, 4) array
-    in tile id order, and the color records: ``_tile_keys`` numbered in
-    order of first use over the sides, read tile by tile, through a table
-    with a slot for every key (2n + 2 bits) rather than a dict.  int32
-    holds every key and every side's index up to N = MAX_SIZE."""
-    keys = _tile_keys(n, size, padded)
-    flat = keys.ravel()
-    table = np.full(1 << (2 * n + 2), len(flat), np.int32)  # key -> first use, then color id
-    np.minimum.at(table, flat, np.arange(len(flat), dtype=np.int32))
-    firsts = np.zeros(len(flat), bool)
-    firsts[table[table < len(flat)]] = True
-    records = flat[firsts]
-    table[records] = np.arange(len(records), dtype=np.int32)
-    color_records = array("q")
-    color_records.frombytes(records.astype(np.int64).view(np.uint8))
-    return table[keys], color_records
+    return colors
 
 
 def build_fixed_point(size: int = 256) -> FixedPointSet:
     """Build the self-describing tile set on a size x size coordinate grid.
 
     Raises ValueError, before any work, for a side that is not a power of
-    two from 128 to MAX_SIZE, above which the int32 arrays of ``_enumerate``
-    overflow, and CompileError when the checker's encoding does not fit the
-    program block that the grid offers (capacity size * (3*size/4 - 32)
-    bits, held as ``bytes``); 256 is the smallest side that fits.
+    two from 128 to MAX_SIZE, above which the int32 color ids overflow, and
+    CompileError when the checker's encoding does not fit the program block
+    that the grid offers (capacity size * (3*size/4 - 32) bits, held as
+    ``bytes``); 256 is the smallest side that fits.
     """
     n = (size - 1).bit_length()
     if not 128 <= size <= MAX_SIZE or (1 << n) != size:
@@ -775,9 +774,9 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
             f"checker needs {len(program)} program bits, the block holds {capacity}"
         )
     padded = bytes(program).ljust(capacity, b"\0")
-    ids, color_records = _enumerate(n, size, padded)
-    assert len(ids) == (size + 2) ** 2, "free border bits miscounted"
-    tile_set = TileSet(len(color_records), ids)
+    colors = _tile_colors(n, size, padded)
+    assert len(colors) == (size + 2) ** 2, "free border bits miscounted"
+    tile_set = TileSet(2 * size * (size + 1), colors)  # N lines of N + 1 ids per axis
     drag = drag_lemma(machine, names, 2 * n)
     return FixedPointSet(
         n=n,
@@ -788,8 +787,7 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
         program=tuple(program),
         padded=padded,
         capacity=capacity,
-        accepted=_Accepted(n, size, tile_set, color_records),
-        color_records=color_records,
+        accepted=_Accepted(n, size, tile_set, padded),
         drag=drag,
         budget=checker_budget(n, size, drag),
     )
@@ -854,7 +852,7 @@ def decode_self_patch(fp: FixedPointSet, patch: PatchGrid) -> tuple:
     lo = size - RECORD_BITS
 
     def record(side: tuple[int, ...]) -> int:
-        vals = (unpack_record(n, fp.color_records[c] >> 1)[2] for c in side[lo:])
+        vals = (unpack_record(n, _record(n, fp.padded, c))[2] for c in side[lo:])
         return record_from_window(n, tuple(vals))
 
     return tuple(map(record, block_border(fp.tile_set, patch.cells, 0, 0, size)))

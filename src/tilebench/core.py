@@ -261,7 +261,7 @@ class PatchGrid:
         return hash((self.width, self.height, self.cells.tobytes()))
 
     def get(self, x: int, y: int) -> int:
-        if x < 0 or y < 0:  # a negative index would wrap to the far edge
+        if not (0 <= x < self.width and 0 <= y < self.height):  # numpy would wrap a negative
             raise IndexError(f"cell {(x, y)} lies outside the patch")
         return int(self.cells[y, x])
 

@@ -431,11 +431,11 @@ def run_machine(
     tape: Sequence[int],
     *,
     track: Sequence[int] | None = None,
-    max_steps: int = 1_000_000,
+    max_steps: int,
     macro=None,
 ) -> Run:
     """Run from cell 0 in the start state until acceptance, a missing
-    transition, the wall, or the budget, and return the ``Run``: its
+    transition, the wall, or ``max_steps`` steps, and return the ``Run``: its
     ``status``, ``steps``, ``state``, ``head`` and tape ``cells`` are the
     result.  To start elsewhere, build a ``Run`` and call ``go``.
 
@@ -803,10 +803,11 @@ def run_encoded(
     program: Sequence[int],
     input_symbols: Sequence[int],
     track: Sequence[int] | None = None,
-    max_steps: int = 2_000_000,
+    *,
+    max_steps: int,
     state_bits: int = 8,
 ) -> Run:
-    """Convenience wrapper: build the tape and run the universal machine;
-    return the ``Run``, as ``run_machine`` does."""
+    """Convenience wrapper: build the tape and run the universal machine
+    within ``max_steps``; return the ``Run``, as ``run_machine`` does."""
     tape = utm_tape(program, input_symbols, track, state_bits=state_bits)
     return run_machine(utm, tape, max_steps=max_steps)

@@ -114,7 +114,7 @@ def test_criterion_03_universal_machine_corpus():
         program = encode_program(machine)
         for x in cases[name]:
             direct = run_machine(machine, list(x) + [0] * 4, max_steps=10_000)
-            sim = run_encoded(u, program, x)
+            sim = run_encoded(u, program, x, max_steps=2_000_000)
             total += 1
             agree += (direct.status == "accepted") == (sim.status == "accepted")
     checked(3, 10, t0, agree == total, f"{agree}/{total} verdicts agree")

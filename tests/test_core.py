@@ -212,9 +212,12 @@ def test_patch_grid_matches_a_list_of_rows(data):
 
 @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (3, 0), (0, 3)])
 def test_patch_get_outside_raises(x, y):
-    p = PatchGrid(3, 3, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-    with pytest.raises(IndexError):
-        p.get(x, y)
+    # one check names the cell past each of the four edges, on a square
+    # patch and a wide one; past the right or top edge numpy's bare
+    # IndexError used to name only an axis
+    for p in (PatchGrid(3, 3, [[0, 1, 2], [3, 4, 5], [6, 7, 8]]), PatchGrid.filled(3, 2, 0)):
+        with pytest.raises(IndexError, match=re.escape(f"cell {(x, y)} lies outside the patch")):
+            p.get(x, y)
 
 
 def test_verify_patch_clean_chessboard():

@@ -378,8 +378,8 @@ def test_lemma_declines_malformed_blocks(fp, names):
         assert bytes(run.cells) == bytes(cells if after else cells + [SYM_B]), case
         # and a run through it ends as a direct run does
         tape = [SYM_B, SYM_B] + cells
-        assert outcome(run_machine(composed, tape, macro=fp.drag)) == outcome(
-            run_machine(direct, tape)), case
+        assert outcome(run_machine(composed, tape, max_steps=fp.budget, macro=fp.drag)) == outcome(
+            run_machine(direct, tape, max_steps=fp.budget)), case
 
 
 def test_lemma_leaves_other_stops_alone(fp, names):

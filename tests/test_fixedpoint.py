@@ -493,6 +493,8 @@ def test_array_enumeration_matches_the_per_cell_rules(size):
     # the array pass, and the ids and membership read off the set it
     # builds, against record quads from the test-side rules, cell by cell,
     # with random program bits on the band (rows 16-31 at 64, none at 8);
+    # the test side numbers colors by first use, so the two tile tables
+    # agree through a bijection of color ids (color_map);
     # test_enumeration_matches and TestAgainstReference hold them at 256
     n = size.bit_length() - 1
     rng = random.Random(size)
@@ -504,12 +506,10 @@ def test_array_enumeration_matches_the_per_cell_rules(size):
     colors = Interner()
     want = [(colors[left << 1], colors[right << 1], colors[top << 1 | 1], colors[bottom << 1 | 1])
             for left, right, top, bottom in quads]
-    ids, color_records = fixedpoint._enumerate(n, size, padded)
-    assert list(map(tuple, ids.tolist())) == want
-    assert list(color_records) == list(colors)
+    ids = fixedpoint._tile_colors(n, size, padded)
+    assert len(color_map(want, ids.tolist())) == len(colors)
     tile_set = TileSet(len(colors), ids)
-    assert tile_set == TileSet(len(colors), want)
-    accepted = fixedpoint._Accepted(n, size, tile_set, color_records)
+    accepted = fixedpoint._Accepted(n, size, tile_set, padded)
     assert [accepted.quad_of(i) for i in range(len(accepted))] == quads
     ref = {quad: i for i, quad in enumerate(quads)}
     for quad in rng.sample(quads, min(1000, len(quads))):
@@ -642,6 +642,30 @@ class TestCertificate:
         assert cert.parts["probes"] == [4 - len(walled), 4]
         assert cert.inconclusive == 0 and cert.verdict == "refuted" and not cert.ok
         assert all("probes check failed" in n and "hit_wall" in n for n in cert.notes)
+
+    def test_a_failed_direct_run_is_not_judged_again(self, fp, monkeypatch):
+        # a universal job whose direct run failed stays failed: a universal
+        # run that accepts must not hide a checker that got it wrong
+        monkeypatch.setattr(fixedpoint, "run_checker", lambda *a, **k: ended("stuck"))
+        monkeypatch.setattr(fixedpoint, "universal_machine", lambda bits: None)
+        monkeypatch.setattr(fixedpoint, "run_encoded", lambda *a, **k: ended("accepted"))
+        trim(monkeypatch, REJECT_SAMPLES=0, BLOCK_PROBES=0, UTM_ACCEPTS=1, UTM_REJECTS=0)
+        cert = certificate(fp, walk_samples=0, resident_samples=1, seed=5)
+        assert cert.parts["universal"] == [0, 1] and cert.verdict == "refuted"
+        assert any(n.startswith("universal check failed") for n in cert.notes)
+
+    def test_a_patch_that_decodes_wrong_fails(self, fp, monkeypatch):
+        # the macro-tile round trip compares the decoded records with the
+        # quad; a patch that verifies but reads back another record fails
+        def one_bit_off(fp_, patch):
+            left, *rest = decode_self_patch(fp_, patch)
+            return (left ^ 1, *rest)
+
+        monkeypatch.setattr(fixedpoint, "decode_self_patch", one_bit_off)
+        trim(monkeypatch, REJECT_SAMPLES=0, BLOCK_PROBES=0, UTM_ACCEPTS=0, UTM_REJECTS=0)
+        cert = certificate(fp, walk_samples=0, resident_samples=1, seed=5)
+        assert cert.parts["patches"] == [0, 6] and cert.verdict == "refuted"
+        assert sum("macro-tile round trip failed" in n for n in cert.notes) == 6
 
 
 def _budget_hit(*args, **kwargs):
@@ -796,7 +820,8 @@ def reference_val_choices(size, padded, x, y):
 
 
 def reference_build(fp):
-    """Tiles, color records, record quads and the color map, 4-deep loop."""
+    """Tiles, color records, record quads and the color map, 4-deep loop;
+    colors are numbered by first use."""
     n, size = fp.n, fp.size
     colors, color_records, tiles, quads = {}, [], [], []
 
@@ -821,6 +846,32 @@ def reference_build(fp):
                             tiles.append((cid(0, recl), cid(0, recr),
                                           cid(1, rect), cid(1, recb)))
     return tiles, color_records, quads, colors
+
+
+def color_map(ref_tiles, tiles):
+    """The map from the reference's color ids to the set's, read off the two
+    tile tables side by side; it must be a bijection, so the two tables
+    name the same colors and differ only in how they number them."""
+    pairs = set(zip(itertools.chain.from_iterable(ref_tiles), itertools.chain.from_iterable(tiles)))
+    to = dict(pairs)
+    assert len(to) == len(pairs) == len(set(to.values())), "not a bijection"
+    return to
+
+
+@pytest.mark.parametrize("size", [8, 64, 128, 256])
+def test_color_ids_are_the_edge_records(size):
+    # a color id names an (axis, record) pair and nothing else: two tile
+    # sides share an id exactly when they share the pair, the ids used are
+    # 0 .. 2N(N+1) - 1 with none skipped, and _record reads each id back
+    n = size.bit_length() - 1
+    rng = random.Random(size)
+    padded = bytes(rng.getrandbits(1) for _ in range(size * len(fixedpoint._band(size))))
+    tiles, color_records, _, _ = reference_build(types.SimpleNamespace(n=n, size=size, padded=padded))
+    to = color_map(tiles, fixedpoint._tile_colors(n, size, padded).tolist())
+    assert sorted(to.values()) == list(range(2 * size * (size + 1)))
+    for k, (axis, rec) in enumerate(color_records):
+        assert fixedpoint._record(n, padded, to[k]) == rec, (axis, rec)
+        assert fixedpoint._color(n, axis, rec) == to[k], (axis, rec)
 
 
 def reference_cells(fp, colors, ids):
@@ -890,10 +941,13 @@ def reference_accepted(reference):
 
 
 @pytest.fixture(scope="module")
-def tile_ids(fp):
-    """The set's tile ids by (left, right, top, bottom), read off its columns."""
+def tile_ids(fp, reference):
+    """The set's tile ids by (left, right, top, bottom), read off its columns
+    and renumbered to the reference's color ids through ``color_map``."""
     ts = fp.tile_set
-    return {q: i for i, q in enumerate(zip(ts.left, ts.right, ts.top, ts.bottom))}
+    tiles = list(zip(ts.left, ts.right, ts.top, ts.bottom))
+    back = {c: k for k, c in color_map(reference[0], tiles).items()}
+    return {tuple(back[c] for c in q): i for i, q in enumerate(tiles)}
 
 
 @pytest.fixture(scope="module")
@@ -915,9 +969,11 @@ def perturbed(n, quad):
 class TestAgainstReference:
     def test_enumeration_matches(self, fp, reference):
         tiles, color_records, quads, _ = reference
-        assert [t.sides() for t in fp.tile_set.tiles] == tiles
-        # each color record is packed as record << 1 | axis
-        assert [(key & 1, key >> 1) for key in fp.color_records] == color_records
+        to = color_map(tiles, [t.sides() for t in fp.tile_set.tiles])
+        assert len(to) == len(color_records) == fp.tile_set.color_count
+        # each color reads back as the reference's record
+        assert [fixedpoint._record(fp.n, fp.padded, to[k]) for k in range(len(to))] == [
+            rec for _, rec in color_records]
         assert list(fp.accepted) == quads
         assert list(fp.accepted.values()) == list(range(len(quads)))
 

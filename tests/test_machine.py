@@ -198,11 +198,11 @@ def test_json_form_is_frozen_and_round_trips(name):
 
 def test_parity_runs():
     m = parity_machine()
-    assert run_machine(m, [0] * 4).status == "accepted"
-    assert run_machine(m, [2, 0, 0]).status == "stuck"
-    assert run_machine(m, [2, 2, 0]).status == "accepted"
-    assert run_machine(m, [1, 1, 0]).status == "accepted"
-    assert run_machine(m, [2, 1, 2, 0]).status == "accepted"
+    assert run_machine(m, [0] * 4, max_steps=1_000_000).status == "accepted"
+    assert run_machine(m, [2, 0, 0], max_steps=1_000_000).status == "stuck"
+    assert run_machine(m, [2, 2, 0], max_steps=1_000_000).status == "accepted"
+    assert run_machine(m, [1, 1, 0], max_steps=1_000_000).status == "accepted"
+    assert run_machine(m, [2, 1, 2, 0], max_steps=1_000_000).status == "accepted"
 
 
 def test_palindrome_runs():
@@ -210,9 +210,9 @@ def test_palindrome_runs():
     good = [[], [1], [2], [1, 2, 1], [1, 2, 2, 1], [2, 1, 1, 2]]
     bad = [[1, 2], [1, 2, 2, 2], [2, 1, 2, 2]]
     for x in good:
-        assert run_machine(m, list(x) + [0] * 2).status == "accepted", x
+        assert run_machine(m, list(x) + [0] * 2, max_steps=1_000_000).status == "accepted", x
     for x in bad:
-        assert run_machine(m, list(x) + [0] * 2).status == "stuck", x
+        assert run_machine(m, list(x) + [0] * 2, max_steps=1_000_000).status == "stuck", x
 
 
 def test_run_statuses():
@@ -234,10 +234,10 @@ def test_track_conditions():
         True,
         Rules.of([(0, 0, T1, 1, 0, STAY), (0, 1, T1, 1, 1, STAY)]),
     )
-    assert run_machine(m, [0], track=[1]).status == "accepted"
-    assert run_machine(m, [0], track=[0]).status == "stuck"
+    assert run_machine(m, [0], track=[1], max_steps=1_000_000).status == "accepted"
+    assert run_machine(m, [0], track=[0], max_steps=1_000_000).status == "stuck"
     # track defaults to 0 past its end
-    assert run_machine(m, [0]).status == "stuck"
+    assert run_machine(m, [0], max_steps=1_000_000).status == "stuck"
 
 
 def test_first_match_wins():
@@ -250,7 +250,7 @@ def test_first_match_wins():
         False,
         Rules.of([(0, 0, ANY, 1, 0, STAY), (0, 0, ANY, 2, 0, STAY)]),
     )
-    assert run_machine(m, [0]).state == 1
+    assert run_machine(m, [0], max_steps=1_000_000).state == 1
 
 
 def test_encode_program_frozen():
@@ -359,7 +359,7 @@ def test_universal_agrees_with_direct():
         p = encode_program(m)
         for x in cases[name]:
             direct = run_machine(m, list(x) + [0] * 4, max_steps=10_000)
-            sim = run_encoded(u, p, x)
+            sim = run_encoded(u, p, x, max_steps=2_000_000)
             assert (direct.status == "accepted") == (sim.status == "accepted"), (name, x)
 
 
@@ -371,8 +371,8 @@ def test_universal_reads_the_whole_track():
     u, p = universal_machine(), encode_program(m)
     for ones_at in (8, 9, 30):
         track = [0] * ones_at + [1]
-        assert run_machine(m, [0], track=track).steps == ones_at + 1
-        assert run_encoded(u, p, [0], track=track).status == "accepted", ones_at
+        assert run_machine(m, [0], track=track, max_steps=1_000_000).steps == ones_at + 1
+        assert run_encoded(u, p, [0], track=track, max_steps=2_000_000).status == "accepted", ones_at
     tape = utm_tape(p, [0], [0] * 9 + [1])
     assert tape[tape.index(U_END) + 10] == work_cell(0, 0, 1)
     assert len(tape) == tape.index(U_END) + 1 + 10 + 8
@@ -390,8 +390,8 @@ def test_universal_track_conditions():
     )
     u = universal_machine()
     p = encode_program(m)
-    assert run_encoded(u, p, [0], track=[1]).status == "accepted"
-    assert run_encoded(u, p, [0], track=[0]).status == "stuck"
+    assert run_encoded(u, p, [0], track=[1], max_steps=2_000_000).status == "accepted"
+    assert run_encoded(u, p, [0], track=[0], max_steps=2_000_000).status == "stuck"
 
 
 def signals_from_history(hist, t):
@@ -406,7 +406,7 @@ def signals_from_history(hist, t):
 
 
 def check_history_against_rules(machine, tape):
-    r = run_machine(machine, tape)
+    r = run_machine(machine, tape, max_steps=1_000_000)
     assert r.status == "accepted"
     rules = set()
     for z in diagram_local_rules(machine):

@@ -138,15 +138,15 @@ def outcome(res):
     return res.status, res.steps, res.state, res.head, tuple(res.cells)
 
 
-def assert_agrees(machine, tape, *, head=0, **kw):
+def assert_agrees(machine, tape, *, head=0, max_steps=1_000_000, **kw):
     """The engine's run against ``reference_run``: from ``run_machine``, or
     from a ``Run`` when the head starts off cell 0."""
     if head:
         got = Run(machine, tape, head=head, track=kw.get("track"))
-        got.go(kw.get("max_steps", 1_000_000))
+        got.go(max_steps)
     else:
-        got = run_machine(machine, tape, **kw)
-    assert outcome(got) == reference_run(machine, tape, head=head, **kw)
+        got = run_machine(machine, tape, max_steps=max_steps, **kw)
+    assert outcome(got) == reference_run(machine, tape, head=head, max_steps=max_steps, **kw)
     return got
 
 
@@ -243,7 +243,7 @@ def test_long_sweeps_agree(stopper):
 
 def test_tape_outside_alphabet_is_rejected():
     with pytest.raises(ValueError):
-        run_machine(RUNNER, [0, 4])
+        run_machine(RUNNER, [0, 4], max_steps=1_000_000)
 
 
 @pytest.mark.parametrize("head", [-3, -1, 4, 9])
@@ -440,7 +440,7 @@ MARKER = Machine(2, 4, 0, 1, B, True, Rules.of([
                          ids=["list", "bytes", "bytearray", "past-a-byte", "negative"])
 def test_track_values_other_than_0_1_are_rejected(track):
     with pytest.raises(ValueError):
-        run_machine(READS_O, [Z], track=track)
+        run_machine(READS_O, [Z], track=track, max_steps=1_000_000)
 
 
 def test_a_checked_track_vouches_for_no_other():
@@ -449,13 +449,13 @@ def test_a_checked_track_vouches_for_no_other():
     assert assert_agrees(READS_O, [Z], track=good).status == "stuck"
     for track in (bad, list(bad), bytearray(bad)):
         with pytest.raises(ValueError):
-            run_machine(READS_O, [Z], track=track)
+            run_machine(READS_O, [Z], track=track, max_steps=1_000_000)
     # a bytearray changed after a run that checked it
     changing = bytearray(good)
-    run_machine(READS_O, [Z], track=changing)
+    run_machine(READS_O, [Z], track=changing, max_steps=1_000_000)
     changing[-1] = 2
     with pytest.raises(ValueError):
-        run_machine(READS_O, [Z], track=changing)
+        run_machine(READS_O, [Z], track=changing, max_steps=1_000_000)
 
 
 @pytest.mark.parametrize("bits", [[], [1], [0, 1, 1], [1, 0, 1, 1, 0, 0, 1, 1, 1, 1, 1]])
@@ -465,7 +465,7 @@ def test_0_1_tracks_run_whatever_their_type(bits):
     want = assert_agrees(MARKER, tape, track=bits)
     assert want.status == "accepted" and want.cells.count(O) == sum(bits[:8])
     for track in (bytes(bits), bytearray(bits), tuple(bits)):
-        assert outcome(run_machine(MARKER, tape, track=track)) == outcome(want)
+        assert outcome(run_machine(MARKER, tape, track=track, max_steps=1_000_000)) == outcome(want)
 
 
 # --- random machines -----------------------------------------------------------
