@@ -672,7 +672,8 @@ class _Accepted(Mapping):
     """
 
     def __init__(self, n: int, size: int, tile_set: TileSet, padded: bytes) -> None:
-        self._n, self._size, self._record = n, size, functools.partial(_record, n, padded)
+        self._n, self._size = n, size
+        self._record = functools.partial(_record, n, padded, _band(size))
         self._sides = (tile_set.left, tile_set.right, tile_set.top, tile_set.bottom)
 
     def quad_of(self, tile_id: int) -> tuple:
@@ -711,17 +712,18 @@ def _color(n: int, axis: int, rec):
     return (axis * size + along) * (size + 1) + across + (across > 0) + val * (across == 0)
 
 
-def _record(n: int, padded: bytes, color: int) -> int:
+def _record(n: int, padded: bytes, band: range, color: int) -> int:
     """The edge record of a color id, inverting ``_color``; a pinned val is
-    the program bit in ``padded`` on band rows and 0 elsewhere."""
+    the program bit in ``padded`` on the rows of ``band`` (``_band``, built
+    once by the caller) and 0 elsewhere."""
     size = 1 << n
     line, pos = divmod(color, size + 1)
     axis, along = divmod(line, size)
     across, val = (0, pos) if pos < 2 else (pos - 1, 0)
     if axis == 0:
         return pack_record(n, across, along, val)
-    if size // 4 <= across < size - 32:  # a band row; a range per call is slower
-        val = padded[along + size * (across - size // 4)]
+    if across in band:
+        val = padded[along + size * (across - band.start)]
     return pack_record(n, along, across, val)
 
 
@@ -846,13 +848,13 @@ def assemble_self_patch(fp: FixedPointSet, quad) -> PatchGrid:
 def decode_self_patch(fp: FixedPointSet, patch: PatchGrid) -> tuple:
     """Read the four border record slices back off an assembled patch; a HOLE
     or unknown tile id there is MalformedPatchError, a wrong size ValueError."""
-    n, size = fp.n, fp.size
+    n, size, band = fp.n, fp.size, fp.band
     if (patch.width, patch.height) != (size, size):
         raise ValueError(f"a macro-tile is {size} x {size}, not {patch.width} x {patch.height}")
     lo = size - RECORD_BITS
 
     def record(side: tuple[int, ...]) -> int:
-        vals = (unpack_record(n, _record(n, fp.padded, c))[2] for c in side[lo:])
+        vals = (unpack_record(n, _record(n, fp.padded, band, c))[2] for c in side[lo:])
         return record_from_window(n, tuple(vals))
 
     return tuple(map(record, block_border(fp.tile_set, patch.cells, 0, 0, size)))

@@ -17,7 +17,6 @@ machine has accepted.
 from __future__ import annotations
 
 import functools
-import itertools
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -674,128 +673,173 @@ def universal_machine(state_bits: int = 8) -> Machine:
     are collected and applied to the work zone, and acceptance of the
     simulated machine (state 1) accepts here too.
 
+    Each phase's rules come from one template, laid out for all its units
+    at once as whole numpy columns: the seek scans per simulated state q;
+    the rewind, record and match block per key (q, s, b), the simulated
+    state, symbol and track bit; the ``gq``, ``gs`` and ``gm`` field
+    readers, each a binary tree of states; the walk scans and plants per
+    successor state; and the ``ret`` rewinds.  A state is a *code*, its
+    kind's block of codes plus its index (``ret(1, s, b)`` is ``UACC``: the
+    simulated machine accepted).  States are numbered by first use, as an
+    ``Interner`` fed the states in build order would number them: one
+    stream holds, in rule order, each new state a rule moves into, with
+    each seek state ahead of its scan's targets and each key's ``skip``
+    ahead of its first ``cq``, the two states named before any rule moves
+    into them; ``np.unique`` ranks the codes by first occurrence.  State
+    codes are int32 and symbols and moves uint8 throughout.
+
     Generation is deterministic, so the result is pinned by its state and
     transition counts rather than by shipping the table around.
     """
-    ns = 1 << state_bits
-    asm = Assembler("UACC", ("seek", 0))
-    ids = asm.ids
+    if state_bits < 1:
+        raise ValueError("a program's states need at least 1 state bit")
+    # nk keys (q, s, b), in order with b fastest
+    ns, width, nk = 1 << state_bits, state_bits, 8 << state_bits
+    top = 0
 
-    def ret(q: int, sym: int, trk: int) -> int:
-        return ids["UACC" if q == 1 else ("ret", q, sym, trk)]
+    def states(*shape) -> np.ndarray:
+        """The next block of state codes, shaped by its kind's indices."""
+        nonlocal top
+        block = np.arange(top, top + np.prod(shape), dtype=np.int32).reshape(shape)
+        top += block.size
+        return block
 
-    passthrough = [U_BIT0, U_BIT1, U_END, U_ORIGIN, U_SEP]
-    rewound = [U_BIT0, U_BIT1, U_END, U_SEP] + [
-        work_cell(s, h, b) for s in range(4) for h in (0, 1) for b in (0, 1)
+    uacc, seek, rew, rec, skip = states(1), states(ns), states(nk), states(nk), states(nk)
+    cq, cs, cc, cc0, cc1 = states(nk, width), states(nk, 2), states(nk), states(nk), states(nk)
+    # gq is one tree, gs one per q2, gm one per (q2, s2); walk by move, plant by LEFT, RIGHT
+    gq, gs, gm, walk = states(ns - 1), states(ns, 3), states(ns, 4, 3), states(ns, 4, 3)
+    plant, ret = states(ns, 2), states(ns, 4, 2)
+    ret[1] = uacc
+
+    def u8(values) -> np.ndarray:
+        return np.asarray(values, dtype=np.uint8)
+
+    # the eight work cells (s, b), s major, unflagged and flagged
+    cell_s, cell_b = np.divmod(np.arange(8, dtype=np.uint8), 2)
+    plain, flagged = work_cell(cell_s, 0, cell_b), work_cell(cell_s, 1, cell_b)
+    # scan's reads: the passthrough symbols, then per work cell the
+    # unflagged one, which scan runs over, and the flagged one it stops on
+    scan_reads = u8([U_BIT0, U_BIT1, U_END, U_ORIGIN, U_SEP,
+                     *np.column_stack((plain, flagged)).ravel()])
+    stops = slice(6, None, 2)  # the flagged cells' rules
+    rewound = u8([U_BIT0, U_BIT1, U_END, U_SEP,
+                  *(work_cell(s, h, b) for s in range(4) for h in (0, 1) for b in (0, 1)), U_ORIGIN])
+    bits = u8([U_BIT0, U_BIT1])
+
+    def scan(state, to, write, move) -> tuple:
+        """Per unit, run right to the flagged work cell, then go to ``to``
+        writing ``write`` and moving ``move``, each given per flagged cell."""
+        tos = np.repeat(state[:, None], len(scan_reads), axis=1)
+        writes, moves = np.tile(scan_reads, (len(state), 1)), np.full(tos.shape, RIGHT, np.uint8)
+        tos[:, stops], writes[:, stops], moves[:, stops] = to, write, move
+        return state[:, None], scan_reads, tos, writes, moves
+
+    def rewind(state, done) -> tuple:
+        """Per unit, run left to the origin, then start matching records in ``done``."""
+        tos = np.repeat(state[:, None], len(rewound), axis=1)
+        tos[:, -1] = done
+        return state[:, None], rewound, tos, rewound, u8([LEFT] * (len(rewound) - 1) + [RIGHT])
+
+    def forward(state, read, to) -> tuple:
+        """Rules that keep what they read and move right."""
+        return state, read, to, read, u8(RIGHT)
+
+    def match(states, value, done) -> tuple:
+        """Per key, compare a field with ``value``, most significant bit
+        first: on a match go on into ``done``, on a mismatch to ``skip``."""
+        expect = (value[:, None] >> np.arange(states.shape[1] - 1, -1, -1, dtype=np.int32)) & 1
+        hit = np.column_stack((states[:, 1:], done))
+
+        def pairs(on_hit, on_miss):  # the hit rule, then the miss rule, per bit
+            return np.stack((on_hit, on_miss), axis=2).reshape(nk, -1)
+
+        return forward(pairs(states, states), pairs(bits[expect], bits[1 - expect]),
+                       pairs(hit, np.broadcast_to(skip[:, None], hit.shape)))
+
+    def field(tree) -> tuple:
+        """Per unit, read a field into the leaves of ``tree``, a heap of states
+        (node i's children 2i + 1 and 2i + 2, bit 0 first), leaves last."""
+        child = np.arange(1, tree.shape[-1])
+        return forward(tree[..., (child - 1) // 2], bits[1 - child % 2], tree[..., 1:])
+
+    def rules(units: int, *blocks) -> list:
+        """The blocks' five columns, each block broadcast and shaped (units,
+        rules), joined per unit along the rules."""
+        blocks = [[c.reshape(units, -1) for c in np.broadcast_arrays(*b)] for b in blocks]
+        return [np.concatenate(cols, axis=1) for cols in zip(*blocks)]
+
+    key = np.arange(nk, dtype=np.int32)
+    root = np.broadcast_to(gq[:1], (nk,))
+    # rewind to the origin, then scan records; a 0 valid bit means no record
+    # matched: the simulation is stuck; condition field: 00 any, 01 never,
+    # 1x require track == x
+    record = [rewind(rew, rec),
+              forward(np.column_stack((rec, skip, skip, skip)), u8([U_BIT1, U_BIT0, U_BIT1, U_SEP]),
+                      np.column_stack((cq[:, 0], skip, skip, rec))),
+              match(cq, key >> 3, cs[:, 0]),
+              match(cs, (key >> 1) & 3, cc),
+              forward(np.column_stack((cc, cc, cc0, cc0, cc1, cc1)),
+                      np.column_stack((np.tile(bits, (nk, 2)), bits[key & 1], bits[1 - (key & 1)])),
+                      np.column_stack((cc0, cc1, root, skip, root, skip)))]
+    # walk to the simulated head and apply the move: per (q2, s2) a scan for
+    # STAY, which writes the flag and returns, and one for each move, which
+    # unflags the cell and plants the flag on the next
+    s2, move = np.arange(4, dtype=np.uint8)[:, None, None], np.arange(3, dtype=np.uint8)[:, None]
+    walk_to = np.empty((ns, 4, 3, 8), np.int32)
+    walk_to[:, :, STAY] = ret[:, :, cell_b]
+    walk_to[:, :, LEFT:] = plant[:, None, :, None]
+    walk_write = np.broadcast_to(work_cell(s2, u8(move == STAY), cell_b), walk_to.shape)
+    walk_move = np.tile(u8([LEFT, LEFT, RIGHT]), 4 * ns)[:, None]
+    # plant the head flag where a move ended: each work cell has a rule
+    # for the right-moving plant, then one for the left-moving plant;
+    # walking right onto untouched blank reads as a simulated blank;
+    # walking left onto the end marker, the simulated head fell off: stuck
+    rets = ret.reshape(ns, 8)
+    plants = (plant[:, [1, 0] * 8 + [1]], u8([*np.repeat(plain, 2), U_BLANK]),
+              np.column_stack((np.repeat(rets, 2, axis=1), rets[:, 0])),
+              u8([*np.repeat(flagged, 2), work_cell(0, 1, 0)]), u8(LEFT))
+    phases = [
+        rules(ns, scan(seek, rew.reshape(ns, 8), flagged, LEFT)),
+        rules(nk, *record),
+        # collect successor state / symbol / move (code 3 stays, as 0 does)
+        rules(1, field(np.concatenate((gq, gs[:, 0])))),
+        rules(ns, field(np.column_stack((gs, gm[:, :, 0]))),
+              field(np.concatenate((gm, walk[:, :, [0, 1, 2, 0]]), axis=2))),
+        rules(ns, scan(walk.ravel(), walk_to.reshape(-1, 8), walk_write.reshape(-1, 8), walk_move),
+              plants),
+        # return to the origin and scan for the next step
+        rules(nk - 8, rewind(ret.ravel()[key >> 3 != 1], rec[key >> 3 != 1])),
     ]
 
-    # scan's reads: the passthrough symbols, then per work cell (s, b) the
-    # unflagged cell, which scan runs over, and the flagged one it stops on
-    scan_reads = bytes(passthrough + [
-        work_cell(s, h, b) for s in range(4) for b in (0, 1) for h in (0, 1)])
+    def first_use() -> np.ndarray:
+        """The stream of codes whose first occurrences number the states."""
+        named = [p[2][p[0] != p[2]] for p in phases]  # the new states rules move into
+        # every unit of a phase moves alike, so each phase's reshapes by unit
+        named[0] = np.column_stack((seek, named[0].reshape(ns, -1)))
+        rec_cq = named[1].reshape(nk, -1)
+        named[1] = np.column_stack((rec_cq[:, :1], skip, rec_cq[:, 1:]))
+        return np.concatenate([uacc, *(n.ravel() for n in named)])
 
-    def scan(state: int, flagged) -> None:
-        """Run right to the flagged work cell, then take ``flagged(s, b)``;
-        the rules in the order of ``scan_reads``."""
-        to, write, move = zip(*(flagged(s, b) for s in range(4) for b in (0, 1)))
-        stops = slice(len(passthrough) + 1, None, 2)  # the flagged cells' rules
-        tos, writes = [state] * len(scan_reads), bytearray(scan_reads)
-        moves = bytearray([RIGHT]) * len(scan_reads)
-        tos[stops], writes[stops], moves[stops] = to, write, move
-        asm.extend([state] * len(scan_reads), scan_reads, tos, writes, moves)
+    codes, first = np.unique(first_use(), return_index=True)
+    ids = np.full(top, -1, np.int32)  # a code never named stays out of range
+    ids[codes[np.argsort(first)]] = np.arange(len(codes), dtype=np.int32)
 
-    def rewind(kind: str, q: int, s: int, b: int) -> None:
-        """Run left to the origin, then start matching records for (q, s, b)."""
-        state = ids[kind, q, s, b]
-        n = len(rewound)
-        asm.extend([state] * (n + 1), rewound + [U_ORIGIN],
-                   [state] * n + [ids["rec", q, s, b]], rewound + [U_ORIGIN],
-                   [LEFT] * n + [RIGHT])
+    def column() -> bytes | array:
+        """The phases' next field for every rule, states as their ids, taken
+        off the phases: one column at a time keeps the build's peak low."""
+        col = np.concatenate([p.pop(0).ravel() for p in phases])
+        if col.dtype == np.uint8:
+            return col.tobytes()
+        states = array("i", [0]) * len(col)
+        # every code is in range; "clip" writes straight into ``states``, where
+        # the default mode would buffer a second copy of the column
+        np.take(ids, col, out=np.frombuffer(states, dtype=np.intc), mode="clip")
+        return states
 
-    def forward(rules) -> None:
-        """Append (state, read, new_state) rules that keep what they read
-        and move right, each column extended once."""
-        froms, reads, tos = zip(*rules)
-        asm.extend(froms, reads, tos, reads, [RIGHT] * len(reads))
-
-    def match(key: tuple, value: int, width: int, done: tuple, skip: int) -> None:
-        """Compare a field with ``value``, most significant bit first: on a
-        match go on into ``done``, on a mismatch to ``skip``."""
-        states = [ids[(*key, i)] for i in range(width)]
-        states.append(ids[done])
-        rules = []
-        for i in range(width):
-            expect = (value >> (width - 1 - i)) & 1
-            rules += ((states[i], U_BIT0 + expect, states[i + 1]),
-                      (states[i], U_BIT1 - expect, skip))
-        forward(rules)
-
-    def field(key: tuple, width: int, done) -> None:
-        """Read a ``width``-bit field, most significant bit first, into ``done(value)``."""
-        rules = []
-        for i in range(width):
-            for partial in range(1 << i):
-                state = ids[(*key, partial, i)]
-                for bit in (0, 1):
-                    val = (partial << 1) | bit
-                    nxt = ids[(*key, val, i + 1)] if i + 1 < width else done(val)
-                    rules.append((state, U_BIT0 + bit, nxt))
-        forward(rules)
-
-    for q in range(ns):
-        scan(ids["seek", q], lambda s, b: (ids["rew", q, s, b], work_cell(s, 1, b), LEFT))
-
-    # rewind to the origin, then scan records
-    keys = list(itertools.product(range(ns), range(4), (0, 1)))
-    for q, s, b in keys:
-        rewind("rew", q, s, b)
-        rec, skip = ids["rec", q, s, b], ids["skip", q, s, b]
-        # a 0 valid bit means no record matched: the simulation is stuck
-        forward(((rec, U_BIT1, ids["cq", q, s, b, 0]),
-                 (skip, U_BIT0, skip), (skip, U_BIT1, skip), (skip, U_SEP, rec)))
-        match(("cq", q, s, b), q, state_bits, ("cs", q, s, b, 0), skip)
-        match(("cs", q, s, b), s, 2, ("cc", q, s, b), skip)
-        # condition field: 00 any, 01 never, 1x require track == x
-        cc, cc_any, cc_trk = ids["cc", q, s, b], ids["cc0", q, s, b], ids["cc1", q, s, b]
-        grab = ids["gq", 0, 0]
-        forward(((cc, U_BIT0, cc_any), (cc, U_BIT1, cc_trk),
-                 (cc_any, U_BIT0, grab), (cc_any, U_BIT1, skip),
-                 (cc_trk, U_BIT0 + b, grab), (cc_trk, U_BIT1 - b, skip)))
-
-    # collect successor state / symbol / move (code 3 stays, as 0 does)
-    field(("gq",), state_bits, lambda q2: ids["gs", q2, 0, 0])
-    for q2 in range(ns):
-        field(("gs", q2), 2, lambda s2: ids["gm", q2, s2, 0, 0])
-        for s2 in range(4):
-            field(("gm", q2, s2), 2, lambda val: ids["walk", q2, s2, val % 3])
-
-    # walk to the simulated head and apply the move
-    for q2 in range(ns):
-        for s2 in range(4):
-            scan(ids["walk", q2, s2, STAY],
-                 lambda s, b: (ret(q2, s2, b), work_cell(s2, 1, b), LEFT))
-            for move in (LEFT, RIGHT):
-                plant = ids["plant", move, q2]
-                scan(ids["walk", q2, s2, move], lambda s, b: (plant, work_cell(s2, 0, b), move))
-        # plant the head flag where a move ended: each work cell has a rule
-        # for the right-moving plant, then one for the left-moving plant;
-        # walking right onto untouched blank reads as a simulated blank;
-        # walking left onto the end marker, the simulated head fell off: stuck
-        cells = [(s, b) for s in range(4) for b in (0, 1)]
-        rets = [ret(q2, s, b) for s, b in cells]
-        plants = [ids["plant", RIGHT, q2], ids["plant", LEFT, q2]]
-        asm.extend(plants * len(cells) + plants[:1],
-                   [work_cell(s, 0, b) for s, b in cells for _ in plants] + [U_BLANK],
-                   [q for q in rets for _ in plants] + rets[:1],
-                   [work_cell(s, 1, b) for s, b in cells for _ in plants] + [work_cell(0, 1, 0)],
-                   [LEFT] * (2 * len(cells) + 1))
-
-    # return to the origin and scan for the next step
-    for q, s, b in keys:
-        if q != 1:
-            rewind("ret", q, s, b)
-
-    return asm.machine(U_SYMBOLS, ("seek", 0), "UACC", U_BLANK)
+    state, read, to, write, moves = (column() for _ in range(5))
+    table = Rules(state, read, bytes(len(read)), to, write, moves)
+    return Machine(len(codes), U_SYMBOLS, int(ids[seek[0]]), int(ids[uacc[0]]), U_BLANK, False,
+                   table)
 
 
 def run_encoded(

@@ -870,7 +870,7 @@ def test_color_ids_are_the_edge_records(size):
     to = color_map(tiles, fixedpoint._tile_colors(n, size, padded).tolist())
     assert sorted(to.values()) == list(range(2 * size * (size + 1)))
     for k, (axis, rec) in enumerate(color_records):
-        assert fixedpoint._record(n, padded, to[k]) == rec, (axis, rec)
+        assert fixedpoint._record(n, padded, fixedpoint._band(size), to[k]) == rec, (axis, rec)
         assert fixedpoint._color(n, axis, rec) == to[k], (axis, rec)
 
 
@@ -972,7 +972,7 @@ class TestAgainstReference:
         to = color_map(tiles, [t.sides() for t in fp.tile_set.tiles])
         assert len(to) == len(color_records) == fp.tile_set.color_count
         # each color reads back as the reference's record
-        assert [fixedpoint._record(fp.n, fp.padded, to[k]) for k in range(len(to))] == [
+        assert [fixedpoint._record(fp.n, fp.padded, fp.band, to[k]) for k in range(len(to))] == [
             rec for _, rec in color_records]
         assert list(fp.accepted) == quads
         assert list(fp.accepted.values()) == list(range(len(quads)))

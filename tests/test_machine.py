@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from array import array
 
@@ -19,9 +20,13 @@ from tilebench.machine import (
     RIGHT,
     STAY,
     U_BIT0,
+    U_BIT1,
+    U_BLANK,
     U_END,
     U_ORIGIN,
     U_SEP,
+    U_SYMBOLS,
+    Assembler,
     Machine,
     Rules,
     ZoneCellRule,
@@ -336,6 +341,142 @@ def test_utm_tape_rejects_cells_a_work_cell_cannot_hold(symbols, track):
     # work_cell(4, 1, 0) == work_cell(0, 0, 1)
     with pytest.raises(ValueError):
         utm_tape(encode_program(always_accept_machine()), symbols, track)
+
+
+def reference_universal_machine(state_bits):
+    """``universal_machine`` built one rule group at a time by an
+    ``Assembler``, which names each state by a key and numbers it by first
+    use: the builder the column templates replaced."""
+    ns = 1 << state_bits
+    asm = Assembler("UACC", ("seek", 0))
+    ids = asm.ids
+
+    def ret(q: int, sym: int, trk: int) -> int:
+        return ids["UACC" if q == 1 else ("ret", q, sym, trk)]
+
+    passthrough = [U_BIT0, U_BIT1, U_END, U_ORIGIN, U_SEP]
+    rewound = [U_BIT0, U_BIT1, U_END, U_SEP] + [
+        work_cell(s, h, b) for s in range(4) for h in (0, 1) for b in (0, 1)
+    ]
+
+    # scan's reads: the passthrough symbols, then per work cell (s, b) the
+    # unflagged cell, which scan runs over, and the flagged one it stops on
+    scan_reads = bytes(passthrough + [
+        work_cell(s, h, b) for s in range(4) for b in (0, 1) for h in (0, 1)])
+
+    def scan(state: int, flagged) -> None:
+        """Run right to the flagged work cell, then take ``flagged(s, b)``;
+        the rules in the order of ``scan_reads``."""
+        to, write, move = zip(*(flagged(s, b) for s in range(4) for b in (0, 1)))
+        stops = slice(len(passthrough) + 1, None, 2)  # the flagged cells' rules
+        tos, writes = [state] * len(scan_reads), bytearray(scan_reads)
+        moves = bytearray([RIGHT]) * len(scan_reads)
+        tos[stops], writes[stops], moves[stops] = to, write, move
+        asm.extend([state] * len(scan_reads), scan_reads, tos, writes, moves)
+
+    def rewind(kind: str, q: int, s: int, b: int) -> None:
+        """Run left to the origin, then start matching records for (q, s, b)."""
+        state = ids[kind, q, s, b]
+        n = len(rewound)
+        asm.extend([state] * (n + 1), rewound + [U_ORIGIN],
+                   [state] * n + [ids["rec", q, s, b]], rewound + [U_ORIGIN],
+                   [LEFT] * n + [RIGHT])
+
+    def forward(rules) -> None:
+        """Append (state, read, new_state) rules that keep what they read
+        and move right, each column extended once."""
+        froms, reads, tos = zip(*rules)
+        asm.extend(froms, reads, tos, reads, [RIGHT] * len(reads))
+
+    def match(key: tuple, value: int, width: int, done: tuple, skip: int) -> None:
+        """Compare a field with ``value``, most significant bit first: on a
+        match go on into ``done``, on a mismatch to ``skip``."""
+        states = [ids[(*key, i)] for i in range(width)]
+        states.append(ids[done])
+        rules = []
+        for i in range(width):
+            expect = (value >> (width - 1 - i)) & 1
+            rules += ((states[i], U_BIT0 + expect, states[i + 1]),
+                      (states[i], U_BIT1 - expect, skip))
+        forward(rules)
+
+    def field(key: tuple, width: int, done) -> None:
+        """Read a ``width``-bit field, most significant bit first, into ``done(value)``."""
+        rules = []
+        for i in range(width):
+            for partial in range(1 << i):
+                state = ids[(*key, partial, i)]
+                for bit in (0, 1):
+                    val = (partial << 1) | bit
+                    nxt = ids[(*key, val, i + 1)] if i + 1 < width else done(val)
+                    rules.append((state, U_BIT0 + bit, nxt))
+        forward(rules)
+
+    for q in range(ns):
+        scan(ids["seek", q], lambda s, b: (ids["rew", q, s, b], work_cell(s, 1, b), LEFT))
+
+    # rewind to the origin, then scan records
+    keys = list(itertools.product(range(ns), range(4), (0, 1)))
+    for q, s, b in keys:
+        rewind("rew", q, s, b)
+        rec, skip = ids["rec", q, s, b], ids["skip", q, s, b]
+        # a 0 valid bit means no record matched: the simulation is stuck
+        forward(((rec, U_BIT1, ids["cq", q, s, b, 0]),
+                 (skip, U_BIT0, skip), (skip, U_BIT1, skip), (skip, U_SEP, rec)))
+        match(("cq", q, s, b), q, state_bits, ("cs", q, s, b, 0), skip)
+        match(("cs", q, s, b), s, 2, ("cc", q, s, b), skip)
+        # condition field: 00 any, 01 never, 1x require track == x
+        cc, cc_any, cc_trk = ids["cc", q, s, b], ids["cc0", q, s, b], ids["cc1", q, s, b]
+        grab = ids["gq", 0, 0]
+        forward(((cc, U_BIT0, cc_any), (cc, U_BIT1, cc_trk),
+                 (cc_any, U_BIT0, grab), (cc_any, U_BIT1, skip),
+                 (cc_trk, U_BIT0 + b, grab), (cc_trk, U_BIT1 - b, skip)))
+
+    # collect successor state / symbol / move (code 3 stays, as 0 does)
+    field(("gq",), state_bits, lambda q2: ids["gs", q2, 0, 0])
+    for q2 in range(ns):
+        field(("gs", q2), 2, lambda s2: ids["gm", q2, s2, 0, 0])
+        for s2 in range(4):
+            field(("gm", q2, s2), 2, lambda val: ids["walk", q2, s2, val % 3])
+
+    # walk to the simulated head and apply the move
+    for q2 in range(ns):
+        for s2 in range(4):
+            scan(ids["walk", q2, s2, STAY],
+                 lambda s, b: (ret(q2, s2, b), work_cell(s2, 1, b), LEFT))
+            for move in (LEFT, RIGHT):
+                plant = ids["plant", move, q2]
+                scan(ids["walk", q2, s2, move], lambda s, b: (plant, work_cell(s2, 0, b), move))
+        # plant the head flag where a move ended: each work cell has a rule
+        # for the right-moving plant, then one for the left-moving plant;
+        # walking right onto untouched blank reads as a simulated blank;
+        # walking left onto the end marker, the simulated head fell off: stuck
+        cells = [(s, b) for s in range(4) for b in (0, 1)]
+        rets = [ret(q2, s, b) for s, b in cells]
+        plants = [ids["plant", RIGHT, q2], ids["plant", LEFT, q2]]
+        asm.extend(plants * len(cells) + plants[:1],
+                   [work_cell(s, 0, b) for s, b in cells for _ in plants] + [U_BLANK],
+                   [q for q in rets for _ in plants] + rets[:1],
+                   [work_cell(s, 1, b) for s, b in cells for _ in plants] + [work_cell(0, 1, 0)],
+                   [LEFT] * (2 * len(cells) + 1))
+
+    # return to the origin and scan for the next step
+    for q, s, b in keys:
+        if q != 1:
+            rewind("ret", q, s, b)
+
+    return asm.machine(U_SYMBOLS, ("seek", 0), "UACC", U_BLANK)
+
+
+@pytest.mark.parametrize("state_bits", range(1, 10))
+def test_universal_machine_matches_the_reference(state_bits):
+    # Machine equality covers the states, start, accept and all six columns
+    assert universal_machine(state_bits) == reference_universal_machine(state_bits)
+
+
+def test_universal_machine_needs_a_state_bit():
+    with pytest.raises(ValueError, match="at least 1 state bit"):
+        universal_machine(0)
 
 
 def test_universal_machine_pinned_size():

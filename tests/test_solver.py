@@ -207,6 +207,19 @@ def test_simulation_refuted_bad_target():
     assert "embed" in chk.detail
 
 
+def test_simulation_refuted_when_a_tiling_has_no_cut():
+    # coordinate(2) and coordinate(3) side by side, on disjoint colors: a
+    # 6x6 window tiled by the 3-periodic half admits no cut into 2x2 blocks
+    small, large = coordinate_tileset(2), coordinate_tileset(3)
+    shift = small.color_count
+    tau = TileSet(shift + large.color_count,
+                  list(small) + [tuple(c + shift for c in t.sides()) for t in large])
+    chk = check_simulation_window(tau, white_tileset(), 2, 6)
+    assert chk.status == "refuted"
+    assert chk.counterexample_offsets == ()
+    assert "admits 0 valid cut offsets" in chk.detail
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_simulation_rejects_a_zoom_below_one(n):
     with pytest.raises(ValueError, match="at least 1"):
