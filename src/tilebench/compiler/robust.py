@@ -199,6 +199,14 @@ def correct_errors(
     never touched, so the changed fraction stays below the schedule's
     density bound.  Each refill is one search of at most ``MAX_NODES``
     nodes; one that runs out raises InconclusiveError.
+
+    The status is "clean" only when the schedule cleaned every defect and
+    every refill succeeded (no failures), and the repaired patch has no
+    hole and verifies.  A patch mended by a failure's neighbour (a residual
+    inside another island's carve) still reads "failed": the bound on the
+    changed fraction rests on the schedule.  The final verify re-checks the
+    refills against their surroundings rather than taking the solver's
+    word for them.
     """
     if c1 < 0:
         raise ValueError("repair collar c1 must be non-negative")

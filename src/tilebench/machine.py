@@ -330,14 +330,17 @@ class Run:
     and pinned to tape positions, and cells past its end read as 0; any
     sequence of bits is copied to ``bytes`` (an immutable bytes track is
     used as it is), and a value other than 0 or 1 raises ValueError,
-    checked once per track object.  A step past the tape's right end
-    appends a blank; a step left of cell 0 is the one wall.
+    checked once per track object.  A step left of cell 0 is a wall, and
+    leaves the head at -1.  A step past the tape's right end appends a
+    blank, unless the tape is ``closed``: then that step is a wall too, and
+    leaves the head at ``len(cells)``.
     """
 
-    __slots__ = ("machine", "cells", "head", "state", "steps", "status", "track")
+    __slots__ = ("machine", "cells", "head", "state", "steps", "status", "track", "closed")
 
     def __init__(self, machine: Machine, tape: Sequence[int], *, head: int = 0,
-                 state: int | None = None, track: Sequence[int] | None = None) -> None:
+                 state: int | None = None, track: Sequence[int] | None = None,
+                 closed: bool = False) -> None:
         try:
             cells = bytearray(tape)
         except ValueError:  # a symbol outside 0..255
@@ -361,6 +364,7 @@ class Run:
         self.steps = 0
         self.status = None  # not stepped yet
         self.track = track if machine.program_track else b""
+        self.closed = closed
 
     def go(self, max_steps: int) -> str:
         """Step on until acceptance, a missing transition, the wall, or
@@ -374,7 +378,8 @@ class Run:
         off tape slices of doubling size.  Every cell crossed still counts
         one step, so step counts, budgets, the wall, growth and end
         configurations are exactly those of stepping one cell at a time.  A
-        run on the wall is not resumed.
+        step onto a wall is not counted, and a run on the wall resumes once
+        the caller moves its head back onto the tape.
         """
         machine = self.machine
         rows = machine.dispatch()
@@ -415,7 +420,10 @@ class Run:
             if head < 0:
                 status = "hit_wall"
                 break
-            if head == width:  # the tape grows a blank
+            if head == width:  # the tape grows a blank, or ends
+                if self.closed:
+                    status = "hit_wall"
+                    break
                 cells.append(machine.blank)
                 width += 1
             steps += 1
@@ -842,6 +850,20 @@ def universal_machine(state_bits: int = 8) -> Machine:
                    table)
 
 
+def _keeps_region(utm: Machine) -> bool:
+    """Whether every rule of ``utm`` that reads a symbol of ``utm_tape``'s
+    program region (``U_BIT0`` through ``U_SEP``) writes it back: checked
+    on the rule columns once per machine and cached on the instance."""
+    keeps = utm.__dict__.get("_keeps")
+    if keeps is None:
+        rules = utm.transitions
+        read, write = (np.frombuffer(c, dtype=np.uint8) for c in (rules.read, rules.write))
+        inside = (read >= U_BIT0) & (read <= U_SEP)
+        keeps = bool((read[inside] == write[inside]).all())
+        object.__setattr__(utm, "_keeps", keeps)
+    return keeps
+
+
 def run_encoded(
     utm: Machine,
     program: Sequence[int],
@@ -851,7 +873,54 @@ def run_encoded(
     max_steps: int,
     state_bits: int = 8,
 ) -> Run:
-    """Convenience wrapper: build the tape and run the universal machine
-    within ``max_steps``; return the ``Run``, as ``run_machine`` does."""
-    tape = utm_tape(program, input_symbols, track, state_bits=state_bits)
-    return run_machine(utm, tape, max_steps=max_steps)
+    """Build the tape with ``utm_tape`` and run ``utm`` on it from cell 0
+    within ``max_steps``; the ``Run`` returned equals ``run_machine(utm,
+    tape, max_steps=max_steps)`` in status, steps, state, head and cells.
+
+    The lemma: the tape's *region*, cells 0 through the end marker, holds
+    the program, and stays as it is when every rule of ``utm`` that reads
+    a region symbol writes it back (``_keeps_region``; every rule of
+    ``universal_machine`` does).  After its start a run enters the region
+    only by the step from the first work cell onto the end marker, and
+    leaves it only by the step back.  So every path through an unchanging
+    region from one entry state ends in the same exit state after the same
+    number of steps.
+
+    The run is driven as two ``Run``s on the one engine, the work zone's
+    and the region's, whose tape is closed on the right; each crossing is
+    the wall step of one and counts one step here.  A crossing from an
+    entry state stepped before is replayed as one macro step (H. Marxen
+    and J. Buntrock, *Attacking the Busy Beaver 5*, 1990) when it fits the
+    budget; any other entry steps the region run, so a budget, a halt or
+    the wall inside the region ends where the plain run would.  When the
+    premise fails nothing is replayed, and the region run keeps its writes.
+    """
+    if max_steps < 0:
+        raise ValueError(f"negative step budget {max_steps}")
+    tape = bytearray(utm_tape(program, input_symbols, track, state_bits=state_bits))
+    end = tape.index(U_END)
+    keep = _keeps_region(utm)
+    region = Run(utm, tape[: end + 1], closed=True)
+    work = Run(utm, tape[end + 1 :])
+    # entry state -> (exit state, steps from the first work cell back to it)
+    memo: dict[int, tuple[int, int]] = {}
+    run, entry, entered = region, None, 0
+    while run.go(max_steps) == "hit_wall":
+        if run is work:  # off the first work cell onto the end marker
+            entry, entered = work.state, work.steps
+            hit = memo.get(entry)
+            if hit is None or entered + hit[1] > max_steps:
+                run, region.head, region.state, region.steps = region, end, entry, entered + 1
+                continue
+            state, steps = hit[0], entered + hit[1]
+        elif region.head < 0:  # left of cell 0, the plain run's wall
+            break
+        else:  # off the end marker onto the first work cell
+            state, steps = region.state, region.steps + 1
+            if keep and entry is not None:
+                memo[entry] = (state, steps - entered)
+        run, work.head, work.state, work.steps = work, 0, state, steps
+    work.cells[:0] = region.cells
+    work.head = end + 1 + work.head if run is work else region.head
+    work.state, work.steps, work.status = run.state, run.steps, run.status
+    return work

@@ -41,10 +41,22 @@ from tilebench.machine import (
     Run,
     machine_corpus,
     _checked_track,
+    U_BIT0,
+    U_BIT1,
+    U_BLANK,
+    U_END,
+    U_ORIGIN,
+    U_SEP,
+    U_SYMBOLS,
+    _keeps_region,
+    always_accept_machine,
+    encode_program,
+    parity_machine,
     run_encoded,
     run_machine,
     universal_machine,
     utm_tape,
+    work_cell,
 )
 
 ANY, T0, T1 = COND_ANY, COND_TRACK0, COND_TRACK1
@@ -179,6 +191,22 @@ def test_left_wall_at_cell_zero():
     assert (r.status, r.steps, r.head) == ("hit_wall", 2, -1)
     r = assert_agrees(LEFTY, [0], max_steps=50)
     assert (r.status, r.steps, r.head) == ("hit_wall", 0, -1)
+
+
+def test_a_closed_tape_ends_in_a_wall():
+    # the step past the last cell is the wall: not counted, the head at
+    # len(cells); a budget that ends on the last cell is a timeout there
+    r = Run(RUNNER, [0] * 5, closed=True)
+    assert (r.go(4), r.steps, r.head) == ("timeout", 4, 4)
+    assert (r.go(50), r.steps, r.head) == ("hit_wall", 4, 5)
+    assert tuple(r.cells) == (0,) * 5
+    # moved back onto the tape, a run on either wall resumes
+    r.head = 0
+    assert (r.go(6), r.steps, r.head) == ("timeout", 6, 2)
+    r = Run(LEFTY, [0] * 3, head=2)
+    assert (r.go(50), r.steps, r.head) == ("hit_wall", 2, -1)
+    r.head = 1
+    assert (r.go(50), r.steps, r.head) == ("hit_wall", 3, -1)
 
 
 def test_grow_appends_a_blank():
@@ -659,3 +687,149 @@ def test_a_universal_accept_compiles_few_rows(fp):
     finally:
         tracemalloc.stop()
     assert traced < 3_850_000
+
+
+# --- universal runs: the program region crossed once per entry state ------------
+
+REGION = (U_BIT0, U_BIT1, U_END, U_ORIGIN, U_SEP)
+
+
+def assert_encoded_agrees(utm, program, symbols, track=None, *, max_steps, state_bits=8):
+    """``run_encoded`` against the plain run of ``utm`` on its tape."""
+    got = run_encoded(utm, program, symbols, track, max_steps=max_steps, state_bits=state_bits)
+    tape = utm_tape(program, symbols, track, state_bits=state_bits)
+    assert outcome(got) == outcome(run_machine(utm, tape, max_steps=max_steps))
+    return got
+
+
+def assert_every_budget_agrees(utm, program, symbols, track=None, *, state_bits=8):
+    """The full run, then budgets 0, 1, 2, a third of its steps, all but
+    one and all of them."""
+    full = assert_encoded_agrees(utm, program, symbols, track, max_steps=10**8,
+                                 state_bits=state_bits)
+    s = full.steps
+    for budget in sorted({0, 1, 2, s // 3, max(s - 1, 0), s}):
+        assert_encoded_agrees(utm, program, symbols, track, max_steps=budget,
+                              state_bits=state_bits)
+    return full
+
+
+@pytest.mark.parametrize("bits", range(1, 10))
+def test_universal_machines_keep_the_program_region(bits):
+    # every rule that reads a region symbol writes it back, so cells 0
+    # through the end marker never change during a universal run
+    utm = universal_machine(bits)
+    rules = utm.transitions
+    assert all(w == s for s, w in zip(rules.read, rules.write) if s in REGION)
+    assert _keeps_region(utm)
+
+
+@pytest.mark.parametrize("track", [None, [1, 0, 1]])
+@pytest.mark.parametrize("name", sorted(machine_corpus()))
+def test_universal_corpus_runs_agree(name, track):
+    utm, program = universal_machine(8), encode_program(machine_corpus()[name])
+    for n in range(5):
+        for x in itertools.product((SYM_ZERO, SYM_ONE), repeat=n):
+            assert_every_budget_agrees(utm, program, list(x), track)
+
+
+def resident(fp, x, y):
+    """The quad of the resident tile at (x, y) whose seam vals are 0."""
+    def vert(row):
+        return fp.padded[fp.fold(x, row)] if row in fp.band else 0
+    return fp.edge_records(x, y, 0, 0, vert(y + 1), vert(y))
+
+
+def corrupted(fp, x, y, mode):
+    """The resident quad at (x, y) with one record broken as the audit's
+    reject probes break it."""
+    quad = list(resident(fp, x, y))
+    n, size = fp.n, fp.size
+    side = {"successor": 1, "top_column": 2, "pinned_val": 0, "row": 0}[mode]
+    i, j, v = unpack_record(n, quad[side])
+    quad[side] = {"successor": pack_record(n, (x + 2) % size, y, 0),
+                  "top_column": pack_record(n, (i + 1) % size, j, v),
+                  "pinned_val": pack_record(n, i, j, 1 - v),
+                  "row": pack_record(n, i, (j + 1) % size, v)}[mode]
+    return tuple(quad)
+
+
+@pytest.mark.parametrize("case", [(150, 10, None), (7, 20, None), (200, 250, None),
+                                  (150, 10, "successor"), (150, 10, "top_column"),
+                                  (150, 10, "pinned_val"), (150, 10, "row")],
+                         ids=lambda c: f"{c[2] or 'accept'}-{c[0]}-{c[1]}")
+def test_universal_checker_runs_agree(fp, case):
+    x, y, mode = case
+    quad = resident(fp, x, y) if mode is None else corrupted(fp, x, y, mode)
+    assert (quad in fp.accepted) == (mode is None)
+    full = assert_every_budget_agrees(universal_machine(fp.state_bits), list(fp.program),
+                                      checker_tape(fp.n, *quad), state_bits=fp.state_bits)
+    assert full.status == ("accepted" if mode is None else "stuck")
+
+
+def test_every_budget_around_each_region_crossing():
+    # the second and third simulated steps read the same key, so they
+    # enter the region from one state and the third crossing is replayed
+    utm, program, x = universal_machine(8), encode_program(parity_machine()), [SYM_ZERO] * 3
+    tape = utm_tape(program, x)
+    end = tape.index(U_END)
+    run, crossings, entries = Run(utm, tape), [0], []
+    last = run.head
+    while run.go(run.steps + 1) == "timeout":
+        if (last > end) != (run.head > end):
+            crossings.append(run.steps)
+            if run.head == end:
+                entries.append(run.state)
+        last = run.head
+    assert run.status == "accepted"
+    assert len(set(entries)) < len(entries)
+    # each stretch in the region, from its entry to its exit, and one more
+    # step either side
+    for entry, leave in zip(crossings[::2], crossings[1::2]):
+        for budget in range(max(entry - 1, 0), leave + 2):
+            assert_encoded_agrees(utm, program, x, max_steps=budget)
+
+
+def test_a_run_from_cell_0_is_no_crossing():
+    # sweep right from cell 0 over the region, unflag the first work cell
+    # and step back onto the end marker, all in the start state, then
+    # accept on the unflagged cell: the start state's path from cell 0
+    # takes end + 1 steps, its path from the end marker 2
+    work = [(s, b) for s in range(4) for b in (0, 1)]
+    m = Machine(2, U_SYMBOLS, 0, 1, U_BLANK, False, Rules.of(
+        [(0, s, ANY, 0, s, RIGHT) for s in REGION]
+        + [(0, work_cell(s, 1, b), ANY, 0, work_cell(s, 0, b), LEFT) for s, b in work]
+        + [(0, work_cell(s, 0, b), ANY, 1, work_cell(s, 0, b), STAY) for s, b in work]))
+    assert _keeps_region(m)
+    program = encode_program(always_accept_machine())
+    end = utm_tape(program, [SYM_ZERO]).index(U_END)
+    r = assert_encoded_agrees(m, program, [SYM_ZERO], max_steps=10**6)
+    assert (r.status, r.steps, r.head) == ("accepted", end + 4, end + 1)
+    for budget in range(end + 6):
+        assert_encoded_agrees(m, program, [SYM_ZERO], max_steps=budget)
+
+
+def test_a_machine_that_writes_the_region_is_not_replayed():
+    # doctored copies of universal_machine(8) in which one rule that leaves
+    # a skipped record, reading its U_SEP, writes U_BIT0: the record then
+    # runs into the next, so a later crossing from an entry state seen
+    # before takes another path than the first did
+    utm, program = universal_machine(8), encode_program(parity_machine())
+    x = [SYM_ONE, SYM_ZERO, SYM_ZERO]
+    tape = utm_tape(program, x)
+    fresh = replace(utm)
+    plain = run_machine(fresh, tape, max_steps=10**6)
+    reached = {q for q, row in enumerate(fresh.dispatch()) if row is not None}
+    rules = utm.transitions
+    taken = [i for i, (q, s, q2) in enumerate(zip(rules.state, rules.read, rules.new_state))
+             if s == U_SEP and q2 != q and q in reached]
+    changed = 0
+    for i in taken:
+        writes = bytearray(rules.write)
+        writes[i] = U_BIT0
+        m = replace(utm, transitions=Rules(rules.state, rules.read, rules.track, rules.new_state,
+                                           bytes(writes), rules.move))
+        assert not _keeps_region(m)
+        changed += outcome(run_machine(m, tape, max_steps=10**6)) != outcome(plain)
+        assert_every_budget_agrees(m, program, x)
+    assert changed

@@ -13,7 +13,7 @@ from tilebench.compiler import (
 )
 from tilebench.core import HOLE, PatchGrid, Tile, TileSet, chessboard_tileset, verify_patch
 from tilebench.islands import changed_fraction_bound, make_schedule
-from tilebench.solver import InconclusiveError, solve
+from tilebench.solver import InconclusiveError, fill_template, solve
 from tilebench.substitution import enforce_substitution, thue_morse_rule
 
 
@@ -234,3 +234,35 @@ class TestCorrectErrors:
         )
         assert rep.status == "failed"
         assert rep.failures == (frozenset({(2, 1), (2, 2), (2, 3)}),)
+
+    def test_a_residual_repaired_by_a_neighbours_carve_still_fails(self):
+        # the three-hole run is too wide for the one rank's islands, so
+        # cleaning leaves it; the lone hole's carve covers it and the refill
+        # mends it, but the schedule did not clean it
+        g = [list(row) for row in striped_patch(5, 12).cells]
+        for y in (1, 2, 3, 5):
+            g[y][2] = HOLE
+        rep = correct_errors(
+            striped_tileset(), PatchGrid(5, 12, g), schedule=make_schedule(1, 1, 1)
+        )
+        assert not rep.patch.holes() and verify_patch(striped_tileset(), rep.patch) == []
+        assert rep.boxes == ((0, 1, 4, 9),)
+        assert rep.status == "failed"
+        assert rep.failures == (frozenset({(2, 1), (2, 2), (2, 3)}),)
+
+    def test_a_refill_that_breaks_its_ring_fails(self, rob, lifted, monkeypatch):
+        # the repaired patch is verified, not taken on the solver's word: a
+        # refill whose carved centre breaks its adjacencies reads failed,
+        # though no refill failed and no hole is left
+        def careless_fill(ts, grid, **kw):
+            cells = fill_template(ts, grid, **kw).cells.copy()
+            cells[grid.height // 2, grid.width // 2] ^= 1
+            return PatchGrid(grid.width, grid.height, cells)
+
+        monkeypatch.setattr(robust, "fill_template", careless_fill)
+        cells = [list(row) for row in lifted.cells]
+        cells[9][7] = HOLE
+        rep = correct_errors(rob, PatchGrid(40, 40, cells))
+        assert rep.failures == () and not rep.patch.holes()
+        assert verify_patch(rob.tile_set, rep.patch)
+        assert rep.status == "failed"
