@@ -808,7 +808,12 @@ def run_checker(fp: FixedPointSet, quad, *, track=None) -> Run:
     resumes for the drag's exit rule, the only one that reads the track.
     The result is always exactly a direct run's of ``fp.machine``.  Runs
     that never reach a drag (resident tiles, most reject probes) are a
-    single engine call.
+    single engine call.  The checker has a program track, so the engine
+    replays its block crossings (``Run.go``) from a memo kept on
+    ``fp.drag.machine``, keyed by the state, the head's offset, the block's
+    cells and the track bits under them, and cleared at ``CROSSINGS``
+    entries: once a few hundred residents have run, a resident run is
+    mostly replays.
     """
     return run_machine(fp.drag.machine, checker_tape(fp.n, *quad),
                        track=fp.track_bits if track is None else track,

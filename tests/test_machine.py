@@ -328,7 +328,7 @@ def test_utm_tape_layout():
     assert tape[end - 1] == U_BIT0  # the terminator record's 0 valid bit
     assert end == 1 + (len(p) - 1) + 4 + 1
     # the input under the head flag, then U_PAD blank work cells
-    assert tape[end + 1:] == [work_cell(1, 1, 1), work_cell(2, 0, 0)] + [work_cell(0, 0, 0)] * 8
+    assert tape[end + 1:] == bytes([work_cell(1, 1, 1), work_cell(2, 0, 0)] + [work_cell(0, 0, 0)] * 8)
     assert len(utm_tape(p, [])) == end + 1 + 1 + 8
     with pytest.raises(ValueError):
         utm_tape(p[:-1], [1])
@@ -341,6 +341,14 @@ def test_utm_tape_rejects_cells_a_work_cell_cannot_hold(symbols, track):
     # work_cell(4, 1, 0) == work_cell(0, 0, 1)
     with pytest.raises(ValueError):
         utm_tape(encode_program(always_accept_machine()), symbols, track)
+
+
+def test_utm_tape_rejects_program_bits_other_than_0_1():
+    # a 2 would lay out U_END in the middle of a record
+    p = encode_program(always_accept_machine())
+    for bad in (2, -1, 256):
+        with pytest.raises(ValueError, match="program bits"):
+            utm_tape([bad] + p[1:], [1])
 
 
 def reference_universal_machine(state_bits):

@@ -10,6 +10,7 @@ families and rewriting loops, which the engine steps one cell at a time,
 are run over the same edge cases.
 """
 
+import contextlib
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -24,7 +25,9 @@ from tilebench.compiler.fixedpoint import (
     run_checker,
     unpack_record,
 )
+import tilebench.machine as machine_module
 from tilebench.machine import (
+    BLOCK,
     COND_ANY,
     COND_TRACK0,
     COND_TRACK1,
@@ -62,14 +65,20 @@ from tilebench.machine import (
 ANY, T0, T1 = COND_ANY, COND_TRACK0, COND_TRACK1
 
 
-def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000):
-    """One dict lookup per step, one cell per step: the engine's oracle."""
+def reference_rules(machine):
+    """Each (state, symbol, track bit)'s first matching rule."""
     rules = {}
     for q, s, c, q2, w, mv in zip(*machine.transitions.columns()):
         for b in (0, 1):
             key = (q, s, b)
             if key not in rules and c in (COND_ANY, COND_TRACK0 + b):
                 rules[key] = (q2, w, mv)
+    return rules
+
+
+def reference_run(machine, tape, *, head=0, track=None, max_steps=1_000_000):
+    """One dict lookup per step, one cell per step: the engine's oracle."""
+    rules = reference_rules(machine)
     cells = list(tape) or [machine.blank]
     trk = list(track) if track is not None else []
     state, steps, status = machine.start, 0, "timeout"
@@ -833,3 +842,261 @@ def test_a_machine_that_writes_the_region_is_not_replayed():
         changed += outcome(run_machine(m, tape, max_steps=10**6)) != outcome(plain)
         assert_every_budget_agrees(m, program, x)
     assert changed
+
+
+# --- block crossings: memoised on the machine, and exactly the plain run --------
+
+
+def reference_outcomes(machine, tape, *, head=0, track=None, closed=False, max_steps):
+    """``reference_run``'s outcome at every budget from 0 to ``max_steps``,
+    from one run: entry b is (status, steps, state, head, cells) within b
+    steps.  A run stopped by its budget is a ``timeout`` (``accepted`` in
+    the accept state), and on a ``closed`` tape the step past the last cell
+    is a wall, not counted."""
+    rules = reference_rules(machine)
+    cells = list(tape) or [machine.blank]
+    trk = list(track) if track is not None else []
+    state, steps, outs = machine.start, 0, []
+    while True:
+        outs.append(("accepted" if state == machine.accept else "timeout",
+                     steps, state, head, tuple(cells)))
+        if steps == max_steps:
+            return outs
+        if state == machine.accept:
+            end = "accepted"
+            break
+        move = rules.get((state, cells[head], trk[head] if head < len(trk) else 0))
+        if move is None:
+            end = "stuck"
+            break
+        state, cells[head], direction = move
+        head += DELTAS[direction]
+        if head < 0 or (closed and head == len(cells)):
+            end = "hit_wall"
+            break
+        if head == len(cells):
+            cells.append(machine.blank)
+        steps += 1
+    return outs + [(end, steps, state, head, tuple(cells))] * (max_steps + 1 - len(outs))
+
+
+def assert_every_budget(machine, tape, *, head=0, track=None, closed=False, max_steps):
+    """``Run.go`` at every budget from 0 to ``max_steps`` against
+    ``reference_outcomes``, all on ``machine``, whose memo they share: the
+    whole run first, so that the shorter ones meet its crossings there, and
+    the shorter ones cut its crossings off.  Returns the whole run's
+    outcome."""
+    outs = reference_outcomes(machine, tape, head=head, track=track, closed=closed,
+                              max_steps=max_steps)
+    for budget in (max_steps, *range(max_steps + 1)):
+        run = Run(machine, tape, head=head, track=track, closed=closed)
+        run.go(budget)
+        assert outcome(run) == outs[budget], budget
+    return outs[-1]
+
+
+@contextlib.contextmanager
+def no_blocks():
+    """``Run.go`` without block crossings: the plain engine, which the
+    tests above hold to ``reference_run``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Machine, "crossings", lambda self: None)
+        yield
+
+
+@st.composite
+def block_runs(draw):
+    """Program-track machines with a rule, or a pair split by the track bit,
+    for most (state, symbol), so that runs wander across blocks, on tapes of
+    up to three blocks and tracks that may end before the tape does."""
+    states, symbols = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    rules = []
+    for q in range(states):
+        for s in range(symbols):
+            for cond in draw(st.sampled_from(((), (ANY,), (ANY,), (T0, T1), (T1,)))):
+                q2 = draw(st.integers(0, states - 1))
+                w = s if q2 == q and draw(st.booleans()) else draw(st.integers(0, symbols - 1))
+                rules.append((q, s, cond, q2, w, draw(st.sampled_from((LEFT, RIGHT, RIGHT, STAY)))))
+    m = Machine(states, symbols, 0, draw(st.integers(1, states - 1)), 0, True,
+                Rules.of(draw(st.permutations(rules))))
+    tape = draw(st.lists(st.integers(0, symbols - 1), min_size=1, max_size=3 * BLOCK + 4))
+    track = draw(st.lists(st.integers(0, 1), max_size=3 * BLOCK + 8))
+    return m, tape, {"head": draw(st.integers(0, len(tape) - 1)), "track": track,
+                     "closed": draw(st.booleans()), "max_steps": draw(st.integers(0, 160))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_runs(), st.data())
+def test_block_crossings_agree_at_every_budget(case, data):
+    m, tape, kw = case
+    assert_every_budget(m, tape, **kw)
+    # the same machine, its memo full, on a track one bit off
+    if kw["track"]:
+        track = list(kw["track"])
+        track[data.draw(st.integers(0, len(track) - 1))] ^= 1
+        assert_every_budget(m, tape, **{**kw, "track": track})
+
+
+def test_a_loop_inside_one_block_times_out_at_the_budget():
+    # R and L in turn between cells 40 and 41, never leaving the block: each
+    # crossing is cut off by the budget, which ends the run, and none is kept
+    m = Machine(3, 2, 0, 2, 0, True, Rules.of([(0, s, ANY, 1, 1 - s, RIGHT) for s in (0, 1)]
+                                              + [(1, s, ANY, 0, s, LEFT) for s in (0, 1)]))
+    for budget in (10_001, 10_000, 1, 0):
+        r = Run(m, [0] * 64, head=40)
+        assert (r.go(budget), r.steps, r.head) == ("timeout", budget, 40 + budget % 2)
+    assert_every_budget(m, [0] * 64, head=40, max_steps=3 * BLOCK)
+    assert not m.crossings()
+
+
+@pytest.mark.parametrize("halt", ["stuck", "accepted"])
+def test_a_halt_exactly_at_the_budget_is_a_timeout(halt):
+    # right over 1s, writing 2s, from cell 33 to the 3 at cell 40: 7 steps,
+    # then stuck there, or one step more into the accept state
+    rules = [(0, 1, ANY, 0, 2, RIGHT)] + ([(0, 3, ANY, 1, 3, STAY)] if halt == "accepted" else [])
+    m = Machine(2, 4, 0, 1, 0, True, Rules.of(rules))
+    tape = [1] * 40 + [3] + [1] * 23
+    steps = 7 if halt == "stuck" else 8
+    for _ in range(2):  # the crossing stepped, then replayed
+        r = Run(m, tape, head=33)
+        assert (r.go(100), r.steps, r.head) == (halt, steps, 40)
+    r = Run(m, tape, head=33)
+    # the budget spent on the halting step's lookup: the plain run's timeout,
+    # read as accepted in the accept state
+    assert (r.go(steps), r.steps) == ("timeout" if halt == "stuck" else "accepted", steps)
+    assert_every_budget(m, tape, head=33, max_steps=12)
+
+
+def test_walls_at_block_edges_are_not_counted():
+    # left from cell 37, writing 2s, off cell 0; right from cell 50 off a
+    # closed tape's last cell, the end of its second block
+    left = Machine(2, 4, 0, 1, 0, True, Rules.of([(0, 1, ANY, 0, 2, LEFT)]))
+    right = Machine(2, 4, 0, 1, 0, True, Rules.of([(0, 1, ANY, 0, 2, RIGHT)]))
+    for _ in range(2):
+        r = Run(left, [1] * 64, head=37)
+        assert (r.go(1000), r.steps, r.head) == ("hit_wall", 37, -1)
+        r = Run(right, [1] * 2 * BLOCK, head=50, closed=True)
+        assert (r.go(1000), r.steps, r.head) == ("hit_wall", 13, 2 * BLOCK)
+        assert tuple(r.cells) == (1,) * 50 + (2,) * 14
+    assert_every_budget(left, [1] * 64, head=37, max_steps=40)
+    assert_every_budget(right, [1] * 2 * BLOCK, head=50, closed=True, max_steps=16)
+
+
+def test_growth_at_a_block_edge():
+    # right over 1s off the last cell of a one-block tape, then three
+    # steps on grown blanks before accepting: the new cells start a block
+    m = Machine(4, 4, 0, 1, 0, True, Rules.of([
+        (0, 1, ANY, 0, 2, RIGHT), (0, 0, ANY, 2, 3, RIGHT), (2, 0, ANY, 3, 3, RIGHT),
+        (3, 0, ANY, 1, 3, STAY)]))
+    for _ in range(2):
+        r = Run(m, [1] * BLOCK, head=20)
+        assert (r.go(1000), r.steps, r.head) == ("accepted", 15, BLOCK + 2)
+        assert tuple(r.cells) == (1,) * 20 + (2,) * 12 + (3,) * 3
+    assert_every_budget(m, [1] * BLOCK, head=20, max_steps=20)
+    assert_every_budget(m, [1] * BLOCK, head=20, closed=True, max_steps=20)
+
+
+# right from cell 36 writing 2s until a track 1, where it marks the cell
+# 3 and turns back over its 2s, writing 1s, to the last 0 or 3, sweeps
+# right over the 1s and goes on past the mark; it accepts on the 1 at
+# cell 70
+TRACKED = Machine(4, 4, 0, 1, 0, True, Rules.of([
+    (0, 0, T0, 0, 2, RIGHT), (0, 0, T1, 2, 3, LEFT), (0, 1, ANY, 1, 1, STAY),
+    (2, 2, ANY, 2, 1, LEFT), (2, 0, ANY, 3, 0, RIGHT), (2, 3, ANY, 3, 3, RIGHT),
+    (3, 1, ANY, 3, 1, RIGHT), (3, 3, ANY, 0, 3, RIGHT)]))
+TRACKED_TAPE = [0] * 70 + [1]
+
+
+def test_a_track_shorter_than_the_tape():
+    # the track ends inside the second block; cells past it read 0, as
+    # the same bits padded with zeros to the tape's length read
+    m = replace(TRACKED)
+    track = [0] * 44 + [1, 0, 0, 1]
+    ends = [assert_every_budget(m, TRACKED_TAPE, head=36, track=t, max_steps=120)
+            for t in (track, track + [0] * 30, track)]
+    assert ends[0] == ends[1] == ends[2]
+    assert ends[0][:2] == ("accepted", 59)
+
+
+def test_two_tracks_one_bit_apart_share_the_memo():
+    # a 1 under cell 40 turns the run back early; without it the run
+    # crosses the same cells from the same state another way
+    plain = [0] * 44 + [1]
+    flipped = plain[:40] + [1] + plain[41:]
+    for order in ((plain, flipped), (flipped, plain)):
+        m = replace(TRACKED)
+        ends = [assert_every_budget(m, TRACKED_TAPE, head=36, track=t, max_steps=100)
+                for t in order]
+        assert ends[0][1:] != ends[1][1:]
+        assert ends[0][0] == ends[1][0] == "accepted"
+
+
+def test_the_memo_is_cleared_at_its_bound(monkeypatch):
+    monkeypatch.setattr(machine_module, "CROSSINGS", 5)
+    m = replace(TRACKED)
+    sizes = []
+    for k in range(12):
+        assert_every_budget(m, [0] * (k + 60) + [1], head=36, track=[0] * (k + 38) + [1],
+                            max_steps=90)
+        sizes.append(len(m.crossings()))
+    assert max(sizes) <= 5
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_a_cut_off_crossing_is_not_kept():
+    # a budget that ends inside the crossing of cells 33..40 leaves the
+    # memo without it; a later whole run steps it and keeps it
+    m = Machine(2, 4, 0, 1, 0, True, Rules.of([(0, 1, ANY, 0, 2, RIGHT)]))
+    tape = [1] * 40 + [3] + [1] * 23
+    for budget in range(7):
+        Run(m, tape, head=33).go(budget)
+    assert not m.crossings()
+    r = Run(m, tape, head=33)
+    assert (r.go(100), r.steps, r.head) == ("stuck", 7, 40)
+    assert len(m.crossings()) == 1
+
+
+# --- block crossings on the N=256 checker ---------------------------------------
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["shared memo", "empty memo"])
+def test_checker_residents_and_probes_at_every_budget(fp, fresh):
+    # every budget of three residents and a probe of each kind, on the
+    # checker run_checker steps, with the memo other runs filled or empty
+    m = replace(fp.drag.machine) if fresh else fp.drag.machine
+    cases = [(resident(fp, x, y), "accepted") for x, y in ((150, 10), (7, 20), (200, 250))]
+    cases += [(corrupted(fp, 150, 10, mode), "stuck")
+              for mode in ("successor", "top_column", "pinned_val", "row")]
+    for quad, status in cases:
+        tape = checker_tape(fp.n, *quad)
+        full = run_checker(fp, quad)
+        assert full.status == status
+        end = assert_every_budget(m, tape, track=fp.track_bits, max_steps=full.steps + 1)
+        assert end == outcome(full)
+
+
+def walk_quad(fp, x, y):
+    return fp.edge_records(x, y, 0, 0, fp.padded[fp.fold(x, y + 1)], fp.padded[fp.fold(x, y)])
+
+
+@pytest.mark.parametrize("x, y, flip", [(3, 100, False), (3, 100, True), (255, 222, False),
+                                        (40, 64, True)])
+def test_checker_walks_and_mutated_tracks_agree(fp, x, y, flip):
+    # walks, with the drag lemma, under the set's track or one whose bit the
+    # walk reads is flipped, against the plain engine: every budget over
+    # the first crossings, and the whole run
+    track = bytearray(fp.track_bits)
+    if flip:
+        track[fp.track_offset + fp.fold(x, y)] ^= 1
+    track = bytes(track)
+    tape = checker_tape(fp.n, *walk_quad(fp, x, y))
+
+    def runs(budgets):
+        return [outcome(run_machine(fp.drag.machine, tape, track=track, max_steps=b,
+                                    macro=fp.drag)) for b in budgets]
+
+    budgets = [*range(600), fp.budget]
+    with no_blocks():
+        want = runs(budgets)
+    assert runs(budgets) == want
+    assert want[-1][0] == ("stuck" if flip else "accepted")
