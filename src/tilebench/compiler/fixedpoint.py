@@ -594,7 +594,7 @@ class FixedPointSet:
     tile_set: TileSet
     machine: Machine
     state_bits: int
-    program: tuple[int, ...]
+    program: bytes
     padded: bytes
     capacity: int
     accepted: Mapping = field(hash=False)
@@ -769,13 +769,13 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
         raise ValueError(f"grid side must be a power of two from 128 to {MAX_SIZE}")
     machine, names = build_checker(n)
     state_bits = 8 if machine.states <= 256 else 9
-    program = encode_program(machine, state_bits=state_bits)
+    program = bytes(encode_program(machine, state_bits=state_bits))
     capacity = size * len(_band(size))
     if len(program) > capacity:
         raise CompileError(
             f"checker needs {len(program)} program bits, the block holds {capacity}"
         )
-    padded = bytes(program).ljust(capacity, b"\0")
+    padded = program.ljust(capacity, b"\0")
     colors = _tile_colors(n, size, padded)
     assert len(colors) == (size + 2) ** 2, "free border bits miscounted"
     tile_set = TileSet(2 * size * (size + 1), colors)  # N lines of N + 1 ids per axis
@@ -786,7 +786,7 @@ def build_fixed_point(size: int = 256) -> FixedPointSet:
         tile_set=tile_set,
         machine=machine,
         state_bits=state_bits,
-        program=tuple(program),
+        program=program,
         padded=padded,
         capacity=capacity,
         accepted=_Accepted(n, size, tile_set, padded),
@@ -809,11 +809,11 @@ def run_checker(fp: FixedPointSet, quad, *, track=None) -> Run:
     The result is always exactly a direct run's of ``fp.machine``.  Runs
     that never reach a drag (resident tiles, most reject probes) are a
     single engine call.  The checker has a program track, so the engine
-    replays its block crossings (``Run.go``) from a memo kept on
-    ``fp.drag.machine``, keyed by the state, the head's offset, the block's
-    cells and the track bits under them, and cleared at ``CROSSINGS``
-    entries: once a few hundred residents have run, a resident run is
-    mostly replays.
+    replays its block crossings (``Run.go``, which steps each new one as a
+    closed run of its block) from a memo kept on ``fp.drag.machine``, keyed
+    by the state, the head's offset, the block's cells and the track bits
+    under them, and cleared at ``CROSSINGS`` entries: once a few hundred
+    residents have run, a resident run is mostly replays.
     """
     return run_machine(fp.drag.machine, checker_tape(fp.n, *quad),
                        track=fp.track_bits if track is None else track,
@@ -933,7 +933,7 @@ def _audit(fp: FixedPointSet, parts, jobs) -> SelfCertificate:
             # after the last, cross the universal tape at most three times
             # (back to the origin, along the records, out to the head), and
             # the tape gains at most one cell a step.
-            program, tape, s = list(fp.program), checker_tape(fp.n, *quad), direct.steps
+            program, tape, s = fp.program, checker_tape(fp.n, *quad), direct.steps
             cells = len(utm_tape(program, tape, state_bits=fp.state_bits))
             sim = run_encoded(universal_machine(fp.state_bits), program, tape,
                               max_steps=3 * (s + 2) * (cells + s),

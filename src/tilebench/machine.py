@@ -169,19 +169,16 @@ class Machine:
         if not self.program_track and rules.track.translate(None, bytes([COND_ANY])):
             raise ValueError("track condition on a machine without a track")
 
+    @functools.cached_property
     def dispatch(self) -> list:
-        """The machine's dispatch rows, one slot per state, cached on the
-        instance; a slot is None until ``row`` compiles that state's row,
-        on first use, so a run pays only for the states it reaches."""
-        rows = self.__dict__.get("_rows")
-        if rows is None:
-            rows = [None] * self.states
-            object.__setattr__(self, "_rows", rows)
-        return rows
+        """The machine's dispatch rows, one slot per state; a slot is None
+        until ``row`` compiles that state's row, on first use, so a run
+        pays only for the states it reaches."""
+        return [None] * self.states
 
     def row(self, q: int) -> list:
         """State q's dispatch row, compiled from its rules on first use and
-        kept in ``dispatch()``.
+        kept in ``dispatch``.
 
         Entry ``symbol*tracks + bit`` (``tracks`` is 2 for program-track
         machines, else 1 and the bit is 0) holds the first matching rule as
@@ -196,7 +193,7 @@ class Machine:
         the row is compiled (byte strings rather than sets keep the entries
         out of the cyclic garbage collector).
         """
-        rows = self.dispatch()
+        rows = self.dispatch
         row = rows[q]
         if row is not None:
             return row
@@ -204,7 +201,7 @@ class Machine:
         row = rows[q] = [None] * (syms * tracks)
         if q == self.accept:
             return row
-        starts, ends, offsets = self._by_state()
+        starts, ends, offsets = self._by_state
         rules = self.transitions
         ids = [r for k in range(offsets[q], offsets[q + 1]) for r in range(starts[k], ends[k])]
         sweeps: dict[int, tuple] = {}
@@ -229,32 +226,26 @@ class Machine:
                 row[i] = e
         return row
 
+    @functools.cached_property
     def crossings(self) -> dict:
-        """The machine's memo of block crossings (``Run.go``), cached on the
-        instance and shared by every run of the machine."""
-        memo = self.__dict__.get("_crossings")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_crossings", memo)
-        return memo
+        """The machine's memo of block crossings (``Run.go``), shared by
+        every run of the machine."""
+        return {}
 
+    @functools.cached_property
     def _by_state(self) -> tuple[array, array, array]:
         """The machine's runs (maximal blocks of consecutive rules of one
         state) ordered by state, each state's in priority order, as their
         first rule ids and their end ids, and the ``states + 1`` offsets
         where each state's runs start: built once, by a stable argsort of
-        the runs, and cached on the instance."""
-        index = self.__dict__.get("_index")
-        if index is None:
-            state = np.frombuffer(self.transitions.state, dtype=np.intc)
-            first = np.flatnonzero(np.diff(state, prepend=-1))
-            end = np.append(first[1:], len(state))
-            order = np.argsort(state[first], kind="stable")
-            offsets = np.bincount(state[first], minlength=self.states).cumsum()
-            index = tuple(array("i", np.asarray(a, dtype=np.intc).tobytes())
-                          for a in (first[order], end[order], np.append(0, offsets)))
-            object.__setattr__(self, "_index", index)
-        return index
+        the runs."""
+        state = np.frombuffer(self.transitions.state, dtype=np.intc)
+        first = np.flatnonzero(np.diff(state, prepend=-1))
+        end = np.append(first[1:], len(state))
+        order = np.argsort(state[first], kind="stable")
+        offsets = np.bincount(state[first], minlength=self.states).cumsum()
+        return tuple(array("i", np.asarray(a, dtype=np.intc).tobytes())
+                     for a in (first[order], end[order], np.append(0, offsets)))
 
     def to_json(self) -> dict:
         return {
@@ -354,7 +345,8 @@ class Run:
     checked once per track object.  A step left of cell 0 is a wall, and
     leaves the head at -1.  A step past the tape's right end appends a
     blank, unless the tape is ``closed``: then that step is a wall too, and
-    leaves the head at ``len(cells)``.
+    leaves the head at ``len(cells)``.  ``go`` steps a block crossing as a
+    closed run of the block, and a closed run cuts no blocks.
     """
 
     __slots__ = ("machine", "cells", "head", "state", "steps", "status", "track", "closed")
@@ -405,31 +397,30 @@ class Run:
         A machine with a program track also replays *block crossings*.  The
         tape is cut into aligned blocks of ``BLOCK`` cells, the last one
         shorter while the tape ends inside it.  A crossing starts at a step
-        that is not a sweep and runs until a step leaves the block or the
-        run halts.  Its end depends only on the key ``(state, the head's
-        offset in the block, the block's cells, the track bits under
-        them)``, so it is stepped once, one cell a step, and replayed after
-        (H. Marxen and J. Buntrock's macro step): the block's cells are
-        written, the state and head set and its steps added.  The memo is
-        the machine's (``Machine.crossings``), kept across runs, which
-        cross the same few blocks again and again, and cleared when it
-        holds ``CROSSINGS`` entries.  A crossing is stepped for at most
-        the steps the budget has left, and one cut off by the budget ends
-        the run ``timeout`` where the plain run ends and is not memoised;
-        a memoised one is replayed only when it ends before the budget is
-        spent, else stepped again.  The step out of the block, and the
-        lookup that finds a halt, are the plain run's, so walls, growth and
-        a halt on the last step of the budget are as above.  Machines
-        without a track, the universal machine's among them, keep the plain
-        path: a universal run seldom crosses a block twice the same way,
-        and with blocks one universal accept of a resident N=256 tile took
-        about three times as long, first run or second, and left 6,710
-        entries.
+        that is not a sweep and runs until a step leaves the block or the run
+        halts.  Its end depends only on the key ``(state, the head's offset in
+        the block, the block's cells, the track bits under them)``, so it is
+        stepped once and replayed after (H. Marxen and J. Buntrock's macro
+        step): the block's cells are written, the state and head set and its
+        steps added.  A crossing is stepped by this same loop, as a closed run
+        of the block within the steps the budget has left; the block's wall is
+        the step out of it, which this run then counts and checks for its own
+        wall or growth.  A closed run cuts no blocks: its tape is one crossing
+        already.  One cut off by the budget is not memoised, and a memoised
+        one is replayed only when it ends before the budget is spent, else
+        stepped again.  The memo is the machine's (``Machine.crossings``),
+        kept across runs, which cross the same few blocks again and again, and
+        cleared when it holds ``CROSSINGS`` entries.  Machines without a
+        track, the universal machine's among them, keep the plain path: a
+        universal run seldom crosses a block twice the same way, and with
+        blocks one universal accept of a resident N=256 tile took about three
+        times as long, first run or second, and left 6,710 entries.
         """
         machine = self.machine
-        rows = machine.dispatch()
+        rows = machine.dispatch
         tracks = 2 if machine.program_track else 1
-        memo = machine.crossings() if machine.program_track else None
+        memo = machine.crossings if machine.program_track and not self.closed else None
+        block = None  # the closed run that steps crossings, made at the first miss
         cells, head, state, steps = self.cells, self.head, self.state, self.steps
         width = len(cells)
         trk = self.track
@@ -452,24 +443,30 @@ class Run:
                     cells[head] = write
                     state = q
                 else:
-                    # a crossing of the block: replayed when it fits the
-                    # budget, else stepped in place and memoised unless cut off
+                    # a crossing of the block: replayed when it fits the budget,
+                    # else stepped and memoised unless the budget cut it off
                     base = head - head % BLOCK
                     end = base + BLOCK if base + BLOCK < width else width
                     key = (state, head - base, bytes(cells[base:end]), trk[base:end])
                     hit = memo.get(key)
                     if hit is None or steps + hit[2] >= max_steps:
-                        hit = self._cross(rows, state, head, base, end, max_steps - steps)
-                        if hit[3] != 0:
+                        if block is None:
+                            block = Run(machine, b"", closed=True)
+                        block.cells, block.track = bytearray(key[2]), key[3]
+                        block.head, block.state, block.steps = head - base, state, 0
+                        how = block.go(max_steps - steps)
+                        # the block's wall is the exit step, its move made:
+                        # the checks below count it, with a move of 0
+                        hit = (block.state, block.head, block.steps,
+                               0 if how == "hit_wall" else None, bytes(block.cells))
+                        if how != "timeout":
                             if len(memo) >= CROSSINGS:
                                 memo.clear()
                             memo[key] = hit
-                    else:
-                        cells[base:end] = hit[4]
-                    state, head, s, delta, _ = hit
+                    state, head, s, delta, cells[base:end] = hit
                     head += base
                     steps += s
-                    if not delta:  # a halt, which the next lookup ends on, or the budget
+                    if delta is None:  # a halt, which the next lookup ends on, or the budget
                         continue
             else:
                 # cross the sweep's run of cells; j is where it stops, and
@@ -499,42 +496,6 @@ class Run:
             status = "accepted"
         self.head, self.state, self.steps, self.status = head, state, steps, status
         return status
-
-    def _cross(self, rows: list, state: int, head: int, base: int, end: int,
-               budget: int) -> tuple:
-        """Step the crossing of the block at ``base`` that starts in
-        ``state`` at ``head``, in place, one cell a step, for at most
-        ``budget`` steps: ``(state, head - base, steps, delta, cells)``.
-
-        The crossing ends at its exit step, which leaves the block: that
-        step's write and state are taken, and ``delta`` is its move, but its
-        head move and its count are left to ``go``, where a wall or growth
-        is.  A halt ends it with ``delta`` None, before the lookup that
-        finds no rule, and the budget with ``delta`` 0 and ``cells`` None.
-        Only a program-track machine's runs cross blocks, so every row has
-        two entries per symbol.
-        """
-        machine, cells, trk = self.machine, self.cells, self.track
-        ntrk, steps = len(trk), 0
-        while steps < budget:
-            i = cells[head] * 2
-            if head < ntrk:
-                i += trk[head]
-            try:
-                q, write, delta, run = rows[state][i]
-            except TypeError:
-                if rows[state] is None:
-                    machine.row(state)
-                    continue
-                return state, head - base, steps, None, bytes(cells[base:end])
-            if run is None:  # a sweep's cell writes nothing
-                cells[head] = write
-            state = q
-            if not base <= head + delta < end:
-                return state, head - base, steps, delta, bytes(cells[base:end])
-            head += delta
-            steps += 1
-        return state, head - base, steps, 0, None
 
 
 def run_machine(

@@ -149,7 +149,7 @@ def assert_rows_match_reference(m):
     for q in range(m.states):
         row = m.row(q)
         assert row == table[q * width : (q + 1) * width], q
-        assert m.dispatch()[q] is row
+        assert m.dispatch[q] is row
         for i, e in enumerate(row):
             if e is not None and e[3] is not None:
                 assert row[i - i % tracks] is e
@@ -675,19 +675,19 @@ def test_a_universal_accept_compiles_few_rows(fp):
     # and held 30.1 MB; one accept of a resident quad, 25,122,739 steps,
     # reaches 3,785 states
     utm = replace(universal_machine(fp.state_bits))
-    assert all(row is None for row in utm.dispatch())
+    assert all(row is None for row in utm.dispatch)
     quad = fp.edge_records(150, 10, 0, 0, 0, 0)
     r = run_encoded(utm, list(fp.program), checker_tape(fp.n, *quad), max_steps=10**8,
                     state_bits=fp.state_bits)
     assert (r.status, r.steps) == ("accepted", 25_122_739)
-    reached = [q for q, row in enumerate(utm.dispatch()) if row is not None]
+    reached = [q for q, row in enumerate(utm.dispatch) if row is not None]
     assert (utm.states, len(reached)) == (89_592, 3_785)
     # the same rows and the by-state index, traced on a fresh copy: the
     # index holds the bounds of the 97,271 same-state runs of the 467,798
     # rules (0.8 MB) and 0.4 MB of offsets; an index of rule ids read
     # 4,241,157 bytes in all, this one 3,079,997 (CPython 3.11, x86-64)
     fresh = replace(utm)
-    fresh.dispatch()
+    assert not any(fresh.dispatch)  # the slots, made before the trace
     tracemalloc.start()
     try:
         for q in reached:
@@ -828,7 +828,7 @@ def test_a_machine_that_writes_the_region_is_not_replayed():
     tape = utm_tape(program, x)
     fresh = replace(utm)
     plain = run_machine(fresh, tape, max_steps=10**6)
-    reached = {q for q, row in enumerate(fresh.dispatch()) if row is not None}
+    reached = {q for q, row in enumerate(fresh.dispatch) if row is not None}
     rules = utm.transitions
     taken = [i for i, (q, s, q2) in enumerate(zip(rules.state, rules.read, rules.new_state))
              if s == U_SEP and q2 != q and q in reached]
@@ -900,7 +900,7 @@ def no_blocks():
     """``Run.go`` without block crossings: the plain engine, which the
     tests above hold to ``reference_run``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Machine, "crossings", lambda self: None)
+        mp.setattr(Machine, "crossings", property(lambda self: None))
         yield
 
 
@@ -946,24 +946,29 @@ def test_a_loop_inside_one_block_times_out_at_the_budget():
         r = Run(m, [0] * 64, head=40)
         assert (r.go(budget), r.steps, r.head) == ("timeout", budget, 40 + budget % 2)
     assert_every_budget(m, [0] * 64, head=40, max_steps=3 * BLOCK)
-    assert not m.crossings()
+    assert not m.crossings
 
 
-@pytest.mark.parametrize("halt", ["stuck", "accepted"])
+@pytest.mark.parametrize("halt", ["stuck", "accepted", "swept"])
 def test_a_halt_exactly_at_the_budget_is_a_timeout(halt):
     # right over 1s, writing 2s, from cell 33 to the 3 at cell 40: 7 steps,
-    # then stuck there, or one step more into the accept state
-    rules = [(0, 1, ANY, 0, 2, RIGHT)] + ([(0, 3, ANY, 1, 3, STAY)] if halt == "accepted" else [])
-    m = Machine(2, 4, 0, 1, 0, True, Rules.of(rules))
+    # then stuck there, or one step more into the accept state; "swept"
+    # writes one 2 and sweeps the other 1s in state 2, inside the crossing,
+    # before it is stuck
+    rules = {"stuck": [(0, 1, ANY, 0, 2, RIGHT)],
+             "accepted": [(0, 1, ANY, 0, 2, RIGHT), (0, 3, ANY, 1, 3, STAY)],
+             "swept": [(0, 1, ANY, 2, 2, RIGHT), (2, 1, ANY, 2, 1, RIGHT)]}[halt]
+    m = Machine(3, 4, 0, 1, 0, True, Rules.of(rules))
+    assert sweeps(m) == ({(2, 1)} if halt == "swept" else set())
     tape = [1] * 40 + [3] + [1] * 23
-    steps = 7 if halt == "stuck" else 8
+    status, steps = ("accepted", 8) if halt == "accepted" else ("stuck", 7)
     for _ in range(2):  # the crossing stepped, then replayed
         r = Run(m, tape, head=33)
-        assert (r.go(100), r.steps, r.head) == (halt, steps, 40)
+        assert (r.go(100), r.steps, r.head) == (status, steps, 40)
     r = Run(m, tape, head=33)
     # the budget spent on the halting step's lookup: the plain run's timeout,
     # read as accepted in the accept state
-    assert (r.go(steps), r.steps) == ("timeout" if halt == "stuck" else "accepted", steps)
+    assert (r.go(steps), r.steps) == ("accepted" if halt == "accepted" else "timeout", steps)
     assert_every_budget(m, tape, head=33, max_steps=12)
 
 
@@ -1038,7 +1043,7 @@ def test_the_memo_is_cleared_at_its_bound(monkeypatch):
     for k in range(12):
         assert_every_budget(m, [0] * (k + 60) + [1], head=36, track=[0] * (k + 38) + [1],
                             max_steps=90)
-        sizes.append(len(m.crossings()))
+        sizes.append(len(m.crossings))
     assert max(sizes) <= 5
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
@@ -1050,10 +1055,23 @@ def test_a_cut_off_crossing_is_not_kept():
     tape = [1] * 40 + [3] + [1] * 23
     for budget in range(7):
         Run(m, tape, head=33).go(budget)
-    assert not m.crossings()
+    assert not m.crossings
     r = Run(m, tape, head=33)
     assert (r.go(100), r.steps, r.head) == ("stuck", 7, 40)
-    assert len(m.crossings()) == 1
+    assert len(m.crossings) == 1
+
+
+def test_a_closed_run_cuts_no_blocks():
+    # a closed tape is one crossing already: its run keeps no crossings
+    # and ends where the plain run does, at every budget, off the tape's
+    # last cell or accepting inside it
+    right = Machine(2, 4, 0, 1, 0, True, Rules.of([(0, 1, ANY, 0, 2, RIGHT)]))
+    assert assert_every_budget(right, [1] * 2 * BLOCK, head=20, closed=True,
+                               max_steps=50)[:4] == ("hit_wall", 43, 0, 2 * BLOCK)
+    m = replace(TRACKED)
+    assert assert_every_budget(m, TRACKED_TAPE, head=36, track=[0] * 44 + [1], closed=True,
+                               max_steps=80)[0] == "accepted"
+    assert not right.crossings and not m.crossings
 
 
 # --- block crossings on the N=256 checker ---------------------------------------
