@@ -49,6 +49,13 @@ def _axis_diameter(values: Iterable[int], side: int | None) -> int:
     return best
 
 
+def _check_pairs(points: Sequence[Point]) -> None:
+    """ValueError naming the first point that is not a pair of coordinates."""
+    if set(map(len, points)) - {2}:
+        bad = next(p for p in points if len(p) != 2)
+        raise ValueError(f"point {bad} is not a pair")
+
+
 def _check_torus(points: Sequence[Point], torus: tuple[int, int]) -> None:
     w, h = torus
     if w < 1 or h < 1:
@@ -73,9 +80,11 @@ def diameter(points: Iterable[Point], torus: tuple[int, int] | None = None) -> i
     diameter is exactly max(x-diameter, y-diameter), each taken on its own
     axis: the span on the plane; on the torus, the largest forward distance
     from a value to the last value at or before it + side // 2, found by
-    bisection (O(n log n) per axis).  Points must lie inside the torus.
+    bisection (O(n log n) per axis).  Points must be pairs and lie inside
+    the torus.
     """
     pts = list(points)
+    _check_pairs(pts)
     if torus is not None:
         _check_torus(pts, torus)
     return _diameter(pts, torus)
@@ -88,8 +97,10 @@ _INT64 = 2**63
 
 
 def _coordinates(pts: list[Point], torus: tuple[int, int] | None) -> np.ndarray:
-    """The points as an n x 2 int64 array.  ValueError names a point outside
-    the torus (as ``_check_torus`` does) or one that does not fit in int64."""
+    """The points as an n x 2 int64 array.  ValueError names a point that is
+    not a pair, one outside the torus (as ``_check_torus`` does) or one
+    that does not fit in int64."""
+    _check_pairs(pts)
     try:
         flat = itertools.chain.from_iterable(pts)
         xy = np.fromiter(flat, np.int64, 2 * len(pts)).reshape(-1, 2)
@@ -171,8 +182,8 @@ def find_islands(
     own, of diameter 0 <= alpha, so it is an island as it stands.  A torus
     less than 2 beta wide both ways has no two points more than beta apart:
     they form one component, found without a pair.
-    On a torus every point must lie in [0, w) x [0, h); every coordinate
-    must fit in int64.
+    Every point must be a pair, on a torus in [0, w) x [0, h), and every
+    coordinate must fit in int64.
     """
     if not (0 < alpha <= beta):
         raise ValueError("need 0 < alpha <= beta")

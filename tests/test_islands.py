@@ -229,6 +229,21 @@ def test_find_islands_names_a_point_past_int64(point):
         find_islands({point}, 1, 2, torus=(2**80, 2**80))
 
 
+@pytest.mark.parametrize("bad, points", [((0, 0, 5), [(0, 0, 5), (10,)]),
+                                         ((10,), [(0, 0), (10,)]),
+                                         ((3, 4, 5), [(0, 0), (3, 4, 5)])])
+def test_points_that_are_not_pairs_are_refused(bad, points):
+    # flattened, [(0, 0, 5), (10,)] would read as the pairs (0, 0) and (5, 10)
+    refused = pytest.raises(ValueError, match=re.escape(f"point {bad} is not a pair"))
+    for torus in (None, (16, 16)):
+        with refused:
+            find_islands(points, 1, 2, torus)
+        with refused:
+            clean(points, make_schedule(2, 1, 2), torus)
+        with refused:
+            diameter(points, torus)
+
+
 def test_cleaning_a_2048_torus_stays_within_its_memory():
     # rank 2 sweeps about 6,600 points at beta = 68: millions of candidate
     # pairs, which unblocked arrays would hold at once (about 120 MB)

@@ -178,7 +178,8 @@ JSON_PINS = {
     "checker8": "f05faae987197e95b40e6eb6b31f2bb97cdd2b97e950a2bf3135d7d80e380f37",
     "checker9": "89a39128ceb1288e48f7031f9171761d1dfd9857c690b482ac5d7fcf2236cff1",
     "chessboard": "7db4d1b4811edc4835c852821098543b0e273b58413c6c1658d46a54018964b9",
-    "universal8": "2373c505ef024ac487aaed0cf8dc58c7040b7eba89dff3db6866e4794a4c6969",
+    # since each universal state is its template code
+    "universal8": "6f261596101acfdbb5d9dcd688b7e47d9794d85342566474b586670496f873bf",
 }
 
 
@@ -354,7 +355,8 @@ def test_utm_tape_rejects_program_bits_other_than_0_1():
 def reference_universal_machine(state_bits):
     """``universal_machine`` built one rule group at a time by an
     ``Assembler``, which names each state by a key and numbers it by first
-    use: the builder the column templates replaced."""
+    use: the builder the column templates replaced, whose states are the
+    same up to that numbering."""
     ns = 1 << state_bits
     asm = Assembler("UACC", ("seek", 0))
     ids = asm.ids
@@ -478,8 +480,34 @@ def reference_universal_machine(state_bits):
 
 @pytest.mark.parametrize("state_bits", range(1, 10))
 def test_universal_machine_matches_the_reference(state_bits):
-    # Machine equality covers the states, start, accept and all six columns
-    assert universal_machine(state_bits) == reference_universal_machine(state_bits)
+    # the same machine up to one renaming of states: the rules in the same
+    # order with the same read, track, write and move columns, and the map
+    # zipped from the state and new-state columns one bijection of all the
+    # states that also takes start to start and accept to accept
+    got, want = universal_machine(state_bits), reference_universal_machine(state_bits)
+    g, w = got.transitions, want.transitions
+    assert (got.states, got.symbols, got.blank, got.program_track) == (
+        want.states, want.symbols, want.blank, want.program_track)
+    assert (g.read, g.track, g.write, g.move) == (w.read, w.track, w.write, w.move)
+    renaming = set(zip(itertools.chain(g.state, g.new_state, (got.start, got.accept)),
+                       itertools.chain(w.state, w.new_state, (want.start, want.accept))))
+    assert len(renaming) == len(dict(renaming)) == len({b: a for a, b in renaming}) == got.states
+
+
+@pytest.mark.parametrize("state_bits", range(1, 10))
+def test_universal_states_are_the_template_blocks(state_bits):
+    # one code per state: the accept and seek states; per key the rewind,
+    # record, skip, state-field (one per bit), symbol-field (two) and three
+    # condition states; the gq tree, then per successor state its gs tree,
+    # gm trees, walks and plants; and the ret rewinds, less q = 1's 8 keys
+    ns, nk = 1 << state_bits, 8 << state_bits
+    blocks = (1 + ns + nk * (3 + state_bits + 2 + 3)
+              + (ns - 1) + ns * (3 + 4 * 3 + 4 * 3 + 2) + (nk - 8))
+    u = universal_machine(state_bits)
+    assert u.states == blocks
+    named = np.union1d(np.frombuffer(u.transitions.state, dtype=np.intc),
+                       np.frombuffer(u.transitions.new_state, dtype=np.intc))
+    assert np.array_equal(named, np.arange(u.states))
 
 
 def test_universal_machine_needs_a_state_bit():
@@ -494,7 +522,7 @@ def test_universal_machine_pinned_size():
     # pinned by content too, so a reordered or rewritten rule shows
     text = json.dumps(u.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "fe9bb805a2acea41cd94b1d4e60eeac360c6215486aaffc70742485245ace8c6")
+        "df83c525772917fd83626d26b5b8ceb1ed2eb0080b559ebe8021a2e6b0feca50")
 
 
 def test_universal_agrees_with_direct():

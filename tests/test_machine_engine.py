@@ -25,6 +25,7 @@ from tilebench.compiler.fixedpoint import (
     run_checker,
     unpack_record,
 )
+from tilebench.compiler.simulate import chessboard_predicate_machine
 import tilebench.machine as machine_module
 from tilebench.machine import (
     BLOCK,
@@ -740,6 +741,22 @@ def test_universal_corpus_runs_agree(name, track):
     for n in range(5):
         for x in itertools.product((SYM_ZERO, SYM_ONE), repeat=n):
             assert_every_budget_agrees(utm, program, list(x), track)
+
+
+@pytest.mark.parametrize("name, bits", [("always", 1), ("parity", 2), ("palindrome", 3),
+                                        ("chessboard", 3)])
+def test_universal_runs_at_the_fewest_state_bits(name, bits):
+    # each machine on the smallest universal machine that encodes it, on
+    # every input of length 0-4: the run agrees with the plain run of that
+    # machine on its tape, and accepts where the simulated machine does
+    m = chessboard_predicate_machine() if name == "chessboard" else machine_corpus()[name]
+    assert 1 << (bits - 1) < m.states <= 1 << bits
+    utm, program = universal_machine(bits), encode_program(m, bits)
+    for n in range(5):
+        for x in itertools.product((SYM_ZERO, SYM_ONE), repeat=n):
+            sim = assert_encoded_agrees(utm, program, list(x), max_steps=10**6, state_bits=bits)
+            direct = run_machine(m, [*x, SYM_BLANK], max_steps=10_000)
+            assert (sim.status == "accepted") == (direct.status == "accepted"), x
 
 
 def resident(fp, x, y):
