@@ -14,13 +14,27 @@ engine only does less work per node, so node counts, solution order and
 the point where a budget runs out are the same.  Nothing is pruned or
 reordered.  Candidates come from a cached index, and a candidate that
 fails a check or leaves the next cell none is counted but never stepped
-into.  A cell, with or without checks, is visited one of two ways.  A
+into.  A cell, with or without checks, is visited one of three ways.  A
 cell with one candidate is forced: one node, its checks, one lookup, nothing
-recorded.  A cell with several candidates reads a survivor list, built
-once per call for its candidates, placed sides and check colors: the
+recorded.  A forced cell that starts a run of plain cells replays the run
+instead (below).  A cell with several candidates reads a survivor list,
+built once per call for its candidates, placed sides and check colors: the
 candidates worth stepping on with, each charging the dead ones before it
 as nodes.  Only cells with survivors left go on a stack of choice points,
 so backing up is one pop.
+
+A cell is plain when its forced step is one lookup of the shared index by
+its tile's right side and the top side below its right neighbour: that
+neighbour is its successor, has a placed bottom neighbour, no pin and no
+boundary color, and the cell has no wrap or boundary check.  A forced cell
+that starts L >= 3 plain cells (at most ``RUN``) replays them from a memo
+made per call (H. Marxen and J. Buntrock's macro step, as in
+``machine.Run.go``), keyed by its candidates and the L tiles below the
+cells after it.  A miss steps the run with the same lookups, up to a cell
+with several candidates, a dead candidate (counted) or L cells, and stores
+its nodes, tiles and next candidates.  A run is replayed only when the
+budget can pay all its nodes; else its cells take the forced step one at
+a time, so a budget runs out at the same node.
 
 Bounded mode leaves window borders free unless explicit boundary colors are
 given (a compiled macro-tile is assembled as the fill of its payload's
@@ -44,6 +58,13 @@ from .core import HOLE, MalformedPatchError, PatchGrid, TileSet, block_border
 MAX_NODES = 2_000_000
 #: Most tilings an enumeration collects before its caller gives up.
 MAX_SOLUTIONS = 4_096
+#: The most plain cells one replay of a run covers (see the module
+#: docstring).  Chosen by timing the 190 first-tiling solves of the
+#: window-solve benchmark's seed 1 against the engine without replays
+#: (2-core x86, CPython 3.11; median of three rounds), as a share of its time:
+#: 0.86 at a cap of 4, 0.86 at 6, 0.71 at 8, 0.72 at 10, 0.74 at 12 and 0.77
+#: at 16.  A smaller cap splits more runs, a larger one misses more often.
+RUN = 8
 
 
 class InconclusiveError(RuntimeError):
@@ -66,18 +87,25 @@ class SolveResult:
         return self
 
 
+def _int(v: object, what: str) -> int:
+    """``v`` if it is an int or a numpy integer (a bool is neither), else a
+    ValueError naming ``what``."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{what} must be an int, not {v!r}")
+    return int(v)
+
+
 def _boundary_side(boundary: Mapping | None, side: str, length: int) -> tuple[int, ...] | None:
-    if boundary is None:
-        return None
-    v = boundary.get(side)
+    v = None if boundary is None else boundary.get(side)
     if v is None:
         return None
-    if isinstance(v, int):
-        return (v,) * length
-    v = tuple(int(c) for c in v)
+    try:
+        v = tuple(v)
+    except TypeError:  # one color along the whole side
+        return (_int(v, f"boundary {side!r}"),) * length
     if len(v) != length:
         raise ValueError(f"boundary {side!r} must have {length} colors")
-    return v
+    return tuple(_int(c, f"boundary {side!r} cell {i}") for i, c in enumerate(v))
 
 
 def solve(
@@ -111,7 +139,14 @@ def solve(
             status "inconclusive" with nodes == max_nodes + 1.
         max_solutions: optional cap (>= 1) for count/enumerate; hitting it
             also gives "inconclusive" (the count is then a lower bound).
+
+    Sizes, budgets, boundary colors and mask coordinates are ints (numpy
+    integers count, bools do not); anything else is a ValueError naming
+    it, raised before any work.
     """
+    width, height, max_nodes = _int(width, "width"), _int(height, "height"), _int(max_nodes, "max_nodes")
+    if max_solutions is not None:
+        max_solutions = _int(max_solutions, "max_solutions")
     if mode not in ("first", "count", "enumerate"):
         raise ValueError(f"unknown mode {mode!r}")
     if toroidal and boundary:
@@ -124,6 +159,12 @@ def solve(
         raise ValueError("max_nodes must be non-negative")
     if max_solutions is not None and max_solutions < 1:
         raise ValueError("max_solutions must be at least 1")
+    b_left = _boundary_side(boundary, "left", height)
+    b_right = _boundary_side(boundary, "right", height)
+    b_top = _boundary_side(boundary, "top", width)
+    b_bottom = _boundary_side(boundary, "bottom", width)
+    absent = set() if mask is None else {(_int(x, f"masked cell {(x, y)}"), _int(y, f"masked cell {(x, y)}"))
+                                         for x, y in mask}
 
     n_tiles = len(tile_set)
     W = width
@@ -138,17 +179,11 @@ def solve(
             k = at[unknown.argmax()]
             raise MalformedPatchError(f"template cell ({k % W}, {k // W}) holds unknown tile id {ids[k]}")
         pins = dict(zip(at.tolist(), ids[at].tolist()))
-    absent = set() if mask is None else {(int(x), int(y)) for x, y in mask}
     for x, y in absent:
         if not (0 <= x < width and 0 <= y < height):
             raise ValueError(f"masked cell {(x, y)} lies outside the window")
         if y * W + x in pins:
             raise ValueError(f"template pins the masked cell {(x, y)}")
-
-    b_left = _boundary_side(boundary, "left", height)
-    b_right = _boundary_side(boundary, "right", height)
-    b_top = _boundary_side(boundary, "top", width)
-    b_bottom = _boundary_side(boundary, "bottom", width)
 
     free = tile_set.color_count
     K = free + 1
@@ -190,6 +225,11 @@ def solve(
     if toroidal and height == 1:
         loop_v = [u - d for u, d in zip(top_of, bottom_of)]
     spec: list = [None] * n
+    # run[p] counts the plain positions from p on, at most RUN, where they
+    # are 3 or more (else 0); a plain p steps to find(right_k[t] +
+    # top_of[g[p + 1 - W]]), as spec would.
+    run = [0] * n
+    plain = 0
     look, ls, bs, c = {0: ()}.get, -1, -1, 0
     for p in range(n - 1, -1, -1):
         x, y = cells[p]
@@ -227,6 +267,12 @@ def solve(
                 checks = (rtab, rc, rsrc, ttab, tc, tsrc)
         # the last slot holds the position's survivor lists (see below)
         spec[p] = (A, ls, bs, c, look, checks, {})
+        if A is right_k and bs == p + 1 - W and not c and look is find and checks is None:
+            plain += 1
+            if plain >= 3:
+                run[p] = plain if plain < RUN else RUN
+        else:
+            plain = 0
         k = y * W + x
         pin = pins.get(k)
         if pin is None:
@@ -265,6 +311,12 @@ def solve(
     budget_hit = False
     cap_hit = False
 
+    # The runs stepped so far: (the first cell's candidates, the tiles
+    # below the cells after it) -> (nodes, the tiles placed and their
+    # number, the candidates of the cell after them or None after a dead
+    # candidate).
+    runs: dict = {}
+
     # cands holds the candidates of position p on arrival there, or None
     # when the search backs up to the deepest choice point
     cands = look(c)
@@ -275,6 +327,33 @@ def solve(
                 break
             p, seq, j = pop()
         elif p < n:
+            L = run[p]
+            if L and len(cands) == 1:
+                # a run of plain cells: replayed when the budget pays for it
+                # all, else stepped by the forced step below
+                b = p + 1 - W
+                key = (cands, tuple(g[b:b + L]))
+                hit = runs.get(key)
+                if hit is None:
+                    # the forced step's lookups, up to a choice, a dead end or L cells
+                    spent, tiles, nxt = 0, [], cands
+                    for q in range(b, b + L):
+                        if len(nxt) != 1:
+                            break
+                        spent += 1
+                        t = nxt[0]
+                        nxt = find(right_k[t] + top_of[g[q]])
+                        if nxt is None:
+                            break
+                        tiles.append(t)
+                    hit = runs[key] = (spent, tiles, len(tiles), nxt)
+                spent, tiles, k, nxt = hit
+                if spent <= room:
+                    room -= spent
+                    g[p:p + k] = tiles
+                    p += k
+                    cands = nxt
+                    continue
             A, ls, bs, c, look_next, checks, memo = spec[p]
             base = right_k[g[ls]] + top_of[g[bs]] + c
             if checks is not None:

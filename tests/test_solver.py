@@ -1,6 +1,7 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 
 from tilebench import solver
@@ -112,6 +113,34 @@ def test_an_unknown_boundary_side_is_refused(boundary):
     unknown = [k for k in boundary if k not in ("left", "right", "top", "bottom")]
     with pytest.raises(ValueError, match=re.escape(f"unknown boundary sides {unknown}")):
         solve(chessboard_tileset(), 2, 2, boundary=boundary)
+
+
+@pytest.mark.parametrize("kw, what", [
+    (dict(mask=[(1.7, 0.2)]), "masked cell (1.7, 0.2) must be an int, not 1.7"),
+    (dict(mask=[(1, True)]), "masked cell (1, True) must be an int, not True"),
+    (dict(boundary={"left": [0.5, 1.2, 0.9]}), "boundary 'left' cell 0 must be an int, not 0.5"),
+    (dict(boundary={"right": [0, 1, 0.9]}), "boundary 'right' cell 2 must be an int, not 0.9"),
+    (dict(boundary={"top": True}), "boundary 'top' must be an int, not True"),
+    (dict(boundary={"bottom": 1.9}), "boundary 'bottom' must be an int, not 1.9"),
+    (dict(width=2.5), "width must be an int, not 2.5"),
+    (dict(height=True), "height must be an int, not True"),
+    (dict(max_nodes=10.0), "max_nodes must be an int, not 10.0"),
+    (dict(max_solutions=2.0, mode="count"), "max_solutions must be an int, not 2.0"),
+])
+def test_non_int_arguments_are_refused(kw, what):
+    # a float used to be truncated and a bool read as 0 or 1; the tile set
+    # is never read, so the refusal comes before any work
+    args = dict(width=3, height=3) | kw
+    with pytest.raises(ValueError, match=re.escape(what)):
+        solve(object(), **args)
+
+
+def test_numpy_ints_are_ints():
+    ts = chessboard_tileset()
+    got = solve(ts, np.int64(3), np.int32(2), mask=np.array([[0, 0]]), boundary={"left": np.int64(0)},
+                max_nodes=np.int64(100), mode="enumerate")
+    want = solve(ts, 3, 2, mask=[(0, 0)], boundary={"left": 0}, max_nodes=100, mode="enumerate")
+    assert (got.status, got.nodes, got.solutions) == (want.status, want.nodes, want.solutions)
 
 
 def test_budget_raises_inconclusive():

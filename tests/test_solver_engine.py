@@ -21,6 +21,7 @@ from tilebench.compiler import check_window_robust, robustify
 from tilebench.compiler.simulate import (CompileError, _border, chessboard_predicate_machine,
                                         compile_simulation)
 from tilebench.core import HOLE, MalformedPatchError, PatchGrid, Tile, TileSet, chessboard_tileset
+from tilebench import solver
 from tilebench.solver import InconclusiveError, SolveResult, _boundary_side, fill_template, solve
 from tilebench.substitution import enforce_substitution, thue_morse_rule
 
@@ -184,10 +185,11 @@ def striped_tileset():
 
 
 @st.composite
-def boundaries(draw, colors, w, h):
-    """Boundary sides, each free, one color or one per cell; now and then a
-    color just outside the set's colors, which no tile side carries."""
-    color = st.integers(-1, colors)
+def boundaries(draw, colors, w, h, outside=True):
+    """Boundary sides, each free, one color or one per cell; unless outside
+    is False, now and then a color just outside the set's colors, which no
+    tile side carries."""
+    color = st.integers(-1, colors) if outside else st.integers(0, colors - 1)
     boundary = {}
     for side, length in (("left", h), ("right", h), ("top", w), ("bottom", w)):
         kind = draw(st.sampled_from(["free", "scalar", "cells"]))
@@ -199,20 +201,38 @@ def boundaries(draw, colors, w, h):
 
 
 @st.composite
-def windows(draw):
-    colors = draw(st.integers(1, 4))
+def windows(draw, forced=False):
+    """A random set and window with every option of solve.  A forced one
+    has at most one tile per (left, bottom) pair, rows of up to 12 cells,
+    at least 3 rows, boundary colors the tiles carry and pins mostly in the
+    first column, so that most cells past the first row and column are
+    forced and runs of plain cells reach RUN, on tori (whose top row is
+    checked) as well."""
+    colors = draw(st.integers(1, 3 if forced else 4))
     color = st.integers(0, colors - 1)
-    quads = draw(st.lists(st.tuples(color, color, color, color), max_size=14, unique=True))
+    if forced:
+        gone = draw(st.sets(st.tuples(color, color), max_size=2))
+        quads = [(l, draw(color), draw(color), b) for l in range(colors) for b in range(colors)
+                 if (l, b) not in gone]
+        w, h = draw(st.one_of(st.integers(10, 12), st.integers(1, 12))), draw(st.integers(3, 6))
+    else:
+        quads = draw(st.lists(st.tuples(color, color, color, color), max_size=14, unique=True))
+        w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     ts = TileSet(colors, quads)
-    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     toroidal = draw(st.booleans())
     boundary = None
     if not toroidal and draw(st.booleans()):
-        boundary = draw(boundaries(colors, w, h))
+        boundary = draw(boundaries(colors, w, h, outside=not forced))
     template = None
     if quads and draw(st.booleans()):
-        pin = st.one_of(st.just(HOLE), st.just(HOLE), st.integers(0, len(quads) - 1))
-        template = PatchGrid(w, h, [[draw(pin) for _ in range(w)] for _ in range(h)])
+        tile = st.integers(0, len(quads) - 1)
+        if forced:  # pins in the first column and at most three elsewhere
+            cells = {(0, y) for y in range(h) if draw(st.booleans())}
+            cells |= draw(st.sets(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)), max_size=3))
+            template = PatchGrid.filled(w, h).replaced({c: draw(tile) for c in sorted(cells)})
+        else:
+            pin = st.one_of(st.just(HOLE), st.just(HOLE), tile)
+            template = PatchGrid(w, h, [[draw(pin) for _ in range(w)] for _ in range(h)])
     kw = dict(
         template=template,
         boundary=boundary,
@@ -232,6 +252,24 @@ def windows(draw):
 @example((chessboard_tileset(), 3, 3, dict(mode="count", max_nodes=0)))
 @example((TileSet(1, []), 2, 2, dict(mode="enumerate", max_nodes=0)))
 def test_solve_matches_reference_loop(case):
+    ts, w, h, kw = case
+    assert as_tuple(solve(ts, w, h, **kw)) == as_tuple(reference_solve(ts, w, h, **kw))
+
+
+def xor_tileset():
+    """Right and top sides both the left side xor the bottom one: every cell
+    with a placed left and bottom neighbour is forced, and no step is dead."""
+    return TileSet(2, [(l, l ^ b, l ^ b, b) for l in (0, 1) for b in (0, 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows(forced=True))
+# runs through a checked top row, a bottom boundary row and a pinned cell
+@example((xor_tileset(), 10, 3, dict(toroidal=True, mode="count")))
+@example((xor_tileset(), 12, 3, dict(boundary={"bottom": 0, "top": 1}, mode="count")))
+@example((xor_tileset(), 12, 3, dict(template=PatchGrid.filled(12, 3).replaced({(6, 1): 0}),
+                                     mode="count", max_nodes=3000)))
+def test_runs_of_forced_cells_match_reference_loop(case):
     ts, w, h, kw = case
     assert as_tuple(solve(ts, w, h, **kw)) == as_tuple(reference_solve(ts, w, h, **kw))
 
@@ -464,6 +502,9 @@ def small_masked_windows(draw):
 @example((chessboard_tileset(), 3, 1, frozenset({(0, 0)}), None, None, True))
 @example((TileSet(2, [(0, 0, 0, 0), (0, 0, 0, 1)]), 1, 2, frozenset({(0, 0)}), None,
           {"bottom": 1}, False))
+# (0, 0) and (1, 0) are masked, so (1, 1) has no bottom neighbour and its key
+# adds a free bottom side: the forced cell (0, 1) before it starts no run
+@example((TileSet(2, [(0, 0, 1, 1)]), 5, 2, frozenset({(0, 0), (1, 0)}), None, None, False))
 def test_masked_windows_match_brute_force(case):
     ts, w, h, hole, template, boundary, toroidal = case
     want = brute_force_tilings(ts, w, h, mask=hole, template=template,
@@ -552,6 +593,33 @@ def test_every_budget_matches_reference_on_compiled_chessboard(compiled_chessboa
     for budget in range(full.nodes + 2):
         got = solve(compiled_chessboard, 8, 8, max_nodes=budget)
         assert as_tuple(got) == as_tuple(reference_solve(compiled_chessboard, 8, 8, max_nodes=budget))
+
+
+@pytest.mark.parametrize("case", ["compiled-chessboard", "xor-border"])
+def test_every_budget_matches_reference_where_runs_reach_the_cap(compiled_chessboard, case):
+    """Runs of RUN plain cells are replayed whole only when the budget pays
+    for all of them; else they are stepped, and the budget stops the search
+    where the reference stops."""
+    if case == "compiled-chessboard":
+        ts, w, h, kw, want = compiled_chessboard, 10, 9, {}, ("solved", 233)
+    else:
+        ts, w, h, kw, want = xor_tileset(), 12, 4, dict(boundary={"right": [0, 1, 1, 0]}), ("solved", 72)
+    full = reference_solve(ts, w, h, **kw)
+    assert (full.status, full.nodes) == want
+    for budget in range(full.nodes + 2):
+        got = solve(ts, w, h, max_nodes=budget, **kw)
+        assert as_tuple(got) == as_tuple(reference_solve(ts, w, h, max_nodes=budget, **kw))
+
+
+@pytest.mark.parametrize("width", range(12, 33))
+def test_replayed_runs_search_the_same_tree(compiled_chessboard, monkeypatch, width):
+    """First tilings of the compiled chessboard, runs replayed and runs
+    stepped cell by cell (RUN = 0): same status, nodes and patch."""
+    height = 12 + 13 * width % 21  # each height in 12..32 once
+    on = solve(compiled_chessboard, width, height)
+    monkeypatch.setattr(solver, "RUN", 0)
+    off = solve(compiled_chessboard, width, height)
+    assert (on.status, on.nodes, on.patch) == (off.status, off.nodes, off.patch)
 
 
 @pytest.mark.parametrize("case", ["thue-morse-torus", "border-fill"])
